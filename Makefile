@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-sim bench-cluster bench-wal
+.PHONY: build test race vet fmt bench bench-e2e bench-sim bench-cluster bench-wal
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ fmt:
 # benchmarks from rotting.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-e2e runs the repository benchmark declared in BENCHMARK.json (its own
+# module under bench/, see bench/README.md), e.g.
+# make bench-e2e ARGS="--workload online-sebf-k8 --seed 1 --seconds 20 --trace 0"
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # bench-sim appends the simulator hot-path trajectory to BENCH_sim.json.
 # Pass LABEL=... to tag the snapshot (defaults to the current commit); see

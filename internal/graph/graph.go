@@ -72,9 +72,10 @@ type Graph struct {
 	// Derived-state caches, shared by every consumer of the topology and
 	// dropped on mutation. Graphs are handled by pointer throughout, so the
 	// synchronization state is never copied.
-	kspMu   sync.RWMutex
-	kspMemo map[kspKey][]Path // see pathcache.go
-	btPool  sync.Pool         // *btScratch, see load.go
+	kspMu    sync.RWMutex
+	kspMemo  map[kspKey][]Path // see pathcache.go
+	btPool   sync.Pool         // *btScratch, see load.go
+	pathPool sync.Pool         // *pathScratch, see shortestpath.go
 }
 
 // New returns an empty graph.
@@ -269,22 +270,25 @@ func (g *Graph) Reachable(src, dst NodeID) bool {
 	if src == dst {
 		return true
 	}
-	seen := make([]bool, g.NumNodes())
-	queue := []NodeID{src}
-	seen[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.out[v] {
+	// Breadth-first on the pooled search scratch (shortestpath.go): instance
+	// validation asks this once per flow, and a fresh seen-set and queue per
+	// call were most of a k=8 engine's set-up time.
+	s := g.getPathScratch()
+	defer g.pathPool.Put(s)
+	s.next()
+	s.nodes[src].seen = s.gen
+	s.queue = append(s.queue[:0], src)
+	for i := 0; i < len(s.queue); i++ {
+		for _, eid := range g.out[s.queue[i]] {
 			to := g.edges[eid].To
-			if seen[to] {
+			if s.nodes[to].seen == s.gen {
 				continue
 			}
 			if to == dst {
 				return true
 			}
-			seen[to] = true
-			queue = append(queue, to)
+			s.nodes[to].seen = s.gen
+			s.queue = append(s.queue, to)
 		}
 	}
 	return false

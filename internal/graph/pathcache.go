@@ -7,6 +7,15 @@ package graph
 // and benchmark sharing a topology shares one cache; it is safe for
 // concurrent readers and is invalidated wholesale if the graph mutates.
 
+// kspMemoCap bounds the memo: an insertion that finds it full clears it first.
+// Unbounded, a daemon keeps every pair it ever routed — a k=8 fat-tree has
+// 16 256 host pairs at several hundred bytes of paths each. 1024 entries hold
+// all 240 pairs of a k=4 fat-tree, so the small fabric never misses after
+// warm-up; on larger ones a miss is tens of microseconds (see
+// BenchmarkKShortestPaths), cheap enough that clearing everything beats the
+// per-hit bookkeeping an LRU would add to the 50 ns hit path.
+const kspMemoCap = 1024
+
 type kspKey struct {
 	src, dst NodeID
 	k        int
@@ -33,6 +42,9 @@ func (g *Graph) KShortestPathsCached(src, dst NodeID, k int) []Path {
 	if prior, ok := g.kspMemo[key]; ok {
 		paths = prior // keep the first insertion so callers share one slice
 	} else {
+		if len(g.kspMemo) >= kspMemoCap {
+			clear(g.kspMemo)
+		}
 		g.kspMemo[key] = paths
 	}
 	g.kspMu.Unlock()

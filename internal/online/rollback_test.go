@@ -172,3 +172,60 @@ func TestAdmitRollbackExact(t *testing.T) {
 		t.Fatalf("aggregates diverged from control: %+v vs %+v", es, cs)
 	}
 }
+
+// TestAdmitRollbackLoadBitExact pins the undo log: a mid-coflow failure must
+// restore the routing load bit for bit even where subtracting the charged
+// sizes again would not — a size that swamps the prior load ((x+1e16)-1e16
+// loses x), prior loads with no short binary form, and a pre-assigned walk
+// that charges one edge twice.
+func TestAdmitRollbackLoadBitExact(t *testing.T) {
+	g := graph.FatTree(4, 1)
+	isolated := g.AddNode("isolated", graph.KindHost)
+	hosts := g.Hosts()
+	e, err := NewEngine(g, SEBFOnline{}, Config{EpochLength: 0.5})
+	if err != nil {
+		t.Fatalf("new engine: %v", err)
+	}
+	for i, size := range []float64{0.1, 0.2, 0.7, 1.0 / 3} {
+		cf := coflow.Coflow{Weight: 1, Flows: []coflow.Flow{
+			{Source: hosts[i%3], Dest: hosts[3], Size: size},
+			{Source: hosts[0], Dest: hosts[1+i%3], Size: size / 7},
+		}}
+		if _, err := e.Admit(cf, 0); err != nil {
+			t.Fatalf("seed admission %d: %v", i, err)
+		}
+	}
+	// hosts[0] -> its edge switch and back, twice over, then on to hosts[1]:
+	// a valid walk that crosses the host's uplink and downlink twice.
+	up := g.ShortestPath(hosts[0], hosts[1])[0]
+	var down graph.EdgeID = -1
+	for _, eid := range g.Out(g.Edge(up).To) {
+		if g.Edge(eid).To == hosts[0] {
+			down = eid
+		}
+	}
+	if down < 0 {
+		t.Fatalf("no downlink to host %d", hosts[0])
+	}
+	walk := append(graph.Path{up, down}, g.ShortestPath(hosts[0], hosts[1])...)
+
+	before := make([]uint64, len(e.load))
+	for i, v := range e.load {
+		before[i] = math.Float64bits(v)
+	}
+	failing := coflow.Coflow{Weight: 1, Flows: []coflow.Flow{
+		{Source: hosts[0], Dest: hosts[3], Size: 1e16},
+		{Source: hosts[1], Dest: hosts[3], Size: 0.3},
+		{Source: hosts[0], Dest: hosts[1], Size: 0.1, Path: walk},
+		{Source: hosts[2], Dest: isolated, Size: 1}, // no route: fails after three flows were charged
+	}}
+	if _, err := e.Admit(failing, 0); err == nil {
+		t.Fatalf("admission of unroutable coflow succeeded")
+	}
+	for i, v := range e.load {
+		if got := math.Float64bits(v); got != before[i] {
+			t.Errorf("edge %d: load bits %#x after rollback, %#x before (%v vs %v)",
+				i, got, before[i], v, math.Float64frombits(before[i]))
+		}
+	}
+}
