@@ -210,3 +210,30 @@ func BenchmarkEngineTick(b *testing.B) { benchTickPair(b, "bare") }
 // metric — bench_sim.sh records both benchmarks (with the extra metric) in
 // BENCH_sim.json, and the budget is <= 2%.
 func BenchmarkEngineTickTelemetry(b *testing.B) { benchTickPair(b, "telemetry") }
+
+// BenchmarkDecideSync measures one synchronous decision — view sync, SEBF
+// scoring, order filter, install sweep, churn — on a standing backlog, after
+// an (untimed) sliver of simulated time has made a few coflows' slots stale:
+// the per-epoch decide cost of a busy daemon.
+func BenchmarkDecideSync(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		coflows int
+	}{{"backlog2k", 250}, {"backlog5k", 625}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := backlogEngine(b, SEBFOnline{}, bc.coflows, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := e.AdvanceTo(e.Now() + 0.002); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := e.DecideSync(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

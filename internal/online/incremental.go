@@ -3,8 +3,6 @@ package online
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"coflowsched/internal/coflow"
@@ -25,9 +23,16 @@ import (
 // Snapshot, which — like the batch loop — only exposes admitted, unfinished
 // coflows, so policies remain causally blind to the future.
 //
-// Long-running cost: per-tick work (AdvanceTo, Snapshot) is proportional to
-// the flows of ACTIVE coflows only — completed coflows are pruned from the
-// simulator (sim.Forget) as soon as their completion is recorded, and the
+// Long-running cost: the engine keeps one residual view of the active
+// coflows and, per epoch, rebuilds only the slots of coflows whose flows
+// transmitted (the simulator's progress log), were just admitted or
+// completed (syncView); AdvanceTo costs the completions it folds in. What is
+// still proportional to the active flows every decision is the policy's own
+// scoring pass, the order filter and churn count, and one sweep of the
+// simulator's active list — none of them rebuilds state that did not change.
+// Completed coflows are pruned from the simulator (sim.Forget) as soon as
+// their completion is recorded, the epoch arenas (view, order buffers) are
+// handed back when a sizeable backlog has drained (idleKeepFlows), and the
 // slowdown/solve-latency samples live in bounded reservoirs of the most
 // recent statsWindow values. What does grow with total admissions is the
 // per-coflow registry (arrival, completion, byte totals — a few words per
@@ -66,11 +71,18 @@ type Engine struct {
 	epoch   int
 	order   []coflow.FlowRef
 	// orderScratch and orderHandles are ApplyOrder's reusable buffers.
-	// snapScratch is DecideSync's reusable snapshot arena — legal because
-	// Decide must not retain the snapshot after returning.
 	orderScratch []coflow.FlowRef
 	orderHandles []sim.Handle
-	snapScratch  Snapshot
+	// view is the persistent residual snapshot: one slot per arrived active
+	// coflow, in admission order, as of the last syncView. DecideSync hands
+	// it to the policy in place — legal because Decide must neither retain
+	// nor modify it — and Snapshot copies it. viewDirty marks, by coflow id,
+	// the slots an advance left stale; progress and loads are the scratch
+	// behind the progress-log drain and the slots' Γ memo.
+	view      Snapshot
+	viewDirty []bool
+	progress  []coflow.FlowRef
+	loads     []graph.PathLoad
 	// churnPos mirrors the handles table: per flow slot, the flow's position
 	// in the old order of the current churn() call, packed as gen<<32|pos.
 	// The generation stamp self-invalidates stale entries, so computing
@@ -96,6 +108,14 @@ type Engine struct {
 	slowdowns        ring
 	solveLatencies   ring
 }
+
+// idleKeepFlows is the backlog (flows in one applied order) up to which an
+// engine that goes idle keeps its epoch arenas and its simulator's tables: a
+// lightly loaded daemon goes idle every tick, and regrowing a few kilobytes
+// each time costs more than holding them (3 % of the admit-shard window,
+// which admits ~70 flows per tick). What a larger backlog sized is handed
+// back.
+const idleKeepFlows = 256
 
 // statsWindow bounds the percentile sample reservoirs: a long-running
 // daemon reports tails over the most recent window rather than accumulating
@@ -347,6 +367,7 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 	e.active = append(e.active, id)
 	e.handles = append(e.handles, hs)
 	e.churnPos = append(e.churnPos, make([]uint64, len(admitted.Flows)))
+	e.viewDirty = append(e.viewDirty, false) // no slot yet: syncView builds one
 	e.totalFlows += len(admitted.Flows)
 	return id, nil
 }
@@ -390,23 +411,25 @@ func (e *Engine) AdmitBatch(cfs []coflow.Coflow, now float64) []AdmitResult {
 	return out
 }
 
-// snapshotCoflow builds the residual view of one admitted coflow into rcf,
-// reusing rcf's Flows backing array. It reads flow state through the handle
-// table — no map lookup per flow — and reports whether the coflow has any
-// unfinished flows (false leaves rcf's header fields unset but its backing
-// intact for reuse). Safe to call from several goroutines for DISTINCT
-// coflows while the engine is otherwise quiescent: it only reads engine
-// registries and per-flow simulator state.
-func (e *Engine) snapshotCoflow(id int, rcf *ResidualCoflow) bool {
+// fillSlot builds the residual view of one active coflow into rcf, reusing
+// rcf's Flows backing, and memoizes the coflow's residual bottleneck on it.
+// It is the one snapshot builder: DecideSync, Snapshot and recovery replay
+// all read slots it filled. Flow state comes through the handle table — no
+// map lookup, no FlowStatus — and everything that does not move comes from
+// the admitted coflow.
+func (e *Engine) fillSlot(id int, rcf *ResidualCoflow) {
 	cf := &e.inst.Coflows[id]
 	hs := e.handles[id]
 	flows := rcf.Flows[:0]
+	if cap(flows) < len(cf.Flows) {
+		flows = make([]ResidualFlow, 0, len(cf.Flows)) // a fresh slot: size it once
+	}
 	for j := range cf.Flows {
-		if hs == nil || !hs[j].Valid() {
-			continue // never registered (restored-coflow gap) or pruned
+		if !hs[j].Valid() {
+			continue // finished before a restore: never re-registered
 		}
-		fs := e.sim.HandleStatus(hs[j])
-		if fs.Done {
+		size, remaining, done := e.sim.Residual(hs[j])
+		if done {
 			continue
 		}
 		f := &cf.Flows[j]
@@ -414,118 +437,83 @@ func (e *Engine) snapshotCoflow(id int, rcf *ResidualCoflow) bool {
 			Ref:       coflow.FlowRef{Coflow: id, Index: j},
 			Source:    f.Source,
 			Dest:      f.Dest,
-			Path:      fs.Path,
+			Path:      f.Path,
 			Release:   f.Release,
-			Size:      fs.Size,
-			Remaining: fs.Remaining,
+			Size:      size,
+			Remaining: remaining,
 		})
 	}
-	rcf.Flows = flows
-	if len(flows) == 0 {
-		return false
-	}
-	rcf.Index = id
-	rcf.Name = cf.Name
-	rcf.Weight = cf.Weight
-	rcf.Arrival = e.arrivals[id]
-	return true
+	*rcf = ResidualCoflow{Index: id, Name: cf.Name, Weight: cf.Weight, Arrival: e.arrivals[id], Flows: flows, hasGamma: true}
+	rcf.gamma, e.loads = residualBottleneck(e.inst.Network, flows, e.loads)
 }
 
-// snapshotParallelMin is the active-coflow count below which Snapshot's
-// chunked fan-out costs more than it saves.
-const snapshotParallelMin = 64
-
-// Snapshot captures the policy-visible residual state at the engine clock,
-// without stopping or perturbing the simulation: admitted coflows that have
-// arrived and still have unfinished flows, exactly what the batch loop
-// shows its policies. The snapshot is an independent copy, safe to hand to
-// a Decide running on another goroutine. Cost is proportional to active
-// flows, not total admissions; large snapshots are assembled by parallel
-// chunk workers writing disjoint indexed slots, then compacted in admission
-// order, so the output is identical to the sequential assembly.
-func (e *Engine) Snapshot() *Snapshot {
-	snap := &Snapshot{Now: e.now, Epoch: e.epoch, Network: e.inst.Network}
-	ids := make([]int, 0, len(e.active))
+// syncView brings the residual view up to date with the engine clock and
+// returns it. Slots and active coflows are both in admission order, so one
+// two-cursor walk compacts out the slots of coflows that completed, carries
+// the rest over — rebuilding only those an advance marked dirty — and appends
+// slots for coflows admitted (or, admitted ahead of the clock, arrived) since
+// the last call. Retired slots are swapped towards the tail rather than
+// overwritten, so their Flows backings serve the next admissions.
+func (e *Engine) syncView() *Snapshot {
+	v := &e.view
+	v.Now, v.Epoch, v.Network = e.now, e.epoch, e.inst.Network
+	old := len(v.Coflows)
+	slots := v.Coflows[:cap(v.Coflows)]
+	w, r := 0, 0
 	for _, id := range e.active {
 		if e.arrivals[id] > e.now+1e-15 {
 			continue // future admission: invisible to the policy
 		}
-		ids = append(ids, id)
-	}
-	out := make([]ResidualCoflow, len(ids))
-	keep := make([]bool, len(ids))
-	build := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keep[i] = e.snapshotCoflow(ids[i], &out[i])
+		for r < old && slots[r].Index < id {
+			r++ // completed since the last sync
 		}
-	}
-	if w := snapshotWorkers(len(ids)); w > 1 {
-		var wg sync.WaitGroup
-		chunk := (len(ids) + w - 1) / w
-		for lo := 0; lo < len(ids); lo += chunk {
-			hi := lo + chunk
-			if hi > len(ids) {
-				hi = len(ids)
+		fresh := r == old || slots[r].Index != id
+		switch {
+		case fresh && r < old:
+			// A coflow admitted ahead of the clock arrived between two that
+			// were already visible (admission times out of id order): there
+			// is no slot to grow into, so rebuild every slot.
+			v.Coflows = v.Coflows[:0]
+			return e.syncView()
+		case fresh && w == len(slots):
+			slots = append(slots, ResidualCoflow{})
+			slots = slots[:cap(slots)]
+		case !fresh:
+			if w != r {
+				slots[w], slots[r] = slots[r], slots[w]
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				build(lo, hi)
-			}(lo, hi)
+			r++
 		}
-		wg.Wait()
-	} else {
-		build(0, len(ids))
+		if fresh || e.viewDirty[id] {
+			e.fillSlot(id, &slots[w])
+			e.viewDirty[id] = false
+		}
+		w++
 	}
-	for i := range out {
-		if keep[i] {
-			snap.Coflows = append(snap.Coflows, out[i])
-		}
+	v.Coflows = slots[:w]
+	return v
+}
+
+// Snapshot captures the policy-visible residual state at the engine clock,
+// without stopping or perturbing the simulation: admitted coflows that have
+// arrived and still have unfinished flows, exactly what the batch loop
+// shows its policies. The snapshot is a flat copy of the engine's view
+// (two allocations: the slots and one arena for every flow), safe to hand to
+// a Decide running on another goroutine.
+func (e *Engine) Snapshot() *Snapshot {
+	v := e.syncView()
+	snap := &Snapshot{Now: v.Now, Epoch: v.Epoch, Network: v.Network}
+	if len(v.Coflows) == 0 {
+		return snap
+	}
+	snap.Coflows = append([]ResidualCoflow(nil), v.Coflows...)
+	arena := make([]ResidualFlow, 0, v.NumFlows())
+	for i := range snap.Coflows {
+		n := len(arena)
+		arena = append(arena, snap.Coflows[i].Flows...)
+		snap.Coflows[i].Flows = arena[n:len(arena):len(arena)]
 	}
 	return snap
-}
-
-// snapshotWorkers sizes Snapshot's fan-out: 1 (sequential) unless the active
-// set is large enough to amortize goroutine launch and the process actually
-// has spare CPUs.
-func snapshotWorkers(n int) int {
-	if n < snapshotParallelMin {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4 // diminishing returns; snapshot assembly is memory-bound
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// snapshotInto rebuilds the snapshot in place, reusing snap's Coflows slice
-// and each slot's Flows backing. This is DecideSync's allocation-free path;
-// it is legal because the Policy contract forbids Decide from retaining the
-// snapshot after returning.
-func (e *Engine) snapshotInto(snap *Snapshot) {
-	snap.Now, snap.Epoch, snap.Network = e.now, e.epoch, e.inst.Network
-	coflows := snap.Coflows[:0]
-	for _, id := range e.active {
-		if e.arrivals[id] > e.now+1e-15 {
-			continue
-		}
-		n := len(coflows)
-		if n < cap(coflows) {
-			coflows = coflows[:n+1]
-		} else {
-			coflows = append(coflows, ResidualCoflow{})
-		}
-		if !e.snapshotCoflow(id, &coflows[n]) {
-			// Truncate but keep the slot (and its Flows backing) in the
-			// spare capacity for the next rebuild.
-			coflows = coflows[:n]
-		}
-	}
-	snap.Coflows = coflows
 }
 
 // ApplyOrder installs a priority order (normally the result of running the
@@ -580,19 +568,14 @@ func (e *Engine) handleFor(r coflow.FlowRef) (sim.Handle, bool) {
 	return hs[r.Index], true
 }
 
-// flowKnown reports whether the simulator still tracks the flow, answered
-// from the handle table so the per-decision order filter costs no map
-// lookups.
-func (e *Engine) flowKnown(r coflow.FlowRef) bool {
-	_, ok := e.handleFor(r)
-	return ok
-}
-
-// churn computes the order-churn fraction through the churnPos table: record
-// each old position under a fresh generation stamp, then count new entries
-// whose recorded position is missing or moved. References whose coflow has
-// been pruned simply never record a position — exactly the map-miss they
-// used to be.
+// churn measures how much a new priority order disagrees with the one it
+// replaces: the fraction of refs in the larger order whose rank changed
+// (including refs present in only one of the two). 0 means the decision
+// re-confirmed the standing order; 1 means nothing kept its place. It works
+// through the churnPos table: record each old position under a fresh
+// generation stamp, then count new entries whose recorded position is missing
+// or moved. References whose coflow has been pruned never record a position
+// and count as missing.
 func (e *Engine) churn(old, new []coflow.FlowRef) float64 {
 	denom := len(old)
 	if len(new) > denom {
@@ -621,36 +604,8 @@ func (e *Engine) churn(old, new []coflow.FlowRef) float64 {
 	return float64(changed) / float64(denom)
 }
 
-// orderChurn measures how much a new priority order disagrees with the one
-// it replaces: the fraction of refs in the larger order whose rank changed
-// (including refs present in only one of the two). 0 means the decision
-// re-confirmed the standing order; 1 means nothing kept its place.
-func orderChurn(old, new []coflow.FlowRef) float64 {
-	denom := len(old)
-	if len(new) > denom {
-		denom = len(new)
-	}
-	if denom == 0 {
-		return 0
-	}
-	oldRank := make(map[coflow.FlowRef]int, len(old))
-	for i, r := range old {
-		oldRank[r] = i
-	}
-	changed := len(old) - len(new) // refs dropped entirely, when old is longer
-	if changed < 0 {
-		changed = 0
-	}
-	for i, r := range new {
-		if rank, ok := oldRank[r]; !ok || rank != i {
-			changed++
-		}
-	}
-	return float64(changed) / float64(denom)
-}
-
 // OrderChurn reports the churn fraction of the most recently applied order
-// (see orderChurn). Scheduler-introspection surface for /v1/epochs.
+// (see churn). Scheduler-introspection surface for /v1/epochs.
 func (e *Engine) OrderChurn() float64 { return e.lastChurn }
 
 // Epoch returns the engine's epoch counter (AdvanceTo calls so far).
@@ -706,12 +661,18 @@ func (e *Engine) AdvanceTo(to float64) error {
 	return nil
 }
 
-// collectCompletions drains the simulator's completion log after an advance,
-// closes out coflows whose last flow completed, and prunes their flow state
-// from the simulator so neither the engine nor the simulator ever iterates
-// finished work again. Cost is O(completions since the last advance) — the
-// incremental tick path — instead of a re-scan of every active flow.
+// collectCompletions drains the simulator's progress and completion logs
+// after an advance: it marks the view slots of coflows whose flows
+// transmitted as stale, closes out coflows whose last flow completed, and
+// prunes their flow state from the simulator so neither the engine nor the
+// simulator ever iterates finished work again. Cost is O(progressing flows +
+// completions since the last advance) — the incremental tick path — instead
+// of a re-scan of every active flow.
 func (e *Engine) collectCompletions() {
+	e.progress = e.sim.TakeProgressed(e.progress[:0])
+	for _, r := range e.progress {
+		e.viewDirty[r.Coflow] = true
+	}
 	events := e.sim.TakeCompletions()
 	if len(events) == 0 {
 		return
@@ -753,6 +714,15 @@ func (e *Engine) collectCompletions() {
 			}
 		}
 		e.active = stillActive
+		if len(stillActive) == 0 && cap(e.orderHandles) > idleKeepFlows {
+			// Idle: the epoch arenas and the simulator's tables were sized
+			// by the backlog that just drained. Hand them back; the next
+			// admission regrows what it needs.
+			e.sim.ReleaseIdle()
+			e.view = Snapshot{}
+			e.order, e.orderScratch, e.orderHandles = nil, nil, nil
+			e.progress, e.loads = nil, nil
+		}
 	}
 }
 
@@ -790,11 +760,9 @@ func (e *Engine) CoflowStatus(id int) (CoflowStatus, bool) {
 		if hs == nil || !hs[j].Valid() {
 			continue
 		}
-		fs := e.sim.HandleStatus(hs[j])
-		if fs.Done {
-			continue
+		if _, remaining, done := e.sim.Residual(hs[j]); !done {
+			st.RemainingBytes += remaining
 		}
-		st.RemainingBytes += fs.Remaining
 	}
 	return st, true
 }
@@ -816,13 +784,13 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// DecideSync takes a snapshot, runs the policy synchronously and applies the
-// resulting order. Idle snapshots (no residual coflows) apply nothing. The
-// snapshot arena is reused across calls (snapshotInto), which the Policy
-// contract makes safe: Decide must not retain the snapshot after returning.
+// DecideSync brings the residual view up to date, runs the policy on it
+// synchronously and applies the resulting order. Idle views (no residual
+// coflows) apply nothing. The policy reads the engine's own long-lived view,
+// which the Policy contract makes safe: Decide must neither retain nor
+// modify the snapshot.
 func (e *Engine) DecideSync() error {
-	snap := &e.snapScratch
-	e.snapshotInto(snap)
+	snap := e.syncView()
 	if len(snap.Coflows) == 0 {
 		return nil
 	}

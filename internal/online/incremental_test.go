@@ -307,8 +307,35 @@ func TestEngineDrain(t *testing.T) {
 	}
 }
 
+// orderChurn is the map-based definition of the churn metric, kept as the
+// oracle for Engine.churn: the fraction of refs in the larger order whose
+// rank changed (including refs present in only one of the two).
+func orderChurn(old, new []coflow.FlowRef) float64 {
+	denom := len(old)
+	if len(new) > denom {
+		denom = len(new)
+	}
+	if denom == 0 {
+		return 0
+	}
+	oldRank := make(map[coflow.FlowRef]int, len(old))
+	for i, r := range old {
+		oldRank[r] = i
+	}
+	changed := len(old) - len(new) // refs dropped entirely, when old is longer
+	if changed < 0 {
+		changed = 0
+	}
+	for i, r := range new {
+		if rank, ok := oldRank[r]; !ok || rank != i {
+			changed++
+		}
+	}
+	return float64(changed) / float64(denom)
+}
+
 // TestOrderChurn pins the churn metric the /v1/epochs introspection surface
-// reports: fraction of refs in the larger order whose rank changed.
+// reports, on the engine's stamp-table implementation and on its oracle.
 func TestOrderChurn(t *testing.T) {
 	r := func(c int) coflow.FlowRef { return coflow.FlowRef{Coflow: c} }
 	cases := []struct {
@@ -324,9 +351,14 @@ func TestOrderChurn(t *testing.T) {
 		{"tail shift", []coflow.FlowRef{r(0), r(1), r(2), r(3)}, []coflow.FlowRef{r(0), r(1), r(3), r(2)}, 0.5},
 		{"head drop", []coflow.FlowRef{r(0), r(1), r(2), r(3)}, []coflow.FlowRef{r(1), r(2), r(3)}, 1},
 	}
+	// Four live single-flow coflows are all the stamp table needs.
+	eng := &Engine{churnPos: [][]uint64{{0}, {0}, {0}, {0}}}
 	for _, tc := range cases {
 		if got := orderChurn(tc.old, tc.new); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: orderChurn = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := eng.churn(tc.old, tc.new); got != orderChurn(tc.old, tc.new) {
+			t.Errorf("%s: churn = %v, oracle %v", tc.name, got, orderChurn(tc.old, tc.new))
 		}
 	}
 }

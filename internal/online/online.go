@@ -52,12 +52,32 @@ type ResidualCoflow struct {
 	Arrival float64
 	// Flows lists the coflow's unfinished flows (finished ones are elided).
 	Flows []ResidualFlow
+
+	// gamma memoizes the coflow's residual bottleneck time (see
+	// residualBottleneck) when hasGamma is set. The engine sets it whenever
+	// it rebuilds the slot, so a policy scoring by Γ touches only the
+	// coflows that changed; hand-built snapshots leave it unset and are
+	// scored on demand.
+	gamma    float64
+	hasGamma bool
+}
+
+// residualBottleneck is a coflow's residual Γ: the bottleneck time of its
+// unfinished flows' remaining volumes over their admission paths. loads is
+// the caller's scratch, returned for reuse.
+func residualBottleneck(g *graph.Graph, flows []ResidualFlow, loads []graph.PathLoad) (float64, []graph.PathLoad) {
+	loads = loads[:0]
+	for j := range flows {
+		loads = append(loads, graph.PathLoad{Path: flows[j].Path, Volume: flows[j].Remaining})
+	}
+	return g.BottleneckTime(loads), loads
 }
 
 // Snapshot is everything a policy may look at when deciding the next epoch's
 // priorities: the clock, the network, and the residual state of arrived
-// coflows. It is an immutable copy — policies run concurrently with the
-// simulation under pipelining, so they must not share state with the engine.
+// coflows. Policies treat it as immutable: under pipelining they run
+// concurrently with the simulation on an independent copy, and on the
+// engine's synchronous path they read the engine's own long-lived view.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now float64
@@ -69,11 +89,10 @@ type Snapshot struct {
 	// in arrival order.
 	Coflows []ResidualCoflow
 
-	// Decide-time scratch, reused when the engine recycles one Snapshot
-	// value across epochs (the synchronous decide path rebuilds snapScratch
-	// in place every tick). Reuse is safe because at most one Decide ever
-	// runs against a snapshot and the engine copies the returned order
-	// before the snapshot is rebuilt.
+	// Decide-time scratch, reused across epochs on the engine's long-lived
+	// view (the synchronous decide path). Reuse is safe because at most one
+	// Decide ever runs against a snapshot and the engine copies the returned
+	// order before the next one starts.
 	orderArena []coflow.FlowRef
 	idxArena   []int
 	keyArena   []float64
@@ -114,7 +133,9 @@ type Policy interface {
 	Name() string
 	// Decide returns a priority order over residual flows. The order may be
 	// partial; flows it omits are served last. Decide must not retain the
-	// snapshot after returning.
+	// snapshot after returning and must not modify it: the engine's
+	// synchronous path passes its own long-lived view, updated in place
+	// between calls, not a copy.
 	Decide(snap *Snapshot) ([]coflow.FlowRef, error)
 }
 

@@ -248,6 +248,7 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 			cpos = make([]uint64, cp.NumFlows)
 		}
 		e.churnPos = append(e.churnPos, cpos)
+		e.viewDirty = append(e.viewDirty, false)
 	}
 	e.load = append(e.load[:0], st.Load...)
 	e.now = st.Now

@@ -60,14 +60,13 @@ func (SEBFOnline) Name() string { return "SEBFOnline" }
 func (SEBFOnline) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 	idx := snap.ints(len(snap.Coflows))
 	gammas := snap.floats(len(snap.Coflows)) // keyed by coflow position, not rank
-	var loads []graph.PathLoad               // one scratch shared by every coflow's scoring
+	var loads []graph.PathLoad               // scratch for coflows that carry no Γ memo
 	for i := range snap.Coflows {
 		cf := &snap.Coflows[i]
-		loads = loads[:0]
-		for j := range cf.Flows {
-			loads = append(loads, graph.PathLoad{Path: cf.Flows[j].Path, Volume: cf.Flows[j].Remaining})
+		gamma := cf.gamma
+		if !cf.hasGamma {
+			gamma, loads = residualBottleneck(snap.Network, cf.Flows, loads)
 		}
-		gamma := snap.Network.BottleneckTime(loads)
 		if cf.Weight > 0 {
 			gamma /= cf.Weight
 		}
@@ -238,8 +237,9 @@ func (o *Oracle) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 func flattenIndexed(snap *Snapshot, idx []int) []coflow.FlowRef {
 	order := snap.orderArena[:0]
 	for _, i := range idx {
-		for _, f := range snap.Coflows[i].Flows {
-			order = append(order, f.Ref)
+		flows := snap.Coflows[i].Flows
+		for j := range flows {
+			order = append(order, flows[j].Ref)
 		}
 	}
 	snap.orderArena = order

@@ -55,6 +55,7 @@ type activeSet struct {
 	n       int
 	rng     uint64
 	scratch []*activeNode // Rebuild's node buffer, reused across re-orderings
+	moved   []*activeNode // Reorder's out-of-place nodes, reused likewise
 }
 
 func newActiveSet() *activeSet {
@@ -102,6 +103,7 @@ func (a *activeSet) Insert(st *flowState) {
 		next: make([]*activeNode, a.randLevel()),
 	}
 	a.insertNode(n)
+	a.n++
 	st.node = n
 }
 
@@ -119,7 +121,6 @@ func (a *activeSet) insertNode(n *activeNode) {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
 	}
-	a.n++
 }
 
 // Delete unlinks the flow's node. The flow must be in the set.
@@ -138,8 +139,71 @@ func (a *activeSet) Delete(st *flowState) {
 	a.n--
 }
 
-// Rebuild re-sorts the set after the flows' ranks changed (SetOrder):
-// collect the member nodes, refresh their keys, sort, and re-link every
+// Reorder restores the set's order after a new priority order assigned
+// ranks (SetOrder stamped the flows it lists with gen), and reports whether
+// any node had to move. It is one sweep of the level-0 chain: a flow the
+// order left out takes the rank `unlisted`, every key is refreshed, and a
+// node whose new key exceeds the last in-order node's stays where it is,
+// re-linked at every level of its tower by tail-append — which unlinks the
+// out-of-place nodes in passing, with no search by their (now stale) keys.
+// Those are then re-inserted by search. An online policy re-deciding over a
+// slowly changing backlog moves a handful of nodes per epoch (the flows of
+// coflows that transmitted or were just admitted), so the usual cost is the
+// sweep; once more than an eighth are out of place the per-node searches
+// lose to sorting everything, and Rebuild takes over. Either way the result
+// is the list sorted by the new keys with every node and tower reused, so it
+// is the same structure Rebuild alone would have left.
+func (a *activeSet) Reorder(gen uint64, unlisted int) bool {
+	var tails [activeMaxLevel]*activeNode
+	for i := range tails {
+		tails[i] = a.head
+	}
+	moved := a.moved[:0]
+	last := activeKey{rank: -1, coflow: -1, index: -1}
+	for n := a.head.next[0]; n != nil; {
+		next := n.next[0]
+		st := n.st
+		if st.orderSeq != gen {
+			st.rank = unlisted
+		}
+		n.key = activeKey{rank: st.rank, coflow: st.ref.Coflow, index: st.ref.Index}
+		if keyLess(last, n.key) {
+			last = n.key
+			for i := range n.next {
+				tails[i].next[i] = n
+				tails[i] = n
+			}
+		} else {
+			moved = append(moved, n)
+		}
+		n = next
+	}
+	for i, t := range tails {
+		t.next[i] = nil
+	}
+	if len(moved) > a.n/8 {
+		// Hang the stragglers back on the level-0 chain for Rebuild to collect.
+		t := tails[0]
+		for _, n := range moved {
+			t.next[0] = n
+			t = n
+		}
+		t.next[0] = nil
+		a.Rebuild()
+	} else {
+		for _, n := range moved {
+			a.insertNode(n)
+		}
+	}
+	reordered := len(moved) > 0
+	clear(moved)
+	a.moved = moved[:0]
+	return reordered
+}
+
+// Rebuild re-sorts the set after the flows' ranks changed — Reorder's
+// fallback for a wholesale re-ordering, and its test oracle: collect the
+// member nodes, refresh their keys, sort, and re-link every
 // level with a tail-append sweep — no per-node skip-list search. Nodes (and
 // their tower slices) are reused, so a re-ordering's only allocation is the
 // sort's. O(F log F) comparisons, paid once per re-ordering rather than

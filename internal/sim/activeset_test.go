@@ -12,7 +12,7 @@ func asFlow(rank, cf, idx int) *flowState {
 }
 
 // collectKeys walks the level-0 chain and verifies every level is sorted.
-func collectKeys(t *testing.T, a *activeSet) []activeKey {
+func collectKeys(t testing.TB, a *activeSet) []activeKey {
 	t.Helper()
 	var keys []activeKey
 	for n := a.First(); n != nil; n = n.next[0] {

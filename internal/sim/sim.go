@@ -126,6 +126,7 @@ type flowState struct {
 	node    *activeNode // active-set membership (nil while pending or done)
 
 	orderSeq uint64 // SetOrder stamp: membership in the current order
+	progSeq  uint64 // progress-log stamp: already logged since the last drain
 
 	// Partition placement, computed once at registration when the simulator
 	// runs partitioned (see parallel.go). part is the class owning every edge
@@ -197,6 +198,12 @@ type Simulator struct {
 
 	completions []CompletionEvent // log drained by TakeCompletions
 
+	// progressed logs the flows that held a positive rate since the last
+	// TakeProgressed — the only flows whose residual volume can have moved.
+	// progGen stamps membership so a flow is logged once per drain window.
+	progressed []*flowState
+	progGen    uint64
+
 	// Per-event scratch, reused so steady-state events allocate nothing.
 	batchDone     []*flowState
 	batchReleased []*flowState
@@ -224,6 +231,7 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 		budget:   stepBudget(len(refs)),
 		caps:     make([]float64, g.NumEdges()),
 		residual: make([]float64, g.NumEdges()),
+		progGen:  1, // flow states start at stamp 0: not logged
 	}
 	for i := range s.caps {
 		s.caps[i] = g.Capacity(graph.EdgeID(i))
@@ -284,19 +292,6 @@ func (s *Simulator) Done() bool { return s.numDone == len(s.states) }
 // must not contain duplicates or unknown flows. It is ignored under the
 // FairShare policy.
 func (s *Simulator) SetOrder(order []coflow.FlowRef) error {
-	return s.setOrder(order, false)
-}
-
-// SetOrderFiltered is SetOrder for orders that may mention flows the
-// simulator no longer knows (completed and forgotten) or does not know yet:
-// unknown references are skipped instead of rejected, so an online caller
-// can install a policy's order directly without prefiltering it against the
-// live flow set. Duplicates among the known flows are still an error.
-func (s *Simulator) SetOrderFiltered(order []coflow.FlowRef) error {
-	return s.setOrder(order, true)
-}
-
-func (s *Simulator) setOrder(order []coflow.FlowRef, dropUnknown bool) error {
 	// Stamp-based validation: detects duplicates and unknown flows in one
 	// pass without allocating a rank map, and mutates nothing until the
 	// order is known to be valid.
@@ -305,9 +300,6 @@ func (s *Simulator) setOrder(order []coflow.FlowRef, dropUnknown bool) error {
 	for _, r := range order {
 		st, ok := s.states[r]
 		if !ok {
-			if dropUnknown {
-				continue
-			}
 			return fmt.Errorf("sim: priority order names unknown flow %s", r)
 		}
 		if st.orderSeq == gen {
@@ -316,25 +308,16 @@ func (s *Simulator) setOrder(order []coflow.FlowRef, dropUnknown bool) error {
 		st.orderSeq = gen
 	}
 	for i, r := range order {
-		if st, ok := s.states[r]; ok {
-			st.rank = i
-		}
+		s.states[r].rank = i
 	}
-	for _, st := range s.states {
-		if st.orderSeq != gen {
-			st.rank = len(order) // after every listed flow; ties by ref
-		}
-	}
-	return s.finishSetOrder()
+	s.installOrder(len(order))
+	return nil
 }
 
-// SetOrderHandles is SetOrderFiltered for a caller that already holds a
-// handle to every flow it wants ranked: the order installs without a map
-// probe per reference. Invalid handles are skipped; duplicates among the
-// valid ones are still an error. The unlisted remainder is found by walking
-// the active list and the pending heap instead of iterating the state map —
-// completed flows never rejoin either structure, so their stale ranks are
-// unreachable. The online engine's decide path is the customer: its handle
+// SetOrderHandles is SetOrder for a caller that already holds a handle to
+// every flow it wants ranked: the order installs without a map probe per
+// reference. Invalid handles are skipped; duplicates among the valid ones are
+// still an error. The online engine's decide path is the customer: its handle
 // table already knows which refs are live.
 func (s *Simulator) SetOrderHandles(order []Handle) error {
 	s.orderGen++
@@ -354,49 +337,29 @@ func (s *Simulator) SetOrderHandles(order []Handle) error {
 			st.rank = i
 		}
 	}
-	n := len(order)
-	for node := s.active.First(); node != nil; node = node.next[0] {
-		if node.st.orderSeq != gen {
-			node.st.rank = n
-		}
-	}
-	for _, st := range s.pending.fs {
-		if st.orderSeq != gen {
-			st.rank = n
-		}
-	}
-	return s.finishSetOrder()
+	s.installOrder(len(order))
+	return nil
 }
 
-// finishSetOrder runs the shared tail of every order installation: decide
-// whether the new ranks actually reordered the active list, and either
-// refresh keys in place or pay the rebuild.
-func (s *Simulator) finishSetOrder() error {
-	// Rates depend only on the relative order of the active flows, not the
-	// rank values. If the new ranks leave the active list sorted — the common
-	// case for an online policy re-applying a stable order every epoch — the
-	// keys are refreshed in place and every rate, completion projection and
-	// open segment stays valid. Only a genuine re-ordering pays the rebuild
-	// and the full reallocation.
-	sorted := true
-	prev := activeKey{rank: -1, coflow: -1, index: -1}
-	for n := s.active.First(); n != nil; n = n.next[0] {
-		k := activeKey{rank: n.st.rank, coflow: n.st.ref.Coflow, index: n.st.ref.Index}
-		if !keyLess(prev, k) {
-			sorted = false
-			break
+// installOrder runs the shared tail of every order installation. Flows the
+// order left out (their stamp is not the current generation) rank after
+// every listed one, ties by reference: the pending heap is ranked here, the
+// active list by the same sweep that refreshes every key and restores the
+// list's order (see activeSet.Reorder) — completed flows never rejoin either
+// structure, so their stale ranks are unreachable. Rates depend only on the
+// relative order of the active flows, not the rank values: if the new ranks
+// left the list sorted — the common case for an online policy re-applying a
+// stable order every epoch — every rate, completion projection and open
+// segment stays valid. Only a genuine re-ordering pays the full reallocation.
+func (s *Simulator) installOrder(unlisted int) {
+	for _, st := range s.pending.fs {
+		if st.orderSeq != s.orderGen {
+			st.rank = unlisted
 		}
-		prev = k
 	}
-	if sorted {
-		for n := s.active.First(); n != nil; n = n.next[0] {
-			n.key = activeKey{rank: n.st.rank, coflow: n.st.ref.Coflow, index: n.st.ref.Index}
-		}
-		return nil
+	if s.active.Reorder(s.orderGen, unlisted) {
+		s.dirtyAll = true // every rate is suspect until the next reallocation
 	}
-	s.active.Rebuild() // keys changed with the ranks
-	s.dirtyAll = true  // every rate is suspect until the next reallocation
-	return nil
 }
 
 // AddFlow registers a new flow with a running simulator, modelling online
@@ -481,6 +444,23 @@ func (s *Simulator) Forget(ref coflow.FlowRef) error {
 	return nil
 }
 
+// ReleaseIdle hands back the per-flow tables and scratch of a simulator with
+// no flow registered: every completion-heap entry is then stale and every
+// scratch pointer dangles, yet the map's buckets, the heaps and the scratch
+// keep the size of the largest backlog they ever held (and the scratch still
+// pins the forgotten flow states). The caller decides when a drained backlog
+// was large enough to be worth regrowing from nothing; with flows registered
+// the call does nothing.
+func (s *Simulator) ReleaseIdle() {
+	if len(s.states) != 0 {
+		return
+	}
+	s.states = make(map[coflow.FlowRef]*flowState)
+	s.comp, s.pending = compHeap{}, releaseHeap{}
+	s.batchDone, s.batchReleased, s.fsFlows = nil, nil, nil
+	s.active.scratch, s.active.moved = nil, nil
+}
+
 // TakeCompletions returns the flows that completed since the previous call
 // (or since construction) and resets the log. The incremental online engine
 // folds these into its per-coflow registry in O(completions) per tick
@@ -489,6 +469,29 @@ func (s *Simulator) TakeCompletions() []CompletionEvent {
 	out := s.completions
 	s.completions = nil
 	return out
+}
+
+// TakeProgressed appends to buf the flows that held a positive rate at some
+// point since the previous call — a flow's residual volume moves only while
+// it holds one, and a flow completes only out of one, so every other flow's
+// status is exactly what it was — and resets the log, re-seeding it with the
+// flows still transmitting. The online engine refreshes only these flows'
+// coflows in its residual view: O(progressing flows) per epoch instead of a
+// status query per active flow. A caller that never drains pays one pointer
+// per flow that ever transmitted.
+func (s *Simulator) TakeProgressed(buf []coflow.FlowRef) []coflow.FlowRef {
+	s.progGen++
+	kept := s.progressed[:0]
+	for _, st := range s.progressed {
+		buf = append(buf, st.ref)
+		if !st.done && st.rate > 0 {
+			st.progSeq = s.progGen
+			kept = append(kept, st)
+		}
+	}
+	clear(s.progressed[len(kept):])
+	s.progressed = kept
+	return buf
 }
 
 // projectedRemaining is the flow's residual volume at time now, accounting
@@ -529,7 +532,7 @@ func (s *Simulator) Status(ref coflow.FlowRef) (FlowStatus, bool) {
 
 // Handle is a direct reference to one flow's simulator state, skipping the
 // per-query map lookup of Status. Handles are engine-side plumbing for the
-// per-tick snapshot path, which queries every active flow every epoch. A
+// per-tick view and order-install paths. A
 // handle stays usable until the flow is forgotten; using it afterwards reads
 // stale (but never freed or recycled) state, so holders must drop handles
 // when they Forget the flow. The zero Handle is invalid.
@@ -548,10 +551,13 @@ func (s *Simulator) Handle(ref coflow.FlowRef) (Handle, bool) {
 	return Handle{st: st}, true
 }
 
-// HandleStatus is Status through a handle: no map lookup. The handle must
-// come from this simulator. Safe for concurrent callers while the simulator
-// is quiescent (between RunUntil/SetOrder/AddFlow calls) — it only reads.
-func (s *Simulator) HandleStatus(h Handle) FlowStatus { return s.status(h.st) }
+// Residual is the part of Status that moves, through a handle: the flow's
+// registered size, its residual volume at the simulator clock and whether it
+// has finished — no map lookup and no FlowStatus built. The handle must come
+// from this simulator.
+func (s *Simulator) Residual(h Handle) (size, remaining float64, done bool) {
+	return h.st.size, h.st.projectedRemaining(s.now), h.st.done
+}
 
 // Residuals reports the per-flow residual state, sorted by flow reference.
 func (s *Simulator) Residuals() []FlowStatus {
@@ -748,6 +754,10 @@ func (s *Simulator) setRate(st *flowState, r, now float64) {
 	if r > 0 {
 		s.posRates++
 		s.comp.Push(compEntry{t: now + st.remaining/r, st: st, seq: st.heapSeq})
+		if st.progSeq != s.progGen {
+			st.progSeq = s.progGen
+			s.progressed = append(s.progressed, st)
+		}
 	}
 }
 
