@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-e2e bench-sim bench-cluster bench-wal
+.PHONY: build test race vet fmt loc bench bench-e2e bench-sim bench-cluster bench-wal
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ vet:
 
 fmt:
 	gofmt -l .
+
+# loc prints the tracked size of the tree: non-test Go lines outside bench/
+# (ROADMAP aim 2 wants this number to go down).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # bench smoke-runs every benchmark once, mirroring the CI job that keeps
 # benchmarks from rotting.

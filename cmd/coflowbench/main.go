@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering the selected experiments to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (pprof) taken after the selected experiments to this file")
 		noref      = fs.Bool("noref", false, "skip the naive reference allocator in -experiment sim (fast mode for large scales)")
-		partitions = fs.Int("partitions", 0, "simulator partition classes for -experiment sim: 0 = auto (pod count capped at GOMAXPROCS), 1 = sequential core, N>1 = coalesce the pods into N classes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -294,7 +293,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if *noref {
 				scfg.Reference = false
 			}
-			scfg.Partitions = *partitions
 			res, err := experiments.SimSuite(scfg)
 			if err != nil {
 				return err

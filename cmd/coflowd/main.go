@@ -50,7 +50,6 @@ func main() {
 		timeScale  = flag.Float64("timescale", 1.0, "simulated time units per wall-clock second")
 		fatK       = flag.Int("fatk", 4, "fat-tree arity (k=4: 16 servers, k=8: the paper's 128)")
 		candidates = flag.Int("paths", 4, "candidate paths per flow at admission")
-		partitions = flag.Int("partitions", 1, "simulator partition classes: 1 = sequential core (the default: it measured 3-8x faster than the partitioned reallocator), 0 = auto (pod count capped at GOMAXPROCS), N>1 = coalesce the pods into N classes")
 		shard      = flag.String("shard", "", "cluster shard identity: labels every /metrics series with {shard=\"...\"} so gateway-scraped backends stay distinguishable")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory; admissions are fsynced before acking and a restart recovers the engine from snapshot + log")
 		snapEvery  = flag.Duration("snapshot-interval", 0, "engine snapshot period (0 = default 30s with -wal-dir, negative disables)")
@@ -81,15 +80,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "coflowd: -timescale must be positive, got %v\n", *timeScale)
 		os.Exit(2)
 	}
-	if *partitions < 0 {
-		fmt.Fprintf(os.Stderr, "coflowd: -partitions must be >= 0, got %d\n", *partitions)
-		os.Exit(2)
-	}
 	network := graph.FatTree(*fatK, 1)
-	parts := *partitions
-	if parts == 0 {
-		parts = network.AutoPartitions()
-	}
 
 	// Component and shard fields are attached by the server's own call sites
 	// and Config defaults, so the base logger carries neither.
@@ -100,7 +91,6 @@ func main() {
 		EpochLength:      *epochLen,
 		TimeScale:        *timeScale,
 		CandidatePaths:   *candidates,
-		Partitions:       parts,
 		Shard:            *shard,
 		WALDir:           *walDir,
 		SnapshotInterval: *snapEvery,

@@ -20,7 +20,7 @@
 //	GET /v1/targets  per-target scrape status
 //	GET /v1/query    range queries: ?metric=&view=raw|last|rate|quantile&q=&since=&l.<label>=<v>
 //	GET /v1/slo      SLO rule states, burn rates and written bundle index
-//	GET /v1/stages   per-stage admit-pipeline and partition latency breakdown
+//	GET /v1/stages   per-stage admit-pipeline latency breakdown
 //	GET /metrics     coflowmon's own exposition
 //	GET /healthz     liveness
 package main

@@ -31,10 +31,6 @@ type LocalConfig struct {
 	TimeScale      float64
 	FatK           int
 	CandidatePaths int
-	// Partitions > 1 runs each shard's simulator core on the pod-partitioned
-	// parallel path with that many worker classes (0 keeps the server
-	// default: sequential).
-	Partitions int
 	// Gateway configures the front door.
 	Gateway Config
 	// WALDir, when non-empty, makes the whole cluster durable: each shard
@@ -162,7 +158,6 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 			EpochLength:    cfg.EpochLength,
 			TimeScale:      cfg.TimeScale,
 			CandidatePaths: cfg.CandidatePaths,
-			Partitions:     cfg.Partitions,
 			Shard:          name,
 			Logger:         cfg.Logger,
 			Logf:           cfg.Logf,

@@ -189,20 +189,19 @@ func TestClusterObservability(t *testing.T) {
 }
 
 // TestClusterStageSpans drives one admission through the gateway of a
-// durable, partition-parallel cluster and asserts the hot-path pipeline is
-// observable end to end: the admit's trace id must join the gateway spans
-// with the shard's per-stage spans (coalesce-wait → engine-admit →
-// wal-append → group-commit), and the owning shard's /metrics must expose
-// the stage and partition families those spans aggregate into.
+// durable cluster and asserts the hot-path pipeline is observable end to end:
+// the admit's trace id must join the gateway spans with the shard's per-stage
+// spans (coalesce-wait → engine-admit → wal-append → group-commit), and the
+// owning shard's /metrics must expose the stage families those spans
+// aggregate into.
 func TestClusterStageSpans(t *testing.T) {
 	l, err := NewLocal(LocalConfig{
-		Shards:     2,
-		Policy:     online.SEBFOnline{},
-		TimeScale:  200,
-		Partitions: 4,
-		WALDir:     t.TempDir(),
-		Gateway:    fastGatewayConfig(t, ConsistentHash{}),
-		Logf:       t.Logf,
+		Shards:    2,
+		Policy:    online.SEBFOnline{},
+		TimeScale: 200,
+		WALDir:    t.TempDir(),
+		Gateway:   fastGatewayConfig(t, ConsistentHash{}),
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)
@@ -257,21 +256,15 @@ func TestClusterStageSpans(t *testing.T) {
 
 		// The same shard's exposition must carry the aggregate families the
 		// spans feed: the per-stage histogram with every pipeline stage
-		// child, records-per-fsync, and the partition instrumentation.
+		// child and records-per-fsync.
 		sm := getMetrics(t, l.ShardURL(i))
 		for _, stage := range []string{"coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"} {
 			if _, ok := sm.Get("coflowd_admit_stage_seconds_count", "stage", stage); !ok {
 				t.Errorf("shard %d metrics lack coflowd_admit_stage_seconds{stage=%q}", i, stage)
 			}
 		}
-		for _, name := range []string{
-			"coflowd_wal_records_per_fsync_count",
-			"coflowd_partition_realloc_seconds_count",
-			"coflowd_partition_imbalance_ratio",
-		} {
-			if _, ok := firstSample(sm, name); !ok {
-				t.Errorf("shard %d metrics missing %s", i, name)
-			}
+		if _, ok := firstSample(sm, "coflowd_wal_records_per_fsync_count"); !ok {
+			t.Errorf("shard %d metrics missing coflowd_wal_records_per_fsync_count", i)
 		}
 	}
 	if joined != 1 {

@@ -28,11 +28,6 @@ type SimSuiteConfig struct {
 	// the same instances and reports the speedup. Disable for quick runs at
 	// large scales, where the naive allocator dominates wall time.
 	Reference bool
-	// Partitions selects the incremental simulator's partition class count:
-	// 0 = auto (the topology's pod count capped at GOMAXPROCS), 1 = the
-	// sequential core, N>1 = the pods coalesced into N classes. Any count
-	// produces bit-identical schedules; only wall time differs.
-	Partitions int
 }
 
 // SimScale is one workload size of the sweep.
@@ -117,13 +112,6 @@ func SimSuite(cfg SimSuiteConfig) (*SimSuiteResult, error) {
 			return nil, err
 		}
 		simCfg := sim.Config{Order: inst.FlowRefs(), Policy: sim.Priority}
-		parts := cfg.Partitions
-		if parts == 0 {
-			parts = g.AutoPartitions()
-		}
-		if parts > 1 {
-			simCfg.Partition = g.PodPartition().Coalesce(parts)
-		}
 
 		var incBest, refBest int64 = math.MaxInt64, math.MaxInt64
 		var objective, refObjective float64

@@ -134,3 +134,38 @@ func TestKShortestPathsLineOnlyOnePath(t *testing.T) {
 		t.Errorf("line graph has exactly one simple path, got %d", len(paths))
 	}
 }
+
+// TestKShortestPathsCached checks memoized results match the uncached search
+// and that mutation invalidates the memo.
+func TestKShortestPathsCached(t *testing.T) {
+	g := FatTree(4, 1.0)
+	hosts := g.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	want := g.KShortestPaths(src, dst, 4)
+	got := g.KShortestPathsCached(src, dst, 4)
+	if len(got) != len(want) {
+		t.Fatalf("cached returned %d paths, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("path %d differs in length", i)
+		}
+		for j := range got[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("path %d edge %d differs", i, j)
+			}
+		}
+	}
+	// Second call returns the identical shared slice.
+	again := g.KShortestPathsCached(src, dst, 4)
+	if len(again) > 0 && len(got) > 0 && &again[0] != &got[0] {
+		t.Fatalf("cache miss on repeat lookup")
+	}
+	// Mutation drops the memo.
+	n := g.AddNode("extra", KindHost)
+	g.AddEdge(n, src, 1.0)
+	fresh := g.KShortestPathsCached(src, dst, 4)
+	if len(fresh) != len(want) {
+		t.Fatalf("post-mutation lookup returned %d paths, want %d", len(fresh), len(want))
+	}
+}

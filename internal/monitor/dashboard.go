@@ -38,7 +38,7 @@ const dashboardHTML = `<!DOCTYPE html>
   <th>rule</th><th>metric</th><th>state</th><th>fast</th><th>slow</th>
   <th>fast burn</th><th>slow burn</th><th>firings</th><th>since</th>
 </tr></thead><tbody></tbody></table>
-<h2>Admit pipeline <span id="imbalance" class="muted"></span></h2>
+<h2>Admit pipeline</h2>
 <table id="stages"><thead><tr>
   <th>stage</th><th>p50</th><th>p99</th>
 </tr></thead><tbody></tbody></table>
@@ -91,13 +91,7 @@ async function refresh() {
     const stageRows = Object.entries(stg.admit_stages || {})
       .sort((a, b) => order.indexOf(a[0]) - order.indexOf(b[0]))
       .map(([name, q]) => [cell(name), cell(ms(q.p50)), cell(ms(q.p99))]);
-    Object.entries(stg.partition_realloc || {})
-      .sort((a, b) => Number(a[0]) - Number(b[0]))
-      .forEach(([part, q]) => stageRows.push(
-        [cell("partition " + part + " realloc"), cell(ms(q.p50)), cell(ms(q.p99))]));
     fill("stages", stageRows);
-    document.getElementById("imbalance").textContent =
-      stg.partition_imbalance != null ? " — imbalance " + fmt(stg.partition_imbalance) : "";
     fill("bundles", (slo.bundles || []).map(b => [
       cell(b.rule), cell(b.path),
       cell(new Date(b.captured_at).toLocaleTimeString()),

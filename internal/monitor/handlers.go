@@ -16,7 +16,7 @@ import (
 //	GET /v1/query    range queries over stored series (raw / last / rate /
 //	                 quantile views)
 //	GET /v1/slo      rule states, burn rates and written bundles
-//	GET /v1/stages   per-stage admit-pipeline and partition latency breakdown
+//	GET /v1/stages   per-stage admit-pipeline latency breakdown
 //	GET /metrics     the monitor's own exposition
 //	GET /healthz     liveness
 func (m *Monitor) Handler() http.Handler {
@@ -60,16 +60,13 @@ type StageBreakdown struct {
 	P99 float64 `json:"p99"`
 }
 
-// stagesResponse is GET /v1/stages: the derived hot-path views — admit
-// pipeline latency split by stage (coalesce-wait, batch-assembly,
-// engine-admit, wal-append, group-commit), per-partition realloc time, and
-// the worst recent worker-imbalance ratio. This is the "which stage is
-// guilty" page: a fat admit p99 resolves here into the stage that grew.
+// stagesResponse is GET /v1/stages: admit pipeline latency split by stage
+// (coalesce-wait, batch-assembly, engine-admit, wal-append, group-commit).
+// This is the "which stage is guilty" page: a fat admit p99 resolves here
+// into the stage that grew.
 type stagesResponse struct {
 	SinceSeconds float64                   `json:"since_seconds"`
 	AdmitStages  map[string]StageBreakdown `json:"admit_stages"`
-	Partitions   map[string]StageBreakdown `json:"partition_realloc"`
-	Imbalance    *float64                  `json:"partition_imbalance,omitempty"`
 }
 
 // handleStages serves GET /v1/stages?since=<duration> (default 5m).
@@ -83,16 +80,10 @@ func (m *Monitor) handleStages(w http.ResponseWriter, r *http.Request) {
 		}
 		since = d
 	}
-	now := time.Now()
-	resp := stagesResponse{
+	respondJSON(w, http.StatusOK, stagesResponse{
 		SinceSeconds: since.Seconds(),
-		AdmitStages:  m.breakdownByLabel("coflowd_admit_stage_seconds", "stage", now, since),
-		Partitions:   m.breakdownByLabel("coflowd_partition_realloc_seconds", "partition", now, since),
-	}
-	if v, ok := m.store.LastValue(Selector{Name: "coflowd_partition_imbalance_ratio"}, now, since, "max"); ok {
-		resp.Imbalance = &v
-	}
-	respondJSON(w, http.StatusOK, resp)
+		AdmitStages:  m.breakdownByLabel("coflowd_admit_stage_seconds", "stage", time.Now(), since),
+	})
 }
 
 func (m *Monitor) breakdownByLabel(name, label string, now time.Time, since time.Duration) map[string]StageBreakdown {

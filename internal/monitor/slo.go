@@ -317,15 +317,6 @@ func DefaultRules(interval time.Duration) []Rule {
 			Kind:   KindQuantile, Quantile: 0.99, Objective: 0.5,
 			FastWindowSeconds: fast, SlowWindowSeconds: slow, ResolveAfterSeconds: resolve,
 		},
-		// The imbalance ratio (max/mean busy worker time) is bounded above by
-		// the number of busy partition classes, so an objective of 4 cannot
-		// fire on clusters of four or fewer pods — it only ever names real
-		// skew on wider fabrics.
-		{
-			Name: "partition-imbalance", Metric: "coflowd_partition_imbalance_ratio",
-			Kind: KindGauge, Objective: 4,
-			FastWindowSeconds: fast, SlowWindowSeconds: slow, ResolveAfterSeconds: resolve,
-		},
 		{
 			Name: "gc-pause-p99", Metric: "go_gc_pause_seconds",
 			Kind: KindQuantile, Quantile: 0.99, Objective: 0.05,

@@ -169,8 +169,8 @@ func TestRuleNoDataStaysHealthy(t *testing.T) {
 
 func TestDefaultRulesValidate(t *testing.T) {
 	rules := DefaultRules(200 * time.Millisecond)
-	if len(rules) != 7 {
-		t.Fatalf("default rule count = %d, want 7", len(rules))
+	if len(rules) != 6 {
+		t.Fatalf("default rule count = %d, want 6", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
@@ -181,7 +181,7 @@ func TestDefaultRulesValidate(t *testing.T) {
 	}
 	for _, want := range []string{
 		"admit-p99", "tick-p99", "shard-down", "scrape-failure",
-		"fsync-p99", "partition-imbalance", "gc-pause-p99",
+		"fsync-p99", "gc-pause-p99",
 	} {
 		if !names[want] {
 			t.Errorf("default rules lack %s", want)

@@ -365,9 +365,8 @@ func (st *Store) bucketDeltas(sel Selector, now time.Time, window time.Duration)
 
 // QuantileByLabel groups a histogram family by one label and estimates the
 // q-quantile of each group's observations over the window — the per-stage
-// breakdown behind /v1/stages (coflowd_admit_stage_seconds by stage,
-// coflowd_partition_realloc_seconds by partition). Groups with no
-// observations in the window are omitted.
+// breakdown behind /v1/stages (coflowd_admit_stage_seconds by stage). Groups
+// with no observations in the window are omitted.
 func (st *Store) QuantileByLabel(name, label string, q float64, now time.Time, window time.Duration) map[string]float64 {
 	st.mu.Lock()
 	values := map[string]bool{}

@@ -30,13 +30,6 @@ type Config struct {
 	// CandidatePaths bounds the admission-time routing's candidate set
 	// (default 4, matching the offline schedulers).
 	CandidatePaths int
-	// Partitions > 1 runs the incremental engine's simulator core on the
-	// pod-partitioned parallel allocator, coalescing the network's natural
-	// pod partition to at most this many classes. 0 or 1 selects the
-	// sequential core. Results are bit-identical either way; this is purely
-	// a wall-clock knob. Only NewEngine honors it — the batch Run path
-	// always uses the sequential core.
-	Partitions int
 }
 
 func (c Config) withDefaults() Config {

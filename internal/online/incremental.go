@@ -89,8 +89,6 @@ type Engine struct {
 	// churn costs two slice indexings per reference instead of a rebuilt map.
 	churnPos [][]uint64
 	churnGen uint64
-	// parts is the simulator partition class count (1 = sequential core).
-	parts int
 	// lastChurn is the order-churn fraction of the most recent ApplyOrder.
 	lastChurn float64
 	// recentDone logs coflow ids completed since the last TakeCompleted call
@@ -201,13 +199,7 @@ func NewEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("online: policy %s needs the full instance up front and cannot run incrementally", policy.Name())
 	}
 	inst := &coflow.Instance{Network: g}
-	var part *graph.EdgePartition
-	parts := 1
-	if cfg.Partitions > 1 {
-		part = g.PodPartition().Coalesce(cfg.Partitions)
-		parts = part.Parts()
-	}
-	s, err := sim.New(inst, sim.Config{Policy: sim.Priority, Partition: part})
+	s, err := sim.New(inst, sim.Config{Policy: sim.Priority})
 	if err != nil {
 		return nil, err
 	}
@@ -217,13 +209,8 @@ func NewEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
 		inst:   inst,
 		sim:    s,
 		load:   make([]float64, g.NumEdges()),
-		parts:  parts,
 	}, nil
 }
-
-// Partitions reports the simulator's partition class count (1 when the
-// sequential core is in use).
-func (e *Engine) Partitions() int { return e.parts }
 
 // candidatePaths returns the admission router's candidate set for one flow:
 // its pre-assigned path if any, otherwise the K shortest paths between its
@@ -629,6 +616,12 @@ func (e *Engine) TakeCompleted() []int {
 	e.recentDone = nil
 	return out
 }
+
+// TakeTickStats drains the simulator's allocator-work aggregates accumulated
+// since the last call. Like every Engine method it belongs to the owning
+// scheduler goroutine; call it after AdvanceTo so the window lines up with
+// the tick.
+func (e *Engine) TakeTickStats() sim.TickStats { return e.sim.TakeTickStats() }
 
 // Order returns the currently applied priority order, restricted to flows
 // that are still unfinished (the view GET /v1/schedule serves).

@@ -136,7 +136,7 @@ func recoverState(cfg Config) (*recovery, error) {
 		idem:     make(map[string]idemEntry),
 		traceIDs: make(map[int]string),
 	}
-	engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths, Partitions: cfg.Partitions}
+	engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths}
 	if ok {
 		rec.eng, err = online.RestoreEngine(cfg.Network, cfg.Policy, engCfg, persist.Engine)
 		if err != nil {

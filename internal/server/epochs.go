@@ -36,17 +36,11 @@ type EpochRecord struct {
 	// Preempted counts flows that lost their head-of-order position in the
 	// applied decision, approximated as churn * active flows.
 	Preempted int `json:"preempted,omitempty"`
-	// Allocator-work aggregates for the tick's advance (online.TickStats):
-	// reallocation passes, their dirty-suffix depth, how the partitioned redo
-	// fanned out, and the busy-time imbalance across partition workers
-	// (max/mean; 0 = no fan-out ran this tick).
-	Reallocs           int     `json:"reallocs,omitempty"`
-	DirtySuffixSum     int     `json:"dirty_suffix_sum,omitempty"`
-	DirtySuffixMax     int     `json:"dirty_suffix_max,omitempty"`
-	ParallelRounds     int     `json:"parallel_rounds,omitempty"`
-	CrossFlows         int     `json:"cross_partition_flows,omitempty"`
-	ReallocSeconds     float64 `json:"realloc_seconds,omitempty"`
-	PartitionImbalance float64 `json:"partition_imbalance,omitempty"`
+	// Allocator-work aggregates for the tick's advance (sim.TickStats):
+	// reallocation passes and their dirty-suffix depth.
+	Reallocs       int `json:"reallocs,omitempty"`
+	DirtySuffixSum int `json:"dirty_suffix_sum,omitempty"`
+	DirtySuffixMax int `json:"dirty_suffix_max,omitempty"`
 }
 
 // epochRingCap bounds the retained epoch records; /v1/epochs reports the

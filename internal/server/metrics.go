@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 
 	"coflowsched/internal/online"
 	"coflowsched/internal/telemetry"
@@ -43,9 +42,6 @@ type serverMetrics struct {
 	solveP50         *telemetry.Gauge
 	solveP95         *telemetry.Gauge
 	solveP99         *telemetry.Gauge
-	tickP50          *telemetry.Gauge
-	tickP95          *telemetry.Gauge
-	tickP99          *telemetry.Gauge
 	requests         *telemetry.Counter
 	requestErrors    *telemetry.Counter
 	tickDuration     *telemetry.Histogram
@@ -66,13 +62,6 @@ type serverMetrics struct {
 	stageAppend   *telemetry.Histogram
 	stageCommit   *telemetry.Histogram
 	walPerFsync   *telemetry.Histogram
-
-	// Partitioned-tick observability, fed from online.TickStats each tick.
-	partRealloc     *telemetry.HistogramVec
-	partDirtySuffix *telemetry.Histogram
-	partCrossFlows  *telemetry.Counter
-	partRounds      *telemetry.Counter
-	partImbalance   *telemetry.Gauge
 }
 
 // newServerMetrics registers coflowd's metric families. A non-empty shard
@@ -102,9 +91,6 @@ func newServerMetrics(shard string) *serverMetrics {
 		solveP50:         reg.Gauge("coflowd_solve_latency_seconds_p50", "median policy decide latency (recent window)"),
 		solveP95:         reg.Gauge("coflowd_solve_latency_seconds_p95", "p95 policy decide latency (recent window)"),
 		solveP99:         reg.Gauge("coflowd_solve_latency_seconds_p99", "p99 policy decide latency (recent window)"),
-		tickP50:          reg.Gauge("coflowd_tick_seconds_p50", "median scheduler tick duration (recent window)"),
-		tickP95:          reg.Gauge("coflowd_tick_seconds_p95", "p95 scheduler tick duration (recent window)"),
-		tickP99:          reg.Gauge("coflowd_tick_seconds_p99", "p99 scheduler tick duration (recent window)"),
 		requests:         reg.Counter("coflowd_http_requests_total", "HTTP requests served"),
 		requestErrors:    reg.Counter("coflowd_http_request_errors_total", "HTTP requests answered with a 4xx/5xx status"),
 		tickDuration:     reg.Histogram("coflowd_tick_duration_seconds", "scheduler tick duration distribution", nil),
@@ -117,11 +103,6 @@ func newServerMetrics(shard string) *serverMetrics {
 		snapshots:        reg.Counter("coflowd_snapshots_total", "engine snapshots written"),
 		admitStage:       reg.HistogramVec("coflowd_admit_stage_seconds", "admit-pipeline stage latency: coalesce-wait, batch-assembly, engine-admit, wal-append, group-commit", nil, "stage"),
 		walPerFsync:      reg.Histogram("coflowd_wal_records_per_fsync", "log records made durable per group-commit fsync", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
-		partRealloc:      reg.HistogramVec("coflowd_partition_realloc_seconds", "per-partition-class reallocation worker busy time per tick", nil, "partition"),
-		partDirtySuffix:  reg.Histogram("coflowd_partition_dirty_suffix", "deepest dirty-suffix reallocation per tick (flows re-allocated)", []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}),
-		partCrossFlows:   reg.Counter("coflowd_partition_cross_flows_total", "cross-partition flow rendezvous records built by parallel redo walks"),
-		partRounds:       reg.Counter("coflowd_partition_parallel_rounds_total", "tick reallocation walks that fanned out across partition workers"),
-		partImbalance:    reg.Gauge("coflowd_partition_imbalance_ratio", "max/mean partition-worker busy time of the last tick (0 = no fan-out)"),
 	}
 	m.stageWait = m.admitStage.With(stageCoalesceWait)
 	m.stageAssemble = m.admitStage.With(stageBatchAssembly)
@@ -133,41 +114,9 @@ func newServerMetrics(shard string) *serverMetrics {
 	return m
 }
 
-// initPartitions pre-creates the per-partition-class realloc children so the
-// family appears on the first scrape of a freshly booted daemon, whatever its
-// partition count.
-func (m *serverMetrics) initPartitions(parts int) {
-	if parts < 1 {
-		parts = 1
-	}
-	for c := 0; c < parts; c++ {
-		m.partRealloc.With(strconv.Itoa(c))
-	}
-}
-
-// observeTickStats folds one tick's allocator-work aggregates into the
-// partition metric families. Scheduler goroutine only.
-func (m *serverMetrics) observeTickStats(ts online.TickStats) {
-	for c, secs := range ts.WorkerSeconds {
-		if secs > 0 {
-			m.partRealloc.With(strconv.Itoa(c)).Observe(secs)
-		}
-	}
-	if ts.SuffixMax > 0 {
-		m.partDirtySuffix.Observe(float64(ts.SuffixMax))
-	}
-	if ts.CrossFlows > 0 {
-		m.partCrossFlows.Add(float64(ts.CrossFlows))
-	}
-	if ts.ParallelRounds > 0 {
-		m.partRounds.Add(float64(ts.ParallelRounds))
-	}
-	m.partImbalance.Set(ts.ImbalanceRatio)
-}
-
 // updateFromEngine refreshes the scrape-time mirrors of the engine's
 // aggregate state.
-func (m *serverMetrics) updateFromEngine(st online.EngineStats, ticks []float64) {
+func (m *serverMetrics) updateFromEngine(st online.EngineStats) {
 	m.simNow.Set(st.Now)
 	m.epochs.Set(float64(st.Epochs))
 	m.decisions.Set(float64(st.Decisions))
@@ -183,9 +132,6 @@ func (m *serverMetrics) updateFromEngine(st online.EngineStats, ticks []float64)
 	m.solveP50.Set(pct(st.SolveLatencies, 50))
 	m.solveP95.Set(pct(st.SolveLatencies, 95))
 	m.solveP99.Set(pct(st.SolveLatencies, 99))
-	m.tickP50.Set(pct(ticks, 50))
-	m.tickP95.Set(pct(ticks, 95))
-	m.tickP99.Set(pct(ticks, 99))
 }
 
 // StatusRecorder captures the response code written by a handler. Exported
@@ -217,12 +163,12 @@ func (s *Server) countRequests(next http.Handler) http.Handler {
 // trip, then the registry renders every family (HELP/TYPE headers, shard
 // labels, histogram buckets) through the one code path coflowgate uses too.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st, ticks, err := s.metricsSnapshot()
+	st, err := s.Stats()
 	if err != nil {
 		RespondError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	s.metrics.updateFromEngine(st, ticks)
+	s.metrics.updateFromEngine(st)
 	spans, _ := s.tracer.Totals()
 	s.metrics.traceSpans.Set(float64(spans))
 	if s.wal != nil {

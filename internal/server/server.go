@@ -50,10 +50,6 @@ type Config struct {
 	TimeScale float64
 	// CandidatePaths bounds admission-time routing (default 4).
 	CandidatePaths int
-	// Partitions > 1 runs the engine's simulator core on the pod-partitioned
-	// parallel allocator with at most that many classes; 0 or 1 selects the
-	// sequential core. Bit-identical either way (see online.Config).
-	Partitions int
 	// Shard, when non-empty, is this daemon's identity in a multi-backend
 	// cluster: every /metrics line gains a {shard="..."} label so metrics
 	// scraped from several backends by one gateway stay distinguishable.
@@ -173,11 +169,6 @@ type Server struct {
 	idemTombs    []idemTomb
 	snapshotting bool
 	walFailed    bool
-	// tickDurs is a bounded reservoir of recent AdvanceTo wall-clock
-	// durations in seconds, the source of the /metrics per-tick timing
-	// percentiles.
-	tickDurs []float64
-	tickNext int
 	// traceIDs maps admitted coflow ids to their lifecycle trace ids so the
 	// completion span can be emitted when the coflow finishes.
 	traceIDs map[int]string
@@ -191,22 +182,6 @@ type Server struct {
 		latency time.Duration
 		churn   float64
 	}
-}
-
-// tickWindow bounds the per-tick timing reservoir: percentiles reflect the
-// most recent window, not the daemon's whole lifetime.
-const tickWindow = 2048
-
-// recordTick stores one tick's simulation-advance duration in the percentile
-// reservoir and the exposition histogram. Scheduler goroutine only.
-func (s *Server) recordTick(d time.Duration) {
-	s.metrics.tickDuration.Observe(d.Seconds())
-	if len(s.tickDurs) < tickWindow {
-		s.tickDurs = append(s.tickDurs, d.Seconds())
-		return
-	}
-	s.tickDurs[s.tickNext] = d.Seconds()
-	s.tickNext = (s.tickNext + 1) % tickWindow
 }
 
 // New builds and starts a server: the scheduler goroutine begins ticking
@@ -234,7 +209,6 @@ func New(cfg Config) (*Server, error) {
 		s.eng, err = online.NewEngine(cfg.Network, cfg.Policy, online.Config{
 			EpochLength:    cfg.EpochLength,
 			CandidatePaths: cfg.CandidatePaths,
-			Partitions:     cfg.Partitions,
 		})
 		if err != nil {
 			return nil, err
@@ -264,7 +238,6 @@ func New(cfg Config) (*Server, error) {
 				"sim_now", s.simBase)
 		}
 	}
-	s.metrics.initPartitions(s.eng.Partitions())
 	if s.wal != nil {
 		s.commitC = make(chan []*admitReq, commitQueueDepth)
 		s.committerDone = make(chan struct{})
@@ -337,13 +310,12 @@ func (s *Server) tick() {
 	t0 := time.Now()
 	err := s.eng.AdvanceTo(s.simNow())
 	tickDur := time.Since(t0)
-	s.recordTick(tickDur)
+	s.metrics.tickDuration.Observe(tickDur.Seconds())
 	if err != nil {
 		s.logger.Error("advance failed", "component", "coflowd", "err", err)
 		return
 	}
 	ts := s.eng.TakeTickStats()
-	s.metrics.observeTickStats(ts)
 	done := s.eng.TakeCompleted()
 	for _, id := range done {
 		span := telemetry.Span{Name: "completion", Trace: s.traceIDs[id], Coflow: id}
@@ -373,25 +345,17 @@ func (s *Server) tick() {
 			}
 		}
 	}
-	var reallocSecs float64
-	for _, secs := range ts.WorkerSeconds {
-		reallocSecs += secs
-	}
 	rec := EpochRecord{
-		Epoch:              s.eng.Epoch(),
-		SimNow:             s.eng.Now(),
-		Wall:               t0,
-		TickSeconds:        tickDur.Seconds(),
-		ActiveCoflows:      activeCoflows,
-		ActiveFlows:        activeFlows,
-		Completed:          len(done),
-		Reallocs:           ts.Reallocs,
-		DirtySuffixSum:     ts.SuffixSum,
-		DirtySuffixMax:     ts.SuffixMax,
-		ParallelRounds:     ts.ParallelRounds,
-		CrossFlows:         ts.CrossFlows,
-		ReallocSeconds:     reallocSecs,
-		PartitionImbalance: ts.ImbalanceRatio,
+		Epoch:          s.eng.Epoch(),
+		SimNow:         s.eng.Now(),
+		Wall:           t0,
+		TickSeconds:    tickDur.Seconds(),
+		ActiveCoflows:  activeCoflows,
+		ActiveFlows:    activeFlows,
+		Completed:      len(done),
+		Reallocs:       ts.Reallocs,
+		DirtySuffixSum: ts.SuffixSum,
+		DirtySuffixMax: ts.SuffixMax,
 	}
 	if s.lastDecide.applied {
 		rec.Decided = true
@@ -527,18 +491,6 @@ func (s *Server) Stats() (online.EngineStats, error) {
 	var st online.EngineStats
 	err := s.do(func() { st = s.eng.Stats() })
 	return st, err
-}
-
-// metricsSnapshot fetches the engine statistics together with the
-// server-side per-tick timing reservoir, in one scheduler round trip.
-func (s *Server) metricsSnapshot() (online.EngineStats, []float64, error) {
-	var st online.EngineStats
-	var ticks []float64
-	err := s.do(func() {
-		st = s.eng.Stats()
-		ticks = append([]float64(nil), s.tickDurs...)
-	})
-	return st, ticks, err
 }
 
 // PolicyName names the configured policy.

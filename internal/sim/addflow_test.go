@@ -191,3 +191,81 @@ func TestResidualsCompletionMatchesSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovePendingFlow checks the admission-rollback primitive: adding and
+// removing a pending flow leaves the simulator's observable state unchanged,
+// and removal of released/unknown flows is rejected.
+func TestRemovePendingFlow(t *testing.T) {
+	g := graph.Line(4, 1)
+	inst := diffInstance(t, g, 7, 4, 3)
+	s, err := New(inst, Config{Order: inst.FlowRefs(), Policy: Priority})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	// Advance until at least one flow has been released.
+	for tEnd := 1.0; ; tEnd *= 2 {
+		if err := s.RunUntil(tEnd); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		released := false
+		for _, st := range s.states {
+			if st.node != nil || st.done {
+				released = true
+				break
+			}
+		}
+		if released {
+			break
+		}
+		if tEnd > 1e6 {
+			t.Fatalf("no flow ever released")
+		}
+	}
+	before := s.Residuals()
+	ref := coflow.FlowRef{Coflow: 900, Index: 0}
+	f := coflow.Flow{Source: 0, Dest: 3, Size: 5, Release: s.Now() + 1}
+	path := g.ShortestPath(0, 3)
+	if err := s.AddFlow(ref, f, path); err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	if err := s.Remove(ref); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	if _, ok := s.Status(ref); ok {
+		t.Fatalf("removed flow still registered")
+	}
+	after := s.Residuals()
+	if len(after) != len(before) {
+		t.Fatalf("residual count changed: %d != %d", len(after), len(before))
+	}
+	for i := range before {
+		b, a := before[i], after[i]
+		if b.Ref != a.Ref || b.Remaining != a.Remaining || b.Done != a.Done || b.Completion != a.Completion {
+			t.Fatalf("flow %s state changed across add+remove", b.Ref)
+		}
+	}
+	if err := s.Remove(ref); err == nil {
+		t.Fatalf("removing unknown flow succeeded")
+	}
+	// A released (active or done) flow must be rejected.
+	released := coflow.FlowRef{Coflow: -1}
+	for r, st := range s.states {
+		if st.node != nil || st.done {
+			released = r
+			break
+		}
+	}
+	if released.Coflow == -1 {
+		t.Fatalf("no released flow to probe")
+	}
+	if err := s.Remove(released); err == nil {
+		t.Fatalf("removing released flow succeeded")
+	}
+	// The simulator still runs to completion afterwards.
+	if err := s.RunUntil(math.Inf(1)); err != nil {
+		t.Fatalf("run to completion: %v", err)
+	}
+	if !s.Done() {
+		t.Fatalf("simulation did not finish")
+	}
+}

@@ -72,14 +72,6 @@ type Config struct {
 	Order []coflow.FlowRef
 	// Policy selects the bandwidth-assignment policy.
 	Policy Policy
-	// Partition optionally enables partition-parallel reallocation under the
-	// Priority policy: the dirty-suffix redo runs one worker per partition
-	// class, with a deterministic rendezvous for flows whose path crosses
-	// classes (see parallel.go). Results are bit-identical to the sequential
-	// walk for any partition. Must cover every edge of the instance network;
-	// nil (or a single-class partition) keeps the redo sequential. FairShare
-	// is a global computation and ignores it.
-	Partition *graph.EdgePartition
 }
 
 // completionTol treats a flow as finished once its remaining volume drops
@@ -127,15 +119,6 @@ type flowState struct {
 
 	orderSeq uint64 // SetOrder stamp: membership in the current order
 	progSeq  uint64 // progress-log stamp: already logged since the last drain
-
-	// Partition placement, computed once at registration when the simulator
-	// runs partitioned (see parallel.go). part is the class owning every edge
-	// of the path, or -1 for a cross-class flow, in which case parts lists
-	// the distinct classes touched, ascending. pendingRate carries a parallel
-	// worker's computed rate to the ordered apply walk.
-	part        int32
-	parts       []int32
-	pendingRate float64
 }
 
 // admittedRank is the priority rank of flows added mid-run (Simulator.AddFlow)
@@ -190,11 +173,7 @@ type Simulator struct {
 	eventSeq int       // reallocation counter, drives periodic rebasing
 	orderGen uint64    // SetOrder stamp generation
 
-	ep  *graph.EdgePartition // non-nil: partition-parallel redo enabled
-	par *parRealloc          // parallel-redo scratch, built on first use
-
-	tickStats  TickStats // allocator-work aggregates, drained by TakeTickStats
-	workerSecs []float64 // per-class worker busy seconds, reset on drain
+	tickStats TickStats // allocator-work aggregates, drained by TakeTickStats
 
 	completions []CompletionEvent // log drained by TakeCompletions
 
@@ -237,12 +216,6 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 		s.caps[i] = g.Capacity(graph.EdgeID(i))
 	}
 	copy(s.residual, s.caps)
-	if ep := cfg.Partition; ep != nil && ep.Parts() > 1 {
-		if ep.NumEdges() != g.NumEdges() {
-			return nil, fmt.Errorf("sim: partition covers %d edges, network has %d", ep.NumEdges(), g.NumEdges())
-		}
-		s.ep = ep
-	}
 	for _, r := range refs {
 		f := inst.Flow(r)
 		path := f.Path
@@ -263,7 +236,6 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 			size:      f.Size,
 			lastT:     f.Release,
 		}
-		s.classify(st)
 		s.states[r] = st
 		s.pending.Push(st)
 	}
@@ -398,7 +370,6 @@ func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 		lastT:     f.Release,
 		rank:      admittedRank,
 	}
-	s.classify(st)
 	s.states[ref] = st
 	s.pending.Push(st)
 	return nil
@@ -815,19 +786,12 @@ func (s *Simulator) reallocSuffix(now float64) {
 	s.redo(s.active.Seek(from), suffix-len(s.batchDone)+len(s.batchReleased), now)
 }
 
-// redo re-runs the greedy allocation from the given active node onward:
-// partition-parallel when the simulator is partitioned and the suffix is
-// long enough to amortize the fan-out, sequential otherwise. Both walks
-// produce bit-identical state (see parallel.go for the argument).
+// redo re-runs the greedy allocation from the given active node onward.
 func (s *Simulator) redo(start *activeNode, suffixLen int, now float64) {
 	s.tickStats.Reallocs++
 	s.tickStats.SuffixSum += suffixLen
 	if suffixLen > s.tickStats.SuffixMax {
 		s.tickStats.SuffixMax = suffixLen
-	}
-	if s.ep != nil && suffixLen >= parallelMinSuffix {
-		s.redoParallel(start, now)
-		return
 	}
 	for n := start; n != nil; n = n.next[0] {
 		s.allocGreedy(n.st, now)

@@ -1,16 +1,12 @@
 package sim
 
 // TickStats aggregates the allocator work done between two TakeTickStats
-// calls: how many dirty-suffix reallocation passes ran, how deep they were,
-// how often the partitioned redo actually fanned out, how many cross-class
-// flows the fan-outs had to rendezvous on, and how long each partition
-// class's worker was busy. The online engine drains it once per tick and the
-// daemon rolls it into /v1/epochs and the coflowd_partition_* metric
-// families.
+// calls: how many dirty-suffix reallocation passes ran and how deep they
+// were. The online engine drains it once per tick and the daemon rolls it
+// into /v1/epochs.
 //
-// Accumulation costs three integer adds per reallocation pass plus two
-// wall-clock reads per parallel worker per fan-out round — nothing on the
-// per-event hot path reads the clock.
+// Accumulation costs three integer adds per reallocation pass — nothing on
+// the per-event hot path reads the clock.
 type TickStats struct {
 	// Reallocs counts reallocation passes (dirty-suffix redos plus full
 	// rebases) under the Priority policy.
@@ -19,36 +15,12 @@ type TickStats struct {
 	// re-allocated per pass).
 	SuffixSum int
 	SuffixMax int
-	// ParallelRounds counts redo walks that fanned out (≥2 busy classes).
-	ParallelRounds int
-	// CrossFlows counts the cross-class rendezvous records built by
-	// partitioned redo walks.
-	CrossFlows int
-	// WorkerSeconds is the per-class worker busy time across fan-out rounds,
-	// indexed by partition class. Nil when the simulator is unpartitioned or
-	// no round fanned out.
-	WorkerSeconds []float64
 }
 
 // TakeTickStats returns the work aggregates accumulated since the last call
 // and resets them. Call between RunUntil steps, never concurrently with one.
 func (s *Simulator) TakeTickStats() TickStats {
 	ts := s.tickStats
-	if s.workerSecs != nil {
-		busy := false
-		for _, v := range s.workerSecs {
-			if v > 0 {
-				busy = true
-				break
-			}
-		}
-		if busy {
-			ts.WorkerSeconds = append([]float64(nil), s.workerSecs...)
-			for i := range s.workerSecs {
-				s.workerSecs[i] = 0
-			}
-		}
-	}
 	s.tickStats = TickStats{}
 	return ts
 }

@@ -37,9 +37,6 @@ var coflowdFamilies = []string{
 	"coflowd_solve_latency_seconds_p50",
 	"coflowd_solve_latency_seconds_p95",
 	"coflowd_solve_latency_seconds_p99",
-	"coflowd_tick_seconds_p50",
-	"coflowd_tick_seconds_p95",
-	"coflowd_tick_seconds_p99",
 	"coflowd_http_requests_total",
 	"coflowd_http_request_errors_total",
 	"coflowd_tick_duration_seconds",
@@ -52,11 +49,6 @@ var coflowdFamilies = []string{
 	"coflowd_snapshots_total",
 	"coflowd_admit_stage_seconds",
 	"coflowd_wal_records_per_fsync",
-	"coflowd_partition_realloc_seconds",
-	"coflowd_partition_dirty_suffix",
-	"coflowd_partition_cross_flows_total",
-	"coflowd_partition_parallel_rounds_total",
-	"coflowd_partition_imbalance_ratio",
 }
 
 // runtimeFamilies is the process-health set RegisterRuntimeCollector adds to
@@ -166,11 +158,11 @@ func TestCoflowdMetricsConformance(t *testing.T) {
 	})
 	m := scrape(t, ts.URL)
 	assertFamilies(t, m, append(append([]string{}, coflowdFamilies...), runtimeFamilies...), "coflowd")
-	// The pipeline-stage and partition vecs are the only intentional label
-	// dimensions besides histogram buckets; anything else is contract drift.
+	// The pipeline-stage vec is the only intentional label dimension besides
+	// histogram buckets; anything else is contract drift.
 	for _, s := range m.Samples {
 		for key := range s.Labels {
-			if key != "le" && key != "stage" && key != "partition" {
+			if key != "le" && key != "stage" {
 				t.Errorf("unlabelled daemon grew label %q on %s: %v", key, s.Name, s.Labels)
 			}
 		}

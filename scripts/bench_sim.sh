@@ -13,8 +13,10 @@
 # The label tags the snapshot (defaults to the current commit); BENCHTIME
 # overrides the go-bench iteration count (default 5x); CPUS sets GOMAXPROCS
 # for the bench run (default: the machine's). Every gobench line records the
-# GOMAXPROCS it ran under — since the engine pod-partitions its realloc work,
-# ns/op is only comparable between snapshots taken at the same width.
+# GOMAXPROCS it ran under: the simulator and engine are single-goroutine, but
+# the runtime's concurrent collector is not, and earlier BENCH_sim.json
+# records carry the field — compare ns/op only between snapshots taken at the
+# same width.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
