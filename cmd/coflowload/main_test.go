@@ -275,19 +275,14 @@ func TestRunSoakViolated(t *testing.T) {
 	// The firing transition produced a readable bundle. The write lands after
 	// the firing state becomes visible (capture samples an on-alert CPU
 	// profile first), so poll for the file.
-	var entries []os.DirEntry
 	deadline = time.Now().Add(20 * time.Second)
-	for {
-		entries, err = os.ReadDir(bundleDir)
-		if err == nil && len(entries) > 0 {
-			break
-		}
+	for len(l.Monitor.Bundles()) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no bundles written: %v %v", entries, err)
+			t.Fatal("no bundles written")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	data, err := os.ReadFile(filepath.Join(bundleDir, entries[0].Name()))
+	data, err := os.ReadFile(l.Monitor.Bundles()[0].Path)
 	if err != nil {
 		t.Fatalf("read bundle: %v", err)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
-	"os"
 	"testing"
 	"time"
 
@@ -125,22 +124,21 @@ func TestClusterMonitorSLO(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	// The bundle lands after the firing state becomes visible — capture
-	// samples an on-alert CPU profile before writing — so poll for the file.
+	// samples an on-alert CPU profile before writing — so poll the index,
+	// which lists a bundle once its file is whole. Polling the directory for
+	// any file is not enough: host noise can fire another rule (gc-pause-p99)
+	// first, and its bundle says nothing about the two rules under test.
 	for {
-		entries, err := os.ReadDir(bundleDir)
-		if err == nil && len(entries) > 0 {
+		names := map[string]bool{}
+		for _, b := range l.Monitor.Bundles() {
+			names[b.Rule] = true
+		}
+		if names["shard-down"] || names["scrape-failure"] {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no flight-recorder bundle written: %v %v", entries, err)
+			t.Fatalf("no flight-recorder bundle for the fired rules: %+v", l.Monitor.Bundles())
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-	names := map[string]bool{}
-	for _, b := range l.Monitor.Bundles() {
-		names[b.Rule] = true
-	}
-	if !names["shard-down"] && !names["scrape-failure"] {
-		t.Errorf("bundle index lacks the fired rules: %+v", l.Monitor.Bundles())
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -62,19 +61,14 @@ func TestProfilingSmoke(t *testing.T) {
 	// Wait for a firing transition to write its bundle (the capture blocks
 	// on the CPU profile's sampling window before the file lands).
 	deadline := time.Now().Add(30 * time.Second)
-	var entries []os.DirEntry
-	for {
-		entries, err = os.ReadDir(bundleDir)
-		if err == nil && len(entries) > 0 {
-			break
-		}
+	for len(l.Monitor.Bundles()) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no bundle written: %v %v", entries, err)
+			t.Fatal("no bundle written")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	data, err := os.ReadFile(filepath.Join(bundleDir, entries[0].Name()))
+	data, err := os.ReadFile(l.Monitor.Bundles()[0].Path)
 	if err != nil {
 		t.Fatalf("read bundle: %v", err)
 	}

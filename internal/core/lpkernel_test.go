@@ -1,0 +1,117 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"coflowsched/internal/coflow"
+	"coflowsched/internal/graph"
+	"coflowsched/internal/lp"
+	"coflowsched/internal/workload"
+)
+
+// fig3Instance is instance i of the benchmark's offline-fig3 workload at
+// --seed 1, generated as bench/offline.go does: 4 coflows x width 4 on
+// FatTree(4), MeanSize 4, MeanRelease 2, seeded 1*1_000_003+i. It returns the
+// seed too (the benchmark seeds the scheduler's rng with seed+1).
+func fig3Instance(tb testing.TB, g *graph.Graph, i int) (*coflow.Instance, int64) {
+	tb.Helper()
+	seed := int64(1*1_000_003 + i)
+	inst, err := workload.Generate(g, workload.Config{
+		NumCoflows: 4, Width: 4, MeanSize: 4, MeanRelease: 2}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inst, seed
+}
+
+// TestFig3PivotsPinned pins the simplex's exact path on the benchmark's
+// offline-fig3 workload: its 64 instances scheduled by the free-path LP over
+// four candidate paths. The sums are what a traced benchmark run reports as
+// core.lp_pivots and core.lower_bound_sum; a kernel change that alters one
+// pivot (enter, leave or theta) on any of the 64 LPs moves them.
+func TestFig3PivotsPinned(t *testing.T) {
+	const (
+		wantPivots = 7679
+		wantLB     = 876.2357098961672
+	)
+	g := graph.FatTree(4, 1)
+	sched := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}
+	pivots, lb := 0, 0.0
+	for i := 0; i < 64; i++ {
+		inst, seed := fig3Instance(t, g, i)
+		res, err := sched.ScheduleASAP(inst, rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		pivots += res.LPIterations
+		lb += res.LowerBound
+	}
+	if pivots != wantPivots {
+		t.Errorf("LPIterations sum = %d, want %d", pivots, wantPivots)
+	}
+	if lb != wantLB {
+		t.Errorf("LowerBound sum = %v, want %v", lb, wantLB)
+	}
+}
+
+// BenchmarkSolve times lp.Problem.Solve alone (the LP is built outside the
+// loop) on the three shapes the simplex kernel sees, and reports pivots/op:
+// the free-path LP of a fig3 instance (4 coflows x width 4, four candidate
+// paths: most rows are capacity rows whose slack never leaves the basis), a
+// three-flow given-path LP of the size online.LPEpoch re-solves every epoch,
+// and the dense covering LP of the root BenchmarkLPSolverDense, where every
+// row pivots and the kernel can skip nothing.
+func BenchmarkSolve(b *testing.B) {
+	g := graph.FatTree(4, 1)
+	inst, _ := fig3Instance(b, g, 0)
+	free, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.buildLP(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	small, err := workload.Generate(g, workload.Config{
+		NumCoflows: 3, Width: 1, MeanSize: 4, MeanRelease: 2}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := small.AssignShortestPaths(); err != nil {
+		b.Fatal(err)
+	}
+	residual, err := CircuitGivenPaths{}.buildLP(small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dense := lp.NewProblem(lp.Minimize)
+	vars := make([]lp.Var, 60)
+	for j := range vars {
+		vars[j] = dense.AddVariable("", 0, lp.Inf, float64(j%7+1))
+	}
+	for i := 0; i < 40; i++ {
+		terms := make([]lp.Term, len(vars))
+		for j := range terms {
+			terms[j] = lp.Term{Var: vars[j], Coef: float64((i*j)%5 + 1)}
+		}
+		dense.AddConstraint("", lp.GE, float64(10+i), terms...)
+	}
+	for _, bc := range []struct {
+		name string
+		prob *lp.Problem
+	}{
+		{"freepath-4x4", free.prob},
+		{"residual-3flows", residual.prob},
+		{"dense-40x60", dense},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			pivots := 0
+			for i := 0; i < b.N; i++ {
+				sol, err := bc.prob.Solve(nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots += sol.Iterations
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
+	}
+}

@@ -4,10 +4,12 @@
 // The package implements a model builder (variables with bounds, linear
 // constraints, a linear objective) and a two-phase revised simplex solver
 // with an explicit dense basis inverse, Dantzig pricing and a Bland's-rule
-// fallback for anti-cycling. It is a pure-Go replacement for the commercial
-// LP solver (CPLEX) used in the paper's evaluation: the scheduling
-// algorithms only need an optimal vertex of the interval-indexed LPs, which
-// this solver provides.
+// fallback for anti-cycling. The inverse is stored in full, but the kernel
+// works only on its touched columns, those whose row has left the basis at
+// least once; the rest are still the identity's (see simplexState.binv). It
+// is a pure-Go replacement for the commercial LP solver (CPLEX) used in the
+// paper's evaluation: the scheduling algorithms only need an optimal vertex
+// of the interval-indexed LPs, which this solver provides.
 //
 // The API is deliberately small:
 //
@@ -291,11 +293,7 @@ func (o *Options) withDefaults(m, n int) Options {
 func (p *Problem) Solve(opts *Options) (*Solution, error) {
 	sf := buildStandardForm(p)
 	o := opts.withDefaults(sf.m, sf.n)
-	sol, err := sf.solve(o)
-	if err != nil {
-		return sol, err
-	}
-	return sol, nil
+	return newSimplexState(sf, o.Tolerance).solve(o)
 }
 
 // String renders the problem in a small LP-format-like text form, useful in

@@ -1,0 +1,426 @@
+package lp
+
+// The dense revised-simplex kernel as it stood before the touched-column
+// kernel (simplex.go at 4cf4ce6), kept verbatim as a test-only reference in
+// the tradition of sim.Reference and graph/reference_test.go: multiplyColumn,
+// duals and pivot sweep all m columns of the basis inverse, w and y are
+// allocated per call, and refactorize knows nothing of a touched set. Three
+// things differ from that file: the names (simplexState -> refState), solve
+// is a method on the state so tests can compare the final basis and xB, and
+// three counters (Bland's-rule pivots, refactorizations, artificials driven
+// out) let a test prove its LP reached those paths. kernel_test.go diffs the production kernel
+// against it.
+
+import (
+	"fmt"
+	"math"
+)
+
+// refState holds the revised-simplex working set: the basis, its dense
+// inverse, and the current basic solution.
+type refState struct {
+	sf    *standardForm
+	basis []int       // basis[i] = column basic in row i
+	inB   []bool      // inB[j] = column j is basic
+	binv  [][]float64 // dense basis inverse, m x m
+	xB    []float64   // basic variable values
+	tol   float64
+	iters int
+
+	blandPivots, refactors, drivenOut int // coverage counters, not in the original
+}
+
+func newRefState(sf *standardForm, tol float64) *refState {
+	m := sf.m
+	st := &refState{
+		sf:    sf,
+		basis: make([]int, m),
+		inB:   make([]bool, sf.n),
+		binv:  make([][]float64, m),
+		xB:    make([]float64, m),
+		tol:   tol,
+	}
+	for i := range st.binv {
+		st.binv[i] = make([]float64, m)
+		st.binv[i][i] = 1
+	}
+	copy(st.xB, sf.b)
+
+	// Initial basis: for each row prefer its slack unit column, else its
+	// artificial unit column. Both were constructed as +1 unit columns.
+	assigned := make([]bool, m)
+	for j := sf.nOrig; j < sf.n; j++ {
+		col := sf.cols[j]
+		if len(col.rows) != 1 || col.vals[0] != 1 {
+			continue
+		}
+		i := col.rows[0]
+		if assigned[i] {
+			continue
+		}
+		// Prefer slack over artificial: slacks come first, so first
+		// assignment wins and artificial fills only uncovered rows.
+		st.basis[i] = j
+		st.inB[j] = true
+		assigned[i] = true
+	}
+	for i := 0; i < m; i++ {
+		if !assigned[i] {
+			// Cannot happen by construction: every row has either a
+			// usable slack or an artificial.
+			panic(fmt.Sprintf("lp: row %d has no initial basic column", i))
+		}
+	}
+	return st
+}
+
+// multiplyColumn returns w = B^{-1} * A_j for column j.
+func (st *refState) multiplyColumn(j int) []float64 {
+	m := st.sf.m
+	w := make([]float64, m)
+	col := st.sf.cols[j]
+	for k, r := range col.rows {
+		v := col.vals[k]
+		if v == 0 {
+			continue
+		}
+		for i := 0; i < m; i++ {
+			w[i] += st.binv[i][r] * v
+		}
+	}
+	return w
+}
+
+// duals returns y' = c_B' B^{-1} for the given cost vector.
+func (st *refState) duals(cost []float64) []float64 {
+	m := st.sf.m
+	y := make([]float64, m)
+	for i := 0; i < m; i++ {
+		cb := cost[st.basis[i]]
+		if cb == 0 {
+			continue
+		}
+		row := st.binv[i]
+		for k := 0; k < m; k++ {
+			y[k] += cb * row[k]
+		}
+	}
+	return y
+}
+
+// reducedCost computes c_j - y'A_j.
+func (st *refState) reducedCost(cost, y []float64, j int) float64 {
+	d := cost[j]
+	col := st.sf.cols[j]
+	for k, r := range col.rows {
+		d -= y[r] * col.vals[k]
+	}
+	return d
+}
+
+// pivot performs the basis change: column enter becomes basic in row leave,
+// using the precomputed direction w = B^{-1} A_enter and step theta.
+func (st *refState) pivot(enter, leave int, w []float64, theta float64) {
+	m := st.sf.m
+	for i := 0; i < m; i++ {
+		if i == leave {
+			continue
+		}
+		st.xB[i] -= theta * w[i]
+		if st.xB[i] < 0 && st.xB[i] > -st.tol {
+			st.xB[i] = 0
+		}
+	}
+	st.xB[leave] = theta
+
+	pivotVal := w[leave]
+	rowL := st.binv[leave]
+	inv := 1.0 / pivotVal
+	for k := 0; k < m; k++ {
+		rowL[k] *= inv
+	}
+	for i := 0; i < m; i++ {
+		if i == leave {
+			continue
+		}
+		f := w[i]
+		if f == 0 {
+			continue
+		}
+		row := st.binv[i]
+		for k := 0; k < m; k++ {
+			row[k] -= f * rowL[k]
+		}
+	}
+
+	st.inB[st.basis[leave]] = false
+	st.basis[leave] = enter
+	st.inB[enter] = true
+}
+
+// refactorize recomputes the basis inverse and basic solution from scratch
+// (Gauss-Jordan on the basis columns) to limit accumulated floating point
+// error on long runs.
+func (st *refState) refactorize() error {
+	m := st.sf.m
+	// Build dense basis matrix augmented with identity.
+	a := make([][]float64, m)
+	for i := 0; i < m; i++ {
+		a[i] = make([]float64, 2*m)
+		a[i][m+i] = 1
+	}
+	for i := 0; i < m; i++ {
+		col := st.sf.cols[st.basis[i]]
+		for k, r := range col.rows {
+			a[r][i] = col.vals[k]
+		}
+	}
+	// Gauss-Jordan with partial pivoting.
+	for c := 0; c < m; c++ {
+		p := c
+		best := math.Abs(a[c][c])
+		for r := c + 1; r < m; r++ {
+			if v := math.Abs(a[r][c]); v > best {
+				best, p = v, r
+			}
+		}
+		if best < 1e-12 {
+			return fmt.Errorf("lp: singular basis during refactorization (column %d)", c)
+		}
+		a[c], a[p] = a[p], a[c]
+		inv := 1.0 / a[c][c]
+		for k := c; k < 2*m; k++ {
+			a[c][k] *= inv
+		}
+		for r := 0; r < m; r++ {
+			if r == c {
+				continue
+			}
+			f := a[r][c]
+			if f == 0 {
+				continue
+			}
+			for k := c; k < 2*m; k++ {
+				a[r][k] -= f * a[c][k]
+			}
+		}
+	}
+	// Note the permutation: after Gauss-Jordan with row swaps applied to the
+	// augmented identity, rows of the right block are B^{-1} rows in the
+	// order that maps basis column i to row i.
+	for i := 0; i < m; i++ {
+		copy(st.binv[i], a[i][m:])
+	}
+	// Recompute basic solution xB = B^{-1} b.
+	for i := 0; i < m; i++ {
+		s := 0.0
+		row := st.binv[i]
+		for k := 0; k < m; k++ {
+			s += row[k] * st.sf.b[k]
+		}
+		if s < 0 && s > -1e-7 {
+			s = 0
+		}
+		st.xB[i] = s
+	}
+	return nil
+}
+
+// runPhase runs the simplex method with the given cost vector, excluding
+// columns j >= excludeFrom from entering the basis. It returns the final
+// status.
+func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status, error) {
+	degenerate := 0
+	useBland := false
+	sincePivotRebuild := 0
+
+	for st.iters < maxIters {
+		y := st.duals(cost)
+
+		enter := -1
+		bestRC := -st.tol
+		if useBland {
+			for j := 0; j < excludeFrom; j++ {
+				if st.inB[j] {
+					continue
+				}
+				if st.reducedCost(cost, y, j) < -st.tol {
+					enter = j
+					break
+				}
+			}
+		} else {
+			for j := 0; j < excludeFrom; j++ {
+				if st.inB[j] {
+					continue
+				}
+				rc := st.reducedCost(cost, y, j)
+				if rc < bestRC {
+					bestRC = rc
+					enter = j
+				}
+			}
+		}
+		if enter < 0 {
+			return Optimal, nil
+		}
+
+		w := st.multiplyColumn(enter)
+		// Two-pass ratio test: find the minimum ratio, then among rows whose
+		// ratio ties it (within tolerance) pick the one with the largest
+		// pivot element; this keeps the basis well conditioned. Under Bland's
+		// rule the smallest basic index is used instead to guarantee
+		// termination.
+		theta := math.Inf(1)
+		for i := 0; i < st.sf.m; i++ {
+			if w[i] <= st.tol {
+				continue
+			}
+			if ratio := st.xB[i] / w[i]; ratio < theta {
+				theta = ratio
+			}
+		}
+		if math.IsInf(theta, 1) {
+			return Unbounded, ErrUnbounded
+		}
+		if theta < 0 {
+			theta = 0
+		}
+		leave := -1
+		for i := 0; i < st.sf.m; i++ {
+			if w[i] <= st.tol {
+				continue
+			}
+			ratio := st.xB[i] / w[i]
+			if ratio > theta+st.tol*(1+math.Abs(theta)) {
+				continue
+			}
+			if leave < 0 {
+				leave = i
+				continue
+			}
+			if useBland {
+				if st.basis[i] < st.basis[leave] {
+					leave = i
+				}
+			} else if w[i] > w[leave] {
+				leave = i
+			}
+		}
+		if leave < 0 {
+			return Unbounded, ErrUnbounded
+		}
+
+		if theta <= st.tol {
+			degenerate++
+			if degenerate >= degenerateSwitch {
+				useBland = true
+			}
+		} else {
+			degenerate = 0
+			useBland = false
+		}
+
+		if useBland {
+			st.blandPivots++
+		}
+		st.pivot(enter, leave, w, theta)
+		st.iters++
+		sincePivotRebuild++
+		if sincePivotRebuild >= refactorEvery {
+			if err := st.refactorize(); err != nil {
+				return IterationLimit, err
+			}
+			st.refactors++
+			sincePivotRebuild = 0
+		}
+	}
+	return IterationLimit, ErrIterationLimit
+}
+
+// objective returns c_B' x_B for the given cost vector.
+func (st *refState) objective(cost []float64) float64 {
+	s := 0.0
+	for i, j := range st.basis {
+		s += cost[j] * st.xB[i]
+	}
+	return s
+}
+
+// driveOutArtificials removes artificial variables from the basis after
+// phase 1 whenever a structural or slack column can replace them, so that
+// phase 2 pivots can never make an artificial positive again. Rows whose
+// artificial cannot be replaced are linearly dependent and keep a zero-valued
+// basic artificial, which is harmless.
+func (st *refState) driveOutArtificials() {
+	for i := 0; i < st.sf.m; i++ {
+		if st.basis[i] < st.sf.artStart {
+			continue
+		}
+		replaced := false
+		for j := 0; j < st.sf.artStart && !replaced; j++ {
+			if st.inB[j] {
+				continue
+			}
+			w := st.multiplyColumn(j)
+			if math.Abs(w[i]) > 1e-7 {
+				st.pivot(j, i, w, 0)
+				st.drivenOut++
+				replaced = true
+			}
+		}
+	}
+}
+
+// solve runs the two-phase revised simplex and extracts the solution.
+func (st *refState) solve(o Options) (*Solution, error) {
+	sf := st.sf
+
+	hasArtificials := false
+	for _, j := range st.basis {
+		if j >= sf.artStart {
+			hasArtificials = true
+			break
+		}
+	}
+
+	if hasArtificials {
+		phase1Cost := make([]float64, sf.n)
+		for j := sf.artStart; j < sf.n; j++ {
+			phase1Cost[j] = 1
+		}
+		status, err := st.runPhase(phase1Cost, sf.n, o.MaxIterations)
+		if status != Optimal {
+			return &Solution{Status: status, Iterations: st.iters}, err
+		}
+		// Allow a slightly looser tolerance for the infeasibility test:
+		// phase-1 objective is a sum of m values each rounded at tol.
+		if st.objective(phase1Cost) > o.Tolerance*float64(sf.m+1)*100 {
+			return &Solution{Status: Infeasible, Iterations: st.iters}, ErrInfeasible
+		}
+		st.driveOutArtificials()
+	}
+
+	status, err := st.runPhase(sf.c, sf.artStart, o.MaxIterations)
+	if status != Optimal {
+		return &Solution{Status: status, Iterations: st.iters}, err
+	}
+
+	values := make([]float64, sf.nOrig)
+	copy(values, sf.shift)
+	for i, j := range st.basis {
+		if j < sf.nOrig {
+			values[j] += st.xB[i]
+		}
+	}
+	obj := st.objective(sf.c) + sf.objConst
+	if sf.negate {
+		obj = -obj
+	}
+	return &Solution{
+		Status:     Optimal,
+		Objective:  obj,
+		Iterations: st.iters,
+		values:     values,
+	}, nil
+}

@@ -196,26 +196,42 @@ func buildStandardForm(p *Problem) *standardForm {
 }
 
 // simplexState holds the revised-simplex working set: the basis, its dense
-// inverse, and the current basic solution.
+// inverse, and the current basic solution. All of it is allocated by
+// newSimplexState and dies with the solve.
 type simplexState struct {
 	sf    *standardForm
-	basis []int       // basis[i] = column basic in row i
-	inB   []bool      // inB[j] = column j is basic
-	binv  [][]float64 // dense basis inverse, m x m
-	xB    []float64   // basic variable values
-	tol   float64
-	iters int
+	basis []int  // basis[i] = column basic in row i
+	inB   []bool // inB[j] = column j is basic
+	// binv is the basis inverse: dense, m x m, row-major, the identity at the
+	// start. A pivot changes column k only through binv[leave][k], which is 0
+	// while column k is e_k and leave != k, so column k stays exactly e_k
+	// until row k first leaves the basis and joins touched. multiplyColumn,
+	// duals and pivot do arithmetic on touched columns only and read the rest
+	// as e_k; every term they skip is an exact zero, so each pivot is the one
+	// a sweep over all m columns takes. In the interval-indexed LPs most rows
+	// are capacity rows whose slack never leaves: touched stays far below m.
+	binv      [][]float64
+	touched   []int     // columns of binv that may differ from e_k, in first-touch order
+	isTouched []bool    // isTouched[k] = k is in touched
+	xB        []float64 // basic variable values
+	w, y      []float64 // what multiplyColumn and duals return: scratch, valid until the next call
+	tol       float64
+	iters     int
 }
 
 func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	m := sf.m
 	st := &simplexState{
-		sf:    sf,
-		basis: make([]int, m),
-		inB:   make([]bool, sf.n),
-		binv:  make([][]float64, m),
-		xB:    make([]float64, m),
-		tol:   tol,
+		sf:        sf,
+		basis:     make([]int, m),
+		inB:       make([]bool, sf.n),
+		binv:      make([][]float64, m),
+		touched:   make([]int, 0, m),
+		isTouched: make([]bool, m),
+		xB:        make([]float64, m),
+		w:         make([]float64, m),
+		y:         make([]float64, m),
+		tol:       tol,
 	}
 	for i := range st.binv {
 		st.binv[i] = make([]float64, m)
@@ -251,18 +267,30 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	return st
 }
 
+// touch adds column k of binv to the touched set.
+func (st *simplexState) touch(k int) {
+	if !st.isTouched[k] {
+		st.isTouched[k] = true
+		st.touched = append(st.touched, k)
+	}
+}
+
 // multiplyColumn returns w = B^{-1} * A_j for column j.
 func (st *simplexState) multiplyColumn(j int) []float64 {
-	m := st.sf.m
-	w := make([]float64, m)
+	w := st.w
+	clear(w)
 	col := st.sf.cols[j]
 	for k, r := range col.rows {
 		v := col.vals[k]
 		if v == 0 {
 			continue
 		}
-		for i := 0; i < m; i++ {
-			w[i] += st.binv[i][r] * v
+		if !st.isTouched[r] {
+			w[r] += v // column r is e_r
+			continue
+		}
+		for i, row := range st.binv {
+			w[i] += row[r] * v
 		}
 	}
 	return w
@@ -270,16 +298,18 @@ func (st *simplexState) multiplyColumn(j int) []float64 {
 
 // duals returns y' = c_B' B^{-1} for the given cost vector.
 func (st *simplexState) duals(cost []float64) []float64 {
-	m := st.sf.m
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
+	y := st.y
+	clear(y)
+	for i, row := range st.binv {
 		cb := cost[st.basis[i]]
 		if cb == 0 {
 			continue
 		}
-		row := st.binv[i]
-		for k := 0; k < m; k++ {
+		for _, k := range st.touched {
 			y[k] += cb * row[k]
+		}
+		if !st.isTouched[i] {
+			y[i] += cb // the row's own unit entry; its other untouched entries are 0
 		}
 	}
 	return y
@@ -310,10 +340,13 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 	}
 	st.xB[leave] = theta
 
+	// Row leave is zero in every untouched column but its own, which joins
+	// the set here; scaling and eliminating over touched is the whole update.
+	st.touch(leave)
 	pivotVal := w[leave]
 	rowL := st.binv[leave]
 	inv := 1.0 / pivotVal
-	for k := 0; k < m; k++ {
+	for _, k := range st.touched {
 		rowL[k] *= inv
 	}
 	for i := 0; i < m; i++ {
@@ -325,7 +358,7 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 			continue
 		}
 		row := st.binv[i]
-		for k := 0; k < m; k++ {
+		for _, k := range st.touched {
 			row[k] -= f * rowL[k]
 		}
 	}
@@ -385,8 +418,19 @@ func (st *simplexState) refactorize() error {
 	// Note the permutation: after Gauss-Jordan with row swaps applied to the
 	// augmented identity, rows of the right block are B^{-1} rows in the
 	// order that maps basis column i to row i.
-	for i := 0; i < m; i++ {
-		copy(st.binv[i], a[i][m:])
+	// The touched set is rebuilt from the recomputed inverse: a column stays
+	// out only if it equals e_k exactly (no tolerance).
+	st.touched = st.touched[:0]
+	clear(st.isTouched)
+	for i, row := range st.binv {
+		copy(row, a[i][m:])
+		for k, v := range row {
+			if (k == i && v != 1) || (k != i && v != 0) {
+				st.touch(k)
+			} else if k != i {
+				row[k] = 0 // drop the sign of a -0: an untouched column is e_k bit for bit
+			}
+		}
 	}
 	// Recompute basic solution xB = B^{-1} b.
 	for i := 0; i < m; i++ {
@@ -550,8 +594,8 @@ func (st *simplexState) driveOutArtificials() {
 }
 
 // solve runs the two-phase revised simplex and extracts the solution.
-func (sf *standardForm) solve(o Options) (*Solution, error) {
-	st := newSimplexState(sf, o.Tolerance)
+func (st *simplexState) solve(o Options) (*Solution, error) {
+	sf := st.sf
 
 	hasArtificials := false
 	for _, j := range st.basis {

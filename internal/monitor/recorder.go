@@ -116,7 +116,14 @@ func (rc *recorder) capture(rs RuleStatus, now time.Time) (BundleInfo, error) {
 	if err != nil {
 		return BundleInfo{}, fmt.Errorf("marshal bundle: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Write under a temporary name and rename into place: whoever lists the
+	// directory (or reads a path from the index below) sees a whole bundle.
+	tmp := path + ".tmp"
+	if err = os.WriteFile(tmp, data, 0o644); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort; err is the failure worth reporting
 		return BundleInfo{}, err
 	}
 	info := BundleInfo{Rule: rs.Rule.Name, Path: path, CapturedAt: now, SizeBytes: int64(len(data))}
