@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -55,31 +56,72 @@ func TestFig3PivotsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkSolve times lp.Problem.Solve alone (the LP is built outside the
-// loop) on the three shapes the simplex kernel sees, and reports pivots/op:
-// the free-path LP of a fig3 instance (4 coflows x width 4, four candidate
-// paths: most rows are capacity rows whose slack never leaves the basis), a
-// three-flow given-path LP of the size online.LPEpoch re-solves every epoch,
-// and the dense covering LP of the root BenchmarkLPSolverDense, where every
-// row pivots and the kernel can skip nothing.
-func BenchmarkSolve(b *testing.B) {
+// TestFreePath8x6Pinned pins the simplex's path on one paper-scale free-path
+// LP: 8 coflows x width 6 over four candidate paths, long enough (1 679
+// pivots) to refactorize six times, which no fig3 instance does. A rebuilt
+// inverse or basic solution that differs in one bit from the Gauss-Jordan
+// result moves the later pivots.
+func TestFreePath8x6Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one 1 679-pivot LP, about 1.5 s")
+	}
+	const (
+		wantPivots = 1679
+		wantLB     = 41.67612003381232
+	)
 	g := graph.FatTree(4, 1)
-	inst, _ := fig3Instance(b, g, 0)
+	inst, err := workload.Generate(g, workload.Config{
+		NumCoflows: 8, Width: 6, MeanSize: 4, MeanRelease: 2}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.ScheduleASAP(inst, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LPIterations != wantPivots {
+		t.Errorf("LPIterations = %d, want %d", res.LPIterations, wantPivots)
+	}
+	if res.LowerBound != wantLB {
+		t.Errorf("LowerBound = %v, want %v", res.LowerBound, wantLB)
+	}
+}
+
+// solveCase is one LP shape the simplex kernel sees, with the bytes one Solve
+// of it may allocate (0: no budget).
+type solveCase struct {
+	name   string
+	prob   *lp.Problem
+	budget uint64
+}
+
+// solveCases builds the three shapes: the free-path LP of a fig3 instance (4
+// coflows x width 4, four candidate paths: most rows are capacity rows whose
+// slack never leaves the basis), a three-flow given-path LP of the size
+// online.LPEpoch re-solves every epoch, and the dense covering LP of the root
+// BenchmarkLPSolverDense, where every row pivots and the kernel can skip
+// nothing. The budgets sit about 30 % above what a solve allocates with the
+// compact inverse (2.36 MB and 89 KB) and far below what a dense m x m
+// inverse per solve costs (8.45 MB and 256 KB).
+func solveCases(tb testing.TB) []solveCase {
+	tb.Helper()
+	g := graph.FatTree(4, 1)
+	inst, _ := fig3Instance(tb, g, 0)
 	free, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.buildLP(inst)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	small, err := workload.Generate(g, workload.Config{
 		NumCoflows: 3, Width: 1, MeanSize: 4, MeanRelease: 2}, rand.New(rand.NewSource(1)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := small.AssignShortestPaths(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	residual, err := CircuitGivenPaths{}.buildLP(small)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dense := lp.NewProblem(lp.Minimize)
 	vars := make([]lp.Var, 60)
@@ -93,19 +135,45 @@ func BenchmarkSolve(b *testing.B) {
 		}
 		dense.AddConstraint("", lp.GE, float64(10+i), terms...)
 	}
-	for _, bc := range []struct {
-		name string
-		prob *lp.Problem
-	}{
-		{"freepath-4x4", free.prob},
-		{"residual-3flows", residual.prob},
-		{"dense-40x60", dense},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	return []solveCase{
+		{"freepath-4x4", free.prob, 3 << 20},
+		{"residual-3flows", residual.prob, 128 << 10},
+		{"dense-40x60", dense, 0},
+	}
+}
+
+// TestSolveByteBudget holds one Solve of the slack-heavy shapes to a byte
+// budget (runtime TotalAlloc over 10 solves), so that per-solve storage that
+// scales with m x m cannot come back unseen.
+func TestSolveByteBudget(t *testing.T) {
+	const solves = 10
+	for _, sc := range solveCases(t) {
+		if sc.budget == 0 {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < solves; i++ {
+			if _, err := sc.prob.Solve(nil); err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perSolve := (after.TotalAlloc - before.TotalAlloc) / solves; perSolve > sc.budget {
+			t.Errorf("%s: one Solve allocates %d bytes, budget %d", sc.name, perSolve, sc.budget)
+		}
+	}
+}
+
+// BenchmarkSolve times lp.Problem.Solve alone (the LP is built outside the
+// loop) on the shapes of solveCases, and reports pivots/op.
+func BenchmarkSolve(b *testing.B) {
+	for _, sc := range solveCases(b) {
+		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			pivots := 0
 			for i := 0; i < b.N; i++ {
-				sol, err := bc.prob.Solve(nil)
+				sol, err := sc.prob.Solve(nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -36,39 +39,70 @@ func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState
 	if !slices.Equal(got.values, want.values) || got.Objective != want.Objective {
 		t.Fatalf("%s: solution differs: objective %v, reference %v", name, got.Objective, want.Objective)
 	}
-	checkUntouchedIdentity(t, name, st)
+	checkInverseMatchesDense(t, name, st, ref)
 	return st, ref
 }
 
-// checkUntouchedIdentity asserts the kernel's invariant: touched holds no
-// duplicates, agrees with isTouched, and every column outside it is e_k bit
-// for bit (not merely ==: no negative zero).
-func checkUntouchedIdentity(t testing.TB, name string, st *simplexState) {
+// checkCompactStore asserts the bookkeeping of the compact inverse: touched
+// holds no duplicates and is the inverse of slot, the stride is wide enough
+// and never wider than m, and everything the store holds past a row's
+// len(touched) entries is +0 bit for bit (a column that joins later must read
+// e_k by construction, without being cleared first).
+func checkCompactStore(t testing.TB, name string, st *simplexState) {
 	t.Helper()
-	seen := make([]bool, st.sf.m)
-	for _, k := range st.touched {
-		if seen[k] {
-			t.Fatalf("%s: column %d is in touched twice", name, k)
-		}
-		seen[k] = true
+	m, nt := st.sf.m, len(st.touched)
+	if st.stride < nt || st.stride > m || len(st.binv) != m*st.stride {
+		t.Fatalf("%s: stride %d, store of %d floats for m=%d with %d columns touched", name, st.stride, len(st.binv), m, nt)
 	}
-	if !slices.Equal(seen, st.isTouched) {
-		t.Fatalf("%s: isTouched disagrees with touched %v", name, st.touched)
-	}
-	one := math.Float64bits(1)
-	for k, in := range seen {
-		if in {
+	stored := 0
+	for k, s := range st.slot {
+		if s < 0 {
 			continue
 		}
-		for i, row := range st.binv {
-			want := uint64(0)
-			if i == k {
-				want = one
+		stored++
+		if int(s) >= nt || st.touched[s] != k {
+			t.Fatalf("%s: slot[%d] = %d disagrees with touched %v", name, k, s, st.touched)
+		}
+	}
+	if stored != nt {
+		t.Fatalf("%s: %d columns have a slot, touched lists %d: %v", name, stored, nt, st.touched)
+	}
+	for i := 0; i < m; i++ {
+		for s, v := range st.binv[i*st.stride+nt : (i+1)*st.stride] {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: row %d holds %v in unused slot %d", name, i, v, nt+s)
 			}
-			if got := math.Float64bits(row[k]); got != want {
-				t.Fatalf("%s: untouched column %d, row %d holds %v (bits %#x), not e_%d",
-					name, k, i, row[k], got, k)
-			}
+		}
+	}
+}
+
+// denseInverse materialises the m x m inverse the compact store stands for:
+// e_k for a column without a slot, the stored entries for the rest.
+func (st *simplexState) denseInverse() [][]float64 {
+	m := st.sf.m
+	dense := make([][]float64, m)
+	for i := range dense {
+		dense[i] = make([]float64, m)
+		dense[i][i] = 1
+		for s, k := range st.touched {
+			dense[i][k] = st.binv[i*st.stride+s]
+		}
+	}
+	return dense
+}
+
+// checkInverseMatchesDense requires the compact inverse to equal the
+// reference's dense one row for row under ==. Where both are nonzero that is
+// bit for bit; the sign of a zero can differ, because the reference keeps the
+// -0 that scaling a row by a negative pivot leaves in a column the kernel does
+// not store yet.
+func checkInverseMatchesDense(t testing.TB, name string, st *simplexState, ref *refState) {
+	t.Helper()
+	checkCompactStore(t, name, st)
+	for i, row := range st.denseInverse() {
+		if !slices.Equal(row, ref.binv[i]) {
+			t.Fatalf("%s: row %d of the inverse differs from the reference (stride %d, %d of %d columns touched)\n got %v\nwant %v",
+				name, i, st.stride, len(st.touched), st.sf.m, row, ref.binv[i])
 		}
 	}
 }
@@ -248,61 +282,102 @@ func TestKernelMatchesReference(t *testing.T) {
 	})
 }
 
-// TestUntouchedColumnsAreIdentity checks the invariant the kernel rests on
-// where diffKernel does not look: on a state stopped mid-solve, and after a
-// direct refactorize() of that state, which must rebuild the set from the
-// recomputed inverse (dropping columns that came back as e_k, keeping the
-// rest) and leave the solve able to finish exactly as the reference does from
-// the same point.
-func TestUntouchedColumnsAreIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 6; trial++ {
-		sf := buildStandardForm(intervalShapedLP(rng, 4+rng.Intn(3), 2, 6+rng.Intn(4)))
-		o := (*Options)(nil).withDefaults(sf.m, sf.n)
-		st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
-		name := fmt.Sprintf("trial %d (m=%d)", trial, sf.m)
-
-		// Phase 1 cut short after a few pivots: a mid-solve state.
-		phase1 := make([]float64, sf.n)
-		for j := sf.artStart; j < sf.n; j++ {
-			phase1[j] = 1
-		}
-		stop := 3 + trial
-		st.runPhase(phase1, sf.n, stop)
-		ref.runPhase(phase1, sf.n, stop)
-		if st.iters != stop || ref.iters != stop {
-			t.Fatalf("%s: phase 1 ended after %d/%d pivots, before the cut at %d", name, st.iters, ref.iters, stop)
-		}
-		checkUntouchedIdentity(t, name+" mid-solve", st)
-		if len(st.touched) == 0 || len(st.touched) == sf.m {
-			t.Fatalf("%s: %d of %d columns touched mid-solve, want some but not all", name, len(st.touched), sf.m)
-		}
-
-		if err := st.refactorize(); err != nil {
-			t.Fatalf("%s: refactorize: %v", name, err)
-		}
-		if err := ref.refactorize(); err != nil {
-			t.Fatalf("%s: reference refactorize: %v", name, err)
-		}
-		checkUntouchedIdentity(t, name+" after refactorize", st)
-		for i := range st.binv {
-			if !slices.Equal(st.binv[i], ref.binv[i]) {
-				t.Fatalf("%s: row %d of the refactorized inverse differs from the reference", name, i)
+// TestCompactInverseMatchesDense checks the compact store where diffKernel
+// does not look, inside a solve: both kernels take one pivot at a time from
+// the same start, and the materialised compact inverse must equal the
+// reference's dense one after every pivot (so immediately after every growth
+// of the stride too), after a direct refactorize() of that mid-solve state,
+// which rebuilds the store from the recomputed inverse, and after the solve
+// resumed from there, which must end exactly where the reference's does. The
+// cases are chosen by what the store goes through, and each asserts that it
+// did.
+func TestCompactInverseMatchesDense(t *testing.T) {
+	cases := []struct {
+		name       string
+		p          *Problem
+		steps      int  // pivots taken in lockstep before the direct refactorize
+		growths    int  // stride growths required within those steps
+		allTouched bool // the solve must end with every column stored, stride = m
+		refactors  int  // refactorizations the resumed solve must reach on its own
+	}{
+		{name: "interval-shaped", p: intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12), steps: 200, growths: 2, refactors: 1},
+		{name: "degenerate-chain", p: degenerateLP(rand.New(rand.NewSource(11)), 400, 0), steps: 140, growths: 3, refactors: 1},
+		{name: "cover-all-touched", p: denseCoverLP(60, 40), steps: 38, growths: 1, allTouched: true},
+		{name: "below-initial-stride", p: denseCoverLP(12, initialStride/2), steps: 8, allTouched: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sf := buildStandardForm(tc.p)
+			o := (*Options)(nil).withDefaults(sf.m, sf.n)
+			st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
+			if want := min(initialStride, sf.m); st.stride != want {
+				t.Fatalf("a solve of m=%d starts at stride %d, want %d", sf.m, st.stride, want)
 			}
-		}
 
-		st.iters, ref.iters = 0, 0
-		got, gotErr := st.solve(o)
-		want, wantErr := ref.solve(o)
-		if gotErr != nil || wantErr != nil {
-			t.Fatalf("%s: resumed solve: %v, reference %v", name, gotErr, wantErr)
-		}
-		if got.Iterations != want.Iterations || got.Objective != want.Objective ||
-			!slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
-			t.Fatalf("%s: resumed solve diverged: %d pivots objective %v, reference %d pivots objective %v",
-				name, got.Iterations, got.Objective, want.Iterations, want.Objective)
-		}
-		checkUntouchedIdentity(t, name+" after resumed solve", st)
+			// Phase 1 where the LP has artificials, else phase 2.
+			cost, excludeFrom := sf.c, sf.artStart
+			if sf.artStart < sf.n {
+				cost, excludeFrom = make([]float64, sf.n), sf.n
+				for j := sf.artStart; j < sf.n; j++ {
+					cost[j] = 1
+				}
+			}
+			growths := 0
+			for step := 1; step <= tc.steps; step++ {
+				stride := st.stride
+				st.runPhase(cost, excludeFrom, step)
+				ref.runPhase(cost, excludeFrom, step)
+				if st.iters != step || ref.iters != step {
+					t.Fatalf("phase ended after %d/%d pivots, before the cut at %d", st.iters, ref.iters, tc.steps)
+				}
+				at := fmt.Sprintf("after pivot %d", step)
+				if st.stride != stride {
+					growths++
+					at += fmt.Sprintf(" (stride %d -> %d)", stride, st.stride)
+				}
+				checkInverseMatchesDense(t, at, st, ref)
+				if !slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
+					t.Fatalf("%s: basis or xB differs from the reference", at)
+				}
+			}
+			if growths < tc.growths {
+				t.Fatalf("stride grew %d times in %d pivots (now %d, m=%d), want at least %d", growths, tc.steps, st.stride, sf.m, tc.growths)
+			}
+
+			if err := st.refactorize(); err != nil {
+				t.Fatalf("refactorize: %v", err)
+			}
+			if err := ref.refactorize(); err != nil {
+				t.Fatalf("reference refactorize: %v", err)
+			}
+			checkInverseMatchesDense(t, "after refactorize", st, ref)
+			if !slices.Equal(st.xB, ref.xB) {
+				t.Fatalf("xB differs from the reference after refactorize\n got %v\nwant %v", st.xB, ref.xB)
+			}
+
+			st.iters, ref.iters = 0, 0
+			got, gotErr := st.solve(o)
+			want, wantErr := ref.solve(o)
+			if gotErr != nil || wantErr != nil {
+				t.Fatalf("resumed solve: %v, reference %v", gotErr, wantErr)
+			}
+			if got.Iterations != want.Iterations || got.Objective != want.Objective ||
+				!slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
+				t.Fatalf("resumed solve diverged: %d pivots objective %v, reference %d pivots objective %v",
+					got.Iterations, got.Objective, want.Iterations, want.Objective)
+			}
+			checkInverseMatchesDense(t, "after resumed solve", st, ref)
+			if ref.refactors < tc.refactors {
+				t.Errorf("resumed solve took %d pivots and %d refactorizations, want at least %d", ref.iters, ref.refactors, tc.refactors)
+			}
+			if all := len(st.touched) == sf.m; all != tc.allTouched {
+				t.Errorf("%d of %d columns touched at the end, all-touched want %v", len(st.touched), sf.m, tc.allTouched)
+			} else if all && st.stride != sf.m {
+				t.Errorf("every column is touched but the stride is %d, not m=%d", st.stride, sf.m)
+			}
+			t.Logf("m=%d: %d+%d pivots, %d growths in lockstep, %d refactorizations, %d columns touched, final stride %d",
+				sf.m, tc.steps, ref.iters, growths, ref.refactors, len(st.touched), st.stride)
+		})
 	}
 }
 
@@ -361,6 +436,51 @@ func FuzzSimplexKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, m, density uint8) {
 		diffKernel(t, "fuzz", fuzzLP(seed, n, m, density))
 	})
+}
+
+// TestFuzzCorpusReachesStorePaths keeps the committed corpus honest about the
+// compact store: a seed-growth-* input must outgrow the initial stride, a
+// seed-all-touched-* input must end with every column stored. A change to
+// fuzzLP's decoding would otherwise turn them into ordinary inputs unseen.
+func TestFuzzCorpusReachesStorePaths(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzSimplexKernel/seed-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth, allTouched := 0, 0
+	for _, file := range files {
+		wantGrowth := strings.Contains(file, "seed-growth-")
+		wantAll := strings.Contains(file, "seed-all-touched-")
+		if !wantGrowth && !wantAll {
+			continue
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed int64
+		var n, m, density uint8
+		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\nint64(%d)\nbyte('\\x%x')\nbyte('\\x%x')\nbyte('\\x%x')",
+			&seed, &n, &m, &density); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		st, _ := diffKernel(t, file, fuzzLP(seed, n, m, density))
+		if wantGrowth {
+			growth++
+			if st.stride <= initialStride {
+				t.Errorf("%s: the solve ends at stride %d, within the initial %d", file, st.stride, initialStride)
+			}
+		}
+		if wantAll {
+			allTouched++
+			if len(st.touched) != st.sf.m {
+				t.Errorf("%s: the solve ends with %d of %d columns touched", file, len(st.touched), st.sf.m)
+			}
+		}
+	}
+	if growth == 0 || allTouched == 0 {
+		t.Errorf("corpus has %d seed-growth-* and %d seed-all-touched-* inputs, want some of each", growth, allTouched)
+	}
 }
 
 // TestFuzzLPOutcomes keeps the fuzz decoder honest: over a sweep of its

@@ -3,13 +3,13 @@
 //
 // The package implements a model builder (variables with bounds, linear
 // constraints, a linear objective) and a two-phase revised simplex solver
-// with an explicit dense basis inverse, Dantzig pricing and a Bland's-rule
-// fallback for anti-cycling. The inverse is stored in full, but the kernel
-// works only on its touched columns, those whose row has left the basis at
-// least once; the rest are still the identity's (see simplexState.binv). It
-// is a pure-Go replacement for the commercial LP solver (CPLEX) used in the
-// paper's evaluation: the scheduling algorithms only need an optimal vertex
-// of the interval-indexed LPs, which this solver provides.
+// with an explicit basis inverse, Dantzig pricing and a Bland's-rule fallback
+// for anti-cycling. The inverse is kept compactly: only its touched columns,
+// those whose row has left the basis at least once, are stored and worked on;
+// the rest are still the identity's and take no memory (see
+// simplexState.binv). It is a pure-Go replacement for the commercial LP solver
+// (CPLEX) used in the paper's evaluation: the scheduling algorithms only need
+// an optimal vertex of the interval-indexed LPs, which this solver provides.
 //
 // The API is deliberately small:
 //
@@ -243,9 +243,10 @@ type Solution struct {
 }
 
 // Value returns the value of variable v in the solution. It returns 0 for
-// non-optimal solutions.
+// non-optimal solutions and for a v the problem never issued, such as the -1
+// callers keep for a variable they did not create.
 func (s *Solution) Value(v Var) float64 {
-	if s == nil || int(v) >= len(s.values) {
+	if s == nil || v < 0 || int(v) >= len(s.values) {
 		return 0
 	}
 	return s.values[v]

@@ -274,20 +274,33 @@ func TestMaximizeWithEqualityAndBounds(t *testing.T) {
 	}
 }
 
+// TestSolutionValueOutOfRange: Value answers 0 for anything that is not a
+// variable of a solved problem, including the -1 that core keeps for the
+// variables it never created (pre-release intervals).
 func TestSolutionValueOutOfRange(t *testing.T) {
 	p := NewProblem(Minimize)
-	x := p.AddVariable("x", 0, Inf, 1)
+	x := p.AddVariable("x", 2, Inf, 1)
 	sol, err := p.Solve(nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if got := sol.Value(Var(99)); got != 0 {
-		t.Errorf("Value(out of range) = %v, want 0", got)
-	}
-	_ = sol.Value(x)
-	var nilSol *Solution
-	if got := nilSol.Value(x); got != 0 {
-		t.Errorf("nil solution Value = %v, want 0", got)
+	for _, tc := range []struct {
+		name string
+		sol  *Solution
+		v    Var
+		want float64
+	}{
+		{"nil solution", nil, x, 0},
+		{"negative sentinel", sol, Var(-1), 0},
+		{"in range", sol, x, 2},
+		{"one past the end", sol, Var(1), 0},
+		{"far past the end", sol, Var(99), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.sol.Value(tc.v); got != tc.want {
+				t.Errorf("Value(%d) = %v, want %v", tc.v, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -195,47 +195,54 @@ func buildStandardForm(p *Problem) *standardForm {
 	return sf
 }
 
-// simplexState holds the revised-simplex working set: the basis, its dense
-// inverse, and the current basic solution. All of it is allocated by
-// newSimplexState and dies with the solve.
+// simplexState holds the revised-simplex working set: the basis, the compact
+// store of its inverse, and the current basic solution. All of it is allocated
+// by newSimplexState (touch may regrow binv) and dies with the solve.
 type simplexState struct {
 	sf    *standardForm
 	basis []int  // basis[i] = column basic in row i
 	inB   []bool // inB[j] = column j is basic
-	// binv is the basis inverse: dense, m x m, row-major, the identity at the
-	// start. A pivot changes column k only through binv[leave][k], which is 0
-	// while column k is e_k and leave != k, so column k stays exactly e_k
-	// until row k first leaves the basis and joins touched. multiplyColumn,
-	// duals and pivot do arithmetic on touched columns only and read the rest
-	// as e_k; every term they skip is an exact zero, so each pivot is the one
-	// a sweep over all m columns takes. In the interval-indexed LPs most rows
-	// are capacity rows whose slack never leaves: touched stays far below m.
-	binv      [][]float64
-	touched   []int     // columns of binv that may differ from e_k, in first-touch order
-	isTouched []bool    // isTouched[k] = k is in touched
-	xB        []float64 // basic variable values
-	w, y      []float64 // what multiplyColumn and duals return: scratch, valid until the next call
-	tol       float64
-	iters     int
+	// binv holds the touched columns of the m x m basis inverse, row-major:
+	// row i's entries for columns touched[0..nt) are binv[i*stride : i*stride+nt].
+	// The inverse starts as the identity, and a pivot changes column k only
+	// through its entry in row leave, which is 0 while column k is e_k and
+	// leave != k: column k stays exactly e_k until row k first leaves the basis.
+	// Such a column is not stored at all. multiplyColumn, duals and pivot read it
+	// as e_k; every term they skip is an exact zero, so each pivot is the one a
+	// dense m x m inverse takes. In the interval-indexed LPs most rows are
+	// capacity rows whose slack never leaves: len(touched) stays far below m,
+	// and a solve allocates m x stride, not m x m. Everything in binv past a
+	// row's first len(touched) entries is zero.
+	binv    []float64
+	stride  int       // row pitch of binv: initialStride doubling up to m as touched grows
+	touched []int     // columns of the inverse that are stored, in first-touch order
+	slot    []int32   // slot[k] = index of column k in touched, -1 while column k is e_k
+	xB      []float64 // basic variable values
+	w, y    []float64 // what multiplyColumn and duals return: scratch, valid until the next call
+	tol     float64
+	iters   int
 }
+
+// initialStride is the number of touched columns binv has room for at first.
+const initialStride = 32
 
 func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	m := sf.m
 	st := &simplexState{
-		sf:        sf,
-		basis:     make([]int, m),
-		inB:       make([]bool, sf.n),
-		binv:      make([][]float64, m),
-		touched:   make([]int, 0, m),
-		isTouched: make([]bool, m),
-		xB:        make([]float64, m),
-		w:         make([]float64, m),
-		y:         make([]float64, m),
-		tol:       tol,
+		sf:      sf,
+		basis:   make([]int, m),
+		inB:     make([]bool, sf.n),
+		stride:  min(initialStride, m),
+		touched: make([]int, 0, m),
+		slot:    make([]int32, m),
+		xB:      make([]float64, m),
+		w:       make([]float64, m),
+		y:       make([]float64, m),
+		tol:     tol,
 	}
-	for i := range st.binv {
-		st.binv[i] = make([]float64, m)
-		st.binv[i][i] = 1
+	st.binv = make([]float64, m*st.stride)
+	for k := range st.slot {
+		st.slot[k] = -1
 	}
 	copy(st.xB, sf.b)
 
@@ -267,12 +274,25 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	return st
 }
 
-// touch adds column k of binv to the touched set.
+// touch starts storing column k of the inverse, as e_k. It may move binv to a
+// wider store: row slices taken before the call are stale after it.
 func (st *simplexState) touch(k int) {
-	if !st.isTouched[k] {
-		st.isTouched[k] = true
-		st.touched = append(st.touched, k)
+	if st.slot[k] >= 0 {
+		return
 	}
+	nt := len(st.touched)
+	if nt == st.stride {
+		m := st.sf.m
+		wider := min(2*st.stride, m)
+		grown := make([]float64, m*wider)
+		for i := 0; i < m; i++ {
+			copy(grown[i*wider:i*wider+nt], st.binv[i*st.stride:])
+		}
+		st.binv, st.stride = grown, wider
+	}
+	st.slot[k] = int32(nt)
+	st.touched = append(st.touched, k)
+	st.binv[k*st.stride+nt] = 1 // the rest of the new slot is zero already
 }
 
 // multiplyColumn returns w = B^{-1} * A_j for column j.
@@ -285,12 +305,13 @@ func (st *simplexState) multiplyColumn(j int) []float64 {
 		if v == 0 {
 			continue
 		}
-		if !st.isTouched[r] {
+		s := int(st.slot[r])
+		if s < 0 {
 			w[r] += v // column r is e_r
 			continue
 		}
-		for i, row := range st.binv {
-			w[i] += row[r] * v
+		for i := range w {
+			w[i] += st.binv[i*st.stride+s] * v
 		}
 	}
 	return w
@@ -300,15 +321,17 @@ func (st *simplexState) multiplyColumn(j int) []float64 {
 func (st *simplexState) duals(cost []float64) []float64 {
 	y := st.y
 	clear(y)
-	for i, row := range st.binv {
-		cb := cost[st.basis[i]]
+	nt := len(st.touched)
+	for i, j := range st.basis {
+		cb := cost[j]
 		if cb == 0 {
 			continue
 		}
-		for _, k := range st.touched {
-			y[k] += cb * row[k]
+		row := st.binv[i*st.stride : i*st.stride+nt]
+		for s, k := range st.touched {
+			y[k] += cb * row[s]
 		}
-		if !st.isTouched[i] {
+		if st.slot[i] < 0 {
 			y[i] += cb // the row's own unit entry; its other untouched entries are 0
 		}
 	}
@@ -342,12 +365,14 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 
 	// Row leave is zero in every untouched column but its own, which joins
 	// the set here; scaling and eliminating over touched is the whole update.
+	// touch may move the store, so row slices are taken after it.
 	st.touch(leave)
+	nt, stride := len(st.touched), st.stride
 	pivotVal := w[leave]
-	rowL := st.binv[leave]
+	rowL := st.binv[leave*stride : leave*stride+nt]
 	inv := 1.0 / pivotVal
-	for _, k := range st.touched {
-		rowL[k] *= inv
+	for s := range rowL {
+		rowL[s] *= inv
 	}
 	for i := 0; i < m; i++ {
 		if i == leave {
@@ -357,9 +382,9 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 		if f == 0 {
 			continue
 		}
-		row := st.binv[i]
-		for _, k := range st.touched {
-			row[k] -= f * rowL[k]
+		row := st.binv[i*stride : i*stride+nt]
+		for s, v := range rowL {
+			row[s] -= f * v
 		}
 	}
 
@@ -418,26 +443,34 @@ func (st *simplexState) refactorize() error {
 	// Note the permutation: after Gauss-Jordan with row swaps applied to the
 	// augmented identity, rows of the right block are B^{-1} rows in the
 	// order that maps basis column i to row i.
-	// The touched set is rebuilt from the recomputed inverse: a column stays
-	// out only if it equals e_k exactly (no tolerance).
+	// The store is rebuilt from the recomputed inverse: a column stays out
+	// only if it equals e_k exactly (no tolerance; a -0 counts as 0 and loses
+	// its sign). Clearing first keeps everything past len(touched) zero.
 	st.touched = st.touched[:0]
-	clear(st.isTouched)
-	for i, row := range st.binv {
-		copy(row, a[i][m:])
-		for k, v := range row {
+	for k := range st.slot {
+		st.slot[k] = -1
+	}
+	clear(st.binv)
+	for i := 0; i < m; i++ {
+		for k, v := range a[i][m:] {
 			if (k == i && v != 1) || (k != i && v != 0) {
 				st.touch(k)
-			} else if k != i {
-				row[k] = 0 // drop the sign of a -0: an untouched column is e_k bit for bit
 			}
 		}
 	}
-	// Recompute basic solution xB = B^{-1} b.
+	for i := 0; i < m; i++ {
+		row := st.binv[i*st.stride:]
+		for s, k := range st.touched {
+			row[s] = a[i][m+k]
+		}
+	}
+	// Recompute basic solution xB = B^{-1} b from the dense rows, in ascending
+	// column order: summing the stored columns in first-touch order instead
+	// would round differently.
 	for i := 0; i < m; i++ {
 		s := 0.0
-		row := st.binv[i]
-		for k := 0; k < m; k++ {
-			s += row[k] * st.sf.b[k]
+		for k, v := range a[i][m:] {
+			s += v * st.sf.b[k]
 		}
 		if s < 0 && s > -1e-7 {
 			s = 0

@@ -283,3 +283,88 @@ func TestLPEpochSurvivesSolverFailure(t *testing.T) {
 		t.Errorf("schedule infeasible: %v", err)
 	}
 }
+
+// countingPolicy counts the decides that reach the policy under it and keeps
+// the errors they return, deciding by SEBF in their place: what the benchmark
+// puts around a strict LPEpoch to make its fallbacks visible.
+type countingPolicy struct {
+	Policy
+	decides int
+	errs    []error
+}
+
+func (p *countingPolicy) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
+	p.decides++
+	order, err := p.Policy.Decide(snap)
+	if err == nil {
+		return order, nil
+	}
+	p.errs = append(p.errs, err)
+	return SEBFOnline{}.Decide(snap)
+}
+
+// TestOnlineLPStreamPinned replays the benchmark's online-lp-k4 stream at
+// seed 1 the way bench/online.go builds and drives it: 240 coflows x width 3,
+// arrival i uniform in the i-th slot of length 1/0.2, flows released on
+// arrival, one epoch of length 1 at a time (admit what has arrived, decide,
+// advance) under the strict synchronous LP. Every number is exact: the
+// weighted completion time moves if any of the 1 198 residual LPs ends on a
+// different vertex, the failure count if one stops solving.
+func TestOnlineLPStreamPinned(t *testing.T) {
+	const (
+		n, width, rate = 240, 3, 0.2
+		wantWCCT       = 146432.0
+		wantEpochs     = 1211
+		wantDecides    = 1198
+	)
+	g := graph.FatTree(4, 1)
+	rng := rand.New(rand.NewSource(1))
+	inst, err := workload.Generate(g, workload.Config{NumCoflows: n, Width: width, MeanSize: 4}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := make([]float64, n)
+	for i := range inst.Coflows {
+		arrivals[i] = (float64(i) + rng.Float64()) / rate
+		for j := range inst.Coflows[i].Flows {
+			inst.Coflows[i].Flows[j].Release = 0
+		}
+	}
+	policy := &countingPolicy{Policy: LPEpoch{Sync: true, Strict: true}}
+	eng, err := NewEngine(g, policy, Config{EpochLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, epochs := 0, 0
+	for next < n || !eng.Done() {
+		if epochs > 2*wantEpochs {
+			t.Fatalf("stream not finished after %d epochs", epochs)
+		}
+		now := eng.Now()
+		for ; next < n && arrivals[next] <= now; next++ {
+			if _, err := eng.Admit(inst.Coflows[next], now); err != nil {
+				t.Fatalf("admit %d: %v", next, err)
+			}
+		}
+		if err := eng.DecideSync(); err != nil {
+			t.Fatalf("epoch %d: decide: %v", epochs, err)
+		}
+		if err := eng.AdvanceTo(now + 1); err != nil {
+			t.Fatalf("epoch %d: advance: %v", epochs, err)
+		}
+		epochs++
+	}
+	st := eng.Stats()
+	if st.Completed != n {
+		t.Errorf("%d of %d coflows completed", st.Completed, n)
+	}
+	if st.WeightedCCT != wantWCCT {
+		t.Errorf("weighted CCT = %v, want %v", st.WeightedCCT, wantWCCT)
+	}
+	if epochs != wantEpochs || policy.decides != wantDecides {
+		t.Errorf("%d epochs, %d LP decides, want %d and %d", epochs, policy.decides, wantEpochs, wantDecides)
+	}
+	for _, err := range policy.errs {
+		t.Errorf("strict LP failed: %v", err)
+	}
+}
