@@ -56,6 +56,7 @@ import (
 	"coflowsched/internal/graph"
 	"coflowsched/internal/monitor"
 	"coflowsched/internal/server"
+	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
@@ -170,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Shards:    *clusterN,
 			TimeScale: *timescale,
 			Gateway:   cluster.Config{Placement: pl},
-			Logf:      logf,
+			Logger:    telemetry.LogfLogger(logf),
 		}
 		if *soak > 0 || *bundleDir != "" {
 			// A soaked or bundle-collecting cluster run gets an embedded

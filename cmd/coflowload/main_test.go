@@ -16,6 +16,7 @@ import (
 	"coflowsched/internal/monitor"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
+	"coflowsched/internal/telemetry"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -51,7 +52,7 @@ func TestRunTraceReplay(t *testing.T) {
 		Policy:      online.SEBFOnline{},
 		EpochLength: 2,
 		TimeScale:   2000,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
@@ -232,7 +233,7 @@ func TestRunSoakViolated(t *testing.T) {
 			Interval:  100 * time.Millisecond,
 			BundleDir: bundleDir,
 		},
-		Logf: t.Logf,
+		Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)

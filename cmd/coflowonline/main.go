@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -29,22 +30,34 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "coflowonline:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main with injectable arguments and streams (smoke-testable without
+// exec'ing a binary).
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("coflowonline", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		policyName  = flag.String("policy", "lp", "policy: lp, lp-sync, sebf, fifo, oracle, all")
-		arrivalRate = flag.Float64("arrival-rate", 2.0, "mean coflow arrivals per time unit (Poisson process)")
-		epochLen    = flag.Float64("epoch", 2.0, "epoch length (time between policy re-decisions)")
-		fatK        = flag.Int("fatk", 4, "fat-tree arity")
-		coflows     = flag.Int("coflows", 10, "number of coflows to stream")
-		width       = flag.Int("width", 3, "flows per coflow")
-		meanSize    = flag.Float64("size", 4, "mean flow size")
-		meanWeight  = flag.Float64("weight", 1, "mean coflow weight")
-		seed        = flag.Int64("seed", 1, "random seed")
-		workers     = flag.Int("workers", 2, "solver worker-pool size for pipelined policies")
-		validate    = flag.Bool("validate", true, "validate the produced schedule against the instance")
-		quiet       = flag.Bool("quiet", false, "one summary line per policy (no banner, no tables)")
-		csv         = flag.Bool("csv", false, "CSV output (header + one row per policy)")
+		policyName  = fs.String("policy", "lp", "policy: lp, lp-sync, sebf, fifo, oracle, all")
+		arrivalRate = fs.Float64("arrival-rate", 2.0, "mean coflow arrivals per time unit (Poisson process)")
+		epochLen    = fs.Float64("epoch", 2.0, "epoch length (time between policy re-decisions)")
+		fatK        = fs.Int("fatk", 4, "fat-tree arity")
+		coflows     = fs.Int("coflows", 10, "number of coflows to stream")
+		width       = fs.Int("width", 3, "flows per coflow")
+		meanSize    = fs.Float64("size", 4, "mean flow size")
+		meanWeight  = fs.Float64("weight", 1, "mean coflow weight")
+		seed        = fs.Int64("seed", 1, "random seed")
+		validate    = fs.Bool("validate", true, "validate the produced schedule against the instance")
+		quiet       = fs.Bool("quiet", false, "one summary line per policy (no banner, no tables)")
+		csv         = fs.Bool("csv", false, "CSV output (header + one row per policy)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	g := graph.FatTree(*fatK, 1)
 	rng := rand.New(rand.NewSource(*seed))
@@ -57,10 +70,12 @@ func main() {
 		},
 		Rate: *arrivalRate,
 	}, rng)
-	exitOn(err)
+	if err != nil {
+		return err
+	}
 
 	if !*quiet && !*csv {
-		fmt.Printf("instance: %s, %d coflows x %d flows, arrival rate %.2f (last arrival %.2f), epoch %.2f\n",
+		fmt.Fprintf(stdout, "instance: %s, %d coflows x %d flows, arrival rate %.2f (last arrival %.2f), epoch %.2f\n",
 			g, len(inst.Coflows), *width, *arrivalRate, arrivals[len(arrivals)-1], *epochLen)
 	}
 
@@ -77,8 +92,7 @@ func main() {
 		names = []string{"oracle", "lp", "sebf", "fifo"}
 	} else {
 		if _, ok := policies[*policyName]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown policy %q (want lp, lp-sync, sebf, fifo, oracle, all)\n", *policyName)
-			os.Exit(2)
+			return fmt.Errorf("unknown policy %q (want lp, lp-sync, sebf, fifo, oracle, all)", *policyName)
 		}
 		names = []string{*policyName}
 	}
@@ -89,25 +103,25 @@ func main() {
 	}
 
 	if *csv {
-		fmt.Println("policy,arrival_rate,epochs,weighted_cct,weighted_response,makespan," +
-			"slowdown_p50,slowdown_p95,slowdown_p99,solve_ms_p50,solve_ms_p95,solve_ms_p99,solve_overlap_ms")
+		fmt.Fprintln(stdout, "policy,arrival_rate,epochs,weighted_cct,weighted_response,makespan,"+
+			"slowdown_p50,slowdown_p95,slowdown_p99,solve_ms_p50,solve_ms_p95,solve_ms_p99")
 	}
 	for _, name := range names {
-		p := policies[name]
-		res, err := online.Run(inst, p, online.Config{
-			EpochLength: *epochLen,
-			Workers:     *workers,
-			Seed:        *seed,
-		})
-		exitOn(err)
-		if *validate {
-			exitOn(res.Schedule.Validate(inst))
+		res, err := online.Run(inst, policies[name], online.Config{EpochLength: *epochLen, Seed: *seed})
+		if err != nil {
+			return err
 		}
-		report(res, *arrivalRate, *quiet, *csv)
+		if *validate {
+			if err := res.Schedule.Validate(inst); err != nil {
+				return err
+			}
+		}
+		report(stdout, res, *arrivalRate, *quiet, *csv)
 	}
+	return nil
 }
 
-func report(res *online.Result, rate float64, quiet, csv bool) {
+func report(w io.Writer, res *online.Result, rate float64, quiet, csv bool) {
 	solveMs := res.SolveLatencies()
 	for i := range solveMs {
 		solveMs[i] *= 1e3
@@ -117,33 +131,24 @@ func report(res *online.Result, rate float64, quiet, csv bool) {
 	pct := func(xs []float64, p float64) float64 { return stats.PercentileOr(xs, p, 0) }
 	sp50, sp95, sp99 := pct(res.Slowdown, 50), pct(res.Slowdown, 95), pct(res.Slowdown, 99)
 	lp50, lp95, lp99 := pct(solveMs, 50), pct(solveMs, 95), pct(solveMs, 99)
-	overlapMs := res.TotalSolveOverlap().Seconds() * 1e3
 
 	switch {
 	case csv:
-		fmt.Printf("%s,%g,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
+		fmt.Fprintf(w, "%s,%g,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
 			res.Policy, rate, len(res.Epochs), res.WeightedCCT, res.WeightedResponse, res.Makespan,
-			sp50, sp95, sp99, lp50, lp95, lp99, overlapMs)
+			sp50, sp95, sp99, lp50, lp95, lp99)
 	case quiet:
-		fmt.Printf("%s rate=%g cct=%.2f response=%.2f makespan=%.2f slowdown_p95=%.2f solve_p95_ms=%.3f\n",
+		fmt.Fprintf(w, "%s rate=%g cct=%.2f response=%.2f makespan=%.2f slowdown_p95=%.2f solve_p95_ms=%.3f\n",
 			res.Policy, rate, res.WeightedCCT, res.WeightedResponse, res.Makespan, sp95, lp95)
 	default:
-		fmt.Printf("%-22s weighted CCT = %10.2f  weighted response = %10.2f  makespan = %8.2f\n",
+		fmt.Fprintf(w, "%-22s weighted CCT = %10.2f  weighted response = %10.2f  makespan = %8.2f\n",
 			res.Policy, res.WeightedCCT, res.WeightedResponse, res.Makespan)
-		fmt.Printf("%-22s epochs = %d  slowdown p50/p95/p99 = %.2f/%.2f/%.2f\n",
+		fmt.Fprintf(w, "%-22s epochs = %d  slowdown p50/p95/p99 = %.2f/%.2f/%.2f\n",
 			"", len(res.Epochs), sp50, sp95, sp99)
 		if len(solveMs) > 0 {
-			fmt.Printf("%-22s epoch solve latency p50/p95/p99 = %.3f/%.3f/%.3f ms  (overlapped with sim: %.3f ms)\n",
-				"", lp50, lp95, lp99, overlapMs)
+			fmt.Fprintf(w, "%-22s epoch solve latency p50/p95/p99 = %.3f/%.3f/%.3f ms\n",
+				"", lp50, lp95, lp99)
 		}
-		line := strings.Repeat("-", 86)
-		fmt.Println(line)
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coflowonline:", err)
-		os.Exit(1)
+		fmt.Fprintln(w, strings.Repeat("-", 86))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
+	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func fastGatewayConfig(t *testing.T, placement Placement) Config {
 		ClientTimeout:   2 * time.Second,
 		ClientRetries:   1,
 		ClientRetryBase: 5 * time.Millisecond,
-		Logf:            t.Logf,
+		Logger:          telemetry.LogfLogger(t.Logf),
 	}
 }
 
@@ -36,7 +37,7 @@ func newLocalCluster(t *testing.T, shards int, placement Placement, timeScale fl
 		Policy:    online.SEBFOnline{},
 		TimeScale: timeScale,
 		Gateway:   fastGatewayConfig(t, placement),
-		Logf:      t.Logf,
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)
@@ -247,7 +248,7 @@ func TestClusterBatching(t *testing.T) {
 	cfg.BatchInterval = 30 * time.Millisecond
 	l, err := NewLocal(LocalConfig{
 		Shards: 2, TimeScale: 100,
-		Gateway: cfg, Logf: t.Logf,
+		Gateway: cfg, Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local: %v", err)

@@ -66,12 +66,8 @@ type Config struct {
 	ClientRetryBase time.Duration
 	// Logger receives structured operational logs (ejections, recoveries,
 	// re-admissions) with a component=coflowgate field attached. When nil,
-	// Logf is bridged through a line-formatting handler; when that is nil
-	// too, logs are discarded.
+	// logs are discarded.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style sink, still honored for compatibility
-	// (tests pass t.Logf here). Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// TraceCapacity bounds the gateway's lifecycle-trace span ring served at
 	// /debug/traces (default telemetry.DefaultTraceCapacity).
 	TraceCapacity int
@@ -126,7 +122,7 @@ func (c Config) withDefaults() Config {
 		c.ClientRetryBase = 50 * time.Millisecond
 	}
 	if c.Logger == nil {
-		c.Logger = telemetry.LogfLogger(c.Logf) // nil Logf discards
+		c.Logger = telemetry.DiscardLogger()
 	}
 	if c.StateDir != "" && c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 30 * time.Second

@@ -13,7 +13,6 @@ import (
 	"coflowsched/internal/monitor"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
-	"coflowsched/internal/telemetry"
 )
 
 // LocalConfig parameterizes an in-process cluster: N coflowd shards, each a
@@ -49,11 +48,10 @@ type LocalConfig struct {
 	// means DefaultRules over its Interval). The monitor's HTTP API is served
 	// at MonitorURL().
 	Monitor *monitor.Config
-	// Logger receives structured shard and gateway logs (each shard's logger
-	// gains its shard field automatically). Logf is the legacy printf sink,
-	// used when Logger is nil.
+	// Logger receives structured shard, gateway and monitor logs (each
+	// shard's logger gains its shard field automatically). When nil, logs
+	// are discarded.
 	Logger *slog.Logger
-	Logf   func(format string, args ...any)
 }
 
 func (c LocalConfig) withDefaults() (LocalConfig, error) {
@@ -74,9 +72,6 @@ func (c LocalConfig) withDefaults() (LocalConfig, error) {
 	}
 	if c.Logger != nil && c.Gateway.Logger == nil {
 		c.Gateway.Logger = c.Logger
-	}
-	if c.Logf != nil && c.Gateway.Logf == nil {
-		c.Gateway.Logf = c.Logf
 	}
 	if c.WALDir != "" {
 		if c.Gateway.StateDir == "" {
@@ -160,7 +155,6 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 			CandidatePaths: cfg.CandidatePaths,
 			Shard:          name,
 			Logger:         cfg.Logger,
-			Logf:           cfg.Logf,
 		}
 		if cfg.WALDir != "" {
 			scfg.WALDir = filepath.Join(cfg.WALDir, name)
@@ -185,11 +179,7 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 		mcfg := *cfg.Monitor
 		mcfg.DiscoverURL = l.http.URL
 		if mcfg.Logger == nil {
-			if cfg.Logger != nil {
-				mcfg.Logger = cfg.Logger
-			} else if cfg.Logf != nil {
-				mcfg.Logger = telemetry.LogfLogger(cfg.Logf)
-			}
+			mcfg.Logger = cfg.Logger
 		}
 		m, err := monitor.New(mcfg)
 		if err != nil {

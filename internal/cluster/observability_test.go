@@ -201,7 +201,7 @@ func TestClusterStageSpans(t *testing.T) {
 		TimeScale: 200,
 		WALDir:    t.TempDir(),
 		Gateway:   fastGatewayConfig(t, ConsistentHash{}),
-		Logf:      t.Logf,
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)

@@ -8,6 +8,7 @@ import (
 
 	"coflowsched/internal/monitor"
 	"coflowsched/internal/server"
+	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func TestProfilingSmoke(t *testing.T) {
 			Interval:  100 * time.Millisecond,
 			BundleDir: bundleDir,
 		},
-		Logf: t.Logf,
+		Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)

@@ -13,6 +13,7 @@ import (
 	"coflowsched/internal/graph"
 	"coflowsched/internal/monitor"
 	"coflowsched/internal/server"
+	"coflowsched/internal/telemetry"
 )
 
 // recoveryCoflow builds a two-flow coflow on the shards' fat-tree hosts.
@@ -38,7 +39,7 @@ func TestGatewayRestartRecovery(t *testing.T) {
 		TimeScale: 1, // slow clock: coflows stay in flight across the restart
 		Gateway:   fastGatewayConfig(t, ConsistentHash{}),
 		WALDir:    t.TempDir(),
-		Logf:      t.Logf,
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new durable cluster: %v", err)
@@ -159,7 +160,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 		Gateway:   cfg,
 		WALDir:    t.TempDir(),
 		Monitor:   &monitor.Config{Interval: 100 * time.Millisecond},
-		Logf:      t.Logf,
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new durable cluster: %v", err)

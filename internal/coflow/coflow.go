@@ -141,9 +141,10 @@ func (inst *Instance) TimeHorizon() float64 {
 }
 
 // Validate checks structural sanity of the instance: the network exists,
-// every flow endpoint is a valid node, sizes are positive, weights and
-// release times nonnegative, pre-assigned paths (if any) connect the right
-// endpoints, and the packet model restriction Size == 1 when packet is true.
+// every flow endpoint is a valid node, sizes are positive, weights
+// nonnegative, release times nonnegative and finite, pre-assigned paths (if
+// any) connect the right endpoints, and the packet model restriction
+// Size == 1 when packet is true.
 func (inst *Instance) Validate(packet bool) error {
 	if inst.Network == nil {
 		return fmt.Errorf("coflow: instance has no network")
@@ -173,7 +174,7 @@ func (inst *Instance) Validate(packet bool) error {
 			if packet && f.Size != 1 {
 				return fmt.Errorf("coflow: %s has size %v but packet flows must have size 1", ref, f.Size)
 			}
-			if f.Release < 0 || math.IsNaN(f.Release) {
+			if f.Release < 0 || math.IsNaN(f.Release) || math.IsInf(f.Release, 1) {
 				return fmt.Errorf("coflow: %s has invalid release time %v", ref, f.Release)
 			}
 			if f.Path != nil {

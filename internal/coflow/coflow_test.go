@@ -127,6 +127,11 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 			i.Coflows[0].Flows[0].Release = -1
 			return i
 		},
+		"inf release": func() *Instance {
+			i := valid()
+			i.Coflows[0].Flows[0].Release = math.Inf(1)
+			return i
+		},
 		"bad path": func() *Instance {
 			i := valid()
 			i.Coflows[0].Flows[0].Path = graph.Path{graph.EdgeID(3)} // wrong edge

@@ -33,8 +33,6 @@ type OnlineConfig struct {
 	ArrivalRates []float64
 	// EpochLength is the online engine's re-decision period.
 	EpochLength float64
-	// Workers sizes the solver pool for pipelined policies.
-	Workers int
 	// Validate re-checks every transcript for feasibility (slower).
 	Validate bool
 }
@@ -53,7 +51,6 @@ func DefaultOnlineConfig() OnlineConfig {
 		MeanWeight:   1,
 		ArrivalRates: []float64{0.5, 2.0, 8.0},
 		EpochLength:  2,
-		Workers:      2,
 	}
 }
 
@@ -118,11 +115,6 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 	g := graph.FatTree(cfg.FatK, 1)
 	pols := cfg.OnlinePolicies()
 
-	// One solver pool shared by every run in the sweep bounds total LP
-	// parallelism in this process.
-	sharedPool := online.NewPool(cfg.Workers)
-	defer sharedPool.Close()
-
 	values := make([][]float64, len(pols))
 	for i := range values {
 		values[i] = make([]float64, len(cfg.ArrivalRates))
@@ -149,7 +141,6 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 			for pi, p := range pols {
 				res, err := online.Run(inst, p, online.Config{
 					EpochLength: cfg.EpochLength,
-					Pool:        sharedPool,
 					Seed:        seed,
 				})
 				if err != nil {

@@ -18,23 +18,18 @@ type ScenarioConfig struct {
 	Scenarios []string
 	// EpochLength is the online engine's re-decision period (default 2).
 	EpochLength float64
-	// Workers sizes the shared solver pool for pipelined policies (default 2).
-	Workers int
 	// Validate re-checks every transcript for feasibility (slower).
 	Validate bool
 }
 
 // DefaultScenarioConfig runs every registered scenario.
 func DefaultScenarioConfig() ScenarioConfig {
-	return ScenarioConfig{EpochLength: 2, Workers: 2}
+	return ScenarioConfig{EpochLength: 2}
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.EpochLength <= 0 {
 		c.EpochLength = 2
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
 	}
 	return c
 }
@@ -95,8 +90,6 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		return nil, fmt.Errorf("experiments: no scenarios registered")
 	}
 	pols := ScenarioPolicies()
-	pool := online.NewPool(cfg.Workers)
-	defer pool.Close()
 
 	values := make([][]float64, len(pols))
 	for i := range values {
@@ -115,7 +108,6 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		for pi, p := range pols {
 			r, err := online.Run(inst, p, online.Config{
 				EpochLength: cfg.EpochLength,
-				Pool:        pool,
 				Seed:        sc.Seed,
 			})
 			if err != nil {

@@ -23,7 +23,7 @@ func benchRun(b *testing.B, p Policy) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(inst, p, Config{EpochLength: 2, Workers: 2}); err != nil {
+		if _, err := Run(inst, p, Config{EpochLength: 2}); err != nil {
 			b.Fatalf("%s: %v", p.Name(), err)
 		}
 	}

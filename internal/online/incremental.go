@@ -10,18 +10,18 @@ import (
 	"coflowsched/internal/sim"
 )
 
-// Engine is the incremental form of Run, built for long-running servers:
-// instead of streaming a fixed instance through the epoch loop, coflows are
-// admitted one at a time (Admit), the clock is advanced explicitly
+// Engine is the epoch loop's state, and the one implementation of it: coflows
+// are admitted one at a time (Admit), the clock is advanced explicitly
 // (AdvanceTo), and priority decisions are installed by the caller
 // (ApplyOrder), so an expensive Decide can run outside the goroutine that
-// owns the engine. The engine itself is NOT safe for concurrent use — a
-// single goroutine must own it and serialize access, which is exactly what
-// internal/server's scheduler goroutine does.
+// owns the engine. coflowd's scheduler goroutine drives it against the wall
+// clock; Run drives it over a fixed instance. The engine itself is NOT safe
+// for concurrent use — a single goroutine must own it and serialize access,
+// which is exactly what internal/server's scheduler goroutine does.
 //
 // The residual snapshot the caller hands to Policy.Decide comes from
-// Snapshot, which — like the batch loop — only exposes admitted, unfinished
-// coflows, so policies remain causally blind to the future.
+// Snapshot, which only exposes admitted, arrived, unfinished coflows, so
+// policies remain causally blind to the future.
 //
 // Long-running cost: the engine keeps one residual view of the active
 // coflows and, per epoch, rebuilds only the slots of coflows whose flows
@@ -95,6 +95,10 @@ type Engine struct {
 	// — the hook lifecycle tracing uses to emit completion spans without
 	// rescanning engine state.
 	recentDone []int
+	// transcript, when non-nil, keeps the schedule of every flow the engine
+	// forgets. NewEngine leaves it nil — a daemon's transcript would grow
+	// with lifetime admissions — and Run, which scores and returns it, sets it.
+	transcript *coflow.CircuitSchedule
 
 	// Aggregates surfaced by Stats.
 	completedCoflows int
@@ -188,15 +192,21 @@ type CoflowStatus struct {
 // policy must be snapshot-driven (Preparer policies like Oracle need the full
 // future up front, which an incremental engine cannot provide).
 func NewEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
+	if _, ok := policy.(Preparer); ok {
+		return nil, fmt.Errorf("online: policy %s needs the full instance up front and cannot run incrementally", policy.Name())
+	}
+	return newEngine(g, policy, cfg)
+}
+
+// newEngine is NewEngine without the Preparer check: Run holds the full
+// instance and prepares a hindsight policy itself.
+func newEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.EpochLength <= 0 {
 		return nil, fmt.Errorf("online: epoch length must be positive, got %v", cfg.EpochLength)
 	}
 	if g == nil {
 		return nil, fmt.Errorf("online: engine requires a network")
-	}
-	if _, ok := policy.(Preparer); ok {
-		return nil, fmt.Errorf("online: policy %s needs the full instance up front and cannot run incrementally", policy.Name())
 	}
 	inst := &coflow.Instance{Network: g}
 	s, err := sim.New(inst, sim.Config{Policy: sim.Priority})
@@ -226,6 +236,34 @@ func (e *Engine) candidatePaths(f *coflow.Flow) []graph.Path {
 	return e.inst.Network.KShortestPathsCached(f.Source, f.Dest, e.cfg.CandidatePaths)
 }
 
+// pickPath chooses, among a flow's candidates, the path minimizing the
+// resulting size-weighted bottleneck load given the volume admitted so far
+// (ties: the smaller summed load, then the earlier candidate). It reads load
+// and leaves the charging to the caller: Admit logs every write for rollback.
+func pickPath(g *graph.Graph, load []float64, f *coflow.Flow, cands []graph.Path) (graph.Path, error) {
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("no path from %d to %d", f.Source, f.Dest)
+	}
+	bestIdx := 0
+	bestMax, bestSum := -1.0, 0.0
+	for i, p := range cands {
+		maxLoad, sumLoad := 0.0, 0.0
+		for _, e := range p {
+			l := (load[e] + f.Size) / g.Capacity(e)
+			sumLoad += l
+			if l > maxLoad {
+				maxLoad = l
+			}
+		}
+		if bestMax < 0 || maxLoad < bestMax-1e-12 ||
+			(maxLoad < bestMax+1e-12 && sumLoad < bestSum-1e-12) {
+			bestMax, bestSum = maxLoad, sumLoad
+			bestIdx = i
+		}
+	}
+	return cands[bestIdx], nil
+}
+
 // Policy returns the engine's policy. Decide may be called on it from any
 // goroutine (policies are stateless once constructed); the resulting order
 // must come back through ApplyOrder on the owning goroutine.
@@ -246,8 +284,8 @@ func (e *Engine) Done() bool { return e.sim.Done() }
 // Admit validates and admits one coflow at time now, returning its id. The
 // coflow's flow Release fields are treated as offsets from the admission
 // time (negative offsets are clamped to zero); each flow is routed causally
-// onto the least-loaded of its candidate paths, exactly like the batch
-// admitter. Admission must not precede the engine clock.
+// onto the least-loaded of its candidate paths (pickPath). Admission must not
+// precede the engine clock.
 func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 	if math.IsNaN(now) || math.IsInf(now, 0) {
 		return 0, fmt.Errorf("online: invalid admission time %v", now)
@@ -483,10 +521,9 @@ func (e *Engine) syncView() *Snapshot {
 
 // Snapshot captures the policy-visible residual state at the engine clock,
 // without stopping or perturbing the simulation: admitted coflows that have
-// arrived and still have unfinished flows, exactly what the batch loop
-// shows its policies. The snapshot is a flat copy of the engine's view
-// (two allocations: the slots and one arena for every flow), safe to hand to
-// a Decide running on another goroutine.
+// arrived and still have unfinished flows. The snapshot is a flat copy of the
+// engine's view (two allocations: the slots and one arena for every flow),
+// safe to hand to a Decide running on another goroutine.
 func (e *Engine) Snapshot() *Snapshot {
 	v := e.syncView()
 	snap := &Snapshot{Now: v.Now, Epoch: v.Epoch, Network: v.Network}
@@ -688,6 +725,12 @@ func (e *Engine) collectCompletions() {
 		e.weightedResponse += cf.Weight * response
 		if e.gammas[id] > 0 {
 			e.slowdowns.add(response / e.gammas[id])
+		}
+		if e.transcript != nil {
+			for j := range cf.Flows {
+				ref := coflow.FlowRef{Coflow: id, Index: j}
+				e.transcript.Set(ref, e.sim.FlowSchedule(ref))
+			}
 		}
 		for j := range cf.Flows {
 			// Forget only errors on unknown/unfinished flows; every flow of

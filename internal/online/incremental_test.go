@@ -42,79 +42,101 @@ func relativeCoflow(cf coflow.Coflow, arrival float64) coflow.Coflow {
 	return out
 }
 
-// TestEngineMatchesBatchRun drives the incremental engine through the same
-// epoch discipline as the batch loop — admit each coflow at its arrival,
-// decide synchronously at every boundary, advance one epoch — and checks the
-// resulting schedule scores identically to Run on the full instance.
+// TestEngineMatchesBatchRun drives an engine by hand through Run's epoch
+// discipline — admit each coflow at its arrival, decide synchronously at
+// every boundary, advance one epoch — and checks that Run, which scores the
+// transcript, and the engine's own registry, which coflowd serves, agree to
+// the last bit: Run is a driver over the same engine, not a second loop. The
+// jittered stream releases flows after their coflow's arrival, so admission
+// routes and registers flows that the simulator only starts later.
 func TestEngineMatchesBatchRun(t *testing.T) {
 	const epoch = 1.5
-	inst, arrivals := engineWorkload(t, 5, 6)
-	policy := FIFOOnline{}
-
-	want, err := Run(inst, policy, Config{EpochLength: epoch, Seed: 1})
-	if err != nil {
-		t.Fatalf("batch run: %v", err)
-	}
-
-	eng, err := NewEngine(inst.Network, policy, Config{EpochLength: epoch})
-	if err != nil {
-		t.Fatalf("new engine: %v", err)
-	}
-	// The batch loop aligns epoch 0 to the first arrival; mirror that.
-	order := make([]int, len(arrivals))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return arrivals[order[a]] < arrivals[order[b]] })
-	next := 0
-	admit := func(upTo float64) {
-		for next < len(order) && arrivals[order[next]] <= upTo+1e-15 {
-			id := order[next]
-			got, err := eng.Admit(relativeCoflow(inst.Coflows[id], arrivals[id]), arrivals[id])
+	g := graph.FatTree(4, 1)
+	for _, stream := range []struct {
+		name        string
+		seed        int64
+		meanRelease float64
+	}{
+		{"uniform", 5, 0},
+		{"jitter", 18, 1.5},
+	} {
+		inst, _, err := workload.GenerateArrivals(g, workload.ArrivalConfig{
+			Config: workload.Config{NumCoflows: 6, Width: 3, MeanSize: 4, MeanWeight: 1, MeanRelease: stream.meanRelease},
+			Rate:   2.0,
+		}, rand.New(rand.NewSource(stream.seed)))
+		if err != nil {
+			t.Fatalf("%s: generate: %v", stream.name, err)
+		}
+		arrivals := workload.Arrivals(inst)
+		if !sort.Float64sAreSorted(arrivals) {
+			t.Fatalf("%s: seed %d no longer yields sorted arrivals %v; pick another", stream.name, stream.seed, arrivals)
+		}
+		for _, policy := range []Policy{FIFOOnline{}, SEBFOnline{}, LPEpoch{Sync: true}} {
+			label := stream.name + "/" + policy.Name()
+			want, err := Run(inst, policy, Config{EpochLength: epoch, Seed: 1})
 			if err != nil {
-				t.Fatalf("admit coflow %d: %v", id, err)
+				t.Fatalf("%s: run: %v", label, err)
 			}
-			if got != id {
-				t.Fatalf("admit returned id %d, want %d (arrival-ordered admission)", got, id)
+			if err := want.Schedule.Validate(inst); err != nil {
+				t.Errorf("%s: transcript infeasible: %v", label, err)
 			}
-			next++
-		}
-	}
-	start := arrivals[order[0]]
-	admit(start)
-	if err := eng.AdvanceTo(start); err != nil {
-		t.Fatalf("advance to start: %v", err)
-	}
-	for now := start; !eng.Done(); now += epoch {
-		if err := eng.DecideSync(); err != nil {
-			t.Fatalf("decide at %v: %v", now, err)
-		}
-		admit(now + epoch) // arrivals inside the epoch land mid-simulation
-		if err := eng.AdvanceTo(now + epoch); err != nil {
-			t.Fatalf("advance to %v: %v", now+epoch, err)
-		}
-		if now > 100*inst.TimeHorizon() {
-			t.Fatalf("engine did not finish")
-		}
-	}
 
-	st := eng.Stats()
-	if st.Completed != len(inst.Coflows) {
-		t.Fatalf("completed %d of %d coflows", st.Completed, len(inst.Coflows))
-	}
-	if math.Abs(st.WeightedCCT-want.WeightedCCT) > 1e-6*want.WeightedCCT {
-		t.Errorf("weighted CCT: engine %v, batch %v", st.WeightedCCT, want.WeightedCCT)
-	}
-	if math.Abs(st.WeightedResponse-want.WeightedResponse) > 1e-6*want.WeightedResponse {
-		t.Errorf("weighted response: engine %v, batch %v", st.WeightedResponse, want.WeightedResponse)
-	}
-	for i := range inst.Coflows {
-		cs, ok := eng.CoflowStatus(i)
-		if !ok || !cs.Done {
-			t.Fatalf("coflow %d not reported done", i)
-		}
-		if math.Abs(cs.Completion-want.CoflowCompletion[i]) > 1e-9 {
-			t.Errorf("coflow %d completion: engine %v, batch %v", i, cs.Completion, want.CoflowCompletion[i])
+			eng, err := NewEngine(g, policy, Config{EpochLength: epoch})
+			if err != nil {
+				t.Fatalf("%s: new engine: %v", label, err)
+			}
+			next := 0
+			admit := func(upTo float64) {
+				for ; next < len(arrivals) && arrivals[next] <= upTo+1e-15; next++ {
+					if _, err := eng.Admit(relativeCoflow(inst.Coflows[next], arrivals[next]), arrivals[next]); err != nil {
+						t.Fatalf("%s: admit coflow %d: %v", label, next, err)
+					}
+				}
+			}
+			// Run aligns epoch 0 to the first arrival; mirror that.
+			now := arrivals[0]
+			admit(now)
+			if err := eng.AdvanceTo(now); err != nil {
+				t.Fatalf("%s: advance to start: %v", label, err)
+			}
+			for ; next < len(arrivals) || !eng.Done(); now += epoch {
+				if now > 100*inst.TimeHorizon() {
+					t.Fatalf("%s: engine did not finish", label)
+				}
+				if err := eng.DecideSync(); err != nil {
+					t.Fatalf("%s: decide at %v: %v", label, now, err)
+				}
+				admit(now + epoch) // arrivals inside the epoch land mid-simulation
+				if err := eng.AdvanceTo(now + epoch); err != nil {
+					t.Fatalf("%s: advance to %v: %v", label, now+epoch, err)
+				}
+			}
+
+			st := eng.Stats()
+			if st.Completed != len(inst.Coflows) {
+				t.Fatalf("%s: completed %d of %d coflows", label, st.Completed, len(inst.Coflows))
+			}
+			// Run sums its objectives in coflow order; so does this. (The
+			// engine's running aggregates add in completion order and may
+			// differ from either in the last bit.)
+			wcct, wresp := 0.0, 0.0
+			for i := range inst.Coflows {
+				cs, ok := eng.CoflowStatus(i)
+				if !ok || !cs.Done {
+					t.Fatalf("%s: coflow %d not reported done", label, i)
+				}
+				if cs.Completion != want.CoflowCompletion[i] {
+					t.Errorf("%s: coflow %d completion: engine %v, Run %v", label, i, cs.Completion, want.CoflowCompletion[i])
+				}
+				wcct += cs.Weight * cs.Completion
+				wresp += cs.Weight * cs.Response
+			}
+			if wcct != want.WeightedCCT || math.Abs(st.WeightedCCT-wcct) > 1e-12*wcct {
+				t.Errorf("%s: weighted CCT: engine %v (aggregate %v), Run %v", label, wcct, st.WeightedCCT, want.WeightedCCT)
+			}
+			if wresp != want.WeightedResponse || math.Abs(st.WeightedResponse-wresp) > 1e-12*wresp {
+				t.Errorf("%s: weighted response: engine %v (aggregate %v), Run %v", label, wresp, st.WeightedResponse, want.WeightedResponse)
+			}
 		}
 	}
 }

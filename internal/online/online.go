@@ -6,17 +6,25 @@
 // resumable simulator (sim.Simulator) then advances to the next boundary
 // under that priority order.
 //
+// There is one epoch loop, Engine: it admits and routes coflows, keeps the
+// residual view policies decide on, installs their orders and advances the
+// simulator. coflowd (internal/server) drives it against the wall clock; Run
+// drives it over a fixed instance and returns the scored transcript, so the
+// experiments, the CLI and the batch goldens exercise the code the daemon
+// serves from.
+//
 // Policies never see the future: the Engine hands them a Snapshot containing
 // only arrived, unfinished coflows and their residual volumes. The one
 // deliberate exception is Oracle, the hindsight comparator, which is given
 // the full instance up front and serves as a lower-bound reference for the
 // price of online operation.
 //
-// Expensive policies (LPEpoch) are pipelined: the LP for epoch k+1 is solved
-// on a worker-pool goroutine from the snapshot taken at the start of epoch
-// k, overlapping the simulation of epoch k. The applied order therefore lags
+// Expensive policies (LPEpoch) are applied one epoch late: the order decided
+// on the view at the start of epoch k takes effect at epoch k+1, so it lags
 // one epoch behind the residual state it was computed from — exactly the
 // trade a real scheduler makes when its solver is slower than its epoch.
+// Run models the lag deterministically and starts no goroutine; coflowd runs
+// such a Decide off its scheduler goroutine.
 package online
 
 import (
@@ -75,9 +83,10 @@ func residualBottleneck(g *graph.Graph, flows []ResidualFlow, loads []graph.Path
 
 // Snapshot is everything a policy may look at when deciding the next epoch's
 // priorities: the clock, the network, and the residual state of arrived
-// coflows. Policies treat it as immutable: under pipelining they run
-// concurrently with the simulation on an independent copy, and on the
-// engine's synchronous path they read the engine's own long-lived view.
+// coflows. Policies treat it as immutable: coflowd's asynchronous decides run
+// concurrently with the simulation on an independent copy (Engine.Snapshot),
+// and on the engine's synchronous path they read the engine's own long-lived
+// view.
 type Snapshot struct {
 	// Now is the simulation time the snapshot was taken at.
 	Now float64
@@ -139,21 +148,20 @@ type Policy interface {
 	Decide(snap *Snapshot) ([]coflow.FlowRef, error)
 }
 
-// AsyncPolicy marks a policy whose Decide is expensive enough to pipeline.
-// When Async reports true the engine runs Decide for epoch k+1 on a worker
-// goroutine against the snapshot taken at the start of epoch k, overlapping
-// it with epoch k's simulation; the resulting order is applied one epoch
-// late. Cheap heuristics should not implement this (or return false): their
-// decisions are applied synchronously on fresh state.
+// AsyncPolicy marks a policy whose Decide is too expensive to finish inside
+// the epoch boundary. When Async reports true, the order decided on the view
+// at the start of epoch k is applied at epoch k+1 — one epoch stale, as if
+// the solve had run alongside epoch k's transmission. Cheap heuristics
+// should not implement this (or return false): their decisions are applied
+// at once on fresh state.
 type AsyncPolicy interface {
 	Policy
 	Async() bool
 }
 
 // Preparer is implemented by policies that need to see the full hindsight
-// instance before the run starts (Oracle). The engine calls Prepare once,
-// before the first epoch, with the complete instance, the admission-time
-// routing it will simulate with, and a seeded rng.
+// instance before the run starts (Oracle). Run calls Prepare once, before the
+// first epoch, with the complete instance and a seeded rng.
 type Preparer interface {
-	Prepare(inst *coflow.Instance, paths map[coflow.FlowRef]graph.Path, rng *rand.Rand) error
+	Prepare(inst *coflow.Instance, rng *rand.Rand) error
 }

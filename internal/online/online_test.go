@@ -3,8 +3,8 @@ package online
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-	"time"
 
 	"coflowsched/internal/baselines"
 	"coflowsched/internal/coflow"
@@ -59,14 +59,15 @@ func TestPoliciesProduceFeasibleSchedules(t *testing.T) {
 }
 
 // TestDeterminism: same seed and config imply an identical weighted CCT, for
-// every policy — including the pipelined LP, whose applied decisions depend
-// only on epoch indices, never on solver wall-clock speed.
+// every policy — including the LP, whose orders are applied one epoch late:
+// which decision an epoch applies depends only on epoch indices, never on
+// solver wall-clock speed.
 func TestDeterminism(t *testing.T) {
 	for _, p := range policies() {
 		var first float64
 		for run := 0; run < 3; run++ {
 			inst := onlineInstance(t, 11, 1.5, 6)
-			res, err := Run(inst, p, Config{EpochLength: 1.5, Seed: 9, Workers: 2})
+			res, err := Run(inst, p, Config{EpochLength: 1.5, Seed: 9})
 			if err != nil {
 				t.Fatalf("%s run %d: %v", p.Name(), run, err)
 			}
@@ -98,52 +99,97 @@ func TestConservation(t *testing.T) {
 	}
 }
 
-// slowAsyncPolicy wraps FIFOOnline with an artificial solve delay, to make
-// the solve/simulate overlap unambiguous on any machine.
-type slowAsyncPolicy struct {
-	delay time.Duration
-}
+// asyncFIFO is FIFOOnline marked asynchronous, counting its Decide calls: a
+// policy whose orders lag one epoch and come back in the view's order arena,
+// which the next Decide overwrites.
+type asyncFIFO struct{ decides int }
 
-func (slowAsyncPolicy) Name() string { return "SlowAsync" }
-func (slowAsyncPolicy) Async() bool  { return true }
-func (p slowAsyncPolicy) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
-	time.Sleep(p.delay)
+func (*asyncFIFO) Name() string { return "AsyncFIFO" }
+func (*asyncFIFO) Async() bool  { return true }
+func (p *asyncFIFO) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
+	p.decides++
 	return FIFOOnline{}.Decide(snap)
 }
 
-// TestPipelineOverlap: with an async policy, the solve submitted at epoch k
-// runs on the worker pool while epoch k simulates, and the order applied in
-// epoch k+1 comes from the snapshot at epoch k (one-epoch staleness).
-func TestPipelineOverlap(t *testing.T) {
+// TestAsyncPolicyLagsOneEpoch pins the staleness model of an AsyncPolicy on a
+// stream with two busy periods: a busy epoch with no decision waiting is a
+// cold start and applies its own order (SnapshotEpoch == Epoch), every other
+// epoch applies the order decided one epoch earlier (SnapshotEpoch ==
+// Epoch-1), and the idle stretch between the periods empties the slot, so
+// the second period cold-starts again.
+func TestAsyncPolicyLagsOneEpoch(t *testing.T) {
 	inst := onlineInstance(t, 23, 1.0, 6)
-	res, err := Run(inst, slowAsyncPolicy{delay: 10 * time.Millisecond}, Config{EpochLength: 2, Workers: 2})
+	for i := 4; i < len(inst.Coflows); i++ {
+		for j := range inst.Coflows[i].Flows {
+			inst.Coflows[i].Flows[j].Release += 200 // long after the first four drain
+		}
+	}
+	policy := &asyncFIFO{}
+	res, err := Run(inst, policy, Config{EpochLength: 2})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if res.TotalSolveOverlap() <= 0 {
-		t.Errorf("no solve ran concurrently with simulation (total overlap %v)", res.TotalSolveOverlap())
-	}
-	// Staleness accounting: after the cold start, applied decisions come
-	// from the previous epoch's snapshot.
-	lagged := 0
+	cold, lagged, waiting := 0, 0, false
 	for _, e := range res.Epochs {
-		if e.SnapshotEpoch >= 0 && e.SnapshotEpoch == e.Epoch-1 {
+		want := -1
+		switch {
+		case waiting:
+			want = e.Epoch - 1
 			lagged++
+		case e.ActiveFlows > 0:
+			want = e.Epoch
+			cold++
 		}
+		if e.SnapshotEpoch != want {
+			t.Errorf("epoch %d (%d active flows) applied the order of epoch %d, want %d", e.Epoch, e.ActiveFlows, e.SnapshotEpoch, want)
+		}
+		waiting = e.ActiveFlows > 0 // a busy view is decided on, for the next epoch
 	}
-	if lagged == 0 {
-		t.Errorf("no epoch applied a pipelined (previous-snapshot) decision; epochs: %+v", res.Epochs)
+	if cold != 2 || lagged == 0 {
+		t.Errorf("%d cold starts and %d lagged epochs, want 2 cold starts around one idle stretch; epochs: %+v", cold, lagged, res.Epochs)
+	}
+	if got := len(res.SolveLatencies()); got != policy.decides {
+		t.Errorf("%d solve latencies for %d Decide calls", got, policy.decides)
 	}
 	if err := res.Schedule.Validate(inst); err != nil {
-		t.Errorf("pipelined schedule infeasible: %v", err)
+		t.Errorf("lagged schedule infeasible: %v", err)
+	}
+	// A FIFO order one epoch old ranks the flows it knows exactly as a fresh
+	// one would and leaves newer arrivals last, where FIFO puts them anyway:
+	// if every deferred order survived the next Decide's reuse of the arena,
+	// the schedule is the synchronous one.
+	fresh, err := Run(inst, FIFOOnline{}, Config{EpochLength: 2})
+	if err != nil {
+		t.Fatalf("synchronous run: %v", err)
+	}
+	for i := range fresh.CoflowCompletion {
+		if res.CoflowCompletion[i] != fresh.CoflowCompletion[i] {
+			t.Errorf("coflow %d completes at %v under the lagged FIFO order, %v under the fresh one", i, res.CoflowCompletion[i], fresh.CoflowCompletion[i])
+		}
 	}
 }
 
-// TestLPEpochPipelines: the real LP policy reports pipelined decisions and
-// solve latencies.
+// TestRunRejectsOutOfOrderArrivals: Run admits coflows in listed order, so an
+// instance listing a later arrival first is refused, naming the pair.
+func TestRunRejectsOutOfOrderArrivals(t *testing.T) {
+	inst := onlineInstance(t, 3, 1.0, 4)
+	inst.Coflows[1], inst.Coflows[2] = inst.Coflows[2], inst.Coflows[1]
+	_, err := Run(inst, FIFOOnline{}, Config{EpochLength: 2})
+	if err == nil {
+		t.Fatalf("out-of-order instance accepted")
+	}
+	for _, name := range []string{"coflow 2", "coflow 1"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}
+
+// TestLPEpochPipelines: the real LP policy reports one-epoch-stale decisions
+// and solve latencies.
 func TestLPEpochPipelines(t *testing.T) {
 	inst := onlineInstance(t, 29, 1.5, 5)
-	res, err := Run(inst, LPEpoch{}, Config{EpochLength: 2, Workers: 2})
+	res, err := Run(inst, LPEpoch{}, Config{EpochLength: 2})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -158,7 +204,7 @@ func TestLPEpochPipelines(t *testing.T) {
 		}
 	}
 	if !lagged {
-		t.Errorf("LPEpoch never applied a pipelined decision (all epochs synchronous)")
+		t.Errorf("LPEpoch never applied a one-epoch-stale decision (all epochs synchronous)")
 	}
 	if err := res.Schedule.Validate(inst); err != nil {
 		t.Errorf("LP schedule infeasible: %v", err)
@@ -275,7 +321,7 @@ func TestLPEpochSurvivesSolverFailure(t *testing.T) {
 		t.Skip("multi-second LP solves")
 	}
 	inst := onlineInstance(t, 1, 2.0, 14)
-	res, err := Run(inst, LPEpoch{}, Config{EpochLength: 2, Seed: 1, Workers: 2})
+	res, err := Run(inst, LPEpoch{}, Config{EpochLength: 2, Seed: 1})
 	if err != nil {
 		t.Fatalf("LPEpoch aborted on solver failure: %v", err)
 	}

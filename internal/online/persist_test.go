@@ -10,7 +10,7 @@ import (
 )
 
 // persistHarness drives one engine through the standard admit/decide/advance
-// discipline over a generated workload, mirroring the batch loop.
+// discipline over a generated workload, as Run does.
 type persistHarness struct {
 	eng      *Engine
 	inst     *coflow.Instance

@@ -88,13 +88,13 @@ func (SEBFOnline) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 // residual instance at every epoch: arrived coflows with their remaining
 // volumes, release times shifted so "now" is time zero, and the
 // admission-time paths fixed. The LP's completion-time order becomes the
-// epoch's priority order. LPEpoch is asynchronous: the engine overlaps each
-// solve with the previous epoch's simulation (see AsyncPolicy).
+// epoch's priority order. LPEpoch is asynchronous: its order is applied one
+// epoch after the view it was solved on (see AsyncPolicy).
 type LPEpoch struct {
 	// Opts tunes the underlying LP (epsilon, alpha, ...). Zero value =
 	// core defaults.
 	Opts core.Options
-	// Sync disables pipelining, making every decision synchronous on fresh
+	// Sync drops the one-epoch lag, applying every decision at once on fresh
 	// state (useful for isolating the staleness cost in experiments).
 	Sync bool
 	// Strict propagates LP solver failures instead of falling back. By
@@ -112,7 +112,7 @@ func (p LPEpoch) Name() string {
 	return "LPEpoch"
 }
 
-// Async implements AsyncPolicy: LP solves are pipelined unless Sync is set.
+// Async implements AsyncPolicy: LP orders lag one epoch unless Sync is set.
 func (p LPEpoch) Async() bool { return !p.Sync }
 
 // Decide implements Policy.
@@ -198,7 +198,7 @@ func (o *Oracle) Name() string { return "Oracle(" + o.Scheduler.Name() + ")" }
 
 // Prepare implements Preparer: solve the full instance offline once and
 // derive a fixed priority order from the offline completion times.
-func (o *Oracle) Prepare(inst *coflow.Instance, paths map[coflow.FlowRef]graph.Path, rng *rand.Rand) error {
+func (o *Oracle) Prepare(inst *coflow.Instance, rng *rand.Rand) error {
 	cs, err := o.Scheduler.Schedule(inst.Clone(), rng)
 	if err != nil {
 		return fmt.Errorf("online: oracle offline solve: %w", err)

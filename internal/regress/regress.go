@@ -1,9 +1,10 @@
 // Package regress is the repository's behavioral regression net: it replays
-// every registered workload scenario (internal/workload) through both the
-// batch epoch loop (online.Run over sim.Simulator) and the incremental
-// engine (online.Engine), rounds the resulting per-policy objectives and
-// per-coflow completion times, and diffs them against committed golden files
-// under testdata/.
+// every registered workload scenario (internal/workload) through the epoch
+// loop (online.Engine) under its two drivers — online.Run, which aligns
+// epoch 0 to the first arrival and scores the transcript, and a coflowd-shaped
+// drive from t=0 that reads the engine's own aggregates (runEngine) — rounds
+// the resulting per-policy objectives and per-coflow completion times, and
+// diffs them against committed golden files under testdata/.
 //
 // The tier-1 suite only catches crashes and property violations; the goldens
 // catch silent drift — a refactor that changes which coflow finishes first

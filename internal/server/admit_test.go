@@ -10,6 +10,7 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 )
 
 // newAdmitTestServer builds a frozen-clock daemon (no epoch ticks racing the
@@ -21,7 +22,7 @@ func newAdmitTestServer(t *testing.T, walDir string) (*Server, *httptest.Server)
 		Policy:      online.SEBFOnline{},
 		EpochLength: 2,
 		TimeScale:   1e-9,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	}
 	if walDir != "" {
 		cfg.WALDir = walDir

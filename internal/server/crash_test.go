@@ -15,6 +15,7 @@ import (
 	"coflowsched/internal/durable"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 )
 
 // Crash-injection differential harness. A deterministic script of engine
@@ -90,7 +91,7 @@ func crashConfig(t *testing.T, dir string) Config {
 		Policy:      online.SEBFOnline{},
 		EpochLength: 2,
 		WALDir:      dir,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	}.withDefaults()
 	if err != nil {
 		t.Fatalf("config: %v", err)

@@ -11,6 +11,7 @@ import (
 
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 )
 
 // testDurableServer starts a daemon with a WAL under dir. Lifecycle is
@@ -25,7 +26,7 @@ func testDurableServer(t *testing.T, dir string, timeScale float64) (*Server, *h
 		EpochLength: 2,
 		TimeScale:   timeScale,
 		WALDir:      dir,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new durable server: %v", err)

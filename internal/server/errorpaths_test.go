@@ -10,6 +10,7 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 )
 
 // newTestServer starts a daemon on an httptest listener. Callers get both so
@@ -21,7 +22,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		Policy:      online.SEBFOnline{},
 		EpochLength: 1,
 		TimeScale:   100,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)

@@ -6,6 +6,7 @@ import (
 
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestClosedLoopReplay(t *testing.T) {
 		Policy:      online.SEBFOnline{},
 		EpochLength: 2,
 		TimeScale:   1000, // keep the simulated network far ahead of the replay
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
@@ -94,7 +95,7 @@ func TestScenarioReplay(t *testing.T) {
 		Policy:      online.SEBFOnline{},
 		EpochLength: 2,
 		TimeScale:   2000, // keep the simulated network far ahead of the replay
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)

@@ -23,7 +23,7 @@ func TestMetricsShardLabel(t *testing.T) {
 		EpochLength: 1,
 		TimeScale:   100,
 		Shard:       "shard-a",
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)

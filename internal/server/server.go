@@ -12,8 +12,7 @@
 // runs Decide on a separate goroutine, keeping the scheduler (and therefore
 // every handler) responsive while an expensive LP solve is in flight; the
 // resulting order returns through the command channel and is applied one
-// epoch late, exactly the staleness trade the batch engine's pipelining
-// makes.
+// epoch late, the staleness online.Run models for an AsyncPolicy.
 //
 // Time: the simulation clock advances with the wall clock, scaled by
 // Config.TimeScale simulated time units per wall second. Epoch boundaries
@@ -56,12 +55,8 @@ type Config struct {
 	Shard string
 	// Logger receives structured operational logs (solver failures, drain
 	// progress, admissions at debug level) with component/shard fields
-	// attached. When nil, Logf is bridged through a line-formatting handler;
-	// when that is nil too, logs are discarded.
+	// attached. When nil, logs are discarded.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style sink, still honored for compatibility
-	// (tests pass t.Logf here). Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// TraceCapacity bounds the lifecycle-trace span ring served at
 	// /debug/traces (default telemetry.DefaultTraceCapacity).
 	TraceCapacity int
@@ -106,7 +101,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.SnapshotInterval = 30 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = telemetry.LogfLogger(c.Logf) // nil Logf discards
+		c.Logger = telemetry.DiscardLogger()
 	}
 	if c.Shard != "" {
 		c.Logger = c.Logger.With("shard", c.Shard)

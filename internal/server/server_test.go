@@ -11,6 +11,7 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/telemetry"
 )
 
 // testServer starts a daemon on a 16-server fat-tree with an accelerated
@@ -22,7 +23,7 @@ func testServer(t *testing.T, policy online.Policy, timeScale float64) (*Server,
 		Policy:      policy,
 		EpochLength: 2,
 		TimeScale:   timeScale,
-		Logf:        t.Logf,
+		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)

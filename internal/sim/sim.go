@@ -399,9 +399,9 @@ func (s *Simulator) Remove(ref coflow.FlowRef) error {
 // cost of a long-running simulation: every per-event and per-step scan
 // (active-flow selection, Done, Residuals) iterates only the flows still
 // registered. Only done flows may be forgotten, and their transcript
-// segments are discarded with them — callers that still need Schedule()
-// for the flow must capture it first. The online serving engine forgets a
-// coflow's flows once the coflow's completion has been recorded.
+// segments are discarded with them — callers that still need the flow's
+// transcript must capture it first (FlowSchedule). The online engine forgets
+// a coflow's flows once the coflow's completion has been recorded.
 func (s *Simulator) Forget(ref coflow.FlowRef) error {
 	st, ok := s.states[ref]
 	if !ok {
@@ -943,17 +943,28 @@ func (s *Simulator) maybeCompact() {
 // Now without disturbing the lazy simulator state.
 func (s *Simulator) Schedule() *coflow.CircuitSchedule {
 	cs := coflow.NewCircuitSchedule()
-	for r, st := range s.states {
-		segs := make([]coflow.BandwidthSegment, len(st.segments), len(st.segments)+1)
-		copy(segs, st.segments)
-		if !st.done && st.rate > 0 && s.now > st.lastT {
-			segs = appendSegment(segs, st.lastT, s.now, st.rate)
-		}
-		fs := &coflow.FlowSchedule{Path: st.path, Segments: segs}
-		mergeSegments(fs)
-		cs.Set(r, fs)
+	for r := range s.states {
+		cs.Set(r, s.FlowSchedule(r))
 	}
 	return cs
+}
+
+// FlowSchedule is one flow's part of Schedule, nil for a flow the simulator
+// does not (or no longer) track: what a caller captures before it Forgets the
+// flow.
+func (s *Simulator) FlowSchedule(ref coflow.FlowRef) *coflow.FlowSchedule {
+	st, ok := s.states[ref]
+	if !ok {
+		return nil
+	}
+	segs := make([]coflow.BandwidthSegment, len(st.segments), len(st.segments)+1)
+	copy(segs, st.segments)
+	if !st.done && st.rate > 0 && s.now > st.lastT {
+		segs = appendSegment(segs, st.lastT, s.now, st.rate)
+	}
+	fs := &coflow.FlowSchedule{Path: st.path, Segments: segs}
+	mergeSegments(fs)
+	return fs
 }
 
 // appendSegment records one constant-rate interval, coalescing with the

@@ -146,7 +146,7 @@ func TestCoflowdMetricsConformance(t *testing.T) {
 	s, err := server.New(server.Config{
 		Network: graph.Star(4, 1),
 		Policy:  online.SEBFOnline{},
-		Logf:    t.Logf,
+		Logger:  telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new server: %v", err)
@@ -185,7 +185,7 @@ func TestCoflowgateMetricsConformance(t *testing.T) {
 	l, err := cluster.NewLocal(cluster.LocalConfig{
 		Shards: 2,
 		Policy: online.SEBFOnline{},
-		Logf:   t.Logf,
+		Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)

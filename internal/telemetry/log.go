@@ -59,9 +59,8 @@ func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discar
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // LogfLogger adapts a printf-style sink into a structured logger: records
-// render as "msg key=value ...". It bridges the pre-slog Logf config fields
-// (still honored for compatibility — tests pass t.Logf there) into the
-// structured call sites.
+// render as "msg key=value ...". Tests hand the Logger config fields their
+// t.Logf through it, coflowload its progress sink.
 func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
 	if logf == nil {
 		return DiscardLogger()
