@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt loc bench bench-e2e bench-sim bench-cluster bench-wal
+.PHONY: build test race vet fmt loc bench bench-e2e bench-wal
 
 build:
 	$(GO) build ./...
@@ -33,21 +33,10 @@ bench:
 bench-e2e:
 	bash bench/run.sh $(ARGS)
 
-# bench-sim appends the simulator hot-path trajectory to BENCH_sim.json.
-# Pass LABEL=... to tag the snapshot (defaults to the current commit); see
-# the Performance section of EXPERIMENTS.md for the methodology.
-bench-sim:
-	scripts/bench_sim.sh $(LABEL)
-
-# bench-cluster appends the 1/2/4/8-shard coflowgate scaling trajectory to
-# BENCH_sim.json (see the Cluster scaling section of EXPERIMENTS.md).
-bench-cluster:
-	scripts/bench_cluster.sh $(LABEL)
-
-# bench-wal appends the WAL admit-path overhead (wal=off vs wal=on) to
-# BENCH_sim.json: the concurrent series is held against a ≤5% admit budget
-# (group-committed fsyncs amortize across in-flight admissions), the serial
-# series rides along as a raw fsync-latency diagnostic (see the Durability
-# section of EXPERIMENTS.md). STRICT=1 fails on budget violation; CI does.
+# bench-wal prints the WAL admit-path overhead (wal=off vs wal=on): the
+# concurrent series is held against a ≤5% admit budget (group-committed fsyncs
+# amortize across in-flight admissions), the serial series rides along as a
+# raw fsync-latency diagnostic (see the Durability section of EXPERIMENTS.md).
+# STRICT=1 fails on budget violation; CI does.
 bench-wal:
 	scripts/bench_wal.sh $(LABEL)

@@ -2,13 +2,10 @@
 //
 // Usage:
 //
-//	coflowbench -experiment all            # Figure 1, Table 1, Figures 3-4, ablations, online, sim, scenarios
+//	coflowbench -experiment all            # Figure 1, Table 1, Figures 3-4, ablations, online, scenarios
 //	coflowbench -experiment fig3 -trials 5 # just Figure 3, 5 trials per point
 //	coflowbench -experiment fig3 -paper    # the paper's 128-server configuration (slow)
-//	coflowbench -experiment sim -json      # simulator hot-path micro-suite (incremental vs naive)
-//	coflowbench -experiment sim -cpuprofile sim.prof  # profile the hot path for regression diagnosis
-//	coflowbench -experiment cluster        # shard-count scaling through an in-process coflowgate
-//	coflowbench -experiment cluster -shards 1,4 -coflows 400 -json
+//	coflowbench -experiment fig3 -cpuprofile fig3.prof  # profile an experiment for regression diagnosis
 //	coflowbench -scenario all              # every registered workload scenario x online policy
 //	coflowbench -scenario heavy-tail -json # one scenario, machine-readable
 //
@@ -17,8 +14,7 @@
 // average-improvement summary the paper quotes in §4.3. With -json, each
 // experiment instead emits one machine-readable JSON object (one per line
 // under -experiment all) carrying the experiment name, its configuration and
-// the full result — the format benchmark trajectories are recorded in (see
-// EXPERIMENTS.md).
+// the full result (see EXPERIMENTS.md).
 package main
 
 import (
@@ -65,9 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coflowbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment to run: fig1, table1, fig3, fig4, ablation, online, sim, scenarios, cluster, all")
-		shards     = fs.String("shards", "", "comma-separated shard counts for the cluster experiment (override)")
-		placement  = fs.String("placement", "", "gateway placement for the cluster experiment: hash, least-load (override)")
+		experiment = fs.String("experiment", "all", "which experiment to run: fig1, table1, fig3, fig4, ablation, online, scenarios, all")
 		scenario   = fs.String("scenario", "", "run the scenario sweep for one registered scenario (or \"all\"); overrides -experiment")
 		paper      = fs.Bool("paper", false, "use the paper's full-scale configuration (128-server fat-tree, slow)")
 		fatK       = fs.Int("fatk", 0, "fat-tree arity k (overrides the configuration; k=8 is the paper's 128 servers)")
@@ -82,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonOut    = fs.Bool("json", false, "emit one JSON result object per experiment")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering the selected experiments to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (pprof) taken after the selected experiments to this file")
-		noref      = fs.Bool("noref", false, "skip the naive reference allocator in -experiment sim (fast mode for large scales)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -279,64 +272,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			default:
 				fmt.Fprintln(stdout, res)
 			}
-		case "sim":
-			scfg := experiments.DefaultSimSuiteConfig()
-			if *seed != 0 {
-				scfg.Seed = *seed
-			}
-			if *trials > 0 {
-				scfg.Trials = *trials
-			}
-			if *fatK > 0 {
-				scfg.FatK = *fatK
-			}
-			if *noref {
-				scfg.Reference = false
-			}
-			res, err := experiments.SimSuite(scfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, scfg, res)
-			}
-			fmt.Fprintln(stdout, "Simulator micro-suite: priority-policy Run, incremental vs naive reference")
-			fmt.Fprint(stdout, res)
 		case "scenarios":
 			return runScenarios(nil)
-		case "cluster":
-			ccfg := experiments.DefaultClusterConfig()
-			if *shards != "" {
-				ss, err := parseInts(*shards)
-				if err != nil {
-					return err
-				}
-				ccfg.ShardCounts = ss
-			}
-			if *placement != "" {
-				ccfg.Placement = *placement
-			}
-			if *coflows > 0 {
-				ccfg.Coflows = *coflows
-			}
-			if *width > 0 {
-				ccfg.Width = *width
-			}
-			if *seed != 0 {
-				ccfg.Seed = *seed
-			}
-			if *fatK > 0 {
-				ccfg.FatK = *fatK
-			}
-			res, err := experiments.ClusterSweep(ccfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, ccfg, res)
-			}
-			fmt.Fprintln(stdout, "Cluster scaling: identical workload through coflowgate, growing shard counts")
-			fmt.Fprint(stdout, res)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -344,7 +281,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"fig1", "table1", "fig3", "fig4", "ablation", "online", "sim", "scenarios", "cluster"} {
+		for _, name := range []string{"fig1", "table1", "fig3", "fig4", "ablation", "online", "scenarios"} {
 			if !*jsonOut {
 				fmt.Fprintf(stdout, "=== %s ===\n", name)
 			}

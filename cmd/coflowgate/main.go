@@ -11,7 +11,7 @@
 // them with distinct -shard labels so their /metrics stay distinguishable).
 // With -local N it spins up N in-process shards on loopback listeners — the
 // zero-setup way to run a whole cluster in one process, the same harness the
-// tests and coflowbench -experiment cluster use.
+// tests and the admit-cluster benchmark workload use.
 //
 // Endpoints are coflowd's, served by scatter-gather:
 //

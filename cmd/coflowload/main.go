@@ -11,7 +11,7 @@
 //
 // With -cluster N the target is replaced by an in-process cluster: N coflowd
 // shards behind a coflowgate gateway, all on loopback listeners (the same
-// harness coflowbench -experiment cluster uses). That makes shard-count
+// harness the admit-cluster benchmark workload uses). That makes shard-count
 // scaling measurable from one command with no daemons to start:
 //
 //	coflowload -cluster 4 -coflows 400 -rate 1000 -cluster-timescale 50 -wait

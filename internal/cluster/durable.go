@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/durable"
@@ -28,10 +25,6 @@ import (
 // queued for placement (an acknowledged gateway id must survive), gw-place
 // before the 201 leaves the gateway. gw-done rides along uncommitted — a
 // lost completion record is re-observed from the shard on the next sweep.
-
-// gateSnapshotKeep bounds retained gateway snapshots: the newest is the
-// restore point, the older ones are insurance against a torn newest.
-const gateSnapshotKeep = 3
 
 // gatePersist is the gateway snapshot body: the instance nonce, the
 // gateway-level counters, and the routing table in gid order.
@@ -56,30 +49,17 @@ type routedPersist struct {
 	Readmits int                    `json:"readmits,omitempty"`
 }
 
-// recoverGateway rebuilds the routing state from cfg.StateDir: newest usable
-// snapshot, then the log suffix, then the log is opened for appending. Runs
-// before the gateway goroutines start, so it touches fields without locking.
-// An untrustworthy log fails the boot.
+// recoverGateway rebuilds the routing state from cfg.StateDir through
+// durable.Recover: the newest usable snapshot restores the tables,
+// applyGateRecord replays the log suffix it does not cover. Runs before the
+// gateway goroutines start, so it touches fields without locking. An
+// untrustworthy log fails the boot.
 func (g *Gateway) recoverGateway() error {
-	store := g.cfg.SnapshotStore
-	if store == nil {
-		ds, err := durable.NewDirStore(filepath.Join(g.cfg.StateDir, "snapshots"))
-		if err != nil {
-			return fmt.Errorf("cluster: opening snapshot store: %w", err)
-		}
-		store = ds
-	}
-	g.store = store
-	ctx := context.Background()
 	var persist gatePersist
-	seq, ok, skipped, err := durable.LatestSnapshot(ctx, store, &persist)
-	if err != nil {
-		return fmt.Errorf("cluster: reading snapshots: %w", err)
-	}
-	if skipped > 0 {
-		g.logger.Warn("skipped unreadable snapshots", "count", skipped)
-	}
-	if ok {
+	restore := func(ok bool) error {
+		if !ok {
+			return nil
+		}
 		g.instance = persist.Instance
 		g.completed = persist.Completed
 		g.readmits = persist.Readmits
@@ -98,18 +78,12 @@ func (g *Gateway) recoverGateway() error {
 			}
 			g.coflows = append(g.coflows, rc)
 		}
+		return nil
 	}
-
-	last, err := durable.Replay(g.cfg.StateDir, seq+1, g.applyGateRecord)
+	var err error
+	g.wal, err = durable.Recover(g.cfg.StateDir, g.cfg.SnapshotStore, g.logger, &persist, restore, g.applyGateRecord)
 	if err != nil {
-		return fmt.Errorf("cluster: replaying wal: %w", err)
-	}
-	g.wal, err = durable.Open(g.cfg.StateDir, durable.Options{})
-	if err != nil {
-		return fmt.Errorf("cluster: opening wal: %w", err)
-	}
-	if got := g.wal.LastSeq(); got < last {
-		return fmt.Errorf("%w: log reopened at seq %d after replaying through %d", durable.ErrCorrupt, got, last)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if g.instance == "" {
 		// Fresh log: mint the instance nonce and make it the first durable
@@ -199,19 +173,6 @@ func (g *Gateway) applyGateRecord(r *durable.Record) error {
 	return nil
 }
 
-// walAppendLocked appends one record while the caller holds g.mu (so record
-// order matches table order). WAL failure is fail-stop for durability — the
-// sticky error fails every later append, so no new admission is acknowledged
-// — and is logged once.
-func (g *Gateway) walAppendLocked(r *durable.Record) (uint64, error) {
-	seq, err := g.wal.Append(r)
-	if err != nil && !g.walFailed {
-		g.walFailed = true
-		g.logger.Error("wal append failed; admissions are now rejected", "err", err)
-	}
-	return seq, err
-}
-
 // logDoneLocked appends the gw-done record for an observed completion.
 // Caller holds g.mu. Uncommitted by design: the completion fact lives on the
 // shard and is re-observed if the record is lost to a crash.
@@ -223,46 +184,17 @@ func (g *Gateway) logDoneLocked(gid int, st server.CoflowResponse) {
 	if err != nil {
 		return
 	}
-	_, _ = g.walAppendLocked(&durable.Record{Type: durable.RecGatewayDone,
+	_, _ = g.wal.Append(&durable.Record{Type: durable.RecGatewayDone,
 		GatewayDone: &durable.GatewayDoneRecord{GID: gid, Final: body}})
 }
 
-// maybeSnapshotGateway captures the routing state under the lock and writes
-// it out on a separate goroutine, then drops the log prefix the snapshot
-// covers. At most one snapshot is in flight.
+// maybeSnapshotGateway hands the journal the routing state to write out,
+// captured under the lock every append happens under, so the log position the
+// journal reads next to it describes the same instant.
 func (g *Gateway) maybeSnapshotGateway() {
-	if g.wal == nil || !g.snapshotting.CompareAndSwap(false, true) {
-		return
-	}
 	g.mu.Lock()
-	// Everything through seq is reflected in the export: every append happens
-	// under g.mu, and both reads happen inside one critical section.
-	seq := g.wal.LastSeq()
-	persist := g.exportLocked()
-	g.mu.Unlock()
-	if seq == 0 {
-		g.snapshotting.Store(false)
-		return
-	}
-	go func() {
-		defer g.snapshotting.Store(false)
-		t0 := time.Now()
-		ctx := context.Background()
-		key, err := durable.WriteSnapshot(ctx, g.store, seq, persist)
-		if err == nil {
-			err = g.wal.TruncateBefore(seq + 1)
-		}
-		if err == nil {
-			err = durable.PruneSnapshots(ctx, g.store, gateSnapshotKeep)
-		}
-		if err != nil {
-			g.logger.Error("snapshot failed", "seq", seq, "err", err)
-			return
-		}
-		g.metrics.snapshots.Inc()
-		g.logger.Info("snapshot written", "key", key, "seq", seq,
-			"segments", g.wal.SegmentCount(), "took", time.Since(t0))
-	}()
+	defer g.mu.Unlock()
+	g.wal.Snapshot(func() any { return g.exportLocked() }, g.metrics.snapshots.Inc)
 }
 
 // exportLocked snapshots the routing table. Caller holds g.mu.

@@ -231,15 +231,10 @@ type Gateway struct {
 
 	// Durability (nil/zero without Config.StateDir). instance is always
 	// minted: it scopes the idempotency keys the gateway sends shards, so two
-	// gateway incarnations never collide on a key. walFailed is guarded by mu.
-	wal       *durable.Log
-	store     durable.BlobStore
-	walOnce   sync.Once
+	// gateway incarnations never collide on a key.
+	wal       *durable.Journal
 	instance  string
 	recovered int
-	walFailed bool
-
-	snapshotting atomic.Bool
 }
 
 // New builds and starts a gateway: the admit batcher and the health prober
@@ -277,26 +272,18 @@ func (g *Gateway) Tracer() *telemetry.Tracer { return g.tracer }
 
 // Close stops the gateway's goroutines and fsync-closes the WAL. In-flight
 // admissions fail with a closed error. Safe to call more than once.
-func (g *Gateway) Close() {
-	g.closeOnce.Do(func() { close(g.quit) })
-	g.wg.Wait()
-	if g.wal != nil {
-		g.walOnce.Do(func() {
-			if err := g.wal.Close(); err != nil {
-				g.logger.Error("wal close failed", "err", err)
-			}
-		})
-	}
-}
+func (g *Gateway) Close() { g.shutdown(false) }
 
 // Kill stops the gateway the way a crash would: no final fsync. Everything
 // not yet group-committed is abandoned to the page cache. Tests use it to
 // exercise the recovery path; production shutdown is Close.
-func (g *Gateway) Kill() {
+func (g *Gateway) Kill() { g.shutdown(true) }
+
+func (g *Gateway) shutdown(abandon bool) {
 	g.closeOnce.Do(func() { close(g.quit) })
 	g.wg.Wait()
 	if g.wal != nil {
-		g.walOnce.Do(g.wal.Abandon)
+		g.wal.Shutdown(abandon)
 	}
 }
 
@@ -446,7 +433,7 @@ func (g *Gateway) AdmitTraced(cf coflow.Coflow, trace string) (server.AdmitRespo
 	if g.wal != nil {
 		// Appended while mu is held so record order matches gid order; the
 		// fsync wait happens after unlock and shares the group commit.
-		seq, walErr = g.walAppendLocked(&durable.Record{Type: durable.RecGatewayAdmit,
+		seq, walErr = g.wal.Append(&durable.Record{Type: durable.RecGatewayAdmit,
 			GatewayAdmit: &durable.GatewayAdmitRecord{GID: gid, Trace: trace, Spec: cf}})
 	}
 	g.mu.Unlock()
@@ -641,7 +628,7 @@ func (g *Gateway) place(gid int, initial bool) error {
 		var seq uint64
 		var walErr error
 		if g.wal != nil {
-			seq, walErr = g.walAppendLocked(&durable.Record{Type: durable.RecGatewayPlace,
+			seq, walErr = g.wal.Append(&durable.Record{Type: durable.RecGatewayPlace,
 				GatewayPlace: &durable.GatewayPlaceRecord{GID: gid, Backend: b.name, LocalID: resp.ID, Arrival: resp.Arrival}})
 		}
 		g.mu.Unlock()

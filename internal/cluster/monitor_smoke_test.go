@@ -127,8 +127,8 @@ func TestClusterMonitorSLO(t *testing.T) {
 	// The bundle lands after the firing state becomes visible — capture
 	// samples an on-alert CPU profile before writing — so poll the index,
 	// which lists a bundle once its file is whole. Polling the directory for
-	// any file is not enough: host noise can fire another rule (gc-pause-p99)
-	// first, and its bundle says nothing about the two rules under test.
+	// any file is not enough: another rule firing first would leave a bundle
+	// that says nothing about the two rules under test.
 	for {
 		names := map[string]bool{}
 		for _, b := range l.Monitor.Bundles() {

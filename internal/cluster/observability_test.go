@@ -256,15 +256,17 @@ func TestClusterStageSpans(t *testing.T) {
 
 		// The same shard's exposition must carry the aggregate families the
 		// spans feed: the per-stage histogram with every pipeline stage
-		// child and records-per-fsync.
+		// child and the two log counters whose ratio is records per fsync.
 		sm := getMetrics(t, l.ShardURL(i))
 		for _, stage := range []string{"coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"} {
 			if _, ok := sm.Get("coflowd_admit_stage_seconds_count", "stage", stage); !ok {
 				t.Errorf("shard %d metrics lack coflowd_admit_stage_seconds{stage=%q}", i, stage)
 			}
 		}
-		if _, ok := firstSample(sm, "coflowd_wal_records_per_fsync_count"); !ok {
-			t.Errorf("shard %d metrics missing coflowd_wal_records_per_fsync_count", i)
+		for _, name := range []string{"coflowd_wal_records_total", "coflowd_wal_fsyncs_total"} {
+			if v, ok := firstSample(sm, name); !ok || v.Value < 1 {
+				t.Errorf("shard %d metrics: %s = %v (present %v), want >= 1", i, name, v.Value, ok)
+			}
 		}
 	}
 	if joined != 1 {

@@ -222,48 +222,3 @@ func TestFigure3DefaultScaleHeadline(t *testing.T) {
 		}
 	}
 }
-
-// TestSimSuite runs the simulator micro-suite at a tiny scale and checks it
-// reports sane timings, the equivalence check passes, and the speedup column
-// is populated when the reference is enabled.
-func TestSimSuite(t *testing.T) {
-	cfg := SimSuiteConfig{
-		Seed:      3,
-		Trials:    1,
-		FatK:      4,
-		Reference: true,
-		Scales:    []SimScale{{Coflows: 4, Width: 3}, {Coflows: 8, Width: 3}},
-	}
-	res, err := SimSuite(cfg)
-	if err != nil {
-		t.Fatalf("SimSuite: %v", err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Flows <= 0 || row.IncrementalNs <= 0 || row.ReferenceNs <= 0 {
-			t.Errorf("row not populated: %+v", row)
-		}
-		if row.Speedup <= 0 {
-			t.Errorf("speedup missing: %+v", row)
-		}
-		if row.Objective <= 0 {
-			t.Errorf("objective missing: %+v", row)
-		}
-	}
-	if res.String() == "" {
-		t.Error("empty rendering")
-	}
-	// Reference disabled: timing columns stay zero, no equivalence check.
-	cfg.Reference = false
-	res, err = SimSuite(cfg)
-	if err != nil {
-		t.Fatalf("SimSuite (noref): %v", err)
-	}
-	for _, row := range res.Rows {
-		if row.ReferenceNs != 0 || row.Speedup != 0 {
-			t.Errorf("reference columns populated in noref mode: %+v", row)
-		}
-	}
-}

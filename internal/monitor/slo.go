@@ -317,10 +317,15 @@ func DefaultRules(interval time.Duration) []Rule {
 			Kind:   KindQuantile, Quantile: 0.99, Objective: 0.5,
 			FastWindowSeconds: fast, SlowWindowSeconds: slow, ResolveAfterSeconds: resolve,
 		},
+		// gc-pause is the GC pause fraction: seconds stopped per second, summed
+		// over the scraped processes, held for a whole slow window. It is a
+		// sustained rate, not a quantile of single pauses: one pause stretched
+		// by a busy host says nothing about the collector, time spent stopped
+		// does.
 		{
-			Name: "gc-pause-p99", Metric: "go_gc_pause_seconds",
-			Kind: KindQuantile, Quantile: 0.99, Objective: 0.05,
-			FastWindowSeconds: fast, SlowWindowSeconds: slow, ResolveAfterSeconds: resolve,
+			Name: "gc-pause", Metric: "go_gc_pause_seconds_total",
+			Kind: KindRate, Objective: 0.25,
+			FastWindowSeconds: fast, SlowWindowSeconds: slow, ForSeconds: slow, ResolveAfterSeconds: resolve,
 		},
 	}
 }

@@ -181,7 +181,7 @@ func TestDefaultRulesValidate(t *testing.T) {
 	}
 	for _, want := range []string{
 		"admit-p99", "tick-p99", "shard-down", "scrape-failure",
-		"fsync-p99", "gc-pause-p99",
+		"fsync-p99", "gc-pause",
 	} {
 		if !names[want] {
 			t.Errorf("default rules lack %s", want)

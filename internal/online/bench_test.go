@@ -207,8 +207,7 @@ func BenchmarkEngineTick(b *testing.B) { benchTickPair(b, "bare") }
 // BenchmarkEngineTickTelemetry is BenchmarkEngineTick plus the per-tick
 // telemetry work coflowd layers on top of the engine (see tickTelemetry).
 // The instrumentation budget is the pair's same-window `pair-overhead-%`
-// metric — bench_sim.sh records both benchmarks (with the extra metric) in
-// BENCH_sim.json, and the budget is <= 2%.
+// metric, which both benchmarks report; the budget is <= 2%.
 func BenchmarkEngineTickTelemetry(b *testing.B) { benchTickPair(b, "telemetry") }
 
 // BenchmarkDecideSync measures one synchronous decision — view sync, SEBF

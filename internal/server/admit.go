@@ -164,7 +164,6 @@ fill:
 	for _, req := range deferred {
 		s.admitOne(req)
 	}
-	s.metrics.admitBatches.Inc()
 	s.metrics.admitBatchSize.Observe(float64(len(batch)))
 	if s.wal != nil {
 		for _, req := range batch {
@@ -201,11 +200,6 @@ const commitQueueDepth = 64
 // queued waiter.
 func (s *Server) committer() {
 	defer close(s.committerDone)
-	// coveredAppends/coveredSyncs track the log's cumulative counters as of
-	// the last fsync this goroutine observed, so each new fsync's
-	// records-per-fsync is the appends it newly made durable. Commits that
-	// found everything already synced add no fsync and no observation.
-	coveredAppends, coveredSyncs := s.wal.Stats()
 	for batch := range s.commitC {
 		var maxSeq uint64
 		for _, req := range batch {
@@ -217,10 +211,6 @@ func (s *Server) committer() {
 		err := s.wal.Commit(maxSeq)
 		commitSecs := time.Since(tc).Seconds()
 		s.metrics.stageCommit.Observe(commitSecs)
-		if appends, syncs := s.wal.Stats(); syncs > coveredSyncs {
-			s.metrics.walPerFsync.Observe(float64(appends - coveredAppends))
-			coveredAppends, coveredSyncs = appends, syncs
-		}
 		for i, req := range batch {
 			if req.seq > 0 {
 				req.commitSecs = commitSecs
@@ -293,7 +283,7 @@ func (s *Server) finishAdmit(req *admitReq, res online.AdmitResult, now float64)
 	req.resp = AdmitResponse{ID: res.ID, Name: req.cf.Name, Arrival: now, Trace: req.trace}
 	if s.wal != nil {
 		ta := time.Now()
-		req.seq, req.walErr = s.walAppend(&durable.Record{Type: durable.RecAdmit, Admit: &durable.AdmitRecord{
+		req.seq, req.walErr = s.wal.Append(&durable.Record{Type: durable.RecAdmit, Admit: &durable.AdmitRecord{
 			ID: res.ID, Now: now, Key: req.key, Trace: req.trace, Spec: req.cf,
 		}})
 		req.appendSecs = time.Since(ta).Seconds()

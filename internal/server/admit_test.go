@@ -98,7 +98,7 @@ func TestAdmitCoalescing(t *testing.T) {
 
 			const n = 24
 			release := blockScheduler(t, s)
-			batchesBefore := s.metrics.admitBatches.Value()
+			batchesBefore := float64(s.metrics.admitBatchSize.Count())
 			var wg sync.WaitGroup
 			ids := make([]int, n)
 			errs := make([]error, n)
@@ -148,7 +148,7 @@ func TestAdmitCoalescing(t *testing.T) {
 			// The queue was fully loaded before release, so the scheduler
 			// should have absorbed the bulk in far fewer passes than n. (The
 			// race between enqueue and drain keeps this from being exactly 1.)
-			batches := s.metrics.admitBatches.Value() - batchesBefore
+			batches := float64(s.metrics.admitBatchSize.Count()) - batchesBefore
 			if batches == 0 || batches > n/2 {
 				t.Errorf("admissions used %v batches for %d requests (coalescing not effective)", batches, n)
 			}

@@ -16,8 +16,8 @@ import (
 // group-committed fsync before the 201 is acknowledged — the exact durability
 // boundary — so the delta between the two sub-benchmarks is the admit-path
 // overhead of durability. Alongside ns/op each variant reports its observed
-// p99 latency (p99-ns/op), the number scripts/bench_wal.sh records to
-// BENCH_sim.json and holds against the admit-p99 regression budget.
+// p99 latency (p99-ns/op); scripts/bench_wal.sh holds the parallel series'
+// wal=on / wal=off ratio against the admit regression budget.
 func BenchmarkAdmit(b *testing.B) {
 	for _, walled := range []bool{false, true} {
 		name := "wal=off"
@@ -137,7 +137,7 @@ func BenchmarkAdmitParallel(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			if batches := s.metrics.admitBatches.Value(); batches > 0 {
+			if batches := float64(s.metrics.admitBatchSize.Count()); batches > 0 {
 				b.ReportMetric(float64(b.N)/batches, "admits/batch")
 			}
 			if s.wal != nil {

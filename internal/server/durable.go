@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"coflowsched/internal/durable"
@@ -70,10 +68,6 @@ func (s *Server) retireIdem(done []int) {
 	}
 }
 
-// snapshotKeep bounds retained snapshots: the newest is the restore point,
-// the older ones are insurance against a torn or corrupt newest.
-const snapshotKeep = 3
-
 // idemEntry is one admission dedupe entry. seq is the WAL sequence of the
 // admit record, so a duplicate request arriving while the original fsync is
 // still in flight waits for the same durability point before acking.
@@ -92,9 +86,11 @@ type serverPersist struct {
 
 // recovery is everything recoverState rebuilds from disk.
 type recovery struct {
-	eng      *online.Engine
+	eng *online.Engine
+	// journal is the recovered log and snapshot store; wal is its Log, which
+	// the crash harness drives directly.
+	journal  *durable.Journal
 	wal      *durable.Log
-	store    durable.BlobStore
 	idem     map[string]idemEntry
 	traceIDs map[int]string
 	// idemByID indexes recovered dedupe entries whose coflows are still in
@@ -108,39 +104,24 @@ type recovery struct {
 	replayed uint64
 }
 
-// recoverState rebuilds the engine from cfg.WALDir: newest usable snapshot,
-// then the log suffix it does not cover, then the log is opened for
-// appending. A log or snapshot that cannot be trusted fails the boot — a
-// daemon must not serve from state it cannot vouch for.
+// recoverState rebuilds the engine from cfg.WALDir through durable.Recover:
+// the newest usable snapshot restores the engine and the server-side maps,
+// apply replays the log suffix the snapshot does not cover.
 func recoverState(cfg Config) (*recovery, error) {
-	store := cfg.SnapshotStore
-	if store == nil {
-		ds, err := durable.NewDirStore(filepath.Join(cfg.WALDir, "snapshots"))
-		if err != nil {
-			return nil, fmt.Errorf("server: opening snapshot store: %w", err)
-		}
-		store = ds
-	}
-	ctx := context.Background()
-	var persist serverPersist
-	seq, ok, skipped, err := durable.LatestSnapshot(ctx, store, &persist)
-	if err != nil {
-		return nil, fmt.Errorf("server: reading snapshots: %w", err)
-	}
-	if skipped > 0 {
-		cfg.Logger.Warn("skipped unreadable snapshots", "component", "coflowd", "count", skipped)
-	}
-
 	rec := &recovery{
-		store:    store,
 		idem:     make(map[string]idemEntry),
 		traceIDs: make(map[int]string),
 	}
-	engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths}
-	if ok {
+	var persist serverPersist
+	restore := func(ok bool) (err error) {
+		engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths}
+		if !ok {
+			rec.eng, err = online.NewEngine(cfg.Network, cfg.Policy, engCfg)
+			return err
+		}
 		rec.eng, err = online.RestoreEngine(cfg.Network, cfg.Policy, engCfg, persist.Engine)
 		if err != nil {
-			return nil, fmt.Errorf("server: restoring snapshot through seq %d: %w", seq, err)
+			return err
 		}
 		for key, resp := range persist.Idem {
 			rec.idem[key] = idemEntry{resp: resp}
@@ -148,26 +129,21 @@ func recoverState(cfg Config) (*recovery, error) {
 		for id, trace := range persist.Traces {
 			rec.traceIDs[id] = trace
 		}
-	} else {
-		rec.eng, err = online.NewEngine(cfg.Network, cfg.Policy, engCfg)
-		if err != nil {
-			return nil, err
-		}
+		return nil
 	}
-
-	last, err := durable.Replay(cfg.WALDir, seq+1, func(r *durable.Record) error {
-		return rec.apply(r)
-	})
+	var err error
+	rec.journal, err = durable.Recover(cfg.WALDir, cfg.SnapshotStore,
+		cfg.Logger.With("component", "coflowd"), &persist, restore, rec.apply)
 	if err != nil {
-		return nil, fmt.Errorf("server: replaying wal: %w", err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	rec.wal = rec.journal.Log
 	// Coflows that completed inside the replay have no one to report to;
 	// drain the log so the first live tick starts clean.
 	for _, id := range rec.eng.TakeCompleted() {
 		delete(rec.traceIDs, id)
 	}
-	activeCoflows, _ := rec.eng.ActiveCounts()
-	rec.active = activeCoflows
+	rec.active, _ = rec.eng.ActiveCounts()
 
 	// Partition recovered dedupe entries: live coflows keep an index for
 	// completion-time retirement, finished ones are marked stale so New can
@@ -179,14 +155,6 @@ func recoverState(cfg Config) (*recovery, error) {
 		} else {
 			rec.staleIdem = append(rec.staleIdem, key)
 		}
-	}
-
-	rec.wal, err = durable.Open(cfg.WALDir, durable.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("server: opening wal: %w", err)
-	}
-	if got := rec.wal.LastSeq(); got < last {
-		return nil, fmt.Errorf("%w: log reopened at seq %d after replaying through %d", durable.ErrCorrupt, got, last)
 	}
 	return rec, nil
 }
@@ -239,69 +207,26 @@ func (rec *recovery) apply(r *durable.Record) error {
 	return nil
 }
 
-// walAppend appends one record on the scheduler goroutine, returning its
-// sequence. WAL failure is fail-stop for durability (the sticky error fails
-// every later append and commit, so no new admission is acknowledged) but the
-// in-memory engine keeps serving reads; the failure is logged once.
-func (s *Server) walAppend(r *durable.Record) (uint64, error) {
-	seq, err := s.wal.Append(r)
-	if err != nil && !s.walFailed {
-		s.walFailed = true
-		s.logger.Error("wal append failed; daemon is now read-only", "component", "coflowd", "err", err)
-	}
-	return seq, err
-}
-
-// maybeSnapshot captures the engine state on the scheduler goroutine and
-// writes it out on a separate goroutine, so a large state never stalls the
-// tick loop; at most one snapshot is in flight. After the snapshot is durable
-// the log prefix it covers is dropped.
+// maybeSnapshot captures the engine state on the scheduler goroutine — the
+// journal reads the log position next to it, with no engine op in between —
+// and hands it to the journal to write out. Scheduler goroutine only.
 func (s *Server) maybeSnapshot() {
-	if s.wal == nil || s.snapshotting {
-		return
-	}
-	// Everything through seq is reflected in the state exported below: both
-	// reads happen on the scheduler goroutine with no engine op between them.
-	seq := s.wal.LastSeq()
-	if seq == 0 {
-		return
-	}
-	persist := serverPersist{Engine: s.eng.ExportState()}
-	if len(s.idem) > 0 {
-		persist.Idem = make(map[string]AdmitResponse, len(s.idem))
-		for key, e := range s.idem {
-			persist.Idem[key] = e.resp
+	s.wal.Snapshot(func() any {
+		persist := serverPersist{Engine: s.eng.ExportState()}
+		if len(s.idem) > 0 {
+			persist.Idem = make(map[string]AdmitResponse, len(s.idem))
+			for key, e := range s.idem {
+				persist.Idem[key] = e.resp
+			}
 		}
-	}
-	if len(s.traceIDs) > 0 {
-		persist.Traces = make(map[int]string, len(s.traceIDs))
-		for id, trace := range s.traceIDs {
-			persist.Traces[id] = trace
+		if len(s.traceIDs) > 0 {
+			persist.Traces = make(map[int]string, len(s.traceIDs))
+			for id, trace := range s.traceIDs {
+				persist.Traces[id] = trace
+			}
 		}
-	}
-	s.snapshotting = true
-	go func() {
-		t0 := time.Now()
-		ctx := context.Background()
-		key, err := durable.WriteSnapshot(ctx, s.store, seq, persist)
-		if err == nil {
-			err = s.wal.TruncateBefore(seq + 1)
-		}
-		if err == nil {
-			err = durable.PruneSnapshots(ctx, s.store, snapshotKeep)
-		}
-		if err != nil {
-			s.logger.Error("snapshot failed", "component", "coflowd", "seq", seq, "err", err)
-		} else {
-			s.metrics.snapshots.Inc()
-			s.logger.Info("snapshot written", "component", "coflowd",
-				"key", key, "seq", seq, "segments", s.wal.SegmentCount(),
-				"took", time.Since(t0))
-		}
-		// Clearing the flag needs the scheduler; after shutdown the flag no
-		// longer matters.
-		_ = s.do(func() { s.snapshotting = false })
-	}()
+		return persist
+	}, s.metrics.snapshots.Inc)
 }
 
 // shutdown stops the scheduler and closes the log. abandon skips the final
@@ -309,19 +234,11 @@ func (s *Server) maybeSnapshot() {
 func (s *Server) shutdown(abandon bool) {
 	s.closeOnce.Do(func() { close(s.quit) })
 	<-s.stopped
-	if s.committerDone != nil {
+	if s.wal != nil {
 		// The scheduler's exit closed commitC; wait for the committer to drain
 		// it and release every admission waiter before pulling the log away.
 		<-s.committerDone
-	}
-	if s.wal != nil {
-		s.walOnce.Do(func() {
-			if abandon {
-				s.wal.Abandon()
-			} else if err := s.wal.Close(); err != nil {
-				s.logger.Error("wal close failed", "component", "coflowd", "err", err)
-			}
-		})
+		s.wal.Shutdown(abandon)
 	}
 }
 

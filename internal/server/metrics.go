@@ -36,16 +36,9 @@ type serverMetrics struct {
 	flowsActive      *telemetry.Gauge
 	weightedCCT      *telemetry.Gauge
 	weightedResponse *telemetry.Gauge
-	slowdownP50      *telemetry.Gauge
-	slowdownP95      *telemetry.Gauge
-	slowdownP99      *telemetry.Gauge
-	solveP50         *telemetry.Gauge
-	solveP95         *telemetry.Gauge
-	solveP99         *telemetry.Gauge
 	requests         *telemetry.Counter
 	requestErrors    *telemetry.Counter
 	tickDuration     *telemetry.Histogram
-	admitBatches     *telemetry.Counter
 	admitBatchSize   *telemetry.Histogram
 	traceSpans       *telemetry.Counter
 	walRecords       *telemetry.Counter
@@ -61,7 +54,6 @@ type serverMetrics struct {
 	stageEngine   *telemetry.Histogram
 	stageAppend   *telemetry.Histogram
 	stageCommit   *telemetry.Histogram
-	walPerFsync   *telemetry.Histogram
 }
 
 // newServerMetrics registers coflowd's metric families. A non-empty shard
@@ -85,16 +77,9 @@ func newServerMetrics(shard string) *serverMetrics {
 		flowsActive:      reg.Gauge("coflowd_flows_active", "admitted, unfinished flows"),
 		weightedCCT:      reg.Gauge("coflowd_weighted_cct", "sum of weight * completion time over completed coflows"),
 		weightedResponse: reg.Gauge("coflowd_weighted_response", "sum of weight * response time over completed coflows"),
-		slowdownP50:      reg.Gauge("coflowd_slowdown_p50", "median completed-coflow slowdown (recent window)"),
-		slowdownP95:      reg.Gauge("coflowd_slowdown_p95", "p95 completed-coflow slowdown (recent window)"),
-		slowdownP99:      reg.Gauge("coflowd_slowdown_p99", "p99 completed-coflow slowdown (recent window)"),
-		solveP50:         reg.Gauge("coflowd_solve_latency_seconds_p50", "median policy decide latency (recent window)"),
-		solveP95:         reg.Gauge("coflowd_solve_latency_seconds_p95", "p95 policy decide latency (recent window)"),
-		solveP99:         reg.Gauge("coflowd_solve_latency_seconds_p99", "p99 policy decide latency (recent window)"),
 		requests:         reg.Counter("coflowd_http_requests_total", "HTTP requests served"),
 		requestErrors:    reg.Counter("coflowd_http_request_errors_total", "HTTP requests answered with a 4xx/5xx status"),
 		tickDuration:     reg.Histogram("coflowd_tick_duration_seconds", "scheduler tick duration distribution", nil),
-		admitBatches:     reg.Counter("coflowd_admit_batches_total", "coalesced admission batches processed by the scheduler"),
 		admitBatchSize:   reg.Histogram("coflowd_admit_batch_size", "admissions coalesced per scheduler batch", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		traceSpans:       reg.Counter("coflowd_trace_spans_total", "lifecycle trace spans recorded"),
 		walRecords:       reg.Counter("coflowd_wal_records_total", "write-ahead log records appended this process"),
@@ -102,7 +87,6 @@ func newServerMetrics(shard string) *serverMetrics {
 		walRecovered:     reg.Gauge("coflowd_wal_recovered_coflows", "admitted-but-incomplete coflows restored at boot"),
 		snapshots:        reg.Counter("coflowd_snapshots_total", "engine snapshots written"),
 		admitStage:       reg.HistogramVec("coflowd_admit_stage_seconds", "admit-pipeline stage latency: coalesce-wait, batch-assembly, engine-admit, wal-append, group-commit", nil, "stage"),
-		walPerFsync:      reg.Histogram("coflowd_wal_records_per_fsync", "log records made durable per group-commit fsync", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
 	}
 	m.stageWait = m.admitStage.With(stageCoalesceWait)
 	m.stageAssemble = m.admitStage.With(stageBatchAssembly)
@@ -126,12 +110,6 @@ func (m *serverMetrics) updateFromEngine(st online.EngineStats) {
 	m.flowsActive.Set(float64(st.ActiveFlows))
 	m.weightedCCT.Set(st.WeightedCCT)
 	m.weightedResponse.Set(st.WeightedResponse)
-	m.slowdownP50.Set(pct(st.Slowdowns, 50))
-	m.slowdownP95.Set(pct(st.Slowdowns, 95))
-	m.slowdownP99.Set(pct(st.Slowdowns, 99))
-	m.solveP50.Set(pct(st.SolveLatencies, 50))
-	m.solveP95.Set(pct(st.SolveLatencies, 95))
-	m.solveP99.Set(pct(st.SolveLatencies, 99))
 }
 
 // StatusRecorder captures the response code written by a handler. Exported

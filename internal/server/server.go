@@ -144,9 +144,7 @@ type Server struct {
 	// Durability (nil without Config.WALDir). simBase offsets the wall-clock
 	// mapping so a recovered engine's simulation clock continues from where
 	// replay left it instead of restarting at zero.
-	wal     *durable.Log
-	store   durable.BlobStore
-	walOnce sync.Once
+	wal     *durable.Journal
 	simBase float64
 
 	// Owned by the scheduler goroutine.
@@ -157,13 +155,10 @@ type Server struct {
 	// idem deduplicates admissions by X-Coflow-Id. It is bounded: idemByID
 	// maps live coflow ids back to their keys, and when a coflow completes its
 	// entry moves onto idemTombs (expiry-ordered) and is dropped once the
-	// grace window passes — see retireIdem. snapshotting serializes async
-	// snapshots; walFailed gates the one-time log write-failure log.
-	idem         map[string]idemEntry
-	idemByID     map[int]string
-	idemTombs    []idemTomb
-	snapshotting bool
-	walFailed    bool
+	// grace window passes — see retireIdem.
+	idem      map[string]idemEntry
+	idemByID  map[int]string
+	idemTombs []idemTomb
 	// traceIDs maps admitted coflow ids to their lifecycle trace ids so the
 	// completion span can be emitted when the coflow finishes.
 	traceIDs map[int]string
@@ -214,8 +209,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.eng = rec.eng
-		s.wal = rec.wal
-		s.store = rec.store
+		s.wal = rec.journal
 		s.idem = rec.idem
 		s.idemByID = rec.idemByID
 		s.traceIDs = rec.traceIDs
@@ -331,11 +325,11 @@ func (s *Server) tick() {
 	// daemon's log must not grow with its uptime. No forced sync — tick
 	// records ride along with the next admission's group commit.
 	if s.wal != nil && (activeCoflows > 0 || len(done) > 0) {
-		_, _ = s.walAppend(&durable.Record{Type: durable.RecAdvance,
+		_, _ = s.wal.Append(&durable.Record{Type: durable.RecAdvance,
 			Advance: &durable.AdvanceRecord{Now: s.eng.Now()}})
 		for _, id := range done {
 			if st, ok := s.eng.CoflowStatus(id); ok {
-				_, _ = s.walAppend(&durable.Record{Type: durable.RecComplete,
+				_, _ = s.wal.Append(&durable.Record{Type: durable.RecComplete,
 					Complete: &durable.CompleteRecord{ID: id, Time: st.Completion}})
 			}
 		}
@@ -389,7 +383,7 @@ func (s *Server) tick() {
 				return
 			}
 			if s.wal != nil {
-				_, _ = s.walAppend(&durable.Record{Type: durable.RecOrder, Order: &durable.OrderRecord{
+				_, _ = s.wal.Append(&durable.Record{Type: durable.RecOrder, Order: &durable.OrderRecord{
 					Now:         s.eng.Now(),
 					LatencySecs: latency.Seconds(),
 					Refs:        order,

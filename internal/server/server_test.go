@@ -156,7 +156,7 @@ func TestHealthNetworkStatsMetrics(t *testing.T) {
 		"coflowd_up 1",
 		"coflowd_coflows_admitted_total 1",
 		"coflowd_http_requests_total",
-		"coflowd_solve_latency_seconds_p95",
+		"coflowd_decisions_total",
 		"coflowd_tick_duration_seconds_count",
 	} {
 		if !strings.Contains(body, want) {

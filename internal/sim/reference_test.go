@@ -4,15 +4,12 @@ package sim
 // replaced. It recomputes everything from scratch at every event — full
 // active-set scan and sort, fresh residual capacities, one bandwidth segment
 // per flow per event — which makes it slow (O(F log F) per event) but easy
-// to audit. It serves two purposes:
-//
-//   - the oracle for the differential tests in differential_test.go, which
-//     assert the incremental allocator produces identical completion times
-//     (to 1e-9) and transmitted volumes across randomized workloads,
-//     including mid-run AddFlow/SetOrder/Forget;
-//   - the "before" side of the recorded benchmark trajectory
-//     (experiments.SimSuite, BENCH_sim.json), so the speedup claim stays
-//     reproducible against the exact allocator it was measured over.
+// to audit. It is the oracle for the differential tests in
+// differential_test.go, which assert the incremental allocator produces
+// identical completion times (to 1e-9) and transmitted volumes across
+// randomized workloads, including mid-run AddFlow/SetOrder/Forget. It lives in
+// a test file, as graph/ and lp/ keep their oracles, since nothing outside the
+// tests runs it.
 //
 // Semantics must never drift from Simulator's. Fix bugs in both or neither.
 
@@ -487,34 +484,4 @@ func refAllocateFairShare(g *graph.Graph, active []*refFlow) []float64 {
 		}
 	}
 	return rates
-}
-
-// sortStatuses orders flow statuses by reference, the order Residuals
-// promises.
-func sortStatuses(out []FlowStatus) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ref.Coflow != out[j].Ref.Coflow {
-			return out[i].Ref.Coflow < out[j].Ref.Coflow
-		}
-		return out[i].Ref.Index < out[j].Ref.Index
-	})
-}
-
-// mergeSegments coalesces adjacent segments with identical rates to keep
-// schedules small.
-func mergeSegments(fs *coflow.FlowSchedule) {
-	if len(fs.Segments) <= 1 {
-		return
-	}
-	sort.Slice(fs.Segments, func(i, j int) bool { return fs.Segments[i].Start < fs.Segments[j].Start })
-	merged := fs.Segments[:1]
-	for _, s := range fs.Segments[1:] {
-		last := &merged[len(merged)-1]
-		if math.Abs(last.End-s.Start) < 1e-12 && math.Abs(last.Rate-s.Rate) < 1e-12 {
-			last.End = s.End
-			continue
-		}
-		merged = append(merged, s)
-	}
-	fs.Segments = merged
 }

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
@@ -1000,4 +1001,34 @@ func Run(inst *coflow.Instance, cfg Config) (*coflow.CircuitSchedule, error) {
 		return nil, err
 	}
 	return s.Schedule(), nil
+}
+
+// sortStatuses orders flow statuses by reference, the order Residuals
+// promises.
+func sortStatuses(out []FlowStatus) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Ref.Coflow != out[j].Ref.Coflow {
+			return out[i].Ref.Coflow < out[j].Ref.Coflow
+		}
+		return out[i].Ref.Index < out[j].Ref.Index
+	})
+}
+
+// mergeSegments coalesces adjacent segments with identical rates to keep
+// schedules small.
+func mergeSegments(fs *coflow.FlowSchedule) {
+	if len(fs.Segments) <= 1 {
+		return
+	}
+	sort.Slice(fs.Segments, func(i, j int) bool { return fs.Segments[i].Start < fs.Segments[j].Start })
+	merged := fs.Segments[:1]
+	for _, s := range fs.Segments[1:] {
+		last := &merged[len(merged)-1]
+		if math.Abs(last.End-s.Start) < 1e-12 && math.Abs(last.Rate-s.Rate) < 1e-12 {
+			last.End = s.End
+			continue
+		}
+		merged = append(merged, s)
+	}
+	fs.Segments = merged
 }

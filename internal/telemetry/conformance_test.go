@@ -31,16 +31,9 @@ var coflowdFamilies = []string{
 	"coflowd_flows_active",
 	"coflowd_weighted_cct",
 	"coflowd_weighted_response",
-	"coflowd_slowdown_p50",
-	"coflowd_slowdown_p95",
-	"coflowd_slowdown_p99",
-	"coflowd_solve_latency_seconds_p50",
-	"coflowd_solve_latency_seconds_p95",
-	"coflowd_solve_latency_seconds_p99",
 	"coflowd_http_requests_total",
 	"coflowd_http_request_errors_total",
 	"coflowd_tick_duration_seconds",
-	"coflowd_admit_batches_total",
 	"coflowd_admit_batch_size",
 	"coflowd_trace_spans_total",
 	"coflowd_wal_records_total",
@@ -48,7 +41,6 @@ var coflowdFamilies = []string{
 	"coflowd_wal_recovered_coflows",
 	"coflowd_snapshots_total",
 	"coflowd_admit_stage_seconds",
-	"coflowd_wal_records_per_fsync",
 }
 
 // runtimeFamilies is the process-health set RegisterRuntimeCollector adds to

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Records the WAL admit-path overhead into BENCH_sim.json (JSON Lines).
+# Measures the WAL admit-path overhead and prints a one-line JSON summary; it
+# records nothing (recorded numbers come from bench/, see BENCHMARK.json).
 #
 # Usage: scripts/bench_wal.sh [label]
 #
@@ -7,8 +8,8 @@
 #
 #   BenchmarkAdmit (serial)       — one admission at a time. Every wal=on
 #     iteration necessarily pays a private fsync, so this ratio measures raw
-#     fsync latency, a hardware property. Recorded as a labeled diagnostic,
-#     NOT held against the budget.
+#     fsync latency, a hardware property. Printed as a diagnostic, NOT held
+#     against the budget.
 #   BenchmarkAdmitParallel        — concurrent admissions, the workload the
 #     admission path is built for: requests coalesce into scheduler batches
 #     and the committer goroutine group-commits them, so the fsync cost is
@@ -22,7 +23,7 @@
 # so the committer's fsync overlaps admission work instead of stalling the
 # only processor.
 #
-# The label tags the snapshot (defaults to the current commit). BENCHTIME
+# The label tags the summary (defaults to the current commit). BENCHTIME
 # overrides the parallel iteration count (default 5000x), COUNT the runs per
 # variant (default 3), CPUS the GOMAXPROCS for the parallel series (default
 # 4). STRICT=1 makes a budget violation exit nonzero (the CI trend job runs
@@ -35,7 +36,6 @@ benchtime="${BENCHTIME:-5000x}"
 count="${COUNT:-3}"
 cpus="${CPUS:-4}"
 budget="${BUDGET:-1.05}" # ≤5% admit regression budget
-out="BENCH_sim.json"
 
 serial=$(go test -run=NONE -bench='^BenchmarkAdmit$/' -benchtime=500x ./internal/server/)
 parallel=""
@@ -44,24 +44,6 @@ for _ in $(seq "$count"); do
     -cpu="$cpus" ./internal/server/)
   parallel="$parallel$run"$'\n'
 done
-
-printf '%s\n%s\n' "$serial" "$parallel" | awk -v label="$label" -v cpus="$cpus" '
-  /^BenchmarkAdmit/ {
-    name=$1; sub(/-[0-9]+$/, "", name)
-    ns=""; p99=""; apf=""; apb=""
-    for (i = 2; i < NF; i++) {
-      if ($(i+1) == "ns/op") ns=$i
-      if ($(i+1) == "p99-ns/op") p99=$i
-      if ($(i+1) == "admits/fsync") apf=$i
-      if ($(i+1) == "admits/batch") apb=$i
-    }
-    line = sprintf("{\"experiment\":\"wal\",\"label\":\"%s\",\"name\":\"%s\",\"ns_per_op\":%s", label, name, ns)
-    if (p99 != "") line = line sprintf(",\"p99_ns\":%s", p99)
-    if (apb != "") line = line sprintf(",\"admits_per_batch\":%s", apb)
-    if (apf != "") line = line sprintf(",\"admits_per_fsync\":%s", apf)
-    if (name ~ /Parallel/) line = line sprintf(",\"gomaxprocs\":%s", cpus)
-    print line "}"
-  }' >>"$out"
 
 # Budget: median of per-run (wal=on / wal=off) ratios, each ratio taken from
 # one paired run. Serial ratio rides along as the fsync-latency diagnostic.
@@ -90,10 +72,7 @@ summary=$(printf '%s\n%s\n' "$serial" "$parallel" | awk \
     printf("{\"experiment\":\"wal-overhead\",\"label\":\"%s\",\"series\":\"parallel\",\"gomaxprocs\":%s,\"runs\":%d,", label, cpus, nratios)
     printf("\"mean_ratio\":%.4f,\"serial_mean_ratio\":%.4f,\"budget\":%s,\"within_budget\":%s}", mratio, sratio, budget, within)
   }')
-echo "$summary" >>"$out"
-
-echo "bench_wal: appended snapshot \"$label\" to $out" >&2
-echo "bench_wal: $summary" >&2
+echo "$summary"
 if [ "${STRICT:-0}" = "1" ] && echo "$summary" | grep -q '"within_budget":false'; then
   echo "bench_wal: WAL admit overhead exceeds the ${budget}x budget" >&2
   exit 1
