@@ -169,7 +169,7 @@ func randomRoutes(inst *coflow.Instance, rng *rand.Rand) (map[coflow.FlowRef]gra
 			paths[ref] = f.Path
 			continue
 		}
-		cands := inst.Network.KShortestPaths(f.Source, f.Dest, candidatePaths)
+		cands := inst.Network.KShortestPathsCached(f.Source, f.Dest, candidatePaths)
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("baselines: no path from %d to %d", f.Source, f.Dest)
 		}
@@ -194,7 +194,7 @@ func loadBalancedRoutes(inst *coflow.Instance) (map[coflow.FlowRef]graph.Path, e
 		if f.Path != nil {
 			cands = []graph.Path{f.Path}
 		} else {
-			cands = inst.Network.KShortestPaths(f.Source, f.Dest, candidatePaths)
+			cands = inst.Network.KShortestPathsCached(f.Source, f.Dest, candidatePaths)
 		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("baselines: no path from %d to %d", f.Source, f.Dest)

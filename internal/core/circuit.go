@@ -70,7 +70,7 @@ func (s CircuitGivenPaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
 	for _, ref := range inst.FlowRefs() {
 		cands[ref] = []graph.Path{inst.Flow(ref).Path}
 	}
-	return buildCircuitLP(inst, cands, s.Opts)
+	return buildCircuitLP(inst, cands, s.Opts, false)
 }
 
 // CircuitFreePaths is the §2.2 scheduler in its scalable form: circuit-based
@@ -137,13 +137,13 @@ func (s CircuitFreePaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
 			cands[ref] = []graph.Path{f.Path}
 			continue
 		}
-		paths := inst.Network.KShortestPaths(f.Source, f.Dest, opts.CandidatePaths)
+		paths := inst.Network.KShortestPathsCached(f.Source, f.Dest, opts.CandidatePaths)
 		if len(paths) == 0 {
 			return nil, fmt.Errorf("core: no path from %d to %d for flow %s", f.Source, f.Dest, ref)
 		}
 		cands[ref] = paths
 	}
-	return buildCircuitLP(inst, cands, opts)
+	return buildCircuitLP(inst, cands, opts, true)
 }
 
 // scheduleASAP implements the practical mode shared by both circuit

@@ -74,8 +74,62 @@ type circuitLP struct {
 	sol *lp.Solution
 }
 
-// buildCircuitLP constructs (but does not solve) the LP.
-func buildCircuitLP(inst *coflow.Instance, cands map[coflow.FlowRef][]graph.Path, opts Options) (*circuitLP, error) {
+// slackRowMargin is how far below capacity the most a capacity row can ever
+// carry must stay for buildCircuitLP to leave the row out. Every flow delivers
+// Σx = 1 with x >= 0 — and Σx + artificial = 1 in phase 1 — so in every basic
+// feasible solution of either phase row (e, ℓ) carries at most demand[e] / |ℓ|
+// (edgeDemand). Where that is at most capacity·(1 - margin) the row's slack is
+// basic and at least margin·capacity throughout the solve: it cannot reach
+// zero, so the row never attains the ratio test's minimum; its slack costs
+// nothing, so its dual is exactly 0 and every reduced cost gains an exact zero
+// from it; its column of the basis inverse stays e_k, so it changes no other
+// row's arithmetic; and taking rows and slack columns out keeps the relative
+// order of the rest, which is all that Dantzig's, Bland's and the
+// largest-pivot tie-breaks read. The simplex therefore takes the same pivots
+// (enter, leave, theta) with and without the row, bit for bit, up to its first
+// refactorization — whose Gauss-Jordan arithmetic depends on m — and ends on
+// the same optimum to rounding after it. The margin is there for the ratio
+// test's tie window, 1e-9·(1+theta): the step leaves the row's slack at least
+// 1e-6·capacity, so its ratio ties the minimum only if its direction entry w
+// has w·(1+theta) above 1 000 capacities. TestRowPresolveMatchesFullLP and
+// FuzzRowPresolve hold the argument to what the solver does.
+const slackRowMargin = 1e-6
+
+// edgeDemand returns, per edge, the most size the flows can ever send over it:
+// each flow counts once, however many of its candidates cross the edge, at the
+// most crossings any single candidate makes (one, unless a pre-assigned path
+// revisits the edge).
+func edgeDemand(inst *coflow.Instance, refs []coflow.FlowRef, cands map[coflow.FlowRef][]graph.Path) []float64 {
+	numEdges := inst.Network.NumEdges()
+	demand := make([]float64, numEdges)
+	// charged[e] crossings of e are already in demand[e] for flow owner[e]-1.
+	charged, owner := make([]int, numEdges), make([]int, numEdges)
+	for i, ref := range refs {
+		size := inst.Flow(ref).Size
+		for _, path := range cands[ref] {
+			for _, e := range path {
+				if owner[e] != i+1 {
+					owner[e], charged[e] = i+1, 0
+				}
+				crossings := 0
+				for _, other := range path {
+					if other == e {
+						crossings++
+					}
+				}
+				if crossings > charged[e] {
+					demand[e] += size * float64(crossings-charged[e])
+					charged[e] = crossings
+				}
+			}
+		}
+	}
+	return demand
+}
+
+// buildCircuitLP constructs (but does not solve) the LP. With dropSlackRows it
+// leaves out the capacity rows that can never bind (slackRowMargin).
+func buildCircuitLP(inst *coflow.Instance, cands map[coflow.FlowRef][]graph.Path, opts Options, dropSlackRows bool) (*circuitLP, error) {
 	opts = opts.withDefaults()
 	horizon := inst.TimeHorizon() * math.Pow(1+opts.Epsilon, float64(opts.Displacement+2))
 	grid := intervals.New(opts.Epsilon, horizon)
@@ -143,6 +197,10 @@ func buildCircuitLP(inst *coflow.Instance, cands map[coflow.FlowRef][]graph.Path
 	// (8)/(21): per-edge, per-interval capacity. Only edges appearing in some
 	// candidate path need a constraint. The bandwidth used by x over interval
 	// ℓ is σ · x / len(ℓ) (Lemma 1).
+	var demand []float64
+	if dropSlackRows {
+		demand = edgeDemand(inst, c.refs, cands)
+	}
 	edgeTerms := make(map[graph.EdgeID][][]lp.Term) // edge -> interval -> terms
 	for _, ref := range c.refs {
 		f := inst.Flow(ref)
@@ -152,6 +210,9 @@ func buildCircuitLP(inst *coflow.Instance, cands map[coflow.FlowRef][]graph.Path
 					edgeTerms[e] = make([][]lp.Term, L)
 				}
 				for l := c.relIdx[ref]; l < L; l++ {
+					if dropSlackRows && demand[e]/grid.Length(l) <= inst.Network.Capacity(e)*(1-slackRowMargin) {
+						continue // the row cannot bind: it gets no terms and is not added
+					}
 					coef := f.Size / grid.Length(l)
 					edgeTerms[e][l] = append(edgeTerms[e][l], lp.Term{Var: c.xvar[ref][p][l], Coef: coef})
 				}
@@ -254,17 +315,22 @@ func (c *circuitLP) lpOrder() []coflow.FlowRef {
 	}
 	sort.SliceStable(keys, func(a, b int) bool { return keys[a].c < keys[b].c })
 
+	type flowKey struct {
+		ref coflow.FlowRef
+		c   float64
+	}
 	var order []coflow.FlowRef
 	for _, k := range keys {
 		cf := c.inst.Coflows[k.idx]
-		refs := make([]coflow.FlowRef, len(cf.Flows))
+		flows := make([]flowKey, len(cf.Flows))
 		for j := range cf.Flows {
-			refs[j] = coflow.FlowRef{Coflow: k.idx, Index: j}
+			ref := coflow.FlowRef{Coflow: k.idx, Index: j}
+			flows[j] = flowKey{ref: ref, c: c.flowLPCompletion(ref)}
 		}
-		sort.SliceStable(refs, func(a, b int) bool {
-			return c.flowLPCompletion(refs[a]) < c.flowLPCompletion(refs[b])
-		})
-		order = append(order, refs...)
+		sort.SliceStable(flows, func(a, b int) bool { return flows[a].c < flows[b].c })
+		for _, f := range flows {
+			order = append(order, f.ref)
+		}
 	}
 	return order
 }

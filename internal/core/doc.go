@@ -31,6 +31,15 @@
 //     possible in the flow-level simulator. This is the "LP-Based" scheme of
 //     the paper's experiments.
 //
+// The free-path builders (CircuitFreePaths, PacketFreePaths) leave out of the
+// LP every capacity row (e, ℓ) that can never bind: a flow delivers Σx = 1, so
+// the row carries at most the summed size of the flows with a candidate over e
+// divided by |ℓ|, and the interval lengths grow geometrically — two thirds of
+// the capacity rows of a Figure-3 LP are slack by construction. The simplex
+// takes the same pivots without them (slackRowMargin in circuitlp.go has the
+// argument, presolve_test.go the differential test and fuzz target that hold
+// it to the solver). The given-path builders still add every row.
+//
 // Packet-based coflows are handled by reducing to unit-time job-shop
 // scheduling (given paths) and to per-interval routing plus scheduling on the
 // original graph (free paths); see packet_given.go and packet_free.go.

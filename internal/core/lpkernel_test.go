@@ -56,25 +56,42 @@ func TestFig3PivotsPinned(t *testing.T) {
 	}
 }
 
-// TestFreePath8x6Pinned pins the simplex's path on one paper-scale free-path
-// LP: 8 coflows x width 6 over four candidate paths, long enough (1 679
-// pivots) to refactorize six times, which no fig3 instance does. A rebuilt
-// inverse or basic solution that differs in one bit from the Gauss-Jordan
-// result moves the later pivots.
-func TestFreePath8x6Pinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("one 1 679-pivot LP, about 1.5 s")
-	}
-	const (
-		wantPivots = 1679
-		wantLB     = 41.67612003381232
-	)
-	g := graph.FatTree(4, 1)
+// freePath8x6Instance is the paper-scale instance of TestFreePath8x6Pinned: 8
+// coflows x width 6, seed 1.
+func freePath8x6Instance(tb testing.TB, g *graph.Graph) *coflow.Instance {
+	tb.Helper()
 	inst, err := workload.Generate(g, workload.Config{
 		NumCoflows: 8, Width: 6, MeanSize: 4, MeanRelease: 2}, rand.New(rand.NewSource(1)))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return inst
+}
+
+// TestFreePath8x6Pinned pins the simplex's path on one paper-scale free-path
+// LP: 8 coflows x width 6 over four candidate paths, long enough (1 653
+// pivots) to refactorize six times, which no fig3 instance does. A rebuilt
+// inverse or basic solution that differs in one bit from the Gauss-Jordan
+// result moves the later pivots.
+//
+// Re-pinned by the row presolve (PR 22), which takes m from 1 378 to 635: with
+// every row the LP took 1 679 pivots to 41.67612003381232 (1.7e-15 relative).
+// The two solves share their first 1 396 pivots bit for bit — through five
+// refactorizations, although Gauss-Jordan's arithmetic depends on m — and part
+// at pivot 1 397, a degenerate step (theta 0, x_c5.f1_p1_l2 leaving on both
+// sides) where x_c2.f2_p3_l2 enters instead of its symmetric candidate
+// x_c2.f2_p1_l2: the two reduced costs, equal but for rounding, compare the
+// other way round.
+func TestFreePath8x6Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one 1 653-pivot LP, about 0.5 s")
+	}
+	const (
+		wantPivots = 1653
+		wantLB     = 41.67612003381239
+	)
+	g := graph.FatTree(4, 1)
+	inst := freePath8x6Instance(t, g)
 	res, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.ScheduleASAP(inst, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -96,18 +113,19 @@ type solveCase struct {
 }
 
 // solveCases builds the three shapes: the free-path LP of a fig3 instance (4
-// coflows x width 4, four candidate paths: most rows are capacity rows whose
-// slack never leaves the basis), a three-flow given-path LP of the size
-// online.LPEpoch re-solves every epoch, and the dense covering LP of the root
+// coflows x width 4, four candidate paths, the capacity rows that cannot bind
+// left out: of its m = 347 rows most still keep their slack basic), a
+// three-flow given-path LP of the size online.LPEpoch re-solves every epoch
+// (every capacity row kept), and the dense covering LP of the root
 // BenchmarkLPSolverDense, where every row pivots and the kernel can skip
-// nothing. The budgets sit about 30 % above what a solve allocates with the
-// compact inverse (2.36 MB and 89 KB) and far below what a dense m x m
-// inverse per solve costs (8.45 MB and 256 KB).
+// nothing. The budgets sit about 30 % above what a solve allocates (0.95 MB
+// and 89 KB) and far below what a dense m x m inverse per solve cost when the
+// free-path LP still had its m = 986 rows (8.45 MB; 256 KB for the second).
 func solveCases(tb testing.TB) []solveCase {
 	tb.Helper()
 	g := graph.FatTree(4, 1)
 	inst, _ := fig3Instance(tb, g, 0)
-	free, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.buildLP(inst)
+	free, err := freePathBuild(inst)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -136,7 +154,7 @@ func solveCases(tb testing.TB) []solveCase {
 		dense.AddConstraint("", lp.GE, float64(10+i), terms...)
 	}
 	return []solveCase{
-		{"freepath-4x4", free.prob, 3 << 20},
+		{"freepath-4x4", free.prob, 1280 << 10},
 		{"residual-3flows", residual.prob, 128 << 10},
 		{"dense-40x60", dense, 0},
 	}

@@ -68,7 +68,7 @@ func (s PacketGivenPaths) Schedule(inst *coflow.Instance) (*PacketResult, error)
 		cands[ref] = []graph.Path{p}
 		paths[ref] = p
 	}
-	clp, err := buildCircuitLP(inst, cands, s.Opts)
+	clp, err := buildCircuitLP(inst, cands, s.Opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +116,13 @@ func (s PacketFreePaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
 			cands[ref] = []graph.Path{f.Path}
 			continue
 		}
-		paths := inst.Network.KShortestPaths(f.Source, f.Dest, opts.CandidatePaths)
+		paths := inst.Network.KShortestPathsCached(f.Source, f.Dest, opts.CandidatePaths)
 		if len(paths) == 0 {
 			return nil, fmt.Errorf("core: no path from %d to %d for packet %s", f.Source, f.Dest, ref)
 		}
 		cands[ref] = paths
 	}
-	return buildCircuitLP(inst, cands, opts)
+	return buildCircuitLP(inst, cands, opts, true)
 }
 
 // ScheduleASAP routes and schedules every packet in LP priority order using
