@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt loc bench bench-e2e bench-wal
+.PHONY: build test race vet fmt loc loc-by-package bench bench-e2e bench-wal
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ fmt:
 # (ROADMAP aim 2 wants this number to go down).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# loc-by-package breaks loc down: non-test Go lines per directory under
+# internal/ and cmd/, so a PR that claims a collapse shows where it came from
+# (loc stays the single tracked total; it also counts examples/).
+loc-by-package:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" $$d; \
+	done
 
 # bench smoke-runs every benchmark once, mirroring the CI job that keeps
 # benchmarks from rotting.

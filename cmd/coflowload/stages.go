@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -63,12 +61,9 @@ func fetchStageBreakdown(base string) ([]stageLatency, error) {
 		if !ok || h.count == 0 {
 			continue
 		}
-		out = append(out, stageLatency{
-			Stage: stage,
-			Count: uint64(h.count),
-			P50:   h.quantile(0.5),
-			P99:   h.quantile(0.99),
-		})
+		p50, _ := telemetry.HistogramQuantile(h.cum, 0.5)
+		p99, _ := telemetry.HistogramQuantile(h.cum, 0.99)
+		out = append(out, stageLatency{Stage: stage, Count: uint64(h.count), P50: p50, P99: p99})
 	}
 	return out, nil
 }
@@ -88,7 +83,7 @@ func aggregateStages(agg map[string]*stageHist, m *telemetry.Metrics) {
 		}
 		switch s.Name {
 		case "coflowd_admit_stage_seconds_bucket":
-			le, err := parseLe(s.Labels["le"])
+			le, err := strconv.ParseFloat(s.Labels["le"], 64)
 			if err == nil {
 				h.cum[le] += s.Value
 			}
@@ -96,44 +91,6 @@ func aggregateStages(agg map[string]*stageHist, m *telemetry.Metrics) {
 			h.count += s.Value
 		}
 	}
-}
-
-func parseLe(raw string) (float64, error) {
-	if raw == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(raw, 64)
-}
-
-// quantile interpolates the q-quantile from the cumulative buckets,
-// Prometheus-style: linear within the containing bucket, clamped to the last
-// finite bound for ranks landing in the +Inf bucket.
-func (h *stageHist) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	les := make([]float64, 0, len(h.cum))
-	for le := range h.cum {
-		les = append(les, le)
-	}
-	sort.Float64s(les)
-	rank := q * h.count
-	prevBound, prevCum := 0.0, 0.0
-	for _, le := range les {
-		c := h.cum[le]
-		if c >= rank {
-			if math.IsInf(le, 1) {
-				return prevBound
-			}
-			width := c - prevCum
-			if width <= 0 {
-				return le
-			}
-			return prevBound + (le-prevBound)*(rank-prevCum)/width
-		}
-		prevBound, prevCum = le, c
-	}
-	return prevBound
 }
 
 // worstStage names the stage with the highest p99 — the guilty party a soak

@@ -356,29 +356,6 @@ func (g *Gateway) AddBackend(name, url string) error {
 	return nil
 }
 
-// RemoveBackend ejects a shard permanently; its in-flight coflows are
-// re-admitted on the survivors.
-func (g *Gateway) RemoveBackend(name string) error {
-	g.mu.Lock()
-	var orphans []int
-	idx := -1
-	for i, b := range g.backends {
-		if b.name == name {
-			idx = i
-			orphans = g.ejectLocked(b)
-			break
-		}
-	}
-	if idx < 0 {
-		g.mu.Unlock()
-		return fmt.Errorf("cluster: unknown backend %q", name)
-	}
-	g.backends = append(g.backends[:idx], g.backends[idx+1:]...)
-	g.mu.Unlock()
-	g.readmitOrphans(orphans)
-	return nil
-}
-
 // Backends snapshots the roster.
 func (g *Gateway) Backends() []BackendStatus {
 	g.mu.Lock()

@@ -1,14 +1,52 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
-	"coflowsched/internal/sim"
 )
+
+// Result carries a schedule together with the LP evidence produced while
+// computing it.
+type Result struct {
+	// Schedule is the feasible circuit schedule.
+	Schedule *coflow.CircuitSchedule
+	// LPObjective is the optimal value of the interval-indexed LP.
+	LPObjective float64
+	// LowerBound is a certified lower bound on the optimal total weighted
+	// coflow completion time: LPObjective / (1+ε) for formulations whose LP
+	// relaxes every schedule (given paths and the exact arc-flow LP); for the
+	// restricted candidate-path LP it lower-bounds the optimum over those
+	// candidate routes.
+	LowerBound float64
+	// LPIterations is the number of simplex pivots used.
+	LPIterations int
+	// PathsPerFlow records, for every flow, how many distinct paths carried
+	// positive LP mass (the paper's §4.3 observation is that this is 1 on
+	// fat-trees).
+	PathsPerFlow map[coflow.FlowRef]int
+	// FlowOrder is the LP-derived priority order (coflows by LP completion,
+	// flows within a coflow by their LP completion), used by practical mode.
+	FlowOrder []coflow.FlowRef
+	// ChosenPaths are the routes selected for each flow.
+	ChosenPaths map[coflow.FlowRef]graph.Path
+}
+
+// Objective returns the schedule's total weighted coflow completion time.
+func (r *Result) Objective(inst *coflow.Instance) float64 {
+	return r.Schedule.Objective(inst)
+}
+
+// ApproximationRatio returns Objective / LowerBound (infinite when the lower
+// bound is zero).
+func (r *Result) ApproximationRatio(inst *coflow.Instance) float64 {
+	if r.LowerBound <= 0 {
+		return math.Inf(1)
+	}
+	return r.Objective(inst) / r.LowerBound
+}
 
 // CircuitGivenPaths is the §2.1 scheduler: circuit-based coflows whose flows
 // come with fixed paths. It builds the interval-indexed LP (4)–(10), rounds
@@ -21,56 +59,53 @@ type CircuitGivenPaths struct {
 // Name identifies the scheduler in experiment output.
 func (CircuitGivenPaths) Name() string { return "LP-Circuit-GivenPaths" }
 
+func (s CircuitGivenPaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
+	return candidateLP(inst, s.Opts, false, false)
+}
+
 // ScheduleProvable runs the LP and the paper's interval-placement rounding.
 // Every flow must carry a pre-assigned path.
 func (s CircuitGivenPaths) ScheduleProvable(inst *coflow.Instance) (*Result, error) {
-	clp, err := s.buildLP(inst)
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
-	}
-	cs, chosen, paths := clp.roundProvable(nil, true)
-	return clp.buildResult(cs, chosen, paths), nil
+	return m.roundProvable(nil)
 }
 
 // ScheduleASAP runs the LP and then the paper's §4.2 practical mode: flows
 // are ordered by LP completion times and started as early as possible by the
 // flow-level simulator.
 func (s CircuitGivenPaths) ScheduleASAP(inst *coflow.Instance) (*Result, error) {
-	clp, err := s.buildLP(inst)
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
+	return m.scheduleASAP()
+}
+
+// Order runs the LP and returns only its priority order — Result.FlowOrder of
+// either mode, without the rounding that an online policy would throw away.
+func (s CircuitGivenPaths) Order(inst *coflow.Instance) ([]coflow.FlowRef, error) {
+	m, err := solved(s.buildLP(inst))
+	if err != nil {
 		return nil, err
 	}
-	return scheduleASAP(clp, inst, nil)
+	return m.lpOrder(), nil
 }
 
 // Schedule satisfies the common scheduler signature used by the experiment
 // harness; it runs the practical mode (as the paper's own experiments do).
 func (s CircuitGivenPaths) Schedule(inst *coflow.Instance, _ *rand.Rand) (*coflow.CircuitSchedule, error) {
-	res, err := s.ScheduleASAP(inst)
+	return scheduleOf(s.ScheduleASAP(inst))
+}
+
+// scheduleOf keeps a result's schedule.
+func scheduleOf(res *Result, err error) (*coflow.CircuitSchedule, error) {
 	if err != nil {
 		return nil, err
 	}
 	return res.Schedule, nil
-}
-
-func (s CircuitGivenPaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
-	if err := inst.Validate(false); err != nil {
-		return nil, err
-	}
-	if !inst.HasPaths() {
-		return nil, fmt.Errorf("core: CircuitGivenPaths requires every flow to carry a path")
-	}
-	cands := make(map[coflow.FlowRef][]graph.Path)
-	for _, ref := range inst.FlowRefs() {
-		cands[ref] = []graph.Path{inst.Flow(ref).Path}
-	}
-	return buildCircuitLP(inst, cands, s.Opts, false)
 }
 
 // CircuitFreePaths is the §2.2 scheduler in its scalable form: circuit-based
@@ -87,144 +122,86 @@ type CircuitFreePaths struct {
 // Name identifies the scheduler; the experiments call this scheme "LP-Based".
 func (CircuitFreePaths) Name() string { return "LP-Based" }
 
+func (s CircuitFreePaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
+	return candidateLP(inst, s.Opts, false, true)
+}
+
 // ScheduleProvable runs the LP, randomized path rounding and interval
 // placement, and returns the schedule plus LP evidence. rng drives the
 // randomized rounding.
 func (s CircuitFreePaths) ScheduleProvable(inst *coflow.Instance, rng *rand.Rand) (*Result, error) {
-	clp, err := s.buildLP(inst)
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
-	}
-	cs, chosen, paths := clp.roundProvable(rng, false)
-	return clp.buildResult(cs, chosen, paths), nil
+	return m.roundProvable(rng)
 }
 
-// ScheduleASAP runs the LP, picks the thickest path per flow, orders flows by
-// LP completion times and starts each as early as possible in the simulator
-// (the paper's experimental configuration).
-func (s CircuitFreePaths) ScheduleASAP(inst *coflow.Instance, rng *rand.Rand) (*Result, error) {
-	clp, err := s.buildLP(inst)
+// ScheduleASAP runs the LP, picks among each flow's LP-supported paths, orders
+// flows by LP completion times and starts each as early as possible in the
+// simulator (the paper's experimental configuration). It draws nothing from
+// rng.
+func (s CircuitFreePaths) ScheduleASAP(inst *coflow.Instance, _ *rand.Rand) (*Result, error) {
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
-	}
-	return scheduleASAP(clp, inst, rng)
+	return m.scheduleASAP()
 }
 
 // Schedule satisfies the common scheduler signature; practical mode.
 func (s CircuitFreePaths) Schedule(inst *coflow.Instance, rng *rand.Rand) (*coflow.CircuitSchedule, error) {
-	res, err := s.ScheduleASAP(inst, rng)
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
+	return scheduleOf(s.ScheduleASAP(inst, rng))
 }
 
-func (s CircuitFreePaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
+// CircuitFreePathsExact is the paper's §2.2 algorithm in its exact form: the
+// interval-indexed LP (15)–(23) carries one flow variable per (flow, edge,
+// interval), so routing is unrestricted. The rounding step aggregates and
+// scales each flow's fractional routing, applies the flow decomposition
+// theorem, and picks a single path by Raghavan–Thompson randomized rounding;
+// overloaded edges are repaired by stretching the schedule, giving the
+// O(log |E| / log log |E|) guarantee.
+//
+// The LP has Θ(|F| · |E| · L) variables, so this formulation is intended for
+// small networks (it is the reference implementation used by tests and the
+// Table 1 experiment); CircuitFreePaths is the scalable variant.
+type CircuitFreePathsExact struct {
+	Opts Options
+}
+
+// Name identifies the scheduler.
+func (CircuitFreePathsExact) Name() string { return "LP-Based-Exact" }
+
+func (s CircuitFreePathsExact) buildLP(inst *coflow.Instance) (*intervalLP, error) {
 	if err := inst.Validate(false); err != nil {
 		return nil, err
 	}
-	opts := s.Opts.withDefaults()
-	cands := make(map[coflow.FlowRef][]graph.Path)
-	for _, ref := range inst.FlowRefs() {
-		f := inst.Flow(ref)
-		if f.Path != nil {
-			cands[ref] = []graph.Path{f.Path}
-			continue
-		}
-		paths := inst.Network.KShortestPathsCached(f.Source, f.Dest, opts.CandidatePaths)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("core: no path from %d to %d for flow %s", f.Source, f.Dest, ref)
-		}
-		cands[ref] = paths
-	}
-	return buildCircuitLP(inst, cands, opts, true)
+	return buildIntervalLP(inst, s.Opts, &arcRouting{}), nil
 }
 
-// scheduleASAP implements the practical mode shared by both circuit
-// schedulers: flows are ordered by their LP completion times, each flow picks
-// one of its LP-supported paths (load-aware among near-tied masses, so
-// symmetric fat-tree paths spread out instead of colliding), and the
-// flow-level simulator starts every flow as early as it can.
-func scheduleASAP(clp *circuitLP, inst *coflow.Instance, rng *rand.Rand) (*Result, error) {
-	order := clp.lpOrder()
-	candidates := make(map[coflow.FlowRef][]graph.WeightedPath)
-	pathsPerFlow := make(map[coflow.FlowRef]int)
-	for _, ref := range clp.refs {
-		masses := clp.pathMass(ref)
-		var wps []graph.WeightedPath
-		positive := 0
-		for p, m := range masses {
-			if m > 1e-9 {
-				positive++
-				wps = append(wps, graph.WeightedPath{Path: clp.cands[ref][p], Amount: m})
-			}
-		}
-		if len(wps) == 0 {
-			wps = []graph.WeightedPath{{Path: clp.cands[ref][0], Amount: 1}}
-			positive = 1
-		}
-		candidates[ref] = wps
-		pathsPerFlow[ref] = positive
-	}
-	chosen := loadAwareSelect(inst, order, candidates)
-	cs, err := sim.Run(inst, sim.Config{Paths: chosen, Order: order, Policy: sim.Priority})
+// ScheduleProvable runs the exact LP, flow decomposition and randomized
+// rounding, placing every flow in interval h_α + D; overloads are repaired by
+// stretching the schedule.
+func (s CircuitFreePathsExact) ScheduleProvable(inst *coflow.Instance, rng *rand.Rand) (*Result, error) {
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
-		return nil, fmt.Errorf("core: simulating ASAP schedule: %w", err)
+		return nil, err
 	}
-	res := clp.buildResult(cs, chosen, pathsPerFlow)
-	res.FlowOrder = order
-	_ = rng
-	return res, nil
+	return m.roundProvable(rng)
 }
 
-// loadAwareSelect fixes one path per flow from its LP-supported candidates.
-// Flows are processed in priority order; each takes the candidate that
-// minimizes the resulting bottleneck load (size-weighted, relative to edge
-// capacity), breaking ties toward larger LP mass and then fewer hops. This is
-// the integral counterpart of the LP's fractional load balancing: when the LP
-// splits a flow across symmetric equal-cost paths, successive flows fan out
-// across them instead of piling onto the first.
-func loadAwareSelect(inst *coflow.Instance, order []coflow.FlowRef, candidates map[coflow.FlowRef][]graph.WeightedPath) map[coflow.FlowRef]graph.Path {
-	load := make([]float64, inst.Network.NumEdges())
-	chosen := make(map[coflow.FlowRef]graph.Path, len(order))
-	for _, ref := range order {
-		f := inst.Flow(ref)
-		cands := candidates[ref]
-		bestIdx := 0
-		bestMax, bestSum, bestMass := math.Inf(1), math.Inf(1), -1.0
-		for i, wp := range cands {
-			maxLoad, sumLoad := 0.0, 0.0
-			for _, e := range wp.Path {
-				l := (load[e] + f.Size) / inst.Network.Capacity(e)
-				sumLoad += l
-				if l > maxLoad {
-					maxLoad = l
-				}
-			}
-			better := false
-			switch {
-			case maxLoad < bestMax-1e-12:
-				better = true
-			case maxLoad < bestMax+1e-12 && wp.Amount > bestMass+1e-12:
-				better = true
-			case maxLoad < bestMax+1e-12 && wp.Amount > bestMass-1e-12 && sumLoad < bestSum-1e-12:
-				better = true
-			}
-			if better {
-				bestIdx, bestMax, bestSum, bestMass = i, maxLoad, sumLoad, wp.Amount
-			}
-		}
-		p := cands[bestIdx].Path
-		chosen[ref] = p
-		for _, e := range p {
-			load[e] += f.Size
-		}
+// ScheduleASAP runs the exact LP and the practical start-as-soon-as-possible
+// mode: the decomposed paths of each flow, LP priority order, greedy
+// simulation. It draws nothing from rng.
+func (s CircuitFreePathsExact) ScheduleASAP(inst *coflow.Instance, _ *rand.Rand) (*Result, error) {
+	m, err := solved(s.buildLP(inst))
+	if err != nil {
+		return nil, err
 	}
-	return chosen
+	return m.scheduleASAP()
+}
+
+// Schedule satisfies the common scheduler signature; practical mode.
+func (s CircuitFreePathsExact) Schedule(inst *coflow.Instance, rng *rand.Rand) (*coflow.CircuitSchedule, error) {
+	return scheduleOf(s.ScheduleASAP(inst, rng))
 }

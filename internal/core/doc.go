@@ -31,16 +31,39 @@
 //     possible in the flow-level simulator. This is the "LP-Based" scheme of
 //     the paper's experiments.
 //
+// The framework is written once (framework.go): intervalLP owns the options,
+// the interval grid and release indices, the per-coflow completion variables,
+// the deliver_ and complete_ rows, the solve, α-points, the LP priority order,
+// the weighted path choice (thickest or Raghavan–Thompson), the h_α + D
+// placement with its overload stretch, the ASAP pipeline and the LP evidence
+// every result carries. A formulation keeps only its routing block — the
+// routing interface: the variables a flow gets, the routing and capacity rows,
+// and the weighted routes a solution supports.
+//
+//   - routing_candidates.go: a flow routes over candidate paths and has one
+//     delivery variable per candidate and interval (given paths are the
+//     single-candidate case). Serves CircuitGivenPaths, CircuitFreePaths,
+//     PacketGivenPaths and PacketFreePaths.
+//   - routing_arcs.go: a bandwidth variable per flow, edge and interval with
+//     flow conservation; routes come from flow decomposition. Serves
+//     CircuitFreePathsExact.
+//
+// Every scheduler method is build → solve → one shared rounding
+// (circuit.go, packet_coflow.go); a new coflow model or a builder optimisation
+// is written once, behind one routing block. TestSchedulersPinned holds every
+// mode to the numbers of the two-copy code it replaced, and
+// TestExactLPRelaxesCandidateLP holds the two blocks against each other.
+//
 // The free-path builders (CircuitFreePaths, PacketFreePaths) leave out of the
 // LP every capacity row (e, ℓ) that can never bind: a flow delivers Σx = 1, so
 // the row carries at most the summed size of the flows with a candidate over e
 // divided by |ℓ|, and the interval lengths grow geometrically — two thirds of
 // the capacity rows of a Figure-3 LP are slack by construction. The simplex
-// takes the same pivots without them (slackRowMargin in circuitlp.go has the
-// argument, presolve_test.go the differential test and fuzz target that hold
-// it to the solver). The given-path builders still add every row.
+// takes the same pivots without them (slackRowMargin in routing_candidates.go
+// has the argument, presolve_test.go the differential test and fuzz target
+// that hold it to the solver). The given-path builders still add every row.
 //
 // Packet-based coflows are handled by reducing to unit-time job-shop
 // scheduling (given paths) and to per-interval routing plus scheduling on the
-// original graph (free paths); see packet_given.go and packet_free.go.
+// original graph (free paths); see packet_coflow.go.
 package core

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -55,38 +54,20 @@ func (PacketGivenPaths) Name() string { return "LP-Packet-GivenPaths" }
 
 // Schedule computes the packet schedule and LP evidence.
 func (s PacketGivenPaths) Schedule(inst *coflow.Instance) (*PacketResult, error) {
-	if err := inst.Validate(true); err != nil {
-		return nil, err
-	}
-	if !inst.HasPaths() {
-		return nil, fmt.Errorf("core: PacketGivenPaths requires every packet to carry a path")
-	}
-	cands := make(map[coflow.FlowRef][]graph.Path)
-	paths := make(map[coflow.FlowRef]graph.Path)
-	for _, ref := range inst.FlowRefs() {
-		p := inst.Flow(ref).Path
-		cands[ref] = []graph.Path{p}
-		paths[ref] = p
-	}
-	clp, err := buildCircuitLP(inst, cands, s.Opts, false)
+	m, err := solved(candidateLP(inst, s.Opts, true, false))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
+	paths := make(map[coflow.FlowRef]graph.Path, len(m.refs))
+	for _, ref := range m.refs {
+		paths[ref] = inst.Flow(ref).Path
 	}
-	order := clp.lpOrder()
+	order := m.lpOrder()
 	ps, err := packet.ListSchedule(inst, paths, order, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &PacketResult{
-		Schedule:     ps,
-		LPObjective:  clp.sol.Objective,
-		LowerBound:   clp.sol.Objective / (1 + clp.opts.Epsilon),
-		LPIterations: clp.sol.Iterations,
-		FlowOrder:    order,
-	}, nil
+	return m.packetResult(ps, order), nil
 }
 
 // PacketFreePaths is the §3.2 scheduler: packet-based coflows that need both
@@ -104,43 +85,23 @@ type PacketFreePaths struct {
 // Name identifies the scheduler.
 func (PacketFreePaths) Name() string { return "LP-Packet-FreePaths" }
 
-func (s PacketFreePaths) buildLP(inst *coflow.Instance) (*circuitLP, error) {
-	if err := inst.Validate(true); err != nil {
-		return nil, err
-	}
-	opts := s.Opts.withDefaults()
-	cands := make(map[coflow.FlowRef][]graph.Path)
-	for _, ref := range inst.FlowRefs() {
-		f := inst.Flow(ref)
-		if f.Path != nil {
-			cands[ref] = []graph.Path{f.Path}
-			continue
-		}
-		paths := inst.Network.KShortestPathsCached(f.Source, f.Dest, opts.CandidatePaths)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("core: no path from %d to %d for packet %s", f.Source, f.Dest, ref)
-		}
-		cands[ref] = paths
-	}
-	return buildCircuitLP(inst, cands, opts, true)
+func (s PacketFreePaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
+	return candidateLP(inst, s.Opts, true, true)
 }
 
 // ScheduleASAP routes and schedules every packet in LP priority order using
 // earliest-arrival routing over the time-expanded graph.
 func (s PacketFreePaths) ScheduleASAP(inst *coflow.Instance, _ *rand.Rand) (*PacketResult, error) {
-	clp, err := s.buildLP(inst)
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
-	}
-	order := clp.lpOrder()
+	order := m.lpOrder()
 	ps, err := packet.EarliestArrivalSchedule(inst, order, 0)
 	if err != nil {
 		return nil, err
 	}
-	return s.result(clp, ps, order), nil
+	return m.packetResult(ps, order), nil
 }
 
 // SchedulePhased mirrors the paper's rounding: packets are grouped by their
@@ -150,25 +111,21 @@ func (s PacketFreePaths) ScheduleASAP(inst *coflow.Instance, _ *rand.Rand) (*Pac
 // than ASAP mode but its per-group makespans follow the O(C+D) bound of the
 // underlying routing primitive.
 func (s PacketFreePaths) SchedulePhased(inst *coflow.Instance, _ *rand.Rand) (*PacketResult, error) {
-	clp, err := s.buildLP(inst)
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}
-	if err := clp.solve(); err != nil {
-		return nil, err
-	}
-	opts := clp.opts
 	// Group packets by half-interval.
 	groups := map[int][]coflow.FlowRef{}
 	maxInterval := 0
-	for _, ref := range clp.refs {
-		h := clp.alphaInterval(ref, opts.Alpha)
+	for i, ref := range m.refs {
+		h := m.alphaInterval(i)
 		groups[h] = append(groups[h], ref)
 		if h > maxInterval {
 			maxInterval = h
 		}
 	}
-	order := clp.lpOrder()
+	order := m.lpOrder()
 	rank := make(map[coflow.FlowRef]int, len(order))
 	for i, ref := range order {
 		rank[ref] = i
@@ -194,17 +151,14 @@ func (s PacketFreePaths) SchedulePhased(inst *coflow.Instance, _ *rand.Rand) (*P
 			startAt = m
 		}
 	}
-	return s.result(clp, merged, order), nil
+	return m.packetResult(merged, order), nil
 }
 
-func (s PacketFreePaths) result(clp *circuitLP, ps *coflow.PacketSchedule, order []coflow.FlowRef) *PacketResult {
-	return &PacketResult{
-		Schedule:     ps,
-		LPObjective:  clp.sol.Objective,
-		LowerBound:   clp.sol.Objective / (1 + clp.opts.Epsilon),
-		LPIterations: clp.sol.Iterations,
-		FlowOrder:    order,
-	}
+// packetResult assembles a PacketResult from a packet schedule.
+func (m *intervalLP) packetResult(ps *coflow.PacketSchedule, order []coflow.FlowRef) *PacketResult {
+	res := &PacketResult{Schedule: ps, FlowOrder: order}
+	res.LPObjective, res.LowerBound, res.LPIterations = m.evidence()
+	return res
 }
 
 // sortByRank orders refs by their position in the LP order.

@@ -32,15 +32,15 @@ type capRow struct {
 	l int
 }
 
-// name is the row's name in buildCircuitLP's problem.
+// name is the row's name in the candidate-path LP.
 func (r capRow) name() string { return fmt.Sprintf("cap_e%d_l%d", r.e, r.l) }
 
 var capRowName = regexp.MustCompile(`cap_e\d+_l\d+`)
 
-// capRows returns the names of the capacity rows clp's problem has.
-func capRows(clp *circuitLP) map[string]bool {
+// capRows returns the names of the capacity rows m's problem has.
+func capRows(m *intervalLP) map[string]bool {
 	rows := map[string]bool{}
-	for _, name := range capRowName.FindAllString(clp.prob.String(), -1) {
+	for _, name := range capRowName.FindAllString(m.prob.String(), -1) {
 		rows[name] = true
 	}
 	return rows
@@ -54,16 +54,13 @@ func capRows(clp *circuitLP) map[string]bool {
 // from a demand count of the test's own (maps, no shared code), must be as
 // many as the two LPs differ by, and each must be slack by at least
 // slackRowMargin·capacity at the full LP's optimum.
-func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build func(*coflow.Instance) (*circuitLP, error)) presolveStats {
+func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build func(*coflow.Instance) (*intervalLP, error)) presolveStats {
 	tb.Helper()
 	reduced, err := build(inst)
 	if err != nil {
 		tb.Fatalf("%s: %v", name, err)
 	}
-	full, err := buildCircuitLP(inst, reduced.cands, reduced.opts, false)
-	if err != nil {
-		tb.Fatalf("%s: %v", name, err)
-	}
+	full := withEveryRow(reduced)
 	st := presolveStats{
 		rows:     full.prob.NumConstraints() - 2*len(full.refs),
 		m:        full.prob.NumConstraints(),
@@ -72,10 +69,10 @@ func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build fu
 	if full.prob.NumVariables() != reduced.prob.NumVariables() {
 		tb.Fatalf("%s: %d variables with every row, %d without", name, full.prob.NumVariables(), reduced.prob.NumVariables())
 	}
-	if err := full.solve(); err != nil {
+	if _, err := solved(full, nil); err != nil {
 		tb.Fatalf("%s: full LP: %v", name, err)
 	}
-	if err := reduced.solve(); err != nil {
+	if _, err := solved(reduced, nil); err != nil {
 		tb.Fatalf("%s: presolved LP: %v", name, err)
 	}
 	st.pivots = reduced.sol.Iterations
@@ -104,15 +101,15 @@ func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build fu
 	// of the full LP what it carries at that LP's optimum.
 	demand := map[graph.EdgeID]float64{}
 	load := map[capRow]float64{}
-	for _, ref := range full.refs {
+	for i, ref := range full.refs {
 		size := inst.Flow(ref).Size
 		most := map[graph.EdgeID]int{}
-		for p, path := range full.cands[ref] {
+		for p, path := range candidatesOf(full)[i] {
 			crossings := map[graph.EdgeID]int{}
 			for _, e := range path {
 				crossings[e]++
-				for l := full.relIdx[ref]; l < full.grid.NumIntervals(); l++ {
-					load[capRow{e, l}] += size / full.grid.Length(l) * full.value(ref, p, l)
+				for l := full.rel[i]; l < full.grid.NumIntervals(); l++ {
+					load[capRow{e, l}] += size / full.grid.Length(l) * full.value(full.deliver[i][l][p])
 				}
 			}
 			for e, n := range crossings {
@@ -149,9 +146,19 @@ func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build fu
 	return st
 }
 
+// candidatesOf returns the candidate paths a candidate-path LP was built over,
+// per flow.
+func candidatesOf(m *intervalLP) [][]graph.Path { return m.routing.(*candidateRouting).cands }
+
+// withEveryRow rebuilds a candidate-path LP over the same candidates and
+// options with every capacity row.
+func withEveryRow(m *intervalLP) *intervalLP {
+	return buildIntervalLP(m.inst, m.opts, &candidateRouting{cands: candidatesOf(m)})
+}
+
 // freePathBuild is CircuitFreePaths' builder over four candidate paths, as the
 // benchmark and the pinned tests run it.
-func freePathBuild(inst *coflow.Instance) (*circuitLP, error) {
+func freePathBuild(inst *coflow.Instance) (*intervalLP, error) {
 	return CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.buildLP(inst)
 }
 
@@ -290,15 +297,15 @@ func TestRowPresolveCases(t *testing.T) {
 			if err := inst.Validate(tc.packet); err != nil {
 				t.Fatal(err)
 			}
-			var reduced *circuitLP
-			st := comparePresolve(t, tc.name, inst, func(inst *coflow.Instance) (clp *circuitLP, err error) {
+			var reduced *intervalLP
+			st := comparePresolve(t, tc.name, inst, func(inst *coflow.Instance) (m *intervalLP, err error) {
 				if tc.packet {
-					clp, err = PacketFreePaths{Opts: tc.opts}.buildLP(inst)
+					m, err = PacketFreePaths{Opts: tc.opts}.buildLP(inst)
 				} else {
-					clp, err = CircuitFreePaths{Opts: tc.opts}.buildLP(inst)
+					m, err = CircuitFreePaths{Opts: tc.opts}.buildLP(inst)
 				}
-				reduced = clp
-				return clp, err
+				reduced = m
+				return m, err
 			})
 			if st.dropped == 0 || st.dropped == st.rows {
 				t.Errorf("%d of %d capacity rows left out: the case does not straddle the predicate", st.dropped, st.rows)
@@ -336,10 +343,7 @@ func TestGivenPathLPKeepsEveryRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := buildCircuitLP(inst, given.cands, given.opts, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := withEveryRow(given)
 	if got, want := given.prob.NumConstraints(), full.prob.NumConstraints(); got != want {
 		t.Errorf("given-path LP has %d constraints, %d with every row", got, want)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -402,14 +401,4 @@ func (m *Monitor) Bundles() []BundleInfo {
 		return nil
 	}
 	return m.recorder.list()
-}
-
-// sortedLabelKeys is shared by handlers and the dashboard for stable output.
-func sortedLabelKeys(labels map[string]string) []string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

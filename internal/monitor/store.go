@@ -12,12 +12,14 @@
 package monitor
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"coflowsched/internal/telemetry"
 )
 
 // Point is one sample of one series.
@@ -287,43 +289,22 @@ func (st *Store) CounterRate(sel Selector, now time.Time, window time.Duration) 
 	return total / span, true
 }
 
-// bucket is one cumulative histogram bucket's increase over a window.
-type bucket struct {
-	le    float64
-	delta float64
-}
-
-// HistogramQuantile estimates quantile q (0 < q < 1) of the observations a
-// histogram recorded during [now-window, now], from the deltas of its
-// cumulative name_bucket series. Matching series are summed per le bound
-// (aggregating across shards/instances), then the quantile is linearly
-// interpolated inside the owning bucket, exactly Prometheus's
-// histogram_quantile estimator: the true quantile lies within the owning
-// bucket, so the estimate is off by at most one bucket width.
+// HistogramQuantile estimates quantile q of the observations a histogram
+// recorded during [now-window, now], from the deltas of its cumulative
+// name_bucket series: matching series are summed per le bound (aggregating
+// across shards/instances) and handed to telemetry.HistogramQuantile.
 //
 // sel.Name is the histogram family name (without the _bucket suffix);
 // sel.Labels must not constrain le. ok is false when no observations landed
 // in the window.
 func (st *Store) HistogramQuantile(sel Selector, q float64, now time.Time, window time.Duration) (float64, bool) {
-	buckets, total := st.bucketDeltas(sel, now, window)
-	if total <= 0 || len(buckets) == 0 {
-		return 0, false
-	}
-	return quantileFromBuckets(buckets, total, q), true
-}
-
-// bucketDeltas collects the per-le cumulative-count increases of a histogram
-// over the window, sorted by ascending le, plus the total observation count
-// (the +Inf bucket's delta).
-func (st *Store) bucketDeltas(sel Selector, now time.Time, window time.Duration) ([]bucket, float64) {
-	from := now.Add(-window)
 	byLE := make(map[float64]float64)
-	for _, sd := range st.Query(Selector{Name: sel.Name + "_bucket", Labels: sel.Labels}, from, now) {
+	for _, sd := range st.Query(Selector{Name: sel.Name + "_bucket", Labels: sel.Labels}, now.Add(-window), now) {
 		leRaw, ok := sd.Labels["le"]
 		if !ok || len(sd.Points) < 2 {
 			continue
 		}
-		le, err := parseLE(leRaw)
+		le, err := strconv.ParseFloat(leRaw, 64)
 		if err != nil {
 			continue
 		}
@@ -337,30 +318,7 @@ func (st *Store) bucketDeltas(sel Selector, now time.Time, window time.Duration)
 		}
 		byLE[le] += delta
 	}
-	buckets := make([]bucket, 0, len(byLE))
-	total := 0.0
-	for le, delta := range byLE {
-		buckets = append(buckets, bucket{le: le, delta: delta})
-		if math.IsInf(le, 1) {
-			total = delta
-		}
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	// Cumulative buckets: each bound's count contains every smaller bound's.
-	// Convert to per-bucket counts for interpolation; clamp the tiny negative
-	// artifacts an unlucky scrape alignment can produce.
-	for i := len(buckets) - 1; i > 0; i-- {
-		buckets[i].delta -= buckets[i-1].delta
-		if buckets[i].delta < 0 {
-			buckets[i].delta = 0
-		}
-	}
-	if total == 0 { // page without an explicit +Inf bucket
-		for _, b := range buckets {
-			total += b.delta
-		}
-	}
-	return buckets, total
+	return telemetry.HistogramQuantile(byLE, q)
 }
 
 // QuantileByLabel groups a histogram family by one label and estimates the
@@ -387,51 +345,4 @@ func (st *Store) QuantileByLabel(name, label string, q float64, now time.Time, w
 		}
 	}
 	return out
-}
-
-// quantileFromBuckets interpolates the q-quantile from per-bucket counts.
-func quantileFromBuckets(buckets []bucket, total, q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * total
-	cum := 0.0
-	for i, b := range buckets {
-		cum += b.delta
-		if cum < rank || b.delta == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = buckets[i-1].le
-		}
-		hi := b.le
-		if math.IsInf(hi, 1) {
-			// The observation is beyond the last finite bound; the bound
-			// itself is the best (and Prometheus's) answer.
-			return lo
-		}
-		frac := (rank - (cum - b.delta)) / b.delta
-		return lo + (hi-lo)*frac
-	}
-	// rank beyond every bucket (rounding): the largest finite bound.
-	for i := len(buckets) - 1; i >= 0; i-- {
-		if !math.IsInf(buckets[i].le, 1) {
-			return buckets[i].le
-		}
-	}
-	return 0
-}
-
-// parseLE decodes a bucket bound label, accepting the +Inf form.
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	return v, err
 }

@@ -149,6 +149,32 @@ func TestHistogramQuantileBasics(t *testing.T) {
 	if _, ok := st.HistogramQuantile(Selector{Name: "h"}, 0.5, at(100), time.Second); ok {
 		t.Error("quantile over empty window reported ok")
 	}
+
+	// The edges, where coflowload's own copy of the estimator used to differ:
+	// q outside (0, 1) is clamped, an empty bucket owns no quantile (its bound
+	// is not an answer), and a rank in +Inf reads the last finite bound.
+	// Buckets: none <= 0.1, 4 in (0.1, 1], 4 in (1, 10], 2 beyond.
+	st3 := NewStore(16)
+	for le, v := range map[string]float64{"0.1": 0, "1": 4, "10": 8, "+Inf": 10} {
+		st3.Append("h_bucket", map[string]string{"le": le}, at(0), 0)
+		st3.Append("h_bucket", map[string]string{"le": le}, at(1), v)
+	}
+	for _, tc := range []struct {
+		name    string
+		q, want float64
+	}{
+		{"q = 0 is the lower edge of the first bucket that holds anything", 0, 0.1},
+		{"q below 0 is clamped", -0.5, 0.1},
+		{"a rank inside the second bucket skips the empty first", 0.2, 0.1 + 0.9*2/4},
+		{"a rank on a bucket's upper edge", 0.8, 10},
+		{"a rank in +Inf", 0.9, 10},
+		{"q = 1", 1, 10},
+		{"q above 1 is clamped", 7, 10},
+	} {
+		if v, ok := st3.HistogramQuantile(Selector{Name: "h"}, tc.q, at(1), 5*time.Second); !ok || math.Abs(v-tc.want) > 1e-12 {
+			t.Errorf("%s: q %v = %v, %v; want %v", tc.name, tc.q, v, ok, tc.want)
+		}
+	}
 }
 
 func TestHistogramQuantileAggregatesInstances(t *testing.T) {

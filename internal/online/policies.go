@@ -121,15 +121,15 @@ func (p LPEpoch) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 	if rinst == nil {
 		return nil, nil
 	}
-	res, err := (core.CircuitGivenPaths{Opts: p.Opts}).ScheduleProvable(rinst)
+	lpOrder, err := (core.CircuitGivenPaths{Opts: p.Opts}).Order(rinst)
 	if err != nil {
 		if p.Strict {
 			return nil, fmt.Errorf("online: epoch %d LP: %w", snap.Epoch, err)
 		}
 		return SEBFOnline{}.Decide(snap)
 	}
-	order := make([]coflow.FlowRef, 0, len(res.FlowOrder))
-	for _, r := range res.FlowOrder {
+	order := make([]coflow.FlowRef, 0, len(lpOrder))
+	for _, r := range lpOrder {
 		order = append(order, backrefs[r])
 	}
 	return order, nil

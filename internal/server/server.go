@@ -482,9 +482,6 @@ func (s *Server) Stats() (online.EngineStats, error) {
 	return st, err
 }
 
-// PolicyName names the configured policy.
-func (s *Server) PolicyName() string { return s.cfg.Policy.Name() }
-
 // String identifies the server configuration in logs.
 func (s *Server) String() string {
 	return fmt.Sprintf("coflowd(policy=%s epoch=%v timescale=%v)",

@@ -51,7 +51,6 @@ var runtimeFamilies = []string{
 	"go_gc_pause_seconds_total",
 	"go_gc_cycles_total",
 	"go_gomaxprocs",
-	"go_gc_pause_seconds",
 	"go_sched_latency_seconds",
 }
 

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -41,15 +43,6 @@ outer:
 		return s, true
 	}
 	return Sample{}, false
-}
-
-// Names returns the set of distinct sample names on the page.
-func (m *Metrics) Names() map[string]bool {
-	out := make(map[string]bool, len(m.Samples))
-	for _, s := range m.Samples {
-		out[s.Name] = true
-	}
-	return out
 }
 
 // ParseMetrics parses a Prometheus text-format (version 0.0.4) exposition
@@ -206,4 +199,58 @@ func unquoteLabelValue(rest string) (string, int, error) {
 		}
 	}
 	return "", 0, fmt.Errorf("unterminated quoted value")
+}
+
+// HistogramQuantile estimates quantile q (clamped to [0, 1]) of the
+// observations behind a histogram's cumulative bucket counts, keyed by upper
+// bound (the parsed le label; strconv.ParseFloat reads its +Inf form). Counts
+// of several instances add per bound before the call. The quantile is linearly
+// interpolated inside the owning bucket, exactly Prometheus's
+// histogram_quantile estimator: the true quantile lies within the owning
+// bucket, so the estimate is off by at most one bucket width. The observation
+// count is the +Inf bucket's (the sum of the buckets on a page without one);
+// ok is false when it is zero.
+func HistogramQuantile(cumulative map[float64]float64, q float64) (v float64, ok bool) {
+	type bucket struct{ le, count float64 }
+	buckets := make([]bucket, 0, len(cumulative))
+	total := 0.0
+	for le, c := range cumulative {
+		buckets = append(buckets, bucket{le, c})
+		if math.IsInf(le, 1) {
+			total = c
+		}
+	}
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	// Each bound's count contains every smaller bound's. Convert to per-bucket
+	// counts for interpolation; clamp the tiny negative artifacts an unlucky
+	// scrape alignment can produce.
+	for i := len(buckets) - 1; i > 0; i-- {
+		buckets[i].count = math.Max(buckets[i].count-buckets[i-1].count, 0)
+	}
+	if total == 0 {
+		for _, b := range buckets {
+			total += b.count
+		}
+	}
+	if total <= 0 {
+		return 0, false
+	}
+	rank := math.Min(math.Max(q, 0), 1) * total
+	cum, lo := 0.0, 0.0
+	for _, b := range buckets {
+		cum += b.count
+		if cum >= rank && b.count > 0 {
+			if math.IsInf(b.le, 1) {
+				// The observation is beyond the last finite bound; the bound
+				// itself is the best (and Prometheus's) answer.
+				return lo, true
+			}
+			return lo + (b.le-lo)*(rank-(cum-b.count))/b.count, true
+		}
+		if !math.IsInf(b.le, 1) {
+			lo = b.le
+		}
+	}
+	// rank beyond every bucket (rounding): the largest finite bound.
+	return lo, true
 }

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// runtimeHistBuckets bound the mirrored runtime latency histograms (GC pause,
-// scheduler latency): sub-microsecond pauses up to a second. The runtime's
+// runtimeHistBuckets bound the mirrored runtime latency histogram (scheduler
+// latency): sub-microsecond waits up to a second. The runtime's
 // own bucket boundaries are much finer; each runtime bucket is folded into
 // the first bound at or above its upper edge, so the mirror never
 // under-reports a latency bucket.
@@ -16,8 +16,8 @@ var runtimeHistBuckets = []float64{1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1}
 
 // RegisterRuntimeCollector adds Go process-health series to a registry:
 // goroutine count, heap bytes, cumulative GC pause seconds, GC cycle count,
-// GOMAXPROCS, plus runtime/metrics distributions of individual GC pauses and
-// goroutine scheduling latencies. Values are read from the runtime at scrape
+// GOMAXPROCS, plus the runtime/metrics distribution of goroutine scheduling
+// latencies. Values are read from the runtime at scrape
 // time through an OnScrape hook, so an idle daemon costs nothing between
 // scrapes.
 //
@@ -31,12 +31,8 @@ func RegisterRuntimeCollector(r *Registry) {
 	gcPause := r.Counter("go_gc_pause_seconds_total", "cumulative stop-the-world GC pause time")
 	gcCycles := r.Counter("go_gc_cycles_total", "completed GC cycles")
 	maxProcs := r.Gauge("go_gomaxprocs", "GOMAXPROCS setting")
-	gcPauses := r.Histogram("go_gc_pause_seconds", "distribution of individual stop-the-world GC pause durations", runtimeHistBuckets)
 	schedLat := r.Histogram("go_sched_latency_seconds", "distribution of time goroutines spend runnable before running", runtimeHistBuckets)
-	samples := []rtmetrics.Sample{
-		{Name: "/gc/pauses:seconds"},
-		{Name: "/sched/latencies:seconds"},
-	}
+	samples := []rtmetrics.Sample{{Name: "/sched/latencies:seconds"}}
 	r.OnScrape(func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -46,8 +42,7 @@ func RegisterRuntimeCollector(r *Registry) {
 		gcCycles.Set(float64(ms.NumGC))
 		maxProcs.Set(float64(runtime.GOMAXPROCS(0)))
 		rtmetrics.Read(samples)
-		mirrorRuntimeHist(gcPauses, samples[0].Value)
-		mirrorRuntimeHist(schedLat, samples[1].Value)
+		mirrorRuntimeHist(schedLat, samples[0].Value)
 	})
 }
 
