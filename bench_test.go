@@ -236,14 +236,14 @@ func BenchmarkLPSolverDense(b *testing.B) {
 		const n, m = 60, 40
 		vars := make([]lp.Var, n)
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVariable("", 0, lp.Inf, float64(j%7+1))
+			vars[j] = p.AddVariable(0, lp.Inf, float64(j%7+1))
 		}
 		for i := 0; i < m; i++ {
 			terms := make([]lp.Term, n)
 			for j := 0; j < n; j++ {
 				terms[j] = lp.Term{Var: vars[j], Coef: float64((i*j)%5 + 1)}
 			}
-			p.AddConstraint("", lp.GE, float64(10+i), terms...)
+			p.AddConstraint(lp.GE, float64(10+i), terms...)
 		}
 		return p
 	}

@@ -176,7 +176,7 @@ func (s CircuitFreePathsExact) buildLP(inst *coflow.Instance) (*intervalLP, erro
 	if err := inst.Validate(false); err != nil {
 		return nil, err
 	}
-	return buildIntervalLP(inst, s.Opts, &arcRouting{}), nil
+	return buildIntervalLP(inst, inst.FlowRefs(), s.Opts, &arcRouting{}), nil
 }
 
 // ScheduleProvable runs the exact LP, flow decomposition and randomized

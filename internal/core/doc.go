@@ -54,6 +54,12 @@
 // mode to the numbers of the two-copy code it replaced, and
 // TestExactLPRelaxesCandidateLP holds the two blocks against each other.
 //
+// The builders format and store no names: intervalLP is its problem's lp.Names
+// and reads C_<c>, x_<flow>_p<p>_l<ℓ>, cap_e<e>_l<ℓ> and the rest off a
+// variable's or row's position in the build order (names.go) when
+// Problem.String, Problem.VariableName or a modelling panic asks.
+// TestProblemStringGolden holds the text to that of the stored names it replaced.
+//
 // The free-path builders (CircuitFreePaths, PacketFreePaths) leave out of the
 // LP every capacity row (e, ℓ) that can never bind: a flow delivers Σx = 1, so
 // the row carries at most the summed size of the flows with a candidate over e

@@ -37,6 +37,10 @@ type routing interface {
 	// fallback is the route for a flow whose routes all carry less than
 	// massTol.
 	fallback(m *intervalLP, i int) graph.Path
+	// varName names the k-th variable flowVars added for flow i, rowName the
+	// k-th row addRows added (names.go).
+	varName(m *intervalLP, i, k int) string
+	rowName(m *intervalLP, k int) string
 }
 
 // intervalLP is the paper's interval-indexed LP in every form the schedulers
@@ -62,28 +66,31 @@ type intervalLP struct {
 	sol *lp.Solution
 }
 
-// buildIntervalLP constructs (but does not solve) the LP over r's routing
-// block. Variables go in as completion times, then flow by flow; rows as
-// delivery and completion flow by flow, then the block's own. Row and column
-// order steer the simplex's pivoting, so they are part of the pinned output.
-func buildIntervalLP(inst *coflow.Instance, opts Options, r routing) *intervalLP {
+// buildIntervalLP constructs (but does not solve) the LP of inst, whose flows
+// in instance order are refs, over r's routing block. Variables go in as
+// completion times, then flow by flow; rows as delivery and completion flow by
+// flow, then the block's own. Row and column order steer the simplex's
+// pivoting, so they are part of the pinned output; names.go reads the names
+// off them.
+func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options, r routing) *intervalLP {
 	opts = opts.withDefaults()
 	horizon := inst.TimeHorizon() * math.Pow(1+opts.Epsilon, float64(opts.Displacement+2))
 	m := &intervalLP{
 		inst:    inst,
 		opts:    opts,
 		grid:    intervals.New(opts.Epsilon, horizon),
-		refs:    inst.FlowRefs(),
+		refs:    refs,
 		prob:    lp.NewProblem(lp.Minimize),
 		routing: r,
 	}
+	m.prob.SetNames(m)
 	L := m.grid.NumIntervals()
 
 	// Completion variable per coflow (the dummy flow f_{i0} of the
 	// reformulation), carrying the coflow weight in the objective.
 	m.coflowVar = make([]lp.Var, len(inst.Coflows))
 	for c, cf := range inst.Coflows {
-		m.coflowVar[c] = m.prob.AddVariable(fmt.Sprintf("C_%d", c), 0, lp.Inf, cf.Weight)
+		m.coflowVar[c] = m.prob.AddVariable(0, lp.Inf, cf.Weight)
 	}
 
 	m.rel = make([]int, len(m.refs))
@@ -106,9 +113,9 @@ func buildIntervalLP(inst *coflow.Instance, opts Options, r routing) *intervalLP
 				}
 			}
 		}
-		m.prob.AddConstraint(fmt.Sprintf("deliver_%s", ref), lp.EQ, 1, sumTerms...)
+		m.prob.AddConstraint(lp.EQ, 1, sumTerms...)
 		timeTerms = append(timeTerms, lp.Term{Var: m.coflowVar[ref.Coflow], Coef: -1})
-		m.prob.AddConstraint(fmt.Sprintf("complete_%s", ref), lp.LE, 0, timeTerms...)
+		m.prob.AddConstraint(lp.LE, 0, timeTerms...)
 	}
 
 	r.addRows(m)

@@ -144,14 +144,14 @@ func solveCases(tb testing.TB) []solveCase {
 	dense := lp.NewProblem(lp.Minimize)
 	vars := make([]lp.Var, 60)
 	for j := range vars {
-		vars[j] = dense.AddVariable("", 0, lp.Inf, float64(j%7+1))
+		vars[j] = dense.AddVariable(0, lp.Inf, float64(j%7+1))
 	}
 	for i := 0; i < 40; i++ {
 		terms := make([]lp.Term, len(vars))
 		for j := range terms {
 			terms[j] = lp.Term{Var: vars[j], Coef: float64((i*j)%5 + 1)}
 		}
-		dense.AddConstraint("", lp.GE, float64(10+i), terms...)
+		dense.AddConstraint(lp.GE, float64(10+i), terms...)
 	}
 	return []solveCase{
 		{"freepath-4x4", free.prob, 1280 << 10},
@@ -198,6 +198,71 @@ func BenchmarkSolve(b *testing.B) {
 				pivots += sol.Iterations
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
+	}
+}
+
+// buildCase is one LP shape the builder sees, with the allocations one build
+// of it may make.
+type buildCase struct {
+	name   string
+	build  func() (*intervalLP, error)
+	allocs float64
+}
+
+// buildCases are the two shapes the benchmark's LP workloads build: the
+// free-path LP of solveCases (offline-fig3) and a given-path LP the size of an
+// online-lp-k4 residual — 2 coflows, 4 flows, everything released; the
+// stream's 1 198 decides see 1-4 coflows and 1-10 flows, 2 and 3-5 at the
+// median. The budgets sit about 10 % above what a build makes (1 801 and 616
+// allocations; candidateRouting.addRows' term gathering is most of them),
+// where one name per variable and row and one map per merged row made it
+// 4 336 and 999.
+func buildCases(tb testing.TB) []buildCase {
+	tb.Helper()
+	g := graph.FatTree(4, 1)
+	free, _ := fig3Instance(tb, g, 0)
+	residual, err := workload.Generate(g, workload.Config{
+		NumCoflows: 2, Width: 2, MeanSize: 4}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := residual.AssignShortestPaths(); err != nil {
+		tb.Fatal(err)
+	}
+	return []buildCase{
+		{"freepath-4x4", func() (*intervalLP, error) { return freePathBuild(free) }, 1980},
+		{"residual-2x2", func() (*intervalLP, error) { return CircuitGivenPaths{}.buildLP(residual) }, 675},
+	}
+}
+
+// TestBuildAllocBudget holds one build of each shape to an allocation count, so
+// that a string per variable or row, or a map per row, cannot come back unseen.
+func TestBuildAllocBudget(t *testing.T) {
+	for _, bc := range buildCases(t) {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := bc.build(); err != nil {
+				t.Fatalf("%s: %v", bc.name, err)
+			}
+		})
+		t.Logf("%s: %v allocations per build, budget %v", bc.name, allocs, bc.allocs)
+		if allocs > bc.allocs {
+			t.Errorf("%s: one build makes %v allocations, budget %v", bc.name, allocs, bc.allocs)
+		}
+	}
+}
+
+// BenchmarkBuild times the builders alone (validation, candidate paths from the
+// warm memo, variables, rows; no solve) on the shapes of buildCases.
+func BenchmarkBuild(b *testing.B) {
+	for _, bc := range buildCases(b) {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

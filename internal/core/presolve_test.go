@@ -153,7 +153,7 @@ func candidatesOf(m *intervalLP) [][]graph.Path { return m.routing.(*candidateRo
 // withEveryRow rebuilds a candidate-path LP over the same candidates and
 // options with every capacity row.
 func withEveryRow(m *intervalLP) *intervalLP {
-	return buildIntervalLP(m.inst, m.opts, &candidateRouting{cands: candidatesOf(m)})
+	return buildIntervalLP(m.inst, m.refs, m.opts, &candidateRouting{cands: candidatesOf(m)})
 }
 
 // freePathBuild is CircuitFreePaths' builder over four candidate paths, as the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"coflowsched/internal/graph"
 	"coflowsched/internal/lp"
 )
@@ -21,10 +19,10 @@ func (r *arcRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	L, E := m.grid.NumIntervals(), m.inst.Network.NumEdges()
 	deliver, ys := make([][]lp.Var, L), make([][]lp.Var, L)
 	for l := rel; l < L; l++ {
-		deliver[l] = []lp.Var{m.prob.AddVariable(fmt.Sprintf("x_%s_l%d", m.refs[i], l), 0, lp.Inf, 0)}
+		deliver[l] = []lp.Var{m.prob.AddVariable(0, lp.Inf, 0)}
 		ys[l] = make([]lp.Var, E)
 		for e := range ys[l] {
-			ys[l][e] = m.prob.AddVariable(fmt.Sprintf("y_%s_l%d_e%d", m.refs[i], l, e), 0, lp.Inf, 0)
+			ys[l][e] = m.prob.AddVariable(0, lp.Inf, 0)
 		}
 	}
 	if r.y == nil {
@@ -34,58 +32,65 @@ func (r *arcRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	return deliver
 }
 
-// addRows adds flow conservation (18)–(20), per flow and interval, and
-// capacity (21), per edge and interval.
-func (r *arcRouting) addRows(m *intervalLP) {
-	g := m.inst.Network
-	L := m.grid.NumIntervals()
+// rows calls visit for every row of the block in LP order: flow conservation
+// (18)–(20) per flow i and interval l — at its destination ("dest"), at its
+// source ("src") and at every other node x that has an edge ("cons") — and
+// then capacity (21) per interval, from the earliest release on, and edge x
+// ("cap"). addRows fills the rows in and rowName names them.
+func (r *arcRouting) rows(m *intervalLP, visit func(kind string, i, l, x int)) {
+	g, L := m.inst.Network, m.grid.NumIntervals()
+	first := L
 	for i, ref := range m.refs {
 		f := m.inst.Flow(ref)
+		first = min(first, m.rel[i])
 		for l := m.rel[i]; l < L; l++ {
-			ys := r.y[i][l]
-			// net is Σ y over plus minus Σ y over minus.
-			net := func(plus, minus []graph.EdgeID) []lp.Term {
-				var terms []lp.Term
-				for _, e := range plus {
-					terms = append(terms, lp.Term{Var: ys[e], Coef: 1})
-				}
-				for _, e := range minus {
-					terms = append(terms, lp.Term{Var: ys[e], Coef: -1})
-				}
-				return terms
-			}
-			// Net flow into the destination, and out of the source, equals the
-			// bandwidth σ x / len(ℓ) of what the interval delivers.
-			delivered := lp.Term{Var: m.deliver[i][l][0], Coef: -f.Size / m.grid.Length(l)}
-			m.prob.AddConstraint(fmt.Sprintf("dest_%s_l%d", ref, l), lp.EQ, 0,
-				append(net(g.In(f.Dest), g.Out(f.Dest)), delivered)...)
-			m.prob.AddConstraint(fmt.Sprintf("src_%s_l%d", ref, l), lp.EQ, 0,
-				append(net(g.Out(f.Source), g.In(f.Source)), delivered)...)
-			// Conservation at every other node.
+			visit("dest", i, l, int(f.Dest))
+			visit("src", i, l, int(f.Source))
 			for v := 0; v < g.NumNodes(); v++ {
-				node := graph.NodeID(v)
-				if node == f.Source || node == f.Dest {
-					continue
-				}
-				if terms := net(g.Out(node), g.In(node)); len(terms) > 0 {
-					m.prob.AddConstraint(fmt.Sprintf("cons_%s_l%d_v%d", ref, l, v), lp.EQ, 0, terms...)
+				if node := graph.NodeID(v); node != f.Source && node != f.Dest && len(g.Out(node))+len(g.In(node)) > 0 {
+					visit("cons", i, l, v)
 				}
 			}
 		}
 	}
-	for l := 0; l < L; l++ {
+	for l := first; l < L; l++ {
 		for e := 0; e < g.NumEdges(); e++ {
-			var terms []lp.Term
+			visit("cap", -1, l, e)
+		}
+	}
+}
+
+func (r *arcRouting) addRows(m *intervalLP) {
+	g := m.inst.Network
+	r.rows(m, func(kind string, i, l, x int) {
+		var terms []lp.Term
+		if kind == "cap" {
 			for i := range m.refs {
 				if l >= m.rel[i] {
-					terms = append(terms, lp.Term{Var: r.y[i][l][e], Coef: 1})
+					terms = append(terms, lp.Term{Var: r.y[i][l][x], Coef: 1})
 				}
 			}
-			if len(terms) > 0 {
-				m.prob.AddConstraint(fmt.Sprintf("cap_e%d_l%d", e, l), lp.LE, g.Capacity(graph.EdgeID(e)), terms...)
-			}
+			m.prob.AddConstraint(lp.LE, g.Capacity(graph.EdgeID(x)), terms...)
+			return
 		}
-	}
+		// Net flow out of the node — into it at the destination — is zero, or
+		// at the flow's two ends the bandwidth σ x / len(ℓ) of what the interval
+		// delivers.
+		plus, minus := g.Out(graph.NodeID(x)), g.In(graph.NodeID(x))
+		if kind == "dest" {
+			plus, minus = minus, plus
+		}
+		for _, e := range plus {
+			terms = append(terms, lp.Term{Var: r.y[i][l][e], Coef: 1})
+		}
+		for _, e := range minus {
+			terms = append(terms, lp.Term{Var: r.y[i][l][e], Coef: -1})
+		}
+		if kind != "cons" {
+			terms = append(terms, lp.Term{Var: m.deliver[i][l][0], Coef: -m.inst.Flow(m.refs[i]).Size / m.grid.Length(l)})
+		}
+		m.prob.AddConstraint(lp.EQ, 0, terms...)
+	})
 }
 
 // routes aggregates flow i's fractional routing over all intervals into the

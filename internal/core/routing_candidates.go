@@ -20,20 +20,30 @@ type candidateRouting struct {
 	// dropSlackRows leaves out the capacity rows that can never bind
 	// (slackRowMargin).
 	dropSlackRows bool
+	// edgeTerms is what addRows gathered: per edge some candidate crosses and
+	// per interval, the capacity row's terms (none: no row). rowName reads the
+	// rows' order off it.
+	edgeTerms map[graph.EdgeID][][]lp.Term
 }
 
-// candidateSets returns every flow's candidates: its pre-assigned path alone
-// where it has one, else its k shortest paths. With k = 0 the paths are given,
-// and a flow without one is an error.
-func candidateSets(inst *coflow.Instance, k int) ([][]graph.Path, error) {
-	refs := inst.FlowRefs()
+// candidateLP builds the candidate-path LP of inst, validated as packets or as
+// circuits. A flow's candidates are its pre-assigned path alone where it has
+// one. With free set, a flow without a path gets opts.CandidatePaths shortest
+// candidates and the capacity rows that can never bind are left out; without
+// it every flow must carry its path and every row is kept (ROADMAP queued gain
+// (e) has what the row presolve would move there).
+func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*intervalLP, error) {
+	if err := inst.Validate(packet); err != nil {
+		return nil, err
+	}
+	refs, k := inst.FlowRefs(), opts.withDefaults().CandidatePaths
 	cands := make([][]graph.Path, len(refs))
 	for i, ref := range refs {
 		f := inst.Flow(ref)
 		switch {
 		case f.Path != nil:
 			cands[i] = []graph.Path{f.Path}
-		case k == 0:
+		case !free:
 			return nil, fmt.Errorf("core: flow %s carries no path, and this scheduler takes paths as given", ref)
 		default:
 			cands[i] = inst.Network.KShortestPathsCached(f.Source, f.Dest, k)
@@ -42,27 +52,7 @@ func candidateSets(inst *coflow.Instance, k int) ([][]graph.Path, error) {
 			return nil, fmt.Errorf("core: no path from %d to %d for flow %s", f.Source, f.Dest, ref)
 		}
 	}
-	return cands, nil
-}
-
-// candidateLP builds the candidate-path LP of inst, validated as packets or as
-// circuits. With free set, a flow without a path gets opts.CandidatePaths
-// shortest candidates and the capacity rows that can never bind are left out;
-// without it every flow must carry its path and every row is kept (ROADMAP
-// queued gain (e) has what the row presolve would move there).
-func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*intervalLP, error) {
-	if err := inst.Validate(packet); err != nil {
-		return nil, err
-	}
-	k := 0
-	if free {
-		k = opts.withDefaults().CandidatePaths
-	}
-	cands, err := candidateSets(inst, k)
-	if err != nil {
-		return nil, err
-	}
-	return buildIntervalLP(inst, opts, &candidateRouting{cands: cands, dropSlackRows: free}), nil
+	return buildIntervalLP(inst, refs, opts, &candidateRouting{cands: cands, dropSlackRows: free}), nil
 }
 
 func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
@@ -73,7 +63,7 @@ func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	}
 	for p := range r.cands[i] {
 		for l := rel; l < L; l++ {
-			deliver[l][p] = m.prob.AddVariable(fmt.Sprintf("x_%s_p%d_l%d", m.refs[i], p, l), 0, lp.Inf, 0)
+			deliver[l][p] = m.prob.AddVariable(0, lp.Inf, 0)
 		}
 	}
 	return deliver
@@ -167,13 +157,14 @@ func (r *candidateRouting) addRows(m *intervalLP) {
 		edges = append(edges, e)
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+	r.edgeTerms = edgeTerms
 	for _, e := range edges {
 		capacity := m.inst.Network.Capacity(e)
-		for l, terms := range edgeTerms[e] {
+		for _, terms := range edgeTerms[e] {
 			if len(terms) == 0 {
 				continue
 			}
-			m.prob.AddConstraint(fmt.Sprintf("cap_e%d_l%d", e, l), lp.LE, capacity, terms...)
+			m.prob.AddConstraint(lp.LE, capacity, terms...)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 	load := make([][]Term, edges*intervals)
 	for f := 0; f < flows; f++ {
 		size := 1 + float64(rng.Intn(4))
-		c := p.AddVariable("", 0, Inf, 1+float64(rng.Intn(3)))
+		c := p.AddVariable(0, Inf, 1+float64(rng.Intn(3)))
 		deliver := make([]Term, 0, paths*intervals)
 		finish := []Term{{c, 1}}
 		var closed []Term
@@ -134,7 +134,7 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 			route := rng.Perm(edges)[:2+rng.Intn(2)]
 			start := 0.0
 			for iv := 0; iv < intervals; iv++ {
-				x := p.AddVariable("", 0, 1, 0)
+				x := p.AddVariable(0, 1, 0)
 				deliver = append(deliver, Term{x, 1})
 				finish = append(finish, Term{x, -start})
 				if q == paths-1 && q > 0 && f%2 == 0 {
@@ -146,16 +146,16 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 				start = float64(int(1) << iv)
 			}
 		}
-		p.AddConstraint("", EQ, 1, deliver...)
-		p.AddConstraint("", GE, 0, finish...)
+		p.AddConstraint(EQ, 1, deliver...)
+		p.AddConstraint(GE, 0, finish...)
 		if closed != nil {
-			p.AddConstraint("", EQ, 0, closed...)
+			p.AddConstraint(EQ, 0, closed...)
 		}
 	}
 	for e := 0; e < edges; e++ {
 		length := 1.0
 		for iv := 0; iv < intervals; iv++ {
-			p.AddConstraint("", LE, length, load[e*intervals+iv]...)
+			p.AddConstraint(LE, length, load[e*intervals+iv]...)
 			if iv > 0 {
 				length *= 2
 			}
@@ -173,17 +173,17 @@ func degenerateLP(rng *rand.Rand, n, extra int) *Problem {
 	p := NewProblem(Maximize)
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = p.AddVariable("", 0, Inf, 1)
+		vars[j] = p.AddVariable(0, Inf, 1)
 	}
 	for j := 0; j+1 < n; j++ {
-		p.AddConstraint("", LE, 0, Term{vars[j], 1}, Term{vars[j+1], -1})
+		p.AddConstraint(LE, 0, Term{vars[j], 1}, Term{vars[j+1], -1})
 	}
 	for i := 0; i < extra; i++ {
 		if a, b := rng.Intn(n), rng.Intn(n); a < b {
-			p.AddConstraint("", LE, 0, Term{vars[a], float64(1 + rng.Intn(2))}, Term{vars[b], -float64(2 + rng.Intn(2))})
+			p.AddConstraint(LE, 0, Term{vars[a], float64(1 + rng.Intn(2))}, Term{vars[b], -float64(2 + rng.Intn(2))})
 		}
 	}
-	p.AddConstraint("", LE, 1, Term{vars[n-1], 1})
+	p.AddConstraint(LE, 1, Term{vars[n-1], 1})
 	return p
 }
 
@@ -194,14 +194,14 @@ func denseCoverLP(n, m int) *Problem {
 	p := NewProblem(Minimize)
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = p.AddVariable("", 0, Inf, float64(j%7+1))
+		vars[j] = p.AddVariable(0, Inf, float64(j%7+1))
 	}
 	for i := 0; i < m; i++ {
 		terms := make([]Term, n)
 		for j := range terms {
 			terms[j] = Term{vars[j], float64((i*j)%5 + 1)}
 		}
-		p.AddConstraint("", GE, float64(10+i), terms...)
+		p.AddConstraint(GE, float64(10+i), terms...)
 	}
 	return p
 }
@@ -398,7 +398,7 @@ func fuzzLP(seed int64, n, m, density uint8) *Problem {
 		if j%3 == 2 {
 			ub = float64(1 + rng.Intn(6))
 		}
-		vars[j] = p.AddVariable("", 0, ub, float64(rng.Intn(9)-2))
+		vars[j] = p.AddVariable(0, ub, float64(rng.Intn(9)-2))
 		x0[j] = float64(rng.Intn(3))
 		if x0[j] > ub {
 			x0[j] = ub
@@ -416,11 +416,11 @@ func fuzzLP(seed int64, n, m, density uint8) *Problem {
 		}
 		switch rng.Intn(4) {
 		case 0:
-			p.AddConstraint("", EQ, lhs, terms...)
+			p.AddConstraint(EQ, lhs, terms...)
 		case 1:
-			p.AddConstraint("", GE, lhs+float64(rng.Intn(4)-2), terms...)
+			p.AddConstraint(GE, lhs+float64(rng.Intn(4)-2), terms...)
 		default:
-			p.AddConstraint("", LE, lhs+float64(rng.Intn(4)-1), terms...)
+			p.AddConstraint(LE, lhs+float64(rng.Intn(4)-1), terms...)
 		}
 	}
 	return p

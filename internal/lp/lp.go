@@ -14,20 +14,25 @@
 // The API is deliberately small:
 //
 //	p := lp.NewProblem(lp.Minimize)
-//	x := p.AddVariable("x", 0, lp.Inf, 2.0)
-//	y := p.AddVariable("y", 0, 10, 3.0)
-//	p.AddConstraint("c1", lp.GE, 4, lp.Term{Var: x, Coef: 1}, lp.Term{Var: y, Coef: 1})
+//	x := p.AddVariable(0, lp.Inf, 2.0)
+//	y := p.AddVariable(0, 10, 3.0)
+//	p.AddConstraint(lp.GE, 4, lp.Term{Var: x, Coef: 1}, lp.Term{Var: y, Coef: 1})
 //	sol, err := p.Solve(nil)
 //	_ = sol.Value(x)
 //
 // Variables carry lower and upper bounds; finite upper bounds are handled by
 // the solver (internally as additional rows), so callers never need to add
 // bound rows themselves.
+//
+// A Problem stores no names: variables and rows are x0, x1, … and r0, r1, …
+// unless SetNames is given a Names that knows better, and either is asked only
+// when String, VariableName or the panic of a modelling bug wants a text.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -82,19 +87,31 @@ type Term struct {
 
 // variable is the internal record for a decision variable.
 type variable struct {
-	name string
-	lb   float64
-	ub   float64
-	obj  float64
+	lb  float64
+	ub  float64
+	obj float64
 }
 
 // constraint is the internal record for a linear constraint.
 type constraint struct {
-	name  string
 	op    Op
 	rhs   float64
 	terms []Term
 }
+
+// Names derives the names of a problem's variables and rows, the one being
+// added included (a panic names the offender), from whatever layout the
+// problem's builder keeps.
+type Names interface {
+	VariableName(v Var) string
+	ConstraintName(row int) string
+}
+
+// indexNames is the Names of a problem that was given none.
+type indexNames struct{}
+
+func (indexNames) VariableName(v Var) string     { return "x" + strconv.Itoa(int(v)) }
+func (indexNames) ConstraintName(row int) string { return "r" + strconv.Itoa(row) }
 
 // Problem is a linear program under construction. The zero value is not
 // usable; create instances with NewProblem.
@@ -102,11 +119,17 @@ type Problem struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	names Names
+	// stamp[v] is stamped+1+k while mergeTerms is on a row that has v as its
+	// k-th distinct variable, at most stamped otherwise: stamped grows by the
+	// row's length per merge, so the table is never cleared.
+	stamp   []int
+	stamped int
 }
 
 // NewProblem returns an empty linear program with the given objective sense.
 func NewProblem(sense Sense) *Problem {
-	return &Problem{sense: sense}
+	return &Problem{sense: sense, names: indexNames{}}
 }
 
 // Sense reports the objective sense of the problem.
@@ -118,22 +141,27 @@ func (p *Problem) NumVariables() int { return len(p.vars) }
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
+// SetNames gives the problem the source of its variables' and rows' names.
+func (p *Problem) SetNames(n Names) { p.names = n }
+
 // AddVariable adds a decision variable with the given bounds and objective
 // coefficient and returns its handle. lb may be any finite value, ub may be
 // lp.Inf. AddVariable panics if lb > ub or either bound is NaN, since that
 // always indicates a modelling bug.
-func (p *Problem) AddVariable(name string, lb, ub, obj float64) Var {
+func (p *Problem) AddVariable(lb, ub, obj float64) Var {
+	v := Var(len(p.vars))
 	if math.IsNaN(lb) || math.IsNaN(ub) || math.IsNaN(obj) {
-		panic(fmt.Sprintf("lp: NaN in variable %q (lb=%v ub=%v obj=%v)", name, lb, ub, obj))
+		panic(fmt.Sprintf("lp: NaN in variable %q (lb=%v ub=%v obj=%v)", p.VariableName(v), lb, ub, obj))
 	}
 	if lb > ub {
-		panic(fmt.Sprintf("lp: variable %q has lb %v > ub %v", name, lb, ub))
+		panic(fmt.Sprintf("lp: variable %q has lb %v > ub %v", p.VariableName(v), lb, ub))
 	}
 	if math.IsInf(lb, -1) {
-		panic(fmt.Sprintf("lp: variable %q has -inf lower bound (not supported)", name))
+		panic(fmt.Sprintf("lp: variable %q has -inf lower bound (not supported)", p.VariableName(v)))
 	}
-	p.vars = append(p.vars, variable{name: name, lb: lb, ub: ub, obj: obj})
-	return Var(len(p.vars) - 1)
+	p.vars = append(p.vars, variable{lb: lb, ub: ub, obj: obj})
+	p.stamp = append(p.stamp, 0)
+	return v
 }
 
 // SetObjective overrides the objective coefficient of an existing variable.
@@ -141,53 +169,53 @@ func (p *Problem) SetObjective(v Var, coef float64) {
 	p.vars[v].obj = coef
 }
 
-// VariableName returns the name given to v at creation time.
-func (p *Problem) VariableName(v Var) string { return p.vars[v].name }
+// VariableName returns what the problem's Names calls v.
+func (p *Problem) VariableName(v Var) string { return p.names.VariableName(v) }
 
 // AddConstraint adds the constraint sum(terms) op rhs and returns its row
 // index. Terms referring to the same variable are merged. Zero-coefficient
 // terms are dropped.
-func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) int {
+func (p *Problem) AddConstraint(op Op, rhs float64, terms ...Term) int {
+	row := len(p.cons)
 	if math.IsNaN(rhs) {
-		panic(fmt.Sprintf("lp: NaN rhs in constraint %q", name))
+		panic(fmt.Sprintf("lp: NaN rhs in constraint %q", p.names.ConstraintName(row)))
 	}
-	merged := mergeTerms(terms)
+	merged := p.mergeTerms(terms)
 	for _, t := range merged {
-		if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
-			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
-		}
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-			panic(fmt.Sprintf("lp: constraint %q has non-finite coefficient for %s", name, p.vars[t.Var].name))
+			panic(fmt.Sprintf("lp: constraint %q has non-finite coefficient for %s", p.names.ConstraintName(row), p.VariableName(t.Var)))
 		}
 	}
-	p.cons = append(p.cons, constraint{name: name, op: op, rhs: rhs, terms: merged})
-	return len(p.cons) - 1
+	p.cons = append(p.cons, constraint{op: op, rhs: rhs, terms: merged})
+	return row
 }
 
 // mergeTerms combines duplicate variables and drops zero coefficients while
-// preserving first-appearance order.
-func mergeTerms(terms []Term) []Term {
-	if len(terms) <= 1 {
-		out := make([]Term, 0, len(terms))
-		for _, t := range terms {
-			if t.Coef != 0 {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	index := make(map[Var]int, len(terms))
+// preserving first-appearance order; a duplicate's coefficients are summed in
+// the order they come. It finds a duplicate through p.stamp, so it panics on a
+// variable the problem never issued before it would index the table with it.
+func (p *Problem) mergeTerms(terms []Term) []Term {
 	out := make([]Term, 0, len(terms))
+	base := p.stamped + 1
+	p.stamped += len(terms)
+	merged := false
 	for _, t := range terms {
 		if t.Coef == 0 {
 			continue
 		}
-		if i, ok := index[t.Var]; ok {
-			out[i].Coef += t.Coef
+		if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
+			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", p.names.ConstraintName(len(p.cons)), t.Var))
+		}
+		if k := p.stamp[t.Var] - base; k >= 0 {
+			out[k].Coef += t.Coef
+			merged = true
 			continue
 		}
-		index[t.Var] = len(out)
+		p.stamp[t.Var] = base + len(out)
 		out = append(out, t)
+	}
+	if !merged {
+		return out
 	}
 	// A merge may have produced exact zeros; drop them.
 	filtered := out[:0]
@@ -252,8 +280,12 @@ func (s *Solution) Value(v Var) float64 {
 	return s.values[v]
 }
 
-// Values returns a copy of all variable values indexed by Var.
+// Values returns a copy of all variable values indexed by Var, nil for a nil
+// solution.
 func (s *Solution) Values() []float64 {
+	if s == nil {
+		return nil
+	}
 	out := make([]float64, len(s.values))
 	copy(out, s.values)
 	return out
@@ -301,45 +333,34 @@ func (p *Problem) Solve(opts *Options) (*Solution, error) {
 // tests and debugging.
 func (p *Problem) String() string {
 	var b strings.Builder
-	if p.sense == Minimize {
-		b.WriteString("min ")
-	} else {
-		b.WriteString("max ")
-	}
-	first := true
+	var objective []Term
 	for i, v := range p.vars {
-		if v.obj == 0 {
-			continue
+		if v.obj != 0 {
+			objective = append(objective, Term{Var(i), v.obj})
 		}
-		if !first {
-			b.WriteString(" + ")
-		}
-		fmt.Fprintf(&b, "%g*%s", v.obj, p.varLabel(Var(i)))
-		first = false
 	}
-	if first {
-		b.WriteString("0")
+	head, obj := "min ", p.sum(objective)
+	if p.sense == Maximize {
+		head = "max "
 	}
-	b.WriteString("\n")
-	for _, c := range p.cons {
-		for j, t := range c.terms {
-			if j > 0 {
-				b.WriteString(" + ")
-			}
-			fmt.Fprintf(&b, "%g*%s", t.Coef, p.varLabel(t.Var))
-		}
-		fmt.Fprintf(&b, " %s %g   [%s]\n", c.op, c.rhs, c.name)
+	if obj == "" {
+		obj = "0"
+	}
+	b.WriteString(head + obj + "\n")
+	for i, c := range p.cons {
+		fmt.Fprintf(&b, "%s %s %g   [%s]\n", p.sum(c.terms), c.op, c.rhs, p.names.ConstraintName(i))
 	}
 	for i, v := range p.vars {
-		fmt.Fprintf(&b, "%g <= %s <= %g\n", v.lb, p.varLabel(Var(i)), v.ub)
+		fmt.Fprintf(&b, "%g <= %s <= %g\n", v.lb, p.VariableName(Var(i)), v.ub)
 	}
 	return b.String()
 }
 
-func (p *Problem) varLabel(v Var) string {
-	name := p.vars[v].name
-	if name == "" {
-		return fmt.Sprintf("x%d", int(v))
+// sum renders terms as c*x + c*y.
+func (p *Problem) sum(terms []Term) string {
+	parts := make([]string, len(terms))
+	for j, t := range terms {
+		parts[j] = fmt.Sprintf("%g*%s", t.Coef, p.VariableName(t.Var))
 	}
-	return name
+	return strings.Join(parts, " + ")
 }

@@ -16,7 +16,7 @@ func randomFeasibleLP(rng *rand.Rand, n, m int) (*Problem, []Var, [][]float64, [
 	c := make([]float64, n)
 	for j := 0; j < n; j++ {
 		c[j] = rng.Float64() * 10
-		vars[j] = p.AddVariable("", 0, Inf, c[j])
+		vars[j] = p.AddVariable(0, Inf, c[j])
 	}
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -35,7 +35,7 @@ func randomFeasibleLP(rng *rand.Rand, n, m int) (*Problem, []Var, [][]float64, [
 			terms = append(terms, Term{vars[j], v})
 		}
 		b[i] = lhs + rng.Float64()*2
-		p.AddConstraint("", LE, b[i], terms...)
+		p.AddConstraint(LE, b[i], terms...)
 	}
 	return p, vars, a, b, c
 }
@@ -98,14 +98,14 @@ func TestPropertyScalingInvariance(t *testing.T) {
 			p := NewProblem(Minimize)
 			vars := make([]Var, n)
 			for j := 0; j < n; j++ {
-				vars[j] = p.AddVariable("", 0, Inf, (localRng.Float64()*10)*mult)
+				vars[j] = p.AddVariable(0, Inf, (localRng.Float64()*10)*mult)
 			}
 			for i := 0; i < m; i++ {
 				terms := make([]Term, 0, n)
 				for j := 0; j < n; j++ {
 					terms = append(terms, Term{vars[j], localRng.Float64()*3 + 0.1})
 				}
-				p.AddConstraint("", GE, localRng.Float64()*10+1, terms...)
+				p.AddConstraint(GE, localRng.Float64()*10+1, terms...)
 			}
 			sol, err := p.Solve(nil)
 			if err != nil {
@@ -155,7 +155,7 @@ func TestPropertyWeakDualityTransportation(t *testing.T) {
 				cost[i][j] = 1 + rng.Float64()*4
 				minC = math.Min(minC, cost[i][j])
 				maxC = math.Max(maxC, cost[i][j])
-				x[i][j] = p.AddVariable("", 0, Inf, cost[i][j])
+				x[i][j] = p.AddVariable(0, Inf, cost[i][j])
 			}
 		}
 		for i := 0; i < nSrc; i++ {
@@ -163,14 +163,14 @@ func TestPropertyWeakDualityTransportation(t *testing.T) {
 			for j := 0; j < nDst; j++ {
 				terms[j] = Term{x[i][j], 1}
 			}
-			p.AddConstraint("", LE, supply[i], terms...)
+			p.AddConstraint(LE, supply[i], terms...)
 		}
 		for j := 0; j < nDst; j++ {
 			terms := make([]Term, nSrc)
 			for i := 0; i < nSrc; i++ {
 				terms[i] = Term{x[i][j], 1}
 			}
-			p.AddConstraint("", GE, demand[j], terms...)
+			p.AddConstraint(GE, demand[j], terms...)
 		}
 		sol, err := p.Solve(nil)
 		if err != nil {
@@ -196,7 +196,7 @@ func TestPropertyEqualityRowsSatisfied(t *testing.T) {
 		p := NewProblem(Minimize)
 		vars := make([]Var, n)
 		for j := range vars {
-			vars[j] = p.AddVariable("", 0, Inf, rng.Float64())
+			vars[j] = p.AddVariable(0, Inf, rng.Float64())
 		}
 		x0 := make([]float64, n)
 		for j := range x0 {
@@ -215,7 +215,7 @@ func TestPropertyEqualityRowsSatisfied(t *testing.T) {
 				terms = append(terms, Term{vars[j], v})
 			}
 			b[i] = lhs
-			p.AddConstraint("", EQ, b[i], terms...)
+			p.AddConstraint(EQ, b[i], terms...)
 		}
 		sol, err := p.Solve(nil)
 		if err != nil {

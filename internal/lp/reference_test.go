@@ -424,3 +424,39 @@ func (st *refState) solve(o Options) (*Solution, error) {
 		values:     values,
 	}, nil
 }
+
+// referenceMergeTerms is mergeTerms as it stood before the stamp table (lp.go
+// at d92c29a), kept verbatim: a map per row finds the duplicates, and every
+// row is filtered for zeros whether or not anything merged.
+func referenceMergeTerms(terms []Term) []Term {
+	if len(terms) <= 1 {
+		out := make([]Term, 0, len(terms))
+		for _, t := range terms {
+			if t.Coef != 0 {
+				out = append(out, t)
+			}
+		}
+		return out
+	}
+	index := make(map[Var]int, len(terms))
+	out := make([]Term, 0, len(terms))
+	for _, t := range terms {
+		if t.Coef == 0 {
+			continue
+		}
+		if i, ok := index[t.Var]; ok {
+			out[i].Coef += t.Coef
+			continue
+		}
+		index[t.Var] = len(out)
+		out = append(out, t)
+	}
+	// A merge may have produced exact zeros; drop them.
+	filtered := out[:0]
+	for _, t := range out {
+		if t.Coef != 0 {
+			filtered = append(filtered, t)
+		}
+	}
+	return filtered
+}
