@@ -24,7 +24,7 @@ type stageLatency struct {
 }
 
 // stageOrder is the pipeline order the breakdown is reported in.
-var stageOrder = []string{"coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"}
+var stageOrder = []string{"coalesce-wait", "engine-admit", "wal-append", "group-commit"}
 
 // stageHist accumulates one stage's cumulative histogram, summed across
 // shards when the target is a gateway (cumulative bucket counts add).

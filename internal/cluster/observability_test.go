@@ -258,7 +258,7 @@ func TestClusterStageSpans(t *testing.T) {
 		// spans feed: the per-stage histogram with every pipeline stage
 		// child and the two log counters whose ratio is records per fsync.
 		sm := getMetrics(t, l.ShardURL(i))
-		for _, stage := range []string{"coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"} {
+		for _, stage := range wantStages {
 			if _, ok := sm.Get("coflowd_admit_stage_seconds_count", "stage", stage); !ok {
 				t.Errorf("shard %d metrics lack coflowd_admit_stage_seconds{stage=%q}", i, stage)
 			}

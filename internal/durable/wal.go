@@ -17,11 +17,11 @@
 //
 // Durability contract: Append buffers the frame in memory (it reaches the OS
 // page cache, in one batched write, at the next commit/rotation/close);
-// Commit(seq) blocks until everything through seq is fsynced. Concurrent committers share
-// one fsync (group commit) — that batching is what keeps the admit path's p99
-// within budget with durability on. A failed fsync is sticky and fails every
-// later Append/Commit: a log that cannot persist must fail loudly, not
-// acknowledge writes it may be losing.
+// Commit(seq) blocks until everything through seq is fsynced. Concurrent
+// Commit callers share one fsync (group commit) — the only batching on
+// coflowd's admit path, and what keeps its p99 within budget with durability
+// on. A failed fsync is sticky and fails every later Append/Commit: a log that
+// cannot persist must fail loudly, not acknowledge writes it may be losing.
 package durable
 
 import (
@@ -453,7 +453,7 @@ func (l *Log) rotateLocked() error {
 var testCommitSyncDelay func()
 
 // Commit blocks until every record through seq is durable, sharing in-flight
-// fsyncs with concurrent committers: whichever caller finds no fsync running
+// fsyncs with concurrent callers: whichever caller finds no fsync running
 // issues one covering everything appended so far, and every waiter whose
 // sequence that run covers returns without a syscall of its own.
 func (l *Log) Commit(seq uint64) error {

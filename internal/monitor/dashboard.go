@@ -87,7 +87,7 @@ async function refresh() {
               cell(t.last_error || "")];
     }));
     const ms = v => (v * 1000).toFixed(3) + "ms";
-    const order = ["coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"];
+    const order = ["coalesce-wait", "engine-admit", "wal-append", "group-commit"];
     const stageRows = Object.entries(stg.admit_stages || {})
       .sort((a, b) => order.indexOf(a[0]) - order.indexOf(b[0]))
       .map(([name, q]) => [cell(name), cell(ms(q.p50)), cell(ms(q.p99))]);

@@ -61,7 +61,7 @@ type StageBreakdown struct {
 }
 
 // stagesResponse is GET /v1/stages: admit pipeline latency split by stage
-// (coalesce-wait, batch-assembly, engine-admit, wal-append, group-commit).
+// (coalesce-wait, engine-admit, wal-append, group-commit).
 // This is the "which stage is guilty" page: a fat admit p99 resolves here
 // into the stage that grew.
 type stagesResponse struct {

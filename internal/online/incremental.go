@@ -414,28 +414,6 @@ func (e *Engine) rollbackLoad() {
 	}
 }
 
-// AdmitResult is one outcome of AdmitBatch: the assigned coflow id on
-// success, or the admission error.
-type AdmitResult struct {
-	ID  int
-	Err error
-}
-
-// AdmitBatch admits a queue of coflows at one admission time, returning one
-// result per spec in order. Admissions are independent — a failed spec rolls
-// back only itself (see Admit) and does not disturb its neighbors — so a
-// batch is exactly equivalent to the same Admit calls in sequence. The
-// server's admission coalescing uses this to amortize its scheduler
-// round-trip and WAL group commit across every request queued behind one
-// channel receive.
-func (e *Engine) AdmitBatch(cfs []coflow.Coflow, now float64) []AdmitResult {
-	out := make([]AdmitResult, len(cfs))
-	for i := range cfs {
-		out[i].ID, out[i].Err = e.Admit(cfs[i], now)
-	}
-	return out
-}
-
 // fillSlot builds the residual view of one active coflow into rcf, reusing
 // rcf's Flows backing, and memoizes the coflow's residual bottleneck on it.
 // It is the one snapshot builder: DecideSync, Snapshot and recovery replay

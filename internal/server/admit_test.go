@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -43,7 +47,7 @@ func newAdmitTestServer(t *testing.T, walDir string) (*Server, *httptest.Server)
 func admitSpec(i int) coflow.Coflow {
 	hosts := graph.FatTree(4, 1).Hosts()
 	return coflow.Coflow{
-		Name: fmt.Sprintf("batch-%d", i), Weight: 1,
+		Name: fmt.Sprintf("admit-%d", i), Weight: 1,
 		Flows: []coflow.Flow{
 			{Source: hosts[i%8], Dest: hosts[8+i%8], Size: 5},
 			{Source: hosts[(i+3)%16], Dest: hosts[(i+9)%16], Size: 3},
@@ -52,14 +56,13 @@ func admitSpec(i int) coflow.Coflow {
 }
 
 // blockScheduler parks the scheduler goroutine on a command until the
-// returned release function is called, so admissions submitted meanwhile
-// pile up in the coalescing queue and must be processed as one batch.
+// returned release function is called.
 func blockScheduler(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	go func() {
-		_ = s.do(func() {
+		_ = s.do(context.Background(), func() {
 			close(entered)
 			<-gate
 		})
@@ -68,23 +71,27 @@ func blockScheduler(t *testing.T, s *Server) (release func()) {
 	return func() { close(gate) }
 }
 
-// waitQueued spins until n admissions sit in the coalescing queue (the
-// scheduler must be blocked, so the count can only grow).
-func waitQueued(t *testing.T, s *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(s.admitC) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d admissions queued", len(s.admitC), n)
-		}
-		time.Sleep(time.Millisecond)
+// concurrently runs f(0..n-1) on n goroutines released together and waits
+// for all of them.
+func concurrently(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			f(i)
+		}(i)
 	}
+	close(start)
+	wg.Wait()
 }
 
-// TestAdmitCoalescing queues many concurrent admissions behind a stalled
-// scheduler and checks they are all admitted correctly in one (or very few)
-// batches: distinct ids, dense id space, correct per-request responses.
-func TestAdmitCoalescing(t *testing.T) {
+// TestAdmitConcurrent fires many admissions at once and checks each is
+// admitted exactly once with its own response: distinct ids, a dense id
+// space, and the name and trace the request carried.
+func TestAdmitConcurrent(t *testing.T) {
 	for _, walled := range []bool{false, true} {
 		name := "wal=off"
 		dir := ""
@@ -97,41 +104,34 @@ func TestAdmitCoalescing(t *testing.T) {
 			c := NewClient(ts.URL)
 
 			const n = 24
-			release := blockScheduler(t, s)
-			batchesBefore := float64(s.metrics.admitBatchSize.Count())
-			var wg sync.WaitGroup
-			ids := make([]int, n)
+			resps := make([]AdmitResponse, n)
 			errs := make([]error, n)
-			started := make(chan struct{}, n)
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					started <- struct{}{}
-					resp, err := c.Admit(admitSpec(i))
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					ids[i] = resp.ID
-				}(i)
-			}
-			for i := 0; i < n; i++ {
-				<-started
-			}
-			waitQueued(t, s, n)
-			release()
-			wg.Wait()
+			concurrently(n, func(i int) {
+				resps[i], errs[i] = c.AdmitTraced(admitSpec(i), fmt.Sprintf("trace-%d", i))
+			})
 
 			seen := make(map[int]bool, n)
-			for i := 0; i < n; i++ {
+			for i, resp := range resps {
 				if errs[i] != nil {
 					t.Fatalf("admit %d: %v", i, errs[i])
 				}
-				if seen[ids[i]] {
-					t.Fatalf("duplicate coflow id %d", ids[i])
+				if seen[resp.ID] {
+					t.Fatalf("duplicate coflow id %d", resp.ID)
 				}
-				seen[ids[i]] = true
+				seen[resp.ID] = true
+				if want := admitSpec(i).Name; resp.Name != want {
+					t.Errorf("admit %d: response name %q, want %q", i, resp.Name, want)
+				}
+				if want := fmt.Sprintf("trace-%d", i); resp.Trace != want {
+					t.Errorf("admit %d: response trace %q, want %q", i, resp.Trace, want)
+				}
+				st, err := c.Coflow(resp.ID)
+				if err != nil {
+					t.Fatalf("coflow %d: %v", resp.ID, err)
+				}
+				if st.Name != resp.Name || st.Arrival != resp.Arrival {
+					t.Errorf("coflow %d is %q@%v, its response said %q@%v", resp.ID, st.Name, st.Arrival, resp.Name, resp.Arrival)
+				}
 			}
 			for id := 0; id < n; id++ {
 				if !seen[id] {
@@ -145,44 +145,22 @@ func TestAdmitCoalescing(t *testing.T) {
 			if st.Admitted != n {
 				t.Fatalf("admitted %d coflows, want %d", st.Admitted, n)
 			}
-			// The queue was fully loaded before release, so the scheduler
-			// should have absorbed the bulk in far fewer passes than n. (The
-			// race between enqueue and drain keeps this from being exactly 1.)
-			batches := float64(s.metrics.admitBatchSize.Count()) - batchesBefore
-			if batches == 0 || batches > n/2 {
-				t.Errorf("admissions used %v batches for %d requests (coalescing not effective)", batches, n)
-			}
 		})
 	}
 }
 
-// TestAdmitCoalescingIdempotency covers the intra-batch duplicate-key path:
-// two requests sharing an idempotency key queued into the SAME batch must
-// yield one admission, with the duplicate replaying the original response.
-func TestAdmitCoalescingIdempotency(t *testing.T) {
+// TestAdmitConcurrentSameKey sends each of three idempotency keys twice at
+// once: three admissions, and each duplicate gets its original's response.
+func TestAdmitConcurrentSameKey(t *testing.T) {
 	s, ts := newAdmitTestServer(t, t.TempDir())
 	c := NewClient(ts.URL)
 
 	const n = 6 // 3 distinct keys, each sent twice
-	release := blockScheduler(t, s)
-	var wg sync.WaitGroup
 	resps := make([]AdmitResponse, n)
 	errs := make([]error, n)
-	started := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started <- struct{}{}
-			resps[i], errs[i] = c.AdmitWithKey(admitSpec(i%3), "", fmt.Sprintf("key-%d", i%3))
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	waitQueued(t, s, n)
-	release()
-	wg.Wait()
+	concurrently(n, func(i int) {
+		resps[i], errs[i] = c.AdmitWithKey(admitSpec(i%3), "", fmt.Sprintf("key-%d", i%3))
+	})
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -190,8 +168,8 @@ func TestAdmitCoalescingIdempotency(t *testing.T) {
 		}
 	}
 	for k := 0; k < 3; k++ {
-		if resps[k].ID != resps[k+3].ID {
-			t.Fatalf("key-%d: duplicate admitted twice (ids %d and %d)", k, resps[k].ID, resps[k+3].ID)
+		if resps[k] != resps[k+3] {
+			t.Fatalf("key-%d: responses differ: %+v and %+v", k, resps[k], resps[k+3])
 		}
 	}
 	st, err := s.Stats()
@@ -200,5 +178,44 @@ func TestAdmitCoalescingIdempotency(t *testing.T) {
 	}
 	if st.Admitted != 3 {
 		t.Fatalf("admitted %d coflows, want 3 (dedupe failed)", st.Admitted)
+	}
+}
+
+// TestAdmitClientGoneBeforePickup stalls the scheduler and sends an admission
+// whose client has already gone: the handler must answer 503 without waiting
+// for the scheduler, and the admission must never run.
+func TestAdmitClientGoneBeforePickup(t *testing.T) {
+	s, _ := newAdmitTestServer(t, "")
+	body, err := json.Marshal(admitSpec(0))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/coflows", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+
+	release := blockScheduler(t, s)
+	returned := make(chan struct{})
+	go func() {
+		s.handleAdmit(rec, req)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("handler waited for the stalled scheduler")
+	}
+	release()
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("status %d, want 503", rec.Code)
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if st.Admitted != 0 {
+		t.Fatalf("admitted %d coflows, want 0", st.Admitted)
 	}
 }

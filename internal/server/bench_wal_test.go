@@ -80,13 +80,12 @@ func BenchmarkAdmit(b *testing.B) {
 // admissions, the shape the admission path is built for. The serial
 // BenchmarkAdmit issues one admission at a time, so every wal=on iteration
 // necessarily pays a private fsync and the wal/no-wal ratio measures raw
-// fsync latency rather than the admit path — that is the number that blew
-// the wal-overhead budget before admissions were coalesced. Here concurrent
-// requests coalesce into scheduler batches that share one channel round-trip
-// and one group commit, so the wal=on/wal=off ratio reflects the amortized
-// durability cost an actual multi-client daemon pays. scripts/bench_wal.sh
-// records this variant's ratio against the admit-overhead budget and keeps
-// the serial variant as a labeled diagnostic series.
+// fsync latency rather than the admit path. Here concurrent handlers wait in
+// the log's group commit together and share its fsyncs, so the wal=on/wal=off
+// ratio reflects the amortized durability cost an actual multi-client daemon
+// pays. scripts/bench_wal.sh records this variant's ratio against the
+// admit-overhead budget and keeps the serial variant as a labeled diagnostic
+// series.
 func BenchmarkAdmitParallel(b *testing.B) {
 	for _, walled := range []bool{false, true} {
 		name := "wal=off"
@@ -123,8 +122,7 @@ func BenchmarkAdmitParallel(b *testing.B) {
 			}
 			// Many more submitters than GOMAXPROCS: admissions block on I/O
 			// (HTTP + fsync), not CPU, so extra in-flight requests deepen the
-			// coalescing batches — and the group-commit folds — the way a
-			// crowd of concurrent clients would.
+			// group-commit folds the way a crowd of concurrent clients would.
 			b.SetParallelism(32)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -137,9 +135,6 @@ func BenchmarkAdmitParallel(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			if batches := float64(s.metrics.admitBatchSize.Count()); batches > 0 {
-				b.ReportMetric(float64(b.N)/batches, "admits/batch")
-			}
 			if s.wal != nil {
 				if _, syncs := s.wal.Stats(); syncs > 0 {
 					b.ReportMetric(float64(b.N)/float64(syncs), "admits/fsync")

@@ -230,14 +230,13 @@ func (s *Server) maybeSnapshot() {
 }
 
 // shutdown stops the scheduler and closes the log. abandon skips the final
-// fsync — the crash-shaped variant the recovery harness uses.
+// fsync — the crash-shaped variant the recovery harness uses. Closing the log
+// releases every handler waiting in its Commit: after a Close the record is
+// durable (201); after an abandon it is not, and the handler answers 503.
 func (s *Server) shutdown(abandon bool) {
 	s.closeOnce.Do(func() { close(s.quit) })
 	<-s.stopped
 	if s.wal != nil {
-		// The scheduler's exit closed commitC; wait for the committer to drain
-		// it and release every admission waiter before pulling the log away.
-		<-s.committerDone
 		s.wal.Shutdown(abandon)
 	}
 }

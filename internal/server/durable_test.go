@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -215,7 +216,7 @@ func TestAdmitFailedDurabilityNotCached(t *testing.T) {
 		t.Fatalf("retried admit status = %d, want 503", apiErr.StatusCode)
 	}
 	var cached int
-	if err := s.do(func() { cached = len(s.idem) }); err != nil {
+	if err := s.do(context.Background(), func() { cached = len(s.idem) }); err != nil {
 		t.Fatalf("inspecting idem map: %v", err)
 	}
 	if cached != 0 {

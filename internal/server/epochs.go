@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -59,9 +60,9 @@ func (s *Server) pushEpoch(rec EpochRecord) {
 
 // epochsSnapshot copies the ring in chronological order via the scheduler
 // goroutine, limited to the most recent n records when n > 0.
-func (s *Server) epochsSnapshot(n int) ([]EpochRecord, error) {
+func (s *Server) epochsSnapshot(ctx context.Context, n int) ([]EpochRecord, error) {
 	var out []EpochRecord
-	err := s.do(func() {
+	err := s.do(ctx, func() {
 		out = make([]EpochRecord, 0, len(s.epochRing))
 		out = append(out, s.epochRing[s.epochNext:]...)
 		out = append(out, s.epochRing[:s.epochNext]...)
@@ -95,7 +96,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	recs, err := s.epochsSnapshot(n)
+	recs, err := s.epochsSnapshot(r.Context(), n)
 	if err != nil {
 		RespondError(w, http.StatusServiceUnavailable, err.Error())
 		return

@@ -165,17 +165,17 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// repeated key replays the original response instead of admitting again,
 	// and with a WAL the key survives a daemon restart.
 	key := r.Header.Get(IdemHeader)
-	t0 := time.Now()
-	// Admissions go through the coalescing queue, not s.do: everything queued
-	// behind one scheduler receive is admitted as a single batch — one channel
-	// round-trip and one WAL group commit for all of it (see admit.go).
-	req := &admitReq{cf: cf, key: key, trace: trace, enq: t0, done: make(chan struct{})}
-	// submitAdmit returns after the batch's records are durable: the committer
-	// goroutine group-commits the fsync for the whole batch (and any batches
-	// queued behind it) before releasing the waiters, so a slow disk stalls
-	// this request, not the epoch loop. A duplicate replays only after the
-	// same durability point — its original append is covered by the commit.
-	err := s.submitAdmit(req)
+	req := &admitReq{cf: cf, key: key, trace: trace, enq: time.Now()}
+	// The scheduler admits and appends (see admit.go); the durability wait
+	// happens here, so a slow disk stalls this request, not the epoch loop, and
+	// concurrent handlers share one fsync. A client that has gone before the
+	// scheduler takes the admission is not admitted (503); one that was taken
+	// always completes. A duplicate replays only after its original's record
+	// is durable.
+	err := s.do(r.Context(), func() { s.admit(req) })
+	if err == nil {
+		s.commit(req)
+	}
 	resp, dup := req.resp, req.dup
 	admitErr, walErr := req.admitErr, req.walErr
 	if err == nil && admitErr == nil && walErr == nil && !dup {
@@ -183,7 +183,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			Name:     "shard-admit",
 			Trace:    trace,
 			Coflow:   resp.ID,
-			Duration: time.Since(t0).Seconds(),
+			Duration: time.Since(req.enq).Seconds(),
 			Attrs:    map[string]string{"flows": strconv.Itoa(len(cf.Flows))},
 		})
 		s.recordStageSpans(req)
@@ -217,7 +217,7 @@ func (s *Server) handleCoflow(w http.ResponseWriter, r *http.Request) {
 	}
 	var st online.CoflowStatus
 	var found bool
-	if err := s.do(func() { st, found = s.eng.CoflowStatus(id) }); err != nil {
+	if err := s.do(r.Context(), func() { st, found = s.eng.CoflowStatus(id) }); err != nil {
 		RespondError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -245,7 +245,7 @@ func (s *Server) handleCoflow(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var resp ScheduleResponse
-	if err := s.do(func() {
+	if err := s.do(r.Context(), func() {
 		resp.Now = s.eng.Now()
 		resp.Policy = s.cfg.Policy.Name()
 		for _, ref := range s.eng.Order() {
@@ -305,7 +305,7 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	var resp HealthResponse
-	if err := s.do(func() {
+	if err := s.do(r.Context(), func() {
 		resp = HealthResponse{
 			Status:   "ok",
 			Policy:   s.cfg.Policy.Name(),

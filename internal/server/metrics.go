@@ -11,11 +11,10 @@ import (
 // order. Every child is created at registration so the family (and each
 // stage) is present on the very first scrape, observations or not.
 const (
-	stageCoalesceWait  = "coalesce-wait"  // handler enqueue → scheduler batch receive
-	stageBatchAssembly = "batch-assembly" // queue drain + dedupe/filter pass, per batch
-	stageEngineAdmit   = "engine-admit"   // engine.AdmitBatch, per batch
-	stageWALAppend     = "wal-append"     // log record append, per admission
-	stageGroupCommit   = "group-commit"   // committer fsync, per batch
+	stageCoalesceWait = "coalesce-wait" // handler submit → scheduler pickup
+	stageEngineAdmit  = "engine-admit"  // engine.Admit, per admission
+	stageWALAppend    = "wal-append"    // log record append, per admission
+	stageGroupCommit  = "group-commit"  // log Commit wait in the handler, per durable admission
 )
 
 // serverMetrics is coflowd's registry surface: every series /metrics serves.
@@ -39,7 +38,6 @@ type serverMetrics struct {
 	requests         *telemetry.Counter
 	requestErrors    *telemetry.Counter
 	tickDuration     *telemetry.Histogram
-	admitBatchSize   *telemetry.Histogram
 	traceSpans       *telemetry.Counter
 	walRecords       *telemetry.Counter
 	walFsyncs        *telemetry.Counter
@@ -48,12 +46,11 @@ type serverMetrics struct {
 
 	// Admit-pipeline stage latencies. The stage* fields cache the labeled
 	// children so the hot path observes without a map lookup.
-	admitStage    *telemetry.HistogramVec
-	stageWait     *telemetry.Histogram
-	stageAssemble *telemetry.Histogram
-	stageEngine   *telemetry.Histogram
-	stageAppend   *telemetry.Histogram
-	stageCommit   *telemetry.Histogram
+	admitStage  *telemetry.HistogramVec
+	stageWait   *telemetry.Histogram
+	stageEngine *telemetry.Histogram
+	stageAppend *telemetry.Histogram
+	stageCommit *telemetry.Histogram
 }
 
 // newServerMetrics registers coflowd's metric families. A non-empty shard
@@ -80,16 +77,14 @@ func newServerMetrics(shard string) *serverMetrics {
 		requests:         reg.Counter("coflowd_http_requests_total", "HTTP requests served"),
 		requestErrors:    reg.Counter("coflowd_http_request_errors_total", "HTTP requests answered with a 4xx/5xx status"),
 		tickDuration:     reg.Histogram("coflowd_tick_duration_seconds", "scheduler tick duration distribution", nil),
-		admitBatchSize:   reg.Histogram("coflowd_admit_batch_size", "admissions coalesced per scheduler batch", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		traceSpans:       reg.Counter("coflowd_trace_spans_total", "lifecycle trace spans recorded"),
 		walRecords:       reg.Counter("coflowd_wal_records_total", "write-ahead log records appended this process"),
 		walFsyncs:        reg.Counter("coflowd_wal_fsyncs_total", "write-ahead log fsync calls (group commit batches)"),
 		walRecovered:     reg.Gauge("coflowd_wal_recovered_coflows", "admitted-but-incomplete coflows restored at boot"),
 		snapshots:        reg.Counter("coflowd_snapshots_total", "engine snapshots written"),
-		admitStage:       reg.HistogramVec("coflowd_admit_stage_seconds", "admit-pipeline stage latency: coalesce-wait, batch-assembly, engine-admit, wal-append, group-commit", nil, "stage"),
+		admitStage:       reg.HistogramVec("coflowd_admit_stage_seconds", "admit-pipeline stage latency: coalesce-wait (handler submit → scheduler pickup), engine-admit, wal-append, group-commit (per durable admission, in the handler)", nil, "stage"),
 	}
 	m.stageWait = m.admitStage.With(stageCoalesceWait)
-	m.stageAssemble = m.admitStage.With(stageBatchAssembly)
 	m.stageEngine = m.admitStage.With(stageEngineAdmit)
 	m.stageAppend = m.admitStage.With(stageWALAppend)
 	m.stageCommit = m.admitStage.With(stageGroupCommit)

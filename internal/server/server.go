@@ -7,7 +7,9 @@
 // Concurrency model: a single scheduler goroutine owns the engine. HTTP
 // handlers never touch engine state directly — they submit closures over a
 // command channel and wait for the result, so every engine access is
-// serialized without locks. Policy decisions are the one deliberate
+// serialized without locks. An admission is one such closure; its handler
+// then waits for durability in the log's group commit, off the scheduler
+// goroutine (admit.go). Policy decisions are the one deliberate
 // exception: each epoch tick captures an immutable residual Snapshot and
 // runs Decide on a separate goroutine, keeping the scheduler (and therefore
 // every handler) responsive while an expensive LP solve is in flight; the
@@ -20,6 +22,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -122,36 +125,27 @@ var errDraining = errors.New("server: draining, not accepting new coflows")
 // Server is the coflowd service: an engine, the scheduler goroutine that
 // owns it, and the HTTP API in handlers.go.
 type Server struct {
-	cfg     Config
-	eng     *online.Engine
-	cmds    chan func()
-	admitC  chan *admitReq
-	quit    chan struct{}
-	stopped chan struct{}
-	// Durability pipeline (nil without a WAL): the scheduler hands each
-	// admission batch that appended log records to commitC, and the committer
-	// goroutine serializes the group-commit fsyncs — see committer in admit.go.
-	// batchFree recycles batch buffers between the two goroutines.
-	commitC       chan []*admitReq
-	committerDone chan struct{}
-	batchFree     chan []*admitReq
-	closeOnce     sync.Once
-	start         time.Time
-	metrics       *serverMetrics
-	tracer        *telemetry.Tracer
-	logger        *slog.Logger
+	cfg       Config
+	eng       *online.Engine
+	cmds      chan func()
+	quit      chan struct{}
+	stopped   chan struct{}
+	closeOnce sync.Once
+	start     time.Time
+	metrics   *serverMetrics
+	tracer    *telemetry.Tracer
+	logger    *slog.Logger
 
-	// Durability (nil without Config.WALDir). simBase offsets the wall-clock
-	// mapping so a recovered engine's simulation clock continues from where
-	// replay left it instead of restarting at zero.
+	// Durability (nil without Config.WALDir). The scheduler appends; handlers
+	// wait in its Commit. simBase offsets the wall-clock mapping so a
+	// recovered engine's simulation clock continues from where replay left it
+	// instead of restarting at zero.
 	wal     *durable.Journal
 	simBase float64
 
 	// Owned by the scheduler goroutine.
 	solving  bool
 	draining bool
-	// admitScratch is processAdmits' reusable batch buffer.
-	admitScratch []*admitReq
 	// idem deduplicates admissions by X-Coflow-Id. It is bounded: idemByID
 	// maps live coflow ids back to their keys, and when a coflow completes its
 	// entry moves onto idemTombs (expiry-ordered) and is dropped once the
@@ -184,7 +178,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		cmds:     make(chan func()),
-		admitC:   make(chan *admitReq, admitQueueDepth),
 		quit:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 		start:    time.Now(),
@@ -227,12 +220,6 @@ func New(cfg Config) (*Server, error) {
 				"sim_now", s.simBase)
 		}
 	}
-	if s.wal != nil {
-		s.commitC = make(chan []*admitReq, commitQueueDepth)
-		s.committerDone = make(chan struct{})
-		s.batchFree = make(chan []*admitReq, commitQueueDepth)
-		go s.committer()
-	}
 	go s.loop()
 	return s, nil
 }
@@ -260,13 +247,6 @@ func (s *Server) wallEpoch() time.Duration {
 // drives the epoch clock.
 func (s *Server) loop() {
 	defer close(s.stopped)
-	// The scheduler is the only sender on commitC, so closing it here is the
-	// committer's clean shutdown signal: it drains what is queued, releases
-	// every waiter, and exits (shutdown waits on committerDone before closing
-	// the log underneath it).
-	if s.commitC != nil {
-		defer close(s.commitC)
-	}
 	tick := time.NewTicker(s.wallEpoch())
 	defer tick.Stop()
 	var snapC <-chan time.Time
@@ -281,8 +261,6 @@ func (s *Server) loop() {
 			return
 		case op := <-s.cmds:
 			op()
-		case req := <-s.admitC:
-			s.processAdmits(req)
 		case <-tick.C:
 			s.tick()
 		case <-snapC:
@@ -371,7 +349,7 @@ func (s *Server) tick() {
 		t0 := time.Now()
 		order, err := policy.Decide(snap)
 		latency := time.Since(t0)
-		s.do(func() {
+		s.do(context.Background(), func() {
 			s.solving = false
 			if err != nil {
 				s.logger.Error("policy decide failed", "component", "coflowd",
@@ -411,13 +389,17 @@ func (s *Server) tick() {
 }
 
 // do runs op on the scheduler goroutine and waits for it to finish. It
-// returns errStopped if the server shut down before the operation ran.
-func (s *Server) do(op func()) error {
+// returns errStopped if the server shut down before the operation ran, and
+// ctx's error if ctx ended before the scheduler took it. Once taken, op
+// always runs to completion and do waits for it whatever ctx does.
+func (s *Server) do(ctx context.Context, op func()) error {
 	done := make(chan struct{})
 	select {
 	case s.cmds <- func() { op(); close(done) }:
 	case <-s.stopped:
 		return errStopped
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 	select {
 	case <-done:
@@ -445,7 +427,7 @@ func (s *Server) do(op func()) error {
 func (s *Server) Drain() (online.EngineStats, error) {
 	var st online.EngineStats
 	var derr error
-	err := s.do(func() {
+	err := s.do(context.TODO(), func() {
 		s.draining = true
 		s.logger.Info("drain started", "component", "coflowd", "active", s.eng.NumCoflows())
 		derr = s.eng.Drain()
@@ -478,7 +460,7 @@ func (s *Server) Close() {
 // goroutine.
 func (s *Server) Stats() (online.EngineStats, error) {
 	var st online.EngineStats
-	err := s.do(func() { st = s.eng.Stats() })
+	err := s.do(context.TODO(), func() { st = s.eng.Stats() })
 	return st, err
 }
 

@@ -34,7 +34,6 @@ var coflowdFamilies = []string{
 	"coflowd_http_requests_total",
 	"coflowd_http_request_errors_total",
 	"coflowd_tick_duration_seconds",
-	"coflowd_admit_batch_size",
 	"coflowd_trace_spans_total",
 	"coflowd_wal_records_total",
 	"coflowd_wal_fsyncs_total",
@@ -160,7 +159,7 @@ func TestCoflowdMetricsConformance(t *testing.T) {
 	}
 	// Every pipeline stage child must be scrapeable from boot — dashboards
 	// select on {stage=...} before the first admission arrives.
-	for _, stage := range []string{"coalesce-wait", "batch-assembly", "engine-admit", "wal-append", "group-commit"} {
+	for _, stage := range []string{"coalesce-wait", "engine-admit", "wal-append", "group-commit"} {
 		if _, ok := m.Get("coflowd_admit_stage_seconds_count", "stage", stage); !ok {
 			t.Errorf("coflowd_admit_stage_seconds lacks boot-time child for stage %q", stage)
 		}

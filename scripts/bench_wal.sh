@@ -11,17 +11,18 @@
 #     fsync latency, a hardware property. Printed as a diagnostic, NOT held
 #     against the budget.
 #   BenchmarkAdmitParallel        — concurrent admissions, the workload the
-#     admission path is built for: requests coalesce into scheduler batches
-#     and the committer goroutine group-commits them, so the fsync cost is
-#     amortized across everything in flight. This is the budget series.
+#     admission path is built for: each handler waits in the log's group
+#     commit after the scheduler appended its record, and concurrent waiters
+#     share one fsync, so the fsync cost is amortized across everything in
+#     flight. This is the budget series.
 #
 # The budget compares mean ns/op of wal=on vs wal=off for the parallel
 # series. The pair runs back-to-back COUNT times and the budget takes the
 # MEDIAN of the per-run ratios: a saturated concurrent benchmark is noisy and
 # the box drifts over minutes, so pairing each ratio in time and discarding
 # outlier runs is what makes the number reproducible. Run at GOMAXPROCS=CPUS
-# so the committer's fsync overlaps admission work instead of stalling the
-# only processor.
+# so a handler's fsync overlaps the scheduler's admission work instead of
+# stalling the only processor.
 #
 # The label tags the summary (defaults to the current commit). BENCHTIME
 # overrides the parallel iteration count (default 5000x), COUNT the runs per
