@@ -121,3 +121,13 @@ func TestDecodeSegmentRejectsMistyped(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeSegmentRejectsAdvanceDecide pins that an advance record carries
+// only its clock: a CRC-valid advance frame with a "decide" flag is not a
+// record any daemon writes, so it is corruption.
+func TestDecodeSegmentRejectsAdvanceDecide(t *testing.T) {
+	frame := AppendFrame(nil, []byte(`{"seq":1,"type":"advance","advance":{"now":3,"decide":true}}`))
+	if _, _, err := DecodeSegment(frame, 1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("advance frame with a decide flag: err = %v, want ErrCorrupt", err)
+	}
+}

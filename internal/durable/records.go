@@ -23,9 +23,8 @@ const (
 	// RecOrder logs one applied priority decision at the engine clock Now;
 	// replay advances to Now and re-applies the refs.
 	RecOrder RecordType = "order"
-	// RecAdvance logs one clock advance. Decide=true means a synchronous
-	// decide ran immediately before the advance (the deterministic-harness
-	// op); Decide=false is a plain server tick.
+	// RecAdvance logs one server tick's clock advance to Now; replay advances
+	// the engine under the order the log applied last.
 	RecAdvance RecordType = "advance"
 	// RecComplete logs a coflow completion. Informational: replay derives
 	// completions from re-simulation, but the record makes the log greppable
@@ -90,8 +89,7 @@ type OrderRecord struct {
 
 // AdvanceRecord is one clock advance.
 type AdvanceRecord struct {
-	Now    float64 `json:"now"`
-	Decide bool    `json:"decide,omitempty"`
+	Now float64 `json:"now"`
 }
 
 // CompleteRecord is one coflow completion.

@@ -46,7 +46,7 @@ func main() {
 	recs := []*durable.Record{
 		{Type: durable.RecAdmit, Admit: &durable.AdmitRecord{ID: 0, Now: 1.5, Key: "k-1", Trace: "t-1", Spec: spec}},
 		{Type: durable.RecOrder, Order: &durable.OrderRecord{Now: 2, LatencySecs: 0.001, Refs: []coflow.FlowRef{{Coflow: 0, Index: 1}, {Coflow: 0, Index: 0}}}},
-		{Type: durable.RecAdvance, Advance: &durable.AdvanceRecord{Now: 3, Decide: true}},
+		{Type: durable.RecAdvance, Advance: &durable.AdvanceRecord{Now: 3}},
 		{Type: durable.RecComplete, Complete: &durable.CompleteRecord{ID: 0, Time: 3.25}},
 		{Type: durable.RecGatewayMeta, GatewayMeta: &durable.GatewayMetaRecord{Instance: "inst-1"}},
 		{Type: durable.RecGatewayAdmit, GatewayAdmit: &durable.GatewayAdmitRecord{GID: 4, Trace: "t-2", Spec: spec}},

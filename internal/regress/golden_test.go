@@ -30,9 +30,8 @@ func marshal(t *testing.T, g *ScenarioGolden) []byte {
 	return append(b, '\n')
 }
 
-// TestGolden replays every registered scenario through the batch simulator
-// and the incremental engine and compares the rounded outputs against the
-// committed fixtures. A mismatch means scheduler behavior changed: either
+// TestGolden replays every registered scenario through online.Run and
+// compares the rounded outputs against the committed fixtures. A mismatch means scheduler behavior changed: either
 // fix the regression, or — if the change is intended — regenerate with
 // `go test ./internal/regress -run TestGolden -update` and commit the diff.
 func TestGolden(t *testing.T) {

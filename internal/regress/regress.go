@@ -1,10 +1,9 @@
 // Package regress is the repository's behavioral regression net: it replays
-// every registered workload scenario (internal/workload) through the epoch
-// loop (online.Engine) under its two drivers — online.Run, which aligns
-// epoch 0 to the first arrival and scores the transcript, and a coflowd-shaped
-// drive from t=0 that reads the engine's own aggregates (runEngine) — rounds
+// every registered workload scenario (internal/workload) through online.Run,
+// which aligns epoch 0 to the first arrival and scores the transcript, rounds
 // the resulting per-policy objectives and per-coflow completion times, and
-// diffs them against committed golden files under testdata/.
+// diffs them against committed golden files under testdata/. The daemon's
+// own loop is pinned on the same scenarios by internal/server's TestGolden.
 //
 // The tier-1 suite only catches crashes and property violations; the goldens
 // catch silent drift — a refactor that changes which coflow finishes first
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"coflowsched/internal/coflow"
 	"coflowsched/internal/online"
 	"coflowsched/internal/stats"
 	"coflowsched/internal/workload"
@@ -34,7 +32,7 @@ import (
 // the experiment sweeps use.
 const epochLength = 2
 
-// PolicyGolden pins one policy's batch-path output on one scenario.
+// PolicyGolden pins one policy's online.Run output on one scenario.
 type PolicyGolden struct {
 	WeightedCCT      float64 `json:"weighted_cct"`
 	WeightedResponse float64 `json:"weighted_response"`
@@ -47,44 +45,24 @@ type PolicyGolden struct {
 	SlowdownP95 float64   `json:"slowdown_p95"`
 }
 
-// EngineGolden pins the incremental engine's output on one scenario: the
-// same workload admitted coflow by coflow and advanced epoch by epoch, the
-// way coflowd consumes it.
-type EngineGolden struct {
-	WeightedCCT      float64 `json:"weighted_cct"`
-	WeightedResponse float64 `json:"weighted_response"`
-	Completed        int     `json:"completed"`
-	Epochs           int     `json:"epochs"`
-}
-
 // ScenarioGolden is one scenario's complete fixture.
 type ScenarioGolden struct {
 	Scenario string `json:"scenario"`
 	Coflows  int    `json:"coflows"`
 	Flows    int    `json:"flows"`
-	// Policies maps policy name to the batch (online.Run) output.
+	// Policies maps policy name to the online.Run output.
 	Policies map[string]PolicyGolden `json:"policies"`
-	// Engine maps policy name to the incremental (online.Engine) output.
-	// Expensive policies are exercised on the batch path only.
-	Engine map[string]EngineGolden `json:"engine"`
 }
 
-// batchPolicies returns the policies pinned on the batch path, freshly
-// constructed per call (policies may be stateful across Prepare).
+// batchPolicies returns the pinned policies, freshly constructed per call
+// (policies may be stateful across Prepare).
 func batchPolicies() []online.Policy {
 	return []online.Policy{online.LPEpoch{}, online.SEBFOnline{}, online.FIFOOnline{}}
 }
 
-// enginePolicies returns the policies pinned on the incremental-engine path:
-// the cheap heuristics only, so the suite stays fast enough to run under
-// -race on every push (LPEpoch's per-epoch LP is covered by the batch path).
-func enginePolicies() []online.Policy {
-	return []online.Policy{online.SEBFOnline{}, online.FIFOOnline{}}
-}
-
 // RunScenario computes the golden record for one scenario.
 func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
-	inst, arrivals, err := sc.Build()
+	inst, _, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -93,12 +71,11 @@ func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 		Coflows:  len(inst.Coflows),
 		Flows:    inst.NumFlows(),
 		Policies: map[string]PolicyGolden{},
-		Engine:   map[string]EngineGolden{},
 	}
 	for _, p := range batchPolicies() {
 		res, err := online.Run(inst, p, online.Config{EpochLength: epochLength, Seed: sc.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("regress: %s/%s batch: %w", sc.Name, p.Name(), err)
+			return nil, fmt.Errorf("regress: %s/%s: %w", sc.Name, p.Name(), err)
 		}
 		g.Policies[p.Name()] = PolicyGolden{
 			WeightedCCT:      round(res.WeightedCCT),
@@ -109,69 +86,7 @@ func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 			SlowdownP95:      round(stats.PercentileOr(res.Slowdown, 95, 0)),
 		}
 	}
-	for _, p := range enginePolicies() {
-		eg, err := runEngine(inst, arrivals, p)
-		if err != nil {
-			return nil, fmt.Errorf("regress: %s/%s engine: %w", sc.Name, p.Name(), err)
-		}
-		g.Engine[p.Name()] = eg
-	}
 	return g, nil
-}
-
-// runEngine streams the scenario through an incremental engine the way
-// coflowd does: admissions at their arrival times, a synchronous decide and
-// an advance per epoch, then a drain once every coflow has been admitted.
-func runEngine(inst *coflow.Instance, arrivals []float64, policy online.Policy) (EngineGolden, error) {
-	eng, err := online.NewEngine(inst.Network, policy, online.Config{EpochLength: epochLength})
-	if err != nil {
-		return EngineGolden{}, err
-	}
-	next := 0
-	admit := func(upTo float64) error {
-		for next < len(inst.Coflows) && arrivals[next] <= upTo {
-			src := inst.Coflows[next]
-			cf := coflow.Coflow{Name: src.Name, Weight: src.Weight, Flows: make([]coflow.Flow, len(src.Flows))}
-			for j, f := range src.Flows {
-				// Engine admission takes releases as offsets from admission.
-				cf.Flows[j] = coflow.Flow{
-					Source: f.Source, Dest: f.Dest, Size: f.Size,
-					Release: f.Release - arrivals[next],
-				}
-			}
-			if _, err := eng.Admit(cf, arrivals[next]); err != nil {
-				return err
-			}
-			next++
-		}
-		return nil
-	}
-	// Walk epoch boundaries until everything is admitted and finished. The
-	// budget mirrors online.Run's runaway guard.
-	maxEpochs := int(inst.TimeHorizon()/epochLength)*10 + 1000
-	t := 0.0
-	for i := 0; next < len(inst.Coflows) || !eng.Done(); i++ {
-		if i > maxEpochs {
-			return EngineGolden{}, fmt.Errorf("exceeded %d epochs", maxEpochs)
-		}
-		t += epochLength
-		if err := admit(t); err != nil {
-			return EngineGolden{}, err
-		}
-		if err := eng.DecideSync(); err != nil {
-			return EngineGolden{}, err
-		}
-		if err := eng.AdvanceTo(t); err != nil {
-			return EngineGolden{}, err
-		}
-	}
-	st := eng.Stats()
-	return EngineGolden{
-		WeightedCCT:      round(st.WeightedCCT),
-		WeightedResponse: round(st.WeightedResponse),
-		Completed:        st.Completed,
-		Epochs:           st.Epochs,
-	}, nil
 }
 
 // round quantizes to 9 decimal places: coarse enough to absorb float

@@ -61,7 +61,7 @@ func (s *Server) admit(req *admitReq) {
 			return
 		}
 	}
-	now := s.simNow()
+	now := s.clock.now()
 	ta := time.Now()
 	id, err := s.eng.Admit(req.cf, now)
 	req.admitSecs = time.Since(ta).Seconds()

@@ -14,36 +14,32 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/durable"
 	"coflowsched/internal/graph"
-	"coflowsched/internal/online"
-	"coflowsched/internal/telemetry"
 )
 
-// Crash-injection differential harness. A deterministic script of engine
-// operations (admissions and decide+advance epochs) runs once on a reference
-// engine that never crashes, and once per kill point with a WAL: the run is
-// cut at the kill point, the log abandoned the way a crash would leave it,
-// the engine rebuilt through recoverState, and the script's remainder
-// resumed on the recovered engine. After draining both, every coflow must
-// exist on both sides with the same name, arrival and completion time — the
-// engine is deterministic, so recovery that is anything short of exact shows
-// up as a completion-time drift here.
+// Crash-injection differential harness. A deterministic script of daemon
+// operations (admissions through the HTTP API and epoch ticks, each at a
+// scripted simulated time) runs once on a stepped Server that never crashes,
+// and once per kill point on a stepped Server with a WAL: the run is cut at the
+// kill point by Kill, which abandons the log the way a crash would leave it, a
+// new Server recovers from the same directory, and the script's remainder
+// resumes on it. After draining both, every coflow must exist on both sides
+// with the same name, arrival and completion time — the engine is
+// deterministic, so recovery that is anything short of exact shows up as a
+// completion-time drift here. The records under test are the ones the daemon's
+// own admit and tick paths write.
 
-// crashOp is one scripted engine operation: an admission (cf != nil) at
-// simulated time at, or a decide+advance epoch to time to.
+// crashOp is one scripted operation: an admission (cf != nil) at simulated
+// time at, or an epoch tick at time to.
 type crashOp struct {
 	cf *coflow.Coflow
 	at float64
 	to float64
 }
 
-// crashNet is the topology every harness engine runs on. Built fresh per
-// engine — construction is deterministic, so routing decisions agree.
-func crashNet() *graph.Graph { return graph.FatTree(4, 1) }
-
 // crashScript builds the deterministic op sequence: 8 epochs of 1.5 time
-// units, two randomized admissions before each advance.
+// units, two randomized admissions before each tick.
 func crashScript() []crashOp {
-	hosts := crashNet().Hosts()
+	hosts := graph.FatTree(4, 1).Hosts()
 	rng := rand.New(rand.NewSource(11))
 	var ops []crashOp
 	now, next := 0.0, 0
@@ -72,87 +68,23 @@ func crashScript() []crashOp {
 	return ops
 }
 
-// crashEngine builds an engine with the harness configuration (the same one
-// crashConfig hands recoverState).
-func crashEngine(t *testing.T) *online.Engine {
+// run applies ops to the stepped server in order.
+func (s *stepped) run(t *testing.T, ops []crashOp) {
 	t.Helper()
-	eng, err := online.NewEngine(crashNet(), online.SEBFOnline{}, online.Config{EpochLength: 2})
-	if err != nil {
-		t.Fatalf("new engine: %v", err)
+	for _, op := range ops {
+		if op.cf != nil {
+			s.admitAt(t, op.at, *op.cf)
+		} else {
+			s.tickAt(t, op.to)
+		}
 	}
-	return eng
 }
 
-// crashConfig is the server config the harness recovers with.
-func crashConfig(t *testing.T, dir string) Config {
+// crashServer boots a stepped server with a log under dir, recovering
+// whatever an earlier incarnation left there.
+func crashServer(t *testing.T, dir string) *stepped {
 	t.Helper()
-	cfg, err := Config{
-		Network:     crashNet(),
-		Policy:      online.SEBFOnline{},
-		EpochLength: 2,
-		WALDir:      dir,
-		Logger:      telemetry.LogfLogger(t.Logf),
-	}.withDefaults()
-	if err != nil {
-		t.Fatalf("config: %v", err)
-	}
-	return cfg
-}
-
-// crashRunner drives a script against one engine, mirroring every operation
-// into the WAL exactly the way the live daemon logs it (admissions
-// group-committed, epochs logged as decide-advances). wal == nil is the
-// reference configuration.
-type crashRunner struct {
-	t   *testing.T
-	eng *online.Engine
-	wal *durable.Log
-}
-
-func (r *crashRunner) run(op crashOp) {
-	r.t.Helper()
-	if op.cf != nil {
-		now := op.at
-		if n := r.eng.Now(); now < n {
-			now = n
-		}
-		id, err := r.eng.Admit(*op.cf, now)
-		if err != nil {
-			r.t.Fatalf("admit %s: %v", op.cf.Name, err)
-		}
-		if r.wal != nil {
-			seq, err := r.wal.Append(&durable.Record{Type: durable.RecAdmit, Admit: &durable.AdmitRecord{
-				ID: id, Now: now, Spec: *op.cf,
-			}})
-			if err != nil {
-				r.t.Fatalf("wal append admit: %v", err)
-			}
-			if err := r.wal.Commit(seq); err != nil {
-				r.t.Fatalf("wal commit admit: %v", err)
-			}
-		}
-		return
-	}
-	// One epoch: a synchronous decide then the advance, which is exactly what
-	// a Decide-flagged advance record replays.
-	if err := r.eng.DecideSync(); err != nil {
-		r.t.Fatalf("decide: %v", err)
-	}
-	if op.to > r.eng.Now() {
-		if err := r.eng.AdvanceTo(op.to); err != nil {
-			r.t.Fatalf("advance to %v: %v", op.to, err)
-		}
-	}
-	if r.wal != nil {
-		// Not committed: like the live tick path, epoch records ride the next
-		// admission's group commit (or stay in the page cache — a process
-		// crash does not lose them).
-		if _, err := r.wal.Append(&durable.Record{Type: durable.RecAdvance, Advance: &durable.AdvanceRecord{
-			Now: r.eng.Now(), Decide: true,
-		}}); err != nil {
-			r.t.Fatalf("wal append advance: %v", err)
-		}
-	}
+	return mustStartStepped(t, steppedConfig(t, dir))
 }
 
 // crashOutcome is one coflow's observable fate.
@@ -162,35 +94,33 @@ type crashOutcome struct {
 	completion float64
 }
 
-// drainOutcomes runs the engine to completion and collects every coflow's
-// outcome by id.
-func drainOutcomes(t *testing.T, eng *online.Engine) map[int]crashOutcome {
+// drainOutcomes drains the server and collects every coflow's outcome by id.
+func drainOutcomes(t *testing.T, s *stepped) map[int]crashOutcome {
 	t.Helper()
-	if err := eng.Drain(); err != nil {
+	if _, err := s.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	out := make(map[int]crashOutcome, eng.NumCoflows())
-	for id := 0; id < eng.NumCoflows(); id++ {
-		st, ok := eng.CoflowStatus(id)
-		if !ok {
-			t.Fatalf("coflow %d vanished", id)
+	out := make(map[int]crashOutcome)
+	if err := s.do(context.Background(), func() {
+		for id := 0; id < s.eng.NumCoflows(); id++ {
+			st, _ := s.eng.CoflowStatus(id)
+			if !st.Done {
+				t.Errorf("coflow %d not done after drain: %+v", id, st)
+			}
+			out[id] = crashOutcome{name: st.Name, arrival: st.Arrival, completion: st.Completion}
 		}
-		if !st.Done {
-			t.Fatalf("coflow %d not done after drain: %+v", id, st)
-		}
-		out[id] = crashOutcome{name: st.Name, arrival: st.Arrival, completion: st.Completion}
+	}); err != nil {
+		t.Fatalf("collect outcomes: %v", err)
 	}
 	return out
 }
 
-// referenceOutcomes runs the whole script on a never-crashed engine.
+// referenceOutcomes runs the whole script on a never-crashed server.
 func referenceOutcomes(t *testing.T, ops []crashOp) map[int]crashOutcome {
 	t.Helper()
-	r := &crashRunner{t: t, eng: crashEngine(t)}
-	for _, op := range ops {
-		r.run(op)
-	}
-	return drainOutcomes(t, r.eng)
+	s := mustStartStepped(t, steppedConfig(t, ""))
+	s.run(t, ops)
+	return drainOutcomes(t, s)
 }
 
 // assertOutcomesMatch compares a recovered run against the reference within
@@ -237,9 +167,9 @@ func killPoints(n int) []int {
 }
 
 // TestCrashRecoveryDifferential is the core crash-injection harness: for each
-// kill point k, run ops[:k] with a WAL, abandon the log mid-flight, recover,
-// resume ops[k:], and demand the drained outcome is indistinguishable from
-// the never-crashed reference.
+// kill point k, run ops[:k] on a durable server, kill it, recover a new one
+// from the same directory, resume ops[k:], and demand the drained outcome is
+// indistinguishable from the never-crashed reference.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	ops := crashScript()
 	ref := referenceOutcomes(t, ops)
@@ -247,78 +177,39 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	for _, k := range killPoints(len(ops)) {
 		t.Run(fmt.Sprintf("kill-after-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			wal, err := durable.Open(dir, durable.Options{})
-			if err != nil {
-				t.Fatalf("open wal: %v", err)
-			}
-			r := &crashRunner{t: t, eng: crashEngine(t), wal: wal}
-			for _, op := range ops[:k] {
-				r.run(op)
-			}
-			wal.Abandon() // crash: no final fsync
+			s := crashServer(t, dir)
+			s.run(t, ops[:k])
+			s.Kill() // crash: no final fsync
 
-			rec, err := recoverState(crashConfig(t, dir))
-			if err != nil {
-				t.Fatalf("recover after op %d: %v", k, err)
-			}
-			resumed := &crashRunner{t: t, eng: rec.eng, wal: rec.wal}
-			for _, op := range ops[k:] {
-				resumed.run(op)
-			}
-			if err := rec.wal.Close(); err != nil {
-				t.Fatalf("close recovered wal: %v", err)
-			}
-			assertOutcomesMatch(t, ref, drainOutcomes(t, rec.eng))
+			resumed := crashServer(t, dir)
+			resumed.run(t, ops[k:])
+			assertOutcomesMatch(t, ref, drainOutcomes(t, resumed))
 		})
 	}
 }
 
-// TestCrashRecoveryWithSnapshots interposes periodic snapshot+truncate cycles
-// (the production snapshot protocol, run inline) before the crash, so
-// recovery exercises RestoreEngine plus a log suffix rather than a full
-// replay.
+// TestCrashRecoveryWithSnapshots fires the server's snapshot tick (the
+// production snapshot protocol: write, truncate, prune) every five ops before
+// the crash, so recovery exercises RestoreEngine plus a log suffix rather than
+// a full replay.
 func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	ops := crashScript()
 	ref := referenceOutcomes(t, ops)
 
 	dir := t.TempDir()
-	store, err := durable.NewDirStore(filepath.Join(dir, "snapshots"))
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
-	}
-	wal, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	r := &crashRunner{t: t, eng: crashEngine(t), wal: wal}
+	s := crashServer(t, dir)
 	kill := len(ops) - 3
-	for i, op := range ops[:kill] {
-		r.run(op)
+	for i := range ops[:kill] {
+		s.run(t, ops[i:i+1])
 		if (i+1)%5 == 0 {
-			seq := wal.LastSeq()
-			if _, err := durable.WriteSnapshot(context.Background(), store, seq,
-				serverPersist{Engine: r.eng.ExportState()}); err != nil {
-				t.Fatalf("snapshot at op %d: %v", i+1, err)
-			}
-			if err := wal.TruncateBefore(seq + 1); err != nil {
-				t.Fatalf("truncate at op %d: %v", i+1, err)
-			}
+			s.snapshot(t)
 		}
 	}
-	wal.Abandon()
+	s.Kill()
 
-	rec, err := recoverState(crashConfig(t, dir))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	resumed := &crashRunner{t: t, eng: rec.eng, wal: rec.wal}
-	for _, op := range ops[kill:] {
-		resumed.run(op)
-	}
-	if err := rec.wal.Close(); err != nil {
-		t.Fatalf("close recovered wal: %v", err)
-	}
-	assertOutcomesMatch(t, ref, drainOutcomes(t, rec.eng))
+	resumed := crashServer(t, dir)
+	resumed.run(t, ops[kill:])
+	assertOutcomesMatch(t, ref, drainOutcomes(t, resumed))
 }
 
 // TestRecoveryToleratesTornTail appends a half-written frame to the final
@@ -329,15 +220,9 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 	ref := referenceOutcomes(t, ops)
 
 	dir := t.TempDir()
-	wal, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	r := &crashRunner{t: t, eng: crashEngine(t), wal: wal}
-	for _, op := range ops {
-		r.run(op)
-	}
-	wal.Abandon()
+	s := crashServer(t, dir)
+	s.run(t, ops)
+	s.Kill()
 
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil || len(segs) == 0 {
@@ -354,23 +239,18 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	rec, err := recoverState(crashConfig(t, dir))
-	if err != nil {
-		t.Fatalf("recover with torn tail: %v", err)
+	resumed := crashServer(t, dir)
+	// The repaired log must accept new appends where the torn record was: a
+	// tick at the recovered clock logs its advance and order there.
+	last := resumed.wal.LastSeq()
+	resumed.tickAt(t, resumed.clk.now())
+	if resumed.wal.LastSeq() == last {
+		t.Fatal("tick after repair appended nothing")
 	}
-	// The repaired log must accept new appends where the torn record was.
-	seq, err := rec.wal.Append(&durable.Record{Type: durable.RecAdvance,
-		Advance: &durable.AdvanceRecord{Now: rec.eng.Now()}})
-	if err != nil {
-		t.Fatalf("append after repair: %v", err)
-	}
-	if err := rec.wal.Commit(seq); err != nil {
+	if err := resumed.wal.Sync(); err != nil {
 		t.Fatalf("commit after repair: %v", err)
 	}
-	if err := rec.wal.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	assertOutcomesMatch(t, ref, drainOutcomes(t, rec.eng))
+	assertOutcomesMatch(t, ref, drainOutcomes(t, resumed))
 }
 
 // TestRecoveryRefusesBitFlip flips one payload byte mid-log and checks boot
@@ -379,15 +259,9 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 func TestRecoveryRefusesBitFlip(t *testing.T) {
 	ops := crashScript()
 	dir := t.TempDir()
-	wal, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	r := &crashRunner{t: t, eng: crashEngine(t), wal: wal}
-	for _, op := range ops {
-		r.run(op)
-	}
-	wal.Abandon()
+	s := crashServer(t, dir)
+	s.run(t, ops)
+	s.Kill()
 
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil || len(segs) == 0 {
@@ -403,14 +277,17 @@ func TestRecoveryRefusesBitFlip(t *testing.T) {
 		t.Fatalf("write corrupted segment: %v", err)
 	}
 
-	if _, err := recoverState(crashConfig(t, dir)); !errors.Is(err, durable.ErrCorrupt) {
+	if _, err := startStepped(t, steppedConfig(t, dir)); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("recover from bit-flipped log: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestRecoveryFallsBackToOlderSnapshot corrupts the newest snapshot and
 // checks boot restores the older one and replays the longer log suffix,
-// still landing on the reference outcome.
+// still landing on the reference outcome. The server's snapshot protocol
+// truncates the log behind each snapshot, so the test writes both snapshots
+// itself from the server's engine state, keeping the suffix after the older
+// one on disk.
 func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	ops := crashScript()
 	ref := referenceOutcomes(t, ops)
@@ -421,29 +298,25 @@ func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dir store: %v", err)
 	}
-	wal, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	r := &crashRunner{t: t, eng: crashEngine(t), wal: wal}
+	s := crashServer(t, dir)
 	snapshot := func() {
-		// Deliberately no truncation: the fallback needs the full suffix after
-		// the OLDER snapshot to still be on disk.
-		if _, err := durable.WriteSnapshot(context.Background(), store, wal.LastSeq(),
-			serverPersist{Engine: r.eng.ExportState()}); err != nil {
+		var seq uint64
+		var persist serverPersist
+		if err := s.do(context.Background(), func() {
+			seq, persist = s.wal.LastSeq(), serverPersist{Engine: s.eng.ExportState()}
+		}); err != nil {
+			t.Fatalf("export state: %v", err)
+		}
+		if _, err := durable.WriteSnapshot(context.Background(), store, seq, persist); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
 	}
 	half := len(ops) / 2
-	for _, op := range ops[:half] {
-		r.run(op)
-	}
+	s.run(t, ops[:half])
 	snapshot()
-	for _, op := range ops[half:] {
-		r.run(op)
-	}
+	s.run(t, ops[half:])
 	snapshot()
-	wal.Abandon()
+	s.Kill()
 
 	snaps, err := filepath.Glob(filepath.Join(snapDir, "snap-*.json"))
 	if err != nil || len(snaps) != 2 {
@@ -454,12 +327,5 @@ func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 		t.Fatalf("corrupt newest snapshot: %v", err)
 	}
 
-	rec, err := recoverState(crashConfig(t, dir))
-	if err != nil {
-		t.Fatalf("recover with corrupt newest snapshot: %v", err)
-	}
-	if err := rec.wal.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	assertOutcomesMatch(t, ref, drainOutcomes(t, rec.eng))
+	assertOutcomesMatch(t, ref, drainOutcomes(t, crashServer(t, dir)))
 }

@@ -87,10 +87,8 @@ type serverPersist struct {
 // recovery is everything recoverState rebuilds from disk.
 type recovery struct {
 	eng *online.Engine
-	// journal is the recovered log and snapshot store; wal is its Log, which
-	// the crash harness drives directly.
+	// journal is the recovered log and snapshot store.
 	journal  *durable.Journal
-	wal      *durable.Log
 	idem     map[string]idemEntry
 	traceIDs map[int]string
 	// idemByID indexes recovered dedupe entries whose coflows are still in
@@ -137,7 +135,6 @@ func recoverState(cfg Config) (*recovery, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	rec.wal = rec.journal.Log
 	// Coflows that completed inside the replay have no one to report to;
 	// drain the log so the first live tick starts clean.
 	for _, id := range rec.eng.TakeCompleted() {
@@ -189,14 +186,8 @@ func (rec *recovery) apply(r *durable.Record) error {
 			return fmt.Errorf("%w: order record seq %d does not replay: %v", durable.ErrCorrupt, r.Seq, err)
 		}
 	case durable.RecAdvance:
-		adv := r.Advance
-		if adv.Decide {
-			if err := rec.eng.DecideSync(); err != nil {
-				return fmt.Errorf("%w: advance record seq %d: decide: %v", durable.ErrCorrupt, r.Seq, err)
-			}
-		}
-		if err := rec.eng.AdvanceTo(adv.Now); err != nil {
-			return fmt.Errorf("%w: advance record seq %d: advance to %v: %v", durable.ErrCorrupt, r.Seq, adv.Now, err)
+		if err := rec.eng.AdvanceTo(r.Advance.Now); err != nil {
+			return fmt.Errorf("%w: advance record seq %d: advance to %v: %v", durable.ErrCorrupt, r.Seq, r.Advance.Now, err)
 		}
 	case durable.RecComplete:
 		// Informational: completions are re-derived by the replayed advances.

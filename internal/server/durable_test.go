@@ -43,37 +43,34 @@ func testDurableServer(t *testing.T, dir string, timeScale float64) (*Server, *h
 // without being re-admitted.
 func TestServerRecoveryOverRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, c := testDurableServer(t, dir, 200)
+	s := mustStartStepped(t, steppedConfig(t, dir))
+	c := s.client(t)
 
 	var admitted []AdmitResponse
-	for _, spec := range []struct {
+	for i, spec := range []struct {
 		name string
 		size float64
 	}{{"restart-a", 2}, {"restart-b", 3}, {"restart-c", 5}} {
+		s.clk.set(0.5 * float64(i))
 		resp, err := c.Admit(testCoflow(t, spec.name, spec.size))
 		if err != nil {
 			t.Fatalf("admit %s: %v", spec.name, err)
 		}
 		admitted = append(admitted, resp)
 	}
-	// Let a few epoch ticks land so the log holds advances, not just admits.
-	time.Sleep(30 * time.Millisecond)
-
-	ts.Close()
+	// Two epoch ticks, so the log holds advances and orders, not just admits.
+	s.tickAt(t, 2)
+	s.tickAt(t, 4)
 	s.Kill() // crash-shaped: no drain, no final fsync
 
-	s2, ts2, c2 := testDurableServer(t, dir, 200)
-	t.Cleanup(func() {
-		ts2.Close()
-		s2.Close()
-	})
-
+	s2 := mustStartStepped(t, steppedConfig(t, dir))
+	c2 := s2.client(t)
 	st, err := c2.Stats()
 	if err != nil {
 		t.Fatalf("stats after restart: %v", err)
 	}
-	if st.Admitted != len(admitted) {
-		t.Fatalf("recovered daemon admitted = %d, want %d", st.Admitted, len(admitted))
+	if st.Admitted != len(admitted) || st.Now != 4 {
+		t.Fatalf("recovered daemon admitted = %d at %v, want %d at 4", st.Admitted, st.Now, len(admitted))
 	}
 	for _, want := range admitted {
 		got, err := c2.Coflow(want.ID)
@@ -89,20 +86,10 @@ func TestServerRecoveryOverRestart(t *testing.T) {
 	}
 
 	// The recovered coflows must finish on their own as simulated time resumes.
-	deadline := time.Now().Add(10 * time.Second)
+	s2.tickUntilDone(t)
 	for _, want := range admitted {
-		for {
-			got, err := c2.Coflow(want.ID)
-			if err != nil {
-				t.Fatalf("poll coflow %d: %v", want.ID, err)
-			}
-			if got.Done {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("coflow %d still unfinished after restart: %+v", want.ID, got)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if got, err := c2.Coflow(want.ID); err != nil || !got.Done {
+			t.Errorf("coflow %d after the recovered run: %+v, %v", want.ID, got, err)
 		}
 	}
 	final, err := c2.Stats()

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
@@ -70,26 +69,18 @@ func TestMetricsShardLabel(t *testing.T) {
 // TestStatsSamples: the ?samples=1 view exposes the raw reservoirs; the plain
 // view omits them (they are gateway plumbing, not human-facing).
 func TestStatsSamples(t *testing.T) {
-	_, c := testServer(t, online.SEBFOnline{}, 500)
+	s := mustStartStepped(t, steppedConfig(t, ""))
+	c := s.client(t)
 	if _, err := c.Admit(testCoflow(t, "s", 1)); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := c.StatsSamples()
-		if err != nil {
-			t.Fatalf("stats samples: %v", err)
-		}
-		if st.Completed == 1 {
-			if len(st.Slowdowns) != 1 {
-				t.Fatalf("samples view has %d slowdown samples, want 1", len(st.Slowdowns))
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("coflow did not complete in time")
-		}
-		time.Sleep(10 * time.Millisecond)
+	s.tickUntilDone(t)
+	st, err := c.StatsSamples()
+	if err != nil {
+		t.Fatalf("stats samples: %v", err)
+	}
+	if st.Completed != 1 || len(st.Slowdowns) != 1 {
+		t.Fatalf("samples view: completed %d, %d slowdown samples, want 1 and 1", st.Completed, len(st.Slowdowns))
 	}
 	plain, err := c.Stats()
 	if err != nil {

@@ -16,9 +16,13 @@
 // resulting order returns through the command channel and is applied one
 // epoch late, the staleness online.Run models for an AsyncPolicy.
 //
-// Time: the simulation clock advances with the wall clock, scaled by
-// Config.TimeScale simulated time units per wall second. Epoch boundaries
-// are wall-clock ticks of EpochLength/TimeScale seconds.
+// Time: the scheduler loop takes time from a clock: the simulated now that
+// admissions and ticks read, the epoch ticks and the snapshot ticks. New runs
+// it on the wall clock (wallClock): simulated time advances with the wall
+// clock, scaled by Config.TimeScale simulated time units per wall second, from
+// where recovery left the engine clock, and epoch boundaries are wall-clock
+// ticks of EpochLength/TimeScale seconds. The package's tests step a clock by
+// hand instead, so they drive this same loop one tick at a time.
 package server
 
 import (
@@ -112,10 +116,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// minWallEpoch floors the tick period so extreme TimeScale values cannot
-// turn the scheduler loop into a busy spin.
-const minWallEpoch = time.Millisecond
-
 // errStopped is returned by handler operations after Close.
 var errStopped = errors.New("server: scheduler stopped")
 
@@ -131,17 +131,14 @@ type Server struct {
 	quit      chan struct{}
 	stopped   chan struct{}
 	closeOnce sync.Once
-	start     time.Time
+	clock     clock
 	metrics   *serverMetrics
 	tracer    *telemetry.Tracer
 	logger    *slog.Logger
 
 	// Durability (nil without Config.WALDir). The scheduler appends; handlers
-	// wait in its Commit. simBase offsets the wall-clock mapping so a
-	// recovered engine's simulation clock continues from where replay left it
-	// instead of restarting at zero.
-	wal     *durable.Journal
-	simBase float64
+	// wait in its Commit.
+	wal *durable.Journal
 
 	// Owned by the scheduler goroutine.
 	solving  bool
@@ -170,7 +167,12 @@ type Server struct {
 
 // New builds and starts a server: the scheduler goroutine begins ticking
 // immediately. Callers must Close it (or Drain then Close).
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, wallClock) }
+
+// newServer builds a server and runs its scheduler loop on the clock newClock
+// returns. The clock is built after recovery, from the engine clock replay
+// left (base), so the time recovery took does not move simulated time.
+func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -180,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		stopped:  make(chan struct{}),
-		start:    time.Now(),
 		metrics:  newServerMetrics(cfg.Shard),
 		tracer:   telemetry.NewTracer("coflowd", cfg.Shard, cfg.TraceCapacity),
 		logger:   cfg.Logger,
@@ -212,14 +213,14 @@ func New(cfg Config) (*Server, error) {
 		for _, key := range rec.staleIdem {
 			s.idemTombs = append(s.idemTombs, idemTomb{key: key, expires: expires})
 		}
-		s.simBase = rec.eng.Now()
 		s.metrics.walRecovered.Set(float64(rec.active))
 		if rec.replayed > 0 || rec.active > 0 {
 			s.logger.Info("state recovered", "component", "coflowd",
 				"replayed", rec.replayed, "active_coflows", rec.active,
-				"sim_now", s.simBase)
+				"sim_now", rec.eng.Now())
 		}
 	}
+	s.clock = newClock(cfg, s.eng.Now())
 	go s.loop()
 	return s, nil
 }
@@ -228,42 +229,57 @@ func New(cfg Config) (*Server, error) {
 // gateway's).
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
-// simNow maps the wall clock onto the simulation clock, offset by the clock
-// a recovered engine resumed at.
-func (s *Server) simNow() float64 {
-	return s.simBase + time.Since(s.start).Seconds()*s.cfg.TimeScale
+// clock is where the scheduler loop takes time from: now is the simulated
+// time admissions and ticks read, epochs and snapshots deliver the loop's
+// ticks (a nil channel never fires), and stop releases them when the loop
+// exits.
+type clock struct {
+	now               func() float64
+	epochs, snapshots <-chan time.Time
+	stop              func()
 }
 
-// wallEpoch is the wall-clock tick period of the epoch loop.
-func (s *Server) wallEpoch() time.Duration {
-	d := time.Duration(s.cfg.EpochLength / s.cfg.TimeScale * float64(time.Second))
-	if d < minWallEpoch {
-		d = minWallEpoch
+// minWallEpoch floors the tick period so extreme TimeScale values cannot
+// turn the scheduler loop into a busy spin.
+const minWallEpoch = time.Millisecond
+
+// wallClock is the daemon's clock: simulated time is base plus the wall
+// seconds since the clock was built times TimeScale, an epoch ticks every
+// EpochLength/TimeScale wall seconds, and a daemon with a log snapshots every
+// SnapshotInterval.
+func wallClock(cfg Config, base float64) clock {
+	period := time.Duration(cfg.EpochLength / cfg.TimeScale * float64(time.Second))
+	if period < minWallEpoch {
+		period = minWallEpoch
 	}
-	return d
+	start, epoch := time.Now(), time.NewTicker(period)
+	c := clock{
+		now:    func() float64 { return base + time.Since(start).Seconds()*cfg.TimeScale },
+		epochs: epoch.C,
+		stop:   epoch.Stop,
+	}
+	if cfg.WALDir != "" && cfg.SnapshotInterval > 0 {
+		snap := time.NewTicker(cfg.SnapshotInterval)
+		c.snapshots = snap.C
+		c.stop = func() { epoch.Stop(); snap.Stop() }
+	}
+	return c
 }
 
 // loop is the scheduler goroutine: it serializes handler operations and
 // drives the epoch clock.
 func (s *Server) loop() {
 	defer close(s.stopped)
-	tick := time.NewTicker(s.wallEpoch())
-	defer tick.Stop()
-	var snapC <-chan time.Time
-	if s.wal != nil && s.cfg.SnapshotInterval > 0 {
-		snap := time.NewTicker(s.cfg.SnapshotInterval)
-		defer snap.Stop()
-		snapC = snap.C
-	}
+	defer s.clock.stop()
 	for {
 		select {
 		case <-s.quit:
 			return
 		case op := <-s.cmds:
 			op()
-		case <-tick.C:
+		case <-s.clock.epochs:
 			s.tick()
-		case <-snapC:
+		case <-s.clock.snapshots:
 			s.maybeSnapshot()
 		}
 	}
@@ -275,7 +291,7 @@ func (s *Server) loop() {
 // policy decision.
 func (s *Server) tick() {
 	t0 := time.Now()
-	err := s.eng.AdvanceTo(s.simNow())
+	err := s.eng.AdvanceTo(s.clock.now())
 	tickDur := time.Since(t0)
 	s.metrics.tickDuration.Observe(tickDur.Seconds())
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
@@ -165,26 +164,21 @@ func TestHealthNetworkStatsMetrics(t *testing.T) {
 	}
 }
 
-// TestDecisionsHappen checks the asynchronous epoch loop actually applies
-// policy decisions while the server runs.
+// TestDecisionsHappen checks an epoch tick runs the policy on the residual
+// view and applies its decision.
 func TestDecisionsHappen(t *testing.T) {
-	_, c := testServer(t, online.SEBFOnline{}, 100)
+	s := mustStartStepped(t, steppedConfig(t, ""))
+	c := s.client(t)
 	if _, err := c.Admit(testCoflow(t, "d", 50)); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatalf("stats: %v", err)
-		}
-		if st.Decisions > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no policy decision applied within 10s: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	s.tickAt(t, 2)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if st.Decisions != 1 {
+		t.Fatalf("decisions = %d after one busy tick, want 1: %+v", st.Decisions, st)
 	}
 }
 
