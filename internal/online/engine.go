@@ -38,14 +38,11 @@ type EpochStat struct {
 	// ActiveFlows counts residual flows visible at the epoch boundary.
 	ActiveFlows int
 	// SnapshotEpoch is the epoch whose view produced the order applied in
-	// this epoch. Equal to Epoch for synchronous policies and for an
-	// AsyncPolicy's cold start; Epoch-1 otherwise under an AsyncPolicy (the
-	// one-epoch staleness of a solver slower than its epoch). -1 when no
-	// decision was applied (idle epoch).
+	// this epoch: Epoch for synchronous policies and an AsyncPolicy's cold
+	// start, Epoch-1 otherwise under an AsyncPolicy, -1 when none applied.
 	SnapshotEpoch int
 	// SolveLatency is the wall-clock duration of the Decide call made on this
-	// epoch's view, zero when the view was idle and no Decide ran. Under an
-	// AsyncPolicy that call's order is the one the next epoch applies.
+	// epoch's view, zero when the view was idle and no Decide ran.
 	SolveLatency time.Duration
 }
 
@@ -95,13 +92,13 @@ func (r *Result) SolveLatencies() []float64 {
 // arrival order, and a flow released later than its coflow's arrival is
 // already routed (and visible to the policy) while it waits.
 //
-// Epoch 0 starts at the first arrival. At every boundary the policy decides
-// on the engine's residual view; the order a synchronous policy returns is
-// applied at once, an AsyncPolicy's one epoch later (a cold start — the first
-// busy epoch, or the first after an idle stretch — applies its order in both
-// epochs). Determinism: two Runs with the same instance, policy, config and
-// seed produce identical schedules — which decision an epoch applies depends
-// on epoch indices only, never on how fast the solver ran.
+// Epoch 0 starts at the first arrival, and every boundary is one DecideSync,
+// so the engine's staleness rule (Settle) applies the orders: an
+// AsyncPolicy's one epoch late, and on a cold start — the first busy epoch,
+// or the first after an idle stretch — in both epochs. Determinism: two Runs
+// with the same instance, policy, config and seed produce identical
+// schedules — which decision an epoch applies depends on epoch indices only,
+// never on how fast the solver ran.
 func Run(inst *coflow.Instance, policy Policy, cfg Config) (*Result, error) {
 	if err := inst.Validate(false); err != nil {
 		return nil, err
@@ -123,85 +120,44 @@ func Run(inst *coflow.Instance, policy Policy, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	ap, _ := policy.(AsyncPolicy)
-	async := ap != nil && ap.Async()
-
-	// admit hands the engine every coflow arriving by upTo, its releases
-	// turned into offsets from the arrival on a copy.
+	maxEpochs := int(inst.TimeHorizon()/cfg.EpochLength)*10 + 1000
+	var stats []EpochStat
 	next := 0
-	admit := func(upTo float64) error {
-		for ; next < len(inst.Coflows) && arrivals[next] <= upTo+1e-15; next++ {
+	for epoch, now := 0, arrivals[0]; ; epoch, now = epoch+1, now+cfg.EpochLength {
+		// Admit every coflow arriving by now at its arrival, its releases
+		// turned into offsets from the arrival on a copy, then advance.
+		for ; next < len(inst.Coflows) && arrivals[next] <= now+1e-15; next++ {
 			cf := inst.Coflows[next]
 			cf.Flows = append([]coflow.Flow(nil), cf.Flows...)
 			for j := range cf.Flows {
 				cf.Flows[j].Release -= arrivals[next]
 			}
 			if _, err := eng.Admit(cf, arrivals[next]); err != nil {
-				return fmt.Errorf("online: admitting coflow %d: %w", next, err)
+				return nil, fmt.Errorf("online: admitting coflow %d: %w", next, err)
 			}
 		}
-		return nil
-	}
-
-	now := arrivals[0]
-	if err := admit(now); err != nil {
-		return nil, err
-	}
-	if err := eng.AdvanceTo(now); err != nil {
-		return nil, err
-	}
-	maxEpochs := int(inst.TimeHorizon()/cfg.EpochLength)*10 + 1000
-	var stats []EpochStat
-	// An AsyncPolicy's order waits one epoch in deferred (waiting says one is
-	// there): decided on the previous epoch's view, applied in this one. It
-	// is a copy — a policy may return its order in the view's arena, which
-	// the next Decide overwrites.
-	var deferred []coflow.FlowRef
-	waiting := false
-	for epoch := 0; next < len(inst.Coflows) || !eng.Done(); epoch++ {
+		if err := eng.AdvanceTo(now); err != nil {
+			return nil, err
+		}
+		if next == len(inst.Coflows) && eng.Done() {
+			break
+		}
 		if epoch > maxEpochs {
 			return nil, fmt.Errorf("online: exceeded %d epochs (epoch length %v too small for horizon?)", maxEpochs, cfg.EpochLength)
 		}
-		snap := eng.syncView()
+		latency, err := eng.decide()
+		if err != nil {
+			return nil, fmt.Errorf("online: %s epoch %d: %w", policy.Name(), epoch, err)
+		}
 		st := EpochStat{Epoch: epoch, Start: now, End: now + cfg.EpochLength,
-			ActiveFlows: snap.NumFlows(), SnapshotEpoch: -1}
-		apply := func(order []coflow.FlowRef, from EpochStat) error {
-			st.SnapshotEpoch = from.Epoch
-			if err := eng.ApplyOrder(order, from.SolveLatency); err != nil {
-				return fmt.Errorf("online: %s epoch %d: %w", policy.Name(), epoch, err)
-			}
-			return nil
-		}
-		if waiting {
-			waiting = false
-			if err := apply(deferred, stats[epoch-1]); err != nil {
-				return nil, err
-			}
-		}
-		if st.ActiveFlows > 0 {
-			t0 := time.Now()
-			order, err := policy.Decide(snap)
-			if err != nil {
-				return nil, err
-			}
-			st.SolveLatency = time.Since(t0)
-			if st.SnapshotEpoch < 0 { // synchronous policy, or a cold start
-				if err := apply(order, st); err != nil {
-					return nil, err
-				}
-			}
-			if async {
-				deferred, waiting = append(deferred[:0], order...), true
-			}
-		}
-		if err := admit(st.End); err != nil {
-			return nil, err
-		}
-		if err := eng.AdvanceTo(st.End); err != nil {
-			return nil, err
+			ActiveFlows: eng.view.NumFlows(), SnapshotEpoch: -1, SolveLatency: latency}
+		switch {
+		case eng.warmAt == eng.epoch: // the order held from the previous epoch
+			st.SnapshotEpoch = epoch - 1
+		case st.ActiveFlows > 0: // a synchronous policy's order, or a cold start's
+			st.SnapshotEpoch = epoch
 		}
 		stats = append(stats, st)
-		now = st.End
 	}
 
 	// Score the transcript the engine kept (see Engine.transcript).

@@ -12,12 +12,13 @@ import (
 
 // Engine is the epoch loop's state, and the one implementation of it: coflows
 // are admitted one at a time (Admit), the clock is advanced explicitly
-// (AdvanceTo), and priority decisions are installed by the caller
-// (ApplyOrder), so an expensive Decide can run outside the goroutine that
-// owns the engine. coflowd's scheduler goroutine drives it against the wall
-// clock; Run drives it over a fixed instance. The engine itself is NOT safe
-// for concurrent use — a single goroutine must own it and serialize access,
-// which is exactly what internal/server's scheduler goroutine does.
+// (AdvanceTo), and a decided order comes back through Settle, the one place
+// the staleness rule lives, so an expensive Decide can run outside the
+// goroutine that owns the engine. coflowd's scheduler goroutine drives it
+// against the wall clock; Run and Drain drive it epoch by epoch through
+// DecideSync. The engine itself is NOT safe for concurrent use — a single
+// goroutine must own it and serialize access, which is exactly what
+// internal/server's scheduler goroutine does.
 //
 // The residual snapshot the caller hands to Policy.Decide comes from
 // Snapshot, which only exposes admitted, arrived, unfinished coflows, so
@@ -91,6 +92,12 @@ type Engine struct {
 	churnGen uint64
 	// lastChurn is the order-churn fraction of the most recent ApplyOrder.
 	lastChurn float64
+	// held is an AsyncPolicy's one-slot deferral, set while holding: a copy,
+	// as a policy may return its order in the view's arena. warmAt is the
+	// last epoch whose boundary applied a held order, -1 before any.
+	held    Decision
+	holding bool
+	warmAt  int
 	// recentDone logs coflow ids completed since the last TakeCompleted call
 	// — the hook lifecycle tracing uses to emit completion spans without
 	// rescanning engine state.
@@ -219,6 +226,7 @@ func newEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
 		inst:   inst,
 		sim:    s,
 		load:   make([]float64, g.NumEdges()),
+		warmAt: -1,
 	}, nil
 }
 
@@ -264,16 +272,8 @@ func pickPath(g *graph.Graph, load []float64, f *coflow.Flow, cands []graph.Path
 	return cands[bestIdx], nil
 }
 
-// Policy returns the engine's policy. Decide may be called on it from any
-// goroutine (policies are stateless once constructed); the resulting order
-// must come back through ApplyOrder on the owning goroutine.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // Now returns the engine clock.
 func (e *Engine) Now() float64 { return e.now }
-
-// EpochLength returns the configured epoch length.
-func (e *Engine) EpochLength() float64 { return e.cfg.EpochLength }
 
 // NumCoflows returns the number of admitted coflows.
 func (e *Engine) NumCoflows() int { return len(e.inst.Coflows) }
@@ -518,12 +518,45 @@ func (e *Engine) Snapshot() *Snapshot {
 	return snap
 }
 
-// ApplyOrder installs a priority order (normally the result of running the
-// engine's policy on a Snapshot) and records the wall-clock latency of the
-// decision that produced it. Orders computed asynchronously are one epoch
-// stale: coflows that completed during the solve have been pruned from the
-// simulator, so their refs are silently dropped — the decision's ranking of
-// the still-live flows remains worth applying.
+// Decision is one Decide call's outcome: the order, the wall-clock time the
+// call took and the epoch whose view it was decided on.
+type Decision struct {
+	Order   []coflow.FlowRef
+	Latency time.Duration
+	Epoch   int
+}
+
+// Settle hands the engine an order its policy decided and applies the
+// staleness rule: a synchronous policy's order is applied at once; an
+// AsyncPolicy's is held for the next epoch boundary (ApplyHeld) and, on a cold
+// start — d.Epoch's boundary applied no held order — at once too. It reports
+// whether it applied d.
+func (e *Engine) Settle(d Decision) (applied bool, err error) {
+	if ap, ok := e.policy.(AsyncPolicy); ok && ap.Async() {
+		e.held = Decision{Order: append(e.held.Order[:0], d.Order...), Latency: d.Latency, Epoch: d.Epoch}
+		e.holding = true
+		if e.warmAt == d.Epoch {
+			return false, nil
+		}
+	}
+	return true, e.ApplyOrder(d.Order, d.Latency)
+}
+
+// ApplyHeld is the epoch boundary of the staleness rule: it applies and
+// returns the order Settle held, if one was decided in an earlier epoch. The
+// returned order is the engine's, valid until the next Settle.
+func (e *Engine) ApplyHeld() (d Decision, applied bool, err error) {
+	if !e.holding || e.held.Epoch >= e.epoch {
+		return Decision{}, false, nil
+	}
+	e.holding, e.warmAt = false, e.epoch
+	return e.held, true, e.ApplyOrder(e.held.Order, e.held.Latency)
+}
+
+// ApplyOrder installs a priority order and records the latency of the
+// decision that produced it, outside the staleness rule (recovery replays
+// logged orders through it). Refs of coflows that completed since the order's
+// view are dropped: its ranking of the still-live flows is worth applying.
 func (e *Engine) ApplyOrder(order []coflow.FlowRef, solveLatency time.Duration) error {
 	live := e.orderScratch[:0]
 	liveH := e.orderHandles[:0]
@@ -735,6 +768,7 @@ func (e *Engine) collectCompletions() {
 			e.sim.ReleaseIdle()
 			e.view = Snapshot{}
 			e.order, e.orderScratch, e.orderHandles = nil, nil, nil
+			e.held.Order = nil // every ref it held has completed
 			e.progress, e.loads = nil, nil
 		}
 	}
@@ -798,22 +832,29 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// DecideSync brings the residual view up to date, runs the policy on it
-// synchronously and applies the resulting order. Idle views (no residual
-// coflows) apply nothing. The policy reads the engine's own long-lived view,
-// which the Policy contract makes safe: Decide must neither retain nor
-// modify the snapshot.
+// DecideSync is one epoch boundary: ApplyHeld, then the policy decides on the
+// up-to-date residual view (idle views decide nothing) and Settle takes the
+// order. The policy reads the engine's long-lived view, which the Policy
+// contract makes safe: Decide must neither retain nor modify the snapshot.
 func (e *Engine) DecideSync() error {
+	_, err := e.decide()
+	return err
+}
+
+// decide is DecideSync, returning its Decide's latency (zero on an idle view).
+func (e *Engine) decide() (time.Duration, error) {
 	snap := e.syncView()
-	if len(snap.Coflows) == 0 {
-		return nil
+	if _, _, err := e.ApplyHeld(); err != nil || len(snap.Coflows) == 0 {
+		return 0, err
 	}
 	t0 := time.Now()
 	order, err := e.policy.Decide(snap)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return e.ApplyOrder(order, time.Since(t0))
+	latency := time.Since(t0)
+	_, err = e.Settle(Decision{Order: order, Latency: latency, Epoch: e.epoch})
+	return latency, err
 }
 
 // Drain runs decide/advance epochs until every admitted flow completes,
@@ -822,6 +863,9 @@ func (e *Engine) DecideSync() error {
 // every in-flight coflow finished. The epoch budget guards against a policy
 // that starves some flow forever.
 func (e *Engine) Drain() error {
+	// Every flow finishes here, so an order still held has nothing left to
+	// rank: it is dropped rather than applied after the drain.
+	defer func() { e.holding = false }()
 	if e.Done() {
 		return nil
 	}

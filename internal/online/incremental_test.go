@@ -232,7 +232,7 @@ func TestApplyStaleOrder(t *testing.T) {
 	}
 	// Snapshot-then-decide while both coflows are live (the in-flight solve).
 	snap := eng.Snapshot()
-	stale, err := eng.Policy().Decide(snap)
+	stale, err := FIFOOnline{}.Decide(snap)
 	if err != nil {
 		t.Fatalf("decide: %v", err)
 	}

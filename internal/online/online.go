@@ -19,12 +19,10 @@
 // the full instance up front and serves as a lower-bound reference for the
 // price of online operation.
 //
-// Expensive policies (LPEpoch) are applied one epoch late: the order decided
-// on the view at the start of epoch k takes effect at epoch k+1, so it lags
-// one epoch behind the residual state it was computed from — exactly the
-// trade a real scheduler makes when its solver is slower than its epoch.
-// Run models the lag deterministically and starts no goroutine; coflowd runs
-// such a Decide off its scheduler goroutine.
+// Expensive policies (LPEpoch) are applied one epoch late, the trade a real
+// scheduler makes when its solver is slower than its epoch. The Engine holds
+// the one staleness rule (Engine.Settle), and every drive goes through it:
+// Run, DecideSync and Drain decide inline, coflowd off its scheduler goroutine.
 package online
 
 import (
@@ -150,10 +148,9 @@ type Policy interface {
 
 // AsyncPolicy marks a policy whose Decide is too expensive to finish inside
 // the epoch boundary. When Async reports true, the order decided on the view
-// at the start of epoch k is applied at epoch k+1 — one epoch stale, as if
-// the solve had run alongside epoch k's transmission. Cheap heuristics
-// should not implement this (or return false): their decisions are applied
-// at once on fresh state.
+// at the start of epoch k is applied at epoch k+1, as if the solve had run
+// alongside epoch k's transmission (Engine.Settle). Cheap heuristics should
+// not implement this (or return false): their orders apply at once.
 type AsyncPolicy interface {
 	Policy
 	Async() bool

@@ -2,8 +2,9 @@
 // every registered workload scenario (internal/workload) through online.Run,
 // which aligns epoch 0 to the first arrival and scores the transcript, rounds
 // the resulting per-policy objectives and per-coflow completion times, and
-// diffs them against committed golden files under testdata/. The daemon's
-// own loop is pinned on the same scenarios by internal/server's TestGolden.
+// diffs them against committed golden files under testdata/. coflowd is held
+// to the same fixtures: internal/server's TestGoldenScenarios replays the
+// scenarios through the daemon on Run's epoch grid.
 //
 // The tier-1 suite only catches crashes and property violations; the goldens
 // catch silent drift — a refactor that changes which coflow finishes first
@@ -27,10 +28,10 @@ import (
 	"coflowsched/internal/workload"
 )
 
-// epochLength is the re-decision period used for every golden run. One value
+// EpochLength is the re-decision period used for every golden run. One value
 // for all scenarios keeps the fixtures comparable; it matches the default
 // the experiment sweeps use.
-const epochLength = 2
+const EpochLength = 2
 
 // PolicyGolden pins one policy's online.Run output on one scenario.
 type PolicyGolden struct {
@@ -54,9 +55,9 @@ type ScenarioGolden struct {
 	Policies map[string]PolicyGolden `json:"policies"`
 }
 
-// batchPolicies returns the pinned policies, freshly constructed per call
+// Policies returns the pinned policies, freshly constructed per call
 // (policies may be stateful across Prepare).
-func batchPolicies() []online.Policy {
+func Policies() []online.Policy {
 	return []online.Policy{online.LPEpoch{}, online.SEBFOnline{}, online.FIFOOnline{}}
 }
 
@@ -72,32 +73,34 @@ func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 		Flows:    inst.NumFlows(),
 		Policies: map[string]PolicyGolden{},
 	}
-	for _, p := range batchPolicies() {
-		res, err := online.Run(inst, p, online.Config{EpochLength: epochLength, Seed: sc.Seed})
+	for _, p := range Policies() {
+		res, err := online.Run(inst, p, online.Config{EpochLength: EpochLength, Seed: sc.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("regress: %s/%s: %w", sc.Name, p.Name(), err)
 		}
-		g.Policies[p.Name()] = PolicyGolden{
-			WeightedCCT:      round(res.WeightedCCT),
-			WeightedResponse: round(res.WeightedResponse),
-			Makespan:         round(res.Makespan),
-			Completions:      roundAll(res.CoflowCompletion),
-			SlowdownP50:      round(stats.PercentileOr(res.Slowdown, 50, 0)),
-			SlowdownP95:      round(stats.PercentileOr(res.Slowdown, 95, 0)),
-		}
+		g.Policies[p.Name()] = Pin(res.WeightedCCT, res.WeightedResponse, res.Makespan, res.CoflowCompletion, res.Slowdown)
 	}
 	return g, nil
+}
+
+// Pin rounds one policy's outcome into its pinned form; completions and
+// slowdowns are indexed by coflow.
+func Pin(weightedCCT, weightedResponse, makespan float64, completions, slowdowns []float64) PolicyGolden {
+	g := PolicyGolden{
+		WeightedCCT:      round(weightedCCT),
+		WeightedResponse: round(weightedResponse),
+		Makespan:         round(makespan),
+		Completions:      make([]float64, len(completions)),
+		SlowdownP50:      round(stats.PercentileOr(slowdowns, 50, 0)),
+		SlowdownP95:      round(stats.PercentileOr(slowdowns, 95, 0)),
+	}
+	for i, c := range completions {
+		g.Completions[i] = round(c)
+	}
+	return g
 }
 
 // round quantizes to 9 decimal places: coarse enough to absorb float
 // printing differences, fine enough that any real scheduling change moves
 // the value.
 func round(v float64) float64 { return math.Round(v*1e9) / 1e9 }
-
-func roundAll(vs []float64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = round(v)
-	}
-	return out
-}

@@ -116,15 +116,28 @@ func (s *stepped) admitAt(t *testing.T, at float64, cf coflow.Coflow) AdmitRespo
 }
 
 // tickAt fires one epoch tick at simulated time at and returns once the tick
-// has run and the decide it started has been applied through s.do.
+// has run and the decide it started has been handed to the engine.
 func (s *stepped) tickAt(t *testing.T, at float64) {
 	t.Helper()
+	s.fire(at)
+	s.settled(t)
+}
+
+// fire sends one epoch tick at simulated time at and returns once the
+// scheduler has taken it, without waiting for the decide it starts.
+func (s *stepped) fire(at float64) {
 	s.clk.set(at)
 	s.clk.ticks <- time.Time{}
+}
+
+// settled returns once no decide is in flight: the last one's result has been
+// handed to the engine (or dropped).
+func (s *stepped) settled(t *testing.T) {
+	t.Helper()
 	for {
 		var solving bool
 		if err := s.do(context.Background(), func() { solving = s.solving }); err != nil {
-			t.Fatalf("tick at %v: %v", at, err)
+			t.Fatalf("waiting for the decide: %v", err)
 		}
 		if !solving {
 			return

@@ -1,98 +1,96 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/online"
+	"coflowsched/internal/regress"
 	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden.json from the daemon's current output")
-
-// goldenEpoch is the epoch length of every golden replay; internal/regress
-// pins online.Run on the same scenarios at the same length.
-const goldenEpoch = 2
-
-// engineGolden pins one policy's replay of one scenario through coflowd: the
-// engine's own aggregates once every coflow has finished.
-type engineGolden struct {
-	WeightedCCT      float64 `json:"weighted_cct"`
-	WeightedResponse float64 `json:"weighted_response"`
-	Completed        int     `json:"completed"`
-	Epochs           int     `json:"epochs"`
-}
-
 // TestGoldenScenarios replays every registered scenario through a stepped
-// daemon under SEBF and FIFO and compares the rounded results with
-// testdata/<scenario>.golden.json. A mismatch means the daemon schedules
-// differently: fix the regression or, if the change is intended, regenerate
-// with `go test ./internal/server -run TestGolden -update` and commit the
-// diff.
+// daemon under each pinned policy and compares the outcome with the fixture
+// internal/regress holds online.Run to. The daemon and Run drive one engine
+// under one staleness rule on one epoch grid, so they must agree pin for pin,
+// LPEpoch included. A mismatch means the daemon schedules differently from
+// Run; the fixtures are Run's and are regenerated only there.
 func TestGoldenScenarios(t *testing.T) {
-	scenarios := workload.Scenarios()
-	files, err := filepath.Glob(filepath.Join("testdata", "*.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != len(scenarios) && !*update {
-		t.Errorf("%d golden files for %d scenarios: a stale fixture pins nothing", len(files), len(scenarios))
-	}
-	for _, sc := range scenarios {
+	for _, sc := range workload.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
-			inst, arrivals, err := sc.Build()
-			if err != nil {
-				t.Fatalf("building scenario: %v", err)
-			}
-			got := map[string]engineGolden{}
-			for _, p := range []online.Policy{online.SEBFOnline{}, online.FIFOOnline{}} {
-				got[p.Name()] = replayScenario(t, inst, arrivals, p)
-			}
-			b, err := json.MarshalIndent(got, "", "  ")
-			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			b = append(b, '\n')
-			path := filepath.Join("testdata", sc.Name+".golden.json")
-			if *update {
-				if err := os.WriteFile(path, b, 0o644); err != nil {
-					t.Fatalf("writing golden: %v", err)
+			inst, want := goldenScenario(t, sc)
+			for _, p := range regress.Policies() {
+				got := replayScenario(t, inst, p, false)
+				if w := want.Policies[p.Name()]; !reflect.DeepEqual(got, w) {
+					t.Errorf("%s: daemon drifted from online.Run's pins:\ngot  %+v\nwant %+v", p.Name(), got, w)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update and commit it): %v", err)
-			}
-			if !bytes.Equal(want, b) {
-				t.Errorf("daemon output drifted from %s:\ngot:\n%s\nwant:\n%s", path, b, want)
 			}
 		})
 	}
 }
 
-// replayScenario streams a scenario through a stepped daemon the way coflowd
-// sees traffic: every coflow is admitted over the API at its arrival, while
-// the engine still stands at the epoch boundary before it, and a tick fires
-// at every boundary from 0 until everything has been admitted and finished.
-func replayScenario(t *testing.T, inst *coflow.Instance, arrivals []float64, policy online.Policy) engineGolden {
+// TestDrainFollowsStalenessRule: Drain decides through the engine's staleness
+// rule too, so a daemon that stops ticking once the last coflow is admitted
+// and drains the rest still reproduces Run's LPEpoch pins. Two scenarios keep
+// the LP replays cheap under -race; the other five hold as well.
+func TestDrainFollowsStalenessRule(t *testing.T) {
+	p := online.LPEpoch{}
+	for _, name := range []string{"uniform", "incast"} {
+		t.Run(name, func(t *testing.T) {
+			sc, ok := workload.LookupScenario(name)
+			if !ok {
+				t.Fatalf("scenario %s not registered", name)
+			}
+			inst, want := goldenScenario(t, sc)
+			if got, w := replayScenario(t, inst, p, true), want.Policies[p.Name()]; !reflect.DeepEqual(got, w) {
+				t.Errorf("drained daemon drifted from online.Run's pins:\ngot  %+v\nwant %+v", got, w)
+			}
+		})
+	}
+}
+
+// goldenScenario builds a scenario's instance and reads its regress fixture.
+func goldenScenario(t *testing.T, sc workload.Scenario) (*coflow.Instance, regress.ScenarioGolden) {
+	t.Helper()
+	inst, _, err := sc.Build()
+	if err != nil {
+		t.Fatalf("building %s: %v", sc.Name, err)
+	}
+	b, err := os.ReadFile(filepath.Join("..", "regress", "testdata", sc.Name+".golden.json"))
+	if err != nil {
+		t.Fatalf("reading %s's fixture: %v", sc.Name, err)
+	}
+	var g regress.ScenarioGolden
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatalf("decoding %s's fixture: %v", sc.Name, err)
+	}
+	return inst, g
+}
+
+// replayScenario streams a scenario through a stepped daemon on online.Run's
+// epoch grid: a tick at the first arrival and every regress.EpochLength after
+// it, and every coflow admitted over the API at its arrival, while the engine
+// still stands at the boundary before it. With drain set, the first boundary
+// after the last admission (past the first tick) calls Drain instead of
+// ticking; otherwise ticks run until every coflow has finished.
+func replayScenario(t *testing.T, inst *coflow.Instance, policy online.Policy, drain bool) regress.PolicyGolden {
 	t.Helper()
 	s := mustStartStepped(t, Config{
 		Network:     inst.Network,
 		Policy:      policy,
-		EpochLength: goldenEpoch,
+		EpochLength: regress.EpochLength,
 		Logger:      telemetry.LogfLogger(t.Logf),
 	})
+	arrivals := workload.Arrivals(inst)
 	next := 0
-	for at := 0.0; ; at += goldenEpoch {
-		for ; next < len(inst.Coflows) && arrivals[next] <= at; next++ {
+	for at := arrivals[0]; ; at += regress.EpochLength {
+		for ; next < len(inst.Coflows) && arrivals[next] <= at+1e-15; next++ {
 			src := inst.Coflows[next]
 			cf := coflow.Coflow{Name: src.Name, Weight: src.Weight, Flows: make([]coflow.Flow, len(src.Flows))}
 			for j, f := range src.Flows {
@@ -101,21 +99,44 @@ func replayScenario(t *testing.T, inst *coflow.Instance, arrivals []float64, pol
 			}
 			s.admitAt(t, arrivals[next], cf)
 		}
+		if drain && next == len(inst.Coflows) && at > arrivals[0] {
+			if _, err := s.Drain(); err != nil {
+				t.Fatalf("%s: drain: %v", policy.Name(), err)
+			}
+			break
+		}
 		s.tickAt(t, at)
 		st := s.stats(t)
 		if next == len(inst.Coflows) && st.Completed == st.Admitted {
-			return engineGolden{
-				WeightedCCT:      round9(st.WeightedCCT),
-				WeightedResponse: round9(st.WeightedResponse),
-				Completed:        st.Completed,
-				Epochs:           st.Epochs,
-			}
+			break
 		}
 		if st.Epochs > 10000 {
 			t.Fatalf("%s: %d of %d coflows unfinished after %d epochs", policy.Name(), st.Admitted-st.Completed, len(inst.Coflows), st.Epochs)
 		}
 	}
+	return s.pin(t)
 }
 
-// round9 quantizes to 9 decimal places, as internal/regress does.
-func round9(v float64) float64 { return math.Round(v*1e9) / 1e9 }
+// pin scores a finished daemon the way online.Run scores its transcript:
+// objectives summed in coflow order, completions and slowdowns by coflow.
+func (s *stepped) pin(t *testing.T) regress.PolicyGolden {
+	t.Helper()
+	var wcct, wresp, makespan float64
+	var completions, slowdowns []float64
+	if err := s.do(context.Background(), func() {
+		for id := 0; id < s.eng.NumCoflows(); id++ {
+			st, _ := s.eng.CoflowStatus(id)
+			if !st.Done {
+				t.Errorf("coflow %d unfinished: %+v", id, st)
+			}
+			wcct += st.Weight * st.Completion
+			wresp += st.Weight * st.Response
+			makespan = max(makespan, st.Completion)
+			completions = append(completions, st.Completion)
+			slowdowns = append(slowdowns, st.Slowdown)
+		}
+	}); err != nil {
+		t.Fatalf("collect outcomes: %v", err)
+	}
+	return regress.Pin(wcct, wresp, makespan, completions, slowdowns)
+}

@@ -12,9 +12,12 @@
 // goroutine (admit.go). Policy decisions are the one deliberate
 // exception: each epoch tick captures an immutable residual Snapshot and
 // runs Decide on a separate goroutine, keeping the scheduler (and therefore
-// every handler) responsive while an expensive LP solve is in flight; the
-// resulting order returns through the command channel and is applied one
-// epoch late, the staleness online.Run models for an AsyncPolicy.
+// every handler) responsive while an expensive LP solve is in flight. The
+// resulting order returns through the command channel into the engine's
+// staleness rule (online.Engine.Settle), the one online.Run applies too: a
+// synchronous policy's order is applied on return; an AsyncPolicy's is held
+// and applied at the first tick after it returns, and also on return on a
+// cold start. A decide that returns after Drain began is dropped.
 //
 // Time: the scheduler loop takes time from a clock: the simulated now that
 // admissions and ticks read, the epoch ticks and the snapshot ticks. New runs
@@ -153,16 +156,14 @@ type Server struct {
 	// traceIDs maps admitted coflow ids to their lifecycle trace ids so the
 	// completion span can be emitted when the coflow finishes.
 	traceIDs map[int]string
-	// epochRing retains the most recent scheduler ticks for /v1/epochs;
-	// lastDecide stages the async decision applied since the previous tick
-	// so the next record carries its latency and churn.
-	epochRing  []EpochRecord
-	epochNext  int
-	lastDecide struct {
-		applied bool
-		latency time.Duration
-		churn   float64
-	}
+	// epochRing retains the most recent scheduler ticks for /v1/epochs.
+	// decided says an order was applied since the previous record (on a
+	// decide's return, or at this tick): the next record carries its latency
+	// and the engine's churn.
+	epochRing     []EpochRecord
+	epochNext     int
+	decided       bool
+	decideLatency time.Duration
 }
 
 // New builds and starts a server: the scheduler goroutine begins ticking
@@ -285,10 +286,10 @@ func (s *Server) loop() {
 	}
 }
 
-// tick advances the engine to the current simulated time, records the epoch
-// into the introspection ring, closes out lifecycle traces for coflows that
-// completed, and — if no solve is in flight — kicks off the next asynchronous
-// policy decision.
+// tick advances the engine to the current simulated time, applies the order
+// the engine holds for this boundary, records the epoch into the
+// introspection ring, closes out lifecycle traces for coflows that completed,
+// and — if no solve is in flight — kicks off the next policy decision.
 func (s *Server) tick() {
 	t0 := time.Now()
 	err := s.eng.AdvanceTo(s.clock.now())
@@ -328,6 +329,7 @@ func (s *Server) tick() {
 			}
 		}
 	}
+	s.applied(s.eng.ApplyHeld())
 	rec := EpochRecord{
 		Epoch:          s.eng.Epoch(),
 		SimNow:         s.eng.Now(),
@@ -340,16 +342,10 @@ func (s *Server) tick() {
 		DirtySuffixSum: ts.SuffixSum,
 		DirtySuffixMax: ts.SuffixMax,
 	}
-	if s.lastDecide.applied {
-		rec.Decided = true
-		rec.DecideSeconds = s.lastDecide.latency.Seconds()
-		rec.OrderChurn = s.lastDecide.churn
-		rec.Preempted = int(s.lastDecide.churn * float64(activeFlows))
-		s.lastDecide = struct {
-			applied bool
-			latency time.Duration
-			churn   float64
-		}{}
+	if s.decided {
+		rec.Decided, rec.DecideSeconds, rec.OrderChurn = true, s.decideLatency.Seconds(), s.eng.OrderChurn()
+		rec.Preempted = int(rec.OrderChurn * float64(activeFlows))
+		s.decided = false
 	}
 	s.pushEpoch(rec)
 	if s.solving || s.draining {
@@ -360,48 +356,52 @@ func (s *Server) tick() {
 		return
 	}
 	s.solving = true
-	policy := s.eng.Policy()
 	go func() {
 		t0 := time.Now()
-		order, err := policy.Decide(snap)
-		latency := time.Since(t0)
+		order, err := s.cfg.Policy.Decide(snap)
+		d := online.Decision{Order: order, Latency: time.Since(t0), Epoch: snap.Epoch}
 		s.do(context.Background(), func() {
 			s.solving = false
-			if err != nil {
-				s.logger.Error("policy decide failed", "component", "coflowd",
-					"policy", policy.Name(), "epoch", snap.Epoch, "err", err)
-				return
+			if s.draining {
+				return // Drain decided the rest of the run itself
 			}
-			if err := s.eng.ApplyOrder(order, latency); err != nil {
-				s.logger.Error("apply order failed", "component", "coflowd", "err", err)
-				return
+			ok := false
+			if err == nil {
+				ok, err = s.eng.Settle(d)
 			}
-			if s.wal != nil {
-				_, _ = s.wal.Append(&durable.Record{Type: durable.RecOrder, Order: &durable.OrderRecord{
-					Now:         s.eng.Now(),
-					LatencySecs: latency.Seconds(),
-					Refs:        order,
-				}})
-			}
-			churn := s.eng.OrderChurn()
-			s.lastDecide.applied = true
-			s.lastDecide.latency = latency
-			s.lastDecide.churn = churn
-			s.tracer.Record(telemetry.Span{
-				Name:     "epoch-decision",
-				Coflow:   -1,
-				Duration: latency.Seconds(),
-				Attrs: map[string]string{
-					"policy": policy.Name(),
-					"epoch":  strconv.Itoa(snap.Epoch),
-					"churn":  strconv.FormatFloat(churn, 'g', -1, 64),
-				},
-			})
-			s.logger.Debug("decision applied", "component", "coflowd",
-				"policy", policy.Name(), "epoch", snap.Epoch,
-				"latency", latency, "churn", churn)
+			s.applied(d, ok, err)
 		})
 	}()
+}
+
+// applied takes the outcome of a decision: an order the engine installed (ok)
+// is logged and staged for the next epoch record, an error is logged.
+func (s *Server) applied(d online.Decision, ok bool, err error) {
+	if err != nil {
+		s.logger.Error("policy decision failed", "component", "coflowd",
+			"policy", s.cfg.Policy.Name(), "epoch", d.Epoch, "err", err)
+	}
+	if !ok || err != nil {
+		return
+	}
+	if s.wal != nil {
+		_, _ = s.wal.Append(&durable.Record{Type: durable.RecOrder, Order: &durable.OrderRecord{
+			Now:         s.eng.Now(),
+			LatencySecs: d.Latency.Seconds(),
+			Refs:        d.Order,
+		}})
+	}
+	s.decided, s.decideLatency = true, d.Latency
+	s.tracer.Record(telemetry.Span{
+		Name:     "epoch-decision",
+		Coflow:   -1,
+		Duration: d.Latency.Seconds(),
+		Attrs: map[string]string{
+			"policy": s.cfg.Policy.Name(),
+			"epoch":  strconv.Itoa(d.Epoch),
+			"churn":  strconv.FormatFloat(s.eng.OrderChurn(), 'g', -1, 64),
+		},
+	})
 }
 
 // do runs op on the scheduler goroutine and waits for it to finish. It

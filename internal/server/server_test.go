@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -257,21 +260,115 @@ func TestConcurrentAdmitsAndQueries(t *testing.T) {
 	}
 }
 
-// TestLPEpochPolicyServes exercises the expensive pipelined policy end to
-// end on a small stream: admissions stay responsive while LPs solve, and the
-// drain completes every coflow.
-func TestLPEpochPolicyServes(t *testing.T) {
-	s, c := testServer(t, online.LPEpoch{}, 100)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Admit(testCoflow(t, "lp", 2)); err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
+// gatedPolicy wraps a policy so that the first Decide after arm blocks:
+// entered receives once the call has begun, and the call returns once the
+// test sends on release. Async is what the test sets, so the same gate serves
+// a synchronous policy and an AsyncPolicy.
+type gatedPolicy struct {
+	online.Policy
+	async            bool
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func newGatedPolicy(p online.Policy, async bool) *gatedPolicy {
+	return &gatedPolicy{Policy: p, async: async, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *gatedPolicy) arm()        { p.armed.Store(true) }
+func (p *gatedPolicy) Async() bool { return p.async }
+
+func (p *gatedPolicy) Decide(snap *online.Snapshot) ([]coflow.FlowRef, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		p.entered <- struct{}{}
+		<-p.release
 	}
+	return p.Policy.Decide(snap)
+}
+
+// decisions reads the engine's applied-order count.
+func (s *stepped) decisions(t *testing.T) int {
+	t.Helper()
+	return s.stats(t).Decisions
+}
+
+// TestLPEpochPolicyServes drives the expensive asynchronous policy on a
+// stepped clock with its second Decide held open: admissions answer 201
+// while it blocks, the order it returns is held rather than applied on
+// return, the next tick applies it, and the drain completes every coflow.
+func TestLPEpochPolicyServes(t *testing.T) {
+	p := newGatedPolicy(online.LPEpoch{}, true)
+	cfg := steppedConfig(t, "")
+	cfg.Policy = p
+	s := mustStartStepped(t, cfg)
+	s.admitAt(t, 0, testCoflow(t, "lp-0", 20))
+	s.tickAt(t, 0)
+	if got := s.decisions(t); got != 1 {
+		t.Fatalf("cold start applied %d orders, want 1", got)
+	}
+
+	p.arm()
+	s.fire(2) // applies the order held from t=0, then decides behind the gate
+	<-p.entered
+	s.admitAt(t, 2.5, testCoflow(t, "lp-1", 2))
+	s.admitAt(t, 3, testCoflow(t, "lp-2", 2))
+	before := s.decisions(t)
+	p.release <- struct{}{}
+	s.settled(t)
+	if got := s.decisions(t); got != before {
+		t.Fatalf("the order decided at t=2 was applied on return (%d decisions, want %d): an AsyncPolicy's order waits for the next tick", got, before)
+	}
+	s.tickAt(t, 4)
+	if got := s.decisions(t); got != before+1 {
+		t.Fatalf("the tick after the decide returned applied %d orders, want 1", got-before)
+	}
+
 	st, err := s.Drain()
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if st.Completed != 3 {
 		t.Fatalf("completed %d of 3: %+v", st.Completed, st)
+	}
+}
+
+// TestLateDecideAfterDrainDropped: a decide still in flight when Drain begins
+// returns to a daemon that has decided the rest of the run itself. Its order
+// must be dropped, and so must an order Drain left held for an AsyncPolicy: no
+// decision is counted and no order record logged after Drain returned, not on
+// the late return and not at the next tick.
+func TestLateDecideAfterDrainDropped(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			p := newGatedPolicy(online.SEBFOnline{}, async)
+			cfg := steppedConfig(t, t.TempDir())
+			cfg.Policy = p
+			s := mustStartStepped(t, cfg)
+			s.admitAt(t, 0, testCoflow(t, "late", 4))
+			p.arm()
+			s.fire(0)
+			<-p.entered
+
+			st, err := s.Drain()
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			logSeq := func() (seq uint64) {
+				if err := s.do(context.Background(), func() { seq = s.wal.LastSeq() }); err != nil {
+					t.Fatalf("reading the log position: %v", err)
+				}
+				return seq
+			}
+			drained := logSeq()
+			p.release <- struct{}{}
+			s.settled(t)
+			s.tickAt(t, st.Now+cfg.EpochLength)
+			if got := s.decisions(t); got != st.Decisions {
+				t.Errorf("%d decisions after the late decide and a tick, %d when Drain returned", got, st.Decisions)
+			}
+			if got := logSeq(); got != drained {
+				t.Errorf("the log grew from seq %d to %d after Drain returned", drained, got)
+			}
+		})
 	}
 }
