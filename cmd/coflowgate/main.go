@@ -4,18 +4,22 @@
 //
 // Two topologies:
 //
-//	coflowgate -addr :8090 -backends http://s1:8080,http://s2:8080 -placement hash
+//	coflowgate -addr :8090 -backends http://s1:8080,http://s2:8080
 //	coflowgate -addr :8090 -local 4 -policy sebf -timescale 10
 //
 // With -backends the gateway fronts already-running coflowd daemons (start
 // them with distinct -shard labels so their /metrics stay distinguishable).
+// Each daemon reports on /healthz and in its admission answers whether it
+// runs with a -wal-dir; the gateway keeps a durable daemon's coflows bound to
+// it while it is down, because the restarted daemon recovers them, and
+// re-admits a stateless daemon's coflows on the survivors.
 // With -local N it spins up N in-process shards on loopback listeners — the
 // zero-setup way to run a whole cluster in one process, the same harness the
 // tests and the admit-cluster benchmark workload use.
 //
 // Endpoints are coflowd's, served by scatter-gather:
 //
-//	POST /v1/coflows       place on one shard (batched; consistent-hash or least-load)
+//	POST /v1/coflows       place on one shard (batched; rendezvous hash of the gateway id)
 //	GET  /v1/coflows/{id}  follows the coflow to its current shard
 //	GET  /v1/schedule      merged residual priority orders (gateway ids)
 //	GET  /v1/stats         merged objectives, counters and percentile reservoirs
@@ -71,7 +75,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		addr           = fs.String("addr", ":8090", "listen address")
 		backends       = fs.String("backends", "", "comma-separated coflowd base URLs to front")
 		local          = fs.Int("local", 0, "spin up this many in-process shards instead of -backends")
-		placementName  = fs.String("placement", "hash", "shard placement: hash (consistent), least-load")
 		batch          = fs.Int("batch", 16, "admit batch size (flush on this many pending admissions)")
 		batchInterval  = fs.Duration("batch-interval", 5*time.Millisecond, "admit batch flush deadline")
 		healthInterval = fs.Duration("health-interval", time.Second, "backend probe period")
@@ -90,13 +93,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if (*backends == "") == (*local == 0) {
 		return errors.New("exactly one of -backends or -local is required")
 	}
-	placement, err := cluster.ParsePlacement(*placementName)
-	if err != nil {
-		return err
-	}
 	logger := telemetry.NewLogger(stderr, telemetry.ParseLevel(*logLevel), *logFormat, "", "")
 	gcfg := cluster.Config{
-		Placement:        placement,
 		HealthInterval:   *healthInterval,
 		BatchSize:        *batch,
 		BatchInterval:    *batchInterval,
@@ -110,8 +108,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		gcfg.StateDir = *stateDir
 	}
 
-	var g *cluster.Gateway
-	var localCluster *cluster.Local
+	var (
+		g            *cluster.Gateway
+		localCluster *cluster.Local
+		err          error
+	)
 	if *local > 0 {
 		policies := map[string]online.Policy{
 			"sebf": online.SEBFOnline{},
@@ -162,8 +163,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	httpSrv := &http.Server{Addr: *addr, Handler: g.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("coflowgate: listening on %s fronting %d backend(s), placement %s",
-		*addr, len(g.Backends()), placement.Name())
+	log.Printf("coflowgate: listening on %s fronting %d backend(s)", *addr, len(g.Backends()))
 
 	select {
 	case <-ctx.Done():

@@ -18,7 +18,7 @@ func TestRunFlagErrors(t *testing.T) {
 	cases := map[string][]string{
 		"neither backends nor local": {},
 		"both backends and local":    {"-backends", "http://x", "-local", "2"},
-		"unknown placement":          {"-local", "1", "-placement", "round-robin"},
+		"unknown placement":          {"-local", "1", "-placement", "hash"}, // not a flag
 		"unknown policy":             {"-local", "1", "-policy", "wfq"},
 		"unknown flag":               {"-bogus"},
 	}

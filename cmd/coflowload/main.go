@@ -10,16 +10,17 @@
 //	coflowload -trace fb.csv -speedup 10 -wait
 //
 // With -cluster N the target is replaced by an in-process cluster: N coflowd
-// shards behind a coflowgate gateway, all on loopback listeners (the same
-// harness the admit-cluster benchmark workload uses). That makes shard-count
-// scaling measurable from one command with no daemons to start:
+// shards behind a coflowgate gateway that places each coflow by a hash of its
+// gateway id, all on loopback listeners (the same harness the admit-cluster
+// benchmark workload uses). That makes shard-count scaling measurable from
+// one command with no daemons to start:
 //
 //	coflowload -cluster 4 -coflows 400 -rate 1000 -cluster-timescale 50 -wait
 //
 // The default mode generates a Poisson process (workload.GenerateArrivals)
 // remapped onto the daemon's actual topology (fetched from GET /v1/network).
 // With -scenario or -trace, the named registry scenario or parsed trace file
-// is replayed instead: simulated arrival times are compressed by -speedup
+// is replayed instead. Either way arrival times are compressed by -speedup
 // into the wall-clock send schedule, so a multi-hour trace can drive the
 // daemon in seconds (pair with the daemon's -timescale).
 //
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scenario    = fs.String("scenario", "", "replay a named workload scenario instead of generating (see coflowgen -list-scenarios)")
 		trace       = fs.String("trace", "", "replay a Facebook/Varys-style CSV trace file instead of generating")
 		maxCoflows  = fs.Int("max-coflows", 0, "truncate a -trace replay to the first n coflows (0 = all)")
-		speedup     = fs.Float64("speedup", 1, "replay clock compression for -scenario/-trace: simulated arrival time t is sent at wall-clock t/speedup seconds")
+		speedup     = fs.Float64("speedup", 1, "replay clock compression: arrival time t is sent at wall-clock t/speedup seconds (generated arrivals are wall-clock seconds already)")
 		concurrency = fs.Int("concurrency", 4, "concurrent admit requests")
 		seed        = fs.Int64("seed", 1, "random seed (generated mode)")
 		wait        = fs.Bool("wait", false, "poll until every admitted coflow completes")
@@ -101,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonOut     = fs.Bool("json", false, "print the run summary as one JSON object (machine-readable; implies -quiet on stdout formatting only)")
 
 		clusterN  = fs.Int("cluster", 0, "replay against an in-process cluster of this many coflowd shards behind a coflowgate gateway (overrides -target)")
-		placement = fs.String("cluster-placement", "hash", "gateway placement with -cluster: hash, least-load")
 		timescale = fs.Float64("cluster-timescale", 50, "shard simulated time units per wall second with -cluster")
 
 		soak       = fs.Duration("soak", 0, "hold the target rate for this long while polling /v1/slo; exit non-zero if a rule fires")
@@ -163,14 +163,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	targetURL := *target
 	monURL := *monitorURL
 	if *clusterN > 0 {
-		pl, err := cluster.ParsePlacement(*placement)
-		if err != nil {
-			return err
-		}
 		lcfg := cluster.LocalConfig{
 			Shards:    *clusterN,
 			TimeScale: *timescale,
-			Gateway:   cluster.Config{Placement: pl},
 			Logger:    telemetry.LogfLogger(logf),
 		}
 		if *soak > 0 || *bundleDir != "" {
@@ -188,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		defer local.Close()
 		targetURL = local.URL()
-		logf("coflowload: in-process cluster of %d shards at %s (%s placement)", *clusterN, targetURL, pl.Name())
+		logf("coflowload: in-process cluster of %d shards at %s", *clusterN, targetURL)
 		if local.Monitor != nil {
 			monURL = local.MonitorURL()
 			logf("coflowload: embedded monitor at %s", monURL)

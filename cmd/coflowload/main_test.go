@@ -141,9 +141,9 @@ func TestRunClusterMode(t *testing.T) {
 		t.Errorf("missing merged stats line:\n%s", out)
 	}
 
-	// Bad cluster placement fails fast.
-	if err := run([]string{"-cluster", "2", "-cluster-placement", "nope"}, &stdout, &stderr); err == nil {
-		t.Error("bogus cluster placement accepted")
+	// The gateway places by hash only: -cluster-placement is not a flag.
+	if err := run([]string{"-cluster", "2", "-cluster-placement", "hash"}, &stdout, &stderr); err == nil {
+		t.Error("-cluster-placement accepted")
 	}
 }
 

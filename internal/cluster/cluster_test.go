@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,30 +18,24 @@ import (
 	"coflowsched/internal/workload"
 )
 
-// fastGatewayConfig is tuned for tests: quick probes, single-failure
-// ejection, no client retries (failures surface immediately).
-func fastGatewayConfig(t *testing.T, placement Placement) Config {
+// fastGatewayConfig is tuned for tests: quick probes (an ejection takes two
+// failed 20 ms rounds, the re-probe backoff tops out at 600 ms).
+func fastGatewayConfig(t *testing.T) Config {
 	return Config{
-		Placement:       placement,
-		HealthInterval:  20 * time.Millisecond,
-		FailThreshold:   1,
-		BackoffMax:      200 * time.Millisecond,
-		BatchSize:       8,
-		BatchInterval:   2 * time.Millisecond,
-		ClientTimeout:   2 * time.Second,
-		ClientRetries:   1,
-		ClientRetryBase: 5 * time.Millisecond,
-		Logger:          telemetry.LogfLogger(t.Logf),
+		HealthInterval: 20 * time.Millisecond,
+		BatchSize:      8,
+		BatchInterval:  2 * time.Millisecond,
+		Logger:         telemetry.LogfLogger(t.Logf),
 	}
 }
 
-func newLocalCluster(t *testing.T, shards int, placement Placement, timeScale float64) *Local {
+func newLocalCluster(t *testing.T, shards int, timeScale float64) *Local {
 	t.Helper()
 	l, err := NewLocal(LocalConfig{
 		Shards:    shards,
 		Policy:    online.SEBFOnline{},
 		TimeScale: timeScale,
-		Gateway:   fastGatewayConfig(t, placement),
+		Gateway:   fastGatewayConfig(t),
 		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
@@ -50,7 +49,7 @@ func newLocalCluster(t *testing.T, shards int, placement Placement, timeScale fl
 // cluster replays the uniform scenario through the gateway; every coflow
 // must complete and the merged statistics must be coherent.
 func TestClusterScenarioReplay(t *testing.T) {
-	l := newLocalCluster(t, 3, ConsistentHash{}, 200)
+	l := newLocalCluster(t, 3, 200)
 	c := l.Client()
 
 	sc, ok := workload.LookupScenario("uniform")
@@ -135,7 +134,7 @@ func TestClusterScenarioReplay(t *testing.T) {
 // re-admitted on the survivors, the backend is ejected, and after a revive
 // it rejoins the rotation and receives new work. Every coflow completes.
 func TestClusterFailover(t *testing.T) {
-	l := newLocalCluster(t, 3, LeastLoad{}, 1) // slow clock: coflows stay in flight
+	l := newLocalCluster(t, 3, 1) // slow clock: coflows stay in flight
 	c := l.Client()
 
 	hosts := graph.FatTree(4, 1).Hosts()
@@ -154,7 +153,7 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
-	// Least-load over 3 empty shards spreads 9 coflows 3/3/3.
+	// Hash placement puts gateway ids 0-2 and 6-7 on shard1.
 	victimStats, err := l.Shard(1).Stats()
 	if err != nil {
 		t.Fatalf("victim stats: %v", err)
@@ -207,7 +206,7 @@ func TestClusterFailover(t *testing.T) {
 		return l.Gateway.CountersSnapshot().Healthy == 3
 	})
 
-	// New work flows to the revived (now least-loaded, empty) shard.
+	// New work flows to the revived shard: gateway id 9 hashes to shard1.
 	if _, err := c.Admit(mkCoflow("after-revive", 1)); err != nil {
 		t.Fatalf("admit after revive: %v", err)
 	}
@@ -220,7 +219,7 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("revived stats: %v", err)
 	}
 	if rs.Admitted == 0 {
-		t.Errorf("revived shard received no new work under least-load placement")
+		t.Errorf("revived shard received no new work")
 	}
 
 	// Run everything dry: every gateway coflow must report done, including
@@ -243,7 +242,7 @@ func TestClusterFailover(t *testing.T) {
 // TestClusterBatching: admissions flush by count and by interval; both paths
 // land coflows on shards.
 func TestClusterBatching(t *testing.T) {
-	cfg := fastGatewayConfig(t, ConsistentHash{})
+	cfg := fastGatewayConfig(t)
 	cfg.BatchSize = 4
 	cfg.BatchInterval = 30 * time.Millisecond
 	l, err := NewLocal(LocalConfig{
@@ -288,7 +287,7 @@ func TestClusterBatching(t *testing.T) {
 // TestGatewayNoBackends: with every backend gone, admissions fail with 503
 // and healthz reports degraded.
 func TestGatewayNoBackends(t *testing.T) {
-	l := newLocalCluster(t, 1, ConsistentHash{}, 100)
+	l := newLocalCluster(t, 1, 100)
 	c := l.Client()
 	l.Kill(0)
 	waitFor(t, 5*time.Second, "ejection", func() bool {
@@ -307,7 +306,7 @@ func TestGatewayNoBackends(t *testing.T) {
 // TestGatewayValidationPassThrough: a coflow the shard rejects as malformed
 // comes back 400 and is not retried across shards.
 func TestGatewayValidationPassThrough(t *testing.T) {
-	l := newLocalCluster(t, 2, ConsistentHash{}, 100)
+	l := newLocalCluster(t, 2, 100)
 	c := l.Client()
 	// Endpoints outside every shard's network.
 	_, err := c.Admit(coflow.Coflow{Name: "bad", Weight: 1, Flows: []coflow.Flow{{Source: 9000, Dest: 9001, Size: 1}}})
@@ -339,7 +338,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // outstanding counts drop back to zero, and the retained failover specs are
 // released.
 func TestCompletionSweep(t *testing.T) {
-	l := newLocalCluster(t, 2, ConsistentHash{}, 500)
+	l := newLocalCluster(t, 2, 500)
 	c := l.Client()
 	hosts := graph.FatTree(4, 1).Hosts()
 	const n = 6
@@ -360,32 +359,43 @@ func TestCompletionSweep(t *testing.T) {
 	}
 }
 
-// TestLeastLoadSpreadsConcurrentBatch: placement reserves the slot before
-// the HTTP admission, so a batch of concurrent admissions spreads across
-// shards instead of all reading the same pre-admission load counts.
-func TestLeastLoadSpreadsConcurrentBatch(t *testing.T) {
-	l := newLocalCluster(t, 2, LeastLoad{}, 1) // slow clock: nothing completes mid-test
-	c := l.Client()
-	hosts := graph.FatTree(4, 1).Hosts()
-	cf := coflow.Coflow{Name: "burst", Weight: 1,
-		Flows: []coflow.Flow{{Source: hosts[0], Dest: hosts[10], Size: 30}}}
-	const n = 8
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			_, err := c.Admit(cf)
-			errs <- err
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("burst admit: %v", err)
-		}
-	}
-	for _, bs := range l.Gateway.Backends() {
-		if bs.Outstanding < 2 {
-			t.Errorf("backend %s got %d of %d concurrent admissions; least-load did not spread: %+v",
-				bs.Name, bs.Outstanding, n, l.Gateway.Backends())
-		}
+// TestTransientStatusRule: one set of transient codes. The client retries
+// exactly those; the gateway re-routes them and every 5xx, and takes any
+// other 4xx as the coflow's own fault.
+func TestTransientStatusRule(t *testing.T) {
+	for _, tc := range []struct {
+		code                int
+		transient, terminal bool
+	}{
+		{400, false, true}, {404, false, true}, {408, true, false}, {409, false, true},
+		{413, false, true}, {429, true, false}, {500, false, false}, {502, true, false},
+		{503, true, false}, {504, true, false},
+	} {
+		t.Run(strconv.Itoa(tc.code), func(t *testing.T) {
+			var hits atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				server.RespondError(w, tc.code, "status under test")
+			}))
+			defer ts.Close()
+			_, err := server.NewClient(ts.URL, server.WithRetries(2, time.Millisecond)).Stats()
+			var apiErr *server.APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != tc.code {
+				t.Fatalf("error = %v, want a %d APIError", err, tc.code)
+			}
+			want := int32(1)
+			if tc.transient {
+				want = 3
+			}
+			if got := hits.Load(); got != want {
+				t.Errorf("client made %d attempts, want %d", got, want)
+			}
+			if got := server.TransientStatus(tc.code); got != tc.transient {
+				t.Errorf("TransientStatus = %v, want %v", got, tc.transient)
+			}
+			if got := terminalStatus(tc.code); got != tc.terminal {
+				t.Errorf("terminalStatus = %v, want %v", got, tc.terminal)
+			}
+		})
 	}
 }

@@ -16,10 +16,10 @@ import (
 // backend + shard-local id) — plus observed completions, and snapshots the
 // whole routing state periodically so the log stays short. A restarted
 // gateway rebuilds its tables before serving: recovered placements are held
-// as pending bindings until their backend is registered again (AddBackend),
-// at which point they re-attach without re-admission when the shards are
-// durable too (Config.ShardRecovery), or re-place from the retained specs
-// when they are not.
+// as pending bindings until their backend answers for the first time, at
+// which point they re-attach without re-admission when the backend says it is
+// durable too, or re-place from the retained specs when it is not or when it
+// is ejected before it ever answers (settleLocked).
 //
 // Durability boundary: gw-admit is group-committed before the coflow is
 // queued for placement (an acknowledged gateway id must survive), gw-place
@@ -81,7 +81,7 @@ func (g *Gateway) recoverGateway() error {
 		return nil
 	}
 	var err error
-	g.wal, err = durable.Recover(g.cfg.StateDir, g.cfg.SnapshotStore, g.logger, &persist, restore, g.applyGateRecord)
+	g.wal, err = durable.Recover(g.cfg.StateDir, nil, g.logger, &persist, restore, g.applyGateRecord)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,39 +37,23 @@ import (
 	"coflowsched/internal/telemetry"
 )
 
-// Config parameterizes the gateway.
+// Config parameterizes the gateway. The rest is fixed (placement by hash,
+// the constants below) or reported by the shards (their durability).
 type Config struct {
-	// Placement picks a shard per coflow (default ConsistentHash).
-	Placement Placement
 	// HealthInterval is the probe period for healthy backends and the first
-	// re-probe backoff for ejected ones (default 1s).
+	// re-probe backoff for ejected ones (default 1s). The backoff doubles on
+	// every further failure up to backoffIntervals × HealthInterval.
 	HealthInterval time.Duration
-	// FailThreshold is the number of consecutive probe/admission failures
-	// that ejects a healthy backend (default 2).
-	FailThreshold int
-	// BackoffMax caps the exponential re-probe backoff (default 30s).
-	BackoffMax time.Duration
 	// BatchSize flushes the admit queue when this many admissions are
 	// pending (default 16); BatchInterval flushes whatever has gathered after
 	// this long regardless (default 5ms). A flush admits its whole batch to
 	// the shards concurrently.
 	BatchSize     int
 	BatchInterval time.Duration
-	// ClientTimeout, ClientRetries and ClientRetryBase configure the
-	// per-backend HTTP clients (defaults: 5s, 2 retries, 50ms base backoff).
-	// Set ClientRetries to -1 to disable retrying entirely (exactly-once
-	// shard admission at the cost of availability; see the at-least-once
-	// caveat on server.Client).
-	ClientTimeout   time.Duration
-	ClientRetries   int
-	ClientRetryBase time.Duration
 	// Logger receives structured operational logs (ejections, recoveries,
 	// re-admissions) with a component=coflowgate field attached. When nil,
 	// logs are discarded.
 	Logger *slog.Logger
-	// TraceCapacity bounds the gateway's lifecycle-trace span ring served at
-	// /debug/traces (default telemetry.DefaultTraceCapacity).
-	TraceCapacity int
 	// StateDir, when non-empty, turns on gateway durability: id assignments,
 	// placements and observed completions are written to a write-ahead log
 	// under this directory and a restarted gateway recovers its translation
@@ -80,46 +63,29 @@ type Config struct {
 	// bound replay time and let the log prefix be truncated. Only meaningful
 	// with StateDir; defaults to 30s there, negative disables snapshotting.
 	SnapshotInterval time.Duration
-	// SnapshotStore overrides where gateway snapshots are written. Nil
-	// defaults to a local directory store under StateDir/snapshots.
-	SnapshotStore durable.BlobStore
-	// ShardRecovery, when true, declares the backends durable (each coflowd
-	// runs with its own -wal-dir): an ejected backend keeps its placement
-	// bindings instead of having its coflows re-admitted elsewhere, because
-	// the restarted shard will recover them itself. Status calls against a
-	// down shard fail transiently until it returns.
-	ShardRecovery bool
 }
 
+// The gateway's failure handling. A healthy backend is ejected after
+// failThreshold consecutive probe or admission failures; an ejected one is
+// re-probed after a backoff that doubles up to backoffIntervals health
+// intervals. Backend requests time out after clientTimeout and are retried
+// on a transient failure with server.Client's default budget, which is safe
+// for admissions because every placement carries an idempotency key.
+const (
+	failThreshold    = 2
+	backoffIntervals = 30
+	clientTimeout    = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.Placement == nil {
-		c.Placement = ConsistentHash{}
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 30 * time.Second
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}
 	if c.BatchInterval <= 0 {
 		c.BatchInterval = 5 * time.Millisecond
-	}
-	if c.ClientTimeout <= 0 {
-		c.ClientTimeout = 5 * time.Second
-	}
-	if c.ClientRetries < 0 {
-		c.ClientRetries = 0
-	} else if c.ClientRetries == 0 {
-		c.ClientRetries = 2
-	}
-	if c.ClientRetryBase <= 0 {
-		c.ClientRetryBase = 50 * time.Millisecond
 	}
 	if c.Logger == nil {
 		c.Logger = telemetry.DiscardLogger()
@@ -163,10 +129,15 @@ type Backend struct {
 	nextProbe time.Time     // earliest next probe while unhealthy
 	ejections int
 
-	// outstanding counts coflows placed here and not yet observed complete;
-	// local maps this backend's coflow ids back to gateway ids.
-	outstanding int
-	local       map[int]int
+	// durable is what the backend last said about itself, on /healthz or in
+	// an admission's answer: it runs with a WAL and recovers its own coflows
+	// after a crash. known is set by its first answer, which also settles the
+	// placements the gateway's log recovered for it (settleLocked).
+	durable, known bool
+
+	// local maps this backend's ids of the coflows placed here and not yet
+	// observed complete back to gateway ids.
+	local map[int]int
 }
 
 // BackendStatus is the exported snapshot of one backend (GET /v1/backends).
@@ -191,7 +162,7 @@ type routed struct {
 	admitted bool
 	failed   bool // admission failed terminally (validation, or initial 503)
 	// pendingBackend names the shard a WAL-recovered placement points at; the
-	// binding is re-established when that backend is registered (AddBackend).
+	// binding is settled by that backend's first answer (settleLocked).
 	pendingBackend string
 	// orphaned marks an acknowledged coflow detached by an ejection and not
 	// yet re-placed; if no backend is healthy at failover time it stays set,
@@ -248,7 +219,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		start:   time.Now(),
 		metrics: newGateMetrics(),
-		tracer:  telemetry.NewTracer("coflowgate", "", cfg.TraceCapacity),
+		tracer:  telemetry.NewTracer("coflowgate", "", telemetry.RingCapacity),
 		logger:  cfg.Logger.With("component", "coflowgate"),
 		queue:   make(chan admitItem),
 		quit:    make(chan struct{}),
@@ -287,29 +258,20 @@ func (g *Gateway) shutdown(abandon bool) {
 	}
 }
 
-// newBackendClient builds the hardened client the gateway talks to one shard
-// with.
-func (g *Gateway) newBackendClient(url string) *server.Client {
-	return server.NewClient(url,
-		server.WithTimeout(g.cfg.ClientTimeout),
-		server.WithRetries(g.cfg.ClientRetries, g.cfg.ClientRetryBase),
-		server.WithInstrumentation(g.metrics.clientRetries, g.logger))
-}
-
 // AddBackend registers a shard under a unique name. It enters the placement
 // rotation immediately and optimistically healthy; the prober corrects that
-// within one interval if it is not.
+// within one interval if it is not. The placements the gateway's log
+// recovered for this name wait for the shard's first answer (settleLocked).
 func (g *Gateway) AddBackend(name, url string) error {
 	if name == "" {
 		return errors.New("cluster: backend needs a name")
 	}
 	b := &Backend{
-		name:   name,
-		url:    url,
-		client: g.newBackendClient(url),
-		probe: server.NewClient(url,
-			server.WithTimeout(g.cfg.ClientTimeout),
-			server.WithRetries(0, 0)),
+		name: name,
+		url:  url,
+		client: server.NewClient(url, server.WithTimeout(clientTimeout),
+			server.WithInstrumentation(g.metrics.clientRetries, g.logger)),
+		probe:   server.NewClient(url, server.WithTimeout(clientTimeout), server.WithRetries(0, 0)),
 		healthy: true,
 		local:   make(map[int]int),
 	}
@@ -321,39 +283,55 @@ func (g *Gateway) AddBackend(name, url string) error {
 		}
 	}
 	g.backends = append(g.backends, b)
-	// Re-attach WAL-recovered placements that name this shard. With durable
-	// backends (ShardRecovery) the shard recovers the coflows itself, so the
-	// old local ids stay valid and the binding is simply restored; with
-	// stateless backends the coflows restart from zero — they are detached
-	// for re-admission like any other orphan.
-	relinked := 0
-	for gid, rc := range g.coflows {
-		if rc.pendingBackend != name || rc.done || rc.failed {
-			continue
-		}
-		rc.pendingBackend = ""
-		if g.cfg.ShardRecovery {
-			rc.backend = b
-			rc.admitted = true
-			rc.orphaned = false
-			b.local[rc.localID] = gid
-			b.outstanding++
-			relinked++
-		} else {
-			rc.orphaned = true
-		}
-	}
 	// A fresh backend is also the retry trigger for anything already orphaned
 	// (recovered-but-unplaced coflows, or strandings from a total outage).
 	stranded := g.orphansLocked()
 	g.mu.Unlock()
-	if relinked > 0 {
-		g.logger.Info("re-linked recovered placements", "backend", name, "coflows", relinked)
-	}
 	if len(stranded) > 0 {
 		go g.readmitOrphans(stranded)
 	}
 	return nil
+}
+
+// heardLocked folds one answer from b — a probe's or an admission's — into
+// what the gateway knows of it, and returns the coflows the answer detached
+// for re-admission. Caller holds mu and must hand them to readmitOrphans.
+func (g *Gateway) heardLocked(b *Backend, durable bool) []int {
+	b.durable = durable
+	if b.known {
+		return nil
+	}
+	b.known = true
+	return g.settleLocked(b, durable)
+}
+
+// settleLocked resolves the placements the gateway's log recovered for b. A
+// durable backend recovers those coflows itself, so the old local ids stay
+// valid and the binding is restored; on any other the coflows restart from
+// zero, so they are detached and their ids returned for re-admission. Caller
+// holds mu.
+func (g *Gateway) settleLocked(b *Backend, durable bool) []int {
+	var orphans []int
+	relinked := 0
+	for gid, rc := range g.coflows {
+		if rc.pendingBackend != b.name || rc.done || rc.failed {
+			continue
+		}
+		rc.pendingBackend = ""
+		if durable {
+			rc.backend = b
+			rc.admitted = true
+			b.local[rc.localID] = gid
+			relinked++
+		} else {
+			rc.orphaned = true
+			orphans = append(orphans, gid)
+		}
+	}
+	if relinked > 0 {
+		g.logger.Info("re-linked recovered placements", "backend", b.name, "coflows", relinked)
+	}
+	return orphans
 }
 
 // Backends snapshots the roster.
@@ -364,7 +342,7 @@ func (g *Gateway) Backends() []BackendStatus {
 	for i, b := range g.backends {
 		out[i] = BackendStatus{
 			Name: b.name, URL: b.url, Healthy: b.healthy,
-			Outstanding: b.outstanding, Ejections: b.ejections,
+			Outstanding: len(b.local), Ejections: b.ejections,
 		}
 	}
 	return out
@@ -530,22 +508,10 @@ func (g *Gateway) place(gid int, initial bool) error {
 			g.mu.Unlock()
 			return errNoBackend
 		}
-		b := g.cfg.Placement.Place(gid, rc.spec, cands)
-		// Reserve the slot before the HTTP round trip so a concurrent flush
-		// sees this backend's load: without the reservation, least-load
-		// would route a whole batch to one shard (every placement reading
-		// the same pre-admission counts).
-		b.outstanding++
+		b := hashPlace(gid, cands)
 		spec, trace := rc.spec, rc.trace
 		g.mu.Unlock()
 
-		unreserve := func() {
-			g.mu.Lock()
-			if b.healthy && b.outstanding > 0 { // ejection already reset the count
-				b.outstanding--
-			}
-			g.mu.Unlock()
-		}
 		t0 := time.Now()
 		// The idempotency key is stable per gateway id (scoped by the instance
 		// nonce): a retried or replayed placement on a shard that already
@@ -562,7 +528,6 @@ func (g *Gateway) place(gid int, initial bool) error {
 		}
 		g.tracer.Record(span)
 		if err != nil {
-			unreserve()
 			var apiErr *server.APIError
 			if errors.As(err, &apiErr) && terminalStatus(apiErr.StatusCode) {
 				g.mu.Lock()
@@ -575,13 +540,14 @@ func (g *Gateway) place(gid int, initial bool) error {
 			continue
 		}
 		g.mu.Lock()
+		// The answer says whether b is durable before anything is bound to it.
+		if orphans := g.heardLocked(b, resp.Durable); len(orphans) > 0 {
+			go g.readmitOrphans(orphans)
+		}
 		if rc.admitted || rc.done {
 			// Someone else placed this coflow while our admission was in
 			// flight (a recovery re-placement racing the batcher). Keep the
 			// earlier booking; our copy on b is an orphan.
-			if b.healthy && b.outstanding > 0 {
-				b.outstanding--
-			}
 			g.mu.Unlock()
 			return nil
 		}
@@ -630,14 +596,10 @@ func (g *Gateway) placementKey(gid int) string {
 }
 
 // terminalStatus reports whether a shard response code means the request
-// itself is bad and re-routing to another shard cannot help: the 4xx
-// validation band, minus the transient members (429 overload, 408 timeout)
-// the retrying client already classifies as availability failures.
+// itself is bad and re-routing to another shard cannot help: the 4xx band,
+// minus the transient codes the client retries (server.TransientStatus).
 func terminalStatus(code int) bool {
-	if code == http.StatusTooManyRequests || code == http.StatusRequestTimeout {
-		return false
-	}
-	return code >= 400 && code < 500
+	return code >= 400 && code < 500 && !server.TransientStatus(code)
 }
 
 // noteBackendFailure records an availability failure against a healthy
@@ -650,7 +612,7 @@ func (g *Gateway) noteBackendFailure(b *Backend, cause error) {
 		return
 	}
 	b.failures++
-	if b.failures < g.cfg.FailThreshold {
+	if b.failures < failThreshold {
 		g.mu.Unlock()
 		return
 	}
@@ -672,8 +634,14 @@ func (g *Gateway) ejectLocked(b *Backend) []int {
 	b.backoff = g.cfg.HealthInterval
 	b.nextProbe = time.Now().Add(b.backoff)
 	b.ejections++
-	if g.cfg.ShardRecovery {
-		// Durable backends recover their own coflows on restart, so the
+	if !b.known {
+		// Never heard from: nothing was placed on it by this gateway, and the
+		// placements recovered for it cannot wait on a shard that may not
+		// come back.
+		return g.settleLocked(b, false)
+	}
+	if b.durable {
+		// A durable backend recovers its own coflows on restart, so the
 		// placement bindings stay put; detaching them here would re-admit
 		// coflows the shard is about to resurrect.
 		return nil
@@ -691,7 +659,6 @@ func (g *Gateway) ejectLocked(b *Backend) []int {
 		orphans = append(orphans, gid)
 	}
 	b.local = make(map[int]int)
-	b.outstanding = 0
 	sort.Ints(orphans)
 	return orphans
 }
@@ -728,9 +695,9 @@ func (g *Gateway) orphansLocked() []int {
 }
 
 // healthLoop probes backends every HealthInterval: healthy ones on every
-// tick, ejected ones once their backoff expires (doubling up to BackoffMax
-// on each further failure). A recovered backend rejoins the rotation with a
-// clean slate.
+// tick, ejected ones once their backoff expires (doubling up to
+// backoffIntervals health intervals on each further failure). A recovered
+// backend rejoins the rotation with a clean slate.
 func (g *Gateway) healthLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.cfg.HealthInterval)
@@ -765,8 +732,8 @@ const sweepBatch = 32
 
 // sweepCompletions polls a bounded, rotating subset of each healthy
 // backend's outstanding coflows. Status folds observed completions into the
-// gateway bookkeeping — completed counters, least-load outstanding counts,
-// and the retained failover specs — so state converges even when no client
+// gateway bookkeeping — completed counters, the backends' local tables, and
+// the retained failover specs — so state converges even when no client
 // ever polls /v1/coflows/{id} (a fire-and-forget producer). Map iteration
 // order varies per tick, so every outstanding coflow is eventually visited.
 func (g *Gateway) sweepCompletions() {
@@ -813,22 +780,22 @@ func (g *Gateway) probeAll() {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			_, err := b.probe.Health()
-			g.applyProbe(b, err)
+			h, err := b.probe.Health()
+			g.applyProbe(b, h.Durable, err)
 		}(b)
 	}
 	wg.Wait()
 }
 
 // applyProbe folds one probe result into the backend's health state.
-func (g *Gateway) applyProbe(b *Backend, probeErr error) {
+func (g *Gateway) applyProbe(b *Backend, durable bool, probeErr error) {
 	if probeErr == nil {
 		g.mu.Lock()
 		wasDown := !b.healthy
 		b.healthy = true
 		b.failures = 0
 		b.backoff = 0
-		var stranded []int
+		stranded := g.heardLocked(b, durable)
 		if wasDown {
 			// Recovery is the retry trigger for coflows orphaned while no
 			// backend was healthy.
@@ -837,18 +804,18 @@ func (g *Gateway) applyProbe(b *Backend, probeErr error) {
 		g.mu.Unlock()
 		if wasDown {
 			g.logger.Info("backend healthy again, re-admitted to rotation", "backend", b.name)
-			if len(stranded) > 0 {
-				// Detached: re-admission is retrying HTTP and must not hold
-				// up the probe round (probeAll waits on its probes).
-				go g.readmitOrphans(stranded)
-			}
+		}
+		if len(stranded) > 0 {
+			// Detached: re-admission is retrying HTTP and must not hold up
+			// the probe round (probeAll waits on its probes).
+			go g.readmitOrphans(stranded)
 		}
 		return
 	}
 	g.mu.Lock()
 	if b.healthy {
 		b.failures++
-		if b.failures < g.cfg.FailThreshold {
+		if b.failures < failThreshold {
 			g.mu.Unlock()
 			return
 		}
@@ -859,13 +826,7 @@ func (g *Gateway) applyProbe(b *Backend, probeErr error) {
 		return
 	}
 	// Still down: back off exponentially before the next probe.
-	b.backoff *= 2
-	if b.backoff > g.cfg.BackoffMax {
-		b.backoff = g.cfg.BackoffMax
-	}
-	if b.backoff <= 0 {
-		b.backoff = g.cfg.HealthInterval
-	}
+	b.backoff = min(2*b.backoff, backoffIntervals*g.cfg.HealthInterval)
 	b.nextProbe = time.Now().Add(b.backoff)
 	g.mu.Unlock()
 }
@@ -912,9 +873,6 @@ func (g *Gateway) Status(gid int) (server.CoflowResponse, bool, error) {
 		rc.final = st
 		g.completed++
 		delete(b.local, lid)
-		if b.outstanding > 0 {
-			b.outstanding--
-		}
 		g.logDoneLocked(gid, st)
 		// The spec's flows are no longer needed for failover; let them go.
 		rc.spec = coflow.Coflow{Name: rc.spec.Name, Weight: rc.spec.Weight}
@@ -1112,6 +1070,3 @@ func (g *Gateway) CountersSnapshot() Counters {
 	}
 	return c
 }
-
-// PlacementName names the configured placement policy.
-func (g *Gateway) PlacementName() string { return g.cfg.Placement.Name() }

@@ -182,7 +182,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	c := g.CountersSnapshot()
 	resp := gateHealthResponse{
 		Status:   "ok",
-		Policy:   "gateway(" + g.PlacementName() + ")",
+		Policy:   "gateway(hash)",
 		Now:      time.Since(g.start).Seconds(),
 		Admitted: c.Coflows,
 		Backends: c.Backends,

@@ -33,9 +33,9 @@ type LocalConfig struct {
 	// Gateway configures the front door.
 	Gateway Config
 	// WALDir, when non-empty, makes the whole cluster durable: each shard
-	// writes its WAL under WALDir/shardN, the gateway persists its routing
-	// tables under WALDir/gateway, and Gateway.ShardRecovery is switched on so
-	// a crash-killed shard restarted with Restart re-syncs from its own log
+	// writes its WAL under WALDir/shardN and the gateway persists its routing
+	// tables under WALDir/gateway. The shards then report themselves durable,
+	// so a crash-killed shard restarted with Restart re-syncs from its own log
 	// instead of being re-admitted from gateway memory.
 	WALDir string
 	// SnapshotInterval is handed to every shard and the gateway (zero keeps
@@ -80,15 +80,13 @@ func (c LocalConfig) withDefaults() (LocalConfig, error) {
 		if c.Gateway.SnapshotInterval == 0 {
 			c.Gateway.SnapshotInterval = c.SnapshotInterval
 		}
-		c.Gateway.ShardRecovery = true
 	}
 	return c, nil
 }
 
-// localShard is one in-process backend. Kill drops its server (all engine
-// state is lost, as with a crashed daemon) while the listener stays up and
-// answers 503; Revive installs a fresh empty server at the same URL, the
-// restart-after-crash the gateway's health loop is built to absorb.
+// localShard is one in-process backend. stop drops its server while the
+// listener stays up and answers 503; start boots a fresh one at the same URL,
+// the restart-after-crash the gateway's health loop is built to absorb.
 type localShard struct {
 	name string
 	scfg server.Config
@@ -96,15 +94,55 @@ type localShard struct {
 
 	mu      sync.Mutex
 	srv     *server.Server
-	handler http.Handler
-	down    bool
+	handler http.Handler // nil while down
+}
+
+// newLocalShard starts a daemon on scfg behind a loopback listener whose URL
+// outlives the daemon.
+func newLocalShard(name string, scfg server.Config) (*localShard, error) {
+	sh := &localShard{name: name, scfg: scfg}
+	if err := sh.start(); err != nil {
+		return nil, err
+	}
+	sh.ts = httptest.NewServer(http.HandlerFunc(sh.serve))
+	return sh, nil
+}
+
+// start boots a fresh daemon on the shard's config behind its listener. With
+// a WALDir it recovers the previous daemon's state first.
+func (sh *localShard) start() error {
+	srv, err := server.New(sh.scfg)
+	if err != nil {
+		return fmt.Errorf("cluster: starting %s: %w", sh.name, err)
+	}
+	sh.mu.Lock()
+	sh.srv, sh.handler = srv, srv.Handler()
+	sh.mu.Unlock()
+	return nil
+}
+
+// stop takes the daemon down and leaves the listener answering 503. crash
+// stops it the way SIGKILL would (no drain, no final WAL fsync); otherwise
+// it is closed.
+func (sh *localShard) stop(crash bool) {
+	sh.mu.Lock()
+	old := sh.srv
+	sh.srv, sh.handler = nil, nil
+	sh.mu.Unlock()
+	switch {
+	case old == nil:
+	case crash:
+		old.Kill()
+	default:
+		old.Close()
+	}
 }
 
 func (sh *localShard) serve(w http.ResponseWriter, r *http.Request) {
 	sh.mu.Lock()
-	h, down := sh.handler, sh.down
+	h := sh.handler
 	sh.mu.Unlock()
-	if down || h == nil {
+	if h == nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = w.Write([]byte(`{"error":"shard down"}` + "\n"))
@@ -160,13 +198,11 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 			scfg.WALDir = filepath.Join(cfg.WALDir, name)
 			scfg.SnapshotInterval = cfg.SnapshotInterval
 		}
-		srv, err := server.New(scfg)
+		sh, err := newLocalShard(name, scfg)
 		if err != nil {
 			l.Close()
-			return nil, fmt.Errorf("cluster: starting %s: %w", name, err)
+			return nil, err
 		}
-		sh := &localShard{name: name, scfg: scfg, srv: srv, handler: srv.Handler()}
-		sh.ts = httptest.NewServer(http.HandlerFunc(sh.serve))
 		l.shards = append(l.shards, sh)
 		if err := l.Gateway.AddBackend(name, sh.ts.URL); err != nil {
 			l.Close()
@@ -226,30 +262,12 @@ func (l *Local) ShardURL(i int) string { return l.shards[i].ts.URL }
 // Kill simulates a crash of shard i: its scheduler stops, every coflow it
 // owned is lost, and its listener answers 503 until Revive. The gateway's
 // health loop will eject it and re-admit its in-flight coflows elsewhere.
-func (l *Local) Kill(i int) {
-	sh := l.shards[i]
-	sh.mu.Lock()
-	old := sh.srv
-	sh.srv, sh.handler, sh.down = nil, nil, true
-	sh.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-}
+func (l *Local) Kill(i int) { l.shards[i].stop(false) }
 
 // CrashKill stops shard i the way SIGKILL would: the scheduler dies with no
 // drain and no final WAL fsync, and the listener answers 503 until Restart.
 // Without a WALDir this is equivalent to Kill.
-func (l *Local) CrashKill(i int) {
-	sh := l.shards[i]
-	sh.mu.Lock()
-	old := sh.srv
-	sh.srv, sh.handler, sh.down = nil, nil, true
-	sh.mu.Unlock()
-	if old != nil {
-		old.Kill()
-	}
-}
+func (l *Local) CrashKill(i int) { l.shards[i].stop(true) }
 
 // Restart boots shard i again at the same URL against its original config.
 // With a WALDir the new daemon recovers the old one's coflows from its log
@@ -261,17 +279,7 @@ func (l *Local) Restart(i int) error { return l.Revive(i) }
 // The daemon is fresh and empty unless the cluster runs with a WALDir, in
 // which case it recovers its pre-crash state first. The gateway re-admits it
 // to the placement rotation at its next successful probe.
-func (l *Local) Revive(i int) error {
-	sh := l.shards[i]
-	srv, err := server.New(sh.scfg)
-	if err != nil {
-		return fmt.Errorf("cluster: reviving %s: %w", sh.name, err)
-	}
-	sh.mu.Lock()
-	sh.srv, sh.handler, sh.down = srv, srv.Handler(), false
-	sh.mu.Unlock()
-	return nil
-}
+func (l *Local) Revive(i int) error { return l.shards[i].start() }
 
 // RestartGateway crash-kills the gateway and boots a replacement from the
 // persisted routing state, re-registering every shard listener. The cluster

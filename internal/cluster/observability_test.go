@@ -59,7 +59,7 @@ func getMetrics(t *testing.T, url string) *telemetry.Metrics {
 // the gateway's and the owning shard's /debug/traces by the trace id the
 // admit response returned, and (3) well-formed /v1/epochs on both tiers.
 func TestClusterObservability(t *testing.T) {
-	l := newLocalCluster(t, 2, ConsistentHash{}, 200)
+	l := newLocalCluster(t, 2, 200)
 	c := l.Client()
 
 	hosts := graph.FatTree(4, 1).Hosts()
@@ -200,7 +200,7 @@ func TestClusterStageSpans(t *testing.T) {
 		Policy:    online.SEBFOnline{},
 		TimeScale: 200,
 		WALDir:    t.TempDir(),
-		Gateway:   fastGatewayConfig(t, ConsistentHash{}),
+		Gateway:   fastGatewayConfig(t),
 		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {

@@ -3,33 +3,16 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-
-	"coflowsched/internal/coflow"
 )
 
-// Placement decides which shard a coflow lands on. Place receives the
-// gateway-assigned coflow id, the coflow itself, and the currently healthy
-// candidate backends (never empty); it must return one of them. The gateway
-// serializes Place calls, so implementations need no locking of their own.
-type Placement interface {
-	Name() string
-	Place(id int, cf coflow.Coflow, healthy []*Backend) *Backend
-}
-
-// ConsistentHash places by highest-random-weight (rendezvous) hashing of the
-// gateway coflow id against each backend's name: deterministic — the same id
-// always maps to the same backend while that backend is healthy — and stable
-// under membership change, since removing one backend only moves the coflows
-// that lived on it. Rendezvous hashing is the ring-free form of consistent
-// hashing: every (key, backend) pair gets a pseudo-random score and the key
-// goes to the top scorer.
-type ConsistentHash struct{}
-
-// Name implements Placement.
-func (ConsistentHash) Name() string { return "hash" }
-
-// Place implements Placement.
-func (ConsistentHash) Place(id int, _ coflow.Coflow, healthy []*Backend) *Backend {
+// hashPlace picks the shard for gateway coflow id by highest-random-weight
+// (rendezvous) hashing of the id against each healthy backend's name (never
+// empty): deterministic — the same id always maps to the same backend while
+// that backend is healthy — and stable under membership change, since
+// removing one backend only moves the coflows that lived on it. Rendezvous
+// hashing is the ring-free form of consistent hashing: every (key, backend)
+// pair gets a pseudo-random score and the key goes to the top scorer.
+func hashPlace(id int, healthy []*Backend) *Backend {
 	var best *Backend
 	var bestScore uint64
 	for _, b := range healthy {
@@ -54,36 +37,4 @@ func mix64(z uint64) uint64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return z
-}
-
-// LeastLoad places on the backend with the fewest outstanding coflows
-// (placed but not yet observed complete), tie-broken by name for
-// determinism. It balances by construction but is not sticky: the same
-// coflow id can land differently depending on cluster state.
-type LeastLoad struct{}
-
-// Name implements Placement.
-func (LeastLoad) Name() string { return "least-load" }
-
-// Place implements Placement.
-func (LeastLoad) Place(_ int, _ coflow.Coflow, healthy []*Backend) *Backend {
-	var best *Backend
-	for _, b := range healthy {
-		if best == nil || b.outstanding < best.outstanding ||
-			(b.outstanding == best.outstanding && b.name < best.name) {
-			best = b
-		}
-	}
-	return best
-}
-
-// ParsePlacement resolves a placement by its CLI name.
-func ParsePlacement(name string) (Placement, error) {
-	switch name {
-	case "hash":
-		return ConsistentHash{}, nil
-	case "least-load":
-		return LeastLoad{}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown placement %q (want hash, least-load)", name)
 }

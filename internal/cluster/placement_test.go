@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"testing"
-
-	"coflowsched/internal/coflow"
 )
 
 func mkBackends(names ...string) []*Backend {
@@ -17,12 +15,11 @@ func mkBackends(names ...string) []*Backend {
 // TestConsistentHashDeterministic: the same id always lands on the same
 // backend, and ids spread across the set.
 func TestConsistentHashDeterministic(t *testing.T) {
-	p := ConsistentHash{}
 	backends := mkBackends("a", "b", "c")
 	counts := map[string]int{}
 	for id := 0; id < 300; id++ {
-		b1 := p.Place(id, coflow.Coflow{}, backends)
-		b2 := p.Place(id, coflow.Coflow{}, backends)
+		b1 := hashPlace(id, backends)
+		b2 := hashPlace(id, backends)
 		if b1 != b2 {
 			t.Fatalf("id %d placed on %s then %s", id, b1.name, b2.name)
 		}
@@ -38,13 +35,12 @@ func TestConsistentHashDeterministic(t *testing.T) {
 // TestConsistentHashStability: removing one backend only moves the ids that
 // lived on it — the defining property of consistent hashing.
 func TestConsistentHashStability(t *testing.T) {
-	p := ConsistentHash{}
 	full := mkBackends("a", "b", "c")
 	without := full[:2] // "c" ejected
 	moved, stayed := 0, 0
 	for id := 0; id < 300; id++ {
-		before := p.Place(id, coflow.Coflow{}, full)
-		after := p.Place(id, coflow.Coflow{}, without)
+		before := hashPlace(id, full)
+		after := hashPlace(id, without)
 		if before.name == "c" {
 			continue // had to move
 		}
@@ -56,38 +52,5 @@ func TestConsistentHashStability(t *testing.T) {
 	}
 	if moved != 0 {
 		t.Errorf("%d ids moved that did not live on the removed backend (stayed %d)", moved, stayed)
-	}
-}
-
-// TestLeastLoadBalances: placement always picks the emptiest backend,
-// tie-breaking deterministically by name.
-func TestLeastLoadBalances(t *testing.T) {
-	p := LeastLoad{}
-	backends := mkBackends("a", "b", "c")
-	backends[0].outstanding = 5
-	backends[1].outstanding = 2
-	backends[2].outstanding = 2
-	if got := p.Place(0, coflow.Coflow{}, backends); got.name != "b" {
-		t.Errorf("placed on %s, want b (least loaded, name tie-break)", got.name)
-	}
-	backends[1].outstanding = 9
-	if got := p.Place(1, coflow.Coflow{}, backends); got.name != "c" {
-		t.Errorf("placed on %s, want c", got.name)
-	}
-}
-
-// TestParsePlacement covers the CLI mapping.
-func TestParsePlacement(t *testing.T) {
-	for name, want := range map[string]string{"hash": "hash", "least-load": "least-load"} {
-		p, err := ParsePlacement(name)
-		if err != nil {
-			t.Fatalf("ParsePlacement(%q): %v", name, err)
-		}
-		if p.Name() != want {
-			t.Errorf("ParsePlacement(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if _, err := ParsePlacement("round-robin"); err == nil {
-		t.Error("unknown placement accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/monitor"
+	"coflowsched/internal/online"
 	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
@@ -37,7 +39,7 @@ func TestGatewayRestartRecovery(t *testing.T) {
 	l, err := NewLocal(LocalConfig{
 		Shards:    2,
 		TimeScale: 1, // slow clock: coflows stay in flight across the restart
-		Gateway:   fastGatewayConfig(t, ConsistentHash{}),
+		Gateway:   fastGatewayConfig(t),
 		WALDir:    t.TempDir(),
 		Logger:    telemetry.LogfLogger(t.Logf),
 	})
@@ -148,12 +150,12 @@ func fetchSLO(t *testing.T, monitorURL string) map[string]monitor.RuleState {
 
 // TestClusterCrashRecovery is the recovery smoke: a durable shard is
 // crash-killed with coflows in flight and restarted against the same WAL
-// directory. The gateway (ShardRecovery) must hold the placement bindings
-// instead of re-admitting, the monitor's shard-down rule must fire and then
-// resolve, and the recovered coflows must reach completion on their original
-// shard — recovery, not re-admission.
+// directory. The gateway (the shard reports itself durable) must hold the
+// placement bindings instead of re-admitting, the monitor's shard-down rule
+// must fire and then resolve, and the recovered coflows must reach completion
+// on their original shard — recovery, not re-admission.
 func TestClusterCrashRecovery(t *testing.T) {
-	cfg := fastGatewayConfig(t, LeastLoad{})
+	cfg := fastGatewayConfig(t)
 	l, err := NewLocal(LocalConfig{
 		Shards:    2,
 		TimeScale: 1, // slow clock: the crash lands mid-flight
@@ -232,5 +234,111 @@ func TestClusterCrashRecovery(t *testing.T) {
 	}
 	if cs.Completed != n {
 		t.Errorf("gateway observed %d completions, want %d", cs.Completed, n)
+	}
+}
+
+// TestExternalDurableBackendsRecoverInPlace is the coflowgate -backends
+// deployment: a gateway built with New + AddBackend, told nothing about its
+// shards, in front of two daemons that run with WALs at stable URLs. One
+// shard is crash-killed with coflows in flight and restarted. The gateway
+// must have learned from the shard that it is durable and keep its coflows
+// bound to it, so every coflow completes exactly once, on the shard it was
+// admitted to.
+func TestExternalDurableBackendsRecoverInPlace(t *testing.T) {
+	g, err := New(fastGatewayConfig(t))
+	if err != nil {
+		t.Fatalf("new gateway: %v", err)
+	}
+	t.Cleanup(g.Close)
+	dir := t.TempDir()
+	shards := make([]*localShard, 2)
+	for i := range shards {
+		name := fmt.Sprintf("shard%d", i)
+		sh, err := newLocalShard(name, server.Config{
+			Network:     graph.FatTree(4, 1),
+			Policy:      online.SEBFOnline{},
+			EpochLength: 2,
+			TimeScale:   1, // slow clock: the crash lands mid-flight
+			Shard:       name,
+			WALDir:      filepath.Join(dir, name),
+			Logger:      telemetry.LogfLogger(t.Logf),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.ts.Close(); sh.stop(false) })
+		shards[i] = sh
+		if err := g.AddBackend(name, sh.ts.URL); err != nil {
+			t.Fatalf("add backend: %v", err)
+		}
+	}
+
+	const n = 6
+	for i := 0; i < n; i++ {
+		if _, err := g.Admit(recoveryCoflow(fmt.Sprintf("ext-%d", i), 40)); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	owner := func(gid int) string {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if b := g.coflows[gid].backend; b != nil {
+			return b.name
+		}
+		return ""
+	}
+	placed := make([]string, n)
+	perShard := map[string]int{}
+	for gid := range placed {
+		placed[gid] = owner(gid)
+		perShard[placed[gid]]++
+	}
+	victim := 0
+	if placed[0] == "shard1" {
+		victim = 1
+	}
+
+	shards[victim].stop(true) // SIGKILL-shaped: no drain, no final fsync
+	waitFor(t, 5*time.Second, "ejection", func() bool {
+		return g.CountersSnapshot().Healthy == 1
+	})
+	if got := g.CountersSnapshot().Readmits; got != 0 {
+		t.Fatalf("gateway re-admitted %d coflows from a durable shard, want 0", got)
+	}
+	if err := shards[victim].start(); err != nil {
+		t.Fatalf("restart shard: %v", err)
+	}
+	waitFor(t, 5*time.Second, "re-admission to rotation", func() bool {
+		return g.CountersSnapshot().Healthy == 2
+	})
+
+	for _, sh := range shards {
+		sh.mu.Lock()
+		srv := sh.srv
+		sh.mu.Unlock()
+		if _, err := srv.Drain(); err != nil {
+			t.Fatalf("drain %s: %v", sh.name, err)
+		}
+		st, err := srv.Stats()
+		if err != nil {
+			t.Fatalf("%s stats: %v", sh.name, err)
+		}
+		if st.Admitted != perShard[sh.name] || st.Completed != perShard[sh.name] {
+			t.Errorf("%s admitted/completed %d/%d, want %d/%d (each of its coflows exactly once)",
+				sh.name, st.Admitted, st.Completed, perShard[sh.name], perShard[sh.name])
+		}
+	}
+	for gid := 0; gid < n; gid++ {
+		waitFor(t, 10*time.Second, "completion", func() bool {
+			st, _, err := g.Status(gid)
+			return err == nil && st.Done
+		})
+		if got := owner(gid); got != placed[gid] {
+			t.Errorf("coflow %d completed on %s, was admitted to %s", gid, got, placed[gid])
+		}
+	}
+	cs := g.CountersSnapshot()
+	if cs.Readmits != 0 || cs.Completed != n {
+		t.Errorf("readmits/completed = %d/%d, want 0/%d", cs.Readmits, cs.Completed, n)
 	}
 }

@@ -37,8 +37,6 @@ type Config struct {
 	// BundleDir is where the flight recorder writes post-mortem bundles on
 	// a rule's transition to firing. Empty disables the recorder.
 	BundleDir string
-	// HTTPTimeout bounds each scrape and evidence fetch. Default 2s.
-	HTTPTimeout time.Duration
 	// ProfileDuration is how long the on-alert CPU profile samples for.
 	// Bundles attach a CPU profile and heap snapshot from every live target
 	// via /debug/pprof; 0 means 1s, negative disables profile capture.
@@ -110,13 +108,13 @@ func newMonMetrics() *monMetrics {
 	return m
 }
 
+// httpTimeout bounds each scrape and evidence fetch.
+const httpTimeout = 2 * time.Second
+
 // New validates the config, primes the rule set and starts the scrape loop.
 func New(cfg Config) (*Monitor, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.HTTPTimeout <= 0 {
-		cfg.HTTPTimeout = 2 * time.Second
 	}
 	if cfg.ProfileDuration == 0 {
 		cfg.ProfileDuration = time.Second
@@ -143,7 +141,7 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:      cfg,
 		store:    NewStore(cfg.MaxPoints),
-		client:   &http.Client{Timeout: cfg.HTTPTimeout},
+		client:   &http.Client{Timeout: httpTimeout},
 		log:      cfg.Logger,
 		metrics:  newMonMetrics(),
 		statuses: make(map[string]*TargetStatus),

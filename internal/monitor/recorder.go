@@ -77,7 +77,7 @@ func newRecorder(dir string, m *Monitor) *recorder {
 	return &recorder{
 		dir:        dir,
 		m:          m,
-		profClient: &http.Client{Timeout: m.cfg.HTTPTimeout + m.cfg.ProfileDuration},
+		profClient: &http.Client{Timeout: httpTimeout + m.cfg.ProfileDuration},
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //
 // Every request carries the HTTPClient's timeout (so a hung backend fails the
 // request instead of stalling the caller forever) and transient failures —
-// transport errors and 429/502/503/504 responses — are retried up to Retries
+// transport errors and the TransientStatus codes — are retried up to Retries
 // times with exponentially growing, jittered backoff. Admissions are
 // exactly-once under this policy: every Admit carries an idempotency key in
 // the X-Coflow-Id header (auto-generated unless the caller supplies one via
@@ -98,12 +98,13 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// retryableStatus reports whether a response code signals a transient
-// condition worth retrying: overload (429), or a gateway/availability failure
-// (502/503/504). Everything else — notably 4xx validation errors — fails fast.
-func retryableStatus(code int) bool {
+// TransientStatus reports whether a response code signals a transient
+// condition: a request timeout (408), overload (429), or a gateway or
+// availability failure (502/503/504). The client retries exactly these; the
+// cluster gateway treats every other 4xx as the request's own fault.
+func TransientStatus(code int) bool {
 	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
+	case http.StatusRequestTimeout, http.StatusTooManyRequests, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return true
 	}
@@ -150,7 +151,7 @@ func (c *Client) doJSON(method, path, endpoint string, header map[string]string,
 		}
 		code := resp.StatusCode
 		err = decodeResponse(resp, out)
-		if err != nil && retryableStatus(code) {
+		if err != nil && TransientStatus(code) {
 			lastErr = err
 			continue
 		}
@@ -308,9 +309,9 @@ type LoadConfig struct {
 	Instance *coflow.Instance
 	Arrivals []float64
 	// SpeedUp compresses the replay clock: a coflow arriving at simulated
-	// time t is sent at wall-clock t/SpeedUp seconds (default 1). Pair with
-	// the daemon's -timescale to keep the simulated network ahead of the
-	// replay. Used only with Instance.
+	// time t is sent at wall-clock t/SpeedUp seconds after the first arrival
+	// (default 1). Pair with the daemon's -timescale to keep the simulated
+	// network ahead of the replay.
 	SpeedUp float64
 	// Coflows is the number of coflows to admit (default 100).
 	Coflows int
@@ -423,18 +424,15 @@ func (r *LoadReport) String() string {
 
 // RunLoad replays a coflow arrival process against a live daemon.
 //
-// By default the workload comes from workload.GenerateArrivals on a star
-// stand-in topology with the daemon's host count; generated endpoints are
-// remapped onto the daemon's actual host ids, and the generated arrival
-// times become the wall-clock send schedule. Flow release offsets are zero:
-// every flow of a coflow is released on admission, matching the generator's
-// default.
-//
 // With cfg.Instance set, the prebuilt workload (a scenario or parsed trace)
-// is replayed instead: endpoints are remapped onto the daemon's hosts by
-// host index (mod the daemon's host count), arrivals are compressed by
+// is replayed; by default the workload comes from workload.GenerateArrivals on
+// a star stand-in topology with the daemon's host count, its arrival times in
+// wall-clock seconds. Either way the instance is replayed the same way:
+// endpoints are remapped onto the daemon's hosts by host index (mod the
+// daemon's host count), arrivals from the first one on are compressed by
 // SpeedUp into the wall-clock send schedule, and each flow keeps its release
-// offset from the coflow's arrival in simulated time.
+// offset from the coflow's arrival in simulated time (zero for a generated
+// workload: every flow is released on admission).
 func RunLoad(c *Client, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	net, err := c.Network()
@@ -444,7 +442,24 @@ func RunLoad(c *Client, cfg LoadConfig) (*LoadReport, error) {
 	if len(net.Hosts) < 2 {
 		return nil, fmt.Errorf("loadgen: daemon topology has %d hosts, need at least 2", len(net.Hosts))
 	}
-	wire, sendAt, err := buildWire(cfg, net)
+	if cfg.Instance == nil {
+		// Draw the workload on a stand-in star with the daemon's host count, so
+		// replayWire's host-index mapping lands each endpoint on its own host.
+		inst, arrivals, err := workload.GenerateArrivals(graph.Star(len(net.Hosts), 1), workload.ArrivalConfig{
+			Config: workload.Config{
+				NumCoflows: cfg.Coflows,
+				Width:      cfg.Width,
+				MeanSize:   cfg.MeanSize,
+				MeanWeight: cfg.MeanWeight,
+			},
+			Rate: cfg.Rate,
+		}, rand.New(rand.NewSource(cfg.Seed)))
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: generating workload: %w", err)
+		}
+		cfg.Instance, cfg.Arrivals = inst, arrivals
+	}
+	wire, sendAt, err := replayWire(cfg, net)
 	if err != nil {
 		return nil, err
 	}
@@ -518,49 +533,6 @@ func RunLoad(c *Client, cfg LoadConfig) (*LoadReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// buildWire turns the configured workload into wire coflows plus their
-// wall-clock send schedule (seconds from replay start), remapped onto the
-// daemon's hosts.
-func buildWire(cfg LoadConfig, net NetworkResponse) ([]coflow.Coflow, []float64, error) {
-	if cfg.Instance != nil {
-		return replayWire(cfg, net)
-	}
-	// Draw the workload on a stand-in star with the same host count; only
-	// the endpoint identities differ, and those are remapped below.
-	standIn := graph.Star(len(net.Hosts), 1)
-	localHosts := standIn.Hosts()
-	hostIndex := make(map[graph.NodeID]int, len(localHosts))
-	for i, h := range localHosts {
-		hostIndex[h] = i
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	inst, arrivals, err := workload.GenerateArrivals(standIn, workload.ArrivalConfig{
-		Config: workload.Config{
-			NumCoflows: cfg.Coflows,
-			Width:      cfg.Width,
-			MeanSize:   cfg.MeanSize,
-			MeanWeight: cfg.MeanWeight,
-		},
-		Rate: cfg.Rate,
-	}, rng)
-	if err != nil {
-		return nil, nil, fmt.Errorf("loadgen: generating workload: %w", err)
-	}
-	wire := make([]coflow.Coflow, len(inst.Coflows))
-	for i, cf := range inst.Coflows {
-		w := coflow.Coflow{Name: fmt.Sprintf("load-%d", i), Weight: cf.Weight, Flows: make([]coflow.Flow, len(cf.Flows))}
-		for j, f := range cf.Flows {
-			w.Flows[j] = coflow.Flow{
-				Source: graph.NodeID(net.Hosts[hostIndex[f.Source]]),
-				Dest:   graph.NodeID(net.Hosts[hostIndex[f.Dest]]),
-				Size:   f.Size,
-			}
-		}
-		wire[i] = w
-	}
-	return wire, arrivals, nil
 }
 
 // replayWire maps a prebuilt instance onto the daemon's topology. The

@@ -30,6 +30,10 @@ type AdmitResponse struct {
 	// header when the caller (a gateway) sent one, otherwise minted here.
 	// Spans under this id appear at /debug/traces.
 	Trace string `json:"trace,omitempty"`
+	// Durable is set when the daemon runs with a write-ahead log, so the
+	// coflow survives a crash of the daemon. A gateway learns it here before
+	// it binds the coflow to this shard.
+	Durable bool `json:"durable,omitempty"`
 }
 
 // CoflowResponse is GET /v1/coflows/{id}: live status, CCT once done.
@@ -101,6 +105,9 @@ type HealthResponse struct {
 	Policy   string  `json:"policy"`
 	Now      float64 `json:"now"`
 	Admitted int     `json:"admitted"`
+	// Durable reports that the daemon runs with a write-ahead log and
+	// recovers its coflows after a crash.
+	Durable bool `json:"durable"`
 }
 
 // NetworkResponse is GET /v1/network: what a load generator needs to build
@@ -205,6 +212,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		// log error keeps the daemon read-only, so a retry cannot double-admit.
 		RespondError(w, http.StatusServiceUnavailable, "durability failure: "+walErr.Error())
 	default:
+		resp.Durable = s.wal != nil
 		RespondJSON(w, http.StatusCreated, resp)
 	}
 }
@@ -311,6 +319,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			Policy:   s.cfg.Policy.Name(),
 			Now:      s.eng.Now(),
 			Admitted: s.eng.NumCoflows(),
+			Durable:  s.wal != nil,
 		}
 	}); err != nil {
 		RespondError(w, http.StatusServiceUnavailable, err.Error())

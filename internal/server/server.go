@@ -67,9 +67,6 @@ type Config struct {
 	// progress, admissions at debug level) with component/shard fields
 	// attached. When nil, logs are discarded.
 	Logger *slog.Logger
-	// TraceCapacity bounds the lifecycle-trace span ring served at
-	// /debug/traces (default telemetry.DefaultTraceCapacity).
-	TraceCapacity int
 	// WALDir, when non-empty, turns on durability: state-changing engine
 	// operations are written to a write-ahead log under this directory,
 	// admissions are fsynced before they are acknowledged, and a restarted
@@ -184,7 +181,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Serv
 		quit:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 		metrics:  newServerMetrics(cfg.Shard),
-		tracer:   telemetry.NewTracer("coflowd", cfg.Shard, cfg.TraceCapacity),
+		tracer:   telemetry.NewTracer("coflowd", cfg.Shard, telemetry.RingCapacity),
 		logger:   cfg.Logger,
 		traceIDs: make(map[int]string),
 		idem:     make(map[string]idemEntry),

@@ -67,15 +67,12 @@ type Tracer struct {
 	dropped uint64
 }
 
-// DefaultTraceCapacity bounds a daemon's span ring by default.
-const DefaultTraceCapacity = 4096
+// RingCapacity is the span ring both daemons keep.
+const RingCapacity = 4096
 
-// NewTracer builds a tracer for one daemon. capacity <= 0 means
-// DefaultTraceCapacity.
+// NewTracer builds a tracer for one daemon keeping the most recent capacity
+// (> 0) spans.
 func NewTracer(component, shard string, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	return &Tracer{component: component, shard: shard, cap: capacity}
 }
 
