@@ -1,6 +1,7 @@
 // Command coflowgate is the cluster front door: a gateway that shards
 // admitted coflows across N coflowd backends (each an independent fabric)
-// and serves the same /v1/* JSON API as a single daemon by fanning out.
+// and serves coflowd's admission, status, stats and network API under
+// gateway ids.
 //
 // Two topologies:
 //
@@ -17,15 +18,15 @@
 // zero-setup way to run a whole cluster in one process, the same harness the
 // tests and the admit-cluster benchmark workload use.
 //
-// Endpoints are coflowd's, served by scatter-gather:
+// The gateway answers for what it owns: gateway ids, placement, and the
+// merges that need every shard. A shard's own schedule and epoch ring are
+// read from the shard, at the URL /v1/backends lists for it.
 //
 //	POST /v1/coflows       place on one shard (batched; rendezvous hash of the gateway id)
 //	GET  /v1/coflows/{id}  follows the coflow to its current shard
-//	GET  /v1/schedule      merged residual priority orders (gateway ids)
 //	GET  /v1/stats         merged objectives, counters and percentile reservoirs
 //	GET  /v1/network       shard topology (all shards are built alike)
-//	GET  /v1/backends      shard roster with health state
-//	GET  /v1/epochs        every shard's recent scheduler epochs, side by side
+//	GET  /v1/backends      shard roster with health state and URLs
 //	GET  /healthz          gateway + shard health
 //	GET  /metrics          coflowgate_* Prometheus text metrics, per-backend labelled
 //	GET  /debug/traces     gateway-side lifecycle trace spans (join to shards by trace id)
@@ -75,8 +76,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		addr           = fs.String("addr", ":8090", "listen address")
 		backends       = fs.String("backends", "", "comma-separated coflowd base URLs to front")
 		local          = fs.Int("local", 0, "spin up this many in-process shards instead of -backends")
-		batch          = fs.Int("batch", 16, "admit batch size (flush on this many pending admissions)")
-		batchInterval  = fs.Duration("batch-interval", 5*time.Millisecond, "admit batch flush deadline")
 		healthInterval = fs.Duration("health-interval", time.Second, "backend probe period")
 		policyName     = fs.String("policy", "sebf", "shard policy for -local: sebf, fifo, lp")
 		epochLen       = fs.Float64("epoch", 2.0, "shard epoch length for -local")
@@ -96,8 +95,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	logger := telemetry.NewLogger(stderr, telemetry.ParseLevel(*logLevel), *logFormat, "", "")
 	gcfg := cluster.Config{
 		HealthInterval:   *healthInterval,
-		BatchSize:        *batch,
-		BatchInterval:    *batchInterval,
 		SnapshotInterval: *snapInterval,
 		Logger:           logger,
 	}

@@ -19,6 +19,8 @@ func TestRunFlagErrors(t *testing.T) {
 		"neither backends nor local": {},
 		"both backends and local":    {"-backends", "http://x", "-local", "2"},
 		"unknown placement":          {"-local", "1", "-placement", "hash"}, // not a flag
+		"unknown batch":              {"-local", "1", "-batch", "16"},       // a constant
+		"unknown batch interval":     {"-local", "1", "-batch-interval", "5ms"},
 		"unknown policy":             {"-local", "1", "-policy", "wfq"},
 		"unknown flag":               {"-bogus"},
 	}

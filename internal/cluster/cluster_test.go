@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,12 +21,11 @@ import (
 )
 
 // fastGatewayConfig is tuned for tests: quick probes (an ejection takes two
-// failed 20 ms rounds, the re-probe backoff tops out at 600 ms).
+// failed 20 ms rounds, the re-probe backoff tops out at 600 ms). Admissions
+// batch at the production constants.
 func fastGatewayConfig(t *testing.T) Config {
 	return Config{
 		HealthInterval: 20 * time.Millisecond,
-		BatchSize:      8,
-		BatchInterval:  2 * time.Millisecond,
 		Logger:         telemetry.LogfLogger(t.Logf),
 	}
 }
@@ -91,6 +92,9 @@ func TestClusterScenarioReplay(t *testing.T) {
 	if st.Active != 0 {
 		t.Errorf("merged active = %d, want 0", st.Active)
 	}
+	if st.Policy != "SEBFOnline" || st.EpochLength != 2 {
+		t.Errorf("merged policy/epoch_length = %q/%v, want the shards' SEBFOnline/2", st.Policy, st.EpochLength)
+	}
 	if st.WeightedResponse <= 0 || st.WeightedCCT <= 0 {
 		t.Errorf("merged objectives not positive: cct=%v response=%v", st.WeightedCCT, st.WeightedResponse)
 	}
@@ -131,7 +135,7 @@ func TestClusterScenarioReplay(t *testing.T) {
 }
 
 // TestClusterFailover: a backend dies mid-run; its in-flight coflows are
-// re-admitted on the survivors, the backend is ejected, and after a revive
+// re-admitted on the survivors, the backend is ejected, and after a restart
 // it rejoins the rotation and receives new work. Every coflow completes.
 func TestClusterFailover(t *testing.T) {
 	l := newLocalCluster(t, 3, 1) // slow clock: coflows stay in flight
@@ -198,9 +202,9 @@ func TestClusterFailover(t *testing.T) {
 		t.Errorf("shard1 ejection not counted: %+v", down)
 	}
 
-	// Revive: the exponential-backoff probe must re-admit it.
-	if err := l.Revive(1); err != nil {
-		t.Fatalf("revive: %v", err)
+	// Restart: the exponential-backoff probe must re-admit it.
+	if err := l.Restart(1); err != nil {
+		t.Fatalf("restart: %v", err)
 	}
 	waitFor(t, 5*time.Second, "re-admission to rotation", func() bool {
 		return l.Gateway.CountersSnapshot().Healthy == 3
@@ -239,48 +243,81 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// TestClusterBatching: admissions flush by count and by interval; both paths
-// land coflows on shards.
+// TestClusterBatching: admissions flush by interval and by count; both paths
+// land coflows on shards. Each admission's batch-flush span records the size
+// of the batch it left in and how long the queue held it.
 func TestClusterBatching(t *testing.T) {
-	cfg := fastGatewayConfig(t)
-	cfg.BatchSize = 4
-	cfg.BatchInterval = 30 * time.Millisecond
-	l, err := NewLocal(LocalConfig{
-		Shards: 2, TimeScale: 100,
-		Gateway: cfg, Logger: telemetry.LogfLogger(t.Logf),
-	})
-	if err != nil {
-		t.Fatalf("new local: %v", err)
-	}
-	t.Cleanup(l.Close)
-	c := l.Client()
+	l := newLocalCluster(t, 2, 100)
+	g := l.Gateway
 	hosts := graph.FatTree(4, 1).Hosts()
 	cf := coflow.Coflow{Name: "b", Weight: 1, Flows: []coflow.Flow{{Source: hosts[0], Dest: hosts[1], Size: 1}}}
+	flush := func(trace string) (size string, hold float64) {
+		for _, sp := range g.Tracer().ByTrace(trace) {
+			if sp.Name == "batch-flush" {
+				return sp.Attrs["batch_size"], sp.Duration
+			}
+		}
+		return "", 0
+	}
+	interval := batchInterval.Seconds()
 
 	// A single admission cannot fill the batch; only the interval flushes it.
-	start := time.Now()
-	if _, err := c.Admit(cf); err != nil {
+	resp, err := g.Admit(cf)
+	if err != nil {
 		t.Fatalf("interval-flushed admit: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("interval flush took %v", elapsed)
+	if size, hold := flush(resp.Trace); size != "1" || hold < interval {
+		t.Errorf("lone admission flushed in a batch of %q after %gs, want 1 after >= %gs", size, hold, interval)
 	}
 
-	// A burst flushes by count (from concurrent clients, as in RunLoad).
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			_, err := c.Admit(cf)
-			errs <- err
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("burst admit: %v", err)
+	// A burst of batchSize concurrent admissions fills the batch and flushes
+	// by count, before the interval runs out. A burst the host spreads past
+	// batchInterval flushes by interval instead, so a few bursts are allowed
+	// before that fails.
+	full := fmt.Sprint(batchSize)
+	admitted := 1
+	byCount := false
+	for attempt := 0; attempt < 5 && !byCount; attempt++ {
+		start := make(chan struct{})
+		traces := make([]string, batchSize)
+		errs := make([]error, batchSize)
+		var wg sync.WaitGroup
+		for i := range traces {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				var resp server.AdmitResponse
+				resp, errs[i] = g.Admit(cf)
+				traces[i] = resp.Trace
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		admitted += batchSize
+		byCount = true
+		for i, trace := range traces {
+			if errs[i] != nil {
+				t.Fatalf("burst admit: %v", errs[i])
+			}
+			size, hold := flush(trace)
+			byCount = byCount && size == full && hold < interval
 		}
 	}
-	if got := l.Gateway.CountersSnapshot().Coflows; got != 9 {
-		t.Errorf("gateway tracked %d coflows, want 9", got)
+	if !byCount {
+		t.Errorf("no burst of %d admissions flushed by count", batchSize)
+	}
+
+	total := 0
+	for i := 0; i < l.NumShards(); i++ {
+		st, err := l.Shard(i).Stats()
+		if err != nil {
+			t.Fatalf("shard %d stats: %v", i, err)
+		}
+		total += st.Admitted
+	}
+	if got := g.CountersSnapshot().Coflows; got != admitted || total != admitted {
+		t.Errorf("gateway tracked %d coflows and the shards admitted %d, want %d", got, total, admitted)
 	}
 }
 
@@ -298,9 +335,19 @@ func TestGatewayNoBackends(t *testing.T) {
 	if err == nil {
 		t.Fatal("admit with no backends succeeded")
 	}
-	if _, err := c.Health(); err == nil || !strings.Contains(err.Error(), "503") {
-		t.Errorf("healthz with no backends = %v, want 503", err)
+	// Every no-backend answer is the same 503.
+	wantUnavailable := func(what string, err error) {
+		t.Helper()
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s with no backends = %v, want 503", what, err)
+		}
 	}
+	wantUnavailable("admit", err)
+	_, err = c.Network()
+	wantUnavailable("network", err)
+	_, err = c.Health()
+	wantUnavailable("healthz", err)
 }
 
 // TestGatewayValidationPassThrough: a coflow the shard rejects as malformed

@@ -99,11 +99,12 @@ func (g *Gateway) recoverGateway() error {
 			return fmt.Errorf("cluster: writing instance record: %w", err)
 		}
 	}
+	inFlight := 0
 	for _, rc := range g.coflows {
 		if rc.done || rc.failed {
 			continue
 		}
-		g.recovered++
+		inFlight++
 		if rc.pendingBackend == "" {
 			// Acknowledged but never durably placed: detach it so the next
 			// backend registration re-places it from the retained spec.
@@ -112,7 +113,7 @@ func (g *Gateway) recoverGateway() error {
 	}
 	if len(g.coflows) > 0 {
 		g.logger.Info("gateway state recovered", "coflows", len(g.coflows),
-			"in_flight", g.recovered, "completed", g.completed, "instance", g.instance)
+			"in_flight", inFlight, "completed", g.completed, "instance", g.instance)
 	}
 	return nil
 }
@@ -194,7 +195,7 @@ func (g *Gateway) logDoneLocked(gid int, st server.CoflowResponse) {
 func (g *Gateway) maybeSnapshotGateway() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.wal.Snapshot(func() any { return g.exportLocked() }, g.metrics.snapshots.Inc)
+	g.wal.Snapshot(func() any { return g.exportLocked() }, func() {})
 }
 
 // exportLocked snapshots the routing table. Caller holds g.mu.

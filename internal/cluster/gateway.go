@@ -2,10 +2,12 @@
 // sharded scheduling service. Each backend owns a complete fabric of its own
 // (the paper's schedulers are analyzed per-fabric, so a shard is the natural
 // scaling unit); the gateway is the front door that places every admitted
-// coflow on exactly one shard and answers the same /v1/* JSON API as a single
-// coflowd by fanning out: Admit routes to one shard through a batching queue,
-// Stats and Schedule scatter-gather and merge, per-coflow status follows the
-// coflow to whichever shard currently owns it.
+// coflow on exactly one shard and answers only for what it owns: Admit routes
+// to one shard through a batching queue, per-coflow status follows the coflow
+// to whichever shard currently owns it under its gateway id, and Stats merges
+// every shard's counters and percentile reservoirs. What a shard serves on its
+// own (its schedule, its epoch ring) is read from the shard, at the URL
+// /v1/backends lists for it.
 //
 // Fault model: backends are health-checked continuously. A backend that fails
 // consecutive probes (or admissions) is ejected; its in-flight coflows are
@@ -16,8 +18,8 @@
 //
 // Concurrency model: one mutex guards the routing table (gateway id ->
 // backend + backend-local id) and backend health state. All network I/O —
-// admissions, probes, scatter-gathers — happens outside the lock against
-// snapshots, so a slow shard never wedges the gateway.
+// admissions, probes, the stats scatter-gather — happens outside the lock
+// against snapshots, so a slow shard never wedges the gateway.
 package cluster
 
 import (
@@ -44,12 +46,6 @@ type Config struct {
 	// re-probe backoff for ejected ones (default 1s). The backoff doubles on
 	// every further failure up to backoffIntervals × HealthInterval.
 	HealthInterval time.Duration
-	// BatchSize flushes the admit queue when this many admissions are
-	// pending (default 16); BatchInterval flushes whatever has gathered after
-	// this long regardless (default 5ms). A flush admits its whole batch to
-	// the shards concurrently.
-	BatchSize     int
-	BatchInterval time.Duration
 	// Logger receives structured operational logs (ejections, recoveries,
 	// re-admissions) with a component=coflowgate field attached. When nil,
 	// logs are discarded.
@@ -71,21 +67,18 @@ type Config struct {
 // intervals. Backend requests time out after clientTimeout and are retried
 // on a transient failure with server.Client's default budget, which is safe
 // for admissions because every placement carries an idempotency key.
+// batchSize and batchInterval are the admit queue's flush rule (batcher).
 const (
 	failThreshold    = 2
 	backoffIntervals = 30
 	clientTimeout    = 5 * time.Second
+	batchSize        = 16
+	batchInterval    = 5 * time.Millisecond
 )
 
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.BatchInterval <= 0 {
-		c.BatchInterval = 5 * time.Millisecond
 	}
 	if c.Logger == nil {
 		c.Logger = telemetry.DiscardLogger()
@@ -203,9 +196,8 @@ type Gateway struct {
 	// Durability (nil/zero without Config.StateDir). instance is always
 	// minted: it scopes the idempotency keys the gateway sends shards, so two
 	// gateway incarnations never collide on a key.
-	wal       *durable.Journal
-	instance  string
-	recovered int
+	wal      *durable.Journal
+	instance string
 }
 
 // New builds and starts a gateway: the admit batcher and the health prober
@@ -431,14 +423,14 @@ func (g *Gateway) AdmitTraced(cf coflow.Coflow, trace string) (server.AdmitRespo
 }
 
 // batcher drains the admit queue in batches: a batch flushes when it reaches
-// BatchSize or when BatchInterval elapses after its first entry, whichever
+// batchSize or when batchInterval elapses after its first entry, whichever
 // comes first. Each flush admits its items to the shards concurrently and
 // asynchronously — the batcher goes straight back to accepting, so one slow
 // shard admission delays its own caller but never stalls the queue.
 func (g *Gateway) batcher() {
 	defer g.wg.Done()
 	var batch []admitItem
-	timer := time.NewTimer(g.cfg.BatchInterval)
+	timer := time.NewTimer(batchInterval)
 	if !timer.Stop() {
 		<-timer.C
 	}
@@ -466,10 +458,10 @@ func (g *Gateway) batcher() {
 		select {
 		case it := <-g.queue:
 			if len(batch) == 0 {
-				timer.Reset(g.cfg.BatchInterval)
+				timer.Reset(batchInterval)
 			}
 			batch = append(batch, it)
-			if len(batch) >= g.cfg.BatchSize {
+			if len(batch) >= batchSize {
 				flush()
 			}
 		case <-timer.C:
@@ -959,70 +951,6 @@ func (g *Gateway) MergedStats() (online.EngineStats, []ShardStat) {
 		})
 	}
 	return online.MergeEngineStats(parts...), shardStats
-}
-
-// MergedSchedule scatter-gathers /v1/schedule from every healthy backend,
-// translates backend-local coflow ids to gateway ids, and interleaves the
-// shard orders round-robin. Shards are independent fabrics, so relative
-// priority across shards carries no scheduling meaning — the interleave is
-// just a stable presentation.
-func (g *Gateway) MergedSchedule() (server.ScheduleResponse, error) {
-	g.mu.Lock()
-	backends := g.healthyLocked(nil)
-	g.mu.Unlock()
-
-	type shardOrder struct {
-		b    *Backend
-		resp server.ScheduleResponse
-		err  error
-	}
-	orders := make([]shardOrder, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			orders[i].b = b
-			orders[i].resp, orders[i].err = b.client.Schedule()
-		}(i, b)
-	}
-	wg.Wait()
-
-	out := server.ScheduleResponse{Order: []server.ScheduleEntry{}}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	translated := make([][]server.ScheduleEntry, 0, len(orders))
-	for _, o := range orders {
-		if o.err != nil {
-			continue // a shard mid-ejection simply contributes nothing
-		}
-		if o.resp.Now > out.Now {
-			out.Now = o.resp.Now
-		}
-		out.Policy = o.resp.Policy
-		var entries []server.ScheduleEntry
-		for _, e := range o.resp.Order {
-			gid, ok := o.b.local[e.Coflow]
-			if !ok {
-				continue // completed or re-admitted since the shard answered
-			}
-			entries = append(entries, server.ScheduleEntry{Coflow: gid, Flow: e.Flow})
-		}
-		translated = append(translated, entries)
-	}
-	for i := 0; ; i++ {
-		appended := false
-		for _, entries := range translated {
-			if i < len(entries) {
-				out.Order = append(out.Order, entries[i])
-				appended = true
-			}
-		}
-		if !appended {
-			break
-		}
-	}
-	return out, nil
 }
 
 // Network returns the topology of the first healthy backend. The gateway

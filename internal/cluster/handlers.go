@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"coflowsched/internal/coflow"
@@ -14,11 +13,11 @@ import (
 	"coflowsched/internal/telemetry"
 )
 
-// The gateway serves the same /v1/* JSON API as a single coflowd, so every
-// existing client — coflowload, the typed server.Client, the closed-loop
-// tests — can point at a cluster without changes. Responses reuse the server
-// package's wire types; gateway-only endpoints (/v1/backends) and fields are
-// additive.
+// The gateway serves coflowd's admission, status, stats and network API, so
+// every existing client — coflowload, the typed server.Client, the
+// closed-loop tests — can point at a cluster without changes. Responses reuse
+// the server package's wire types; gateway-only endpoints (/v1/backends) and
+// fields are additive.
 
 // gateHealthResponse is GET /healthz: the server.HealthResponse shape plus
 // cluster fields.
@@ -45,9 +44,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/coflows", g.handleAdmit)
 	mux.HandleFunc("GET /v1/coflows/{id}", g.handleCoflow)
-	mux.HandleFunc("GET /v1/schedule", g.handleSchedule)
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
-	mux.HandleFunc("GET /v1/epochs", g.handleEpochs)
 	mux.HandleFunc("GET /v1/network", g.handleNetwork)
 	mux.HandleFunc("GET /v1/backends", g.handleBackends)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
@@ -55,12 +52,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("GET /debug/traces", g.tracer.Handler())
 	server.RegisterPprof(mux)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &server.StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
-		mux.ServeHTTP(rec, r)
+		mux.ServeHTTP(w, r)
 		g.metrics.requests.Inc()
-		if rec.Code >= 400 {
-			g.metrics.requestErrors.Inc()
-		}
 	})
 }
 
@@ -111,23 +104,16 @@ func (g *Gateway) handleCoflow(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	resp, err := g.MergedSchedule()
-	if err != nil {
-		server.RespondError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	server.RespondJSON(w, http.StatusOK, resp)
-}
-
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	merged, shards := g.MergedStats()
 	counters := g.CountersSnapshot()
+	policy, epochLength := shardConfig(shards)
 	pct := func(xs []float64, p float64) float64 { return stats.PercentileOr(xs, p, 0) }
 	resp := gateStatsResponse{
 		StatsResponse: server.StatsResponse{
 			Now:              merged.Now,
-			Policy:           g.shardPolicyName(shards),
+			Policy:           policy,
+			EpochLength:      epochLength,
 			Epochs:           merged.Epochs,
 			Decisions:        merged.Decisions,
 			Admitted:         merged.Admitted,
@@ -154,21 +140,25 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	server.RespondJSON(w, http.StatusOK, resp)
 }
 
-// shardPolicyName reports the shards' policy (they are homogeneous by
-// construction; the first reporting shard's answer wins).
-func (g *Gateway) shardPolicyName(shards []ShardStat) string {
+// shardConfig reports the shards' policy and epoch length (they are
+// homogeneous by construction; the first reporting shard's answer wins).
+func shardConfig(shards []ShardStat) (policy string, epochLength float64) {
 	for _, s := range shards {
-		if s.Stats != nil && s.Stats.Policy != "" {
-			return s.Stats.Policy
+		if s.Stats != nil {
+			return s.Stats.Policy, s.Stats.EpochLength
 		}
 	}
-	return ""
+	return "", 0
 }
 
 func (g *Gateway) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	net, err := g.Network()
 	if err != nil {
-		server.RespondError(w, http.StatusBadGateway, err.Error())
+		code := http.StatusBadGateway
+		if errors.Is(err, errNoBackend) {
+			code = http.StatusServiceUnavailable
+		}
+		server.RespondError(w, code, err.Error())
 		return
 	}
 	server.RespondJSON(w, http.StatusOK, net)
@@ -193,53 +183,5 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 		server.RespondJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	}
-	server.RespondJSON(w, http.StatusOK, resp)
-}
-
-// ShardEpochs is one backend's contribution to GET /v1/epochs.
-type ShardEpochs struct {
-	Name string `json:"name"`
-	Err  string `json:"error,omitempty"`
-	server.EpochsResponse
-}
-
-// gateEpochsResponse is GET /v1/epochs on the gateway: every healthy shard's
-// recent-epoch ring, side by side. Shards run independent schedulers, so the
-// rings are reported per shard rather than merged — a slowdown tail usually
-// lives on one shard, and this view is how you find which.
-type gateEpochsResponse struct {
-	Shards []ShardEpochs `json:"shards"`
-}
-
-// handleEpochs scatter-gathers /v1/epochs?n= from every healthy backend.
-func (g *Gateway) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			server.RespondError(w, http.StatusBadRequest, "invalid n")
-			return
-		}
-		n = v
-	}
-	g.mu.Lock()
-	backends := g.healthyLocked(nil)
-	g.mu.Unlock()
-	resp := gateEpochsResponse{Shards: make([]ShardEpochs, len(backends))}
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			resp.Shards[i].Name = b.name
-			ep, err := b.client.Epochs(n)
-			if err != nil {
-				resp.Shards[i].Err = err.Error()
-				return
-			}
-			resp.Shards[i].EpochsResponse = ep
-		}(i, b)
-	}
-	wg.Wait()
 	server.RespondJSON(w, http.StatusOK, resp)
 }

@@ -22,14 +22,13 @@ import (
 type LocalConfig struct {
 	// Shards is the number of backends (required > 0).
 	Shards int
-	// Policy, EpochLength, TimeScale, FatK and CandidatePaths configure every
-	// shard identically (defaults: SEBF, 2, 1, k=4, 4). Each shard owns an
-	// independent fabric of this shape.
-	Policy         online.Policy
-	EpochLength    float64
-	TimeScale      float64
-	FatK           int
-	CandidatePaths int
+	// Policy, EpochLength, TimeScale and FatK configure every shard
+	// identically (defaults: SEBF, 2, 1, k=4). Each shard owns an independent
+	// fabric of this shape.
+	Policy      online.Policy
+	EpochLength float64
+	TimeScale   float64
+	FatK        int
 	// Gateway configures the front door.
 	Gateway Config
 	// WALDir, when non-empty, makes the whole cluster durable: each shard
@@ -186,13 +185,12 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		name := fmt.Sprintf("shard%d", i)
 		scfg := server.Config{
-			Network:        graph.FatTree(cfg.FatK, 1),
-			Policy:         cfg.Policy,
-			EpochLength:    cfg.EpochLength,
-			TimeScale:      cfg.TimeScale,
-			CandidatePaths: cfg.CandidatePaths,
-			Shard:          name,
-			Logger:         cfg.Logger,
+			Network:     graph.FatTree(cfg.FatK, 1),
+			Policy:      cfg.Policy,
+			EpochLength: cfg.EpochLength,
+			TimeScale:   cfg.TimeScale,
+			Shard:       name,
+			Logger:      cfg.Logger,
 		}
 		if cfg.WALDir != "" {
 			scfg.WALDir = filepath.Join(cfg.WALDir, name)
@@ -260,7 +258,7 @@ func (l *Local) NumShards() int { return len(l.shards) }
 func (l *Local) ShardURL(i int) string { return l.shards[i].ts.URL }
 
 // Kill simulates a crash of shard i: its scheduler stops, every coflow it
-// owned is lost, and its listener answers 503 until Revive. The gateway's
+// owned is lost, and its listener answers 503 until Restart. The gateway's
 // health loop will eject it and re-admit its in-flight coflows elsewhere.
 func (l *Local) Kill(i int) { l.shards[i].stop(false) }
 
@@ -269,17 +267,12 @@ func (l *Local) Kill(i int) { l.shards[i].stop(false) }
 // Without a WALDir this is equivalent to Kill.
 func (l *Local) CrashKill(i int) { l.shards[i].stop(true) }
 
-// Restart boots shard i again at the same URL against its original config.
-// With a WALDir the new daemon recovers the old one's coflows from its log
-// before serving; without one it comes back empty (Revive's historical
-// behavior — the two are aliases).
-func (l *Local) Restart(i int) error { return l.Revive(i) }
-
-// Revive restarts shard i at the same URL — the crashed process coming back.
-// The daemon is fresh and empty unless the cluster runs with a WALDir, in
-// which case it recovers its pre-crash state first. The gateway re-admits it
-// to the placement rotation at its next successful probe.
-func (l *Local) Revive(i int) error { return l.shards[i].start() }
+// Restart boots shard i again at the same URL against its original config —
+// the crashed process coming back. With a WALDir the new daemon recovers the
+// old one's coflows from its log before serving; without one it comes back
+// empty. The gateway re-admits it to the placement rotation at its next
+// successful probe.
+func (l *Local) Restart(i int) error { return l.shards[i].start() }
 
 // RestartGateway crash-kills the gateway and boots a replacement from the
 // persisted routing state, re-registering every shard listener. The cluster

@@ -7,7 +7,7 @@ import (
 )
 
 // gateMetrics is coflowgate's registry surface. Gateway-level routing and
-// health counters live here under coflowgate_*; shard-internal scheduling
+// health series live here under coflowgate_*; shard-internal scheduling
 // metrics stay on the shards' own /metrics (labelled via coflowd -shard).
 // Request counters, retry counts and the admit histogram are instrumented
 // live; the roster mirrors are refreshed at scrape time (see handleMetrics).
@@ -16,22 +16,13 @@ type gateMetrics struct {
 
 	up              *telemetry.Gauge
 	coflows         *telemetry.Counter
-	completed       *telemetry.Counter
-	readmits        *telemetry.Counter
-	backends        *telemetry.Gauge
 	backendsHealthy *telemetry.Gauge
 	requests        *telemetry.Counter
-	requestErrors   *telemetry.Counter
 	backendUp       *telemetry.GaugeVec
-	backendOut      *telemetry.GaugeVec
-	backendEject    *telemetry.CounterVec
 	clientRetries   *telemetry.CounterVec
 	admitSeconds    *telemetry.Histogram
-	traceSpans      *telemetry.Counter
 	walRecords      *telemetry.Counter
 	walFsyncs       *telemetry.Counter
-	walRecovered    *telemetry.Gauge
-	snapshots       *telemetry.Counter
 }
 
 func newGateMetrics() *gateMetrics {
@@ -40,58 +31,37 @@ func newGateMetrics() *gateMetrics {
 		reg:             reg,
 		up:              reg.Gauge("coflowgate_up", "1 while the gateway serves"),
 		coflows:         reg.Counter("coflowgate_coflows_total", "gateway coflow ids assigned"),
-		completed:       reg.Counter("coflowgate_completed_total", "coflows observed complete through the gateway"),
-		readmits:        reg.Counter("coflowgate_readmits_total", "post-ejection re-admissions"),
-		backends:        reg.Gauge("coflowgate_backends", "registered backends"),
 		backendsHealthy: reg.Gauge("coflowgate_backends_healthy", "backends currently in the placement rotation"),
 		requests:        reg.Counter("coflowgate_http_requests_total", "HTTP requests served"),
-		requestErrors:   reg.Counter("coflowgate_http_request_errors_total", "HTTP requests answered with a 4xx/5xx status"),
 		backendUp:       reg.GaugeVec("coflowgate_backend_up", "1 while the labelled backend is healthy", "shard"),
-		backendOut:      reg.GaugeVec("coflowgate_backend_outstanding", "coflows placed on the labelled backend and not yet observed complete", "shard"),
-		backendEject:    reg.CounterVec("coflowgate_backend_ejections_total", "health ejections of the labelled backend", "shard"),
 		clientRetries:   reg.CounterVec("coflowgate_client_retries_total", "backend requests retried after a transient failure", "endpoint"),
 		admitSeconds:    reg.Histogram("coflowgate_admit_seconds", "gateway admission latency (queue wait + shard round trip)", nil),
-		traceSpans:      reg.Counter("coflowgate_trace_spans_total", "lifecycle trace spans recorded"),
 		walRecords:      reg.Counter("coflowgate_wal_records_total", "records appended to the gateway write-ahead log"),
 		walFsyncs:       reg.Counter("coflowgate_wal_fsyncs_total", "group commits fsynced to the gateway write-ahead log"),
-		walRecovered:    reg.Gauge("coflowgate_wal_recovered_coflows", "in-flight coflows restored from snapshot + WAL at the last boot"),
-		snapshots:       reg.Counter("coflowgate_snapshots_total", "gateway state snapshots written"),
 	}
 	telemetry.RegisterRuntimeCollector(reg)
 	m.up.Set(1)
 	return m
 }
 
-// updateRoster refreshes the scrape-time mirrors of the gateway counters and
-// the per-backend roster.
-func (m *gateMetrics) updateRoster(c Counters, roster []BackendStatus) {
-	m.coflows.Set(float64(c.Coflows))
-	m.completed.Set(float64(c.Completed))
-	m.readmits.Set(float64(c.Readmits))
-	m.backends.Set(float64(c.Backends))
-	m.backendsHealthy.Set(float64(c.Healthy))
-	for _, bs := range roster {
+// handleMetrics serves the gateway's Prometheus text exposition from the
+// shared telemetry registry — the same code path coflowd uses. The gateway
+// counters and the per-backend roster are mirrored at scrape time.
+func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c := g.CountersSnapshot()
+	g.metrics.coflows.Set(float64(c.Coflows))
+	g.metrics.backendsHealthy.Set(float64(c.Healthy))
+	for _, bs := range g.Backends() {
 		up := 0.0
 		if bs.Healthy {
 			up = 1
 		}
-		m.backendUp.With(bs.Name).Set(up)
-		m.backendOut.With(bs.Name).Set(float64(bs.Outstanding))
-		m.backendEject.With(bs.Name).Set(float64(bs.Ejections))
+		g.metrics.backendUp.With(bs.Name).Set(up)
 	}
-}
-
-// handleMetrics serves the gateway's Prometheus text exposition from the
-// shared telemetry registry — the same code path coflowd uses.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.metrics.updateRoster(g.CountersSnapshot(), g.Backends())
-	spans, _ := g.tracer.Totals()
-	g.metrics.traceSpans.Set(float64(spans))
 	if g.wal != nil {
 		appends, syncs := g.wal.Stats()
 		g.metrics.walRecords.Set(float64(appends))
 		g.metrics.walFsyncs.Set(float64(syncs))
 	}
-	g.metrics.walRecovered.Set(float64(g.recovered))
 	g.metrics.reg.Handler().ServeHTTP(w, r)
 }

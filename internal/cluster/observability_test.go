@@ -11,6 +11,7 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
+	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
 
@@ -57,7 +58,8 @@ func getMetrics(t *testing.T, url string) *telemetry.Metrics {
 // one coflow admitted through the gateway must produce (1) strictly parseable
 // /metrics on the gateway and a shard, (2) a lifecycle trace joined across
 // the gateway's and the owning shard's /debug/traces by the trace id the
-// admit response returned, and (3) well-formed /v1/epochs on both tiers.
+// admit response returned, and (3) every shard's /v1/epochs, read at the
+// URLs the gateway's /v1/backends lists.
 func TestClusterObservability(t *testing.T) {
 	l := newLocalCluster(t, 2, 200)
 	c := l.Client()
@@ -160,30 +162,30 @@ func TestClusterObservability(t *testing.T) {
 		t.Errorf("trace %s joined on %d shards, want exactly 1", resp.Trace, joined)
 	}
 
-	// (3) Epochs: the shard ring must hold ticks by now, and the gateway view
-	// must scatter-gather every shard's ring.
-	var shardEpochs struct {
-		Policy  string `json:"policy"`
-		Records []struct {
-			Epoch       int     `json:"epoch"`
-			TickSeconds float64 `json:"tick_seconds"`
-		} `json:"records"`
-	}
-	getJSON(t, l.ShardURL(0)+"/v1/epochs?n=16", &shardEpochs)
-	if shardEpochs.Policy == "" || len(shardEpochs.Records) == 0 {
-		t.Errorf("shard /v1/epochs is empty: %+v", shardEpochs)
-	}
-	var gateEpochs gateEpochsResponse
-	getJSON(t, l.URL()+"/v1/epochs?n=16", &gateEpochs)
-	if len(gateEpochs.Shards) != l.NumShards() {
-		t.Fatalf("gateway /v1/epochs reports %d shards, want %d", len(gateEpochs.Shards), l.NumShards())
-	}
-	for _, sh := range gateEpochs.Shards {
-		if sh.Err != "" {
-			t.Errorf("gateway /v1/epochs shard %s errored: %s", sh.Name, sh.Err)
+	// (3) Epochs: the gateway serves neither an epoch ring nor a schedule of
+	// its own (neither carries gateway ids); every shard's ring is read at the
+	// URL /v1/backends lists for it.
+	for _, path := range []string{"/v1/epochs", "/v1/schedule"} {
+		r, err := http.Get(l.URL() + path)
+		if err != nil {
+			t.Fatalf("get gateway %s: %v", path, err)
 		}
-		if len(sh.Records) == 0 {
-			t.Errorf("gateway /v1/epochs shard %s has no records", sh.Name)
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("gateway %s = %d, want 404", path, r.StatusCode)
+		}
+	}
+	var roster []BackendStatus
+	getJSON(t, l.URL()+"/v1/backends", &roster)
+	if len(roster) != l.NumShards() {
+		t.Fatalf("/v1/backends lists %d shards, want %d", len(roster), l.NumShards())
+	}
+	for _, b := range roster {
+		var epochs server.EpochsResponse
+		getJSON(t, b.URL+"/v1/epochs?n=16", &epochs)
+		if epochs.Shard != b.Name || epochs.Policy == "" || len(epochs.Records) == 0 {
+			t.Errorf("%s /v1/epochs at %s: shard %q, policy %q, %d records", b.Name, b.URL,
+				epochs.Shard, epochs.Policy, len(epochs.Records))
 		}
 	}
 }

@@ -95,6 +95,13 @@ func TestProfilingSmoke(t *testing.T) {
 	if cpuBytes == 0 {
 		t.Fatalf("every profile capture has an empty CPU profile: %+v", keys(b.Profiles))
 	}
+	// Epoch rings come from the shards, once each: the gateway serves none.
+	if _, ok := b.Epochs["gateway"]; ok {
+		t.Error("bundle carries an epoch ring under the gateway target")
+	}
+	if _, ok := b.Epochs["shard0"]; !ok {
+		t.Error("bundle lacks the live shard0's epoch ring")
+	}
 
 	// The live shard's /metrics must expose the stage family through the
 	// strict parser (getMetrics fails the test on a parse error).

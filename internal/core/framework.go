@@ -128,7 +128,7 @@ func solved(m *intervalLP, err error) (*intervalLP, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := m.prob.Solve(m.opts.LP)
+	sol, err := m.prob.Solve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: LP solve failed: %w", err)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"coflowsched/internal/lp"
-)
+import "math"
 
 // Options tunes the LP-based schedulers. The zero value selects defaults that
 // guarantee feasible provable-mode schedules.
@@ -25,8 +21,6 @@ type Options struct {
 	// by the restricted (scalable) free-path LP. Default 4. Ignored when
 	// paths are given or by the exact arc-flow formulation.
 	CandidatePaths int
-	// LP overrides solver options.
-	LP *lp.Options
 }
 
 func (o Options) withDefaults() Options {

@@ -250,17 +250,6 @@ func (c *Client) Network() (NetworkResponse, error) {
 	return out, c.get("/v1/network", "network", &out)
 }
 
-// Epochs fetches the daemon's recent-epoch introspection ring; n > 0 limits
-// to the most recent n records.
-func (c *Client) Epochs(n int) (EpochsResponse, error) {
-	path := "/v1/epochs"
-	if n > 0 {
-		path = fmt.Sprintf("/v1/epochs?n=%d", n)
-	}
-	var out EpochsResponse
-	return out, c.get(path, "epochs", &out)
-}
-
 // APIError is a non-2xx response decoded into an error. Callers that need to
 // distinguish validation failures (4xx: retrying or re-routing cannot help)
 // from availability failures (5xx: another backend might succeed) unwrap it

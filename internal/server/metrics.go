@@ -107,25 +107,24 @@ func (m *serverMetrics) updateFromEngine(st online.EngineStats) {
 	m.weightedResponse.Set(st.WeightedResponse)
 }
 
-// StatusRecorder captures the response code written by a handler. Exported
-// for the cluster gateway's request accounting, which mirrors this daemon's.
-type StatusRecorder struct {
+// statusRecorder captures the response code written by a handler.
+type statusRecorder struct {
 	http.ResponseWriter
-	Code int
+	code int
 }
 
-func (r *StatusRecorder) WriteHeader(code int) {
-	r.Code = code
+func (r *statusRecorder) WriteHeader(code int) {
+	r.code = code
 	r.ResponseWriter.WriteHeader(code)
 }
 
 // countRequests wraps the mux with request/error accounting for /metrics.
 func (s *Server) countRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
+		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		s.metrics.requests.Inc()
-		if rec.Code >= 400 {
+		if rec.code >= 400 {
 			s.metrics.requestErrors.Inc()
 		}
 	})

@@ -54,25 +54,18 @@ var runtimeFamilies = []string{
 }
 
 // coflowgateFamilies is the stable /metrics name set of a gateway (the
-// per-backend and per-endpoint vecs appear once a backend or retry exists).
+// per-backend vec appears once a backend exists). Each family has a named
+// consumer; coflowgate_client_retries_total, the one other family, appears
+// once a backend request is retried.
 var coflowgateFamilies = []string{
 	"coflowgate_up",
 	"coflowgate_coflows_total",
-	"coflowgate_completed_total",
-	"coflowgate_readmits_total",
-	"coflowgate_backends",
 	"coflowgate_backends_healthy",
 	"coflowgate_http_requests_total",
-	"coflowgate_http_request_errors_total",
 	"coflowgate_backend_up",
-	"coflowgate_backend_outstanding",
-	"coflowgate_backend_ejections_total",
 	"coflowgate_admit_seconds",
-	"coflowgate_trace_spans_total",
 	"coflowgate_wal_records_total",
 	"coflowgate_wal_fsyncs_total",
-	"coflowgate_wal_recovered_coflows",
-	"coflowgate_snapshots_total",
 }
 
 // scrape fetches and strictly parses one /metrics endpoint.
