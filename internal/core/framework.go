@@ -102,8 +102,9 @@ func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options,
 
 	// (4)/(15): every flow fully delivered; (5)+(6)/(16)+(17): completion of
 	// the coflow dominates Σ τ_ℓ x of each of its flows.
+	var sumTerms, timeTerms []lp.Term // reused: AddConstraint copies a row's terms
 	for i, ref := range m.refs {
-		var sumTerms, timeTerms []lp.Term
+		sumTerms, timeTerms = sumTerms[:0], timeTerms[:0]
 		for p := range m.deliver[i][m.rel[i]] {
 			for l := m.rel[i]; l < L; l++ {
 				v := m.deliver[i][l][p]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"coflowsched/internal/graph"
 	"coflowsched/internal/lp"
 )
 
@@ -35,20 +34,9 @@ func (r *candidateRouting) varName(m *intervalLP, i, k int) string {
 	return fmt.Sprintf("x_%s_p%d_l%d", m.refs[i], k/span, m.rel[i]+k%span)
 }
 
-// rowName: edge by edge in id order, one row per interval that gathered terms.
+// rowName: the capacity rows addRows recorded.
 func (r *candidateRouting) rowName(m *intervalLP, k int) string {
-	for e := 0; e < m.inst.Network.NumEdges(); e++ {
-		for l, terms := range r.edgeTerms[graph.EdgeID(e)] {
-			if len(terms) == 0 {
-				continue
-			}
-			if k == 0 {
-				return fmt.Sprintf("cap_e%d_l%d", e, l)
-			}
-			k--
-		}
-	}
-	return ""
+	return r.capRows[k].name()
 }
 
 // varName: interval by interval, the delivery variable and then one bandwidth

@@ -26,15 +26,6 @@ type presolveStats struct {
 	exact         bool
 }
 
-// capRow is capacity row (e, ℓ).
-type capRow struct {
-	e graph.EdgeID
-	l int
-}
-
-// name is the row's name in the candidate-path LP.
-func (r capRow) name() string { return fmt.Sprintf("cap_e%d_l%d", r.e, r.l) }
-
 var capRowName = regexp.MustCompile(`cap_e\d+_l\d+`)
 
 // capRows returns the names of the capacity rows m's problem has.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
@@ -20,11 +20,19 @@ type candidateRouting struct {
 	// dropSlackRows leaves out the capacity rows that can never bind
 	// (slackRowMargin).
 	dropSlackRows bool
-	// edgeTerms is what addRows gathered: per edge some candidate crosses and
-	// per interval, the capacity row's terms (none: no row). rowName reads the
-	// rows' order off it.
-	edgeTerms map[graph.EdgeID][][]lp.Term
+	// capRows are the capacity rows addRows added, in LP order; rowName reads
+	// a row's name off it.
+	capRows []capRow
 }
+
+// capRow is the capacity row of edge e in interval l.
+type capRow struct {
+	e graph.EdgeID
+	l int
+}
+
+// name is the row's name in the candidate-path LP.
+func (r capRow) name() string { return fmt.Sprintf("cap_e%d_l%d", r.e, r.l) }
 
 // candidateLP builds the candidate-path LP of inst, validated as packets or as
 // circuits. A flow's candidates are its pre-assigned path alone where it has
@@ -56,12 +64,13 @@ func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*inter
 }
 
 func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
-	L := m.grid.NumIntervals()
+	L, P := m.grid.NumIntervals(), len(r.cands[i])
 	deliver := make([][]lp.Var, L)
+	vars := make([]lp.Var, (L-rel)*P)
 	for l := rel; l < L; l++ {
-		deliver[l] = make([]lp.Var, len(r.cands[i]))
+		deliver[l] = vars[(l-rel)*P : (l-rel+1)*P]
 	}
-	for p := range r.cands[i] {
+	for p := 0; p < P; p++ {
 		for l := rel; l < L; l++ {
 			deliver[l][p] = m.prob.AddVariable(0, lp.Inf, 0)
 		}
@@ -124,47 +133,61 @@ func edgeDemand(inst *coflow.Instance, refs []coflow.FlowRef, cands [][]graph.Pa
 
 // addRows adds (8)/(21): per-edge, per-interval capacity. Only edges appearing
 // in some candidate path need a constraint. The bandwidth used by x over
-// interval ℓ is σ · x / len(ℓ) (Lemma 1).
+// interval ℓ is σ · x / len(ℓ) (Lemma 1). Rows go in edge order and, per edge,
+// interval order: row order steers simplex pivoting.
 func (r *candidateRouting) addRows(m *intervalLP) {
-	L := m.grid.NumIntervals()
+	g, L := m.inst.Network, m.grid.NumIntervals()
 	var demand []float64
 	if r.dropSlackRows {
 		demand = edgeDemand(m.inst, m.refs, r.cands)
 	}
-	edgeTerms := make(map[graph.EdgeID][][]lp.Term) // edge -> interval -> terms
-	for i, ref := range m.refs {
-		size := m.inst.Flow(ref).Size
-		for p, path := range r.cands[i] {
+	// Index the crossings of every edge — (flow, candidate) once per time the
+	// candidate crosses it — counted first and then filled in flow, candidate
+	// and path order, which is the order of a row's terms.
+	type crossing struct{ flow, cand int }
+	start := make([]int, g.NumEdges()+1)
+	for _, paths := range r.cands {
+		for _, path := range paths {
 			for _, e := range path {
-				if edgeTerms[e] == nil {
-					edgeTerms[e] = make([][]lp.Term, L)
-				}
-				for l := m.rel[i]; l < L; l++ {
-					if r.dropSlackRows && demand[e]/m.grid.Length(l) <= m.inst.Network.Capacity(e)*(1-slackRowMargin) {
-						continue // the row cannot bind: it gets no terms and is not added
-					}
-					coef := size / m.grid.Length(l)
-					edgeTerms[e][l] = append(edgeTerms[e][l], lp.Term{Var: m.deliver[i][l][p], Coef: coef})
-				}
+				start[e+1]++
 			}
 		}
 	}
-	// Add capacity constraints in edge order: constraint order steers simplex
-	// pivoting, and ranging over the map directly would make tied LP optima —
-	// and thus the rounded schedule — vary from run to run.
-	edges := make([]graph.EdgeID, 0, len(edgeTerms))
-	for e := range edgeTerms {
-		edges = append(edges, e)
+	widest := 0
+	for e := range g.NumEdges() {
+		widest = max(widest, start[e+1])
+		start[e+1] += start[e]
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	r.edgeTerms = edgeTerms
-	for _, e := range edges {
-		capacity := m.inst.Network.Capacity(e)
-		for _, terms := range edgeTerms[e] {
-			if len(terms) == 0 {
-				continue
+	crossings := make([]crossing, start[g.NumEdges()])
+	next := slices.Clone(start[:g.NumEdges()])
+	for i, paths := range r.cands {
+		for p, path := range paths {
+			for _, e := range path {
+				crossings[next[e]] = crossing{i, p}
+				next[e]++
 			}
-			m.prob.AddConstraint(lp.LE, capacity, terms...)
+		}
+	}
+
+	terms := make([]lp.Term, 0, widest)
+	for e := range g.NumEdges() {
+		edge := graph.EdgeID(e)
+		capacity := g.Capacity(edge)
+		for l := range L {
+			if r.dropSlackRows && demand[e]/m.grid.Length(l) <= capacity*(1-slackRowMargin) {
+				continue // the row cannot bind: it is not added
+			}
+			terms = terms[:0]
+			for _, c := range crossings[start[e]:start[e+1]] {
+				if l >= m.rel[c.flow] {
+					coef := m.inst.Flow(m.refs[c.flow]).Size / m.grid.Length(l)
+					terms = append(terms, lp.Term{Var: m.deliver[c.flow][l][c.cand], Coef: coef})
+				}
+			}
+			if len(terms) > 0 {
+				r.capRows = append(r.capRows, capRow{edge, l})
+				m.prob.AddConstraint(lp.LE, capacity, terms...)
+			}
 		}
 	}
 }

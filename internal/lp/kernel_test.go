@@ -19,6 +19,7 @@ import (
 func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState) {
 	t.Helper()
 	sf := buildStandardForm(p)
+	checkStandardForm(t, name, p, sf)
 	o := (*Options)(nil).withDefaults(sf.m, sf.n)
 	st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
 	got, gotErr := st.solve(o)
@@ -43,16 +44,45 @@ func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState
 	return st, ref
 }
 
-// checkCompactStore asserts the bookkeeping of the compact inverse: touched
-// holds no duplicates and is the inverse of slot, the stride is wide enough
-// and never wider than m, and everything the store holds past a row's
-// len(touched) entries is +0 bit for bit (a column that joins later must read
-// e_k by construction, without being cleared first).
+// checkStandardForm requires sf to be referenceStandardForm's of p column by
+// column, bit for bit: the same shape, each column's rows in the same order
+// with the same values, and the same costs, right-hand sides, shifts and
+// objective constant. The arena must hold nothing past its last column.
+func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) {
+	t.Helper()
+	ref := referenceStandardForm(p)
+	if sf.m != ref.m || sf.n != ref.n || sf.nOrig != ref.nOrig || sf.artStart != ref.artStart || sf.negate != ref.negate {
+		t.Fatalf("%s: standard form m=%d n=%d nOrig=%d artStart=%d negate=%v, reference m=%d n=%d nOrig=%d artStart=%d negate=%v",
+			name, sf.m, sf.n, sf.nOrig, sf.artStart, sf.negate, ref.m, ref.n, ref.nOrig, ref.artStart, ref.negate)
+	}
+	if len(sf.colStart) != sf.n+1 || len(sf.rows) != sf.colStart[sf.n] || len(sf.vals) != len(sf.rows) {
+		t.Fatalf("%s: %d column starts for n=%d, an arena of %d rows and %d values", name, len(sf.colStart), sf.n, len(sf.rows), len(sf.vals))
+	}
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for j := 0; j < sf.n; j++ {
+		rows, vals := sf.col(j)
+		if want := ref.cols[j]; !slices.Equal(rows, want.rows) || !same(vals, want.vals) {
+			t.Fatalf("%s: column %d is rows %v values %v, reference rows %v values %v", name, j, rows, vals, want.rows, want.vals)
+		}
+	}
+	if !same(sf.c, ref.c) || !same(sf.b, ref.b) || !same(sf.shift, ref.shift) || !same([]float64{sf.objConst}, []float64{ref.objConst}) {
+		t.Fatalf("%s: costs, right-hand sides, shifts or objective constant differ from the reference\n got c=%v b=%v shift=%v const=%v\nwant c=%v b=%v shift=%v const=%v",
+			name, sf.c, sf.b, sf.shift, sf.objConst, ref.c, ref.b, ref.shift, ref.objConst)
+	}
+}
+
+// checkCompactStore asserts the bookkeeping of the column store: touched holds
+// no duplicates and is the inverse of slot, inv holds one m-float column per
+// touched column, and no column sits in inv twice or in inv and spare both (a
+// spare still in use would be cleared under a live column when touch takes
+// it).
 func checkCompactStore(t testing.TB, name string, st *simplexState) {
 	t.Helper()
 	m, nt := st.sf.m, len(st.touched)
-	if st.stride < nt || st.stride > m || len(st.binv) != m*st.stride {
-		t.Fatalf("%s: stride %d, store of %d floats for m=%d with %d columns touched", name, st.stride, len(st.binv), m, nt)
+	if len(st.inv) != nt {
+		t.Fatalf("%s: %d stored columns for %d touched", name, len(st.inv), nt)
 	}
 	stored := 0
 	for k, s := range st.slot {
@@ -67,17 +97,24 @@ func checkCompactStore(t testing.TB, name string, st *simplexState) {
 	if stored != nt {
 		t.Fatalf("%s: %d columns have a slot, touched lists %d: %v", name, stored, nt, st.touched)
 	}
-	for i := 0; i < m; i++ {
-		for s, v := range st.binv[i*st.stride+nt : (i+1)*st.stride] {
-			if math.Float64bits(v) != 0 {
-				t.Fatalf("%s: row %d holds %v in unused slot %d", name, i, v, nt+s)
-			}
+	owner := map[*float64]string{}
+	for s, col := range append(append([][]float64(nil), st.inv...), st.spare...) {
+		what := "a spare"
+		if s < nt {
+			what = fmt.Sprintf("column %d", st.touched[s])
 		}
+		if len(col) != m {
+			t.Fatalf("%s: %s holds %d floats for m=%d", name, what, len(col), m)
+		}
+		if prev, ok := owner[&col[0]]; ok {
+			t.Fatalf("%s: %s and %s share their storage", name, prev, what)
+		}
+		owner[&col[0]] = what
 	}
 }
 
-// denseInverse materialises the m x m inverse the compact store stands for:
-// e_k for a column without a slot, the stored entries for the rest.
+// denseInverse materialises the m x m inverse the column store stands for:
+// e_k for a column without a slot, the stored column for the rest.
 func (st *simplexState) denseInverse() [][]float64 {
 	m := st.sf.m
 	dense := make([][]float64, m)
@@ -85,7 +122,7 @@ func (st *simplexState) denseInverse() [][]float64 {
 		dense[i] = make([]float64, m)
 		dense[i][i] = 1
 		for s, k := range st.touched {
-			dense[i][k] = st.binv[i*st.stride+s]
+			dense[i][k] = st.inv[s][i]
 		}
 	}
 	return dense
@@ -101,8 +138,8 @@ func checkInverseMatchesDense(t testing.TB, name string, st *simplexState, ref *
 	checkCompactStore(t, name, st)
 	for i, row := range st.denseInverse() {
 		if !slices.Equal(row, ref.binv[i]) {
-			t.Fatalf("%s: row %d of the inverse differs from the reference (stride %d, %d of %d columns touched)\n got %v\nwant %v",
-				name, i, st.stride, len(st.touched), st.sf.m, row, ref.binv[i])
+			t.Fatalf("%s: row %d of the inverse differs from the reference (%d of %d columns touched)\n got %v\nwant %v",
+				name, i, len(st.touched), st.sf.m, row, ref.binv[i])
 		}
 	}
 }
@@ -282,37 +319,37 @@ func TestKernelMatchesReference(t *testing.T) {
 	})
 }
 
-// TestCompactInverseMatchesDense checks the compact store where diffKernel
+// TestCompactInverseMatchesDense checks the column store where diffKernel
 // does not look, inside a solve: both kernels take one pivot at a time from
-// the same start, and the materialised compact inverse must equal the
-// reference's dense one after every pivot (so immediately after every growth
-// of the stride too), after a direct refactorize() of that mid-solve state,
-// which rebuilds the store from the recomputed inverse, and after the solve
-// resumed from there, which must end exactly where the reference's does. The
-// cases are chosen by what the store goes through, and each asserts that it
-// did.
+// the same start, and the materialised inverse must equal the reference's
+// dense one after every pivot (so right after every column's first touch
+// too), after a direct refactorize() of that mid-solve state, which rebuilds
+// the store from the recomputed inverse, and after the solve resumed from
+// there, which must end exactly where the reference's does. The cases are
+// chosen by what the store goes through, and each asserts that it did.
 func TestCompactInverseMatchesDense(t *testing.T) {
 	cases := []struct {
 		name       string
 		p          *Problem
 		steps      int  // pivots taken in lockstep before the direct refactorize
-		growths    int  // stride growths required within those steps
-		allTouched bool // the solve must end with every column stored, stride = m
+		touched    int  // columns those steps must have touched, at least
+		allTouched bool // the solve must end with every column stored
 		refactors  int  // refactorizations the resumed solve must reach on its own
+		// freed is how many stored columns the direct refactorize must find
+		// back at e_k, at least. It hands them to spare with their old entries
+		// in, and the resumed solve must touch columns again from them.
+		freed int
 	}{
-		{name: "interval-shaped", p: intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12), steps: 200, growths: 2, refactors: 1},
-		{name: "degenerate-chain", p: degenerateLP(rand.New(rand.NewSource(11)), 400, 0), steps: 140, growths: 3, refactors: 1},
-		{name: "cover-all-touched", p: denseCoverLP(60, 40), steps: 38, growths: 1, allTouched: true},
-		{name: "below-initial-stride", p: denseCoverLP(12, initialStride/2), steps: 8, allTouched: true},
+		{name: "interval-shaped", p: intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12), steps: 200, touched: 65, refactors: 1, freed: 9},
+		{name: "degenerate-chain", p: degenerateLP(rand.New(rand.NewSource(11)), 400, 0), steps: 140, touched: 129, refactors: 1, freed: 1},
+		{name: "cover-all-touched", p: denseCoverLP(60, 40), steps: 38, touched: 33, allTouched: true},
+		{name: "refactorize-frees-columns", p: intervalShapedLP(rand.New(rand.NewSource(1)), 3, 2, 6), steps: 10, touched: 10, freed: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sf := buildStandardForm(tc.p)
 			o := (*Options)(nil).withDefaults(sf.m, sf.n)
 			st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
-			if want := min(initialStride, sf.m); st.stride != want {
-				t.Fatalf("a solve of m=%d starts at stride %d, want %d", sf.m, st.stride, want)
-			}
 
 			// Phase 1 where the LP has artificials, else phase 2.
 			cost, excludeFrom := sf.c, sf.artStart
@@ -322,28 +359,27 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 					cost[j] = 1
 				}
 			}
-			growths := 0
 			for step := 1; step <= tc.steps; step++ {
-				stride := st.stride
+				touched := len(st.touched)
 				st.runPhase(cost, excludeFrom, step)
 				ref.runPhase(cost, excludeFrom, step)
 				if st.iters != step || ref.iters != step {
 					t.Fatalf("phase ended after %d/%d pivots, before the cut at %d", st.iters, ref.iters, tc.steps)
 				}
 				at := fmt.Sprintf("after pivot %d", step)
-				if st.stride != stride {
-					growths++
-					at += fmt.Sprintf(" (stride %d -> %d)", stride, st.stride)
+				if len(st.touched) != touched {
+					at += fmt.Sprintf(" (column %d touched)", st.touched[len(st.touched)-1])
 				}
 				checkInverseMatchesDense(t, at, st, ref)
 				if !slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
 					t.Fatalf("%s: basis or xB differs from the reference", at)
 				}
 			}
-			if growths < tc.growths {
-				t.Fatalf("stride grew %d times in %d pivots (now %d, m=%d), want at least %d", growths, tc.steps, st.stride, sf.m, tc.growths)
+			if len(st.touched) < tc.touched {
+				t.Fatalf("%d pivots touched %d of %d columns, want at least %d", tc.steps, len(st.touched), sf.m, tc.touched)
 			}
 
+			stored := len(st.touched)
 			if err := st.refactorize(); err != nil {
 				t.Fatalf("refactorize: %v", err)
 			}
@@ -353,6 +389,13 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 			checkInverseMatchesDense(t, "after refactorize", st, ref)
 			if !slices.Equal(st.xB, ref.xB) {
 				t.Fatalf("xB differs from the reference after refactorize\n got %v\nwant %v", st.xB, ref.xB)
+			}
+			freed := len(st.spare)
+			if freed != stored-len(st.touched) {
+				t.Fatalf("refactorize went from %d stored columns to %d and keeps %d spare", stored, len(st.touched), freed)
+			}
+			if freed < tc.freed {
+				t.Fatalf("refactorize freed %d of %d stored columns, want at least %d", freed, stored, tc.freed)
 			}
 
 			st.iters, ref.iters = 0, 0
@@ -367,16 +410,17 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 					got.Iterations, got.Objective, want.Iterations, want.Objective)
 			}
 			checkInverseMatchesDense(t, "after resumed solve", st, ref)
+			if freed > 0 && len(st.spare) >= freed {
+				t.Errorf("the resumed solve took none of the %d spare columns", freed)
+			}
 			if ref.refactors < tc.refactors {
 				t.Errorf("resumed solve took %d pivots and %d refactorizations, want at least %d", ref.iters, ref.refactors, tc.refactors)
 			}
 			if all := len(st.touched) == sf.m; all != tc.allTouched {
 				t.Errorf("%d of %d columns touched at the end, all-touched want %v", len(st.touched), sf.m, tc.allTouched)
-			} else if all && st.stride != sf.m {
-				t.Errorf("every column is touched but the stride is %d, not m=%d", st.stride, sf.m)
 			}
-			t.Logf("m=%d: %d+%d pivots, %d growths in lockstep, %d refactorizations, %d columns touched, final stride %d",
-				sf.m, tc.steps, ref.iters, growths, ref.refactors, len(st.touched), st.stride)
+			t.Logf("m=%d: %d+%d pivots, %d columns touched in lockstep, %d freed by refactorize, %d refactorizations, %d touched and %d spare at the end",
+				sf.m, tc.steps, ref.iters, stored, freed, ref.refactors, len(st.touched), len(st.spare))
 		})
 	}
 }
@@ -439,7 +483,7 @@ func FuzzSimplexKernel(f *testing.F) {
 }
 
 // TestFuzzCorpusReachesStorePaths keeps the committed corpus honest about the
-// compact store: a seed-growth-* input must outgrow the initial stride, a
+// column store: a seed-growth-* input must touch more than 32 columns, a
 // seed-all-touched-* input must end with every column stored. A change to
 // fuzzLP's decoding would otherwise turn them into ordinary inputs unseen.
 func TestFuzzCorpusReachesStorePaths(t *testing.T) {
@@ -467,8 +511,8 @@ func TestFuzzCorpusReachesStorePaths(t *testing.T) {
 		st, _ := diffKernel(t, file, fuzzLP(seed, n, m, density))
 		if wantGrowth {
 			growth++
-			if st.stride <= initialStride {
-				t.Errorf("%s: the solve ends at stride %d, within the initial %d", file, st.stride, initialStride)
+			if len(st.touched) <= 32 {
+				t.Errorf("%s: the solve ends with %d columns touched, not more than 32", file, len(st.touched))
 			}
 		}
 		if wantAll {

@@ -5,11 +5,15 @@
 // constraints, a linear objective) and a two-phase revised simplex solver
 // with an explicit basis inverse, Dantzig pricing and a Bland's-rule fallback
 // for anti-cycling. The inverse is kept compactly: only its touched columns,
-// those whose row has left the basis at least once, are stored and worked on;
-// the rest are still the identity's and take no memory (see
-// simplexState.binv). It is a pure-Go replacement for the commercial LP solver
-// (CPLEX) used in the paper's evaluation: the scheduling algorithms only need
-// an optimal vertex of the interval-indexed LPs, which this solver provides.
+// those whose row has left the basis at least once, are stored and worked on,
+// one m-float slice each; the rest are still the identity's and take no memory
+// (see simplexState.inv). A problem keeps every row's terms in one arena and
+// its standard form every column's entries in another, so a build and solve
+// allocates in proportion to rows, columns, nonzeros and touched columns, and
+// nothing of it outlives the solve. It is a pure-Go replacement for the
+// commercial LP solver (CPLEX) used in the paper's evaluation: the scheduling
+// algorithms only need an optimal vertex of the interval-indexed LPs, which
+// this solver provides.
 //
 // The API is deliberately small:
 //
@@ -92,11 +96,12 @@ type variable struct {
 	obj float64
 }
 
-// constraint is the internal record for a linear constraint.
+// constraint is the internal record for a linear constraint: its merged terms
+// are Problem.terms[off : off+n].
 type constraint struct {
-	op    Op
-	rhs   float64
-	terms []Term
+	op     Op
+	rhs    float64
+	off, n int
 }
 
 // Names derives the names of a problem's variables and rows, the one being
@@ -119,6 +124,7 @@ type Problem struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	terms []Term // every row's merged terms, row after row
 	names Names
 	// stamp[v] is stamped+1+k while mergeTerms is on a row that has v as its
 	// k-th distinct variable, at most stamped otherwise: stamped grows by the
@@ -174,28 +180,37 @@ func (p *Problem) VariableName(v Var) string { return p.names.VariableName(v) }
 
 // AddConstraint adds the constraint sum(terms) op rhs and returns its row
 // index. Terms referring to the same variable are merged. Zero-coefficient
-// terms are dropped.
+// terms are dropped. A panic leaves the problem as it was.
 func (p *Problem) AddConstraint(op Op, rhs float64, terms ...Term) int {
 	row := len(p.cons)
 	if math.IsNaN(rhs) {
 		panic(fmt.Sprintf("lp: NaN rhs in constraint %q", p.names.ConstraintName(row)))
 	}
-	merged := p.mergeTerms(terms)
-	for _, t := range merged {
+	off := len(p.terms)
+	p.mergeTerms(terms)
+	for _, t := range p.terms[off:] {
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
+			p.terms = p.terms[:off]
 			panic(fmt.Sprintf("lp: constraint %q has non-finite coefficient for %s", p.names.ConstraintName(row), p.VariableName(t.Var)))
 		}
 	}
-	p.cons = append(p.cons, constraint{op: op, rhs: rhs, terms: merged})
+	p.cons = append(p.cons, constraint{op: op, rhs: rhs, off: off, n: len(p.terms) - off})
 	return row
 }
 
-// mergeTerms combines duplicate variables and drops zero coefficients while
-// preserving first-appearance order; a duplicate's coefficients are summed in
-// the order they come. It finds a duplicate through p.stamp, so it panics on a
-// variable the problem never issued before it would index the table with it.
-func (p *Problem) mergeTerms(terms []Term) []Term {
-	out := make([]Term, 0, len(terms))
+// rowTerms returns row i's merged terms.
+func (p *Problem) rowTerms(i int) []Term {
+	c := p.cons[i]
+	return p.terms[c.off : c.off+c.n]
+}
+
+// mergeTerms appends terms to p.terms with duplicate variables combined and
+// zero coefficients dropped, preserving first-appearance order; a duplicate's
+// coefficients are summed in the order they come. It finds a duplicate through
+// p.stamp, so it panics on a variable the problem never issued before it would
+// index the table with it, and takes back what it appended first.
+func (p *Problem) mergeTerms(terms []Term) {
+	off := len(p.terms)
 	base := p.stamped + 1
 	p.stamped += len(terms)
 	merged := false
@@ -204,27 +219,28 @@ func (p *Problem) mergeTerms(terms []Term) []Term {
 			continue
 		}
 		if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
+			p.terms = p.terms[:off]
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", p.names.ConstraintName(len(p.cons)), t.Var))
 		}
 		if k := p.stamp[t.Var] - base; k >= 0 {
-			out[k].Coef += t.Coef
+			p.terms[off+k].Coef += t.Coef
 			merged = true
 			continue
 		}
-		p.stamp[t.Var] = base + len(out)
-		out = append(out, t)
+		p.stamp[t.Var] = base + len(p.terms) - off
+		p.terms = append(p.terms, t)
 	}
 	if !merged {
-		return out
+		return
 	}
 	// A merge may have produced exact zeros; drop them.
-	filtered := out[:0]
-	for _, t := range out {
+	filtered := p.terms[:off]
+	for _, t := range p.terms[off:] {
 		if t.Coef != 0 {
 			filtered = append(filtered, t)
 		}
 	}
-	return filtered
+	p.terms = filtered
 }
 
 // Status describes the outcome of a solve.
@@ -348,7 +364,7 @@ func (p *Problem) String() string {
 	}
 	b.WriteString(head + obj + "\n")
 	for i, c := range p.cons {
-		fmt.Fprintf(&b, "%s %s %g   [%s]\n", p.sum(c.terms), c.op, c.rhs, p.names.ConstraintName(i))
+		fmt.Fprintf(&b, "%s %s %g   [%s]\n", p.sum(p.rowTerms(i)), c.op, c.rhs, p.names.ConstraintName(i))
 	}
 	for i, v := range p.vars {
 		fmt.Fprintf(&b, "%g <= %s <= %g\n", v.lb, p.VariableName(Var(i)), v.ub)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -348,8 +349,9 @@ func panicMessage(f func()) (msg string) {
 }
 
 // TestAddConstraintPanicsNameTheOffender: a term on a variable the problem
-// never issued is caught before mergeTerms indexes its stamp table with it, and
-// every modelling panic carries the row's and the variable's derived name.
+// never issued is caught before mergeTerms indexes its stamp table with it,
+// every modelling panic carries the row's and the variable's derived name, and
+// leaves the rows, the term arena and String() as they were.
 func TestAddConstraintPanicsNameTheOffender(t *testing.T) {
 	newProblem := func() (*Problem, Var, Var) {
 		p := NewProblem(Minimize)
@@ -376,8 +378,14 @@ func TestAddConstraintPanicsNameTheOffender(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, x, y := newProblem()
+			rows, terms, text := p.NumConstraints(), slices.Clone(p.terms), p.String()
 			if got := panicMessage(func() { p.AddConstraint(LE, 1, tc.terms(x, y)...) }); got != tc.want {
 				t.Errorf("panic %q, want %q", got, tc.want)
+			}
+			// The row is not half added: the arena the next row appends to ends
+			// where it did.
+			if p.NumConstraints() != rows || !slices.Equal(p.terms, terms) || p.String() != text {
+				t.Errorf("the panic left %d rows, terms %v and\n%s\nwant %d rows, terms %v and\n%s", p.NumConstraints(), p.terms, p.String(), rows, terms, text)
 			}
 		})
 	}
@@ -532,7 +540,7 @@ func checkMergeTerms(t testing.TB, nv int, rows [][]Term) {
 	}
 	for i, row := range rows {
 		want := referenceMergeTerms(row)
-		got := p.cons[p.AddConstraint(LE, 1, row...)].terms
+		got := p.rowTerms(p.AddConstraint(LE, 1, row...))
 		if len(got) != len(want) {
 			t.Fatalf("row %d %v: merged to %v, want %v", i, row, got, want)
 		}

@@ -4,12 +4,14 @@ package lp
 // kernel (simplex.go at 4cf4ce6), kept verbatim as a test-only reference in
 // the tradition of sim.Reference and graph/reference_test.go: multiplyColumn,
 // duals and pivot sweep all m columns of the basis inverse, w and y are
-// allocated per call, and refactorize knows nothing of a touched set. Three
+// allocated per call, and refactorize knows nothing of a touched set. Four
 // things differ from that file: the names (simplexState -> refState), solve
-// is a method on the state so tests can compare the final basis and xB, and
-// three counters (Bland's-rule pivots, refactorizations, artificials driven
-// out) let a test prove its LP reached those paths. kernel_test.go diffs the production kernel
-// against it.
+// is a method on the state so tests can compare the final basis and xB, three
+// counters (Bland's-rule pivots, refactorizations, artificials driven out) let
+// a test prove its LP reached those paths, and a column is read through
+// standardForm.col. kernel_test.go diffs the production kernel against it.
+// The row-major standard-form builder at the end of the file is the oracle of
+// the column arena.
 
 import (
 	"fmt"
@@ -50,11 +52,11 @@ func newRefState(sf *standardForm, tol float64) *refState {
 	// artificial unit column. Both were constructed as +1 unit columns.
 	assigned := make([]bool, m)
 	for j := sf.nOrig; j < sf.n; j++ {
-		col := sf.cols[j]
-		if len(col.rows) != 1 || col.vals[0] != 1 {
+		rows, vals := sf.col(j)
+		if len(rows) != 1 || vals[0] != 1 {
 			continue
 		}
-		i := col.rows[0]
+		i := rows[0]
 		if assigned[i] {
 			continue
 		}
@@ -78,9 +80,9 @@ func newRefState(sf *standardForm, tol float64) *refState {
 func (st *refState) multiplyColumn(j int) []float64 {
 	m := st.sf.m
 	w := make([]float64, m)
-	col := st.sf.cols[j]
-	for k, r := range col.rows {
-		v := col.vals[k]
+	rows, vals := st.sf.col(j)
+	for k, r := range rows {
+		v := vals[k]
 		if v == 0 {
 			continue
 		}
@@ -111,9 +113,9 @@ func (st *refState) duals(cost []float64) []float64 {
 // reducedCost computes c_j - y'A_j.
 func (st *refState) reducedCost(cost, y []float64, j int) float64 {
 	d := cost[j]
-	col := st.sf.cols[j]
-	for k, r := range col.rows {
-		d -= y[r] * col.vals[k]
+	rows, vals := st.sf.col(j)
+	for k, r := range rows {
+		d -= y[r] * vals[k]
 	}
 	return d
 }
@@ -170,9 +172,9 @@ func (st *refState) refactorize() error {
 		a[i][m+i] = 1
 	}
 	for i := 0; i < m; i++ {
-		col := st.sf.cols[st.basis[i]]
-		for k, r := range col.rows {
-			a[r][i] = col.vals[k]
+		rows, vals := st.sf.col(st.basis[i])
+		for k, r := range rows {
+			a[r][i] = vals[k]
 		}
 	}
 	// Gauss-Jordan with partial pivoting.
@@ -459,4 +461,179 @@ func referenceMergeTerms(terms []Term) []Term {
 		}
 	}
 	return filtered
+}
+
+// sparseCol is one column of the standard-form constraint matrix.
+type sparseCol struct {
+	rows []int
+	vals []float64
+}
+
+// refForm is a standard form the way referenceStandardForm lays it out: one
+// sparseCol per column.
+type refForm struct {
+	m, n     int
+	nOrig    int
+	artStart int
+
+	cols []sparseCol
+	c    []float64
+	b    []float64
+
+	shift    []float64
+	objConst float64
+	negate   bool
+}
+
+// referenceStandardForm is buildStandardForm as it stood before the column
+// arena (simplex.go at 8d32f4c), kept verbatim but for its result type and
+// reading a row's terms through rowTerms: a row-major scratch copy of every
+// row is built first and transposed into per-column slices once the signs are
+// fixed.
+func referenceStandardForm(p *Problem) *refForm {
+	nOrig := len(p.vars)
+	// Count rows: one per constraint plus one per finite upper bound.
+	ubRows := 0
+	for _, v := range p.vars {
+		if !math.IsInf(v.ub, 1) {
+			ubRows++
+		}
+	}
+	m := len(p.cons) + ubRows
+
+	sf := &refForm{
+		m:      m,
+		nOrig:  nOrig,
+		shift:  make([]float64, nOrig),
+		negate: p.sense == Maximize,
+	}
+
+	// Row-major scratch representation built first, then transposed into
+	// columns once signs are fixed.
+	rowOp := make([]Op, m)
+	rowRHS := make([]float64, m)
+	type entry struct {
+		col int
+		val float64
+	}
+	rowEntries := make([][]entry, m)
+
+	for j, v := range p.vars {
+		sf.shift[j] = v.lb
+	}
+
+	for i, con := range p.cons {
+		rowOp[i] = con.op
+		rhs := con.rhs
+		for _, t := range p.rowTerms(i) {
+			rhs -= t.Coef * sf.shift[t.Var]
+			rowEntries[i] = append(rowEntries[i], entry{col: int(t.Var), val: t.Coef})
+		}
+		rowRHS[i] = rhs
+	}
+	r := len(p.cons)
+	for j, v := range p.vars {
+		if math.IsInf(v.ub, 1) {
+			continue
+		}
+		rowOp[r] = LE
+		rowRHS[r] = v.ub - v.lb
+		rowEntries[r] = append(rowEntries[r], entry{col: j, val: 1})
+		r++
+	}
+
+	// Objective (always minimized internally).
+	objConst := 0.0
+	cOrig := make([]float64, nOrig)
+	for j, v := range p.vars {
+		coef := v.obj
+		if sf.negate {
+			coef = -coef
+		}
+		cOrig[j] = coef
+		objConst += coef * v.lb
+	}
+	sf.objConst = objConst
+
+	// Determine slack columns and row sign normalization. After adding a
+	// slack (+1 for LE, -1 for GE) we flip rows with negative rhs so that
+	// b >= 0; a slack whose post-flip coefficient is +1 can serve as the
+	// initial basic variable for its row, otherwise an artificial is added.
+	nSlack := 0
+	slackRow := make([]int, 0, m)
+	slackSign := make([]float64, 0, m)
+	for i := 0; i < m; i++ {
+		if rowOp[i] == EQ {
+			continue
+		}
+		sign := 1.0
+		if rowOp[i] == GE {
+			sign = -1.0
+		}
+		slackRow = append(slackRow, i)
+		slackSign = append(slackSign, sign)
+		nSlack++
+	}
+
+	rowFlip := make([]float64, m)
+	for i := 0; i < m; i++ {
+		if rowRHS[i] < 0 {
+			rowFlip[i] = -1
+		} else {
+			rowFlip[i] = 1
+		}
+	}
+
+	// Decide which rows need artificials: a row is covered if it has a
+	// slack column whose coefficient after flipping is +1.
+	needsArtificial := make([]bool, m)
+	for i := 0; i < m; i++ {
+		needsArtificial[i] = true
+	}
+	for k, i := range slackRow {
+		if slackSign[k]*rowFlip[i] > 0 {
+			needsArtificial[i] = false
+		}
+	}
+	nArt := 0
+	for i := 0; i < m; i++ {
+		if needsArtificial[i] {
+			nArt++
+		}
+	}
+
+	n := nOrig + nSlack + nArt
+	sf.n = n
+	sf.artStart = nOrig + nSlack
+	sf.cols = make([]sparseCol, n)
+	sf.c = make([]float64, n)
+	sf.b = make([]float64, m)
+	copy(sf.c, cOrig)
+
+	for i := 0; i < m; i++ {
+		sf.b[i] = rowRHS[i] * rowFlip[i]
+	}
+	// Structural columns.
+	for i := 0; i < m; i++ {
+		for _, e := range rowEntries[i] {
+			col := &sf.cols[e.col]
+			col.rows = append(col.rows, i)
+			col.vals = append(col.vals, e.val*rowFlip[i])
+		}
+	}
+	// Slack columns.
+	for k, i := range slackRow {
+		j := nOrig + k
+		sf.cols[j] = sparseCol{rows: []int{i}, vals: []float64{slackSign[k] * rowFlip[i]}}
+	}
+	// Artificial columns.
+	art := sf.artStart
+	for i := 0; i < m; i++ {
+		if !needsArtificial[i] {
+			continue
+		}
+		sf.cols[art] = sparseCol{rows: []int{i}, vals: []float64{1}}
+		art++
+	}
+	return sf
 }

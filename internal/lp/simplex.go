@@ -18,143 +18,86 @@ var (
 	ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 )
 
-// sparseCol is one column of the standard-form constraint matrix.
-type sparseCol struct {
-	rows []int
-	vals []float64
-}
-
 // standardForm is the computational form of a Problem:
 //
 //	minimize c'x  subject to  Ax = b, x >= 0, b >= 0
 //
 // where columns 0..nOrig-1 are (lower-bound shifted) original variables,
-// followed by slack/surplus columns and finally artificial columns.
+// followed by slack/surplus columns and finally artificial columns. A is held
+// by column in one arena: column j's entries are rows[colStart[j]:colStart[j+1]]
+// and the same range of vals, in ascending row order.
 type standardForm struct {
 	m, n     int
 	nOrig    int
 	artStart int // first artificial column index; n if none
 
-	cols []sparseCol
-	c    []float64 // phase-2 costs (always minimization)
-	b    []float64
+	colStart []int
+	rows     []int
+	vals     []float64
+	c        []float64 // phase-2 costs (always minimization)
+	b        []float64
 
 	shift    []float64 // per original variable: lower bound added back on extraction
 	objConst float64
 	negate   bool // original problem was Maximize
 }
 
+// col returns column j of A: its rows and their values.
+func (sf *standardForm) col(j int) ([]int, []float64) {
+	lo, hi := sf.colStart[j], sf.colStart[j+1]
+	return sf.rows[lo:hi], sf.vals[lo:hi]
+}
+
 // buildStandardForm converts p into equality standard form with nonnegative
 // right-hand sides, adding rows for finite upper bounds, slack/surplus
-// columns, and artificial columns where no natural unit column exists.
+// columns, and artificial columns where no natural unit column exists. It
+// counts each column's entries first and then fills the arena row by row.
 func buildStandardForm(p *Problem) *standardForm {
-	nOrig := len(p.vars)
-	// Count rows: one per constraint plus one per finite upper bound.
-	ubRows := 0
+	nOrig, nCons := len(p.vars), len(p.cons)
+	m := nCons
 	for _, v := range p.vars {
 		if !math.IsInf(v.ub, 1) {
-			ubRows++
+			m++
 		}
 	}
-	m := len(p.cons) + ubRows
-
 	sf := &standardForm{
 		m:      m,
 		nOrig:  nOrig,
+		b:      make([]float64, m),
 		shift:  make([]float64, nOrig),
 		negate: p.sense == Maximize,
 	}
-
-	// Row-major scratch representation built first, then transposed into
-	// columns once signs are fixed.
-	rowOp := make([]Op, m)
-	rowRHS := make([]float64, m)
-	type entry struct {
-		col int
-		val float64
-	}
-	rowEntries := make([][]entry, m)
-
 	for j, v := range p.vars {
 		sf.shift[j] = v.lb
 	}
 
+	// Count: each structural column's entries, and the right-hand sides shifted
+	// by the lower bounds, not yet sign-normalized. Rows are the constraints,
+	// then one per finite upper bound.
+	count := make([]int, nOrig)
 	for i, con := range p.cons {
-		rowOp[i] = con.op
 		rhs := con.rhs
-		for _, t := range con.terms {
+		for _, t := range p.rowTerms(i) {
 			rhs -= t.Coef * sf.shift[t.Var]
-			rowEntries[i] = append(rowEntries[i], entry{col: int(t.Var), val: t.Coef})
+			count[t.Var]++
 		}
-		rowRHS[i] = rhs
+		sf.b[i] = rhs
 	}
-	r := len(p.cons)
+	r := nCons
 	for j, v := range p.vars {
-		if math.IsInf(v.ub, 1) {
-			continue
+		if !math.IsInf(v.ub, 1) {
+			sf.b[r] = v.ub - v.lb
+			count[j]++
+			r++
 		}
-		rowOp[r] = LE
-		rowRHS[r] = v.ub - v.lb
-		rowEntries[r] = append(rowEntries[r], entry{col: j, val: 1})
-		r++
 	}
-
-	// Objective (always minimized internally).
-	objConst := 0.0
-	cOrig := make([]float64, nOrig)
-	for j, v := range p.vars {
-		coef := v.obj
-		if sf.negate {
-			coef = -coef
-		}
-		cOrig[j] = coef
-		objConst += coef * v.lb
-	}
-	sf.objConst = objConst
-
-	// Determine slack columns and row sign normalization. After adding a
-	// slack (+1 for LE, -1 for GE) we flip rows with negative rhs so that
-	// b >= 0; a slack whose post-flip coefficient is +1 can serve as the
-	// initial basic variable for its row, otherwise an artificial is added.
-	nSlack := 0
-	slackRow := make([]int, 0, m)
-	slackSign := make([]float64, 0, m)
+	nSlack, nArt := 0, 0
 	for i := 0; i < m; i++ {
-		if rowOp[i] == EQ {
-			continue
+		s := p.slackCoef(i, sf.b[i])
+		if s != 0 {
+			nSlack++
 		}
-		sign := 1.0
-		if rowOp[i] == GE {
-			sign = -1.0
-		}
-		slackRow = append(slackRow, i)
-		slackSign = append(slackSign, sign)
-		nSlack++
-	}
-
-	rowFlip := make([]float64, m)
-	for i := 0; i < m; i++ {
-		if rowRHS[i] < 0 {
-			rowFlip[i] = -1
-		} else {
-			rowFlip[i] = 1
-		}
-	}
-
-	// Decide which rows need artificials: a row is covered if it has a
-	// slack column whose coefficient after flipping is +1.
-	needsArtificial := make([]bool, m)
-	for i := 0; i < m; i++ {
-		needsArtificial[i] = true
-	}
-	for k, i := range slackRow {
-		if slackSign[k]*rowFlip[i] > 0 {
-			needsArtificial[i] = false
-		}
-	}
-	nArt := 0
-	for i := 0; i < m; i++ {
-		if needsArtificial[i] {
+		if s <= 0 {
 			nArt++
 		}
 	}
@@ -162,85 +105,130 @@ func buildStandardForm(p *Problem) *standardForm {
 	n := nOrig + nSlack + nArt
 	sf.n = n
 	sf.artStart = nOrig + nSlack
-	sf.cols = make([]sparseCol, n)
+	sf.colStart = make([]int, n+1)
+	for j := 0; j < n; j++ {
+		entries := 1 // a slack or artificial column
+		if j < nOrig {
+			entries = count[j]
+		}
+		sf.colStart[j+1] = sf.colStart[j] + entries
+	}
+	sf.rows = make([]int, sf.colStart[n])
+	sf.vals = make([]float64, sf.colStart[n])
 	sf.c = make([]float64, n)
-	sf.b = make([]float64, m)
-	copy(sf.c, cOrig)
+	for j, v := range p.vars {
+		coef := v.obj
+		if sf.negate {
+			coef = -coef
+		}
+		sf.c[j] = coef
+		sf.objConst += coef * v.lb
+	}
 
-	for i := 0; i < m; i++ {
-		sf.b[i] = rowRHS[i] * rowFlip[i]
-	}
-	// Structural columns.
-	for i := 0; i < m; i++ {
-		for _, e := range rowEntries[i] {
-			col := &sf.cols[e.col]
-			col.rows = append(col.rows, i)
-			col.vals = append(col.vals, e.val*rowFlip[i])
+	// Fill, row by row so that every column lists its rows in ascending order;
+	// count[j] is now where column j's next entry goes. A row whose right-hand
+	// side is negative is negated.
+	copy(count, sf.colStart)
+	for i := range p.cons {
+		flip := 1.0
+		if sf.b[i] < 0 {
+			flip = -1
+		}
+		for _, t := range p.rowTerms(i) {
+			k := count[t.Var]
+			sf.rows[k], sf.vals[k] = i, t.Coef*flip
+			count[t.Var]++
 		}
 	}
-	// Slack columns.
-	for k, i := range slackRow {
-		j := nOrig + k
-		sf.cols[j] = sparseCol{rows: []int{i}, vals: []float64{slackSign[k] * rowFlip[i]}}
-	}
-	// Artificial columns.
-	art := sf.artStart
-	for i := 0; i < m; i++ {
-		if !needsArtificial[i] {
-			continue
+	r = nCons
+	for j, v := range p.vars {
+		if !math.IsInf(v.ub, 1) {
+			sf.rows[count[j]], sf.vals[count[j]] = r, 1 // the column's last entry
+			r++
 		}
-		sf.cols[art] = sparseCol{rows: []int{i}, vals: []float64{1}}
-		art++
+	}
+	// A slack whose coefficient is +1 can serve as its row's initial basic
+	// variable; every other row gets an artificial.
+	slack, art := nOrig, sf.artStart
+	for i := 0; i < m; i++ {
+		s := p.slackCoef(i, sf.b[i])
+		if s != 0 {
+			sf.rows[sf.colStart[slack]], sf.vals[sf.colStart[slack]] = i, s
+			slack++
+		}
+		if s <= 0 {
+			sf.rows[sf.colStart[art]], sf.vals[sf.colStart[art]] = i, 1
+			art++
+		}
+		if sf.b[i] < 0 {
+			sf.b[i] = -sf.b[i]
+		}
 	}
 	return sf
 }
 
+// slackCoef returns the coefficient of standard-form row i's slack once the
+// row is negated where its shifted right-hand side rhs is negative: +1 for an
+// LE row and -1 for a GE row before that (the upper-bound rows past p's
+// constraints are LE rows), 0 for an equality, which has no slack.
+func (p *Problem) slackCoef(i int, rhs float64) float64 {
+	op := LE
+	if i < len(p.cons) {
+		op = p.cons[i].op
+	}
+	s := 0.0
+	switch op {
+	case LE:
+		s = 1
+	case GE:
+		s = -1
+	}
+	if rhs < 0 {
+		s = -s
+	}
+	return s
+}
+
 // simplexState holds the revised-simplex working set: the basis, the compact
 // store of its inverse, and the current basic solution. All of it is allocated
-// by newSimplexState (touch may regrow binv) and dies with the solve.
+// by newSimplexState and touch and dies with the solve.
 type simplexState struct {
 	sf    *standardForm
 	basis []int  // basis[i] = column basic in row i
 	inB   []bool // inB[j] = column j is basic
-	// binv holds the touched columns of the m x m basis inverse, row-major:
-	// row i's entries for columns touched[0..nt) are binv[i*stride : i*stride+nt].
-	// The inverse starts as the identity, and a pivot changes column k only
+	// inv[s] is column touched[s] of the m x m basis inverse, m floats. The
+	// inverse starts as the identity, and a pivot changes column k only
 	// through its entry in row leave, which is 0 while column k is e_k and
-	// leave != k: column k stays exactly e_k until row k first leaves the basis.
-	// Such a column is not stored at all. multiplyColumn, duals and pivot read it
-	// as e_k; every term they skip is an exact zero, so each pivot is the one a
-	// dense m x m inverse takes. In the interval-indexed LPs most rows are
-	// capacity rows whose slack never leaves: len(touched) stays far below m,
-	// and a solve allocates m x stride, not m x m. Everything in binv past a
-	// row's first len(touched) entries is zero.
-	binv    []float64
-	stride  int       // row pitch of binv: initialStride doubling up to m as touched grows
-	touched []int     // columns of the inverse that are stored, in first-touch order
-	slot    []int32   // slot[k] = index of column k in touched, -1 while column k is e_k
-	xB      []float64 // basic variable values
-	w, y    []float64 // what multiplyColumn and duals return: scratch, valid until the next call
+	// leave != k: column k stays exactly e_k until row k first leaves the
+	// basis. Such a column is not stored at all. multiplyColumn, duals and
+	// pivot read it as e_k; every term they skip is an exact zero, so each
+	// pivot is the one a dense m x m inverse takes. In the interval-indexed LPs
+	// most rows are capacity rows whose slack never leaves: len(touched) stays
+	// far below m, and a solve allocates m floats per touched column, not m x m.
+	inv     [][]float64
+	touched []int       // columns of the inverse that are stored, in first-touch order
+	slot    []int32     // slot[k] = index of column k in touched, -1 while column k is e_k
+	spare   [][]float64 // columns refactorize took out of inv, for touch to reuse
+	xB      []float64   // basic variable values
+	w, y    []float64   // what multiplyColumn and duals return: scratch, valid until the next call
+	visit   []int       // scratch of duals and pivot: the rows whose basic cost, or w entry, is nonzero
 	tol     float64
 	iters   int
 }
 
-// initialStride is the number of touched columns binv has room for at first.
-const initialStride = 32
-
 func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	m := sf.m
 	st := &simplexState{
-		sf:      sf,
-		basis:   make([]int, m),
-		inB:     make([]bool, sf.n),
-		stride:  min(initialStride, m),
-		touched: make([]int, 0, m),
-		slot:    make([]int32, m),
-		xB:      make([]float64, m),
-		w:       make([]float64, m),
-		y:       make([]float64, m),
-		tol:     tol,
+		sf:    sf,
+		basis: make([]int, m),
+		inB:   make([]bool, sf.n),
+		slot:  make([]int32, m),
+		xB:    make([]float64, m),
+		w:     make([]float64, m),
+		y:     make([]float64, m),
+		visit: make([]int, 0, m),
+		tol:   tol,
 	}
-	st.binv = make([]float64, m*st.stride)
 	for k := range st.slot {
 		st.slot[k] = -1
 	}
@@ -250,11 +238,11 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	// artificial unit column. Both were constructed as +1 unit columns.
 	assigned := make([]bool, m)
 	for j := sf.nOrig; j < sf.n; j++ {
-		col := sf.cols[j]
-		if len(col.rows) != 1 || col.vals[0] != 1 {
+		rows, vals := sf.col(j)
+		if len(rows) != 1 || vals[0] != 1 {
 			continue
 		}
-		i := col.rows[0]
+		i := rows[0]
 		if assigned[i] {
 			continue
 		}
@@ -274,66 +262,69 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	return st
 }
 
-// touch starts storing column k of the inverse, as e_k. It may move binv to a
-// wider store: row slices taken before the call are stale after it.
+// touch starts storing column k of the inverse, as e_k, in a spare column
+// where refactorize left one (cleared first: it holds an old column) and in a
+// new one otherwise.
 func (st *simplexState) touch(k int) {
 	if st.slot[k] >= 0 {
 		return
 	}
-	nt := len(st.touched)
-	if nt == st.stride {
-		m := st.sf.m
-		wider := min(2*st.stride, m)
-		grown := make([]float64, m*wider)
-		for i := 0; i < m; i++ {
-			copy(grown[i*wider:i*wider+nt], st.binv[i*st.stride:])
-		}
-		st.binv, st.stride = grown, wider
+	var col []float64
+	if n := len(st.spare); n > 0 {
+		col, st.spare = st.spare[n-1], st.spare[:n-1]
+		clear(col)
+	} else {
+		col = make([]float64, st.sf.m)
 	}
-	st.slot[k] = int32(nt)
+	col[k] = 1
+	st.slot[k] = int32(len(st.touched))
 	st.touched = append(st.touched, k)
-	st.binv[k*st.stride+nt] = 1 // the rest of the new slot is zero already
+	st.inv = append(st.inv, col)
 }
 
 // multiplyColumn returns w = B^{-1} * A_j for column j.
 func (st *simplexState) multiplyColumn(j int) []float64 {
 	w := st.w
 	clear(w)
-	col := st.sf.cols[j]
-	for k, r := range col.rows {
-		v := col.vals[k]
+	rows, vals := st.sf.col(j)
+	for k, r := range rows {
+		v := vals[k]
 		if v == 0 {
 			continue
 		}
-		s := int(st.slot[r])
+		s := st.slot[r]
 		if s < 0 {
 			w[r] += v // column r is e_r
 			continue
 		}
-		for i := range w {
-			w[i] += st.binv[i*st.stride+s] * v
+		for i, x := range st.inv[s] {
+			w[i] += x * v
 		}
 	}
 	return w
 }
 
-// duals returns y' = c_B' B^{-1} for the given cost vector.
+// duals returns y' = c_B' B^{-1} for the given cost vector. Only the rows whose
+// basic cost is nonzero contribute; each stored column sums them in ascending
+// row order, as a row-by-row sweep of the dense inverse does.
 func (st *simplexState) duals(cost []float64) []float64 {
 	y := st.y
 	clear(y)
-	nt := len(st.touched)
+	rows := st.visit[:0]
 	for i, j := range st.basis {
-		cb := cost[j]
-		if cb == 0 {
-			continue
+		if cb := cost[j]; cb != 0 {
+			rows = append(rows, i)
+			if st.slot[i] < 0 {
+				y[i] = cb // the row's own unit entry; its other untouched entries are 0
+			}
 		}
-		row := st.binv[i*st.stride : i*st.stride+nt]
-		for s, k := range st.touched {
-			y[k] += cb * row[s]
+	}
+	for s, col := range st.inv {
+		sum := 0.0
+		for _, i := range rows {
+			sum += cost[st.basis[i]] * col[i]
 		}
-		if st.slot[i] < 0 {
-			y[i] += cb // the row's own unit entry; its other untouched entries are 0
-		}
+		y[st.touched[s]] = sum
 	}
 	return y
 }
@@ -341,9 +332,9 @@ func (st *simplexState) duals(cost []float64) []float64 {
 // reducedCost computes c_j - y'A_j.
 func (st *simplexState) reducedCost(cost, y []float64, j int) float64 {
 	d := cost[j]
-	col := st.sf.cols[j]
-	for k, r := range col.rows {
-		d -= y[r] * col.vals[k]
+	rows, vals := st.sf.col(j)
+	for k, r := range rows {
+		d -= y[r] * vals[k]
 	}
 	return d
 }
@@ -352,6 +343,7 @@ func (st *simplexState) reducedCost(cost, y []float64, j int) float64 {
 // using the precomputed direction w = B^{-1} A_enter and step theta.
 func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 	m := st.sf.m
+	rows := st.visit[:0] // the rows the elimination changes: w nonzero, leave aside
 	for i := 0; i < m; i++ {
 		if i == leave {
 			continue
@@ -360,31 +352,22 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 		if st.xB[i] < 0 && st.xB[i] > -st.tol {
 			st.xB[i] = 0
 		}
+		if w[i] != 0 {
+			rows = append(rows, i)
+		}
 	}
 	st.xB[leave] = theta
 
 	// Row leave is zero in every untouched column but its own, which joins
-	// the set here; scaling and eliminating over touched is the whole update.
-	// touch may move the store, so row slices are taken after it.
+	// the set here; scaling and eliminating over the stored columns is the
+	// whole update.
 	st.touch(leave)
-	nt, stride := len(st.touched), st.stride
-	pivotVal := w[leave]
-	rowL := st.binv[leave*stride : leave*stride+nt]
-	inv := 1.0 / pivotVal
-	for s := range rowL {
-		rowL[s] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == leave {
-			continue
-		}
-		f := w[i]
-		if f == 0 {
-			continue
-		}
-		row := st.binv[i*stride : i*stride+nt]
-		for s, v := range rowL {
-			row[s] -= f * v
+	inv := 1.0 / w[leave]
+	for _, col := range st.inv {
+		v := col[leave] * inv
+		col[leave] = v
+		for _, i := range rows {
+			col[i] -= w[i] * v
 		}
 	}
 
@@ -405,9 +388,9 @@ func (st *simplexState) refactorize() error {
 		a[i][m+i] = 1
 	}
 	for i := 0; i < m; i++ {
-		col := st.sf.cols[st.basis[i]]
-		for k, r := range col.rows {
-			a[r][i] = col.vals[k]
+		rows, vals := st.sf.col(st.basis[i])
+		for k, r := range rows {
+			a[r][i] = vals[k]
 		}
 	}
 	// Gauss-Jordan with partial pivoting.
@@ -443,14 +426,15 @@ func (st *simplexState) refactorize() error {
 	// Note the permutation: after Gauss-Jordan with row swaps applied to the
 	// augmented identity, rows of the right block are B^{-1} rows in the
 	// order that maps basis column i to row i.
-	// The store is rebuilt from the recomputed inverse: a column stays out
-	// only if it equals e_k exactly (no tolerance; a -0 counts as 0 and loses
-	// its sign). Clearing first keeps everything past len(touched) zero.
-	st.touched = st.touched[:0]
-	for k := range st.slot {
+	// The store is rebuilt from the recomputed inverse: a column stays out only
+	// if it equals e_k exactly (no tolerance; a -0 counts as 0 and loses its
+	// sign). Every stored column becomes spare first; touch takes them back
+	// before it allocates, and the copy below overwrites each whole.
+	for _, k := range st.touched {
 		st.slot[k] = -1
 	}
-	clear(st.binv)
+	st.spare = append(st.spare, st.inv...)
+	st.inv, st.touched = st.inv[:0], st.touched[:0]
 	for i := 0; i < m; i++ {
 		for k, v := range a[i][m:] {
 			if (k == i && v != 1) || (k != i && v != 0) {
@@ -458,10 +442,10 @@ func (st *simplexState) refactorize() error {
 			}
 		}
 	}
-	for i := 0; i < m; i++ {
-		row := st.binv[i*st.stride:]
-		for s, k := range st.touched {
-			row[s] = a[i][m+k]
+	for s, k := range st.touched {
+		col := st.inv[s]
+		for i := range col {
+			col[i] = a[i][m+k]
 		}
 	}
 	// Recompute basic solution xB = B^{-1} b from the dense rows, in ascending
