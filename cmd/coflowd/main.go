@@ -13,6 +13,7 @@
 //	GET  /v1/stats         weighted CCT/response, slowdown and solve-latency percentiles
 //	GET  /v1/network       topology summary (host ids for load generators)
 //	GET  /v1/epochs        recent scheduler epochs: tick/decide latency, order churn, active counts
+//	GET  /v1/keys          the gw-<id> keys a cluster gateway admitted under, for its restart
 //	GET  /healthz          liveness; "durable" is true with -wal-dir
 //	GET  /metrics          Prometheus text metrics (shared telemetry registry)
 //	GET  /debug/traces     coflow lifecycle trace spans (JSON ring, ?trace= filters)

@@ -16,7 +16,15 @@
 // re-admits a stateless daemon's coflows on the survivors.
 // With -local N it spins up N in-process shards on loopback listeners — the
 // zero-setup way to run a whole cluster in one process, the same harness the
-// tests and the admit-cluster benchmark workload use.
+// tests and the admit-cluster benchmark workload use. -state-dir gives those
+// shards WALs under one root.
+//
+// The gateway keeps no state of its own. It admits every coflow under the
+// idempotency key gw-<gateway id>, and a restarted gateway rebuilds its
+// routing table from the keys its shards hold (GET /v1/keys on each coflowd),
+// continuing past the largest id any of them ever admitted. What a gateway
+// crash loses is what a non-durable shard that crashes with it loses: that
+// shard's in-flight coflows.
 //
 // The gateway answers for what it owns: gateway ids, placement, and the
 // merges that need every shard. A shard's own schedule and epoch ring are
@@ -81,8 +89,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		epochLen       = fs.Float64("epoch", 2.0, "shard epoch length for -local")
 		timeScale      = fs.Float64("timescale", 1.0, "shard simulated time units per wall second for -local")
 		fatK           = fs.Int("fatk", 4, "shard fat-tree arity for -local")
-		stateDir       = fs.String("state-dir", "", "persist gateway routing state (WAL + snapshots) under this directory; with -local, shards get WALs under it too")
-		snapInterval   = fs.Duration("snapshot-interval", 0, "state snapshot period (0 = default 30s with -state-dir, negative disables)")
+		stateDir       = fs.String("state-dir", "", "with -local: the shards' WAL root (each shard recovers its own coflows)")
 		logLevel       = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat      = fs.String("log-format", "text", "log output format: text or json")
 	)
@@ -92,18 +99,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if (*backends == "") == (*local == 0) {
 		return errors.New("exactly one of -backends or -local is required")
 	}
-	logger := telemetry.NewLogger(stderr, telemetry.ParseLevel(*logLevel), *logFormat, "", "")
-	gcfg := cluster.Config{
-		HealthInterval:   *healthInterval,
-		SnapshotInterval: *snapInterval,
-		Logger:           logger,
-	}
 	if *stateDir != "" && *local == 0 {
-		// Externally-run coflowds manage their own durability; the gateway
-		// only persists its routing tables here. (-local wires the whole tree
-		// below instead.)
-		gcfg.StateDir = *stateDir
+		return errors.New("-state-dir needs -local: the gateway keeps no state, and a -backends coflowd keeps its own with -wal-dir")
 	}
+	logger := telemetry.NewLogger(stderr, telemetry.ParseLevel(*logLevel), *logFormat, "", "")
+	gcfg := cluster.Config{HealthInterval: *healthInterval, Logger: logger}
 
 	var (
 		g            *cluster.Gateway
@@ -121,15 +121,14 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			return fmt.Errorf("unknown policy %q (want sebf, fifo, lp)", *policyName)
 		}
 		localCluster, err = cluster.NewLocal(cluster.LocalConfig{
-			Shards:           *local,
-			Policy:           policy,
-			EpochLength:      *epochLen,
-			TimeScale:        *timeScale,
-			FatK:             *fatK,
-			Gateway:          gcfg,
-			WALDir:           *stateDir,
-			SnapshotInterval: *snapInterval,
-			Logger:           logger,
+			Shards:      *local,
+			Policy:      policy,
+			EpochLength: *epochLen,
+			TimeScale:   *timeScale,
+			FatK:        *fatK,
+			Gateway:     gcfg,
+			WALDir:      *stateDir,
+			Logger:      logger,
 		})
 		if err != nil {
 			return err

@@ -22,6 +22,8 @@ func TestRunFlagErrors(t *testing.T) {
 		"unknown batch":              {"-local", "1", "-batch", "16"},       // a constant
 		"unknown batch interval":     {"-local", "1", "-batch-interval", "5ms"},
 		"unknown policy":             {"-local", "1", "-policy", "wfq"},
+		"unknown snapshot interval":  {"-local", "1", "-snapshot-interval", "1s"}, // the gateway keeps no state
+		"state dir with backends":    {"-backends", "http://x", "-state-dir", "/nonexistent"},
 		"unknown flag":               {"-bogus"},
 	}
 	for name, args := range cases {

@@ -16,6 +16,13 @@
 // intervals until it answers again, at which point it rejoins the placement
 // rotation.
 //
+// State: the gateway keeps none of its own. Every placement carries the
+// idempotency key gw-<gateway id> (server.GatewayKey), and the shard that
+// admitted it holds that key, durably when it runs with a WAL. A gateway that
+// boots empty learns each backend's keys at first contact (learn) and
+// rebuilds its routing table from them; ids below the largest a shard ever
+// admitted are never handed out again.
+//
 // Concurrency model: one mutex guards the routing table (gateway id ->
 // backend + backend-local id) and backend health state. All network I/O —
 // admissions, probes, the stats scatter-gather — happens outside the lock
@@ -33,14 +40,14 @@ import (
 	"time"
 
 	"coflowsched/internal/coflow"
-	"coflowsched/internal/durable"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
 
 // Config parameterizes the gateway. The rest is fixed (placement by hash,
-// the constants below) or reported by the shards (their durability).
+// the constants below) or reported by the shards (their durability, and the
+// coflows they hold).
 type Config struct {
 	// HealthInterval is the probe period for healthy backends and the first
 	// re-probe backoff for ejected ones (default 1s). The backoff doubles on
@@ -50,15 +57,6 @@ type Config struct {
 	// re-admissions) with a component=coflowgate field attached. When nil,
 	// logs are discarded.
 	Logger *slog.Logger
-	// StateDir, when non-empty, turns on gateway durability: id assignments,
-	// placements and observed completions are written to a write-ahead log
-	// under this directory and a restarted gateway recovers its translation
-	// and placement tables from it before serving. See durable.go.
-	StateDir string
-	// SnapshotInterval is the period between gateway state snapshots, which
-	// bound replay time and let the log prefix be truncated. Only meaningful
-	// with StateDir; defaults to 30s there, negative disables snapshotting.
-	SnapshotInterval time.Duration
 }
 
 // The gateway's failure handling. A healthy backend is ejected after
@@ -83,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = telemetry.DiscardLogger()
 	}
-	if c.StateDir != "" && c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 30 * time.Second
-	}
 	return c
 }
 
@@ -99,10 +94,9 @@ var errNoBackend = errors.New("cluster: no healthy backend available")
 // shard is bothered.
 var errNoFlows = errors.New("cluster: coflow has no flows")
 
-// errDurable rejects admissions the gateway cannot make durable: the WAL is
-// failing, and acknowledging an id that would not survive a restart breaks
-// the recovery contract.
-var errDurable = errors.New("cluster: durability failure")
+// errGone answers for an id below the next one that no learned shard holds:
+// the gateway handed it out once, and its coflow is gone.
+var errGone = errors.New("cluster: coflow id no longer known")
 
 // Backend is one coflowd shard as the gateway sees it. All mutable fields
 // are guarded by the gateway mutex; the client is immutable and used outside
@@ -122,11 +116,12 @@ type Backend struct {
 	nextProbe time.Time     // earliest next probe while unhealthy
 	ejections int
 
-	// durable is what the backend last said about itself, on /healthz or in
-	// an admission's answer: it runs with a WAL and recovers its own coflows
-	// after a crash. known is set by its first answer, which also settles the
-	// placements the gateway's log recovered for it (settleLocked).
-	durable, known bool
+	// durable is what the backend last said about itself, on /healthz, in an
+	// admission's answer or in its key listing: it runs with a WAL and
+	// recovers its own coflows after a crash. learned is set once its key
+	// listing is in the routing table (learn); only then does it take
+	// placements.
+	durable, learned bool
 
 	// local maps this backend's ids of the coflows placed here and not yet
 	// observed complete back to gateway ids.
@@ -145,7 +140,8 @@ type BackendStatus struct {
 // routed tracks one gateway-admitted coflow through its life: queued ->
 // placed on a shard -> (possibly re-admitted elsewhere after a failure) ->
 // observed complete. The spec is retained until completion so a dead shard's
-// in-flight coflows can be replayed on a survivor.
+// in-flight coflows can be replayed on a survivor; one learned from a shard's
+// key listing has only its name unless the shard sent its spec.
 type routed struct {
 	spec     coflow.Coflow
 	backend  *Backend // nil while queued or orphaned by an ejection
@@ -154,16 +150,12 @@ type routed struct {
 	trace    string  // lifecycle trace id, propagated to the owning shard
 	admitted bool
 	failed   bool // admission failed terminally (validation, or initial 503)
-	// pendingBackend names the shard a WAL-recovered placement points at; the
-	// binding is settled by that backend's first answer (settleLocked).
-	pendingBackend string
 	// orphaned marks an acknowledged coflow detached by an ejection and not
 	// yet re-placed; if no backend is healthy at failover time it stays set,
 	// and the next backend recovery re-places it (applyProbe).
 	orphaned bool
 	done     bool
 	final    server.CoflowResponse // cached once done
-	readmits int
 }
 
 type admitItem struct {
@@ -180,31 +172,29 @@ type Gateway struct {
 	tracer  *telemetry.Tracer
 	logger  *slog.Logger
 
-	mu        sync.Mutex
-	backends  []*Backend
-	coflows   []*routed
+	mu       sync.Mutex
+	backends []*Backend
+	// coflows is the routing table by gateway id. An id below next that it
+	// does not hold is gone (errGone).
+	coflows   map[int]*routed
+	next      int
 	completed int // coflows observed done through the gateway
 	readmits  int // re-admissions performed after ejections
 
+	// boot learns every backend before the first id is assigned or looked up.
+	boot      sync.Once
 	queue     chan admitItem
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
 	sweeping atomic.Bool
-
-	// Durability (nil/zero without Config.StateDir). instance is always
-	// minted: it scopes the idempotency keys the gateway sends shards, so two
-	// gateway incarnations never collide on a key.
-	wal      *durable.Journal
-	instance string
 }
 
 // New builds and starts a gateway: the admit batcher and the health prober
 // begin immediately. Callers must Close it. Backends are added with
-// AddBackend. With Config.StateDir, the gateway first recovers its id and
-// placement tables from the directory's snapshot + WAL; an untrustworthy log
-// fails the boot.
+// AddBackend. Neither does network I/O: the gateway learns what its backends
+// hold at first contact. The error is always nil.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
@@ -213,15 +203,9 @@ func New(cfg Config) (*Gateway, error) {
 		metrics: newGateMetrics(),
 		tracer:  telemetry.NewTracer("coflowgate", "", telemetry.RingCapacity),
 		logger:  cfg.Logger.With("component", "coflowgate"),
+		coflows: make(map[int]*routed),
 		queue:   make(chan admitItem),
 		quit:    make(chan struct{}),
-	}
-	if cfg.StateDir != "" {
-		if err := g.recoverGateway(); err != nil {
-			return nil, err
-		}
-	} else {
-		g.instance = telemetry.NewTraceID()
 	}
 	g.wg.Add(2)
 	go g.batcher()
@@ -233,27 +217,17 @@ func New(cfg Config) (*Gateway, error) {
 // shards').
 func (g *Gateway) Tracer() *telemetry.Tracer { return g.tracer }
 
-// Close stops the gateway's goroutines and fsync-closes the WAL. In-flight
-// admissions fail with a closed error. Safe to call more than once.
-func (g *Gateway) Close() { g.shutdown(false) }
-
-// Kill stops the gateway the way a crash would: no final fsync. Everything
-// not yet group-committed is abandoned to the page cache. Tests use it to
-// exercise the recovery path; production shutdown is Close.
-func (g *Gateway) Kill() { g.shutdown(true) }
-
-func (g *Gateway) shutdown(abandon bool) {
+// Close stops the gateway's goroutines. In-flight admissions fail with a
+// closed error. Safe to call more than once.
+func (g *Gateway) Close() {
 	g.closeOnce.Do(func() { close(g.quit) })
 	g.wg.Wait()
-	if g.wal != nil {
-		g.wal.Shutdown(abandon)
-	}
 }
 
-// AddBackend registers a shard under a unique name. It enters the placement
-// rotation immediately and optimistically healthy; the prober corrects that
-// within one interval if it is not. The placements the gateway's log
-// recovered for this name wait for the shard's first answer (settleLocked).
+// AddBackend registers a shard under a unique name, optimistically healthy;
+// the prober corrects that within one interval if it is not. It enters the
+// placement rotation once learned: before the gateway's first id, or at its
+// first successful probe.
 func (g *Gateway) AddBackend(name, url string) error {
 	if name == "" {
 		return errors.New("cluster: backend needs a name")
@@ -275,55 +249,69 @@ func (g *Gateway) AddBackend(name, url string) error {
 		}
 	}
 	g.backends = append(g.backends, b)
-	// A fresh backend is also the retry trigger for anything already orphaned
-	// (recovered-but-unplaced coflows, or strandings from a total outage).
-	stranded := g.orphansLocked()
 	g.mu.Unlock()
-	if len(stranded) > 0 {
-		go g.readmitOrphans(stranded)
-	}
 	return nil
 }
 
-// heardLocked folds one answer from b — a probe's or an admission's — into
-// what the gateway knows of it, and returns the coflows the answer detached
-// for re-admission. Caller holds mu and must hand them to readmitOrphans.
-func (g *Gateway) heardLocked(b *Backend, durable bool) []int {
-	b.durable = durable
-	if b.known {
-		return nil
+// learnAll learns every backend that answers, once, before the gateway
+// assigns or looks up its first id. One that does not answer is learned at
+// its first successful probe.
+func (g *Gateway) learnAll() {
+	g.mu.Lock()
+	backends := append([]*Backend(nil), g.backends...)
+	g.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, b := range backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.learn(b)
+		}()
 	}
-	b.known = true
-	return g.settleLocked(b, durable)
+	wg.Wait()
 }
 
-// settleLocked resolves the placements the gateway's log recovered for b. A
-// durable backend recovers those coflows itself, so the old local ids stay
-// valid and the binding is restored; on any other the coflows restart from
-// zero, so they are detached and their ids returned for re-admission. Caller
-// holds mu.
-func (g *Gateway) settleLocked(b *Backend, durable bool) []int {
-	var orphans []int
-	relinked := 0
-	for gid, rc := range g.coflows {
-		if rc.pendingBackend != b.name || rc.done || rc.failed {
+// learn folds b's key listing (GET /v1/keys) into the routing table, once per
+// backend. Each gw-<gid> key binds gid to b, unless the gateway has since
+// given gid to another coflow (which only happens to a shard that was down
+// while the gateway booted), and the next id moves past the largest one b
+// ever admitted. A listing b cannot serve leaves it unlearned, out of the
+// rotation, for its next probe to retry.
+func (g *Gateway) learn(b *Backend) {
+	ks, err := b.probe.Keys()
+	if err != nil {
+		g.logger.Debug("backend key listing failed", "backend", b.name, "err", err)
+		return
+	}
+	g.mu.Lock()
+	if b.learned {
+		g.mu.Unlock()
+		return
+	}
+	b.learned, b.durable = true, ks.Durable
+	for _, k := range ks.Keys {
+		gid, _ := server.GatewayKeyID(k.Key)
+		if _, taken := g.coflows[gid]; taken {
+			g.logger.Warn("shard holds a key whose gateway id went to another coflow; left unbound",
+				"backend", b.name, "key", k.Key, "local_id", k.Admit.ID)
 			continue
 		}
-		rc.pendingBackend = ""
-		if durable {
-			rc.backend = b
-			rc.admitted = true
-			b.local[rc.localID] = gid
-			relinked++
-		} else {
-			rc.orphaned = true
-			orphans = append(orphans, gid)
+		rc := &routed{spec: coflow.Coflow{Name: k.Admit.Name}, backend: b, localID: k.Admit.ID,
+			arrival: k.Admit.Arrival, trace: k.Admit.Trace, admitted: true}
+		if k.Spec != nil {
+			rc.spec = *k.Spec
 		}
+		g.coflows[gid] = rc
+		b.local[k.Admit.ID] = gid
+		g.next = max(g.next, gid+1)
 	}
-	if relinked > 0 {
-		g.logger.Info("re-linked recovered placements", "backend", b.name, "coflows", relinked)
+	g.next = max(g.next, ks.High+1)
+	stranded := g.orphansLocked() // new capacity for coflows nothing could take
+	g.mu.Unlock()
+	g.logger.Info("learned backend", "backend", b.name, "keys", len(ks.Keys), "high", ks.High, "durable", ks.Durable)
+	if len(stranded) > 0 {
+		go g.readmitOrphans(stranded)
 	}
-	return orphans
 }
 
 // Backends snapshots the roster.
@@ -340,11 +328,12 @@ func (g *Gateway) Backends() []BackendStatus {
 	return out
 }
 
-// healthyLocked returns the healthy backends not in skip. Caller holds mu.
+// healthyLocked returns the healthy, learned backends not in skip. Caller
+// holds mu.
 func (g *Gateway) healthyLocked(skip map[*Backend]bool) []*Backend {
 	var out []*Backend
 	for _, b := range g.backends {
-		if b.healthy && !skip[b] {
+		if b.healthy && b.learned && !skip[b] {
 			out = append(out, b)
 		}
 	}
@@ -371,28 +360,13 @@ func (g *Gateway) AdmitTraced(cf coflow.Coflow, trace string) (server.AdmitRespo
 		trace = telemetry.NewTraceID()
 	}
 	t0 := time.Now()
+	g.boot.Do(g.learnAll)
 	g.mu.Lock()
-	gid := len(g.coflows)
+	gid := g.next
+	g.next++
 	rc := &routed{spec: cf, trace: trace}
-	g.coflows = append(g.coflows, rc)
-	var seq uint64
-	var walErr error
-	if g.wal != nil {
-		// Appended while mu is held so record order matches gid order; the
-		// fsync wait happens after unlock and shares the group commit.
-		seq, walErr = g.wal.Append(&durable.Record{Type: durable.RecGatewayAdmit,
-			GatewayAdmit: &durable.GatewayAdmitRecord{GID: gid, Trace: trace, Spec: cf}})
-	}
+	g.coflows[gid] = rc
 	g.mu.Unlock()
-	if walErr == nil && seq > 0 {
-		walErr = g.wal.Commit(seq)
-	}
-	if walErr != nil {
-		g.mu.Lock()
-		rc.failed = true
-		g.mu.Unlock()
-		return server.AdmitResponse{}, fmt.Errorf("%w: %v", errDurable, walErr)
-	}
 
 	item := admitItem{gid: gid, enqueued: t0, done: make(chan error, 1)}
 	select {
@@ -505,11 +479,11 @@ func (g *Gateway) place(gid int, initial bool) error {
 		g.mu.Unlock()
 
 		t0 := time.Now()
-		// The idempotency key is stable per gateway id (scoped by the instance
-		// nonce): a retried or replayed placement on a shard that already
-		// admitted this coflow gets the original admission back instead of a
-		// duplicate.
-		resp, err := b.client.AdmitWithKey(spec, trace, g.placementKey(gid))
+		// The idempotency key is the gateway id, which no gateway reuses: a
+		// retried or replayed placement on a shard that already admitted this
+		// coflow gets the original admission back instead of a duplicate, and
+		// a restarted gateway finds the coflow under it (learn).
+		resp, err := b.client.AdmitWithKey(spec, trace, server.GatewayKey(gid))
 		span := telemetry.Span{
 			Name: "placement", Trace: trace, Coflow: gid,
 			Duration: time.Since(t0).Seconds(),
@@ -532,10 +506,7 @@ func (g *Gateway) place(gid int, initial bool) error {
 			continue
 		}
 		g.mu.Lock()
-		// The answer says whether b is durable before anything is bound to it.
-		if orphans := g.heardLocked(b, resp.Durable); len(orphans) > 0 {
-			go g.readmitOrphans(orphans)
-		}
+		b.durable = resp.Durable // before anything is bound to b
 		if rc.admitted || rc.done {
 			// Someone else placed this coflow while our admission was in
 			// flight (a recovery re-placement racing the batcher). Keep the
@@ -560,31 +531,9 @@ func (g *Gateway) place(gid int, initial bool) error {
 		rc.admitted = true
 		rc.orphaned = false
 		b.local[resp.ID] = gid
-		var seq uint64
-		var walErr error
-		if g.wal != nil {
-			seq, walErr = g.wal.Append(&durable.Record{Type: durable.RecGatewayPlace,
-				GatewayPlace: &durable.GatewayPlaceRecord{GID: gid, Backend: b.name, LocalID: resp.ID, Arrival: resp.Arrival}})
-		}
 		g.mu.Unlock()
-		if walErr == nil && seq > 0 {
-			// A lost placement record is recoverable (the coflow re-places
-			// under the same idempotency key), but committing here keeps the
-			// table durable before the client's 201 goes out.
-			walErr = g.wal.Commit(seq)
-		}
-		if walErr != nil && initial {
-			return fmt.Errorf("%w: %v", errDurable, walErr)
-		}
 		return nil
 	}
-}
-
-// placementKey is the idempotency key the gateway admits gid to a shard
-// under: stable across retries and gateway restarts of one instance,
-// distinct across instances.
-func (g *Gateway) placementKey(gid int) string {
-	return g.instance + "-" + strconv.Itoa(gid)
 }
 
 // terminalStatus reports whether a shard response code means the request
@@ -626,12 +575,6 @@ func (g *Gateway) ejectLocked(b *Backend) []int {
 	b.backoff = g.cfg.HealthInterval
 	b.nextProbe = time.Now().Add(b.backoff)
 	b.ejections++
-	if !b.known {
-		// Never heard from: nothing was placed on it by this gateway, and the
-		// placements recovered for it cannot wait on a shard that may not
-		// come back.
-		return g.settleLocked(b, false)
-	}
 	if b.durable {
 		// A durable backend recovers its own coflows on restart, so the
 		// placement bindings stay put; detaching them here would re-admit
@@ -645,9 +588,14 @@ func (g *Gateway) ejectLocked(b *Backend) []int {
 			continue
 		}
 		rc.backend = nil
+		if len(rc.spec.Flows) == 0 {
+			// Learned without a spec (the shard listed it complete): nothing to
+			// re-admit, and the one shard that knew it is gone.
+			delete(g.coflows, gid)
+			continue
+		}
 		rc.admitted = false
 		rc.orphaned = true
-		rc.readmits++
 		orphans = append(orphans, gid)
 	}
 	b.local = make(map[int]int)
@@ -683,6 +631,7 @@ func (g *Gateway) orphansLocked() []int {
 			out = append(out, gid)
 		}
 	}
+	sort.Ints(out)
 	return out
 }
 
@@ -694,17 +643,12 @@ func (g *Gateway) healthLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.cfg.HealthInterval)
 	defer t.Stop()
-	lastSnap := time.Now()
 	for {
 		select {
 		case <-g.quit:
 			return
 		case <-t.C:
 			g.probeAll()
-			if g.wal != nil && g.cfg.SnapshotInterval > 0 && time.Since(lastSnap) >= g.cfg.SnapshotInterval {
-				lastSnap = time.Now()
-				g.maybeSnapshotGateway()
-			}
 			// The sweep does per-coflow HTTP and can be slow against a
 			// wedged shard; it must never hold up the next probe tick, so
 			// it runs detached with at most one sweep in flight.
@@ -779,23 +723,28 @@ func (g *Gateway) probeAll() {
 	wg.Wait()
 }
 
-// applyProbe folds one probe result into the backend's health state.
+// applyProbe folds one probe result into the backend's health state. A
+// backend not yet learned is learned at its first successful probe.
 func (g *Gateway) applyProbe(b *Backend, durable bool, probeErr error) {
 	if probeErr == nil {
 		g.mu.Lock()
-		wasDown := !b.healthy
+		wasDown, learned := !b.healthy, b.learned
 		b.healthy = true
 		b.failures = 0
 		b.backoff = 0
-		stranded := g.heardLocked(b, durable)
-		if wasDown {
+		b.durable = durable
+		var stranded []int
+		if wasDown && learned {
 			// Recovery is the retry trigger for coflows orphaned while no
-			// backend was healthy.
+			// backend was healthy (learn does the same for a new backend).
 			stranded = g.orphansLocked()
 		}
 		g.mu.Unlock()
 		if wasDown {
 			g.logger.Info("backend healthy again, re-admitted to rotation", "backend", b.name)
+		}
+		if !learned {
+			g.learn(b)
 		}
 		if len(stranded) > 0 {
 			// Detached: re-admission is retrying HTTP and must not hold up
@@ -824,15 +773,22 @@ func (g *Gateway) applyProbe(b *Backend, durable bool, probeErr error) {
 }
 
 // Status reports one gateway coflow. found=false means the id is unknown (or
-// its admission terminally failed); a non-nil error with found=true means the
-// owning shard could not be reached right now (callers should retry).
+// its admission terminally failed), and errGone with it that the id was
+// handed out once but no learned shard holds its coflow; a non-nil error with
+// found=true means the owning shard could not be reached right now (callers
+// should retry).
 func (g *Gateway) Status(gid int) (server.CoflowResponse, bool, error) {
+	g.boot.Do(g.learnAll)
 	g.mu.Lock()
-	if gid < 0 || gid >= len(g.coflows) {
+	rc, ok := g.coflows[gid]
+	if !ok {
+		gone := gid >= 0 && gid < g.next
 		g.mu.Unlock()
+		if gone {
+			return server.CoflowResponse{}, false, errGone
+		}
 		return server.CoflowResponse{}, false, nil
 	}
-	rc := g.coflows[gid]
 	switch {
 	case rc.done:
 		resp := rc.final
@@ -865,7 +821,6 @@ func (g *Gateway) Status(gid int) (server.CoflowResponse, bool, error) {
 		rc.final = st
 		g.completed++
 		delete(b.local, lid)
-		g.logDoneLocked(gid, st)
 		// The spec's flows are no longer needed for failover; let them go.
 		rc.spec = coflow.Coflow{Name: rc.spec.Name, Weight: rc.spec.Weight}
 	}
@@ -958,6 +913,7 @@ func (g *Gateway) MergedStats() (online.EngineStats, []ShardStat) {
 // NewLocal construct them that way); load generators only need host ids that
 // are valid on whichever shard a coflow lands on.
 func (g *Gateway) Network() (server.NetworkResponse, error) {
+	g.boot.Do(g.learnAll)
 	g.mu.Lock()
 	backends := g.healthyLocked(nil)
 	g.mu.Unlock()
@@ -986,7 +942,7 @@ func (g *Gateway) CountersSnapshot() Counters {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c := Counters{
-		Coflows:   len(g.coflows),
+		Coflows:   g.next,
 		Completed: g.completed,
 		Readmits:  g.readmits,
 		Backends:  len(g.backends),

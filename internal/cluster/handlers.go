@@ -68,11 +68,11 @@ func (g *Gateway) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	resp, err := g.AdmitTraced(cf, r.Header.Get(telemetry.TraceHeader))
 	switch {
 	case err == nil:
-		// The gateway coflow id doubles as the retry-dedupe handle on the
-		// shards, echoed the same way coflowd echoes its idempotency keys.
+		// The gateway coflow id names the shard's dedupe key (gw-<id>) and is
+		// echoed the way coflowd echoes its keys; the gateway reads none.
 		w.Header().Set(server.IdemHeader, strconv.Itoa(resp.ID))
 		server.RespondJSON(w, http.StatusCreated, resp)
-	case errors.Is(err, errClosed), errors.Is(err, errNoBackend), errors.Is(err, errDurable):
+	case errors.Is(err, errClosed), errors.Is(err, errNoBackend):
 		server.RespondError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, errNoFlows):
 		server.RespondError(w, http.StatusBadRequest, err.Error())
@@ -95,6 +95,8 @@ func (g *Gateway) handleCoflow(w http.ResponseWriter, r *http.Request) {
 	}
 	st, found, err := g.Status(id)
 	switch {
+	case errors.Is(err, errGone):
+		server.RespondError(w, http.StatusGone, err.Error())
 	case !found:
 		server.RespondError(w, http.StatusNotFound, "unknown coflow id")
 	case err != nil:

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"coflowsched/internal/graph"
 	"coflowsched/internal/monitor"
@@ -31,16 +30,11 @@ type LocalConfig struct {
 	FatK        int
 	// Gateway configures the front door.
 	Gateway Config
-	// WALDir, when non-empty, makes the whole cluster durable: each shard
-	// writes its WAL under WALDir/shardN and the gateway persists its routing
-	// tables under WALDir/gateway. The shards then report themselves durable,
-	// so a crash-killed shard restarted with Restart re-syncs from its own log
-	// instead of being re-admitted from gateway memory.
+	// WALDir, when non-empty, makes the shards durable: each writes its WAL
+	// under WALDir/shardN and reports itself durable, so a crash-killed shard
+	// restarted with Restart re-syncs from its own log instead of being
+	// re-admitted from gateway memory. The gateway keeps no state either way.
 	WALDir string
-	// SnapshotInterval is handed to every shard and the gateway (zero keeps
-	// their defaults, negative disables snapshotting). Only meaningful with
-	// WALDir.
-	SnapshotInterval time.Duration
 	// Monitor, when non-nil, embeds a coflowmon monitor watching the whole
 	// cluster: its DiscoverURL is wired to the gateway automatically, so it
 	// scrapes the gateway and every shard and evaluates SLO rules (nil Rules
@@ -71,14 +65,6 @@ func (c LocalConfig) withDefaults() (LocalConfig, error) {
 	}
 	if c.Logger != nil && c.Gateway.Logger == nil {
 		c.Gateway.Logger = c.Logger
-	}
-	if c.WALDir != "" {
-		if c.Gateway.StateDir == "" {
-			c.Gateway.StateDir = filepath.Join(c.WALDir, "gateway")
-		}
-		if c.Gateway.SnapshotInterval == 0 {
-			c.Gateway.SnapshotInterval = c.SnapshotInterval
-		}
 	}
 	return c, nil
 }
@@ -194,7 +180,6 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 		}
 		if cfg.WALDir != "" {
 			scfg.WALDir = filepath.Join(cfg.WALDir, name)
-			scfg.SnapshotInterval = cfg.SnapshotInterval
 		}
 		sh, err := newLocalShard(name, scfg)
 		if err != nil {
@@ -274,15 +259,12 @@ func (l *Local) CrashKill(i int) { l.shards[i].stop(true) }
 // successful probe.
 func (l *Local) Restart(i int) error { return l.shards[i].start() }
 
-// RestartGateway crash-kills the gateway and boots a replacement from the
-// persisted routing state, re-registering every shard listener. The cluster
-// URL stays the same; callers should re-read l.Gateway afterwards. Requires a
-// durable gateway (LocalConfig.WALDir or Gateway.StateDir).
+// RestartGateway stops the gateway and boots an empty replacement over every
+// shard listener, which rebuilds its routing table from the keys the shards
+// hold. The cluster URL stays the same; callers should re-read l.Gateway
+// afterwards.
 func (l *Local) RestartGateway() error {
-	if l.cfg.Gateway.StateDir == "" {
-		return fmt.Errorf("cluster: restarting the gateway needs a persistent Gateway.StateDir")
-	}
-	l.Gateway.Kill()
+	l.Gateway.Close()
 	g, err := New(l.cfg.Gateway)
 	if err != nil {
 		return fmt.Errorf("cluster: restarting gateway: %w", err)

@@ -21,8 +21,6 @@ type gateMetrics struct {
 	backendUp       *telemetry.GaugeVec
 	clientRetries   *telemetry.CounterVec
 	admitSeconds    *telemetry.Histogram
-	walRecords      *telemetry.Counter
-	walFsyncs       *telemetry.Counter
 }
 
 func newGateMetrics() *gateMetrics {
@@ -36,8 +34,6 @@ func newGateMetrics() *gateMetrics {
 		backendUp:       reg.GaugeVec("coflowgate_backend_up", "1 while the labelled backend is healthy", "shard"),
 		clientRetries:   reg.CounterVec("coflowgate_client_retries_total", "backend requests retried after a transient failure", "endpoint"),
 		admitSeconds:    reg.Histogram("coflowgate_admit_seconds", "gateway admission latency (queue wait + shard round trip)", nil),
-		walRecords:      reg.Counter("coflowgate_wal_records_total", "records appended to the gateway write-ahead log"),
-		walFsyncs:       reg.Counter("coflowgate_wal_fsyncs_total", "group commits fsynced to the gateway write-ahead log"),
 	}
 	telemetry.RegisterRuntimeCollector(reg)
 	m.up.Set(1)
@@ -57,11 +53,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			up = 1
 		}
 		g.metrics.backendUp.With(bs.Name).Set(up)
-	}
-	if g.wal != nil {
-		appends, syncs := g.wal.Stats()
-		g.metrics.walRecords.Set(float64(appends))
-		g.metrics.walFsyncs.Set(float64(syncs))
 	}
 	g.metrics.reg.Handler().ServeHTTP(w, r)
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,11 +34,12 @@ func recoveryCoflow(name string, size float64) coflow.Coflow {
 	}
 }
 
-// TestGatewayRestartRecovery: a durable gateway is crash-killed and restarted
-// against live shards. The recovered translation and placement tables must
-// keep every old gateway id routable (/v1/coflows/{id}), keep /v1/stats
-// merging coherent, continue the id sequence for new work — and never
-// re-admit a coflow the shards still hold.
+// TestGatewayRestartRecovery: the gateway is replaced by a fresh one, with no
+// state of its own, in front of the same durable shards. It must rebuild its
+// routing table from the keys the shards hold: every acknowledged in-flight
+// id resolves to the same coflow (same name, same shard-local arrival),
+// /v1/stats merging stays coherent, nothing is re-admitted, and the next
+// admission continues the id sequence instead of reusing an id.
 func TestGatewayRestartRecovery(t *testing.T) {
 	l, err := NewLocal(LocalConfig{
 		Shards:    2,
@@ -68,22 +73,22 @@ func TestGatewayRestartRecovery(t *testing.T) {
 		t.Fatalf("restart gateway: %v", err)
 	}
 
-	cs := l.Gateway.CountersSnapshot()
-	if cs.Coflows != n {
-		t.Fatalf("restarted gateway knows %d coflows, want %d", cs.Coflows, n)
-	}
-	// Old ids must route to their original shards: same name, same shard-local
-	// arrival — the binding was recovered, not re-created.
+	// Old ids route to their original shards: same name, same shard-local
+	// arrival — the binding was learned from the shards, not re-created.
 	for gid := 0; gid < n; gid++ {
 		st, err := c.Coflow(gid)
 		if err != nil {
 			t.Fatalf("coflow %d after restart: %v", gid, err)
 		}
-		if st.Name != before[gid].Name {
-			t.Errorf("coflow %d name = %q after restart, was %q", gid, st.Name, before[gid].Name)
+		if st.Name != before[gid].Name || st.Arrival != before[gid].Arrival {
+			t.Errorf("coflow %d = %q arriving %v after restart, was %q arriving %v",
+				gid, st.Name, st.Arrival, before[gid].Name, before[gid].Arrival)
 		}
 	}
-	// Stats merging still resolves across the recovered placement table.
+	if cs := l.Gateway.CountersSnapshot(); cs.Coflows != n {
+		t.Fatalf("restarted gateway knows %d coflow ids, want %d", cs.Coflows, n)
+	}
+	// Stats merging still resolves across the rebuilt table.
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatalf("stats after restart: %v", err)
@@ -124,6 +129,220 @@ func TestGatewayRestartRecovery(t *testing.T) {
 	}
 	if got := l.Gateway.CountersSnapshot().Readmits; got != 0 {
 		t.Errorf("gateway re-admitted %d coflows across its restart, want 0", got)
+	}
+}
+
+// statelessShards starts n in-process coflowd shards without WALs on a slow
+// clock, so admitted coflows stay in flight.
+func statelessShards(t *testing.T, n int) []*localShard {
+	t.Helper()
+	shards := make([]*localShard, n)
+	for i := range shards {
+		name := fmt.Sprintf("shard%d", i)
+		sh, err := newLocalShard(name, server.Config{
+			Network:     graph.FatTree(4, 1),
+			Policy:      online.SEBFOnline{},
+			EpochLength: 2,
+			TimeScale:   1,
+			Shard:       name,
+			Logger:      telemetry.LogfLogger(t.Logf),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.ts.Close(); sh.stop(false) })
+		shards[i] = sh
+	}
+	return shards
+}
+
+// gatewayOver starts a gateway in front of shards, the way coflowgate
+// -backends does.
+func gatewayOver(t *testing.T, cfg Config, shards []*localShard) *Gateway {
+	t.Helper()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatalf("new gateway: %v", err)
+	}
+	t.Cleanup(g.Close)
+	for _, sh := range shards {
+		if err := g.AddBackend(sh.name, sh.ts.URL); err != nil {
+			t.Fatalf("add backend: %v", err)
+		}
+	}
+	return g
+}
+
+// admitN admits n two-flow coflows through g and returns their answers and
+// the shard each was placed on, by gateway id.
+func admitN(t *testing.T, g *Gateway, n int) ([]server.AdmitResponse, []string) {
+	t.Helper()
+	resps, owners := make([]server.AdmitResponse, n), make([]string, n)
+	for i := range resps {
+		var err error
+		if resps[i], err = g.Admit(recoveryCoflow(fmt.Sprintf("job-%d", i), 40)); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+		g.mu.Lock()
+		owners[i] = g.coflows[resps[i].ID].backend.name
+		g.mu.Unlock()
+	}
+	return resps, owners
+}
+
+// shardIndex finds the shard named name.
+func shardIndex(shards []*localShard, name string) int {
+	for i, sh := range shards {
+		if sh.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGatewayRestartOverStatelessShards: a fresh gateway in front of two
+// shards without WALs rebinds every in-flight id from the keys they list, and
+// when one shard then dies it re-admits that shard's coflows on the survivor
+// from the specs the listing carried, each completing exactly once there.
+func TestGatewayRestartOverStatelessShards(t *testing.T) {
+	shards := statelessShards(t, 2)
+	g1 := gatewayOver(t, fastGatewayConfig(t), shards)
+	const n = 6
+	before, placed := admitN(t, g1, n)
+	g1.Close()
+
+	g := gatewayOver(t, fastGatewayConfig(t), shards)
+	perShard := map[string]int{}
+	for gid := 0; gid < n; gid++ {
+		st, found, err := g.Status(gid)
+		if err != nil || !found || st.Name != before[gid].Name || st.Arrival != before[gid].Arrival {
+			t.Fatalf("coflow %d after restart = %+v (found %v, err %v), want %q arriving %v",
+				gid, st, found, err, before[gid].Name, before[gid].Arrival)
+		}
+		perShard[placed[gid]]++
+	}
+
+	victim := shardIndex(shards, placed[0])
+	survivor := shards[1-victim]
+	shards[victim].stop(false)
+	waitFor(t, 5*time.Second, "ejection and re-admission", func() bool {
+		return g.CountersSnapshot().Readmits == perShard[placed[0]]
+	})
+	survivor.mu.Lock()
+	srv := survivor.srv
+	survivor.mu.Unlock()
+	if _, err := srv.Drain(); err != nil {
+		t.Fatalf("drain %s: %v", survivor.name, err)
+	}
+	st, err := srv.Stats()
+	if err != nil {
+		t.Fatalf("%s stats: %v", survivor.name, err)
+	}
+	if st.Admitted != n || st.Completed != n {
+		t.Errorf("%s admitted/completed %d/%d, want %d/%d (its own and the re-admitted, each once)",
+			survivor.name, st.Admitted, st.Completed, n, n)
+	}
+	for gid := 0; gid < n; gid++ {
+		waitFor(t, 10*time.Second, "completion", func() bool {
+			st, _, err := g.Status(gid)
+			return err == nil && st.Done && st.Name == before[gid].Name
+		})
+	}
+}
+
+// lockedBuffer is an io.Writer the gateway's logger and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestGatewayLearnsLateShard: a fresh gateway boots while one shard (the
+// late one, holding the largest id) is unreachable but alive. An id below
+// the next that no reachable shard holds answers 410; the next id, which the
+// late shard holds for an older coflow, goes to a new one. When the late
+// shard answers again it is learned: the collision is logged and left
+// unbound, its other coflows resolve, and the next id moves past its high.
+func TestGatewayLearnsLateShard(t *testing.T) {
+	shards := statelessShards(t, 2)
+	g1 := gatewayOver(t, fastGatewayConfig(t), shards)
+	const n = 14
+	before, placed := admitN(t, g1, n)
+	g1.Close()
+
+	late := shardIndex(shards, placed[n-1])
+	highOther, gone := -1, -1
+	for gid, name := range placed {
+		if name != placed[n-1] {
+			highOther = gid
+		}
+	}
+	for gid := highOther - 1; gid >= 0; gid-- {
+		if placed[gid] == placed[n-1] {
+			gone = gid
+		}
+	}
+	if gone < 0 || highOther+2 >= n {
+		t.Fatalf("placement %v leaves %s no id below %d, or none above %d", placed, placed[n-1], highOther, highOther+1)
+	}
+	sh := shards[late]
+	sh.mu.Lock()
+	hidden := sh.handler
+	sh.handler = nil // alive, but its listener answers 503
+	sh.mu.Unlock()
+
+	var logs lockedBuffer
+	cfg := fastGatewayConfig(t)
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	g := gatewayOver(t, cfg, shards)
+	code := func(gid int) int {
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/coflows/"+strconv.Itoa(gid), nil))
+		return rec.Code
+	}
+	if got := code(gone); got != http.StatusGone {
+		t.Errorf("id %d, held only by the unreachable shard: status %d, want 410", gone, got)
+	}
+	if got := code(highOther + 1); got != http.StatusNotFound {
+		t.Errorf("id %d, never handed out by this gateway: status %d, want 404", highOther+1, got)
+	}
+	fresh, err := g.Admit(recoveryCoflow("after-restart", 1))
+	if err != nil || fresh.ID != highOther+1 {
+		t.Fatalf("first admission = id %d (%v), want %d", fresh.ID, err, highOther+1)
+	}
+
+	sh.mu.Lock()
+	sh.handler = hidden
+	sh.mu.Unlock()
+	waitFor(t, 5*time.Second, "the late shard learned", func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.backends[late].learned
+	})
+	if got := g.CountersSnapshot().Coflows; got != n {
+		t.Errorf("next id after learning = %d, want %d (past the late shard's high)", got, n)
+	}
+	if key := server.GatewayKey(highOther + 1); !strings.Contains(logs.String(), "key="+key) {
+		t.Errorf("collision on %s not logged:\n%s", key, logs.String())
+	}
+	for gid, want := range map[int]string{gone: before[gone].Name, highOther + 1: "after-restart"} {
+		if st, _, err := g.Status(gid); err != nil || st.Name != want {
+			t.Errorf("coflow %d = %q (%v), want %q", gid, st.Name, err, want)
+		}
+	}
+	if next, err := g.Admit(recoveryCoflow("past-high", 1)); err != nil || next.ID != n {
+		t.Errorf("admission after learning = id %d (%v), want %d", next.ID, err, n)
 	}
 }
 

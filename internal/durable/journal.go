@@ -13,12 +13,12 @@ import (
 // the older ones are insurance against a torn or corrupt newest.
 const snapshotKeep = 3
 
-// Journal is the durability glue coflowd and coflowgate share: a Log, the
-// BlobStore its snapshots live in, and the protocol between the two — recover
-// (newest usable snapshot, then the log suffix it does not cover, then reopen
-// for appending) and snapshot (write, drop the covered log prefix, prune). The
-// daemons keep only what differs: what a record means, what a snapshot holds,
-// and when they commit and snapshot.
+// Journal is coflowd's durability glue: a Log, the BlobStore its snapshots
+// live in, and the protocol between the two — recover (newest usable
+// snapshot, then the log suffix it does not cover, then reopen for appending)
+// and snapshot (write, drop the covered log prefix, prune). The daemon keeps
+// only what is its own: what a record means, what a snapshot holds, and when
+// it commits and snapshots.
 type Journal struct {
 	*Log
 	store  BlobStore
@@ -94,7 +94,7 @@ func (j *Journal) Append(r *Record) (uint64, error) {
 // Snapshot persists what export returns as the snapshot covering every record
 // appended so far, then drops the log prefix it covers and prunes old
 // snapshots. The caller holds whatever serializes its Appends (coflowd's
-// scheduler goroutine, the gateway's mutex) across the call, so the sequence
+// scheduler goroutine) across the call, so the sequence
 // and the export describe the same instant; the write runs on its own
 // goroutine, so a large state never stalls the caller, and written is called
 // once it succeeded. At most one snapshot is in flight: a call that finds one,

@@ -1,16 +1,15 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"coflowsched/internal/coflow"
 )
 
-// RecordType discriminates WAL records. coflowd writes the engine-side types
-// (admit / order / advance / complete); coflowgate writes the gw-* types. Both
-// daemons share one frame format and one replay scanner, so the fuzz target
-// and the corruption rules cover every record the system persists.
+// RecordType discriminates WAL records: the four engine operations coflowd
+// logs (admit / order / advance / complete). One frame format and one replay
+// scanner carry them, so the fuzz target and the corruption rules cover every
+// record the system persists.
 type RecordType string
 
 const (
@@ -30,16 +29,6 @@ const (
 	// completions from re-simulation, but the record makes the log greppable
 	// and gives recovery a cross-check.
 	RecComplete RecordType = "complete"
-	// RecGatewayMeta identifies a gateway WAL: the instance nonce that scopes
-	// idempotency keys. Written once, first record of a fresh log.
-	RecGatewayMeta RecordType = "gw-meta"
-	// RecGatewayAdmit logs a gateway id assignment (id-translation table).
-	RecGatewayAdmit RecordType = "gw-admit"
-	// RecGatewayPlace logs a placement: gateway id -> backend + local id
-	// (placement table). Re-placements append a new record; last one wins.
-	RecGatewayPlace RecordType = "gw-place"
-	// RecGatewayDone logs an observed completion with the final status body.
-	RecGatewayDone RecordType = "gw-done"
 )
 
 // Record is the WAL envelope: a sequence number, a type tag, and exactly one
@@ -52,11 +41,6 @@ type Record struct {
 	Order    *OrderRecord    `json:"order,omitempty"`
 	Advance  *AdvanceRecord  `json:"advance,omitempty"`
 	Complete *CompleteRecord `json:"complete,omitempty"`
-
-	GatewayMeta  *GatewayMetaRecord  `json:"gw_meta,omitempty"`
-	GatewayAdmit *GatewayAdmitRecord `json:"gw_admit,omitempty"`
-	GatewayPlace *GatewayPlaceRecord `json:"gw_place,omitempty"`
-	GatewayDone  *GatewayDoneRecord  `json:"gw_done,omitempty"`
 }
 
 // AdmitRecord is one engine admission.
@@ -98,42 +82,11 @@ type CompleteRecord struct {
 	Time float64 `json:"time"`
 }
 
-// GatewayMetaRecord identifies a gateway log.
-type GatewayMetaRecord struct {
-	// Instance is a random nonce minted when the log is created; it prefixes
-	// idempotency keys so a gateway restarted against a fresh state dir never
-	// collides with keys an earlier incarnation already used on the shards.
-	Instance string `json:"instance"`
-}
-
-// GatewayAdmitRecord is one gateway id assignment.
-type GatewayAdmitRecord struct {
-	GID   int           `json:"gid"`
-	Trace string        `json:"trace,omitempty"`
-	Spec  coflow.Coflow `json:"spec"`
-}
-
-// GatewayPlaceRecord is one placement (or re-placement) of a gateway coflow.
-type GatewayPlaceRecord struct {
-	GID     int     `json:"gid"`
-	Backend string  `json:"backend"`
-	LocalID int     `json:"local_id"`
-	Arrival float64 `json:"arrival"`
-}
-
-// GatewayDoneRecord is one observed completion. Final carries the cached
-// server.CoflowResponse as raw JSON (durable cannot import server).
-type GatewayDoneRecord struct {
-	GID   int             `json:"gid"`
-	Final json.RawMessage `json:"final,omitempty"`
-}
-
 // payloadCount returns how many payload fields are populated.
 func (r *Record) payloadCount() int {
 	n := 0
 	for _, set := range []bool{
 		r.Admit != nil, r.Order != nil, r.Advance != nil, r.Complete != nil,
-		r.GatewayMeta != nil, r.GatewayAdmit != nil, r.GatewayPlace != nil, r.GatewayDone != nil,
 	} {
 		if set {
 			n++
@@ -160,14 +113,6 @@ func (r *Record) validate() error {
 		ok = r.Advance != nil
 	case RecComplete:
 		ok = r.Complete != nil
-	case RecGatewayMeta:
-		ok = r.GatewayMeta != nil
-	case RecGatewayAdmit:
-		ok = r.GatewayAdmit != nil
-	case RecGatewayPlace:
-		ok = r.GatewayPlace != nil
-	case RecGatewayDone:
-		ok = r.GatewayDone != nil
 	default:
 		return fmt.Errorf("record %d: unknown type %q", r.Seq, r.Type)
 	}

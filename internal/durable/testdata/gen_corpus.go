@@ -48,10 +48,6 @@ func main() {
 		{Type: durable.RecOrder, Order: &durable.OrderRecord{Now: 2, LatencySecs: 0.001, Refs: []coflow.FlowRef{{Coflow: 0, Index: 1}, {Coflow: 0, Index: 0}}}},
 		{Type: durable.RecAdvance, Advance: &durable.AdvanceRecord{Now: 3}},
 		{Type: durable.RecComplete, Complete: &durable.CompleteRecord{ID: 0, Time: 3.25}},
-		{Type: durable.RecGatewayMeta, GatewayMeta: &durable.GatewayMetaRecord{Instance: "inst-1"}},
-		{Type: durable.RecGatewayAdmit, GatewayAdmit: &durable.GatewayAdmitRecord{GID: 4, Trace: "t-2", Spec: spec}},
-		{Type: durable.RecGatewayPlace, GatewayPlace: &durable.GatewayPlaceRecord{GID: 4, Backend: "shard1", LocalID: 2, Arrival: 5.5}},
-		{Type: durable.RecGatewayDone, GatewayDone: &durable.GatewayDoneRecord{GID: 4, Final: json.RawMessage(`{"id":2,"done":true}`)}},
 	}
 	for i, rec := range recs {
 		allTypes = append(allTypes, frame(uint64(i+1), rec)...)

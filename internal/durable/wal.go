@@ -1,4 +1,5 @@
-// Package durable is the persistence layer under coflowd and coflowgate: a
+// Package durable is coflowd's persistence layer (the only one: the cluster
+// gateway keeps no state and rebuilds from the shards after a restart): a
 // length-prefixed, CRC-checksummed write-ahead log with group-commit fsync
 // batching and segment rotation, periodic snapshots written through a
 // pluggable BlobStore, and a replay scanner that distinguishes a torn final

@@ -85,7 +85,15 @@ func (s *Server) admit(req *admitReq) {
 	// that was never durable. (Snapshot-restored entries carry seq 0 and are
 	// safe — the snapshot itself covers them.)
 	if req.key != "" && req.walErr == nil {
-		s.idem[req.key] = idemEntry{resp: req.resp, seq: req.seq}
+		e := idemEntry{resp: req.resp, seq: req.seq}
+		if gid, ok := GatewayKeyID(req.key); ok {
+			s.high = max(s.high, gid)
+			if s.wal == nil {
+				spec := req.cf
+				e.spec = &spec
+			}
+		}
+		s.idem[req.key] = e
 		s.idemByID[id] = req.key
 	}
 }

@@ -244,6 +244,12 @@ func (c *Client) Health() (HealthResponse, error) {
 	return out, c.get("/healthz", "health", &out)
 }
 
+// Keys fetches the gateway admissions the daemon holds.
+func (c *Client) Keys() (KeysResponse, error) {
+	var out KeysResponse
+	return out, c.get("/v1/keys", "keys", &out)
+}
+
 // Network fetches the topology summary the generator builds coflows from.
 func (c *Client) Network() (NetworkResponse, error) {
 	var out NetworkResponse

@@ -2,8 +2,11 @@ package server
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
+	"coflowsched/internal/coflow"
 	"coflowsched/internal/durable"
 	"coflowsched/internal/online"
 )
@@ -40,6 +43,25 @@ const IdemHeader = "X-Coflow-Id"
 // minutes gives slack for a gateway re-placing work across a shard restart.
 const idemGrace = 2 * time.Minute
 
+// gatewayKeyPrefix marks the keys a cluster gateway admits under: gw-<gateway
+// id>. The daemon keeps high, the largest gateway id it ever admitted, past
+// its key's eviction, and lists both at GET /v1/keys: that is what a restarted
+// gateway rebuilds its routing table from, and why it never reuses an id.
+const gatewayKeyPrefix = "gw-"
+
+// GatewayKey is the idempotency key a gateway admits its coflow gid under.
+func GatewayKey(gid int) string { return gatewayKeyPrefix + strconv.Itoa(gid) }
+
+// GatewayKeyID parses a GatewayKey back into its gateway id.
+func GatewayKeyID(key string) (int, bool) {
+	rest, ok := strings.CutPrefix(key, gatewayKeyPrefix)
+	if !ok {
+		return 0, false
+	}
+	gid, err := strconv.Atoi(rest)
+	return gid, err == nil && gid >= 0 && strconv.Itoa(gid) == rest
+}
+
 // idemTomb schedules one completed coflow's dedupe entry for eviction.
 type idemTomb struct {
 	key     string
@@ -55,6 +77,10 @@ func (s *Server) retireIdem(done []int) {
 	for _, id := range done {
 		if key, ok := s.idemByID[id]; ok {
 			delete(s.idemByID, id)
+			if e := s.idem[key]; e.spec != nil {
+				e.spec = nil // a finished coflow is never re-admitted
+				s.idem[key] = e
+			}
 			s.idemTombs = append(s.idemTombs, idemTomb{key: key, expires: now.Add(idemGrace)})
 		}
 	}
@@ -70,18 +96,24 @@ func (s *Server) retireIdem(done []int) {
 
 // idemEntry is one admission dedupe entry. seq is the WAL sequence of the
 // admit record, so a duplicate request arriving while the original fsync is
-// still in flight waits for the same durability point before acking.
+// still in flight waits for the same durability point before acking. spec is
+// the coflow as admitted, kept only by a daemon without a WAL for a gateway
+// key while its coflow is in flight: a gateway re-admits it from there when
+// this daemon dies.
 type idemEntry struct {
 	resp AdmitResponse
 	seq  uint64
+	spec *coflow.Coflow
 }
 
 // serverPersist is the snapshot body: the engine state plus the server-side
-// maps that must survive a restart (idempotency keys, lifecycle trace ids).
+// state that must survive a restart (idempotency keys, lifecycle trace ids,
+// the largest gateway id admitted).
 type serverPersist struct {
 	Engine *online.EngineState      `json:"engine"`
 	Idem   map[string]AdmitResponse `json:"idem,omitempty"`
 	Traces map[int]string           `json:"traces,omitempty"`
+	High   int                      `json:"high"`
 }
 
 // recovery is everything recoverState rebuilds from disk.
@@ -96,6 +128,7 @@ type recovery struct {
 	// fresh grace window at boot, then evict.
 	idemByID  map[int]string
 	staleIdem []string
+	high      int
 	// active counts admitted-but-incomplete coflows restored, the value of
 	// the coflowd_wal_recovered_coflows gauge.
 	active   int
@@ -109,8 +142,9 @@ func recoverState(cfg Config) (*recovery, error) {
 	rec := &recovery{
 		idem:     make(map[string]idemEntry),
 		traceIDs: make(map[int]string),
+		high:     -1,
 	}
-	var persist serverPersist
+	persist := serverPersist{High: -1} // a snapshot without the field admitted no gateway key
 	restore := func(ok bool) (err error) {
 		engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths}
 		if !ok {
@@ -127,6 +161,7 @@ func recoverState(cfg Config) (*recovery, error) {
 		for id, trace := range persist.Traces {
 			rec.traceIDs[id] = trace
 		}
+		rec.high = persist.High
 		return nil
 	}
 	var err error
@@ -172,6 +207,9 @@ func (rec *recovery) apply(r *durable.Record) error {
 		}
 		if a.Key != "" {
 			rec.idem[a.Key] = idemEntry{resp: AdmitResponse{ID: id, Name: a.Spec.Name, Arrival: a.Now, Trace: a.Trace}}
+			if gid, ok := GatewayKeyID(a.Key); ok {
+				rec.high = max(rec.high, gid)
+			}
 		}
 		if a.Trace != "" {
 			rec.traceIDs[id] = a.Trace
@@ -203,7 +241,7 @@ func (rec *recovery) apply(r *durable.Record) error {
 // and hands it to the journal to write out. Scheduler goroutine only.
 func (s *Server) maybeSnapshot() {
 	s.wal.Snapshot(func() any {
-		persist := serverPersist{Engine: s.eng.ExportState()}
+		persist := serverPersist{Engine: s.eng.ExportState(), High: s.high}
 		if len(s.idem) > 0 {
 			persist.Idem = make(map[string]AdmitResponse, len(s.idem))
 			for key, e := range s.idem {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"time"
 
@@ -110,6 +111,27 @@ type HealthResponse struct {
 	Durable bool `json:"durable"`
 }
 
+// KeysResponse is GET /v1/keys: the gateway admissions this daemon holds,
+// from which a restarted gateway rebuilds its routing table. High is the
+// largest gateway id the daemon ever admitted (-1 for none), kept past its
+// key's eviction; Keys lists every GatewayKey still held, in admission order.
+type KeysResponse struct {
+	Durable bool       `json:"durable"`
+	High    int        `json:"high"`
+	Keys    []KeyEntry `json:"keys"`
+}
+
+// KeyEntry is one held gateway key: the admission it made and whether that
+// coflow has completed. Spec, the coflow as admitted (releases as offsets),
+// comes only from a daemon without a WAL and only while the coflow is in
+// flight; a durable daemon recovers its coflows itself.
+type KeyEntry struct {
+	Key   string         `json:"key"`
+	Admit AdmitResponse  `json:"admit"`
+	Done  bool           `json:"done,omitempty"`
+	Spec  *coflow.Coflow `json:"spec,omitempty"`
+}
+
 // NetworkResponse is GET /v1/network: what a load generator needs to build
 // valid coflows — the topology's host node ids.
 type NetworkResponse struct {
@@ -132,6 +154,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/network", s.handleNetwork)
 	mux.HandleFunc("GET /v1/epochs", s.handleEpochs)
+	mux.HandleFunc("GET /v1/keys", s.handleKeys)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.Handle("GET /debug/traces", s.tracer.Handler())
@@ -308,6 +331,24 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	for _, h := range g.Hosts() {
 		resp.Hosts = append(resp.Hosts, int(h))
 	}
+	RespondJSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
+	resp := KeysResponse{Durable: s.wal != nil, Keys: []KeyEntry{}}
+	if err := s.do(r.Context(), func() {
+		resp.High = s.high
+		for key, e := range s.idem {
+			if _, ok := GatewayKeyID(key); ok {
+				st, _ := s.eng.CoflowStatus(e.resp.ID)
+				resp.Keys = append(resp.Keys, KeyEntry{Key: key, Admit: e.resp, Done: st.Done, Spec: e.spec})
+			}
+		}
+	}); err != nil {
+		RespondError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	sort.Slice(resp.Keys, func(i, j int) bool { return resp.Keys[i].Admit.ID < resp.Keys[j].Admit.ID })
 	RespondJSON(w, http.StatusOK, resp)
 }
 

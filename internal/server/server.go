@@ -150,6 +150,8 @@ type Server struct {
 	idem      map[string]idemEntry
 	idemByID  map[int]string
 	idemTombs []idemTomb
+	// high is the largest gateway id admitted under a GatewayKey, -1 for none.
+	high int
 	// traceIDs maps admitted coflow ids to their lifecycle trace ids so the
 	// completion span can be emitted when the coflow finishes.
 	traceIDs map[int]string
@@ -186,6 +188,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Serv
 		traceIDs: make(map[int]string),
 		idem:     make(map[string]idemEntry),
 		idemByID: make(map[int]string),
+		high:     -1,
 	}
 	if cfg.WALDir == "" {
 		s.eng, err = online.NewEngine(cfg.Network, cfg.Policy, online.Config{
@@ -205,6 +208,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Serv
 		s.idem = rec.idem
 		s.idemByID = rec.idemByID
 		s.traceIDs = rec.traceIDs
+		s.high = rec.high
 		// Recovered keys whose coflows already finished start their grace
 		// window at boot so they still dedupe a straggling retry, then go.
 		expires := time.Now().Add(idemGrace)

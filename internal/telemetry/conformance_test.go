@@ -64,8 +64,6 @@ var coflowgateFamilies = []string{
 	"coflowgate_http_requests_total",
 	"coflowgate_backend_up",
 	"coflowgate_admit_seconds",
-	"coflowgate_wal_records_total",
-	"coflowgate_wal_fsyncs_total",
 }
 
 // scrape fetches and strictly parses one /metrics endpoint.
