@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -118,12 +119,123 @@ func TestWidestPathMatchesReference(t *testing.T) {
 	}
 }
 
+// TestHopSearchStopsAtFirstRelaxation pins where a search ends. From a host of
+// FatTree(8), 112 of the 128 hosts are six hops away. A search that ran until
+// dst settled reached all 208 nodes first; one that returns at dst's first
+// relaxation stops while dst's edge switch is being expanded.
+func TestHopSearchStopsAtFirstRelaxation(t *testing.T) {
+	g := FatTree(8, 1)
+	hosts := g.Hosts()
+	src := hosts[0]
+	s := g.getPathScratch()
+	for _, tc := range []struct {
+		name string
+		dst  NodeID
+		seen int
+	}{
+		{"other-pod", hosts[len(hosts)-1], 124},
+		{"same-pod", hosts[len(hosts)/8-1], 53},
+	} {
+		s.next()
+		if !s.hopSearch(g, src, tc.dst) {
+			t.Fatalf("%s: dst unreachable", tc.name)
+		}
+		seen := 0
+		for _, n := range s.nodes {
+			if n.seen == s.gen {
+				seen++
+			}
+		}
+		if seen != tc.seen {
+			t.Errorf("%s: search reached %d of %d nodes, want %d", tc.name, seen, g.NumNodes(), tc.seen)
+		}
+		if got, want := s.appendPath(g, Path{}, src, tc.dst), g.refShortestPathWeighted(src, tc.dst, func(EdgeID) float64 { return 1 }); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: path %v, reference %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestCutOffRefusesOnlyUnreachable holds the spur refusal to the reference:
+// whenever cutOff says no edge into dst can be taken, the reference search
+// under the same blocked edges and nodes finds no path. On a fat-tree it
+// refuses a host whose one edge in is blocked, or whose edge switch is, but
+// not one whose edge switch has lost only a way in.
+func TestCutOffRefusesOnlyUnreachable(t *testing.T) {
+	refused := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(8)
+		g := randomMultigraph(rng, n, n+rng.Intn(2*n))
+		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if src == dst {
+			continue
+		}
+		s := g.getPathScratch()
+		s.next()
+		noEdge, noNode := map[EdgeID]bool{}, map[NodeID]bool{}
+		for e := 0; e < g.NumEdges(); e++ {
+			if rng.Intn(2) == 0 {
+				s.noEdge[e], noEdge[EdgeID(e)] = s.gen, true
+			}
+		}
+		for v := NodeID(0); int(v) < n; v++ {
+			if v != src && v != dst && rng.Intn(3) == 0 {
+				s.nodes[v].noNode, noNode[v] = s.gen, true
+			}
+		}
+		if !s.cutOff(g, dst) {
+			continue
+		}
+		refused++
+		if p := g.refShortestPathWeighted(src, dst, func(e EdgeID) float64 {
+			if noEdge[e] || noNode[g.Edge(e).To] {
+				return math.Inf(1)
+			}
+			return 1
+		}); p != nil {
+			t.Fatalf("seed %d: cutOff refused %d -> %d, which the reference reaches by %v", seed, src, dst, p)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no random blocking cut dst off: the check above never ran")
+	}
+
+	g := FatTree(8, 1)
+	dst := g.Hosts()[5]
+	in := g.In(dst)[0]
+	edge := g.Edge(in).From
+	s := g.getPathScratch()
+	s.next()
+	if s.cutOff(g, dst) {
+		t.Fatal("nothing blocked, yet dst is cut off")
+	}
+	s.noEdge[g.In(edge)[0]] = s.gen // a way into the edge switch, not into dst
+	if s.cutOff(g, dst) {
+		t.Fatal("dst is cut off by a block one hop before its edge in")
+	}
+	s.noEdge[in] = s.gen
+	if !s.cutOff(g, dst) {
+		t.Fatal("dst's one edge in is blocked, but cutOff lets the spur search run")
+	}
+	s.next()
+	s.nodes[edge].noNode = s.gen
+	if !s.cutOff(g, dst) {
+		t.Fatal("dst's edge switch is blocked, but cutOff lets the spur search run")
+	}
+}
+
 // FuzzKShortestPaths decodes a multigraph and a query from the input and
 // compares the kernel with the reference.
 func FuzzKShortestPaths(f *testing.F) {
 	f.Add([]byte{5, 0, 4, 3, 0, 1, 1, 2, 2, 4, 0, 3, 3, 4, 0, 1, 1, 4})
 	f.Add([]byte{3, 0, 2, 6, 0, 1, 0, 1, 1, 2, 1, 2, 2, 0})
 	f.Add([]byte{4, 1, 1, 2, 0, 1})
+	// dst 4 has one edge in, so every spur at 3 is cut off; then the same with
+	// a parallel edge into dst, which cutOff must not refuse; then dst with
+	// edges in from every node of a root path.
+	f.Add([]byte{3, 0, 4, 3, 0, 1, 0, 2, 1, 3, 2, 3, 3, 4})
+	f.Add([]byte{3, 0, 4, 3, 0, 1, 0, 2, 1, 3, 2, 3, 3, 4, 3, 4})
+	f.Add([]byte{3, 0, 4, 5, 0, 1, 1, 2, 2, 3, 0, 4, 1, 4, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return

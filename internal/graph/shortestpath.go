@@ -21,7 +21,7 @@ type pathScratch struct {
 
 type nodeState struct {
 	seen   uint32 // dist, hops and prev are valid iff == gen
-	done   uint32 // settled iff == gen
+	done   uint32 // settled iff == gen (WidestPath only)
 	noNode uint32 // may not be entered iff == gen (Yen: on the root path)
 	hops   int32
 	dist   float64
@@ -96,37 +96,56 @@ func (s *pathScratch) pop() heapItem {
 	return h[n]
 }
 
-// hopSearch runs Dijkstra on the hop metric from src until dst settles,
-// skipping the edges and nodes blocked in the current generation, and reports
-// whether dst was reached. The caller opens the generation with next.
+// hopSearch runs Dijkstra on the hop metric from src, skipping the edges and
+// nodes blocked in the current generation, and reports whether dst was
+// reached. The caller opens the generation with next.
+//
+// Under unit weights a node's first relaxation is final. Nodes leave the heap
+// in order of distance, so a later relaxation comes from a node no nearer and
+// is never strictly shorter, and Dijkstra replaces prev only on a strictly
+// shorter one. So each node is pushed once, popped once and needs no settled
+// mark, and the search returns the moment dst is first reached: prev already
+// holds what a run until dst settles would leave there.
 func (s *pathScratch) hopSearch(g *Graph, src, dst NodeID) bool {
+	if src == dst {
+		return true
+	}
 	gen, nodes := s.gen, s.nodes
 	nodes[src].seen, nodes[src].dist = gen, 0
 	s.heap = s.heap[:0]
 	s.push(heapItem{prio: 0, node: src})
 	for len(s.heap) > 0 {
 		v := s.pop().node
-		if nodes[v].done == gen {
-			continue
-		}
-		nodes[v].done = gen
-		if v == dst {
-			return true
-		}
 		nd := nodes[v].dist + 1
 		for _, eid := range g.out[v] {
 			to := g.edges[eid].To
 			t := &nodes[to]
-			if s.noEdge[eid] == gen || t.noNode == gen {
+			if t.seen == gen || s.noEdge[eid] == gen || t.noNode == gen {
 				continue
 			}
-			if t.seen != gen || nd < t.dist {
-				t.seen, t.dist, t.prev = gen, nd, eid
-				s.push(heapItem{prio: nd, node: to})
+			t.seen, t.dist, t.prev = gen, nd, eid
+			if to == dst {
+				return true
 			}
+			s.push(heapItem{prio: nd, node: to})
 		}
 	}
 	return false
+}
+
+// cutOff reports whether every edge into dst is blocked in the current
+// generation, by its own stamp or by its tail's (a blocked node cannot be
+// entered, and Yen never blocks the spur node a search starts from). A spur
+// search towards such a dst cannot succeed, and would visit everything the
+// spur node reaches before saying so. On a fat-tree that is the last spur of
+// every path: a host has one edge in, and every path found so far ends with it.
+func (s *pathScratch) cutOff(g *Graph, dst NodeID) bool {
+	for _, eid := range g.in[dst] {
+		if s.noEdge[eid] != s.gen && s.nodes[g.edges[eid].From].noNode != s.gen {
+			return false
+		}
+	}
+	return true
 }
 
 // appendPath appends the path the last search found from src to dst to buf.
@@ -241,7 +260,7 @@ func (s *pathScratch) kShortestPaths(g *Graph, src, dst NodeID, k int) []Path {
 				s.nodes[g.edges[e].From].noNode = s.gen
 			}
 			spurNode := g.edges[last[spur]].From
-			if !s.hopSearch(g, spurNode, dst) {
+			if s.cutOff(g, dst) || !s.hopSearch(g, spurNode, dst) {
 				continue
 			}
 			off := len(s.cands)
