@@ -72,7 +72,8 @@ func (SEBFOnline) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 		}
 		idx[i], gammas[i] = i, gamma
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
+	// Γ/w then the unique Index is a total order: no stable sort needed.
+	slices.SortFunc(idx, func(a, b int) int {
 		switch {
 		case gammas[a] < gammas[b]:
 			return -1

@@ -10,6 +10,7 @@ import (
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
+	"coflowsched/internal/sim"
 )
 
 // rebuildSnapshot is the from-scratch snapshot builder the engine used before
@@ -322,6 +323,20 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+// activeSetCap sums the capacities of the simulator's active-set slices (the
+// sorted set and its install buffer). They are the sim package's own, so the
+// probe reads them by reflection.
+func activeSetCap(s *sim.Simulator) int {
+	v := reflect.ValueOf(s).Elem().FieldByName("active")
+	n := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += f.Cap()
+		}
+	}
+	return n
+}
+
 // TestIdleEngineReleasesArenas checks memory follows active work: once a
 // 600-coflow burst has drained, the engine holds no more than an engine that
 // admitted the same coflows one at a time and never had a backlog (the
@@ -375,6 +390,12 @@ func TestIdleEngineReleasesArenas(t *testing.T) {
 	}
 	if cap(control.view.Coflows) == 0 {
 		t.Errorf("an engine that never held a backlog released its arenas: idle churn")
+	}
+	if n := activeSetCap(e.sim); n != 0 {
+		t.Errorf("drained burst engine's simulator kept active-set slices of capacity %d", n)
+	}
+	if activeSetCap(control.sim) == 0 {
+		t.Errorf("an engine that never held a backlog has no active-set capacity: the probe reads nothing")
 	}
 	if _, err := e.Admit(cfs[0], e.Now()); err != nil {
 		t.Fatalf("admission after the idle release: %v", err)

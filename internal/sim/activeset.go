@@ -2,10 +2,12 @@ package sim
 
 // This file holds the simulator's incremental event-scheduling structures:
 //
-//   - activeSet: a deterministic skip list over the released, unfinished
-//     flows, ordered by priority rank. Insert/Delete are O(log F) and the
-//     greedy allocator walks the "dirty suffix" of the order through level-0
-//     links, so maintaining the active set never rebuilds or re-sorts the
+//   - activeSet: the released, unfinished flows in one slice sorted by
+//     priority key. Seek is a binary search; an event batch's completions
+//     and releases are compacted out of and merged into the dirty suffix
+//     once per batch, at the cost of the allocator's own walk of that
+//     suffix, and an order installation reads the new sequence straight off
+//     the installed order, so maintaining the active set never re-sorts the
 //     whole flow population the way the naive allocator does.
 //   - releaseHeap: a typed min-heap of flows awaiting their release time,
 //     one entry per flow. Equal release times are popped as one batch by the
@@ -17,223 +19,92 @@ package sim
 //     actually changed push new entries; stale entries are skipped on pop and
 //     compacted when they outnumber live flows.
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
-// activeKey orders active flows by priority rank, ties broken by flow
-// reference for determinism.
-type activeKey struct {
-	rank   int
-	coflow int
-	index  int
-}
-
-func keyLess(a, b activeKey) bool {
-	if a.rank != b.rank {
-		return a.rank < b.rank
+// refCmp orders flows by reference.
+func refCmp(a, b *flowState) int {
+	if c := cmp.Compare(a.ref.Coflow, b.ref.Coflow); c != 0 {
+		return c
 	}
-	if a.coflow != b.coflow {
-		return a.coflow < b.coflow
+	return cmp.Compare(a.ref.Index, b.ref.Index)
+}
+
+// keyCmp orders flows by priority key: rank, ties broken by flow reference
+// for determinism. Keys are unique per flow.
+func keyCmp(a, b *flowState) int {
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
 	}
-	return a.index < b.index
+	return refCmp(a, b)
 }
 
-// activeMaxLevel bounds the skip list height; 2^20 flows is far beyond any
-// simulated instance.
-const activeMaxLevel = 20
-
-type activeNode struct {
-	st   *flowState
-	key  activeKey
-	next []*activeNode
-}
-
-// activeSet is a deterministic skip list: levels are drawn from a seeded
-// xorshift generator, so two simulators fed the same inputs build identical
-// structures (and therefore identical iteration costs).
+// activeSet is the active flows sorted by keyCmp. next is Install's double
+// buffer: the caller builds the new sequence in it and Install swaps the two.
 type activeSet struct {
-	head    *activeNode
-	n       int
-	rng     uint64
-	scratch []*activeNode // Rebuild's node buffer, reused across re-orderings
-	moved   []*activeNode // Reorder's out-of-place nodes, reused likewise
+	fs   []*flowState
+	next []*flowState
 }
 
-func newActiveSet() *activeSet {
-	return &activeSet{
-		head: &activeNode{next: make([]*activeNode, activeMaxLevel)},
-		rng:  0x9E3779B97F4A7C15,
+func (a *activeSet) Len() int { return len(a.fs) }
+
+// Seek returns the position of the first flow not ranked before st (st's own
+// position when it is a member).
+func (a *activeSet) Seek(st *flowState) int {
+	i, _ := slices.BinarySearchFunc(a.fs, st, keyCmp)
+	return i
+}
+
+// Splice rewrites the set from position i on: completed flows there leave,
+// and add — sorted by key, none ranked before fs[i-1] — merges in. One pass
+// of compaction and one backward merge in place, O(len(fs)-i+len(add)).
+func (a *activeSet) Splice(i int, add []*flowState) {
+	w := i
+	for _, st := range a.fs[i:] {
+		if st.done {
+			st.active = false
+			continue
+		}
+		a.fs[w] = st
+		w++
 	}
-}
-
-func (a *activeSet) Len() int { return a.n }
-
-// First returns the highest-priority active flow's node (nil when empty).
-func (a *activeSet) First() *activeNode { return a.head.next[0] }
-
-// randLevel draws a geometric level with p = 1/4 from the deterministic
-// generator.
-func (a *activeSet) randLevel() int {
-	a.rng ^= a.rng << 13
-	a.rng ^= a.rng >> 7
-	a.rng ^= a.rng << 17
-	lvl := 1
-	for v := a.rng; lvl < activeMaxLevel && v&3 == 0; v >>= 2 {
-		lvl++
-	}
-	return lvl
-}
-
-// Seek returns the first node whose key is >= k, or nil.
-func (a *activeSet) Seek(k activeKey) *activeNode {
-	x := a.head
-	for i := activeMaxLevel - 1; i >= 0; i-- {
-		for x.next[i] != nil && keyLess(x.next[i].key, k) {
-			x = x.next[i]
+	clear(a.fs[w:])
+	n := w + len(add)
+	a.fs = slices.Grow(a.fs[:w], len(add))[:n]
+	j := w - 1
+	for k, o := len(add)-1, n-1; k >= 0; o-- {
+		if j >= i && keyCmp(add[k], a.fs[j]) < 0 {
+			a.fs[o] = a.fs[j]
+			j--
+		} else {
+			add[k].active = true
+			a.fs[o] = add[k]
+			k--
 		}
 	}
-	return x.next[0]
 }
 
-// Insert adds the flow under its current rank and records the node on the
-// flow state. The flow must not already be in the set.
-func (a *activeSet) Insert(st *flowState) {
-	n := &activeNode{
-		st:   st,
-		key:  activeKey{rank: st.rank, coflow: st.ref.Coflow, index: st.ref.Index},
-		next: make([]*activeNode, a.randLevel()),
-	}
-	a.insertNode(n)
-	a.n++
-	st.node = n
-}
-
-// insertNode links an already-built node at its key position.
-func (a *activeSet) insertNode(n *activeNode) {
-	var update [activeMaxLevel]*activeNode
-	x := a.head
-	for i := activeMaxLevel - 1; i >= 0; i-- {
-		for x.next[i] != nil && keyLess(x.next[i].key, n.key) {
-			x = x.next[i]
-		}
-		update[i] = x
-	}
-	for i := range n.next {
-		n.next[i] = update[i].next[i]
-		update[i].next[i] = n
-	}
-}
-
-// Delete unlinks the flow's node. The flow must be in the set.
-func (a *activeSet) Delete(st *flowState) {
-	k := st.node.key
-	x := a.head
-	for i := activeMaxLevel - 1; i >= 0; i-- {
-		for x.next[i] != nil && keyLess(x.next[i].key, k) {
-			x = x.next[i]
-		}
-		if x.next[i] == st.node {
-			x.next[i] = st.node.next[i]
-		}
-	}
-	st.node = nil
-	a.n--
-}
-
-// Reorder restores the set's order after a new priority order assigned
-// ranks (SetOrder stamped the flows it lists with gen), and reports whether
-// any node had to move. It is one sweep of the level-0 chain: a flow the
-// order left out takes the rank `unlisted`, every key is refreshed, and a
-// node whose new key exceeds the last in-order node's stays where it is,
-// re-linked at every level of its tower by tail-append — which unlinks the
-// out-of-place nodes in passing, with no search by their (now stale) keys.
-// Those are then re-inserted by search. An online policy re-deciding over a
-// slowly changing backlog moves a handful of nodes per epoch (the flows of
-// coflows that transmitted or were just admitted), so the usual cost is the
-// sweep; once more than an eighth are out of place the per-node searches
-// lose to sorting everything, and Rebuild takes over. Either way the result
-// is the list sorted by the new keys with every node and tower reused, so it
-// is the same structure Rebuild alone would have left.
-func (a *activeSet) Reorder(gen uint64, unlisted int) bool {
-	var tails [activeMaxLevel]*activeNode
-	for i := range tails {
-		tails[i] = a.head
-	}
-	moved := a.moved[:0]
-	last := activeKey{rank: -1, coflow: -1, index: -1}
-	for n := a.head.next[0]; n != nil; {
-		next := n.next[0]
-		st := n.st
+// Install makes next the set's sequence after a new priority order assigned
+// ranks (it stamped the flows it lists with gen) and reports whether the
+// sequence changed. next holds the active flows the order lists, in order;
+// the members it left out take the rank unlisted and follow in reference
+// order, which is where keyCmp puts them. Install swaps next in and keeps the
+// old slice, cleared, as the next call's buffer.
+func (a *activeSet) Install(next []*flowState, gen uint64, unlisted int) bool {
+	listed := len(next)
+	for _, st := range a.fs {
 		if st.orderSeq != gen {
 			st.rank = unlisted
-		}
-		n.key = activeKey{rank: st.rank, coflow: st.ref.Coflow, index: st.ref.Index}
-		if keyLess(last, n.key) {
-			last = n.key
-			for i := range n.next {
-				tails[i].next[i] = n
-				tails[i] = n
-			}
-		} else {
-			moved = append(moved, n)
-		}
-		n = next
-	}
-	for i, t := range tails {
-		t.next[i] = nil
-	}
-	if len(moved) > a.n/8 {
-		// Hang the stragglers back on the level-0 chain for Rebuild to collect.
-		t := tails[0]
-		for _, n := range moved {
-			t.next[0] = n
-			t = n
-		}
-		t.next[0] = nil
-		a.Rebuild()
-	} else {
-		for _, n := range moved {
-			a.insertNode(n)
+			next = append(next, st)
 		}
 	}
-	reordered := len(moved) > 0
-	clear(moved)
-	a.moved = moved[:0]
-	return reordered
-}
-
-// Rebuild re-sorts the set after the flows' ranks changed — Reorder's
-// fallback for a wholesale re-ordering, and its test oracle: collect the
-// member nodes, refresh their keys, sort, and re-link every
-// level with a tail-append sweep — no per-node skip-list search. Nodes (and
-// their tower slices) are reused, so a re-ordering's only allocation is the
-// sort's. O(F log F) comparisons, paid once per re-ordering rather than
-// once per event.
-func (a *activeSet) Rebuild() {
-	a.scratch = a.scratch[:0]
-	for n := a.head.next[0]; n != nil; n = n.next[0] {
-		a.scratch = append(a.scratch, n)
-	}
-	for _, n := range a.scratch {
-		n.key = activeKey{rank: n.st.rank, coflow: n.st.ref.Coflow, index: n.st.ref.Index}
-	}
-	slices.SortFunc(a.scratch, func(x, y *activeNode) int {
-		if keyLess(x.key, y.key) {
-			return -1
-		}
-		return 1 // keys are unique per flow, so equality cannot occur
-	})
-	var tails [activeMaxLevel]*activeNode
-	for i := range a.head.next {
-		tails[i] = a.head
-		a.head.next[i] = nil
-	}
-	for _, n := range a.scratch {
-		for i := range n.next {
-			n.next[i] = nil
-			tails[i].next[i] = n
-			tails[i] = n
-		}
-	}
+	slices.SortFunc(next[listed:], refCmp)
+	changed := !slices.Equal(next, a.fs)
+	clear(a.fs)
+	a.fs, a.next = next, a.fs[:0]
+	return changed
 }
 
 // releaseHeap is a typed min-heap of flows awaiting release, ordered by

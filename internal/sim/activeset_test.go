@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -11,111 +12,70 @@ func asFlow(rank, cf, idx int) *flowState {
 	return &flowState{ref: coflow.FlowRef{Coflow: cf, Index: idx}, rank: rank}
 }
 
-// collectKeys walks the level-0 chain and verifies every level is sorted.
-func collectKeys(t testing.TB, a *activeSet) []activeKey {
+// checkSorted verifies the set is strictly sorted by key, every member is
+// marked active, and it holds exactly want's flows in want's order.
+func checkSorted(t testing.TB, a *activeSet, want []*flowState) {
 	t.Helper()
-	var keys []activeKey
-	for n := a.First(); n != nil; n = n.next[0] {
-		keys = append(keys, n.key)
-	}
-	for lvl := 0; lvl < activeMaxLevel; lvl++ {
-		prev := a.head
-		for n := a.head.next[lvl]; n != nil; n = n.next[lvl] {
-			if prev != a.head && !keyLess(prev.key, n.key) {
-				t.Fatalf("level %d out of order: %v before %v", lvl, prev.key, n.key)
-			}
-			prev = n
+	for i, st := range a.fs {
+		if !st.active {
+			t.Fatalf("member %d (%v) is not marked active", i, st.ref)
+		}
+		if i > 0 && keyCmp(a.fs[i-1], st) >= 0 {
+			t.Fatalf("keys out of order at %d: %v before %v", i, a.fs[i-1].ref, st.ref)
 		}
 	}
-	if len(keys) != a.Len() {
-		t.Fatalf("walked %d nodes, Len() = %d", len(keys), a.Len())
+	if !slices.Equal(a.fs, want) {
+		t.Fatalf("set holds %d flows, want %d in sorted order", len(a.fs), len(want))
 	}
-	return keys
 }
 
-// TestActiveSetOrderedOps drives random inserts and deletes and checks the
-// skip list stays sorted with exactly the live membership.
+// TestActiveSetOrderedOps drives random batches of releases and completions
+// through Splice, each from the batch's first key as the event loop does, and
+// checks the set against a full sort of the live flows after every batch.
 func TestActiveSetOrderedOps(t *testing.T) {
-	a := newActiveSet()
+	var a activeSet
 	rng := rand.New(rand.NewSource(3))
 	var live []*flowState
-	for op := 0; op < 2000; op++ {
-		if len(live) == 0 || rng.Intn(3) > 0 {
-			st := asFlow(rng.Intn(10), op, rng.Intn(4))
-			a.Insert(st)
-			live = append(live, st)
-		} else {
+	for op := 0; op < 400; op++ {
+		var add []*flowState
+		for n := rng.Intn(4); len(add) < n; {
+			add = append(add, asFlow(rng.Intn(10), op, len(add)))
+		}
+		var first *flowState
+		for d := rng.Intn(3); d > 0 && len(live) > 0; d-- {
 			i := rng.Intn(len(live))
-			a.Delete(live[i])
+			live[i].done = true
+			if first == nil || keyCmp(live[i], first) < 0 {
+				first = live[i]
+			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-	}
-	keys := collectKeys(t, a)
-	if len(keys) != len(live) {
-		t.Fatalf("set has %d members, want %d", len(keys), len(live))
-	}
-	for i := 1; i < len(keys); i++ {
-		if !keyLess(keys[i-1], keys[i]) {
-			t.Fatalf("keys out of order at %d: %v, %v", i, keys[i-1], keys[i])
+		slices.SortFunc(add, keyCmp)
+		if len(add) > 0 && (first == nil || keyCmp(add[0], first) < 0) {
+			first = add[0]
 		}
+		if first == nil {
+			continue
+		}
+		a.Splice(a.Seek(first), add)
+		live = append(live, add...)
+		want := slices.Clone(live)
+		slices.SortFunc(want, keyCmp)
+		checkSorted(t, &a, want)
+	}
+	if len(live) == 0 {
+		t.Fatal("the walk left no live flows to check")
 	}
 }
 
-// TestActiveSetSeek checks Seek returns the first node at or after a key.
+// TestActiveSetSeek checks Seek returns the first position at or after a key.
 func TestActiveSetSeek(t *testing.T) {
-	a := newActiveSet()
-	for _, r := range []int{2, 4, 6, 8} {
-		a.Insert(asFlow(r, r, 0))
-	}
-	if n := a.Seek(activeKey{rank: 5}); n == nil || n.key.rank != 6 {
-		t.Fatalf("Seek(5) = %+v, want rank 6", n)
-	}
-	if n := a.Seek(activeKey{rank: 4}); n == nil || n.key.rank != 4 {
-		t.Fatalf("Seek(4) = %+v, want rank 4 (inclusive)", n)
-	}
-	if n := a.Seek(activeKey{rank: 9}); n != nil {
-		t.Fatalf("Seek(9) = %+v, want nil", n)
-	}
-	if n := a.Seek(activeKey{rank: -1}); n == nil || n.key.rank != 2 {
-		t.Fatalf("Seek(-1) = %+v, want first node", n)
-	}
-}
-
-// TestActiveSetRebuild changes every rank and checks Rebuild restores
-// order while reusing the nodes.
-func TestActiveSetRebuild(t *testing.T) {
-	a := newActiveSet()
-	var flows []*flowState
-	for i := 0; i < 50; i++ {
-		st := asFlow(i, i, 0)
-		a.Insert(st)
-		flows = append(flows, st)
-	}
-	before := map[*flowState]*activeNode{}
-	for _, st := range flows {
-		before[st] = st.node
-	}
-	// Reverse the priority order.
-	for i, st := range flows {
-		st.rank = len(flows) - i
-	}
-	a.Rebuild()
-	keys := collectKeys(t, a)
-	if len(keys) != len(flows) {
-		t.Fatalf("rebuild lost nodes: %d of %d", len(keys), len(flows))
-	}
-	for i := 1; i < len(keys); i++ {
-		if !keyLess(keys[i-1], keys[i]) {
-			t.Fatalf("rebuilt keys out of order: %v, %v", keys[i-1], keys[i])
-		}
-	}
-	if first := a.First(); first.st != flows[len(flows)-1] {
-		t.Errorf("highest priority after reversal is %v, want %v", first.st.ref, flows[len(flows)-1].ref)
-	}
-	for _, st := range flows {
-		if st.node != before[st] {
-			t.Fatalf("rebuild allocated a fresh node for %v", st.ref)
+	var a activeSet
+	a.Splice(0, []*flowState{asFlow(2, 2, 0), asFlow(4, 4, 0), asFlow(6, 6, 0), asFlow(8, 8, 0)})
+	for _, c := range []struct{ rank, want int }{{5, 2}, {4, 1}, {9, 4}, {-1, 0}} {
+		if got := a.Seek(asFlow(c.rank, c.rank, 0)); got != c.want {
+			t.Errorf("Seek(rank %d) = %d, want %d", c.rank, got, c.want)
 		}
 	}
 }

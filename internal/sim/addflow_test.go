@@ -209,7 +209,7 @@ func TestRemovePendingFlow(t *testing.T) {
 		}
 		released := false
 		for _, st := range s.states {
-			if st.node != nil || st.done {
+			if st.active || st.done {
 				released = true
 				break
 			}
@@ -250,7 +250,7 @@ func TestRemovePendingFlow(t *testing.T) {
 	// A released (active or done) flow must be rejected.
 	released := coflow.FlowRef{Coflow: -1}
 	for r, st := range s.states {
-		if st.node != nil || st.done {
+		if st.active || st.done {
 			released = r
 			break
 		}

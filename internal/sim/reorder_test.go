@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -12,97 +13,84 @@ import (
 // reorderCase is one order installation over n active flows, flow i being the
 // i-th in the standing order: the new order takes the standing one, drops the
 // last `unlisted` flows from it, and pulls `moves` random listed flows out to
-// random new positions (moves >= n shuffles outright).
+// random new positions (moves >= n shuffles outright). Every fourth position
+// of the installed order names a pending flow, which ranks but is no member.
 type reorderCase struct {
 	n, moves, unlisted int
 	seed               int64
 }
 
-// runReorderCase installs the case's order on two identically built sets —
-// one through the Reorder sweep, one through the Rebuild oracle (ranks and
-// keys assigned by hand, everything re-sorted) — and checks they end up the
-// same structure: level-0 order, every tower link at every level, Len(), and
-// every flow still on the node it had.
+// runReorderCase installs the case's order the way SetOrderHandles does —
+// ranks stamped, the listed members collected in order — and checks Install
+// against the oracle: the members re-keyed by hand (an unlisted one ranks
+// after every listed one) and fully sorted. Install must report a change
+// exactly when the sequence changed, and keep no member in its spare buffer.
 func runReorderCase(t testing.TB, c reorderCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
-	build := func() (*activeSet, []*flowState) {
-		a := newActiveSet()
-		flows := make([]*flowState, c.n)
-		for i := range flows {
-			flows[i] = asFlow(i, i/3, i%3)
-			a.Insert(flows[i])
-		}
-		return a, flows
+	var a activeSet
+	flows := make([]*flowState, c.n)
+	for i := range flows {
+		flows[i] = asFlow(i, i/3, i%3)
 	}
-	got, gotFlows := build()
-	want, wantFlows := build()
-	nodes := make([]*activeNode, c.n)
-	for i, st := range gotFlows {
-		nodes[i] = st.node
-	}
+	a.Splice(0, flows)
+	old := slices.Clone(a.fs)
 
 	listed := c.n - c.unlisted
-	order := make([]int, listed)
-	for i := range order {
-		order[i] = i
+	perm := make([]int, listed)
+	for i := range perm {
+		perm[i] = i
 	}
 	if c.moves >= c.n {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	} else if listed > 1 {
 		for m := 0; m < c.moves; m++ {
 			from, to := rng.Intn(listed), rng.Intn(listed)
-			v := order[from]
-			copy(order[from:], order[from+1:])
-			copy(order[to+1:], order[to:listed-1])
-			order[to] = v
+			v := perm[from]
+			copy(perm[from:], perm[from+1:])
+			copy(perm[to+1:], perm[to:listed-1])
+			perm[to] = v
 		}
 	}
-	inOrder := true
-	for i, f := range order {
-		inOrder = inOrder && f == i
+	var order []*flowState
+	for i, f := range perm {
+		if i%4 == 3 {
+			order = append(order, asFlow(0, c.n+i, 0)) // pending: no member
+		}
+		order = append(order, flows[f])
 	}
 
 	const gen = 7
-	for rank, f := range order {
-		gotFlows[f].rank, gotFlows[f].orderSeq = rank, gen
-		wantFlows[f].rank = rank
+	next := a.next[:0]
+	for rank, st := range order {
+		st.rank, st.orderSeq = rank, gen
+		if st.active {
+			next = append(next, st)
+		}
 	}
-	for f := listed; f < c.n; f++ {
-		wantFlows[f].rank = listed // what the sweep must assign on its own
-	}
-	if reordered := got.Reorder(gen, listed); reordered == inOrder {
-		t.Fatalf("%+v: Reorder reported %v for an order that left the list sorted=%v", c, reordered, inOrder)
-	}
-	want.Rebuild()
+	changed := a.Install(next, gen, len(order))
 
-	keys := collectKeys(t, got) // sorted at every level, Len() consistent
-	if len(keys) != c.n {
-		t.Fatalf("%+v: %d nodes after Reorder, want %d", c, len(keys), c.n)
-	}
-	for lvl := 0; lvl < activeMaxLevel; lvl++ {
-		x, y := got.head.next[lvl], want.head.next[lvl]
-		for x != nil && y != nil {
-			if x.st.ref != y.st.ref || x.key != y.key || len(x.next) != len(y.next) {
-				t.Fatalf("%+v: level %d: sweep links %v (key %+v, height %d), Rebuild %v (key %+v, height %d)",
-					c, lvl, x.st.ref, x.key, len(x.next), y.st.ref, y.key, len(y.next))
-			}
-			x, y = x.next[lvl], y.next[lvl]
-		}
-		if x != nil || y != nil {
-			t.Fatalf("%+v: level %d chains differ in length", c, lvl)
+	want := slices.Clone(old)
+	for _, st := range want {
+		if st.orderSeq != gen && st.rank != len(order) {
+			t.Fatalf("%+v: unlisted flow %v ranks %d, want %d", c, st.ref, st.rank, len(order))
 		}
 	}
-	for i, st := range gotFlows {
-		if st.node != nodes[i] || st.node.st != st {
-			t.Fatalf("%+v: flow %d lost its node", c, i)
+	slices.SortFunc(want, keyCmp)
+	checkSorted(t, &a, want)
+	if moved := !slices.Equal(old, want); changed != moved {
+		t.Fatalf("%+v: Install reported a change %v for a sequence that changed %v", c, changed, moved)
+	}
+	for _, st := range a.next[:cap(a.next)] {
+		if st != nil {
+			t.Fatalf("%+v: Install's spare buffer still holds %v", c, st.ref)
 		}
 	}
 }
 
-// TestReorderMatchesRebuild runs the install sweep against the Rebuild oracle
-// with nothing, one, a few, more than an eighth (the sort fallback) and all
-// nodes out of place, with and without an unlisted tail.
+// TestReorderMatchesRebuild runs Install against the full-sort oracle with
+// nothing, one, a few, many and all flows out of place, with and without an
+// unlisted tail.
 func TestReorderMatchesRebuild(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 8, 9, 64, 500} {
 		for _, moves := range []int{0, 1, 3, n/8 + 1, n / 3, n} {
@@ -192,9 +180,9 @@ func TestTakeProgressedCoversEveryChange(t *testing.T) {
 }
 
 // BenchmarkSetOrderHandles measures one order installation on a 2 000-flow
-// active set: re-confirming the standing order (the sweep alone), moving the
-// eight flows of one coflow (sweep plus eight searches — the online steady
-// state), and a full shuffle (the sort fallback).
+// active set: re-confirming the standing order, moving the eight flows of one
+// coflow (the online steady state), and a full shuffle. Install reads the
+// sequence off the order in each case, so the three should cost the same.
 func BenchmarkSetOrderHandles(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

@@ -31,12 +31,15 @@
 // priority order from the first changed position onward is re-allocated;
 // everything before it keeps its rate, its projected completion time (kept
 // in a lazy-deletion min-heap) and its untouched lazily-materialized
-// residual volume. The active set is a rank-ordered skip list maintained in
-// O(log F) per release/completion instead of being rebuilt and re-sorted
-// from the state map at every event, bandwidth segments are recorded only
-// when a flow's rate actually changes (coalesced at append time), and all
-// per-event scratch is reused, so steady-state events allocate (amortized)
-// nothing. reference.go retains the naive allocator this design replaced;
+// residual volume. The active set is one rank-ordered slice: an event batch's
+// releases and completions are merged into or compacted out of the dirty
+// suffix in the pass that re-allocates it, instead of the set being rebuilt
+// and re-sorted from the state map at every event. A flow the greedy left at
+// rate 0 remembers the edge that blocked it and costs one load while that
+// edge stays saturated. Bandwidth segments are recorded only when a flow's
+// rate actually changes (coalesced at append time), and all per-event scratch
+// is reused, so steady-state events allocate (amortized) nothing.
+// reference_test.go retains the naive allocator this design replaced;
 // differential tests assert the two produce identical completion times.
 package sim
 
@@ -115,8 +118,13 @@ type flowState struct {
 	done       bool
 	completion float64 // time the flow finished (meaningful once done)
 
-	heapSeq int         // invalidates stale completion-heap entries
-	node    *activeNode // active-set membership (nil while pending or done)
+	heapSeq int  // invalidates stale completion-heap entries
+	active  bool // active-set membership (false while pending or done)
+	// blocked is the edge whose saturation left the flow at rate 0 on its
+	// last greedy allocation, -1 while the flow holds a rate (or never had
+	// one computed): while that edge's residual stays below minRate the
+	// path's bottleneck does too, so the greedy skips the scan.
+	blocked graph.EdgeID
 
 	orderSeq uint64 // SetOrder stamp: membership in the current order
 	progSeq  uint64 // progress-log stamp: already logged since the last drain
@@ -158,7 +166,7 @@ type Simulator struct {
 	states map[coflow.FlowRef]*flowState
 
 	pending releaseHeap // flows awaiting their release time
-	active  *activeSet  // released, unfinished flows in priority order
+	active  activeSet   // released, unfinished flows in priority order
 	comp    compHeap    // projected completions (lazy deletion)
 
 	now    float64
@@ -189,7 +197,6 @@ type Simulator struct {
 	batchReleased []*flowState
 
 	// Fair-share scratch (see allocFairShare).
-	fsFlows  []*flowState
 	fsRates  []float64
 	fsFixed  []bool
 	fsOnEdge [][]int32
@@ -207,7 +214,6 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 		inst:     inst,
 		policy:   cfg.Policy,
 		states:   make(map[coflow.FlowRef]*flowState, len(refs)),
-		active:   newActiveSet(),
 		budget:   stepBudget(len(refs)),
 		caps:     make([]float64, g.NumEdges()),
 		residual: make([]float64, g.NumEdges()),
@@ -236,6 +242,7 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 			remaining: f.Size,
 			size:      f.Size,
 			lastT:     f.Release,
+			blocked:   -1,
 		}
 		s.states[r] = st
 		s.pending.Push(st)
@@ -280,10 +287,15 @@ func (s *Simulator) SetOrder(order []coflow.FlowRef) error {
 		}
 		st.orderSeq = gen
 	}
+	next := s.active.next[:0]
 	for i, r := range order {
-		s.states[r].rank = i
+		st := s.states[r]
+		st.rank = i
+		if st.active {
+			next = append(next, st)
+		}
 	}
-	s.installOrder(len(order))
+	s.installOrder(next, len(order))
 	return nil
 }
 
@@ -305,32 +317,36 @@ func (s *Simulator) SetOrderHandles(order []Handle) error {
 		}
 		st.orderSeq = gen
 	}
+	next := s.active.next[:0]
 	for i, h := range order {
 		if st := h.st; st != nil {
 			st.rank = i
+			if st.active {
+				next = append(next, st)
+			}
 		}
 	}
-	s.installOrder(len(order))
+	s.installOrder(next, len(order))
 	return nil
 }
 
-// installOrder runs the shared tail of every order installation. Flows the
-// order left out (their stamp is not the current generation) rank after
-// every listed one, ties by reference: the pending heap is ranked here, the
-// active list by the same sweep that refreshes every key and restores the
-// list's order (see activeSet.Reorder) — completed flows never rejoin either
-// structure, so their stale ranks are unreachable. Rates depend only on the
-// relative order of the active flows, not the rank values: if the new ranks
-// left the list sorted — the common case for an online policy re-applying a
-// stable order every epoch — every rate, completion projection and open
-// segment stays valid. Only a genuine re-ordering pays the full reallocation.
-func (s *Simulator) installOrder(unlisted int) {
+// installOrder runs the shared tail of every order installation, given the
+// active flows the order lists, in order. Flows the order left out (their
+// stamp is not the current generation) rank after every listed one, ties by
+// reference: the pending heap is ranked here, the active set by Install —
+// completed flows never rejoin either structure, so their stale ranks are
+// unreachable. Rates depend only on the sequence of the active flows, not the
+// rank values: if the new order left it unchanged — the common case for an
+// online policy re-applying a stable order every epoch — every rate,
+// completion projection and open segment stays valid. Only a genuine
+// re-ordering pays the full reallocation.
+func (s *Simulator) installOrder(next []*flowState, unlisted int) {
 	for _, st := range s.pending.fs {
 		if st.orderSeq != s.orderGen {
 			st.rank = unlisted
 		}
 	}
-	if s.active.Reorder(s.orderGen, unlisted) {
+	if s.active.Install(next, s.orderGen, unlisted) {
 		s.dirtyAll = true // every rate is suspect until the next reallocation
 	}
 }
@@ -370,6 +386,7 @@ func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 		size:      f.Size,
 		lastT:     f.Release,
 		rank:      admittedRank,
+		blocked:   -1,
 	}
 	s.states[ref] = st
 	s.pending.Push(st)
@@ -386,7 +403,7 @@ func (s *Simulator) Remove(ref coflow.FlowRef) error {
 	if !ok {
 		return fmt.Errorf("sim: cannot remove unknown flow %s", ref)
 	}
-	if st.done || st.node != nil {
+	if st.done || st.active {
 		return fmt.Errorf("sim: cannot remove flow %s after release", ref)
 	}
 	if !s.pending.Remove(st) {
@@ -429,8 +446,8 @@ func (s *Simulator) ReleaseIdle() {
 	}
 	s.states = make(map[coflow.FlowRef]*flowState)
 	s.comp, s.pending = compHeap{}, releaseHeap{}
-	s.batchDone, s.batchReleased, s.fsFlows = nil, nil, nil
-	s.active.scratch, s.active.moved = nil, nil
+	s.batchDone, s.batchReleased = nil, nil
+	s.active = activeSet{}
 }
 
 // TakeCompletions returns the flows that completed since the previous call
@@ -666,12 +683,11 @@ func (s *Simulator) processEvent(next float64) {
 		return // pure boundary stop
 	}
 	if s.policy == FairShare {
+		from := s.dirtyFrom()
 		for _, st := range s.batchDone {
 			s.retire(st)
 		}
-		for _, st := range s.batchReleased {
-			s.active.Insert(st)
-		}
+		s.active.Splice(from, s.batchReleased)
 		s.allocFairShare(next)
 	} else {
 		s.reallocSuffix(next)
@@ -696,10 +712,9 @@ func (s *Simulator) complete(st *flowState, at float64) {
 	s.completions = append(s.completions, CompletionEvent{Ref: st.ref, Time: at})
 }
 
-// retire removes a completed flow from the active set and releases its rate
-// bookkeeping.
+// retire releases a completed flow's rate bookkeeping; the next Splice over
+// its position drops it from the active set.
 func (s *Simulator) retire(st *flowState) {
-	s.active.Delete(st)
 	if st.rate > 0 {
 		s.posRates--
 	}
@@ -741,36 +756,21 @@ func (s *Simulator) setRate(st *flowState, r, now float64) {
 // dirty suffix, not the whole active set.
 func (s *Simulator) reallocSuffix(now float64) {
 	s.eventSeq++
+	from := s.dirtyFrom()
 	if s.eventSeq%rebaseEvery == 0 {
 		// Periodic full rebase: recompute every residual from the raw
 		// capacities so incremental undo/redo rounding cannot accumulate.
 		for _, st := range s.batchDone {
 			s.retire(st)
 		}
-		for _, st := range s.batchReleased {
-			s.active.Insert(st)
-		}
+		s.active.Splice(from, s.batchReleased)
 		s.reallocAll(now)
 		return
 	}
-	from := activeKey{rank: math.MaxInt, coflow: math.MaxInt, index: math.MaxInt}
-	for _, st := range s.batchDone {
-		if k := st.node.key; keyLess(k, from) {
-			from = k
-		}
-	}
-	for _, st := range s.batchReleased {
-		k := activeKey{rank: st.rank, coflow: st.ref.Coflow, index: st.ref.Index}
-		if keyLess(k, from) {
-			from = k
-		}
-	}
 	// Undo: credit the suffix's current rates (including the just-completed
-	// flows', still in the list) back to the residuals.
-	suffix := 0
-	for n := s.active.Seek(from); n != nil; n = n.next[0] {
-		suffix++
-		if st := n.st; st.rate > 0 {
+	// flows', still in the set) back to the residuals.
+	for _, st := range s.active.fs[from:] {
+		if st.rate > 0 {
 			for _, e := range st.path {
 				s.residual[e] += st.rate
 			}
@@ -779,33 +779,55 @@ func (s *Simulator) reallocSuffix(now float64) {
 	for _, st := range s.batchDone {
 		s.retire(st)
 	}
-	for _, st := range s.batchReleased {
-		s.active.Insert(st)
-	}
+	s.active.Splice(from, s.batchReleased)
 	// Redo: greedy re-allocation of the suffix against the restored
 	// residuals, touching only flows whose rate actually changed.
-	s.redo(s.active.Seek(from), suffix-len(s.batchDone)+len(s.batchReleased), now)
+	s.redo(from, now)
 }
 
-// redo re-runs the greedy allocation from the given active node onward.
-func (s *Simulator) redo(start *activeNode, suffixLen int, now float64) {
-	s.tickStats.Reallocs++
-	s.tickStats.SuffixSum += suffixLen
-	if suffixLen > s.tickStats.SuffixMax {
-		s.tickStats.SuffixMax = suffixLen
+// dirtyFrom sorts the event batch's releases by key, as Splice wants them,
+// and returns the active-set position of the batch's first flow: where the
+// dirty suffix starts.
+func (s *Simulator) dirtyFrom() int {
+	slices.SortFunc(s.batchReleased, keyCmp)
+	var first *flowState
+	if len(s.batchReleased) > 0 {
+		first = s.batchReleased[0]
 	}
-	for n := start; n != nil; n = n.next[0] {
-		s.allocGreedy(n.st, now)
+	for _, st := range s.batchDone {
+		if first == nil || keyCmp(st, first) < 0 {
+			first = st
+		}
+	}
+	return s.active.Seek(first)
+}
+
+// redo re-runs the greedy allocation from the given active position onward.
+func (s *Simulator) redo(from int, now float64) {
+	suffix := s.active.fs[from:]
+	s.tickStats.Reallocs++
+	s.tickStats.SuffixSum += len(suffix)
+	if len(suffix) > s.tickStats.SuffixMax {
+		s.tickStats.SuffixMax = len(suffix)
+	}
+	for _, st := range suffix {
+		s.allocGreedy(st, now)
 	}
 }
 
 // allocGreedy gives one flow the bottleneck residual capacity of its path
 // and charges it to the residuals, updating the flow's rate if it changed.
+// A flow the scan left at rate 0 remembers the edge with the least residual:
+// while it stays below minRate the scan would return 0 again, the rate the
+// flow holds, so the flow costs that one load.
 func (s *Simulator) allocGreedy(st *flowState, now float64) {
-	r := math.Inf(1)
+	if st.blocked >= 0 && s.residual[st.blocked] < minRate {
+		return
+	}
+	r, at := math.Inf(1), graph.EdgeID(-1)
 	for _, e := range st.path {
 		if s.residual[e] < r {
-			r = s.residual[e]
+			r, at = s.residual[e], e
 		}
 	}
 	if r < minRate || math.IsInf(r, 1) {
@@ -815,9 +837,12 @@ func (s *Simulator) allocGreedy(st *flowState, now float64) {
 		s.setRate(st, r, now)
 	}
 	if r > 0 {
+		st.blocked = -1
 		for _, e := range st.path {
 			s.residual[e] -= r
 		}
+	} else {
+		st.blocked = at
 	}
 }
 
@@ -830,7 +855,7 @@ func (s *Simulator) reallocAll(now float64) {
 		return
 	}
 	copy(s.residual, s.caps)
-	s.redo(s.active.First(), s.active.Len(), now)
+	s.redo(0, now)
 }
 
 // allocFairShare computes a max-min fair allocation by progressive filling:
@@ -847,11 +872,7 @@ func (s *Simulator) allocFairShare(now float64) {
 		s.fsOnEdge[e] = s.fsOnEdge[e][:0]
 	}
 	s.fsUsed = s.fsUsed[:0]
-	s.fsFlows = s.fsFlows[:0]
-	for n := s.active.First(); n != nil; n = n.next[0] {
-		s.fsFlows = append(s.fsFlows, n.st)
-	}
-	active := s.fsFlows
+	active := s.active.fs
 	if cap(s.fsRates) < len(active) {
 		s.fsRates = make([]float64, len(active))
 		s.fsFixed = make([]bool, len(active))
