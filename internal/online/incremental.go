@@ -29,15 +29,17 @@ import (
 // transmitted (the simulator's progress log), were just admitted or
 // completed (syncView); AdvanceTo costs the completions it folds in. What is
 // still proportional to the active flows every decision is the policy's own
-// scoring pass, the order filter and churn count, and one sweep of the
-// simulator's active list — none of them rebuilds state that did not change.
-// Completed coflows are pruned from the simulator (sim.Forget) as soon as
-// their completion is recorded, the epoch arenas (view, order buffers) are
+// scoring pass, the order filter, the simulator's install (which counts the
+// flows that kept their rank, the churn numerator) and one sweep of its
+// active list — none of them rebuilds state that did not change.
+// Completed coflows are pruned from the simulator (sim.ForgetCoflow) as soon
+// as their completion is recorded, the epoch arenas (view, order buffers) are
 // handed back when a sizeable backlog has drained (idleKeepFlows), and the
 // slowdown/solve-latency samples live in bounded reservoirs of the most
 // recent statsWindow values. What does grow with total admissions is the
 // per-coflow registry (arrival, completion, byte totals — a few words per
-// coflow) that backs the status endpoint.
+// coflow) that backs the status endpoint, plus the simulator's 24-byte row
+// header per coflow in its flow table, the one place flow state is found.
 type Engine struct {
 	cfg    Config
 	policy Policy
@@ -63,17 +65,11 @@ type Engine struct {
 	// loadUndo is Admit's undo log over it, reused across admissions.
 	load     []float64
 	loadUndo []loadWrite
-	// handles holds one simulator handle per flow, indexed [coflow][flow
-	// index], so the per-tick snapshot path reads flow state without a map
-	// lookup per flow. Entries are nil once the coflow completes (its flows
-	// are forgotten) and for never-registered flows of restored coflows.
-	handles [][]sim.Handle
-	now     float64
-	epoch   int
-	order   []coflow.FlowRef
-	// orderScratch and orderHandles are ApplyOrder's reusable buffers.
+	now      float64
+	epoch    int
+	order    []coflow.FlowRef
+	// orderScratch is ApplyOrder's reusable buffer.
 	orderScratch []coflow.FlowRef
-	orderHandles []sim.Handle
 	// view is the persistent residual snapshot: one slot per arrived active
 	// coflow, in admission order, as of the last syncView. DecideSync hands
 	// it to the policy in place — legal because Decide must neither retain
@@ -84,12 +80,6 @@ type Engine struct {
 	viewDirty []bool
 	progress  []coflow.FlowRef
 	loads     []graph.PathLoad
-	// churnPos mirrors the handles table: per flow slot, the flow's position
-	// in the old order of the current churn() call, packed as gen<<32|pos.
-	// The generation stamp self-invalidates stale entries, so computing
-	// churn costs two slice indexings per reference instead of a rebuilt map.
-	churnPos [][]uint64
-	churnGen uint64
 	// lastChurn is the order-churn fraction of the most recent ApplyOrder.
 	lastChurn float64
 	// held is an AsyncPolicy's one-slot deferral, set while holding: a copy,
@@ -370,14 +360,6 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 			return 0, fmt.Errorf("online: flow %d: %w", j, err)
 		}
 	}
-	hs := make([]sim.Handle, len(admitted.Flows))
-	for j := range admitted.Flows {
-		h, ok := e.sim.Handle(coflow.FlowRef{Coflow: id, Index: j})
-		if !ok {
-			panic(fmt.Sprintf("online: admitted flow %d/%d has no simulator state", id, j))
-		}
-		hs[j] = h
-	}
 
 	bytes := 0.0
 	for _, f := range admitted.Flows {
@@ -390,8 +372,6 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 	e.completion = append(e.completion, 0)
 	e.totalBytes = append(e.totalBytes, bytes)
 	e.active = append(e.active, id)
-	e.handles = append(e.handles, hs)
-	e.churnPos = append(e.churnPos, make([]uint64, len(admitted.Flows)))
 	e.viewDirty = append(e.viewDirty, false) // no slot yet: syncView builds one
 	e.totalFlows += len(admitted.Flows)
 	return id, nil
@@ -417,27 +397,26 @@ func (e *Engine) rollbackLoad() {
 // fillSlot builds the residual view of one active coflow into rcf, reusing
 // rcf's Flows backing, and memoizes the coflow's residual bottleneck on it.
 // It is the one snapshot builder: DecideSync, Snapshot and recovery replay
-// all read slots it filled. Flow state comes through the handle table — no
-// map lookup, no FlowStatus — and everything that does not move comes from
-// the admitted coflow.
+// all read slots it filled. Flow state comes from the simulator's flow table
+// — no FlowStatus built — and everything that does not move comes from the
+// admitted coflow.
 func (e *Engine) fillSlot(id int, rcf *ResidualCoflow) {
 	cf := &e.inst.Coflows[id]
-	hs := e.handles[id]
 	flows := rcf.Flows[:0]
 	if cap(flows) < len(cf.Flows) {
 		flows = make([]ResidualFlow, 0, len(cf.Flows)) // a fresh slot: size it once
 	}
 	for j := range cf.Flows {
-		if !hs[j].Valid() {
-			continue // finished before a restore: never re-registered
-		}
-		size, remaining, done := e.sim.Residual(hs[j])
-		if done {
+		ref := coflow.FlowRef{Coflow: id, Index: j}
+		// A flow unknown to the simulator finished before a restore and was
+		// never re-registered.
+		size, remaining, done, ok := e.sim.Residual(ref)
+		if !ok || done {
 			continue
 		}
 		f := &cf.Flows[j]
 		flows = append(flows, ResidualFlow{
-			Ref:       coflow.FlowRef{Coflow: id, Index: j},
+			Ref:       ref,
 			Source:    f.Source,
 			Dest:      f.Dest,
 			Path:      f.Path,
@@ -555,88 +534,39 @@ func (e *Engine) ApplyHeld() (d Decision, applied bool, err error) {
 
 // ApplyOrder installs a priority order and records the latency of the
 // decision that produced it, outside the staleness rule (recovery replays
-// logged orders through it). Refs of coflows that completed since the order's
-// view are dropped: its ranking of the still-live flows is worth applying.
+// logged orders through it). Refs the simulator does not track — of coflows
+// that completed since the order's view, or never admitted — are dropped: its
+// ranking of the still-live flows is worth applying. A duplicate ref is an
+// error and leaves the standing order as it was.
 func (e *Engine) ApplyOrder(order []coflow.FlowRef, solveLatency time.Duration) error {
 	live := e.orderScratch[:0]
-	liveH := e.orderHandles[:0]
 	for _, r := range order {
-		if h, ok := e.handleFor(r); ok {
+		if _, _, _, ok := e.sim.Residual(r); ok {
 			live = append(live, r)
-			liveH = append(liveH, h)
 		}
 	}
-	e.orderScratch, e.orderHandles = live, liveH
-	if err := e.sim.SetOrderHandles(liveH); err != nil {
+	e.orderScratch = live
+	kept, err := e.sim.SetOrder(live)
+	if err != nil {
 		return err
 	}
-	e.lastChurn = e.churn(e.order, live)
+	e.lastChurn = churn(len(e.order), len(live), kept)
 	e.order = append(e.order[:0], live...)
 	e.decisions++
 	e.solveLatencies.add(solveLatency.Seconds())
 	return nil
 }
 
-// churnRow resolves a flow reference to its churnPos row, nil once the
-// coflow's flows have been forgotten (or for out-of-range references).
-func (e *Engine) churnRow(r coflow.FlowRef) []uint64 {
-	if r.Coflow < 0 || r.Coflow >= len(e.churnPos) {
-		return nil
-	}
-	row := e.churnPos[r.Coflow]
-	if row == nil || r.Index < 0 || r.Index >= len(row) {
-		return nil
-	}
-	return row
-}
-
-// handleFor resolves a flow reference through the handle table — no map
-// lookup — returning ok only while the simulator still tracks the flow.
-func (e *Engine) handleFor(r coflow.FlowRef) (sim.Handle, bool) {
-	if r.Coflow < 0 || r.Coflow >= len(e.handles) {
-		return sim.Handle{}, false
-	}
-	hs := e.handles[r.Coflow]
-	if hs == nil || r.Index < 0 || r.Index >= len(hs) || !hs[r.Index].Valid() {
-		return sim.Handle{}, false
-	}
-	return hs[r.Index], true
-}
-
-// churn measures how much a new priority order disagrees with the one it
-// replaces: the fraction of refs in the larger order whose rank changed
+// churn measures how much a new priority order of n refs disagrees with the
+// old one of m it replaces, given the kept refs that hold the same position
+// in both: the fraction of refs in the larger order whose rank changed
 // (including refs present in only one of the two). 0 means the decision
-// re-confirmed the standing order; 1 means nothing kept its place. It works
-// through the churnPos table: record each old position under a fresh
-// generation stamp, then count new entries whose recorded position is missing
-// or moved. References whose coflow has been pruned never record a position
-// and count as missing.
-func (e *Engine) churn(old, new []coflow.FlowRef) float64 {
-	denom := len(old)
-	if len(new) > denom {
-		denom = len(new)
-	}
-	if denom == 0 {
+// re-confirmed the standing order; 1 means nothing kept its place.
+func churn(m, n, kept int) float64 {
+	if m == 0 && n == 0 {
 		return 0
 	}
-	e.churnGen++
-	gen := e.churnGen & 0xffffffff
-	for i, r := range old {
-		if row := e.churnRow(r); row != nil {
-			row[r.Index] = gen<<32 | uint64(uint32(i))
-		}
-	}
-	changed := len(old) - len(new)
-	if changed < 0 {
-		changed = 0
-	}
-	for i, r := range new {
-		row := e.churnRow(r)
-		if row == nil || row[r.Index]>>32 != gen || uint32(row[r.Index]) != uint32(i) {
-			changed++
-		}
-	}
-	return float64(changed) / float64(denom)
+	return float64(max(m-n, 0)+n-kept) / float64(max(m, n))
 }
 
 // OrderChurn reports the churn fraction of the most recently applied order
@@ -743,13 +673,9 @@ func (e *Engine) collectCompletions() {
 				e.transcript.Set(ref, e.sim.FlowSchedule(ref))
 			}
 		}
-		for j := range cf.Flows {
-			// Forget only errors on unknown/unfinished flows; every flow of
-			// a completed coflow is done by construction.
-			_ = e.sim.Forget(coflow.FlowRef{Coflow: id, Index: j})
-		}
-		e.handles[id] = nil // handles dangle once the flows are forgotten
-		e.churnPos[id] = nil
+		// ForgetCoflow only errors on an unknown coflow or an unfinished flow;
+		// every flow of a completed coflow is done by construction.
+		_ = e.sim.ForgetCoflow(id)
 		e.recentDone = append(e.recentDone, id)
 		closed = true
 	}
@@ -761,13 +687,13 @@ func (e *Engine) collectCompletions() {
 			}
 		}
 		e.active = stillActive
-		if len(stillActive) == 0 && cap(e.orderHandles) > idleKeepFlows {
+		if len(stillActive) == 0 && cap(e.orderScratch) > idleKeepFlows {
 			// Idle: the epoch arenas and the simulator's tables were sized
 			// by the backlog that just drained. Hand them back; the next
 			// admission regrows what it needs.
 			e.sim.ReleaseIdle()
 			e.view = Snapshot{}
-			e.order, e.orderScratch, e.orderHandles = nil, nil, nil
+			e.order, e.orderScratch = nil, nil
 			e.held.Order = nil // every ref it held has completed
 			e.progress, e.loads = nil, nil
 		}
@@ -803,12 +729,8 @@ func (e *Engine) CoflowStatus(id int) (CoflowStatus, bool) {
 	// engine re-registers only the live flows of an active coflow, so its
 	// simulator never sees the flows that finished before the snapshot.
 	st.FlowsDone = st.NumFlows - e.flowsLeft[id]
-	hs := e.handles[id]
 	for j := range cf.Flows {
-		if hs == nil || !hs[j].Valid() {
-			continue
-		}
-		if _, remaining, done := e.sim.Residual(hs[j]); !done {
+		if _, remaining, done, ok := e.sim.Residual(coflow.FlowRef{Coflow: id, Index: j}); ok && !done {
 			st.RemainingBytes += remaining
 		}
 	}

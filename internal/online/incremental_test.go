@@ -3,6 +3,7 @@ package online
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -330,7 +331,7 @@ func TestEngineDrain(t *testing.T) {
 }
 
 // orderChurn is the map-based definition of the churn metric, kept as the
-// oracle for Engine.churn: the fraction of refs in the larger order whose
+// oracle for the engine's kept-count arithmetic: the fraction of refs in the larger order whose
 // rank changed (including refs present in only one of the two).
 func orderChurn(old, new []coflow.FlowRef) float64 {
 	denom := len(old)
@@ -356,8 +357,27 @@ func orderChurn(old, new []coflow.FlowRef) float64 {
 	return float64(changed) / float64(denom)
 }
 
+// churnEngine admits n single-flow coflows at time 0 on a line network with
+// every release far in the future, so no flow runs and the engine's orders
+// rank pending flows only: the flow of coflow c is FlowRef{Coflow: c}.
+func churnEngine(t *testing.T, n int) *Engine {
+	t.Helper()
+	eng, err := NewEngine(graph.Line(2, 1), FIFOOnline{}, Config{EpochLength: 1})
+	if err != nil {
+		t.Fatalf("new engine: %v", err)
+	}
+	for c := 0; c < n; c++ {
+		cf := coflow.Coflow{Weight: 1, Flows: []coflow.Flow{{Source: 0, Dest: 1, Size: 1, Release: 100}}}
+		if _, err := eng.Admit(cf, 0); err != nil {
+			t.Fatalf("admit %d: %v", c, err)
+		}
+	}
+	return eng
+}
+
 // TestOrderChurn pins the churn metric the /v1/epochs introspection surface
-// reports, on the engine's stamp-table implementation and on its oracle.
+// reports, on the engine (standing order old, then new applied) and on its
+// oracle.
 func TestOrderChurn(t *testing.T) {
 	r := func(c int) coflow.FlowRef { return coflow.FlowRef{Coflow: c} }
 	cases := []struct {
@@ -372,16 +392,107 @@ func TestOrderChurn(t *testing.T) {
 		{"all dropped", []coflow.FlowRef{r(0), r(1)}, nil, 1},
 		{"tail shift", []coflow.FlowRef{r(0), r(1), r(2), r(3)}, []coflow.FlowRef{r(0), r(1), r(3), r(2)}, 0.5},
 		{"head drop", []coflow.FlowRef{r(0), r(1), r(2), r(3)}, []coflow.FlowRef{r(1), r(2), r(3)}, 1},
+		{"tail drop", []coflow.FlowRef{r(0), r(1), r(2), r(3)}, []coflow.FlowRef{r(0), r(1)}, 0.5},
+		{"append", []coflow.FlowRef{r(0), r(1)}, []coflow.FlowRef{r(0), r(1), r(2), r(3)}, 0.5},
+		// r(2) ranked at the old order's length as an unlisted flow: it did
+		// not keep a place it never held.
+		{"unlisted joins at the end", []coflow.FlowRef{r(0), r(1)}, []coflow.FlowRef{r(0), r(1), r(2)}, 1.0 / 3},
 	}
-	// Four live single-flow coflows are all the stamp table needs.
-	eng := &Engine{churnPos: [][]uint64{{0}, {0}, {0}, {0}}}
 	for _, tc := range cases {
 		if got := orderChurn(tc.old, tc.new); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: orderChurn = %v, want %v", tc.name, got, tc.want)
 		}
-		if got := eng.churn(tc.old, tc.new); got != orderChurn(tc.old, tc.new) {
-			t.Errorf("%s: churn = %v, oracle %v", tc.name, got, orderChurn(tc.old, tc.new))
+		eng := churnEngine(t, 4)
+		if err := eng.ApplyOrder(tc.old, 0); err != nil {
+			t.Fatalf("%s: apply old: %v", tc.name, err)
 		}
+		if err := eng.ApplyOrder(tc.new, 0); err != nil {
+			t.Fatalf("%s: apply new: %v", tc.name, err)
+		}
+		if got := eng.OrderChurn(); got != orderChurn(tc.old, tc.new) {
+			t.Errorf("%s: engine churn = %v, oracle %v", tc.name, got, orderChurn(tc.old, tc.new))
+		}
+	}
+}
+
+// TestApplyOrderOutsideInput feeds ApplyOrder the refs a replayed log can hold
+// (coflowd recovers orders from disk): refs the engine does not track are
+// dropped without a panic, and a duplicate is an error that leaves the
+// standing order, its churn, the decision count and the next order's churn as
+// they were.
+func TestApplyOrderOutsideInput(t *testing.T) {
+	r := func(c, i int) coflow.FlowRef { return coflow.FlowRef{Coflow: c, Index: i} }
+	eng := churnEngine(t, 3)
+	done := coflow.Coflow{Weight: 1, Flows: []coflow.Flow{{Source: 0, Dest: 1, Size: 1}, {Source: 0, Dest: 1, Size: 1}}}
+	if _, err := eng.Admit(done, 0); err != nil { // coflow 3, done by t=2
+		t.Fatalf("admit: %v", err)
+	}
+	if err := eng.ApplyOrder([]coflow.FlowRef{r(3, 0), r(3, 1)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTo(5); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := eng.CoflowStatus(3); !st.Done {
+		t.Fatalf("coflow 3 not done at t=5: %+v", st)
+	}
+	standing := []coflow.FlowRef{r(2, 0), r(0, 0)}
+	if err := eng.ApplyOrder(standing, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	junk := []coflow.FlowRef{
+		r(-1, 0), r(0, -1), r(-5, -5), // negative coflow or index
+		r(4, 0), r(1<<40, 0), // past the last admitted coflow
+		r(1, 1), r(1, 1<<40), // past the coflow's flows
+		r(3, 0), r(3, 1), // a completed coflow's flows
+	}
+	live := []coflow.FlowRef{r(1, 0), r(0, 0)}
+	for i, j := range junk { // interleave the junk with the live refs
+		order := append([]coflow.FlowRef{j}, live[:1]...)
+		order = append(order, junk[:i]...)
+		order = append(order, live[1:]...)
+		if err := eng.ApplyOrder(order, 0); err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+		if got := eng.Order(); !slices.Equal(got, live) {
+			t.Fatalf("order %v ranks %v, want %v", order, got, live)
+		}
+		prev := standing
+		if i > 0 {
+			prev = live
+		}
+		if got, want := eng.OrderChurn(), orderChurn(prev, live); got != want {
+			t.Fatalf("order %v: churn %v, oracle %v", order, got, want)
+		}
+	}
+
+	decisions := eng.Stats().Decisions
+	churnBefore := eng.OrderChurn()
+	for _, dup := range [][]coflow.FlowRef{
+		{r(0, 0), r(1, 0), r(0, 0)},
+		{r(2, 0), r(1, 0), r(0, 0), r(1, 0)},
+		{r(2, 0), r(2, 0)},
+	} {
+		if err := eng.ApplyOrder(dup, 0); err == nil {
+			t.Fatalf("order %v with a duplicate ref accepted", dup)
+		}
+		if got := eng.Order(); !slices.Equal(got, live) {
+			t.Fatalf("rejected order %v changed the standing order to %v", dup, got)
+		}
+		if got := eng.OrderChurn(); got != churnBefore {
+			t.Fatalf("rejected order %v changed the churn to %v", dup, got)
+		}
+		if got := eng.Stats().Decisions; got != decisions {
+			t.Fatalf("rejected order %v counted as decision %d", dup, got)
+		}
+	}
+	next := []coflow.FlowRef{r(1, 0), r(2, 0), r(0, 0)}
+	if err := eng.ApplyOrder(next, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.OrderChurn(), orderChurn(live, next); got != want {
+		t.Fatalf("churn after rejected orders %v, oracle %v", got, want)
 	}
 }
 

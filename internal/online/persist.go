@@ -6,7 +6,6 @@ import (
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
-	"coflowsched/internal/sim"
 )
 
 // This file is the engine's persistence surface: ExportState captures
@@ -213,10 +212,6 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 		if cp.FlowsLeft > 0 {
 			e.active = append(e.active, id)
 		}
-		var hs []sim.Handle
-		if cp.FlowsLeft > 0 {
-			hs = make([]sim.Handle, cp.NumFlows)
-		}
 		for k := range cp.Flows {
 			fp := &cp.Flows[k]
 			release := fp.Release
@@ -234,20 +229,7 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 			if err := e.sim.AddFlow(ref, reg, fp.Path); err != nil {
 				return nil, fmt.Errorf("online: re-registering coflow %d flow %d: %w", id, fp.Index, err)
 			}
-			h, ok := e.sim.Handle(ref)
-			if !ok {
-				return nil, fmt.Errorf("online: re-registered coflow %d flow %d has no simulator state", id, fp.Index)
-			}
-			hs[fp.Index] = h
 		}
-		// Completed coflows get a nil handle row; flows of an active coflow
-		// that finished before the snapshot keep zero (invalid) handles.
-		e.handles = append(e.handles, hs)
-		var cpos []uint64
-		if cp.FlowsLeft > 0 {
-			cpos = make([]uint64, cp.NumFlows)
-		}
-		e.churnPos = append(e.churnPos, cpos)
 		e.viewDirty = append(e.viewDirty, false)
 	}
 	e.load = append(e.load[:0], st.Load...)
@@ -273,7 +255,7 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 				live = append(live, r)
 			}
 		}
-		if err := e.sim.SetOrder(live); err != nil {
+		if _, err := e.sim.SetOrder(live); err != nil {
 			return nil, fmt.Errorf("online: re-applying restored order: %w", err)
 		}
 		e.order = live

@@ -18,7 +18,7 @@ import (
 // sim.Reference and graph/reference_test.go are kept): every unfinished
 // coflow that has arrived, every flow through a by-reference Status query, no
 // reuse and no memo. It deliberately shares nothing with syncView — not the
-// active list, not the handle table, not the progress log.
+// active list, not the progress log.
 func rebuildSnapshot(e *Engine) *Snapshot {
 	snap := &Snapshot{Now: e.now, Epoch: e.epoch, Network: e.inst.Network}
 	for id := range e.inst.Coflows {
@@ -385,7 +385,7 @@ func TestIdleEngineReleasesArenas(t *testing.T) {
 		t.Errorf("drained burst engine holds %d KB more than one that never had a backlog, want <= 64 KB", extra>>10)
 	}
 	runtime.KeepAlive(control)
-	if cap(e.view.Coflows) != 0 || e.order != nil || e.orderHandles != nil {
+	if cap(e.view.Coflows) != 0 || e.order != nil || e.orderScratch != nil {
 		t.Errorf("drained burst engine kept its epoch arenas (view cap %d, order cap %d)", cap(e.view.Coflows), cap(e.order))
 	}
 	if cap(control.view.Coflows) == 0 {

@@ -33,7 +33,7 @@ func TestAddFlowFromEmpty(t *testing.T) {
 			t.Fatalf("add flow %s: %v", ref, err)
 		}
 	}
-	if err := s.SetOrder(refs); err != nil {
+	if _, err := s.SetOrder(refs); err != nil {
 		t.Fatalf("set order: %v", err)
 	}
 	if err := s.RunUntil(math.Inf(1)); err != nil {
@@ -118,8 +118,9 @@ func TestAddFlowMidRun(t *testing.T) {
 	}
 }
 
-// TestForget checks pruning of finished flows: rejected while unfinished,
-// removed from every view once done, with the rest of the run unaffected.
+// TestForget checks pruning of finished coflows: rejected while a flow of the
+// coflow is unfinished or for an unknown coflow, the whole row removed from
+// every view once done, with the rest of the run unaffected.
 func TestForget(t *testing.T) {
 	g := graph.Line(3, 1)
 	inst := &coflow.Instance{
@@ -127,8 +128,9 @@ func TestForget(t *testing.T) {
 		Coflows: []coflow.Coflow{
 			{Name: "a", Weight: 1, Flows: []coflow.Flow{
 				{Source: 0, Dest: 1, Size: 2},
-				{Source: 1, Dest: 2, Size: 6},
+				{Source: 0, Dest: 1, Size: 1},
 			}},
+			{Name: "b", Weight: 1, Flows: []coflow.Flow{{Source: 1, Dest: 2, Size: 6}}},
 		},
 	}
 	if err := inst.AssignShortestPaths(); err != nil {
@@ -139,24 +141,41 @@ func TestForget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	if err := s.Forget(refs[0]); err == nil {
-		t.Fatalf("Forget accepted an unfinished flow")
-	}
-	if err := s.Forget(coflow.FlowRef{Coflow: 9, Index: 9}); err == nil {
-		t.Fatalf("Forget accepted an unknown flow")
-	}
-	// Run until the small flow (disjoint links, finishes at t=2) is done.
-	if err := s.RunUntil(3); err != nil {
+	// Coflow a's flows share link 0-1 at rate 1 in turn: (0,0) finishes at
+	// t=2, (0,1) at t=3.
+	if err := s.RunUntil(2.5); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if fs, ok := s.Status(refs[0]); !ok || !fs.Done {
-		t.Fatalf("flow %s not done at t=3: %+v", refs[0], fs)
+		t.Fatalf("flow %s not done at t=2.5: %+v", refs[0], fs)
 	}
-	if err := s.Forget(refs[0]); err != nil {
+	if err := s.ForgetCoflow(0); err == nil {
+		t.Fatalf("ForgetCoflow accepted a coflow with an unfinished flow")
+	}
+	if _, ok := s.Status(refs[0]); !ok {
+		t.Fatalf("a rejected ForgetCoflow dropped a finished flow")
+	}
+	for _, id := range []int{-1, 2, 9} {
+		if err := s.ForgetCoflow(id); err == nil {
+			t.Fatalf("ForgetCoflow accepted unknown coflow %d", id)
+		}
+	}
+	if err := s.RunUntil(3.5); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := s.ForgetCoflow(0); err != nil {
 		t.Fatalf("forget: %v", err)
 	}
-	if _, ok := s.Status(refs[0]); ok {
-		t.Errorf("forgotten flow still visible in Status")
+	for _, r := range refs[:2] {
+		if _, ok := s.Status(r); ok {
+			t.Errorf("forgotten flow %s still visible in Status", r)
+		}
+		if s.FlowSchedule(r) != nil {
+			t.Errorf("forgotten flow %s still has a schedule", r)
+		}
+	}
+	if err := s.ForgetCoflow(0); err == nil {
+		t.Errorf("ForgetCoflow forgot coflow 0 twice")
 	}
 	if len(s.Residuals()) != 1 {
 		t.Errorf("Residuals reports %d flows, want 1", len(s.Residuals()))
@@ -165,9 +184,9 @@ func TestForget(t *testing.T) {
 		t.Fatalf("run to completion: %v", err)
 	}
 	if !s.Done() {
-		t.Fatalf("not done after completion with a forgotten flow")
+		t.Fatalf("not done after completion with a forgotten coflow")
 	}
-	if fs, _ := s.Status(refs[1]); math.Abs(fs.Completion-6) > 1e-9 {
+	if fs, _ := s.Status(refs[2]); math.Abs(fs.Completion-6) > 1e-9 {
 		t.Errorf("surviving flow completed at %v, want 6", fs.Completion)
 	}
 }
@@ -208,7 +227,7 @@ func TestRemovePendingFlow(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 		released := false
-		for _, st := range s.states {
+		for _, st := range s.registered() {
 			if st.active || st.done {
 				released = true
 				break
@@ -249,9 +268,9 @@ func TestRemovePendingFlow(t *testing.T) {
 	}
 	// A released (active or done) flow must be rejected.
 	released := coflow.FlowRef{Coflow: -1}
-	for r, st := range s.states {
+	for _, st := range s.registered() {
 		if st.active || st.done {
-			released = r
+			released = st.ref
 			break
 		}
 	}

@@ -79,7 +79,7 @@ func BenchmarkRunUntilStepped(b *testing.B) {
 				order = rev
 			}
 			flip = !flip
-			if err := s.SetOrder(order); err != nil {
+			if _, err := s.SetOrder(order); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.RunUntil(until); err != nil {

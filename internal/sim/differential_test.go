@@ -13,9 +13,9 @@ import (
 // The tests in this file are the contract of the incremental rewrite: on
 // randomized instances — fat-tree and line topologies, Priority and
 // FairShare policies, batch runs and stepped runs with mid-run
-// AddFlow/SetOrder/Forget — the incremental simulator must produce exactly
-// the completion times (to 1e-9) and transmitted volumes of the retained
-// naive reference allocator in reference.go.
+// AddFlow/SetOrder/ForgetCoflow — the incremental simulator must produce
+// exactly the completion times (to 1e-9) and transmitted volumes of the
+// retained naive reference allocator in reference.go.
 
 const diffTol = 1e-9
 
@@ -123,7 +123,7 @@ func TestDifferentialSteppedReorder(t *testing.T) {
 					}
 					order := append([]coflow.FlowRef(nil), refs...)
 					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-					if err := inc.SetOrder(order); err != nil {
+					if _, err := inc.SetOrder(order); err != nil {
 						t.Fatalf("incremental SetOrder: %v", err)
 					}
 					if err := ref.SetOrder(order); err != nil {
@@ -158,8 +158,8 @@ func TestDifferentialSteppedReorder(t *testing.T) {
 
 // TestDifferentialOnlineChurn exercises the full online lifecycle against
 // the oracle: flows admitted mid-run (AddFlow), periodic re-prioritization
-// over the still-live flows (SetOrder), and pruning of finished flows
-// (Forget) — the exact call pattern of the serving engine.
+// over the still-live flows (SetOrder), and pruning of finished coflows
+// (ForgetCoflow) — the exact call pattern of the serving engine.
 func TestDifferentialOnlineChurn(t *testing.T) {
 	for name, g := range diffTopologies() {
 		t.Run(name, func(t *testing.T) {
@@ -208,6 +208,10 @@ func TestDifferentialOnlineChurn(t *testing.T) {
 
 				next := 0
 				var live []coflow.FlowRef
+				left := make([]int, len(inst.Coflows)) // unfinished flows per coflow
+				for c := range inst.Coflows {
+					left[c] = len(inst.Coflows[c].Flows)
+				}
 				const epoch = 2.0
 				for now := 0.0; ; now += epoch {
 					if now > 200*inst.TimeHorizon() {
@@ -230,7 +234,7 @@ func TestDifferentialOnlineChurn(t *testing.T) {
 					// the identical partial order.
 					order := append([]coflow.FlowRef(nil), live...)
 					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-					if err := inc.SetOrder(order); err != nil {
+					if _, err := inc.SetOrder(order); err != nil {
 						t.Fatalf("incremental SetOrder: %v", err)
 					}
 					if err := oracle.SetOrder(order); err != nil {
@@ -244,19 +248,21 @@ func TestDifferentialOnlineChurn(t *testing.T) {
 					}
 					record(inc, completions)
 					record(oracle, wantCompletions)
-					// Prune finished flows from both, like the engine does.
+					// Prune finished coflows from both, like the engine does.
 					stillLive := live[:0]
 					for _, r := range live {
 						fs, ok := inc.Status(r)
 						if !ok {
-							continue
+							t.Fatalf("live flow %s unknown to the incremental simulator", r)
 						}
 						if fs.Done {
-							if err := inc.Forget(r); err != nil {
-								t.Fatalf("incremental Forget %s: %v", r, err)
-							}
-							if err := oracle.Forget(r); err != nil {
-								t.Fatalf("reference Forget %s: %v", r, err)
+							if left[r.Coflow]--; left[r.Coflow] == 0 {
+								if err := inc.ForgetCoflow(r.Coflow); err != nil {
+									t.Fatalf("incremental ForgetCoflow %d: %v", r.Coflow, err)
+								}
+								if err := oracle.ForgetCoflow(r.Coflow); err != nil {
+									t.Fatalf("reference ForgetCoflow %d: %v", r.Coflow, err)
+								}
 							}
 							continue
 						}

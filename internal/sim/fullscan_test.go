@@ -10,7 +10,6 @@ package sim
 // Semantics must never drift from Simulator's. Fix bugs in both or neither.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,7 +22,7 @@ import (
 
 // fullScanRunUntil is RunUntil with every allocation a full path scan.
 func (s *Simulator) fullScanRunUntil(until float64) error {
-	s.budget += stepBudget(len(s.states))
+	s.budget += stepBudget(s.numFlows)
 	for {
 		if s.Done() || s.now >= until-timeTol {
 			return nil
@@ -223,8 +222,8 @@ func blockedCase(t testing.TB, seed int64, nodes, flows, satPct uint8) int {
 		if got.now != want.now {
 			t.Fatalf("seed %d step %d: clock %v, full scan %v", seed, step, got.now, want.now)
 		}
-		for ref, a := range got.states {
-			b := want.states[ref]
+		for _, a := range got.registered() {
+			ref, b := a.ref, want.flow(a.ref)
 			if a.rate != b.rate || a.remaining != b.remaining || a.lastT != b.lastT ||
 				a.done != b.done || a.completion != b.completion {
 				t.Fatalf("seed %d step %d: flow %s rate %v remaining %v done %v at %v, full scan rate %v remaining %v done %v at %v",
@@ -242,20 +241,17 @@ func blockedCase(t testing.TB, seed int64, nodes, flows, satPct uint8) int {
 		switch rng.Intn(4) {
 		case 0: // a random partial order
 			var order []coflow.FlowRef
-			for ref, st := range got.states {
+			for _, st := range got.registered() {
 				if !st.done {
-					order = append(order, ref)
+					order = append(order, st.ref)
 				}
 			}
-			slices.SortFunc(order, func(a, b coflow.FlowRef) int {
-				return cmp.Or(cmp.Compare(a.Coflow, b.Coflow), cmp.Compare(a.Index, b.Index))
-			})
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			order = order[:rng.Intn(len(order)+1)]
-			if err := got.SetOrder(order); err != nil {
+			if _, err := got.SetOrder(order); err != nil {
 				t.Fatal(err)
 			}
-			if err := want.SetOrder(order); err != nil {
+			if _, err := want.SetOrder(order); err != nil {
 				t.Fatal(err)
 			}
 		case 1: // a mid-run admission

@@ -7,9 +7,9 @@ package sim
 // to audit. It is the oracle for the differential tests in
 // differential_test.go, which assert the incremental allocator produces
 // identical completion times (to 1e-9) and transmitted volumes across
-// randomized workloads, including mid-run AddFlow/SetOrder/Forget. It lives in
-// a test file, as graph/ and lp/ keep their oracles, since nothing outside the
-// tests runs it.
+// randomized workloads, including mid-run AddFlow/SetOrder/ForgetCoflow. It
+// lives in a test file, as graph/ and lp/ keep their oracles, since nothing
+// outside the tests runs it.
 //
 // Semantics must never drift from Simulator's. Fix bugs in both or neither.
 
@@ -215,16 +215,27 @@ func (s *Reference) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 	return nil
 }
 
-// Forget removes a finished flow's state. See Simulator.Forget.
-func (s *Reference) Forget(ref coflow.FlowRef) error {
-	st, ok := s.states[ref]
-	if !ok {
-		return fmt.Errorf("sim: cannot forget unknown flow %s", ref)
+// ForgetCoflow removes a finished coflow's flow states. See
+// Simulator.ForgetCoflow.
+func (s *Reference) ForgetCoflow(id int) error {
+	n := 0
+	for r, st := range s.states {
+		if r.Coflow != id {
+			continue
+		}
+		if !st.done {
+			return fmt.Errorf("sim: cannot forget coflow %d: flow %s is unfinished", id, r)
+		}
+		n++
 	}
-	if !st.done {
-		return fmt.Errorf("sim: cannot forget unfinished flow %s", ref)
+	if n == 0 {
+		return fmt.Errorf("sim: cannot forget unknown coflow %d", id)
 	}
-	delete(s.states, ref)
+	for r := range s.states {
+		if r.Coflow == id {
+			delete(s.states, r)
+		}
+	}
 	return nil
 }
 
@@ -252,7 +263,12 @@ func (s *Reference) Residuals() []FlowStatus {
 		fs, _ := s.Status(st.ref)
 		out = append(out, fs)
 	}
-	sortStatuses(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Ref.Coflow != out[j].Ref.Coflow {
+			return out[i].Ref.Coflow < out[j].Ref.Coflow
+		}
+		return out[i].Ref.Index < out[j].Ref.Index
+	})
 	return out
 }
 

@@ -20,7 +20,7 @@ type reorderCase struct {
 	seed               int64
 }
 
-// runReorderCase installs the case's order the way SetOrderHandles does —
+// runReorderCase installs the case's order the way SetOrder does —
 // ranks stamped, the listed members collected in order — and checks Install
 // against the oracle: the members re-keyed by hand (an unlisted one ranks
 // after every listed one) and fully sorted. Install must report a change
@@ -146,7 +146,7 @@ func TestTakeProgressedCoversEveryChange(t *testing.T) {
 		for step := 1; !s.Done(); step++ {
 			if step%3 == 0 { // re-prioritize between steps, as the online engine does
 				rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
-				if err := s.SetOrder(refs); err != nil {
+				if _, err := s.SetOrder(refs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,11 +179,11 @@ func TestTakeProgressedCoversEveryChange(t *testing.T) {
 	}
 }
 
-// BenchmarkSetOrderHandles measures one order installation on a 2 000-flow
-// active set: re-confirming the standing order, moving the eight flows of one
-// coflow (the online steady state), and a full shuffle. Install reads the
-// sequence off the order in each case, so the three should cost the same.
-func BenchmarkSetOrderHandles(b *testing.B) {
+// BenchmarkSetOrder measures one order installation on a 2 000-flow active
+// set: re-confirming the standing order, moving the eight flows of one coflow
+// (the online steady state), and a full shuffle. Install reads the sequence
+// off the order in each case, so the three should cost the same.
+func BenchmarkSetOrder(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		moved int
@@ -203,12 +203,9 @@ func BenchmarkSetOrderHandles(b *testing.B) {
 			if err := s.RunUntil(1e-9); err != nil { // release everything
 				b.Fatal(err)
 			}
-			order := make([]Handle, len(refs))
-			for i, r := range refs {
-				order[i], _ = s.Handle(r)
-			}
+			order := slices.Clone(refs)
 			rng := rand.New(rand.NewSource(1))
-			block := make([]Handle, bc.moved)
+			block := make([]coflow.FlowRef, bc.moved)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -222,7 +219,7 @@ func BenchmarkSetOrderHandles(b *testing.B) {
 					copy(order[at+bc.moved:], order[at:len(order)-bc.moved])
 					copy(order[at:], block)
 				}
-				if err := s.SetOrderHandles(order); err != nil {
+				if _, err := s.SetOrder(order); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,7 +23,8 @@
 //   - Simulator is the resumable stepping API used by the online scheduler
 //     (internal/online): New builds the simulator, RunUntil advances it to a
 //     time boundary, SetOrder re-prioritizes the remaining work between
-//     steps, and Residuals reports per-flow transmitted/remaining volumes.
+//     steps, and Residuals reports per-flow transmitted/remaining volumes,
+//     all through its one flow table, indexed by coflow and flow index.
 //
 // The event loop is incremental. The greedy priority allocation is
 // prefix-stable — a flow's rate depends only on flows ranked before it — so
@@ -34,7 +35,7 @@
 // residual volume. The active set is one rank-ordered slice: an event batch's
 // releases and completions are merged into or compacted out of the dirty
 // suffix in the pass that re-allocates it, instead of the set being rebuilt
-// and re-sorted from the state map at every event. A flow the greedy left at
+// and re-sorted from the flow table at every event. A flow the greedy left at
 // rate 0 remembers the edge that blocked it and costs one load while that
 // edge stays saturated. Bandwidth segments are recorded only when a flow's
 // rate actually changes (coalesced at append time), and all per-event scratch
@@ -126,8 +127,9 @@ type flowState struct {
 	// path's bottleneck does too, so the greedy skips the scan.
 	blocked graph.EdgeID
 
-	orderSeq uint64 // SetOrder stamp: membership in the current order
-	progSeq  uint64 // progress-log stamp: already logged since the last drain
+	orderSeq  uint64 // SetOrder stamp: named by the order being validated
+	listedSeq uint64 // stamp of the last successful SetOrder that listed it
+	progSeq   uint64 // progress-log stamp: already logged since the last drain
 }
 
 // admittedRank is the priority rank of flows added mid-run (Simulator.AddFlow)
@@ -160,10 +162,16 @@ type CompletionEvent struct {
 // which the caller may inspect Residuals and install a new priority order
 // with SetOrder before resuming. The online scheduler uses exactly this
 // loop: one RunUntil per epoch, one SetOrder per policy decision.
+//
+// The simulator holds the one flow table: flows[c][i] is the state of flow
+// (c, i), nil for one never registered, removed or forgotten. Coflow ids index
+// it densely, one row header per coflow, and a finished coflow is dropped as
+// a whole row (ForgetCoflow).
 type Simulator struct {
-	inst   *coflow.Instance
-	policy Policy
-	states map[coflow.FlowRef]*flowState
+	inst     *coflow.Instance
+	policy   Policy
+	flows    [][]*flowState
+	numFlows int // non-nil entries of flows
 
 	pending releaseHeap // flows awaiting their release time
 	active  activeSet   // released, unfinished flows in priority order
@@ -181,6 +189,7 @@ type Simulator struct {
 	residual []float64 // per-edge residual capacity under current rates
 	eventSeq int       // reallocation counter, drives periodic rebasing
 	orderGen uint64    // SetOrder stamp generation
+	listed   uint64    // generation of the last successful SetOrder
 
 	tickStats TickStats // allocator-work aggregates, drained by TakeTickStats
 
@@ -213,7 +222,7 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		inst:     inst,
 		policy:   cfg.Policy,
-		states:   make(map[coflow.FlowRef]*flowState, len(refs)),
+		flows:    make([][]*flowState, 0, len(inst.Coflows)),
 		budget:   stepBudget(len(refs)),
 		caps:     make([]float64, g.NumEdges()),
 		residual: make([]float64, g.NumEdges()),
@@ -235,7 +244,7 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 		if err := path.Validate(inst.Network, f.Source, f.Dest); err != nil {
 			return nil, fmt.Errorf("sim: flow %s: %v", r, err)
 		}
-		st := &flowState{
+		s.register(&flowState{
 			ref:       r,
 			path:      path,
 			release:   f.Release,
@@ -243,11 +252,9 @@ func New(inst *coflow.Instance, cfg Config) (*Simulator, error) {
 			size:      f.Size,
 			lastT:     f.Release,
 			blocked:   -1,
-		}
-		s.states[r] = st
-		s.pending.Push(st)
+		})
 	}
-	if err := s.SetOrder(cfg.Order); err != nil {
+	if _, err := s.SetOrder(cfg.Order); err != nil {
 		return nil, err
 	}
 	if s.pending.Len() > 0 {
@@ -264,70 +271,77 @@ func stepBudget(numFlows int) int { return 100*numFlows + 1000 }
 func (s *Simulator) Now() float64 { return s.now }
 
 // Done reports whether every flow has completed. O(1): completions are
-// counted as they happen instead of re-scanning the state map.
-func (s *Simulator) Done() bool { return s.numDone == len(s.states) }
+// counted as they happen instead of re-scanning the flow table.
+func (s *Simulator) Done() bool { return s.numDone == s.numFlows }
 
-// SetOrder installs a new priority order, effective from the next RunUntil.
-// The order may be partial (missing flows rank last, in reference order) but
-// must not contain duplicates or unknown flows. It is ignored under the
-// FairShare policy.
-func (s *Simulator) SetOrder(order []coflow.FlowRef) error {
+// flow resolves a reference through the flow table, nil for one it does not
+// hold (out of range, never registered, removed or forgotten).
+func (s *Simulator) flow(ref coflow.FlowRef) *flowState {
+	if ref.Coflow < 0 || ref.Coflow >= len(s.flows) {
+		return nil
+	}
+	row := s.flows[ref.Coflow]
+	if ref.Index < 0 || ref.Index >= len(row) {
+		return nil
+	}
+	return row[ref.Index]
+}
+
+// register enters a new flow into its free slot of the table, growing the
+// table as far as the (non-negative) reference needs, and queues it for
+// release.
+func (s *Simulator) register(st *flowState) {
+	c, i := st.ref.Coflow, st.ref.Index
+	for len(s.flows) <= c {
+		s.flows = append(s.flows, nil)
+	}
+	for len(s.flows[c]) <= i {
+		s.flows[c] = append(s.flows[c], nil)
+	}
+	s.flows[c][i] = st
+	s.numFlows++
+	s.pending.Push(st)
+}
+
+// SetOrder installs a new priority order, effective from the next RunUntil,
+// and reports how many of the flows it lists kept their rank: sat at the same
+// position in the previous successfully installed order. The order may be
+// partial (missing flows rank last, in reference order) but must not contain
+// duplicates or unknown flows; a rejected order changes nothing, the next
+// order's kept count included. It is ignored under the FairShare policy.
+func (s *Simulator) SetOrder(order []coflow.FlowRef) (kept int, err error) {
 	// Stamp-based validation: detects duplicates and unknown flows in one
 	// pass without allocating a rank map, and mutates nothing until the
 	// order is known to be valid.
 	s.orderGen++
 	gen := s.orderGen
 	for _, r := range order {
-		st, ok := s.states[r]
-		if !ok {
-			return fmt.Errorf("sim: priority order names unknown flow %s", r)
+		st := s.flow(r)
+		if st == nil {
+			return 0, fmt.Errorf("sim: priority order names unknown flow %s", r)
 		}
 		if st.orderSeq == gen {
-			return fmt.Errorf("sim: flow %s appears twice in the priority order", r)
+			return 0, fmt.Errorf("sim: flow %s appears twice in the priority order", r)
 		}
 		st.orderSeq = gen
 	}
+	// A flow the previous order listed holds its position there as its rank;
+	// the listed stamp tells it from a finished flow with a stale rank, which
+	// no installation that leaves it out re-ranks.
 	next := s.active.next[:0]
 	for i, r := range order {
-		st := s.states[r]
-		st.rank = i
+		st := s.flow(r)
+		if st.listedSeq == s.listed && st.rank == i {
+			kept++
+		}
+		st.rank, st.listedSeq = i, gen
 		if st.active {
 			next = append(next, st)
 		}
 	}
+	s.listed = gen
 	s.installOrder(next, len(order))
-	return nil
-}
-
-// SetOrderHandles is SetOrder for a caller that already holds a handle to
-// every flow it wants ranked: the order installs without a map probe per
-// reference. Invalid handles are skipped; duplicates among the valid ones are
-// still an error. The online engine's decide path is the customer: its handle
-// table already knows which refs are live.
-func (s *Simulator) SetOrderHandles(order []Handle) error {
-	s.orderGen++
-	gen := s.orderGen
-	for _, h := range order {
-		st := h.st
-		if st == nil {
-			continue
-		}
-		if st.orderSeq == gen {
-			return fmt.Errorf("sim: flow %s appears twice in the priority order", st.ref)
-		}
-		st.orderSeq = gen
-	}
-	next := s.active.next[:0]
-	for i, h := range order {
-		if st := h.st; st != nil {
-			st.rank = i
-			if st.active {
-				next = append(next, st)
-			}
-		}
-	}
-	s.installOrder(next, len(order))
-	return nil
+	return kept, nil
 }
 
 // installOrder runs the shared tail of every order installation, given the
@@ -353,14 +367,17 @@ func (s *Simulator) installOrder(next []*flowState, unlisted int) {
 
 // AddFlow registers a new flow with a running simulator, modelling online
 // admission: the flow joins the instance state and becomes active at its
-// release time. The reference must be unused, the release must not lie in
-// the simulator's past, and the path (the explicit argument, falling back to
-// f.Path) must connect the flow's endpoints. Until the next SetOrder the new
-// flow ranks below every existing flow — newly admitted work waits at the
-// lowest priority until the next re-ordering, exactly like flows omitted
-// from a partial order.
+// release time. The reference must be unused and non-negative, the release
+// must not lie in the simulator's past, and the path (the explicit argument,
+// falling back to f.Path) must connect the flow's endpoints. Until the next
+// SetOrder the new flow ranks below every existing flow — newly admitted work
+// waits at the lowest priority until the next re-ordering, exactly like flows
+// omitted from a partial order.
 func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) error {
-	if _, exists := s.states[ref]; exists {
+	if ref.Coflow < 0 || ref.Index < 0 {
+		return fmt.Errorf("sim: flow %s has a negative reference", ref)
+	}
+	if s.flow(ref) != nil {
 		return fmt.Errorf("sim: flow %s is already registered", ref)
 	}
 	if f.Size <= 0 || math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
@@ -378,7 +395,7 @@ func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 	if err := path.Validate(s.inst.Network, f.Source, f.Dest); err != nil {
 		return fmt.Errorf("sim: flow %s: %v", ref, err)
 	}
-	st := &flowState{
+	s.register(&flowState{
 		ref:       ref,
 		path:      path,
 		release:   f.Release,
@@ -387,9 +404,7 @@ func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 		lastT:     f.Release,
 		rank:      admittedRank,
 		blocked:   -1,
-	}
-	s.states[ref] = st
-	s.pending.Push(st)
+	})
 	return nil
 }
 
@@ -399,52 +414,56 @@ func (s *Simulator) AddFlow(ref coflow.FlowRef, f coflow.Flow, path graph.Path) 
 // already-registered flows of a coflow whose admission fails midway, leaving
 // the simulator byte-identical to the state before the attempt.
 func (s *Simulator) Remove(ref coflow.FlowRef) error {
-	st, ok := s.states[ref]
-	if !ok {
+	st := s.flow(ref)
+	if st == nil {
 		return fmt.Errorf("sim: cannot remove unknown flow %s", ref)
 	}
-	if st.done || st.active {
+	// A registered flow neither active nor done waits in the release queue.
+	if st.done || st.active || !s.pending.Remove(st) {
 		return fmt.Errorf("sim: cannot remove flow %s after release", ref)
 	}
-	if !s.pending.Remove(st) {
-		return fmt.Errorf("sim: flow %s absent from the release queue", ref)
-	}
-	delete(s.states, ref)
+	s.flows[ref.Coflow][ref.Index] = nil
+	s.numFlows--
 	return nil
 }
 
-// Forget removes a finished flow's state from the simulator, bounding the
-// cost of a long-running simulation: every per-event and per-step scan
-// (active-flow selection, Done, Residuals) iterates only the flows still
-// registered. Only done flows may be forgotten, and their transcript
-// segments are discarded with them — callers that still need the flow's
-// transcript must capture it first (FlowSchedule). The online engine forgets
-// a coflow's flows once the coflow's completion has been recorded.
-func (s *Simulator) Forget(ref coflow.FlowRef) error {
-	st, ok := s.states[ref]
-	if !ok {
-		return fmt.Errorf("sim: cannot forget unknown flow %s", ref)
+// ForgetCoflow drops a finished coflow's row from the flow table, bounding the
+// cost of a long-running simulation: the flows' states, transcript segments
+// included, go with it, and every per-step scan (Done, Residuals, Schedule)
+// skips the row. Every flow the row holds must be done; callers that still
+// need a transcript capture it first (FlowSchedule). The online engine forgets
+// a coflow once its completion has been recorded.
+func (s *Simulator) ForgetCoflow(id int) error {
+	if id < 0 || id >= len(s.flows) || s.flows[id] == nil {
+		return fmt.Errorf("sim: cannot forget unknown coflow %d", id)
 	}
-	if !st.done {
-		return fmt.Errorf("sim: cannot forget unfinished flow %s", ref)
+	n := 0
+	for _, st := range s.flows[id] {
+		if st == nil {
+			continue
+		}
+		if !st.done {
+			return fmt.Errorf("sim: cannot forget coflow %d: flow %s is unfinished", id, st.ref)
+		}
+		n++
 	}
-	delete(s.states, ref)
-	s.numDone--
+	s.flows[id] = nil
+	s.numFlows -= n
+	s.numDone -= n
 	return nil
 }
 
-// ReleaseIdle hands back the per-flow tables and scratch of a simulator with
-// no flow registered: every completion-heap entry is then stale and every
-// scratch pointer dangles, yet the map's buckets, the heaps and the scratch
-// keep the size of the largest backlog they ever held (and the scratch still
-// pins the forgotten flow states). The caller decides when a drained backlog
-// was large enough to be worth regrowing from nothing; with flows registered
-// the call does nothing.
+// ReleaseIdle hands back the heaps and scratch of a simulator with no flow
+// registered: every completion-heap entry is then stale and every scratch
+// pointer dangles, yet the heaps and the scratch keep the size of the largest
+// backlog they ever held (and the scratch still pins the forgotten flow
+// states). The flow table keeps its row headers: coflow ids index it. The
+// caller decides when a drained backlog was large enough to be worth regrowing
+// from nothing; with flows registered the call does nothing.
 func (s *Simulator) ReleaseIdle() {
-	if len(s.states) != 0 {
+	if s.numFlows != 0 {
 		return
 	}
-	s.states = make(map[coflow.FlowRef]*flowState)
 	s.comp, s.pending = compHeap{}, releaseHeap{}
 	s.batchDone, s.batchReleased = nil, nil
 	s.active = activeSet{}
@@ -512,50 +531,42 @@ func (s *Simulator) status(st *flowState) FlowStatus {
 // reference is unknown. Unlike Residuals it is O(1), suitable for per-flow
 // status queries between steps.
 func (s *Simulator) Status(ref coflow.FlowRef) (FlowStatus, bool) {
-	st, ok := s.states[ref]
-	if !ok {
+	st := s.flow(ref)
+	if st == nil {
 		return FlowStatus{}, false
 	}
 	return s.status(st), true
 }
 
-// Handle is a direct reference to one flow's simulator state, skipping the
-// per-query map lookup of Status. Handles are engine-side plumbing for the
-// per-tick view and order-install paths. A
-// handle stays usable until the flow is forgotten; using it afterwards reads
-// stale (but never freed or recycled) state, so holders must drop handles
-// when they Forget the flow. The zero Handle is invalid.
-type Handle struct{ st *flowState }
-
-// Valid reports whether the handle refers to a flow.
-func (h Handle) Valid() bool { return h.st != nil }
-
-// Handle returns an O(1) status accessor for the flow, or false if the
-// reference is unknown.
-func (s *Simulator) Handle(ref coflow.FlowRef) (Handle, bool) {
-	st, ok := s.states[ref]
-	if !ok {
-		return Handle{}, false
+// Residual is the part of Status that moves: the flow's registered size, its
+// residual volume at the simulator clock and whether it has finished, with no
+// FlowStatus built; ok is false if the reference is unknown. The online
+// engine's per-tick view reads flow state through it.
+func (s *Simulator) Residual(ref coflow.FlowRef) (size, remaining float64, done, ok bool) {
+	st := s.flow(ref)
+	if st == nil {
+		return 0, 0, false, false
 	}
-	return Handle{st: st}, true
+	return st.size, st.projectedRemaining(s.now), st.done, true
 }
 
-// Residual is the part of Status that moves, through a handle: the flow's
-// registered size, its residual volume at the simulator clock and whether it
-// has finished — no map lookup and no FlowStatus built. The handle must come
-// from this simulator.
-func (s *Simulator) Residual(h Handle) (size, remaining float64, done bool) {
-	return h.st.size, h.st.projectedRemaining(s.now), h.st.done
-}
-
-// Residuals reports the per-flow residual state, sorted by flow reference.
+// Residuals reports the per-flow residual state, sorted by flow reference:
+// the order the flow table holds them in.
 func (s *Simulator) Residuals() []FlowStatus {
-	out := make([]FlowStatus, 0, len(s.states))
-	for _, st := range s.states {
-		out = append(out, s.status(st))
-	}
-	sortStatuses(out)
+	out := make([]FlowStatus, 0, s.numFlows)
+	s.each(func(st *flowState) { out = append(out, s.status(st)) })
 	return out
+}
+
+// each calls fn on every registered flow, in reference order.
+func (s *Simulator) each(fn func(*flowState)) {
+	for _, row := range s.flows {
+		for _, st := range row {
+			if st != nil {
+				fn(st)
+			}
+		}
+	}
 }
 
 // RunUntil advances the simulation to time `until` (or to completion,
@@ -563,7 +574,7 @@ func (s *Simulator) Residuals() []FlowStatus {
 // completion. It is legal to call RunUntil repeatedly with increasing
 // boundaries; each call refreshes the event budget.
 func (s *Simulator) RunUntil(until float64) error {
-	s.budget += stepBudget(len(s.states))
+	s.budget += stepBudget(s.numFlows)
 	for {
 		if s.Done() {
 			return nil
@@ -965,18 +976,16 @@ func (s *Simulator) maybeCompact() {
 // Now without disturbing the lazy simulator state.
 func (s *Simulator) Schedule() *coflow.CircuitSchedule {
 	cs := coflow.NewCircuitSchedule()
-	for r := range s.states {
-		cs.Set(r, s.FlowSchedule(r))
-	}
+	s.each(func(st *flowState) { cs.Set(st.ref, s.FlowSchedule(st.ref)) })
 	return cs
 }
 
 // FlowSchedule is one flow's part of Schedule, nil for a flow the simulator
-// does not (or no longer) track: what a caller captures before it Forgets the
-// flow.
+// does not (or no longer) track: what a caller captures before it forgets the
+// flow's coflow.
 func (s *Simulator) FlowSchedule(ref coflow.FlowRef) *coflow.FlowSchedule {
-	st, ok := s.states[ref]
-	if !ok {
+	st := s.flow(ref)
+	if st == nil {
 		return nil
 	}
 	segs := make([]coflow.BandwidthSegment, len(st.segments), len(st.segments)+1)
@@ -1022,17 +1031,6 @@ func Run(inst *coflow.Instance, cfg Config) (*coflow.CircuitSchedule, error) {
 		return nil, err
 	}
 	return s.Schedule(), nil
-}
-
-// sortStatuses orders flow statuses by reference, the order Residuals
-// promises.
-func sortStatuses(out []FlowStatus) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ref.Coflow != out[j].Ref.Coflow {
-			return out[i].Ref.Coflow < out[j].Ref.Coflow
-		}
-		return out[i].Ref.Index < out[j].Ref.Index
-	})
 }
 
 // mergeSegments coalesces adjacent segments with identical rates to keep

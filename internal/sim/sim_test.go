@@ -39,6 +39,13 @@ func figure1Instance(t *testing.T) *coflow.Instance {
 
 func defaultOrder(inst *coflow.Instance) []coflow.FlowRef { return inst.FlowRefs() }
 
+// registered lists the flow table's states in reference order.
+func (s *Simulator) registered() []*flowState {
+	var out []*flowState
+	s.each(func(st *flowState) { out = append(out, st) })
+	return out
+}
+
 func TestRunPriorityProducesValidSchedule(t *testing.T) {
 	inst := figure1Instance(t)
 	cs, err := Run(inst, Config{Order: defaultOrder(inst), Policy: Priority})

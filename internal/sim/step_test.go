@@ -126,7 +126,7 @@ func TestSetOrderBetweenSteps(t *testing.T) {
 			}
 		}
 		flip = !flip
-		if err := s.SetOrder(order); err != nil {
+		if _, err := s.SetOrder(order); err != nil {
 			t.Fatalf("set order: %v", err)
 		}
 		if err := s.RunUntil(until); err != nil {
