@@ -27,18 +27,19 @@ import (
 // Long-running cost: the engine keeps one residual view of the active
 // coflows and, per epoch, rebuilds only the slots of coflows whose flows
 // transmitted (the simulator's progress log), were just admitted or
-// completed (syncView); AdvanceTo costs the completions it folds in. What is
-// still proportional to the active flows every decision is the policy's own
-// scoring pass, the order filter, the simulator's install (which counts the
-// flows that kept their rank, the churn numerator) and one sweep of its
-// active list — none of them rebuilds state that did not change.
-// Completed coflows are pruned from the simulator (sim.ForgetCoflow) as soon
-// as their completion is recorded, the epoch arenas (view, order buffers) are
-// handed back when a sizeable backlog has drained (idleKeepFlows), and the
+// completed (syncView); AdvanceTo costs the completions it folds in, and the
+// coflow sort starts from the order last applied. What is still proportional
+// to the active flows every decision is the order's expansion into flows and
+// the simulator's install (one lookup per listed flow, counting the flows
+// that kept their rank, the churn numerator); an order an advance overtook
+// also pays ApplyOrder's filter. Completed coflows are pruned from the
+// simulator (sim.ForgetCoflow) and the engine's flow copies as soon as their
+// completion is recorded, the epoch arenas (view, order buffers) are handed
+// back when a sizeable backlog has drained (idleKeepFlows), and the
 // slowdown/solve-latency samples live in bounded reservoirs of the most
 // recent statsWindow values. What does grow with total admissions is the
-// per-coflow registry (arrival, completion, byte totals — a few words per
-// coflow) that backs the status endpoint, plus the simulator's 24-byte row
+// per-coflow registry (arrival, completion, counts, byte totals — a few words
+// per coflow) that backs the status endpoint, plus the simulator's 24-byte row
 // header per coflow in its flow table, the one place flow state is found.
 type Engine struct {
 	cfg    Config
@@ -51,9 +52,10 @@ type Engine struct {
 	// routing, the slowdown denominator.
 	arrivals []float64
 	gammas   []float64
-	// flowsLeft counts unfinished flows per coflow (as of the last advance);
-	// completion holds the max flow completion seen so far (the coflow CCT
-	// once flowsLeft hits 0); totalBytes the coflow's admitted volume.
+	// numFlows and flowsLeft count all and unfinished flows per coflow (as of
+	// the last advance); completion holds the max flow completion seen so far
+	// (the coflow CCT once flowsLeft hits 0); totalBytes the admitted volume.
+	numFlows   []int
 	flowsLeft  []int
 	completion []float64
 	totalBytes []float64
@@ -368,6 +370,7 @@ func (e *Engine) Admit(cf coflow.Coflow, now float64) (int, error) {
 	e.inst.Coflows = append(e.inst.Coflows, admitted)
 	e.arrivals = append(e.arrivals, now)
 	e.gammas = append(e.gammas, e.inst.Network.BottleneckTime(gammaLoads))
+	e.numFlows = append(e.numFlows, len(admitted.Flows))
 	e.flowsLeft = append(e.flowsLeft, len(admitted.Flows))
 	e.completion = append(e.completion, 0)
 	e.totalBytes = append(e.totalBytes, bytes)
@@ -470,9 +473,12 @@ func (e *Engine) syncView() *Snapshot {
 			e.fillSlot(id, &slots[w])
 			e.viewDirty[id] = false
 		}
+		if fl := slots[w].Flows; len(fl) > 0 { // the seed of sortCoflows
+			slots[w].seed, _ = e.sim.Rank(fl[0].Ref)
+		}
 		w++
 	}
-	v.Coflows = slots[:w]
+	v.Coflows, v.seedSpan = slots[:w], len(e.order)
 	return v
 }
 
@@ -483,7 +489,7 @@ func (e *Engine) syncView() *Snapshot {
 // safe to hand to a Decide running on another goroutine.
 func (e *Engine) Snapshot() *Snapshot {
 	v := e.syncView()
-	snap := &Snapshot{Now: v.Now, Epoch: v.Epoch, Network: v.Network}
+	snap := &Snapshot{Now: v.Now, Epoch: v.Epoch, Network: v.Network, seedSpan: v.seedSpan}
 	if len(v.Coflows) == 0 {
 		return snap
 	}
@@ -509,7 +515,7 @@ type Decision struct {
 // staleness rule: a synchronous policy's order is applied at once; an
 // AsyncPolicy's is held for the next epoch boundary (ApplyHeld) and, on a cold
 // start — d.Epoch's boundary applied no held order — at once too. It reports
-// whether it applied d.
+// whether it applied d: as decided in its own epoch, else through ApplyOrder.
 func (e *Engine) Settle(d Decision) (applied bool, err error) {
 	if ap, ok := e.policy.(AsyncPolicy); ok && ap.Async() {
 		e.held = Decision{Order: append(e.held.Order[:0], d.Order...), Latency: d.Latency, Epoch: d.Epoch}
@@ -517,6 +523,9 @@ func (e *Engine) Settle(d Decision) (applied bool, err error) {
 		if e.warmAt == d.Epoch {
 			return false, nil
 		}
+	}
+	if d.Epoch == e.epoch {
+		return true, e.install(d.Order, d.Latency)
 	}
 	return true, e.ApplyOrder(d.Order, d.Latency)
 }
@@ -546,12 +555,17 @@ func (e *Engine) ApplyOrder(order []coflow.FlowRef, solveLatency time.Duration) 
 		}
 	}
 	e.orderScratch = live
-	kept, err := e.sim.SetOrder(live)
+	return e.install(live, solveLatency)
+}
+
+// install is every order installation's tail, after any filter.
+func (e *Engine) install(order []coflow.FlowRef, solveLatency time.Duration) error {
+	kept, err := e.sim.SetOrder(order)
 	if err != nil {
 		return err
 	}
-	e.lastChurn = churn(len(e.order), len(live), kept)
-	e.order = append(e.order[:0], live...)
+	e.lastChurn = churn(len(e.order), len(order), kept)
+	e.order = append(e.order[:0], order...)
 	e.decisions++
 	e.solveLatencies.add(solveLatency.Seconds())
 	return nil
@@ -676,6 +690,7 @@ func (e *Engine) collectCompletions() {
 		// ForgetCoflow only errors on an unknown coflow or an unfinished flow;
 		// every flow of a completed coflow is done by construction.
 		_ = e.sim.ForgetCoflow(id)
+		cf.Flows = nil
 		e.recentDone = append(e.recentDone, id)
 		closed = true
 	}
@@ -687,7 +702,7 @@ func (e *Engine) collectCompletions() {
 			}
 		}
 		e.active = stillActive
-		if len(stillActive) == 0 && cap(e.orderScratch) > idleKeepFlows {
+		if len(stillActive) == 0 && cap(e.order) > idleKeepFlows {
 			// Idle: the epoch arenas and the simulator's tables were sized
 			// by the backlog that just drained. Hand them back; the next
 			// admission regrows what it needs.
@@ -705,13 +720,13 @@ func (e *Engine) CoflowStatus(id int) (CoflowStatus, bool) {
 	if id < 0 || id >= len(e.inst.Coflows) {
 		return CoflowStatus{}, false
 	}
-	cf := e.inst.Coflows[id]
+	cf := &e.inst.Coflows[id]
 	st := CoflowStatus{
 		ID:         id,
 		Name:       cf.Name,
 		Weight:     cf.Weight,
 		Arrival:    e.arrivals[id],
-		NumFlows:   len(cf.Flows),
+		NumFlows:   e.numFlows[id],
 		TotalBytes: e.totalBytes[id],
 	}
 	if e.flowsLeft[id] == 0 {

@@ -263,6 +263,101 @@ func TestApplyStaleOrder(t *testing.T) {
 	}
 }
 
+// TestSettleSameEpochInstallsAsDecided: an order settled in the epoch it was
+// decided in is installed as decided, with no survivorship filter — so a ref
+// the simulator does not know is SetOrder's error, not dropped, and the
+// rejected order leaves the standing one, its churn and the decision count
+// as they were.
+func TestSettleSameEpochInstallsAsDecided(t *testing.T) {
+	r := func(c int) coflow.FlowRef { return coflow.FlowRef{Coflow: c} }
+	eng := churnEngine(t, 3)
+	decided := []coflow.FlowRef{r(2), r(0), r(1)}
+	if applied, err := eng.Settle(Decision{Order: decided, Epoch: eng.Epoch()}); !applied || err != nil {
+		t.Fatalf("settle: applied %v, err %v", applied, err)
+	}
+	if got := eng.Order(); !slices.Equal(got, decided) {
+		t.Fatalf("installed %v, decided %v", got, decided)
+	}
+	decisions, churnBefore := eng.Stats().Decisions, eng.OrderChurn()
+	for _, bad := range [][]coflow.FlowRef{
+		{r(0), r(7), r(1)},                    // never admitted
+		{r(1), {Coflow: 0, Index: 1}, r(0)},   // past the coflow's flows
+		{r(0), {Coflow: -1, Index: 0}, r(2)},  // negative
+		{r(2), r(1), r(0), {Coflow: 1 << 40}}, // far past the last coflow
+	} {
+		if _, err := eng.Settle(Decision{Order: bad, Epoch: eng.Epoch()}); err == nil {
+			t.Fatalf("order %v with an unknown ref installed", bad)
+		}
+		if got := eng.Order(); !slices.Equal(got, decided) {
+			t.Fatalf("rejected order %v replaced the standing one: %v", bad, got)
+		}
+		if eng.Stats().Decisions != decisions || eng.OrderChurn() != churnBefore {
+			t.Fatalf("rejected order %v counted as a decision", bad)
+		}
+	}
+	// The same junk through ApplyOrder, the replay path, is dropped.
+	if err := eng.ApplyOrder([]coflow.FlowRef{r(0), r(7), r(1)}, 0); err != nil {
+		t.Fatalf("ApplyOrder: %v", err)
+	}
+	if got := eng.Order(); !slices.Equal(got, []coflow.FlowRef{r(0), r(1)}) {
+		t.Fatalf("ApplyOrder installed %v, want the two known refs", got)
+	}
+}
+
+// TestSettleAcrossAdvanceFilters: an order that an advance overtook — a
+// synchronous decision settled after a tick, or an AsyncPolicy's order held
+// to the next boundary — still goes through ApplyOrder and drops the refs of
+// coflows that completed since its view, applying the rest.
+func TestSettleAcrossAdvanceFilters(t *testing.T) {
+	g := graph.FatTree(4, 1)
+	hosts := g.Hosts()
+	small := coflow.Coflow{Name: "small", Weight: 1, Flows: []coflow.Flow{{Source: hosts[0], Dest: hosts[1], Size: 1}}}
+	big := coflow.Coflow{Name: "big", Weight: 1, Flows: []coflow.Flow{{Source: hosts[2], Dest: hosts[3], Size: 50}}}
+	for _, policy := range []Policy{FIFOOnline{}, &asyncFIFO{}} {
+		eng, err := NewEngine(g, policy, Config{EpochLength: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cf := range []coflow.Coflow{small, big} {
+			if _, err := eng.Admit(cf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := eng.Snapshot()
+		order, err := policy.Decide(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := Decision{Order: order, Epoch: snap.Epoch}
+		if _, async := policy.(AsyncPolicy); async {
+			// A cold start applies at once and holds a copy for the boundary.
+			if applied, err := eng.Settle(d); !applied || err != nil {
+				t.Fatalf("%s: cold start applied %v, err %v", policy.Name(), applied, err)
+			}
+		}
+		if err := eng.AdvanceTo(5); err != nil { // the small coflow completes
+			t.Fatal(err)
+		}
+		if st, _ := eng.CoflowStatus(0); !st.Done {
+			t.Fatalf("%s: small coflow not done at t=5", policy.Name())
+		}
+		if _, async := policy.(AsyncPolicy); async {
+			held, applied, err := eng.ApplyHeld()
+			if !applied || err != nil || held.Epoch != snap.Epoch {
+				t.Fatalf("%s: held order applied %v (epoch %d), err %v", policy.Name(), applied, held.Epoch, err)
+			}
+		} else if applied, err := eng.Settle(d); !applied || err != nil {
+			t.Fatalf("%s: overtaken order applied %v, err %v", policy.Name(), applied, err)
+		}
+		if got := eng.Order(); len(got) != 1 || got[0].Coflow != 1 {
+			t.Errorf("%s: order %v, want the big coflow's flow only", policy.Name(), got)
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestEngineOracleRejected checks the Preparer guard.
 func TestEngineOracleRejected(t *testing.T) {
 	if _, err := NewEngine(graph.FatTree(4, 1), NewOracle(baselines.SEBF{}), Config{EpochLength: 1}); err == nil {

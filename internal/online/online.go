@@ -27,6 +27,7 @@ package online
 
 import (
 	"math/rand"
+	"slices"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
@@ -66,6 +67,7 @@ type ResidualCoflow struct {
 	// scored on demand.
 	gamma    float64
 	hasGamma bool
+	seed     int // sortCoflows' seed: its first live flow's rank in the last order
 }
 
 // residualBottleneck is a coflow's residual Γ: the bottleneck time of its
@@ -94,7 +96,8 @@ type Snapshot struct {
 	Network *graph.Graph
 	// Coflows lists arrived coflows with at least one unfinished flow,
 	// in arrival order.
-	Coflows []ResidualCoflow
+	Coflows  []ResidualCoflow
+	seedSpan int // length of the order the seeds index, 0 by hand
 
 	// Decide-time scratch, reused across epochs on the engine's long-lived
 	// view (the synchronous decide path). Reuse is safe because at most one
@@ -103,6 +106,7 @@ type Snapshot struct {
 	orderArena []coflow.FlowRef
 	idxArena   []int
 	keyArena   []float64
+	seatArena  []int
 }
 
 // NumFlows returns the number of residual flows across all coflows.
@@ -114,22 +118,14 @@ func (s *Snapshot) NumFlows() int {
 	return n
 }
 
-// ints returns the snapshot's reusable []int scratch, resized to n.
-func (s *Snapshot) ints(n int) []int {
-	if cap(s.idxArena) < n {
-		s.idxArena = make([]int, n)
+// resize returns the scratch buffer *buf resized to n, grown the way append
+// grows it (old elements kept, new ones zero) and kept in *buf for reuse.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = slices.Grow((*buf)[:0], n)
 	}
-	s.idxArena = s.idxArena[:n]
-	return s.idxArena
-}
-
-// floats returns the snapshot's reusable []float64 scratch, resized to n.
-func (s *Snapshot) floats(n int) []float64 {
-	if cap(s.keyArena) < n {
-		s.keyArena = make([]float64, n)
-	}
-	s.keyArena = s.keyArena[:n]
-	return s.keyArena
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Policy decides the priority order for an epoch. Implementations must be

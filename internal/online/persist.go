@@ -122,7 +122,7 @@ func (e *Engine) ExportState() *EngineState {
 			Gamma:      e.gammas[id],
 			TotalBytes: e.totalBytes[id],
 			Completion: e.completion[id],
-			NumFlows:   len(cf.Flows),
+			NumFlows:   e.numFlows[id],
 			FlowsLeft:  e.flowsLeft[id],
 		}
 		if e.flowsLeft[id] > 0 {
@@ -183,7 +183,10 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 		if cp.FlowsLeft != len(cp.Flows) {
 			return nil, fmt.Errorf("online: restored coflow %d lists %d live flows but counts %d left", id, len(cp.Flows), cp.FlowsLeft)
 		}
-		admitted := coflow.Coflow{Name: cp.Name, Weight: cp.Weight, Flows: make([]coflow.Flow, cp.NumFlows)}
+		admitted := coflow.Coflow{Name: cp.Name, Weight: cp.Weight}
+		if cp.FlowsLeft > 0 {
+			admitted.Flows = make([]coflow.Flow, cp.NumFlows)
+		}
 		for k := range cp.Flows {
 			fp := &cp.Flows[k]
 			if fp.Index < 0 || fp.Index >= cp.NumFlows {
@@ -206,6 +209,7 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 		e.inst.Coflows = append(e.inst.Coflows, admitted)
 		e.arrivals = append(e.arrivals, cp.Arrival)
 		e.gammas = append(e.gammas, cp.Gamma)
+		e.numFlows = append(e.numFlows, cp.NumFlows)
 		e.flowsLeft = append(e.flowsLeft, cp.FlowsLeft)
 		e.completion = append(e.completion, cp.Completion)
 		e.totalBytes = append(e.totalBytes, cp.TotalBytes)
@@ -232,6 +236,11 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 		}
 		e.viewDirty = append(e.viewDirty, false)
 	}
+	// The persisted order goes through the replay filter; the counters it
+	// touches are restored below.
+	if err := e.ApplyOrder(st.Order, 0); err != nil {
+		return nil, fmt.Errorf("online: re-applying restored order: %w", err)
+	}
 	e.load = append(e.load[:0], st.Load...)
 	e.now = st.Now
 	e.epoch = st.Epoch
@@ -242,32 +251,15 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 	e.weightedCCT = st.WeightedCCT
 	e.weightedResponse = st.WeightedResponse
 	e.lastChurn = st.LastChurn
-	for _, v := range boundWindow(st.Slowdowns) {
-		e.slowdowns.add(v)
-	}
-	for _, v := range boundWindow(st.SolveLatencies) {
-		e.solveLatencies.add(v)
-	}
-	if len(st.Order) > 0 {
-		live := make([]coflow.FlowRef, 0, len(st.Order))
-		for _, r := range st.Order {
-			if _, ok := e.sim.Status(r); ok {
-				live = append(live, r)
-			}
-		}
-		if _, err := e.sim.SetOrder(live); err != nil {
-			return nil, fmt.Errorf("online: re-applying restored order: %w", err)
-		}
-		e.order = live
-	}
+	e.slowdowns, e.solveLatencies = restoreRing(st.Slowdowns), restoreRing(st.SolveLatencies)
 	return e, nil
 }
 
-// boundWindow truncates a restored reservoir to the engine's window (oldest
-// dropped first).
-func boundWindow(vals []float64) []float64 {
+// restoreRing rebuilds a reservoir from its persisted values, truncated to
+// the engine's window (oldest dropped first).
+func restoreRing(vals []float64) ring {
 	if len(vals) > statsWindow {
-		return vals[len(vals)-statsWindow:]
+		vals = vals[len(vals)-statsWindow:]
 	}
-	return vals
+	return ring{vals: append([]float64(nil), vals...)}
 }

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -25,25 +26,11 @@ func (FIFOOnline) Name() string { return "FIFOOnline" }
 
 // Decide implements Policy.
 func (FIFOOnline) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
-	idx := snap.ints(len(snap.Coflows))
-	for i := range idx {
-		idx[i] = i
+	keys := resize(&snap.keyArena, len(snap.Coflows))
+	for i := range snap.Coflows {
+		keys[i] = snap.Coflows[i].Arrival
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		ca, cb := &snap.Coflows[a], &snap.Coflows[b]
-		switch {
-		case ca.Arrival < cb.Arrival:
-			return -1
-		case ca.Arrival > cb.Arrival:
-			return 1
-		case ca.Index < cb.Index:
-			return -1
-		case ca.Index > cb.Index:
-			return 1
-		}
-		return 0
-	})
-	return flattenIndexed(snap, idx), nil
+	return sortCoflows(snap, keys), nil
 }
 
 // SEBFOnline is Varys' Smallest Effective Bottleneck First recomputed on
@@ -58,31 +45,59 @@ func (SEBFOnline) Name() string { return "SEBFOnline" }
 
 // Decide implements Policy.
 func (SEBFOnline) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
-	idx := snap.ints(len(snap.Coflows))
-	gammas := snap.floats(len(snap.Coflows)) // keyed by coflow position, not rank
-	var loads []graph.PathLoad               // scratch for coflows that carry no Γ memo
+	keys := resize(&snap.keyArena, len(snap.Coflows)) // Γ/w, by coflow position
+	var loads []graph.PathLoad                        // scratch for coflows that carry no Γ memo
 	for i := range snap.Coflows {
 		cf := &snap.Coflows[i]
-		gamma := cf.gamma
-		if !cf.hasGamma {
-			gamma, loads = residualBottleneck(snap.Network, cf.Flows, loads)
+		if keys[i] = cf.gamma; !cf.hasGamma {
+			keys[i], loads = residualBottleneck(snap.Network, cf.Flows, loads)
 		}
 		if cf.Weight > 0 {
-			gamma /= cf.Weight
+			keys[i] /= cf.Weight
 		}
-		idx[i], gammas[i] = i, gamma
 	}
-	// Γ/w then the unique Index is a total order: no stable sort needed.
-	slices.SortFunc(idx, func(a, b int) int {
-		switch {
-		case gammas[a] < gammas[b]:
-			return -1
-		case gammas[a] > gammas[b]:
-			return 1
+	return sortCoflows(snap, keys), nil
+}
+
+// sortCoflows orders the coflows by key (per slot), ties by the unique Index,
+// and expands them into the snapshot's order arena, flows in index order. It
+// starts from the order the engine last applied — each slot seated at its
+// seed, the unseated (new, or seed out of range or taken) after in slot order
+// — so it sorts a nearly sorted input. (key, Index) is a total order: a
+// stale, shared or missing seed costs time only.
+func sortCoflows(snap *Snapshot, key []float64) []coflow.FlowRef {
+	cfs := snap.Coflows
+	idx := resize(&snap.idxArena, len(cfs))
+	seats := resize(&snap.seatArena, snap.seedSpan) // zero: no slot seated
+	seated, rest := 0, len(cfs)
+	for i := range cfs {
+		if s := cfs[i].seed; s >= 0 && s < len(seats) && seats[s] == 0 {
+			seats[s] = i + 1
+			seated++
+		} else {
+			rest--
+			idx[rest] = i
 		}
-		return snap.Coflows[a].Index - snap.Coflows[b].Index
+	}
+	slices.Reverse(idx[seated:]) // the unseated, back in slot order
+	for k, n := 0, 0; n < seated; k++ {
+		if v := seats[k]; v > 0 {
+			idx[n], seats[k] = v-1, 0
+			n++
+		}
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(key[a], key[b]), cfs[a].Index-cfs[b].Index)
 	})
-	return flattenIndexed(snap, idx), nil
+	order := snap.orderArena[:0]
+	for _, i := range idx {
+		flows := cfs[i].Flows
+		for j := range flows {
+			order = append(order, flows[j].Ref)
+		}
+	}
+	snap.orderArena = order
+	return order
 }
 
 // LPEpoch re-solves the paper's interval-indexed LP (internal/core) on the
@@ -230,19 +245,4 @@ func (o *Oracle) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 		}
 	}
 	return order, nil
-}
-
-// flattenIndexed expands a coflow permutation (indices into snap.Coflows)
-// into a flow priority order (flows within a coflow in index order), backed
-// by the snapshot's reusable order arena.
-func flattenIndexed(snap *Snapshot, idx []int) []coflow.FlowRef {
-	order := snap.orderArena[:0]
-	for _, i := range idx {
-		flows := snap.Coflows[i].Flows
-		for j := range flows {
-			order = append(order, flows[j].Ref)
-		}
-	}
-	snap.orderArena = order
-	return order
 }

@@ -337,6 +337,20 @@ func activeSetCap(s *sim.Simulator) int {
 	return n
 }
 
+// orderScratch reads the simulator's SetOrder scratch by reflection: its
+// capacity and how many of its slots, up to that capacity, still point at a
+// flow state.
+func orderScratch(s *sim.Simulator) (capacity, pinned int) {
+	v := reflect.ValueOf(s).Elem().FieldByName("ordered")
+	v = v.Slice(0, v.Cap())
+	for i := 0; i < v.Len(); i++ {
+		if !v.Index(i).IsNil() {
+			pinned++
+		}
+	}
+	return v.Cap(), pinned
+}
+
 // TestIdleEngineReleasesArenas checks memory follows active work: once a
 // 600-coflow burst has drained, the engine holds no more than an engine that
 // admitted the same coflows one at a time and never had a backlog (the
@@ -397,6 +411,12 @@ func TestIdleEngineReleasesArenas(t *testing.T) {
 	if activeSetCap(control.sim) == 0 {
 		t.Errorf("an engine that never held a backlog has no active-set capacity: the probe reads nothing")
 	}
+	if n, _ := orderScratch(e.sim); n != 0 {
+		t.Errorf("drained burst engine's simulator kept an order scratch of capacity %d", n)
+	}
+	if n, pinned := orderScratch(control.sim); n == 0 || pinned != 0 {
+		t.Errorf("no-backlog engine's order scratch: capacity %d with %d flow states pinned, want some capacity and none pinned", n, pinned)
+	}
 	if _, err := e.Admit(cfs[0], e.Now()); err != nil {
 		t.Fatalf("admission after the idle release: %v", err)
 	}
@@ -409,5 +429,42 @@ func TestIdleEngineReleasesArenas(t *testing.T) {
 	}
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainedEngineDropsCompletedFlows: once a coflow completes, the engine
+// keeps its aggregates and drops its flow array, and everything that reports
+// the coflow's flow count — status, export, a restore of the export — reads
+// the count it kept.
+func TestDrainedEngineDropsCompletedFlows(t *testing.T) {
+	e := backlogEngine(t, SEBFOnline{}, 40, 3)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range e.inst.Coflows {
+		if fl := e.inst.Coflows[id].Flows; fl != nil {
+			t.Fatalf("completed coflow %d still holds its %d flows", id, len(fl))
+		}
+		if st, _ := e.CoflowStatus(id); !st.Done || st.NumFlows != 3 || st.FlowsDone != 3 {
+			t.Fatalf("coflow %d status %+v, want done with 3 of 3 flows", id, st)
+		}
+	}
+	st := e.ExportState()
+	for id, cp := range st.Coflows {
+		if cp.NumFlows != 3 || cp.FlowsLeft != 0 || len(cp.Flows) != 0 {
+			t.Fatalf("exported coflow %d: %d flows, %d left, %d listed", id, cp.NumFlows, cp.FlowsLeft, len(cp.Flows))
+		}
+	}
+	r, err := RestoreEngine(e.inst.Network, SEBFOnline{}, Config{EpochLength: 1}, st)
+	if err != nil {
+		t.Fatalf("restore a drained engine: %v", err)
+	}
+	for id := range r.inst.Coflows {
+		if r.inst.Coflows[id].Flows != nil {
+			t.Fatalf("restored completed coflow %d was given a flow array", id)
+		}
+	}
+	if got := r.ExportState().Coflows; !reflect.DeepEqual(got, st.Coflows) {
+		t.Fatalf("restored engine exports a registry that differs from the one it was restored from")
 	}
 }

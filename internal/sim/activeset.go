@@ -86,21 +86,21 @@ func (a *activeSet) Splice(i int, add []*flowState) {
 	}
 }
 
-// Install makes next the set's sequence after a new priority order assigned
-// ranks (it stamped the flows it lists with gen) and reports whether the
-// sequence changed. next holds the active flows the order lists, in order;
-// the members it left out take the rank unlisted and follow in reference
-// order, which is where keyCmp puts them. Install swaps next in and keeps the
-// old slice, cleared, as the next call's buffer.
+// Install makes next — the members a new order lists (it stamped them with
+// gen), in order — the set's sequence and reports whether it changed. The
+// members left out, if any, take the rank unlisted and follow in reference
+// order, where keyCmp puts them. The old slice, cleared, is the next buffer.
 func (a *activeSet) Install(next []*flowState, gen uint64, unlisted int) bool {
 	listed := len(next)
-	for _, st := range a.fs {
-		if st.orderSeq != gen {
-			st.rank = unlisted
-			next = append(next, st)
+	if listed < len(a.fs) {
+		for _, st := range a.fs {
+			if st.orderSeq != gen {
+				st.rank = unlisted
+				next = append(next, st)
+			}
 		}
+		slices.SortFunc(next[listed:], refCmp)
 	}
-	slices.SortFunc(next[listed:], refCmp)
 	changed := !slices.Equal(next, a.fs)
 	clear(a.fs)
 	a.fs, a.next = next, a.fs[:0]

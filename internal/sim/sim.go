@@ -204,6 +204,7 @@ type Simulator struct {
 	// Per-event scratch, reused so steady-state events allocate nothing.
 	batchDone     []*flowState
 	batchReleased []*flowState
+	ordered       []*flowState // SetOrder's, cleared after every call
 
 	// Fair-share scratch (see allocFairShare).
 	fsRates  []float64
@@ -310,11 +311,12 @@ func (s *Simulator) register(st *flowState) {
 // duplicates or unknown flows; a rejected order changes nothing, the next
 // order's kept count included. It is ignored under the FairShare policy.
 func (s *Simulator) SetOrder(order []coflow.FlowRef) (kept int, err error) {
-	// Stamp-based validation: detects duplicates and unknown flows in one
-	// pass without allocating a rank map, and mutates nothing until the
-	// order is known to be valid.
+	// Stamp-based validation finds duplicates and unknown flows in one pass,
+	// looking each ref up once, and mutates nothing until the order is valid.
 	s.orderGen++
 	gen := s.orderGen
+	listed := s.ordered[:0]
+	defer func() { clear(listed); s.ordered = listed[:0] }()
 	for _, r := range order {
 		st := s.flow(r)
 		if st == nil {
@@ -324,13 +326,13 @@ func (s *Simulator) SetOrder(order []coflow.FlowRef) (kept int, err error) {
 			return 0, fmt.Errorf("sim: flow %s appears twice in the priority order", r)
 		}
 		st.orderSeq = gen
+		listed = append(listed, st)
 	}
 	// A flow the previous order listed holds its position there as its rank;
 	// the listed stamp tells it from a finished flow with a stale rank, which
 	// no installation that leaves it out re-ranks.
 	next := s.active.next[:0]
-	for i, r := range order {
-		st := s.flow(r)
+	for i, st := range listed {
 		if st.listedSeq == s.listed && st.rank == i {
 			kept++
 		}
@@ -340,29 +342,19 @@ func (s *Simulator) SetOrder(order []coflow.FlowRef) (kept int, err error) {
 		}
 	}
 	s.listed = gen
-	s.installOrder(next, len(order))
-	return kept, nil
-}
-
-// installOrder runs the shared tail of every order installation, given the
-// active flows the order lists, in order. Flows the order left out (their
-// stamp is not the current generation) rank after every listed one, ties by
-// reference: the pending heap is ranked here, the active set by Install —
-// completed flows never rejoin either structure, so their stale ranks are
-// unreachable. Rates depend only on the sequence of the active flows, not the
-// rank values: if the new order left it unchanged — the common case for an
-// online policy re-applying a stable order every epoch — every rate,
-// completion projection and open segment stays valid. Only a genuine
-// re-ordering pays the full reallocation.
-func (s *Simulator) installOrder(next []*flowState, unlisted int) {
+	// Flows the order left out rank after every listed one, ties by reference
+	// (pending ones here, active ones in Install). Rates depend only on the
+	// active sequence: if the order left it unchanged, every rate, projection
+	// and open segment stays valid; only a re-ordering reallocates them all.
 	for _, st := range s.pending.fs {
-		if st.orderSeq != s.orderGen {
-			st.rank = unlisted
+		if st.orderSeq != gen {
+			st.rank = len(order)
 		}
 	}
-	if s.active.Install(next, s.orderGen, unlisted) {
+	if s.active.Install(next, gen, len(order)) {
 		s.dirtyAll = true // every rate is suspect until the next reallocation
 	}
+	return kept, nil
 }
 
 // AddFlow registers a new flow with a running simulator, modelling online
@@ -465,7 +457,7 @@ func (s *Simulator) ReleaseIdle() {
 		return
 	}
 	s.comp, s.pending = compHeap{}, releaseHeap{}
-	s.batchDone, s.batchReleased = nil, nil
+	s.batchDone, s.batchReleased, s.ordered = nil, nil, nil
 	s.active = activeSet{}
 }
 
@@ -548,6 +540,15 @@ func (s *Simulator) Residual(ref coflow.FlowRef) (size, remaining float64, done,
 		return 0, 0, false, false
 	}
 	return st.size, st.projectedRemaining(s.now), st.done, true
+}
+
+// Rank reports a live flow's priority rank, false for an unknown reference:
+// the online engine seeds its coflow sort with it.
+func (s *Simulator) Rank(ref coflow.FlowRef) (rank int, ok bool) {
+	if st := s.flow(ref); st != nil {
+		return st.rank, true
+	}
+	return 0, false
 }
 
 // Residuals reports the per-flow residual state, sorted by flow reference:
