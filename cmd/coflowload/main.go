@@ -385,9 +385,17 @@ func runSoak(c *server.Client, cfg server.LoadConfig, monURL string, d time.Dura
 	return load.report, rep, load.err
 }
 
+// probeTimeout bounds each of coflowload's reads beside the load itself: the
+// /v1/slo poll, the stage scrape and the backend roster. A peer that accepts
+// a connection and never answers then costs one failed poll, not the soak.
+const probeTimeout = 2 * time.Second
+
+// probeClient makes every one of those reads.
+var probeClient = &http.Client{Timeout: probeTimeout}
+
 // fetchSLO reads a coflowmon /v1/slo endpoint.
 func fetchSLO(monURL string) ([]monitor.RuleStatus, error) {
-	resp, err := http.Get(strings.TrimSuffix(monURL, "/") + "/v1/slo")
+	resp, err := probeClient.Get(strings.TrimSuffix(monURL, "/") + "/v1/slo")
 	if err != nil {
 		return nil, err
 	}

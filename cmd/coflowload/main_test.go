@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -144,6 +145,25 @@ func TestRunClusterMode(t *testing.T) {
 	// The gateway places by hash only: -cluster-placement is not a flag.
 	if err := run([]string{"-cluster", "2", "-cluster-placement", "hash"}, &stdout, &stderr); err == nil {
 		t.Error("-cluster-placement accepted")
+	}
+}
+
+// TestFetchSLOTimesOut: a monitor that accepts the connection and never
+// answers costs fetchSLO one probeTimeout and an error, so runSoak's poll
+// cannot hold the soak past its deadline.
+func TestFetchSLOTimesOut(t *testing.T) {
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // released when the client gives up
+	}))
+	t.Cleanup(silent.Close)
+	start := time.Now()
+	rules, err := fetchSLO(silent.URL)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatalf("fetchSLO from a silent monitor returned %d rules and no error", len(rules))
+	}
+	if elapsed > probeTimeout+time.Second {
+		t.Errorf("fetchSLO returned after %s, want about probeTimeout (%s)", elapsed, probeTimeout)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
 
@@ -23,9 +24,6 @@ type stageLatency struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// stageOrder is the pipeline order the breakdown is reported in.
-var stageOrder = []string{"coalesce-wait", "engine-admit", "wal-append", "group-commit"}
-
 // stageHist accumulates one stage's cumulative histogram, summed across
 // shards when the target is a gateway (cumulative bucket counts add).
 type stageHist struct {
@@ -36,7 +34,8 @@ type stageHist struct {
 // fetchStageBreakdown scrapes the per-stage admit-latency histograms from
 // the target. A coflowd target carries them directly; a coflowgate target
 // does not, so its /v1/backends roster is scraped and merged instead (dead
-// shards are skipped — the breakdown is evidence, not a health check).
+// shards are skipped — the breakdown is evidence, not a health check). Stages
+// are reported in server.AdmitStages order.
 func fetchStageBreakdown(base string) ([]stageLatency, error) {
 	m, err := scrapeMetricsPage(base)
 	if err != nil {
@@ -56,7 +55,7 @@ func fetchStageBreakdown(base string) ([]stageLatency, error) {
 		}
 	}
 	var out []stageLatency
-	for _, stage := range stageOrder {
+	for _, stage := range server.AdmitStages {
 		h, ok := agg[stage]
 		if !ok || h.count == 0 {
 			continue
@@ -108,7 +107,7 @@ func worstStage(stages []stageLatency) string {
 
 // scrapeMetricsPage fetches and strictly parses one /metrics endpoint.
 func scrapeMetricsPage(base string) (*telemetry.Metrics, error) {
-	resp, err := http.Get(strings.TrimSuffix(base, "/") + "/metrics")
+	resp, err := probeClient.Get(strings.TrimSuffix(base, "/") + "/metrics")
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +124,7 @@ func scrapeMetricsPage(base string) (*telemetry.Metrics, error) {
 
 // fetchBackends reads a coflowgate /v1/backends roster.
 func fetchBackends(base string) ([]struct{ Name, URL string }, error) {
-	resp, err := http.Get(strings.TrimSuffix(base, "/") + "/v1/backends")
+	resp, err := probeClient.Get(strings.TrimSuffix(base, "/") + "/v1/backends")
 	if err != nil {
 		return nil, err
 	}

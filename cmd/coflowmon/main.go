@@ -3,7 +3,7 @@
 // evaluates multi-window burn-rate SLO rules over them, and on a rule's
 // transition to firing writes a flight-recorder post-mortem bundle joining
 // recent time-series, lifecycle traces, scheduler epoch records, and an
-// on-alert CPU profile plus heap snapshot from every live target.
+// on-alert 1 s CPU profile plus heap snapshot from every live target.
 //
 //	coflowmon -addr :8099 -discover http://localhost:8090 -bundle-dir ./bundles
 //	coflowmon -addr :8099 -targets shard0=http://s0:8080,shard1=http://s1:8080
@@ -16,13 +16,13 @@
 //
 // Endpoints:
 //
-//	GET /            single-page health dashboard
-//	GET /v1/targets  per-target scrape status
+//	GET /v1/targets  per-target scrape status, last error and duration
 //	GET /v1/query    range queries: ?metric=&view=raw|last|rate|quantile&q=&since=&l.<label>=<v>
 //	GET /v1/slo      SLO rule states, burn rates and written bundle index
-//	GET /v1/stages   per-stage admit-pipeline latency breakdown
-//	GET /metrics     coflowmon's own exposition
 //	GET /healthz     liveness
+//
+// Per-stage admit latency is a quantile query on one child, e.g.
+// /v1/query?metric=coflowd_admit_stage_seconds&view=quantile&l.stage=group-commit.
 package main
 
 import (
@@ -63,8 +63,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		discover  = fs.String("discover", "", "coflowgate base URL; scrape it and its /v1/backends roster")
 		interval  = fs.Duration("interval", time.Second, "scrape and rule-evaluation period")
 		bundleDir = fs.String("bundle-dir", "", "write flight-recorder bundles here on firing transitions (empty disables)")
-		profDur   = fs.Duration("profile-duration", time.Second, "on-alert CPU profile sampling window; negative disables profile capture")
-		maxPoints = fs.Int("max-points", monitor.DefaultMaxPoints, "retained points per series")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 	)
@@ -80,13 +78,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	logger := telemetry.NewLogger(stderr, telemetry.ParseLevel(*logLevel), *logFormat, "coflowmon", "")
 	m, err := monitor.New(monitor.Config{
-		Targets:         parsed,
-		DiscoverURL:     *discover,
-		Interval:        *interval,
-		MaxPoints:       *maxPoints,
-		BundleDir:       *bundleDir,
-		ProfileDuration: *profDur,
-		Logger:          logger,
+		Targets:     parsed,
+		DiscoverURL: *discover,
+		Interval:    *interval,
+		BundleDir:   *bundleDir,
+		Logger:      logger,
 	})
 	if err != nil {
 		return err

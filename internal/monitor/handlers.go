@@ -11,22 +11,16 @@ import (
 
 // Handler mounts the monitor's HTTP API:
 //
-//	GET /            single-page dashboard
 //	GET /v1/targets  last scrape outcome per target
 //	GET /v1/query    range queries over stored series (raw / last / rate /
 //	                 quantile views)
 //	GET /v1/slo      rule states, burn rates and written bundles
-//	GET /v1/stages   per-stage admit-pipeline latency breakdown
-//	GET /metrics     the monitor's own exposition
 //	GET /healthz     liveness
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", m.handleDashboard)
 	mux.HandleFunc("GET /v1/targets", m.handleTargets)
 	mux.HandleFunc("GET /v1/query", m.handleQuery)
 	mux.HandleFunc("GET /v1/slo", m.handleSLO)
-	mux.HandleFunc("GET /v1/stages", m.handleStages)
-	mux.Handle("GET /metrics", m.metrics.reg.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		respondJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -52,48 +46,6 @@ func (m *Monitor) handleSLO(w http.ResponseWriter, r *http.Request) {
 		"rules":   m.RuleStatuses(),
 		"bundles": m.Bundles(),
 	})
-}
-
-// StageBreakdown is one label-group's latency summary in /v1/stages.
-type StageBreakdown struct {
-	P50 float64 `json:"p50"`
-	P99 float64 `json:"p99"`
-}
-
-// stagesResponse is GET /v1/stages: admit pipeline latency split by stage
-// (coalesce-wait, engine-admit, wal-append, group-commit).
-// This is the "which stage is guilty" page: a fat admit p99 resolves here
-// into the stage that grew.
-type stagesResponse struct {
-	SinceSeconds float64                   `json:"since_seconds"`
-	AdmitStages  map[string]StageBreakdown `json:"admit_stages"`
-}
-
-// handleStages serves GET /v1/stages?since=<duration> (default 5m).
-func (m *Monitor) handleStages(w http.ResponseWriter, r *http.Request) {
-	since := 5 * time.Minute
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			respondError(w, http.StatusBadRequest, "bad since %q", raw)
-			return
-		}
-		since = d
-	}
-	respondJSON(w, http.StatusOK, stagesResponse{
-		SinceSeconds: since.Seconds(),
-		AdmitStages:  m.breakdownByLabel("coflowd_admit_stage_seconds", "stage", time.Now(), since),
-	})
-}
-
-func (m *Monitor) breakdownByLabel(name, label string, now time.Time, since time.Duration) map[string]StageBreakdown {
-	p50 := m.store.QuantileByLabel(name, label, 0.5, now, since)
-	p99 := m.store.QuantileByLabel(name, label, 0.99, now, since)
-	out := make(map[string]StageBreakdown, len(p99))
-	for k, v := range p99 {
-		out[k] = StageBreakdown{P50: p50[k], P99: v}
-	}
-	return out
 }
 
 // queryResponse is the /v1/query payload: the resolved series for raw views,

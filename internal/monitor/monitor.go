@@ -30,17 +30,12 @@ type Config struct {
 	DiscoverURL string
 	// Interval between scrape-and-evaluate cycles. Default 1s.
 	Interval time.Duration
-	// MaxPoints bounds each stored series ring. Default DefaultMaxPoints.
-	MaxPoints int
 	// Rules is the SLO set; nil means DefaultRules(Interval).
 	Rules []Rule
 	// BundleDir is where the flight recorder writes post-mortem bundles on
-	// a rule's transition to firing. Empty disables the recorder.
+	// a rule's transition to firing, each with a CPU profile and heap
+	// snapshot from every live target. Empty disables the recorder.
 	BundleDir string
-	// ProfileDuration is how long the on-alert CPU profile samples for.
-	// Bundles attach a CPU profile and heap snapshot from every live target
-	// via /debug/pprof; 0 means 1s, negative disables profile capture.
-	ProfileDuration time.Duration
 	// Logger receives structured scrape/rule logs; nil discards.
 	Logger *slog.Logger
 }
@@ -65,7 +60,6 @@ type Monitor struct {
 	client   *http.Client
 	log      *slog.Logger
 	recorder *recorder
-	metrics  *monMetrics
 
 	mu       sync.Mutex
 	rules    []*ruleInstance
@@ -76,38 +70,6 @@ type Monitor struct {
 	done chan struct{}
 }
 
-// monMetrics is the monitor's own scrape surface — the watcher is watched
-// the same way as everything else.
-type monMetrics struct {
-	reg          *telemetry.Registry
-	scrapes      *telemetry.Counter
-	scrapeErrors *telemetry.CounterVec
-	scrapeDur    *telemetry.Histogram
-	samples      *telemetry.Counter
-	series       *telemetry.Gauge
-	ruleEvals    *telemetry.Counter
-	rulesFiring  *telemetry.Gauge
-	bundles      *telemetry.Counter
-}
-
-func newMonMetrics() *monMetrics {
-	reg := telemetry.NewRegistry()
-	m := &monMetrics{
-		reg:          reg,
-		scrapes:      reg.Counter("coflowmon_scrapes_total", "target scrape attempts"),
-		scrapeErrors: reg.CounterVec("coflowmon_scrape_errors_total", "failed scrapes of the labelled target", "instance"),
-		scrapeDur:    reg.Histogram("coflowmon_scrape_duration_seconds", "wall time of one target scrape", nil),
-		samples:      reg.Counter("coflowmon_samples_total", "samples appended to the time-series store"),
-		series:       reg.Gauge("coflowmon_series", "distinct series held in the store"),
-		ruleEvals:    reg.Counter("coflowmon_rule_evaluations_total", "SLO rule evaluations"),
-		rulesFiring:  reg.Gauge("coflowmon_rules_firing", "rules currently in the firing state"),
-		bundles:      reg.Counter("coflowmon_bundles_written_total", "flight-recorder bundles written"),
-	}
-	reg.Gauge("coflowmon_up", "1 while the monitor runs").Set(1)
-	telemetry.RegisterRuntimeCollector(reg)
-	return m
-}
-
 // httpTimeout bounds each scrape and evidence fetch.
 const httpTimeout = 2 * time.Second
 
@@ -115,9 +77,6 @@ const httpTimeout = 2 * time.Second
 func New(cfg Config) (*Monitor, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.ProfileDuration == 0 {
-		cfg.ProfileDuration = time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.DiscardLogger()
@@ -140,10 +99,9 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:      cfg,
-		store:    NewStore(cfg.MaxPoints),
+		store:    NewStore(DefaultMaxPoints),
 		client:   &http.Client{Timeout: httpTimeout},
 		log:      cfg.Logger,
-		metrics:  newMonMetrics(),
 		statuses: make(map[string]*TargetStatus),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -165,9 +123,6 @@ func New(cfg Config) (*Monitor, error) {
 // Store exposes the underlying time-series store (read-only use: queries and
 // the quantile-agreement tests).
 func (m *Monitor) Store() *Store { return m.store }
-
-// Metrics exposes the monitor's own registry (tests scrape it directly).
-func (m *Monitor) Metrics() *telemetry.Registry { return m.metrics.reg }
 
 // Close stops the scrape loop and waits for it to exit.
 func (m *Monitor) Close() {
@@ -222,10 +177,6 @@ func (m *Monitor) Tick() {
 	m.mu.Unlock()
 
 	m.evaluate(now)
-
-	series, samples := m.store.Counts()
-	m.metrics.series.Set(float64(series))
-	m.metrics.samples.Set(float64(samples))
 }
 
 // resolveTargets merges the static target list with the gateway roster.
@@ -283,22 +234,16 @@ func (m *Monitor) discover() ([]Target, error) {
 }
 
 // scrapeTarget fetches and parses one /metrics page, appending every sample
-// (stamped with {instance=<name>}) plus the synthetic up /
-// scrape_duration_seconds / scrape_errors_total series.
+// (stamped with {instance=<name>}) plus the synthetic up series the
+// scrape-failure rule reads. The scrape's error and duration go to the
+// target's status only.
 func (m *Monitor) scrapeTarget(t Target, now time.Time) TargetStatus {
-	m.metrics.scrapes.Inc()
 	start := time.Now()
 	page, err := m.fetchMetrics(t.URL)
-	dur := time.Since(start)
-	m.metrics.scrapeDur.Observe(dur.Seconds())
-
-	st := TargetStatus{Target: t, LastScrape: now, DurationSeconds: dur.Seconds()}
-	instance := map[string]string{"instance": t.Name}
+	st := TargetStatus{Target: t, LastScrape: now, DurationSeconds: time.Since(start).Seconds()}
 	up := 0.0
 	if err != nil {
 		st.LastError = err.Error()
-		m.metrics.scrapeErrors.With(t.Name).Inc()
-		m.store.Append("scrape_errors_total", instance, now, m.metrics.scrapeErrors.With(t.Name).Value())
 		m.log.Warn("scrape failed", "instance", t.Name, "url", t.URL, "err", err)
 	} else {
 		up = 1
@@ -312,8 +257,7 @@ func (m *Monitor) scrapeTarget(t Target, now time.Time) TargetStatus {
 			m.store.Append(s.Name, labels, now, s.Value)
 		}
 	}
-	m.store.Append("up", instance, now, up)
-	m.store.Append("scrape_duration_seconds", instance, now, dur.Seconds())
+	m.store.Append("up", map[string]string{"instance": t.Name}, now, up)
 	return st
 }
 
@@ -337,19 +281,13 @@ func (m *Monitor) fetchMetrics(base string) (*telemetry.Metrics, error) {
 // firing transitions.
 func (m *Monitor) evaluate(now time.Time) {
 	var fired []RuleStatus
-	firing := 0
 	m.mu.Lock()
 	for _, ri := range m.rules {
-		m.metrics.ruleEvals.Inc()
 		if ri.eval(m.store, now) {
 			fired = append(fired, ri.status())
 		}
-		if ri.state == StateFiring {
-			firing++
-		}
 	}
 	m.mu.Unlock()
-	m.metrics.rulesFiring.Set(float64(firing))
 	for _, rs := range fired {
 		m.log.Error("SLO rule firing", "rule", rs.Rule.Name, "metric", rs.Rule.Metric,
 			"fast_burn", deref(rs.FastBurn), "slow_burn", deref(rs.SlowBurn))
@@ -357,7 +295,6 @@ func (m *Monitor) evaluate(now time.Time) {
 			if info, err := m.recorder.capture(rs, now); err != nil {
 				m.log.Error("bundle capture failed", "rule", rs.Rule.Name, "err", err)
 			} else {
-				m.metrics.bundles.Inc()
 				m.log.Info("bundle written", "rule", rs.Rule.Name, "path", info.Path)
 			}
 		}

@@ -3,11 +3,9 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,13 +19,14 @@ import (
 type fakeShard struct {
 	ts   *httptest.Server
 	down atomic.Bool
+	reg  *telemetry.Registry
 	reqs *telemetry.Counter
 }
 
 func newFakeShard(t *testing.T, shard string) *fakeShard {
 	t.Helper()
-	f := &fakeShard{}
 	reg := telemetry.NewRegistry(telemetry.Label{Name: "shard", Value: shard})
+	f := &fakeShard{reg: reg}
 	reg.Gauge("coflowd_up", "").Set(1)
 	f.reqs = reg.Counter("coflowd_http_requests_total", "")
 	h := reg.Histogram("coflowd_tick_duration_seconds", "", nil)
@@ -258,6 +257,10 @@ func TestMonitorHTTPAPI(t *testing.T) {
 	if code := getJSON("/v1/query?metric=up&view=raw&since=10m", &raw); code != 200 || len(raw.Series) != 1 || len(raw.Series[0].Points) != 2 {
 		t.Fatalf("/v1/query raw: code=%d %+v", code, raw)
 	}
+	var health map[string]string
+	if code := getJSON("/healthz", &health); code != 200 || health["status"] != "ok" {
+		t.Fatalf("/healthz: code=%d %+v", code, health)
+	}
 	for _, bad := range []string{
 		"/v1/query",
 		"/v1/query?metric=up&view=bogus",
@@ -269,34 +272,60 @@ func TestMonitorHTTPAPI(t *testing.T) {
 			t.Errorf("GET %s: code=%d, want 400", bad, code)
 		}
 	}
+}
 
-	// The dashboard serves and mentions the API it polls.
-	resp, err := http.Get(api.URL + "/")
+// TestQueryQuantileSelectsStage drives the per-stage admit latency workflow
+// over HTTP: /v1/query's quantile view with l.stage=<stage> answers from that
+// child of coflowd_admit_stage_seconds alone, not from the pool of every
+// stage.
+func TestQueryQuantileSelectsStage(t *testing.T) {
+	shard := newFakeShard(t, "shard0")
+	stages := shard.reg.HistogramVec("coflowd_admit_stage_seconds", "", nil, "stage")
+	admitStage, commitStage := stages.With("engine-admit"), stages.With("group-commit")
+	m, err := New(Config{
+		Targets:  []Target{{Name: "shard0", URL: shard.ts.URL}},
+		Interval: time.Hour,
+		Rules:    testRules(),
+		Logger:   telemetry.LogfLogger(t.Logf),
+	})
 	if err != nil {
-		t.Fatalf("GET /: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "coflowmon") ||
-		!strings.Contains(string(body), "v1/slo") || !strings.Contains(string(body), "v1/targets") {
-		t.Errorf("dashboard: code=%d", resp.StatusCode)
+	t.Cleanup(m.Close)
+	m.Tick() // the children exist from boot, as coflowd's do: a baseline scrape
+	for i := 0; i < 100; i++ {
+		admitStage.Observe(0.0002) // bucket (1e-4, 5e-4]
+		commitStage.Observe(0.02)  // bucket (0.01, 0.05]
 	}
+	m.Tick()
+	api := httptest.NewServer(m.Handler())
+	t.Cleanup(api.Close)
 
-	// The monitor's own /metrics parses strictly and carries its families.
-	page, err := http.Get(api.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	buf, _ := io.ReadAll(page.Body)
-	page.Body.Close()
-	parsed, err := telemetry.ParseMetrics(string(buf))
-	if err != nil {
-		t.Fatalf("monitor /metrics does not parse: %v", err)
-	}
-	for _, fam := range []string{"coflowmon_up", "coflowmon_scrapes_total", "coflowmon_rule_evaluations_total", "go_goroutines"} {
-		if _, ok := parsed.Get(fam); !ok {
-			t.Errorf("monitor /metrics lacks %s", fam)
+	p50 := func(selector string) float64 {
+		t.Helper()
+		path := "/v1/query?metric=coflowd_admit_stage_seconds&view=quantile&q=0.5" + selector
+		resp, err := http.Get(api.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
+		defer resp.Body.Close()
+		var q queryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&q); err != nil || resp.StatusCode != 200 || !q.OK || q.Value == nil {
+			t.Fatalf("GET %s: code=%d err=%v %+v", path, resp.StatusCode, err, q)
+		}
+		return *q.Value
+	}
+	pooled := p50("")
+	commit := p50("&l.stage=group-commit")
+	admit := p50("&l.stage=engine-admit")
+	if commit <= 0.01 || commit > 0.05 {
+		t.Errorf("group-commit p50 = %v, want inside its observations' bucket (0.01, 0.05]", commit)
+	}
+	if admit <= 1e-4 || admit > 5e-4 {
+		t.Errorf("engine-admit p50 = %v, want inside its observations' bucket (1e-4, 5e-4]", admit)
+	}
+	if pooled == commit || pooled == admit {
+		t.Errorf("pooled p50 %v equals a child's (group-commit %v, engine-admit %v): the stage selector did nothing", pooled, commit, admit)
 	}
 }
 

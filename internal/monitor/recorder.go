@@ -53,11 +53,14 @@ type BundleInfo struct {
 }
 
 // evidenceTail bounds the per-target epoch and trace tails captured into a
-// bundle; keepBundles bounds the in-memory index (files stay on disk).
+// bundle; keepBundles bounds the in-memory index (files stay on disk);
+// profileDuration is the on-alert CPU profile's sampling window, in the
+// whole seconds net/http/pprof takes.
 const (
-	epochTail   = 128
-	traceTail   = 256
-	keepBundles = 64
+	epochTail       = 128
+	traceTail       = 256
+	keepBundles     = 64
+	profileDuration = time.Second
 )
 
 // recorder captures bundles into a directory on firing transitions.
@@ -66,7 +69,7 @@ type recorder struct {
 	m   *Monitor
 	// profClient outlives the monitor's scrape client on purpose: a CPU
 	// profile blocks for the full sampling window before the first byte, so
-	// its timeout is the evidence timeout plus the sampling duration.
+	// its timeout is the evidence timeout plus profileDuration.
 	profClient *http.Client
 
 	mu      sync.Mutex
@@ -77,7 +80,7 @@ func newRecorder(dir string, m *Monitor) *recorder {
 	return &recorder{
 		dir:        dir,
 		m:          m,
-		profClient: &http.Client{Timeout: httpTimeout + m.cfg.ProfileDuration},
+		profClient: &http.Client{Timeout: httpTimeout + profileDuration},
 	}
 }
 
@@ -143,15 +146,6 @@ func (rc *recorder) capture(rs RuleStatus, now time.Time) (BundleInfo, error) {
 // the profile client's long timeout would otherwise stall the whole capture
 // waiting on a daemon already known to be dead.
 func (rc *recorder) captureProfiles(b *Bundle, targets []TargetStatus) func() {
-	if rc.m.cfg.ProfileDuration < 0 {
-		return func() {}
-	}
-	// net/http/pprof takes whole seconds only; round the sampling window up
-	// so sub-second configs still profile rather than 400.
-	secs := int((rc.m.cfg.ProfileDuration + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
 	b.Profiles = make(map[string]ProfileCapture)
 	var (
 		wg sync.WaitGroup
@@ -166,7 +160,7 @@ func (rc *recorder) captureProfiles(b *Bundle, targets []TargetStatus) func() {
 			defer wg.Done()
 			base := strings.TrimSuffix(t.URL, "/")
 			var pc ProfileCapture
-			cpu, cpuErr := rc.fetchRaw(fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, secs))
+			cpu, cpuErr := rc.fetchRaw(fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, int(profileDuration/time.Second)))
 			heap, heapErr := rc.fetchRaw(base + "/debug/pprof/heap")
 			pc.CPU, pc.Heap = cpu, heap
 			if cpuErr != nil {

@@ -23,12 +23,11 @@ func TestBundleWritesAreAtomic(t *testing.T) {
 	shard := newFakeShard(t, "shard0")
 	dir := t.TempDir()
 	m, err := New(Config{
-		Targets:         []Target{{Name: "shard0", URL: shard.ts.URL}},
-		Interval:        time.Hour,
-		Rules:           testRules(),
-		BundleDir:       dir,
-		ProfileDuration: -1, // evidence under test is the file write, not pprof
-		Logger:          telemetry.LogfLogger(t.Logf),
+		Targets:   []Target{{Name: "shard0", URL: shard.ts.URL}},
+		Interval:  time.Hour,
+		Rules:     testRules(),
+		BundleDir: dir,
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

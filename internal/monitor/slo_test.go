@@ -203,3 +203,43 @@ func TestRuleValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestRateRuleSelectsOneCounterChild holds a stock KindRate rule with a label
+// constraint to one child of a _total counter vec: it fires when only the
+// selected child rises and stays healthy when only its sibling does. This is
+// the shape a per-reason counter such as coflowd_policy_fallback_total{reason}
+// needs, with no machinery beyond Rule.Labels.
+func TestRateRuleSelectsOneCounterChild(t *testing.T) {
+	r := Rule{
+		Name: "late-fallbacks", Metric: "fallback_total", Labels: map[string]string{"reason": "late"},
+		Kind: KindRate, Objective: 1,
+		FastWindowSeconds: 3, SlowWindowSeconds: 6, ResolveAfterSeconds: 3,
+	}
+	for _, tc := range []struct {
+		rising    string
+		wantFired bool
+	}{
+		{rising: "late", wantFired: true},
+		{rising: "singular", wantFired: false},
+	} {
+		st := NewStore(64)
+		ri := &ruleInstance{rule: r, state: StateHealthy, since: at(0)}
+		fired := false
+		for s := 0; s < 10; s++ {
+			for _, reason := range []string{"late", "singular"} {
+				v := 0.0
+				if reason == tc.rising {
+					v = 5 * float64(s) // 5/s against an objective of 1/s
+				}
+				st.Append("fallback_total", map[string]string{"instance": "shard0", "reason": reason}, at(float64(s)), v)
+			}
+			fired = ri.eval(st, at(float64(s))) || fired
+		}
+		if fired != tc.wantFired {
+			t.Errorf("only %q rising: fired=%v, want %v (state %s)", tc.rising, fired, tc.wantFired, ri.state)
+		}
+		if !tc.wantFired && ri.state != StateHealthy {
+			t.Errorf("only %q rising: state %s, want healthy", tc.rising, ri.state)
+		}
+	}
+}

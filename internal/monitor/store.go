@@ -1,11 +1,12 @@
-// Package monitor closes the observability loop PR 6 opened: coflowmon
-// scrapes the cluster's /metrics pages into bounded in-memory time-series
+// Package monitor closes the observability loop over the daemons' /metrics
+// pages: coflowmon scrapes them into bounded in-memory time-series
 // (store.go), evaluates declarative SLO rules with multi-window burn rates
 // over them (slo.go), and on a rule's transition to firing captures a
-// post-mortem flight-recorder bundle joining time-series, lifecycle traces
-// and scheduler epoch records (recorder.go). monitor.go is the daemon glue:
-// the scrape loop, target discovery via a gateway's /v1/backends, and the
-// HTTP API (/v1/targets, /v1/query, /v1/slo, a dashboard at /, /metrics).
+// post-mortem flight-recorder bundle joining time-series, lifecycle traces,
+// scheduler epoch records and pprof profiles (recorder.go). monitor.go is
+// the daemon glue: the scrape loop and target discovery via a gateway's
+// /v1/backends; handlers.go the HTTP API (/v1/targets, /v1/query, /v1/slo,
+// /healthz). The monitor serves no /metrics of its own: nothing scrapes it.
 //
 // Like the rest of the repo the package is stdlib-only; the scrape parser is
 // telemetry.ParseMetrics, the same strict parser the conformance tests run.
@@ -101,7 +102,6 @@ type Store struct {
 	maxPoints int
 	series    map[string]*series
 	order     []string
-	samples   uint64
 }
 
 // NewStore builds a store retaining at most maxPoints per series (<= 0 means
@@ -152,14 +152,6 @@ func (st *Store) Append(name string, labels map[string]string, t time.Time, v fl
 		st.order = append(st.order, key)
 	}
 	s.append(Point{T: t, V: v}, st.maxPoints)
-	st.samples++
-}
-
-// Counts reports the store size: distinct series and total samples appended.
-func (st *Store) Counts() (seriesCount int, samples uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.series), st.samples
 }
 
 // Query returns every series matching sel, with points restricted to
@@ -319,30 +311,4 @@ func (st *Store) HistogramQuantile(sel Selector, q float64, now time.Time, windo
 		byLE[le] += delta
 	}
 	return telemetry.HistogramQuantile(byLE, q)
-}
-
-// QuantileByLabel groups a histogram family by one label and estimates the
-// q-quantile of each group's observations over the window — the per-stage
-// breakdown behind /v1/stages (coflowd_admit_stage_seconds by stage). Groups
-// with no observations in the window are omitted.
-func (st *Store) QuantileByLabel(name, label string, q float64, now time.Time, window time.Duration) map[string]float64 {
-	st.mu.Lock()
-	values := map[string]bool{}
-	for _, key := range st.order {
-		s := st.series[key]
-		if s.name == name+"_bucket" {
-			if v, ok := s.labels[label]; ok {
-				values[v] = true
-			}
-		}
-	}
-	st.mu.Unlock()
-	out := make(map[string]float64, len(values))
-	for v := range values {
-		sel := Selector{Name: name, Labels: map[string]string{label: v}}
-		if est, ok := st.HistogramQuantile(sel, q, now, window); ok {
-			out[v] = est
-		}
-	}
-	return out
 }

@@ -31,8 +31,8 @@ func TestStoreDropsNonFinite(t *testing.T) {
 	st.Append("m", nil, at(0), math.NaN())
 	st.Append("m", nil, at(1), math.Inf(1))
 	st.Append("m", nil, at(2), 3)
-	if n, samples := st.Counts(); samples != 1 || n != 1 {
-		t.Fatalf("non-finite samples stored: series=%d samples=%d", n, samples)
+	if got := st.Dump(); len(got) != 1 || len(got[0].Points) != 1 {
+		t.Fatalf("non-finite samples stored: %+v", got)
 	}
 }
 

@@ -17,6 +17,10 @@ const (
 	stageGroupCommit  = "group-commit"  // log Commit wait in the handler, per durable admission
 )
 
+// AdmitStages lists the stage labels above in pipeline order, for readers
+// that report the breakdown stage by stage.
+var AdmitStages = []string{stageCoalesceWait, stageEngineAdmit, stageWALAppend, stageGroupCommit}
+
 // serverMetrics is coflowd's registry surface: every series /metrics serves.
 // Request counters and the tick histogram are instrumented live; the engine
 // gauges are refreshed at scrape time from one scheduler round trip (see
