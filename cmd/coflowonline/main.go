@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		meanSize    = fs.Float64("size", 4, "mean flow size")
 		meanWeight  = fs.Float64("weight", 1, "mean coflow weight")
 		seed        = fs.Int64("seed", 1, "random seed")
-		validate    = fs.Bool("validate", true, "validate the produced schedule against the instance")
 		quiet       = fs.Bool("quiet", false, "one summary line per policy (no banner, no tables)")
 		csv         = fs.Bool("csv", false, "CSV output (header + one row per policy)")
 	)
@@ -111,10 +110,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			if err := res.Schedule.Validate(inst); err != nil {
-				return err
-			}
+		if err := res.Schedule.Validate(inst); err != nil {
+			return err
 		}
 		report(stdout, res, *arrivalRate, *quiet, *csv)
 	}

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		meanWeight    = fs.Float64("weight", 1, "mean coflow weight")
 		seed          = fs.Int64("seed", 1, "random seed")
 		candidates    = fs.Int("paths", 4, "candidate paths per flow for the LP schedulers")
-		validate      = fs.Bool("validate", true, "validate the produced schedule")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,10 +80,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			if err := cs.Validate(inst); err != nil {
-				return err
-			}
+		if err := cs.Validate(inst); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (makespan %.2f)\n",
 			s.Name(), cs.Objective(inst), cs.Makespan())
@@ -107,10 +104,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			if err := res.Schedule.Validate(inst); err != nil {
-				return err
-			}
+		if err := res.Schedule.Validate(inst); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (LP lower bound %.2f, ratio %.2f)\n",
 			"LP (given paths)", res.Objective(inst), core.CombinedLowerBound(inst, res), res.ApproximationRatio(inst))
@@ -120,10 +115,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			if err := res.Schedule.Validate(inst); err != nil {
-				return err
-			}
+		if err := res.Schedule.Validate(inst); err != nil {
+			return err
 		}
 		lb := core.CombinedLowerBound(inst, res)
 		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (certified lower bound %.2f, ratio %.2f)\n",

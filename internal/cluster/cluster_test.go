@@ -252,7 +252,7 @@ func TestClusterBatching(t *testing.T) {
 	hosts := graph.FatTree(4, 1).Hosts()
 	cf := coflow.Coflow{Name: "b", Weight: 1, Flows: []coflow.Flow{{Source: hosts[0], Dest: hosts[1], Size: 1}}}
 	flush := func(trace string) (size string, hold float64) {
-		for _, sp := range g.Tracer().ByTrace(trace) {
+		for _, sp := range g.Tracer().Dump(trace, 0).Spans {
 			if sp.Name == "batch-flush" {
 				return sp.Attrs["batch_size"], sp.Duration
 			}

@@ -290,7 +290,12 @@ func (g *Gateway) learn(b *Backend) {
 	}
 	b.learned, b.durable = true, ks.Durable
 	for _, k := range ks.Keys {
-		gid, _ := server.GatewayKeyID(k.Key)
+		gid, ok := server.GatewayKeyID(k.Key)
+		if !ok {
+			g.logger.Warn("shard lists a key that is not a gateway key; skipped",
+				"backend", b.name, "key", k.Key, "local_id", k.Admit.ID)
+			continue
+		}
 		if _, taken := g.coflows[gid]; taken {
 			g.logger.Warn("shard holds a key whose gateway id went to another coflow; left unbound",
 				"backend", b.name, "key", k.Key, "local_id", k.Admit.ID)

@@ -268,6 +268,60 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
+// TestGatewayLearnSkipsUnparsableKeys: a backend's key listing is input from
+// another process. Keys that do not parse as a gateway id (not gw-<id>, a
+// padded id, a negative one) bind nothing and do not move the next id; the
+// valid key next to them binds as usual.
+func TestGatewayLearnSkipsUnparsableKeys(t *testing.T) {
+	const high = 4
+	listing := server.KeysResponse{Durable: true, High: high}
+	for i, key := range []string{"bogus", "gw-007", "gw--5", "gw-3"} {
+		listing.Keys = append(listing.Keys, server.KeyEntry{Key: key,
+			Admit: server.AdmitResponse{ID: i, Name: key}})
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/keys" {
+			server.RespondError(w, http.StatusNotFound, "not served by this fake")
+			return
+		}
+		if err := json.NewEncoder(w).Encode(listing); err != nil {
+			t.Errorf("encode listing: %v", err)
+		}
+	}))
+	defer ts.Close()
+
+	var logs lockedBuffer
+	cfg := fastGatewayConfig(t)
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatalf("new gateway: %v", err)
+	}
+	defer g.Close()
+	if err := g.AddBackend("fake", ts.URL); err != nil {
+		t.Fatalf("add backend: %v", err)
+	}
+	g.learnAll()
+
+	g.mu.Lock()
+	bound := make([]int, 0, len(g.coflows))
+	for gid := range g.coflows {
+		bound = append(bound, gid)
+	}
+	next := g.next
+	three, ok := g.coflows[3]
+	g.mu.Unlock()
+	if len(bound) != 1 || !ok || three.spec.Name != "gw-3" {
+		t.Errorf("bound gateway ids %v, want only 3 (from gw-3)", bound)
+	}
+	if next != high+1 {
+		t.Errorf("next id = %d, want high+1 = %d", next, high+1)
+	}
+	if n := strings.Count(logs.String(), "not a gateway key"); n != 3 {
+		t.Errorf("%d warnings for unparsable keys, want 3:\n%s", n, logs.String())
+	}
+}
+
 // TestGatewayLearnsLateShard: a fresh gateway boots while one shard (the
 // late one, holding the largest id) is unreachable but alive. An id below
 // the next that no reachable shard holds answers 410; the next id, which the

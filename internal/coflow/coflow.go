@@ -107,15 +107,6 @@ func (inst *Instance) TotalSize() float64 {
 	return s
 }
 
-// TotalWeight returns the sum of coflow weights.
-func (inst *Instance) TotalWeight() float64 {
-	s := 0.0
-	for _, cf := range inst.Coflows {
-		s += cf.Weight
-	}
-	return s
-}
-
 // HasPaths reports whether every flow carries a pre-assigned path.
 func (inst *Instance) HasPaths() bool {
 	for _, cf := range inst.Coflows {

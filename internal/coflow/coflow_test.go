@@ -48,9 +48,6 @@ func TestInstanceAccessors(t *testing.T) {
 	if inst.TotalSize() != 4 {
 		t.Errorf("TotalSize = %v, want 4", inst.TotalSize())
 	}
-	if inst.TotalWeight() != 3 {
-		t.Errorf("TotalWeight = %v, want 3", inst.TotalWeight())
-	}
 	if inst.HasPaths() {
 		t.Errorf("HasPaths should be false before assignment")
 	}
@@ -193,4 +190,23 @@ func TestObjectiveFromCompletionTimes(t *testing.T) {
 	if got := totalWeightedCompletion(inst, completion); got != 10 {
 		t.Errorf("helper objective = %v, want 10", got)
 	}
+}
+
+// totalWeightedCompletion is the objective recomputed from scratch with an
+// explicit max.
+func totalWeightedCompletion(inst *Instance, completion map[FlowRef]float64) float64 {
+	total := 0.0
+	for i, cf := range inst.Coflows {
+		cmax := math.Inf(-1)
+		for j := range cf.Flows {
+			if c := completion[FlowRef{i, j}]; c > cmax {
+				cmax = c
+			}
+		}
+		if math.IsInf(cmax, -1) {
+			cmax = 0
+		}
+		total += cf.Weight * cmax
+	}
+	return total
 }

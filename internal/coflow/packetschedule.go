@@ -139,35 +139,3 @@ func (ps *PacketSchedule) Validate(inst *Instance) error {
 	}
 	return nil
 }
-
-// MaxQueueLength returns the maximum number of packets simultaneously queued
-// at any node (excluding sources before release). The constant-factor packet
-// scheduling results (Leighton-Maggs-Rao, Srinivasan-Teo) guarantee bounded
-// queues; this accessor lets tests and experiments verify that.
-func (ps *PacketSchedule) MaxQueueLength(inst *Instance) int {
-	// A packet occupies the queue of node v from the moment it arrives at v
-	// until the step it leaves v.
-	type nodeStep struct {
-		v graph.NodeID
-		t int
-	}
-	count := map[nodeStep]int{}
-	maxQ := 0
-	for ref, s := range ps.Flows {
-		f := inst.Flow(ref)
-		_ = f
-		for i := 0; i+1 < len(s.Moves); i++ {
-			arrive := s.Moves[i].Time + 1
-			depart := s.Moves[i+1].Time
-			v := inst.Network.Edge(s.Moves[i].Edge).To
-			for t := arrive; t < depart; t++ {
-				key := nodeStep{v, t}
-				count[key]++
-				if count[key] > maxQ {
-					maxQ = count[key]
-				}
-			}
-		}
-	}
-	return maxQ
-}

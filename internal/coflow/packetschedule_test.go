@@ -68,9 +68,6 @@ func TestPacketScheduleValidAndObjective(t *testing.T) {
 	if ps.Makespan() != 5 {
 		t.Errorf("makespan = %v, want 5", ps.Makespan())
 	}
-	if q := ps.MaxQueueLength(inst); q < 0 || q > 2 {
-		t.Errorf("queue length = %d out of expected range", q)
-	}
 	if ps.Get(FlowRef{0, 0}).CompletionTime() != 2 {
 		t.Errorf("packet completion = %v, want 2", ps.Get(FlowRef{0, 0}).CompletionTime())
 	}

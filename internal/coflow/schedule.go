@@ -2,7 +2,6 @@ package coflow
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"coflowsched/internal/graph"
@@ -239,53 +238,4 @@ func (cs *CircuitSchedule) MaxEdgeUtilization(inst *Instance) float64 {
 		}
 	}
 	return maxUtil
-}
-
-// TrimCompleted truncates each flow's segments once its full size has been
-// delivered, tightening completion times without affecting feasibility.
-func (cs *CircuitSchedule) TrimCompleted(inst *Instance) {
-	for _, ref := range inst.FlowRefs() {
-		fs := cs.Flows[ref]
-		if fs == nil {
-			continue
-		}
-		size := inst.Flow(ref).Size
-		sort.Slice(fs.Segments, func(i, j int) bool { return fs.Segments[i].Start < fs.Segments[j].Start })
-		remaining := size
-		var trimmed []BandwidthSegment
-		for _, seg := range fs.Segments {
-			if remaining <= 1e-12 {
-				break
-			}
-			vol := seg.Volume()
-			if vol >= remaining && seg.Rate > 0 {
-				end := seg.Start + remaining/seg.Rate
-				trimmed = append(trimmed, BandwidthSegment{Start: seg.Start, End: end, Rate: seg.Rate})
-				remaining = 0
-				break
-			}
-			trimmed = append(trimmed, seg)
-			remaining -= vol
-		}
-		fs.Segments = trimmed
-	}
-}
-
-// totalWeightedCompletion is a helper for testing: the objective recomputed
-// from scratch with an explicit max.
-func totalWeightedCompletion(inst *Instance, completion map[FlowRef]float64) float64 {
-	total := 0.0
-	for i, cf := range inst.Coflows {
-		cmax := math.Inf(-1)
-		for j := range cf.Flows {
-			if c := completion[FlowRef{i, j}]; c > cmax {
-				cmax = c
-			}
-		}
-		if math.IsInf(cmax, -1) {
-			cmax = 0
-		}
-		total += cf.Weight * cmax
-	}
-	return total
 }

@@ -215,32 +215,6 @@ func TestScaleTimeAndUtilization(t *testing.T) {
 	cs.ScaleTime(0.5)
 }
 
-func TestTrimCompleted(t *testing.T) {
-	inst := twoCoflowInstance(t)
-	_ = inst.AssignShortestPaths()
-	cs := NewCircuitSchedule()
-	for _, ref := range inst.FlowRefs() {
-		f := inst.Flow(ref)
-		// Over-provision: schedule twice the needed time.
-		cs.Set(ref, &FlowSchedule{Path: f.Path, Segments: []BandwidthSegment{{f.Release, f.Release + 2*f.Size, 1}}})
-	}
-	beforeObj := cs.Objective(inst)
-	cs.TrimCompleted(inst)
-	if err := cs.Validate(inst); err != nil {
-		t.Fatalf("trimmed schedule invalid: %v", err)
-	}
-	if !(cs.Objective(inst) < beforeObj) {
-		t.Errorf("trimming should reduce the objective: %v vs %v", cs.Objective(inst), beforeObj)
-	}
-	for _, ref := range inst.FlowRefs() {
-		f := inst.Flow(ref)
-		d := cs.Get(ref).Delivered()
-		if math.Abs(d-f.Size) > 1e-9 {
-			t.Errorf("flow %s delivers %v after trim, want %v", ref, d, f.Size)
-		}
-	}
-}
-
 func TestFlowScheduleAccessors(t *testing.T) {
 	fs := &FlowSchedule{Segments: []BandwidthSegment{{0, 2, 1}, {3, 4, 0.5}}}
 	if fs.CompletionTime() != 4 {

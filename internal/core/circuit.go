@@ -56,9 +56,6 @@ type CircuitGivenPaths struct {
 	Opts Options
 }
 
-// Name identifies the scheduler in experiment output.
-func (CircuitGivenPaths) Name() string { return "LP-Circuit-GivenPaths" }
-
 func (s CircuitGivenPaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
 	return candidateLP(inst, s.Opts, false, false)
 }
@@ -92,12 +89,6 @@ func (s CircuitGivenPaths) Order(inst *coflow.Instance) ([]coflow.FlowRef, error
 		return nil, err
 	}
 	return m.lpOrder(), nil
-}
-
-// Schedule satisfies the common scheduler signature used by the experiment
-// harness; it runs the practical mode (as the paper's own experiments do).
-func (s CircuitGivenPaths) Schedule(inst *coflow.Instance, _ *rand.Rand) (*coflow.CircuitSchedule, error) {
-	return scheduleOf(s.ScheduleASAP(inst))
 }
 
 // scheduleOf keeps a result's schedule.

@@ -49,9 +49,6 @@ type PacketGivenPaths struct {
 	Opts Options
 }
 
-// Name identifies the scheduler.
-func (PacketGivenPaths) Name() string { return "LP-Packet-GivenPaths" }
-
 // Schedule computes the packet schedule and LP evidence.
 func (s PacketGivenPaths) Schedule(inst *coflow.Instance) (*PacketResult, error) {
 	m, err := solved(candidateLP(inst, s.Opts, true, false))
@@ -81,9 +78,6 @@ func (s PacketGivenPaths) Schedule(inst *coflow.Instance) (*PacketResult, error)
 type PacketFreePaths struct {
 	Opts Options
 }
-
-// Name identifies the scheduler.
-func (PacketFreePaths) Name() string { return "LP-Packet-FreePaths" }
 
 func (s PacketFreePaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
 	return candidateLP(inst, s.Opts, true, true)

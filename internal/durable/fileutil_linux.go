@@ -14,16 +14,3 @@ import (
 func fdatasync(f *os.File) error {
 	return syscall.Fdatasync(int(f.Fd()))
 }
-
-// fallocKeepSize is FALLOC_FL_KEEP_SIZE: reserve extents without changing the
-// file's logical size.
-const fallocKeepSize = 0x01
-
-// preallocate reserves size bytes of extents for the segment up front so the
-// per-commit fdatasync does not journal block allocations append by append.
-// KEEP_SIZE leaves the logical size alone — recovery must never scan
-// preallocated zero bytes, which the frame decoder would reject as corrupt.
-// Best-effort: filesystems without fallocate just keep the old behavior.
-func preallocate(f *os.File, size int64) {
-	_ = syscall.Fallocate(int(f.Fd()), fallocKeepSize, 0, size)
-}

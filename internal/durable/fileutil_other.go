@@ -9,6 +9,3 @@ import "os"
 func fdatasync(f *os.File) error {
 	return f.Sync()
 }
-
-// preallocate is a no-op off Linux; segments grow append by append.
-func preallocate(_ *os.File, _ int64) {}

@@ -6,10 +6,10 @@ import (
 	"coflowsched/internal/coflow"
 )
 
-// RecordType discriminates WAL records: the four engine operations coflowd
-// logs (admit / order / advance / complete). One frame format and one replay
-// scanner carry them, so the fuzz target and the corruption rules cover every
-// record the system persists.
+// RecordType discriminates WAL records: the three engine operations coflowd
+// logs (admit / order / advance), plus the completion record older logs
+// carry. One frame format and one replay scanner carry them, so the fuzz
+// target and the corruption rules cover every record the system persists.
 type RecordType string
 
 const (
@@ -25,9 +25,9 @@ const (
 	// RecAdvance logs one server tick's clock advance to Now; replay advances
 	// the engine under the order the log applied last.
 	RecAdvance RecordType = "advance"
-	// RecComplete logs a coflow completion. Informational: replay derives
-	// completions from re-simulation, but the record makes the log greppable
-	// and gives recovery a cross-check.
+	// RecComplete is a coflow completion. coflowd no longer writes it:
+	// replay derives completions from re-simulating the records above. It
+	// still decodes, and replay skips it, so logs that carry it recover.
 	RecComplete RecordType = "complete"
 )
 

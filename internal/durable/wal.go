@@ -346,10 +346,6 @@ func (l *Log) startSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	// Best-effort extent reservation (keeping the logical size, so recovery
-	// never scans preallocated zeros): with extents already on disk, the
-	// per-commit fdatasync stops paying block-allocation metadata journaling.
-	preallocate(f, l.opts.SegmentBytes)
 	l.segs = append(l.segs, segment{start: seq, path: path})
 	l.f = f
 	l.size = 0

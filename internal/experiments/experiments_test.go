@@ -17,7 +17,6 @@ func tinyConfig() Config {
 	c.Width = 2
 	c.CoflowCounts = []int{2, 4}
 	c.CandidatePaths = 4
-	c.Validate = true
 	return c
 }
 

@@ -57,9 +57,6 @@ type Config struct {
 	MeanWeight  float64
 	// CandidatePaths bounds the LP's routing choices (core.Options).
 	CandidatePaths int
-	// Validate re-checks every produced schedule for feasibility (slower;
-	// always on in tests).
-	Validate bool
 }
 
 // DefaultConfig returns the scaled-down configuration used by the benchmarks
@@ -77,7 +74,6 @@ func DefaultConfig() Config {
 		MeanRelease:    2,
 		MeanWeight:     1,
 		CandidatePaths: 4,
-		Validate:       false,
 	}
 }
 
@@ -145,10 +141,8 @@ func (c Config) SweepPoint(g *graph.Graph, numCoflows, width int, schedulers []S
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s on trial %d: %w", s.Name(), trial, err)
 			}
-			if c.Validate {
-				if err := cs.Validate(inst); err != nil {
-					return nil, fmt.Errorf("experiments: %s produced an infeasible schedule: %w", s.Name(), err)
-				}
+			if err := cs.Validate(inst); err != nil {
+				return nil, fmt.Errorf("experiments: %s produced an infeasible schedule: %w", s.Name(), err)
 			}
 			sums[si] = append(sums[si], cs.Objective(inst))
 		}

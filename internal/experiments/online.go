@@ -33,8 +33,6 @@ type OnlineConfig struct {
 	ArrivalRates []float64
 	// EpochLength is the online engine's re-decision period.
 	EpochLength float64
-	// Validate re-checks every transcript for feasibility (slower).
-	Validate bool
 }
 
 // DefaultOnlineConfig returns a configuration small enough for tests and CI:
@@ -146,10 +144,8 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s at rate %v trial %d: %w", p.Name(), rate, trial, err)
 				}
-				if cfg.Validate {
-					if err := res.Schedule.Validate(inst); err != nil {
-						return nil, fmt.Errorf("experiments: %s produced an infeasible online schedule: %w", p.Name(), err)
-					}
+				if err := res.Schedule.Validate(inst); err != nil {
+					return nil, fmt.Errorf("experiments: %s produced an infeasible online schedule: %w", p.Name(), err)
 				}
 				sums[pi] = append(sums[pi], res.WeightedCCT)
 				latencies[p.Name()] = append(latencies[p.Name()], res.SolveLatencies()...)

@@ -13,7 +13,6 @@ func TestOnlineSweep(t *testing.T) {
 	cfg := DefaultOnlineConfig()
 	cfg.Trials = 2
 	cfg.ArrivalRates = []float64{2.0}
-	cfg.Validate = true
 	res, err := OnlineSweep(cfg)
 	if err != nil {
 		t.Fatalf("online sweep: %v", err)

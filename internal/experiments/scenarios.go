@@ -18,8 +18,6 @@ type ScenarioConfig struct {
 	Scenarios []string
 	// EpochLength is the online engine's re-decision period (default 2).
 	EpochLength float64
-	// Validate re-checks every transcript for feasibility (slower).
-	Validate bool
 }
 
 // DefaultScenarioConfig runs every registered scenario.
@@ -113,10 +111,8 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scenario %s policy %s: %w", name, p.Name(), err)
 			}
-			if cfg.Validate {
-				if err := r.Schedule.Validate(inst); err != nil {
-					return nil, fmt.Errorf("experiments: scenario %s policy %s infeasible: %w", name, p.Name(), err)
-				}
+			if err := r.Schedule.Validate(inst); err != nil {
+				return nil, fmt.Errorf("experiments: scenario %s policy %s infeasible: %w", name, p.Name(), err)
 			}
 			values[pi][si] = r.WeightedCCT
 			res.Results = append(res.Results, ScenarioResult{

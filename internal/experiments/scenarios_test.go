@@ -9,7 +9,6 @@ import (
 func TestScenarioSweepSingle(t *testing.T) {
 	cfg := DefaultScenarioConfig()
 	cfg.Scenarios = []string{"incast"}
-	cfg.Validate = true
 	res, err := ScenarioSweep(cfg)
 	if err != nil {
 		t.Fatalf("ScenarioSweep: %v", err)

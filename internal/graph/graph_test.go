@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -243,22 +242,6 @@ func TestFatTreePathsExist(t *testing.T) {
 	p2 := g.ShortestPath(hosts[0], hosts[1])
 	if len(p2) != 2 {
 		t.Errorf("same-rack path length = %d, want 2", len(p2))
-	}
-}
-
-func TestRandomRegular(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := RandomRegular(10, 3, 1, rng)
-	if len(g.Hosts()) != 10 {
-		t.Errorf("hosts = %d, want 10", len(g.Hosts()))
-	}
-	if !g.StronglyConnectedHosts() {
-		t.Errorf("random regular graph should be strongly connected")
-	}
-	// d >= n clamps.
-	g2 := RandomRegular(3, 10, 1, rng)
-	if len(g2.Hosts()) != 3 {
-		t.Errorf("hosts = %d, want 3", len(g2.Hosts()))
 	}
 }
 

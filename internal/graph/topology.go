@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Triangle builds the 3-node triangle network of the paper's Figure 1: nodes
 // x, y, z with unit-capacity bidirectional links between every pair.
@@ -147,51 +144,3 @@ func FatTree(k int, capacity float64) *Graph {
 
 // NumFatTreeHosts returns the number of hosts in a k-ary fat-tree.
 func NumFatTreeHosts(k int) int { return k * k * k / 4 }
-
-// RandomRegular builds a random d-out-regular directed graph over n hosts:
-// each node gets d outgoing edges to distinct random targets, with the given
-// capacity. The construction retries until the graph is strongly connected
-// over hosts (or gives up after a bounded number of attempts and adds a
-// Hamiltonian cycle to guarantee connectivity).
-func RandomRegular(n, d int, capacity float64, rng *rand.Rand) *Graph {
-	if n < 2 || d < 1 {
-		panic("graph: RandomRegular requires n >= 2, d >= 1")
-	}
-	if d >= n {
-		d = n - 1
-	}
-	for attempt := 0; attempt < 20; attempt++ {
-		g := New()
-		ids := make([]NodeID, n)
-		for i := 0; i < n; i++ {
-			ids[i] = g.AddNode(fmt.Sprintf("h%d", i), KindHost)
-		}
-		for i := 0; i < n; i++ {
-			perm := rng.Perm(n)
-			added := 0
-			for _, j := range perm {
-				if j == i {
-					continue
-				}
-				g.AddEdge(ids[i], ids[j], capacity)
-				added++
-				if added == d {
-					break
-				}
-			}
-		}
-		if g.StronglyConnectedHosts() {
-			return g
-		}
-	}
-	// Fallback: ring plus random chords is always strongly connected.
-	g := Ring(n, capacity)
-	for i := 0; i < n*(d-1); i++ {
-		a := NodeID(rng.Intn(n))
-		b := NodeID(rng.Intn(n))
-		if a != b {
-			g.AddEdge(a, b, capacity)
-		}
-	}
-	return g
-}

@@ -13,7 +13,6 @@ import (
 
 // Grid is a geometric partition of the time line.
 type Grid struct {
-	eps    float64
 	bounds []float64 // bounds[ℓ] = τ_ℓ; len = L+2 so interval ℓ is (bounds[ℓ], bounds[ℓ+1]]
 }
 
@@ -32,11 +31,8 @@ func New(eps, horizon float64) *Grid {
 		next := bounds[len(bounds)-1] * (1 + eps)
 		bounds = append(bounds, next)
 	}
-	return &Grid{eps: eps, bounds: bounds}
+	return &Grid{bounds: bounds}
 }
-
-// Eps returns the grid parameter ε.
-func (g *Grid) Eps() float64 { return g.eps }
 
 // NumIntervals returns the number of intervals L+1 (indices 0..L).
 func (g *Grid) NumIntervals() int { return len(g.bounds) - 1 }
@@ -49,9 +45,6 @@ func (g *Grid) Upper(l int) float64 { return g.bounds[l+1] }
 
 // Length returns the length of interval ℓ.
 func (g *Grid) Length(l int) float64 { return g.bounds[l+1] - g.bounds[l] }
-
-// Horizon returns the upper end of the last interval.
-func (g *Grid) Horizon() float64 { return g.bounds[len(g.bounds)-1] }
 
 // IndexOf returns the index of the interval containing time t (that is, the
 // ℓ with τ_ℓ < t <= τ_{ℓ+1}; t = 0 maps to interval 0). Times beyond the
@@ -91,11 +84,4 @@ func (g *Grid) RoundUpRelease(r float64) int {
 		return g.NumIntervals() - 1
 	}
 	return idx + 1
-}
-
-// Bounds returns a copy of the τ sequence (length NumIntervals()+1).
-func (g *Grid) Bounds() []float64 {
-	out := make([]float64, len(g.bounds))
-	copy(out, g.bounds)
-	return out
 }

@@ -9,33 +9,23 @@ import (
 func TestGridBounds(t *testing.T) {
 	g := New(1, 20) // powers of two
 	want := []float64{0, 1, 2, 4, 8, 16, 32}
-	got := g.Bounds()
-	if len(got) != len(want) {
-		t.Fatalf("bounds = %v, want %v", got, want)
+	if g.NumIntervals() != len(want)-1 {
+		t.Fatalf("NumIntervals = %d, want %d", g.NumIntervals(), len(want)-1)
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("bounds[%d] = %v, want %v", i, got[i], want[i])
+	for l := 0; l < g.NumIntervals(); l++ {
+		if math.Abs(g.Lower(l)-want[l]) > 1e-12 || math.Abs(g.Upper(l)-want[l+1]) > 1e-12 {
+			t.Errorf("interval %d = (%v, %v], want (%v, %v]", l, g.Lower(l), g.Upper(l), want[l], want[l+1])
 		}
 	}
-	if g.NumIntervals() != 6 {
-		t.Errorf("NumIntervals = %d, want 6", g.NumIntervals())
-	}
-	if g.Horizon() != 32 {
-		t.Errorf("Horizon = %v, want 32", g.Horizon())
-	}
-	if g.Eps() != 1 {
-		t.Errorf("Eps = %v, want 1", g.Eps())
-	}
-	if g.Lower(2) != 2 || g.Upper(2) != 4 || g.Length(2) != 2 {
-		t.Errorf("interval 2 = (%v, %v], len %v", g.Lower(2), g.Upper(2), g.Length(2))
+	if g.Length(2) != 2 {
+		t.Errorf("Length(2) = %v, want 2", g.Length(2))
 	}
 }
 
 func TestGridSmallHorizon(t *testing.T) {
 	g := New(0.5, 0)
-	if g.NumIntervals() != 1 || g.Horizon() != 1 {
-		t.Errorf("zero-horizon grid: %d intervals, horizon %v", g.NumIntervals(), g.Horizon())
+	if g.NumIntervals() != 1 || g.Lower(0) != 0 || g.Upper(0) != 1 {
+		t.Errorf("zero-horizon grid: %d intervals, first (%v, %v]", g.NumIntervals(), g.Lower(0), g.Upper(0))
 	}
 }
 

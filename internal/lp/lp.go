@@ -138,9 +138,6 @@ func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense, names: indexNames{}}
 }
 
-// Sense reports the objective sense of the problem.
-func (p *Problem) Sense() Sense { return p.sense }
-
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.vars) }
 

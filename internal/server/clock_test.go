@@ -56,7 +56,7 @@ func startStepped(t *testing.T, cfg Config) (*stepped, error) {
 	s, err := newServer(cfg, func(_ Config, base float64) clock {
 		clk.set(base)
 		return clock{now: clk.now, epochs: clk.ticks, snapshots: clk.snaps, stop: func() {}}
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +212,7 @@ func TestWallClockStartsAfterRecovery(t *testing.T) {
 	cfg := steppedConfig(t, dir)
 	cfg.EpochLength = 50
 	cfg.TimeScale = 1000
-	cfg.SnapshotStore = slowListStore{BlobStore: store, delay: 200 * time.Millisecond}
-	s, err := New(cfg)
+	s, err := newServer(cfg, wallClock, slowListStore{BlobStore: store, delay: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -136,9 +136,9 @@ type recovery struct {
 }
 
 // recoverState rebuilds the engine from cfg.WALDir through durable.Recover:
-// the newest usable snapshot restores the engine and the server-side maps,
-// apply replays the log suffix the snapshot does not cover.
-func recoverState(cfg Config) (*recovery, error) {
+// the newest usable snapshot in snapshots restores the engine and the
+// server-side maps, apply replays the log suffix the snapshot does not cover.
+func recoverState(cfg Config, snapshots durable.BlobStore) (*recovery, error) {
 	rec := &recovery{
 		idem:     make(map[string]idemEntry),
 		traceIDs: make(map[int]string),
@@ -165,7 +165,7 @@ func recoverState(cfg Config) (*recovery, error) {
 		return nil
 	}
 	var err error
-	rec.journal, err = durable.Recover(cfg.WALDir, cfg.SnapshotStore,
+	rec.journal, err = durable.Recover(cfg.WALDir, snapshots,
 		cfg.Logger.With("component", "coflowd"), &persist, restore, rec.apply)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -228,7 +228,8 @@ func (rec *recovery) apply(r *durable.Record) error {
 			return fmt.Errorf("%w: advance record seq %d: advance to %v: %v", durable.ErrCorrupt, r.Seq, r.Advance.Now, err)
 		}
 	case durable.RecComplete:
-		// Informational: completions are re-derived by the replayed advances.
+		// Written by older daemons only; the replayed advances re-derive
+		// every completion.
 	default:
 		return fmt.Errorf("%w: record seq %d has type %q, which does not belong in a coflowd log", durable.ErrCorrupt, r.Seq, r.Type)
 	}

@@ -7,9 +7,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"coflowsched/internal/durable"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/telemetry"
@@ -100,6 +103,70 @@ func TestServerRecoveryOverRestart(t *testing.T) {
 		t.Errorf("final stats admitted/completed = %d/%d, want %d/%d",
 			final.Admitted, final.Completed, len(admitted), len(admitted))
 	}
+}
+
+// TestRecoverySkipsCompleteRecords: older daemons logged a complete record
+// after the advance that finished each coflow. Replay skips them, so such a
+// log recovers to exactly the state the same log without them does.
+func TestRecoverySkipsCompleteRecords(t *testing.T) {
+	ops := crashScript()
+	ref := referenceOutcomes(t, ops)
+	src := t.TempDir()
+	s := crashServer(t, src)
+	s.run(t, ops)
+	s.Kill()
+	var recs []*durable.Record
+	if _, err := durable.Replay(src, 0, func(r *durable.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatalf("read log: %v", err)
+	}
+	ids := make([]int, 0, len(ref))
+	for id := range ref {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+
+	// Rewrite the log the way an older daemon wrote it: a complete record
+	// after each advance for every coflow finished by then.
+	old := t.TempDir()
+	l, err := durable.Open(old, durable.Options{})
+	if err != nil {
+		t.Fatalf("open log: %v", err)
+	}
+	logged := make(map[int]bool)
+	for _, r := range recs {
+		if _, err := l.Append(r); err != nil {
+			t.Fatalf("append %s: %v", r.Type, err)
+		}
+		if r.Type != durable.RecAdvance {
+			continue
+		}
+		for _, id := range ids {
+			if done := ref[id].completion; !logged[id] && done <= r.Advance.Now {
+				logged[id] = true
+				if _, err := l.Append(&durable.Record{Type: durable.RecComplete,
+					Complete: &durable.CompleteRecord{ID: id, Time: done}}); err != nil {
+					t.Fatalf("append complete: %v", err)
+				}
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+	if len(logged) == 0 {
+		t.Fatal("no coflow finished inside the script: the log carries no complete record")
+	}
+
+	plain, withComplete := crashServer(t, src), crashServer(t, old)
+	if a, b := plain.stats(t), withComplete.stats(t); !reflect.DeepEqual(a, b) {
+		t.Fatalf("recovered with %d complete records: %+v\nwithout them: %+v", len(logged), b, a)
+	}
+	want := drainOutcomes(t, plain)
+	assertOutcomesMatch(t, ref, want)
+	assertOutcomesMatch(t, want, drainOutcomes(t, withComplete))
 }
 
 // TestAdmitIdempotency checks the X-Coflow-Id dedupe path: a repeated key

@@ -78,10 +78,6 @@ type Config struct {
 	// meaningful with WALDir set; defaults to 30s there, negative disables
 	// snapshotting.
 	SnapshotInterval time.Duration
-	// SnapshotStore overrides where snapshots are written (for example an
-	// object store). Nil defaults to a local directory store under
-	// WALDir/snapshots.
-	SnapshotStore durable.BlobStore
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -167,12 +163,14 @@ type Server struct {
 
 // New builds and starts a server: the scheduler goroutine begins ticking
 // immediately. Callers must Close it (or Drain then Close).
-func New(cfg Config) (*Server, error) { return newServer(cfg, wallClock) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, wallClock, nil) }
 
 // newServer builds a server and runs its scheduler loop on the clock newClock
 // returns. The clock is built after recovery, from the engine clock replay
 // left (base), so the time recovery took does not move simulated time.
-func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Server, error) {
+// snapshots is where a durable server keeps its snapshots; nil is a
+// directory store under WALDir/snapshots.
+func newServer(cfg Config, newClock func(cfg Config, base float64) clock, snapshots durable.BlobStore) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -199,7 +197,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Serv
 			return nil, err
 		}
 	} else {
-		rec, err := recoverState(cfg)
+		rec, err := recoverState(cfg, snapshots)
 		if err != nil {
 			return nil, err
 		}
@@ -226,10 +224,6 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Serv
 	go s.loop()
 	return s, nil
 }
-
-// Tracer exposes the daemon's lifecycle-span ring (tests join it against a
-// gateway's).
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // clock is where the scheduler loop takes time from: now is the simulated
 // time admissions and ticks read, epochs and snapshots deliver the loop's
@@ -323,12 +317,6 @@ func (s *Server) tick() {
 	if s.wal != nil && (activeCoflows > 0 || len(done) > 0) {
 		_, _ = s.wal.Append(&durable.Record{Type: durable.RecAdvance,
 			Advance: &durable.AdvanceRecord{Now: s.eng.Now()}})
-		for _, id := range done {
-			if st, ok := s.eng.CoflowStatus(id); ok {
-				_, _ = s.wal.Append(&durable.Record{Type: durable.RecComplete,
-					Complete: &durable.CompleteRecord{ID: id, Time: st.Completion}})
-			}
-		}
 	}
 	s.applied(s.eng.ApplyHeld())
 	rec := EpochRecord{

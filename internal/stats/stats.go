@@ -1,7 +1,7 @@
 // Package stats provides the small statistical and tabulation helpers used
-// by the experiment harness: means, standard deviations/errors, ratios,
-// percentage improvements and fixed-width text tables matching the series
-// reported in the paper's figures.
+// by the experiment harness: means, percentiles, ratios, percentage
+// improvements and fixed-width text tables matching the series reported in
+// the paper's figures.
 package stats
 
 import (
@@ -21,29 +21,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // Median returns the median of xs, or NaN for an empty slice — an empty

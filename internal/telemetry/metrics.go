@@ -207,17 +207,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set overwrites the gauge.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -114,18 +114,6 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// ByTrace returns the retained spans carrying the given trace id, in
-// recording order.
-func (t *Tracer) ByTrace(id string) []Span {
-	var out []Span
-	for _, s := range t.Snapshot() {
-		if s.Trace == id {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Totals reports the span counts without copying the ring.
 func (t *Tracer) Totals() (total, dropped uint64) {
 	if t == nil {

@@ -18,10 +18,10 @@ func TestTracerRecordAndJoin(t *testing.T) {
 	gw.Record(Span{Trace: NewTraceID(), Name: "admit", Coflow: 1})
 	sh.Record(Span{Trace: id, Name: "shard-admit", Coflow: 5})
 
-	g := gw.ByTrace(id)
-	s := sh.ByTrace(id)
+	g := gw.Dump(id, 0).Spans
+	s := sh.Dump(id, 0).Spans
 	if len(g) != 1 || len(s) != 1 {
-		t.Fatalf("ByTrace: gateway %d spans, shard %d spans, want 1+1", len(g), len(s))
+		t.Fatalf("Dump: gateway %d spans, shard %d spans, want 1+1", len(g), len(s))
 	}
 	if g[0].Component != "coflowgate" || s[0].Component != "coflowd" || s[0].Shard != "shard0" {
 		t.Errorf("tracer identity not stamped: %+v %+v", g[0], s[0])

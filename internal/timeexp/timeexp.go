@@ -37,51 +37,6 @@ func New(base *graph.Graph, T int) *Graph {
 	return &Graph{base: base, t: T}
 }
 
-// Base returns the underlying graph.
-func (g *Graph) Base() *graph.Graph { return g.base }
-
-// Horizon returns T.
-func (g *Graph) Horizon() int { return g.t }
-
-// NumNodes returns |V| * (T+1), the number of (node, time) pairs.
-func (g *Graph) NumNodes() int { return g.base.NumNodes() * (g.t + 1) }
-
-// NumEdges returns the number of edges of G^T: movement edges |E|*T plus
-// queue edges |V|*T.
-func (g *Graph) NumEdges() int { return (g.base.NumEdges() + g.base.NumNodes()) * g.t }
-
-// NodeIndex maps (v, t) to a dense index in [0, NumNodes()).
-func (g *Graph) NodeIndex(v graph.NodeID, t int) int {
-	if t < 0 || t > g.t {
-		panic(fmt.Sprintf("timeexp: time %d outside [0,%d]", t, g.t))
-	}
-	return t*g.base.NumNodes() + int(v)
-}
-
-// NodeAt is the inverse of NodeIndex.
-func (g *Graph) NodeAt(idx int) (graph.NodeID, int) {
-	n := g.base.NumNodes()
-	return graph.NodeID(idx % n), idx / n
-}
-
-// Successors enumerates the time-expanded successors of (v, t): the queue
-// edge to (v, t+1) and a movement edge per outgoing base edge. It calls fn
-// with the base edge id (or -1 for the queue edge) and the successor node.
-// Enumeration stops early if fn returns false.
-func (g *Graph) Successors(v graph.NodeID, t int, fn func(edge graph.EdgeID, to graph.NodeID) bool) {
-	if t >= g.t {
-		return
-	}
-	if !fn(graph.EdgeID(-1), v) {
-		return
-	}
-	for _, eid := range g.base.Out(v) {
-		if !fn(eid, g.base.Edge(eid).To) {
-			return
-		}
-	}
-}
-
 // arrivalItem is a priority-queue entry for EarliestArrival.
 type arrivalItem struct {
 	node graph.NodeID

@@ -12,32 +12,6 @@ func lineGraph(t *testing.T) (*graph.Graph, []graph.NodeID) {
 	return g, g.Hosts()
 }
 
-func TestSizesAndIndexing(t *testing.T) {
-	g, _ := lineGraph(t)
-	te := New(g, 3)
-	if te.Horizon() != 3 || te.Base() != g {
-		t.Errorf("accessors wrong")
-	}
-	// Figure 2 structure: |V|*(T+1) nodes, (|E|+|V|)*T edges.
-	if te.NumNodes() != g.NumNodes()*4 {
-		t.Errorf("NumNodes = %d, want %d", te.NumNodes(), g.NumNodes()*4)
-	}
-	if te.NumEdges() != (g.NumEdges()+g.NumNodes())*3 {
-		t.Errorf("NumEdges = %d, want %d", te.NumEdges(), (g.NumEdges()+g.NumNodes())*3)
-	}
-	idx := te.NodeIndex(graph.NodeID(2), 3)
-	v, tt := te.NodeAt(idx)
-	if v != 2 || tt != 3 {
-		t.Errorf("NodeAt(NodeIndex) = (%d,%d), want (2,3)", v, tt)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NodeIndex with bad time should panic")
-		}
-	}()
-	te.NodeIndex(0, 99)
-}
-
 func TestNewPanicsOnBadHorizon(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -45,38 +19,6 @@ func TestNewPanicsOnBadHorizon(t *testing.T) {
 		}
 	}()
 	New(graph.Triangle(), 0)
-}
-
-func TestSuccessorsEnumeratesQueueAndMovementEdges(t *testing.T) {
-	g, h := lineGraph(t)
-	te := New(g, 2)
-	var queueEdges, moveEdges int
-	te.Successors(h[1], 0, func(e graph.EdgeID, to graph.NodeID) bool {
-		if e == graph.EdgeID(-1) {
-			queueEdges++
-			if to != h[1] {
-				t.Errorf("queue edge should stay at the same node")
-			}
-		} else {
-			moveEdges++
-		}
-		return true
-	})
-	if queueEdges != 1 || moveEdges != len(g.Out(h[1])) {
-		t.Errorf("successors: %d queue, %d movement; want 1, %d", queueEdges, moveEdges, len(g.Out(h[1])))
-	}
-	// At the horizon there are no successors.
-	count := 0
-	te.Successors(h[1], 2, func(graph.EdgeID, graph.NodeID) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("successors at horizon = %d, want 0", count)
-	}
-	// Early termination.
-	count = 0
-	te.Successors(h[1], 0, func(graph.EdgeID, graph.NodeID) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early-terminated enumeration visited %d, want 1", count)
-	}
 }
 
 func TestEarliestArrivalUnobstructed(t *testing.T) {
