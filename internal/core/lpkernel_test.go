@@ -113,22 +113,31 @@ type solveCase struct {
 	allocs float64
 }
 
-// solveCases builds the three shapes: the free-path LP of a fig3 instance (4
+// solveCases builds the four shapes: the free-path LP of a fig3 instance (4
 // coflows x width 4, four candidate paths, the capacity rows that cannot bind
 // left out: of its m = 347 rows most still keep their slack basic), a
 // three-flow given-path LP of the size online.LPEpoch re-solves every epoch
-// (every capacity row kept), and the dense covering LP of the root
+// (every capacity row kept), the dense covering LP of the root
 // BenchmarkLPSolverDense, where every row pivots and the kernel can skip
-// nothing. The budgets sit about 30 % above what a solve makes (320 KB in 100
-// allocations and 36 KB in 41). A row-major inverse with its standard form
-// built through per-row and per-column slices made it 948 KB in 5 597
-// allocations and 89 KB in 768; a dense m x m inverse per solve, when the
-// free-path LP still had its m = 986 rows, 8.45 MB and 256 KB.
+// nothing, and the paper-scale LP of TestFreePath8x6Pinned (m = 635, 1 653
+// pivots), the one shape that refactorizes. The budgets sit about 30 % above
+// what a solve made when they were set (320 KB in 100 allocations and 36 KB in
+// 41). A row-major inverse with its standard form built through per-row and
+// per-column slices made it 948 KB in 5 597 allocations and 89 KB in 768; a
+// dense m x m inverse per solve, when the free-path LP still had its m = 986
+// rows, 8.45 MB and 256 KB. The 8x6 LP has no budget: a solve takes about
+// 0.2 s, so the ten a byte budget runs would slow the suite by seconds; it
+// allocates about 41 MB in 4 150 allocations, most of it the m x 2m floats of
+// six refactorizations.
 func solveCases(tb testing.TB) []solveCase {
 	tb.Helper()
 	g := graph.FatTree(4, 1)
 	inst, _ := fig3Instance(tb, g, 0)
 	free, err := freePathBuild(inst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	paper, err := freePathBuild(freePath8x6Instance(tb, g))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -160,6 +169,7 @@ func solveCases(tb testing.TB) []solveCase {
 		{"freepath-4x4", free.prob, 420 << 10, 130},
 		{"residual-3flows", residual.prob, 47 << 10, 54},
 		{"dense-40x60", dense, 0, 0},
+		{"freepath-8x6", paper.prob, 0, 0},
 	}
 }
 

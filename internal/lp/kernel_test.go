@@ -15,13 +15,35 @@ import (
 // and fails unless both took the same path: same error and status, same pivot
 // count, same final basis, and xB, values and objective equal under == (a term
 // the kernel skips is an exact zero, so the two may differ only in the sign of
-// a zero, which == ignores). It returns both final states.
+// a zero, which == ignores). On every iteration of the reference it also
+// prices the reference's duals with the production kernel's row-wise price,
+// which must give every nonbasic column the reference's column-wise reduced
+// cost under ==. It returns both final states.
 func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState) {
 	t.Helper()
 	sf := buildStandardForm(p)
 	checkStandardForm(t, name, p, sf)
 	o := (*Options)(nil).withDefaults(sf.m, sf.n)
 	st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
+	pricer, iteration := newSimplexState(sf, o.Tolerance), 0
+	ref.onPrice = func(cost, y []float64, excludeFrom int) {
+		d := pricer.price(cost, y)
+		for j := 0; j < excludeFrom; j++ {
+			if ref.inB[j] {
+				continue
+			}
+			var got float64
+			if j < len(d) {
+				got = d[j]
+			} else {
+				got = sf.unitCost(cost, y, j)
+			}
+			if want := ref.reducedCost(cost, y, j); got != want {
+				t.Fatalf("%s: iteration %d prices column %d at %v, reference %v", name, iteration, j, got, want)
+			}
+		}
+		iteration++
+	}
 	got, gotErr := st.solve(o)
 	want, wantErr := ref.solve(o)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -70,6 +92,35 @@ func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) 
 	if !same(sf.c, ref.c) || !same(sf.b, ref.b) || !same(sf.shift, ref.shift) || !same([]float64{sf.objConst}, []float64{ref.objConst}) {
 		t.Fatalf("%s: costs, right-hand sides, shifts or objective constant differ from the reference\n got c=%v b=%v shift=%v const=%v\nwant c=%v b=%v shift=%v const=%v",
 			name, sf.c, sf.b, sf.shift, sf.objConst, ref.c, ref.b, ref.shift, ref.objConst)
+	}
+	// The rows as pricing reads them: negated lists constraint rows in
+	// ascending order, and a row with terms is in it exactly where its first
+	// term's column holds the coefficient negated; an upper-bound row is the
+	// last entry, a 1, of its variable's column.
+	for k, i := range sf.negated {
+		if i < 0 || i >= sf.nCons || k > 0 && i <= sf.negated[k-1] {
+			t.Fatalf("%s: negated rows %v are not ascending constraint rows", name, sf.negated)
+		}
+	}
+	for i := 0; i < sf.nCons; i++ {
+		terms := p.rowTerms(i)
+		if len(terms) == 0 {
+			continue
+		}
+		rows, vals := sf.col(int(terms[0].Var))
+		k, _ := slices.BinarySearch(rows, i)
+		if _, listed := slices.BinarySearch(sf.negated, i); listed != (vals[k] != terms[0].Coef) {
+			t.Fatalf("%s: row %d listed as negated %v, its first term %v in the arena %v", name, i, listed, terms[0].Coef, vals[k])
+		}
+	}
+	if len(sf.ubVar) != sf.m-sf.nCons {
+		t.Fatalf("%s: %d upper-bound variables for %d upper-bound rows", name, len(sf.ubVar), sf.m-sf.nCons)
+	}
+	for q, j := range sf.ubVar {
+		rows, vals := sf.col(j)
+		if last := len(rows) - 1; last < 0 || rows[last] != sf.nCons+q || vals[last] != 1 {
+			t.Fatalf("%s: upper-bound row %d names column %d, whose entries are rows %v values %v", name, sf.nCons+q, j, rows, vals)
+		}
 	}
 }
 

@@ -7,7 +7,12 @@
 // for anti-cycling. The inverse is kept compactly: only its touched columns,
 // those whose row has left the basis at least once, are stored and worked on,
 // one m-float slice each; the rest are still the identity's and take no memory
-// (see simplexState.inv). A problem keeps every row's terms in one arena and
+// (see simplexState.inv). Every loop of the solve skips the exact zeros of its
+// operands: pricing goes row by row over the rows whose dual is nonzero
+// (simplexState.price), a pivot eliminates only in the stored columns its
+// leaving row reaches, and refactorization applies each pivot row at its
+// nonzeros. A skipped term is an exact zero, so every pivot is the one the
+// dense kernel takes. A problem keeps every row's terms in one arena and
 // its standard form every column's entries in another, so a build and solve
 // allocates in proportion to rows, columns, nonzeros and touched columns, and
 // nothing of it outlives the solve. It is a pure-Go replacement for the

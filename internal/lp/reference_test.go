@@ -4,12 +4,14 @@ package lp
 // kernel (simplex.go at 4cf4ce6), kept verbatim as a test-only reference in
 // the tradition of sim.Reference and graph/reference_test.go: multiplyColumn,
 // duals and pivot sweep all m columns of the basis inverse, w and y are
-// allocated per call, and refactorize knows nothing of a touched set. Four
+// allocated per call, reducedCost prices one column at a time over all its
+// entries, and refactorize knows nothing of a touched set or of zeros. Five
 // things differ from that file: the names (simplexState -> refState), solve
 // is a method on the state so tests can compare the final basis and xB, three
 // counters (Bland's-rule pivots, refactorizations, artificials driven out) let
-// a test prove its LP reached those paths, and a column is read through
-// standardForm.col. kernel_test.go diffs the production kernel against it.
+// a test prove its LP reached those paths, a column is read through
+// standardForm.col, and runPhase hands every iteration's duals to onPrice
+// when it is set. kernel_test.go diffs the production kernel against it.
 // The row-major standard-form builder at the end of the file is the oracle of
 // the column arena.
 
@@ -30,6 +32,11 @@ type refState struct {
 	iters int
 
 	blandPivots, refactors, drivenOut int // coverage counters, not in the original
+
+	// onPrice, when set, sees the cost vector, the duals and the priced range
+	// of every iteration before runPhase prices them: diffKernel prices the
+	// same duals row-wise there. Not in the original.
+	onPrice func(cost, y []float64, excludeFrom int)
 }
 
 func newRefState(sf *standardForm, tol float64) *refState {
@@ -238,6 +245,9 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 
 	for st.iters < maxIters {
 		y := st.duals(cost)
+		if st.onPrice != nil {
+			st.onPrice(cost, y, excludeFrom)
+		}
 
 		enter := -1
 		bestRC := -st.tol

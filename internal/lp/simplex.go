@@ -25,7 +25,10 @@ var (
 // where columns 0..nOrig-1 are (lower-bound shifted) original variables,
 // followed by slack/surplus columns and finally artificial columns. A is held
 // by column in one arena: column j's entries are rows[colStart[j]:colStart[j+1]]
-// and the same range of vals, in ascending row order.
+// and the same range of vals, in ascending row order. Its rows are p's
+// constraints, then one per finite upper bound, and pricing reads them by row
+// (simplexState.price): constraint row i is p.rowTerms(i), negated where i is
+// in negated, and upper-bound row nCons+q is a 1 in column ubVar[q].
 type standardForm struct {
 	m, n     int
 	nOrig    int
@@ -36,6 +39,11 @@ type standardForm struct {
 	vals     []float64
 	c        []float64 // phase-2 costs (always minimization)
 	b        []float64
+
+	p       *Problem
+	nCons   int   // p's constraints, the first nCons rows
+	negated []int // the constraint rows whose right-hand side was negative, ascending
+	ubVar   []int // per upper-bound row: its variable
 
 	shift    []float64 // per original variable: lower bound added back on extraction
 	objConst float64
@@ -66,6 +74,8 @@ func buildStandardForm(p *Problem) *standardForm {
 		b:      make([]float64, m),
 		shift:  make([]float64, nOrig),
 		negate: p.sense == Maximize,
+		p:      p,
+		nCons:  nCons,
 	}
 	for j, v := range p.vars {
 		sf.shift[j] = v.lb
@@ -75,6 +85,7 @@ func buildStandardForm(p *Problem) *standardForm {
 	// by the lower bounds, not yet sign-normalized. Rows are the constraints,
 	// then one per finite upper bound.
 	count := make([]int, nOrig)
+	negated := 0
 	for i, con := range p.cons {
 		rhs := con.rhs
 		for _, t := range p.rowTerms(i) {
@@ -82,6 +93,9 @@ func buildStandardForm(p *Problem) *standardForm {
 			count[t.Var]++
 		}
 		sf.b[i] = rhs
+		if rhs < 0 {
+			negated++
+		}
 	}
 	r := nCons
 	for j, v := range p.vars {
@@ -105,7 +119,9 @@ func buildStandardForm(p *Problem) *standardForm {
 	n := nOrig + nSlack + nArt
 	sf.n = n
 	sf.artStart = nOrig + nSlack
-	sf.colStart = make([]int, n+1)
+	// The row lists pricing reads share colStart's allocation.
+	starts := make([]int, n+1+negated+m-nCons)
+	sf.colStart, sf.negated, sf.ubVar = starts[:n+1:n+1], starts[n+1:n+1:n+1+negated], starts[n+1+negated:]
 	for j := 0; j < n; j++ {
 		entries := 1 // a slack or artificial column
 		if j < nOrig {
@@ -133,6 +149,7 @@ func buildStandardForm(p *Problem) *standardForm {
 		flip := 1.0
 		if sf.b[i] < 0 {
 			flip = -1
+			sf.negated = append(sf.negated, i)
 		}
 		for _, t := range p.rowTerms(i) {
 			k := count[t.Var]
@@ -144,6 +161,7 @@ func buildStandardForm(p *Problem) *standardForm {
 	for j, v := range p.vars {
 		if !math.IsInf(v.ub, 1) {
 			sf.rows[count[j]], sf.vals[count[j]] = r, 1 // the column's last entry
+			sf.ubVar[r-nCons] = j
 			r++
 		}
 	}
@@ -210,7 +228,7 @@ type simplexState struct {
 	slot    []int32     // slot[k] = index of column k in touched, -1 while column k is e_k
 	spare   [][]float64 // columns refactorize took out of inv, for touch to reuse
 	xB      []float64   // basic variable values
-	w, y    []float64   // what multiplyColumn and duals return: scratch, valid until the next call
+	w, y, d []float64   // what multiplyColumn, duals and price return: scratch, valid until the next call
 	visit   []int       // scratch of duals and pivot: the rows whose basic cost, or w entry, is nonzero
 	tol     float64
 	iters   int
@@ -218,14 +236,16 @@ type simplexState struct {
 
 func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	m := sf.m
+	scratch := make([]float64, 2*m+sf.nOrig)
 	st := &simplexState{
 		sf:    sf,
 		basis: make([]int, m),
 		inB:   make([]bool, sf.n),
 		slot:  make([]int32, m),
 		xB:    make([]float64, m),
-		w:     make([]float64, m),
-		y:     make([]float64, m),
+		w:     scratch[:m:m],
+		y:     scratch[m : 2*m : 2*m],
+		d:     scratch[2*m:],
 		visit: make([]int, 0, m),
 		tol:   tol,
 	}
@@ -329,14 +349,43 @@ func (st *simplexState) duals(cost []float64) []float64 {
 	return y
 }
 
-// reducedCost computes c_j - y'A_j.
-func (st *simplexState) reducedCost(cost, y []float64, j int) float64 {
-	d := cost[j]
-	rows, vals := st.sf.col(j)
-	for k, r := range rows {
-		d -= y[r] * vals[k]
+// price returns the reduced costs d_j = c_j - y'A_j of the structural columns,
+// j < nOrig (basic ones too, which nobody reads). It goes row by row, over the
+// rows whose dual is nonzero only, in ascending order: every column still
+// meets its rows in ascending order, as a column-wise sum does, and a row it
+// skips adds an exact zero. A slack or artificial column is priced through its
+// one entry (unitCost).
+func (st *simplexState) price(cost, y []float64) []float64 {
+	sf := st.sf
+	d := st.d
+	copy(d, cost)
+	negated := sf.negated
+	for i, yi := range y {
+		if yi == 0 {
+			continue
+		}
+		if i >= sf.nCons {
+			d[sf.ubVar[i-sf.nCons]] -= yi // the row's one entry is a 1
+			continue
+		}
+		for len(negated) > 0 && negated[0] < i {
+			negated = negated[1:]
+		}
+		if len(negated) > 0 && negated[0] == i {
+			yi = -yi // exact: y*(-c) and (-y)*c round alike
+		}
+		for _, t := range sf.p.rowTerms(i) {
+			d[t.Var] -= yi * t.Coef
+		}
 	}
 	return d
+}
+
+// unitCost returns the reduced cost of column j >= nOrig, a slack or an
+// artificial: c_j less its one entry v, in row r, times y_r.
+func (sf *standardForm) unitCost(cost, y []float64, j int) float64 {
+	k := sf.colStart[j]
+	return cost[j] - y[sf.rows[k]]*sf.vals[k]
 }
 
 // pivot performs the basis change: column enter becomes basic in row leave,
@@ -360,10 +409,14 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 
 	// Row leave is zero in every untouched column but its own, which joins
 	// the set here; scaling and eliminating over the stored columns is the
-	// whole update.
+	// whole update, and a stored column with a zero in row leave changes only
+	// by exact zeros.
 	st.touch(leave)
 	inv := 1.0 / w[leave]
 	for _, col := range st.inv {
+		if col[leave] == 0 {
+			continue
+		}
 		v := col[leave] * inv
 		col[leave] = v
 		for _, i := range rows {
@@ -393,7 +446,9 @@ func (st *simplexState) refactorize() error {
 			a[r][i] = vals[k]
 		}
 	}
-	// Gauss-Jordan with partial pivoting.
+	// Gauss-Jordan with partial pivoting. The scaled pivot row is applied at
+	// its nonzero positions only (nz): the rest would subtract exact zeros.
+	nz := make([]int, 0, 2*m)
 	for c := 0; c < m; c++ {
 		p := c
 		best := math.Abs(a[c][c])
@@ -406,9 +461,14 @@ func (st *simplexState) refactorize() error {
 			return fmt.Errorf("lp: singular basis during refactorization (column %d)", c)
 		}
 		a[c], a[p] = a[p], a[c]
-		inv := 1.0 / a[c][c]
+		row := a[c]
+		inv := 1.0 / row[c]
+		nz = nz[:0]
 		for k := c; k < 2*m; k++ {
-			a[c][k] *= inv
+			if row[k] != 0 {
+				row[k] *= inv
+				nz = append(nz, k)
+			}
 		}
 		for r := 0; r < m; r++ {
 			if r == c {
@@ -418,8 +478,9 @@ func (st *simplexState) refactorize() error {
 			if f == 0 {
 				continue
 			}
-			for k := c; k < 2*m; k++ {
-				a[r][k] -= f * a[c][k]
+			ar := a[r]
+			for _, k := range nz {
+				ar[k] -= f * row[k]
 			}
 		}
 	}
@@ -479,29 +540,26 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 
 	for st.iters < maxIters {
 		y := st.duals(cost)
+		d := st.price(cost, y)
 
 		enter := -1
 		bestRC := -st.tol
-		if useBland {
-			for j := 0; j < excludeFrom; j++ {
-				if st.inB[j] {
-					continue
-				}
-				if st.reducedCost(cost, y, j) < -st.tol {
-					enter = j
-					break
-				}
+		for j := 0; j < excludeFrom; j++ {
+			if st.inB[j] {
+				continue
 			}
-		} else {
-			for j := 0; j < excludeFrom; j++ {
-				if st.inB[j] {
-					continue
+			var rc float64
+			if j < len(d) {
+				rc = d[j]
+			} else {
+				rc = st.sf.unitCost(cost, y, j)
+			}
+			if rc < bestRC {
+				enter = j
+				if useBland {
+					break // Bland's rule: the first column that prices out
 				}
-				rc := st.reducedCost(cost, y, j)
-				if rc < bestRC {
-					bestRC = rc
-					enter = j
-				}
+				bestRC = rc
 			}
 		}
 		if enter < 0 {

@@ -44,6 +44,9 @@ type EpochStat struct {
 	// SolveLatency is the wall-clock duration of the Decide call made on this
 	// epoch's view, zero when the view was idle and no Decide ran.
 	SolveLatency time.Duration
+	// Fallback marks an epoch whose Decide failed and returned a *Fallback:
+	// LPEpoch's SEBF order in place of a solver error.
+	Fallback bool
 }
 
 // Result is the outcome of an online run.
@@ -145,12 +148,12 @@ func Run(inst *coflow.Instance, policy Policy, cfg Config) (*Result, error) {
 		if epoch > maxEpochs {
 			return nil, fmt.Errorf("online: exceeded %d epochs (epoch length %v too small for horizon?)", maxEpochs, cfg.EpochLength)
 		}
-		latency, err := eng.decide()
+		d, err := eng.decide()
 		if err != nil {
 			return nil, fmt.Errorf("online: %s epoch %d: %w", policy.Name(), epoch, err)
 		}
 		st := EpochStat{Epoch: epoch, Start: now, End: now + cfg.EpochLength,
-			ActiveFlows: eng.view.NumFlows(), SnapshotEpoch: -1, SolveLatency: latency}
+			ActiveFlows: eng.view.NumFlows(), SnapshotEpoch: -1, SolveLatency: d.Latency, Fallback: d.Fallback}
 		switch {
 		case eng.warmAt == eng.epoch: // the order held from the previous epoch
 			st.SnapshotEpoch = epoch - 1

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -104,6 +105,7 @@ type Engine struct {
 	doneFlows        int
 	totalFlows       int
 	decisions        int
+	fallbacks        int
 	weightedCCT      float64
 	weightedResponse float64
 	slowdowns        ring
@@ -146,9 +148,11 @@ func (r *ring) snapshot() []float64 { return append([]float64(nil), r.vals...) }
 type EngineStats struct {
 	// Now is the engine clock (simulated time last advanced to).
 	Now float64
-	// Epochs counts AdvanceTo calls, Decisions counts applied orders.
+	// Epochs counts AdvanceTo calls, Decisions counts applied orders, and
+	// Fallbacks the decisions settled that were a policy's *Fallback.
 	Epochs    int
 	Decisions int
+	Fallbacks int
 	// Admitted, Completed and Active count coflows.
 	Admitted  int
 	Completed int
@@ -504,11 +508,28 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // Decision is one Decide call's outcome: the order, the wall-clock time the
-// call took and the epoch whose view it was decided on.
+// call took, the epoch whose view it was decided on, and whether the order is
+// a policy's *Fallback.
 type Decision struct {
-	Order   []coflow.FlowRef
-	Latency time.Duration
-	Epoch   int
+	Order    []coflow.FlowRef
+	Latency  time.Duration
+	Epoch    int
+	Fallback bool
+}
+
+// Decide times p's Decide on snap. A *Fallback is no error here: its order is
+// the decision, marked Fallback.
+func Decide(p Policy, snap *Snapshot) (Decision, error) {
+	t0 := time.Now()
+	order, err := p.Decide(snap)
+	d := Decision{Order: order, Latency: time.Since(t0), Epoch: snap.Epoch}
+	if err != nil {
+		var fb *Fallback // escapes to errors.As: declared only on the error path
+		if errors.As(err, &fb) {
+			d.Order, d.Fallback, err = fb.Order, true, nil
+		}
+	}
+	return d, err
 }
 
 // Settle hands the engine an order its policy decided and applies the
@@ -517,8 +538,11 @@ type Decision struct {
 // start — d.Epoch's boundary applied no held order — at once too. It reports
 // whether it applied d: as decided in its own epoch, else through ApplyOrder.
 func (e *Engine) Settle(d Decision) (applied bool, err error) {
+	if d.Fallback {
+		e.fallbacks++
+	}
 	if ap, ok := e.policy.(AsyncPolicy); ok && ap.Async() {
-		e.held = Decision{Order: append(e.held.Order[:0], d.Order...), Latency: d.Latency, Epoch: d.Epoch}
+		e.held = Decision{Order: append(e.held.Order[:0], d.Order...), Latency: d.Latency, Epoch: d.Epoch, Fallback: d.Fallback}
 		e.holding = true
 		if e.warmAt == d.Epoch {
 			return false, nil
@@ -758,6 +782,7 @@ func (e *Engine) Stats() EngineStats {
 		Now:              e.now,
 		Epochs:           e.epoch,
 		Decisions:        e.decisions,
+		Fallbacks:        e.fallbacks,
 		Admitted:         len(e.inst.Coflows),
 		Completed:        e.completedCoflows,
 		Active:           len(e.inst.Coflows) - e.completedCoflows,
@@ -778,20 +803,19 @@ func (e *Engine) DecideSync() error {
 	return err
 }
 
-// decide is DecideSync, returning its Decide's latency (zero on an idle view).
-func (e *Engine) decide() (time.Duration, error) {
+// decide is DecideSync, returning its decision (the zero Decision on an idle
+// view).
+func (e *Engine) decide() (Decision, error) {
 	snap := e.syncView()
 	if _, _, err := e.ApplyHeld(); err != nil || len(snap.Coflows) == 0 {
-		return 0, err
+		return Decision{}, err
 	}
-	t0 := time.Now()
-	order, err := e.policy.Decide(snap)
+	d, err := Decide(e.policy, snap)
 	if err != nil {
-		return 0, err
+		return Decision{}, err
 	}
-	latency := time.Since(t0)
-	_, err = e.Settle(Decision{Order: order, Latency: latency, Epoch: e.epoch})
-	return latency, err
+	_, err = e.Settle(d)
+	return d, err
 }
 
 // Drain runs decide/advance epochs until every admitted flow completes,

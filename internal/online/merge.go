@@ -23,6 +23,7 @@ func MergeEngineStats(shards ...EngineStats) EngineStats {
 		}
 		out.Epochs += s.Epochs
 		out.Decisions += s.Decisions
+		out.Fallbacks += s.Fallbacks
 		out.Admitted += s.Admitted
 		out.Completed += s.Completed
 		out.Active += s.Active

@@ -138,9 +138,23 @@ type Policy interface {
 	// partial; flows it omits are served last. Decide must not retain the
 	// snapshot after returning and must not modify it: the engine's
 	// synchronous path passes its own long-lived view, updated in place
-	// between calls, not a copy.
+	// between calls, not a copy. A policy that failed but decided another way
+	// returns a *Fallback holding that order.
 	Decide(snap *Snapshot) ([]coflow.FlowRef, error)
 }
+
+// Fallback is the error of a Decide that failed and decided another way
+// instead: Order is that decision (LPEpoch's: the SEBF order, on a solver
+// error), Err the failure. It is no failure to the engine, which settles
+// Order and counts it (EpochStat.Fallback, EngineStats.Fallbacks).
+type Fallback struct {
+	Order []coflow.FlowRef
+	Err   error
+}
+
+func (f *Fallback) Error() string { return "online: fell back: " + f.Err.Error() }
+
+func (f *Fallback) Unwrap() error { return f.Err }
 
 // AsyncPolicy marks a policy whose Decide is too expensive to finish inside
 // the epoch boundary. When Async reports true, the order decided on the view

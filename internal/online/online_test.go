@@ -313,30 +313,59 @@ func TestSEBFAndLPBeatFIFO(t *testing.T) {
 }
 
 // TestLPEpochSurvivesSolverFailure pins the workload that made the pure-Go
-// simplex fail ("singular basis") on a residual instance mid-stream: the
-// default LPEpoch must degrade to the SEBF order for that epoch and finish,
-// not abort the run.
+// simplex fail ("singular basis") on a residual instance mid-stream. The
+// synchronous LPEpoch still meets that failure (epoch 4's LP); the default,
+// one epoch stale, solves other residual LPs, which all solve. Both must
+// degrade to the SEBF order for a failed epoch and finish, not abort the run,
+// and mark exactly the epochs the strict LP fails on as Fallback.
 func TestLPEpochSurvivesSolverFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second LP solves")
 	}
 	inst := onlineInstance(t, 1, 2.0, 14)
-	res, err := Run(inst, LPEpoch{}, Config{EpochLength: 2, Seed: 1})
-	if err != nil {
-		t.Fatalf("LPEpoch aborted on solver failure: %v", err)
+	total := 0
+	for _, p := range []LPEpoch{{}, {Sync: true}} {
+		res, err := Run(inst, p, Config{EpochLength: 2, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s aborted on solver failure: %v", p.Name(), err)
+		}
+		if err := res.Schedule.Validate(inst); err != nil {
+			t.Errorf("%s: schedule infeasible: %v", p.Name(), err)
+		}
+		fallbacks := 0
+		for _, e := range res.Epochs {
+			if e.Fallback {
+				fallbacks++
+			}
+		}
+		p.Strict = true
+		strict := &countingPolicy{Policy: p}
+		if _, err := Run(inst, strict, Config{EpochLength: 2, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if fallbacks != len(strict.errs) {
+			t.Errorf("%s: %d epochs marked Fallback, the strict LP failed %d times: %v", p.Name(), fallbacks, len(strict.errs), strict.errs)
+		}
+		total += fallbacks
 	}
-	if err := res.Schedule.Validate(inst); err != nil {
-		t.Errorf("schedule infeasible: %v", err)
+	if total == 0 {
+		t.Error("no LP of the stream failed: it no longer tests the fallback")
 	}
 }
 
 // countingPolicy counts the decides that reach the policy under it and keeps
 // the errors they return, deciding by SEBF in their place: what the benchmark
-// puts around a strict LPEpoch to make its fallbacks visible.
+// puts around a strict LPEpoch to make its fallbacks visible. It is as
+// asynchronous as the policy under it.
 type countingPolicy struct {
 	Policy
 	decides int
 	errs    []error
+}
+
+func (p *countingPolicy) Async() bool {
+	ap, ok := p.Policy.(AsyncPolicy)
+	return ok && ap.Async()
 }
 
 func (p *countingPolicy) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {

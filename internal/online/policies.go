@@ -116,7 +116,8 @@ type LPEpoch struct {
 	// Strict propagates LP solver failures instead of falling back. By
 	// default a failed solve (the pure-Go simplex can hit numerically
 	// degenerate residual instances) degrades to the SEBF residual order
-	// for that epoch — a scheduler must survive a solver hiccup.
+	// for that epoch, returned as a *Fallback so that it is counted — a
+	// scheduler must survive a solver hiccup.
 	Strict bool
 }
 
@@ -139,10 +140,12 @@ func (p LPEpoch) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 	}
 	lpOrder, err := (core.CircuitGivenPaths{Opts: p.Opts}).Order(rinst)
 	if err != nil {
+		err = fmt.Errorf("online: epoch %d LP: %w", snap.Epoch, err)
 		if p.Strict {
-			return nil, fmt.Errorf("online: epoch %d LP: %w", snap.Epoch, err)
+			return nil, err
 		}
-		return SEBFOnline{}.Decide(snap)
+		order, _ := SEBFOnline{}.Decide(snap) // SEBF never fails
+		return nil, &Fallback{Order: order, Err: err}
 	}
 	order := make([]coflow.FlowRef, 0, len(lpOrder))
 	for _, r := range lpOrder {

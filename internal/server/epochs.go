@@ -30,10 +30,13 @@ type EpochRecord struct {
 	Completed     int `json:"completed_in_tick"`
 	// Decided marks ticks where an asynchronous policy decision was applied
 	// since the previous record; DecideSeconds is that solve's wall-clock
-	// latency and OrderChurn the fraction of the priority order it changed.
+	// latency, OrderChurn the fraction of the priority order it changed, and
+	// Fallback marks a decision the policy fell back to (online.Fallback:
+	// LPEpoch's SEBF order on a solver error).
 	Decided       bool    `json:"decided"`
 	DecideSeconds float64 `json:"decide_seconds,omitempty"`
 	OrderChurn    float64 `json:"order_churn,omitempty"`
+	Fallback      bool    `json:"fallback,omitempty"`
 	// Preempted counts flows that lost their head-of-order position in the
 	// applied decision, approximated as churn * active flows.
 	Preempted int `json:"preempted,omitempty"`

@@ -3,12 +3,16 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"coflowsched/internal/coflow"
+	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/regress"
 	"coflowsched/internal/telemetry"
@@ -81,6 +85,12 @@ func goldenScenario(t *testing.T, sc workload.Scenario) (*coflow.Instance, regre
 // ticking; otherwise ticks run until every coflow has finished.
 func replayScenario(t *testing.T, inst *coflow.Instance, policy online.Policy, drain bool) regress.PolicyGolden {
 	t.Helper()
+	return replay(t, inst, policy, drain).pin(t)
+}
+
+// replay is replayScenario's stream, returning the finished daemon.
+func replay(t *testing.T, inst *coflow.Instance, policy online.Policy, drain bool) *stepped {
+	t.Helper()
 	s := mustStartStepped(t, Config{
 		Network:     inst.Network,
 		Policy:      policy,
@@ -114,7 +124,73 @@ func replayScenario(t *testing.T, inst *coflow.Instance, policy online.Policy, d
 			t.Fatalf("%s: %d of %d coflows unfinished after %d epochs", policy.Name(), st.Admitted-st.Completed, len(inst.Coflows), st.Epochs)
 		}
 	}
-	return s.pin(t)
+	return s
+}
+
+// TestSolverFallbacksCounted replays the stream of online's
+// TestLPEpochSurvivesSolverFailure, where the simplex fails mid-stream under
+// the synchronous LPEpoch, through a stepped daemon: the fallbacks it settles
+// must show, as coflowd_policy_fallback_total{reason="solver"} > 0 and as
+// exactly that many /v1/epochs records marked fallback. A scenario whose LPs
+// all solve reads 0 on both.
+func TestSolverFallbacksCounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second LP solves")
+	}
+	failing, _, err := workload.GenerateArrivals(graph.FatTree(4, 1), workload.ArrivalConfig{
+		Config: workload.Config{NumCoflows: 14, Width: 3, MeanSize: 4, MeanWeight: 1},
+		Rate:   2.0,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ok := workload.LookupScenario("uniform")
+	if !ok {
+		t.Fatal("scenario uniform not registered")
+	}
+	clean, _ := goldenScenario(t, sc)
+	for _, tc := range []struct {
+		name    string
+		inst    *coflow.Instance
+		failing bool
+	}{{"solver-failure", failing, true}, {"uniform", clean, false}} {
+		s := replay(t, tc.inst, online.LPEpoch{Sync: true}, false)
+		rec := httptest.NewRecorder()
+		s.api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		m, err := telemetry.ParseMetrics(rec.Body.String())
+		if err != nil {
+			t.Fatalf("%s: parse /metrics: %v", tc.name, err)
+		}
+		counter, ok := m.Get("coflowd_policy_fallback_total", "reason", "solver")
+		if !ok {
+			t.Fatalf("%s: /metrics has no coflowd_policy_fallback_total{reason=\"solver\"}", tc.name)
+		}
+		rec = httptest.NewRecorder()
+		s.api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/epochs", nil))
+		var epochs EpochsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &epochs); err != nil {
+			t.Fatalf("%s: decode /v1/epochs: %v", tc.name, err)
+		}
+		if len(epochs.Records) == epochRingCap {
+			t.Fatalf("%s: %d epochs filled the ring; the records no longer cover the stream", tc.name, len(epochs.Records))
+		}
+		records := 0
+		for _, r := range epochs.Records {
+			if r.Fallback {
+				records++
+			}
+		}
+		t.Logf("%s: %d epochs, fallback counter %v, %d fallback records", tc.name, len(epochs.Records), counter.Value, records)
+		if tc.failing && counter.Value == 0 {
+			t.Errorf("%s: the stream's solver failures left the fallback counter at 0", tc.name)
+		}
+		if !tc.failing && counter.Value != 0 {
+			t.Errorf("%s: a stream whose LPs all solve counted %v fallbacks", tc.name, counter.Value)
+		}
+		if counter.Value != float64(records) {
+			t.Errorf("%s: fallback counter %v, but %d records are marked fallback", tc.name, counter.Value, records)
+		}
+	}
 }
 
 // pin scores a finished daemon the way online.Run scores its transcript:

@@ -33,6 +33,7 @@ type serverMetrics struct {
 	simNow           *telemetry.Gauge
 	epochs           *telemetry.Counter
 	decisions        *telemetry.Counter
+	solverFallbacks  *telemetry.Counter
 	admitted         *telemetry.Counter
 	completed        *telemetry.Counter
 	coflowsActive    *telemetry.Gauge
@@ -88,6 +89,10 @@ func newServerMetrics(shard string) *serverMetrics {
 		snapshots:        reg.Counter("coflowd_snapshots_total", "engine snapshots written"),
 		admitStage:       reg.HistogramVec("coflowd_admit_stage_seconds", "admit-pipeline stage latency: coalesce-wait (handler submit → scheduler pickup), engine-admit, wal-append, group-commit (per durable admission, in the handler)", nil, "stage"),
 	}
+	// The one reason today: a policy decided by its fallback on a solver
+	// error. Created at registration, so the series reads 0 until one happens.
+	m.solverFallbacks = reg.CounterVec("coflowd_policy_fallback_total",
+		"policy decisions settled as a fallback order, by reason", "reason").With("solver")
 	m.stageWait = m.admitStage.With(stageCoalesceWait)
 	m.stageEngine = m.admitStage.With(stageEngineAdmit)
 	m.stageAppend = m.admitStage.With(stageWALAppend)
@@ -103,6 +108,7 @@ func (m *serverMetrics) updateFromEngine(st online.EngineStats) {
 	m.simNow.Set(st.Now)
 	m.epochs.Set(float64(st.Epochs))
 	m.decisions.Set(float64(st.Decisions))
+	m.solverFallbacks.Set(float64(st.Fallbacks))
 	m.admitted.Set(float64(st.Admitted))
 	m.completed.Set(float64(st.Completed))
 	m.coflowsActive.Set(float64(st.Active))

@@ -153,12 +153,13 @@ type Server struct {
 	traceIDs map[int]string
 	// epochRing retains the most recent scheduler ticks for /v1/epochs.
 	// decided says an order was applied since the previous record (on a
-	// decide's return, or at this tick): the next record carries its latency
-	// and the engine's churn.
-	epochRing     []EpochRecord
-	epochNext     int
-	decided       bool
-	decideLatency time.Duration
+	// decide's return, or at this tick): the next record carries its latency,
+	// whether it was a fallback, and the engine's churn.
+	epochRing       []EpochRecord
+	epochNext       int
+	decided         bool
+	decideLatency   time.Duration
+	decidedFallback bool
 }
 
 // New builds and starts a server: the scheduler goroutine begins ticking
@@ -333,6 +334,7 @@ func (s *Server) tick() {
 	}
 	if s.decided {
 		rec.Decided, rec.DecideSeconds, rec.OrderChurn = true, s.decideLatency.Seconds(), s.eng.OrderChurn()
+		rec.Fallback = s.decidedFallback
 		rec.Preempted = int(rec.OrderChurn * float64(activeFlows))
 		s.decided = false
 	}
@@ -346,9 +348,7 @@ func (s *Server) tick() {
 	}
 	s.solving = true
 	go func() {
-		t0 := time.Now()
-		order, err := s.cfg.Policy.Decide(snap)
-		d := online.Decision{Order: order, Latency: time.Since(t0), Epoch: snap.Epoch}
+		d, err := online.Decide(s.cfg.Policy, snap)
 		s.do(context.Background(), func() {
 			s.solving = false
 			if s.draining {
@@ -380,7 +380,7 @@ func (s *Server) applied(d online.Decision, ok bool, err error) {
 			Refs:        d.Order,
 		}})
 	}
-	s.decided, s.decideLatency = true, d.Latency
+	s.decided, s.decideLatency, s.decidedFallback = true, d.Latency, d.Fallback
 	s.tracer.Record(telemetry.Span{
 		Name:     "epoch-decision",
 		Coflow:   -1,

@@ -25,6 +25,7 @@ var coflowdFamilies = []string{
 	"coflowd_sim_now",
 	"coflowd_epochs_total",
 	"coflowd_decisions_total",
+	"coflowd_policy_fallback_total",
 	"coflowd_coflows_admitted_total",
 	"coflowd_coflows_completed_total",
 	"coflowd_coflows_active",
@@ -139,14 +140,21 @@ func TestCoflowdMetricsConformance(t *testing.T) {
 	})
 	m := scrape(t, ts.URL)
 	assertFamilies(t, m, append(append([]string{}, coflowdFamilies...), runtimeFamilies...), "coflowd")
-	// The pipeline-stage vec is the only intentional label dimension besides
-	// histogram buckets; anything else is contract drift.
+	// The pipeline-stage vec and the fallback counter's reason are the only
+	// intentional label dimensions besides histogram buckets; anything else is
+	// contract drift.
 	for _, s := range m.Samples {
 		for key := range s.Labels {
-			if key != "le" && key != "stage" {
+			fallbackReason := key == "reason" && s.Name == "coflowd_policy_fallback_total"
+			if key != "le" && key != "stage" && !fallbackReason {
 				t.Errorf("unlabelled daemon grew label %q on %s: %v", key, s.Name, s.Labels)
 			}
 		}
+	}
+	// The solver fallback child reads 0 from boot, so that a rate rule on it
+	// has a series before the first fallback.
+	if _, ok := m.Get("coflowd_policy_fallback_total", "reason", "solver"); !ok {
+		t.Error(`coflowd_policy_fallback_total lacks its boot-time child {reason="solver"}`)
 	}
 	// Every pipeline stage child must be scrapeable from boot — dashboards
 	// select on {stage=...} before the first admission arrives.
