@@ -142,14 +142,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *widths != "" {
 		ws, err := parseInts(*widths)
 		if err != nil {
-			return err
+			return fmt.Errorf("-widths: %w", err)
 		}
 		cfg.Widths = ws
 	}
 	if *counts != "" {
 		cs, err := parseInts(*counts)
 		if err != nil {
-			return err
+			return fmt.Errorf("-counts: %w", err)
 		}
 		cfg.CoflowCounts = cs
 	}
@@ -164,8 +164,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	runScenarios := func(names []string) error {
-		scfg := experiments.DefaultScenarioConfig()
-		scfg.Scenarios = names
+		scfg := experiments.ScenarioConfig{Scenarios: names}
 		res, err := experiments.ScenarioSweep(scfg)
 		if err != nil {
 			return err
@@ -316,6 +315,9 @@ func parseInts(s string) ([]int, error) {
 		v, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, err
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%d: want a positive integer", v)
 		}
 		out = append(out, v)
 	}

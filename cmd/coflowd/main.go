@@ -136,11 +136,11 @@ func main() {
 	dumpFinalStats(final)
 }
 
-// dumpFinalStats prints the end-of-run summary the same way coflowonline
-// reports a batch run.
+// dumpFinalStats prints the end-of-run summary: the engine's counts, its
+// objectives, and the slowdown and solve-latency percentiles.
 func dumpFinalStats(st online.EngineStats) {
 	p := func(xs []float64, q float64) float64 { return stats.PercentileOr(xs, q, 0) }
-	log.Printf("coflowd: final: admitted=%d completed=%d epochs=%d decisions=%d", st.Admitted, st.Completed, st.Epochs, st.Decisions)
+	log.Printf("coflowd: final: admitted=%d completed=%d epochs=%d decisions=%d fallbacks=%d", st.Admitted, st.Completed, st.Epochs, st.Decisions, st.Fallbacks)
 	log.Printf("coflowd: final: weighted_cct=%.2f weighted_response=%.2f", st.WeightedCCT, st.WeightedResponse)
 	log.Printf("coflowd: final: slowdown p50/p95/p99 = %.2f/%.2f/%.2f", p(st.Slowdowns, 50), p(st.Slowdowns, 95), p(st.Slowdowns, 99))
 	log.Printf("coflowd: final: solve latency p50/p95/p99 = %.3f/%.3f/%.3f ms",

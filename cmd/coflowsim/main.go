@@ -1,17 +1,16 @@
-// Command coflowsim runs a single scheduler on a single coflow instance and
-// prints the resulting total weighted completion time (and, for the LP-based
-// schedulers, the certified lower bound).
-//
-// The instance is either generated randomly (-topology/-coflows/-width/...)
-// or read from a JSON file produced by coflowgen (-instance file.json).
+// Command coflowsim runs a single scheduler on a coflow instance read from a
+// JSON file written by coflowgen, and prints the resulting total weighted
+// completion time (and, for the LP-based schedulers, the certified lower
+// bound).
 //
 // Examples:
 //
-//	coflowsim -scheduler lp -topology fattree -fatk 4 -coflows 5 -width 4
+//	coflowgen -coflows 5 -width 4 | coflowsim -scheduler lp -instance /dev/stdin
 //	coflowsim -scheduler all -instance workload.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,8 +21,6 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/core"
 	"coflowsched/internal/experiments"
-	"coflowsched/internal/graph"
-	"coflowsched/internal/workload"
 )
 
 func main() {
@@ -40,23 +37,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		schedulerName = fs.String("scheduler", "lp", "scheduler: lp, lp-exact, lp-given, route-only, schedule-only, sebf, fair, baseline, all")
-		instancePath  = fs.String("instance", "", "JSON instance file (from coflowgen); omit to generate randomly")
-		topology      = fs.String("topology", "fattree", "topology for generated instances: fattree, star, ring, line, grid, triangle")
-		fatK          = fs.Int("fatk", 4, "fat-tree arity")
-		nodes         = fs.Int("nodes", 8, "node count for star/ring/line topologies")
-		coflows       = fs.Int("coflows", 5, "number of coflows")
-		width         = fs.Int("width", 4, "flows per coflow")
-		meanSize      = fs.Float64("size", 4, "mean flow size")
-		meanRelease   = fs.Float64("release", 2, "mean release time")
-		meanWeight    = fs.Float64("weight", 1, "mean coflow weight")
-		seed          = fs.Int64("seed", 1, "random seed")
+		instancePath  = fs.String("instance", "", "JSON instance file written by coflowgen (/dev/stdin to read a pipe)")
+		seed          = fs.Int64("seed", 1, "random seed of the randomized schedulers")
 		candidates    = fs.Int("paths", 4, "candidate paths per flow for the LP schedulers")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	inst, err := loadOrGenerate(*instancePath, *topology, *fatK, *nodes, *coflows, *width, *meanSize, *meanRelease, *meanWeight, *seed)
+	if *instancePath == "" {
+		return errors.New("-instance is required; coflowgen writes one (coflowgen ... | coflowsim -instance /dev/stdin)")
+	}
+	f, err := os.Open(*instancePath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	inst, err := coflow.ReadJSON(f)
 	if err != nil {
 		return err
 	}
@@ -65,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		inst.Network, len(inst.Coflows), inst.NumFlows(), inst.TotalSize())
 
 	schedulers := map[string]experiments.Scheduler{
-		"lp":            core.CircuitFreePaths{Opts: core.Options{CandidatePaths: *candidates}},
 		"lp-exact":      core.CircuitFreePathsExact{},
 		"route-only":    baselines.RouteOnly{},
 		"schedule-only": baselines.ScheduleOnly{},
@@ -74,9 +69,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"baseline":      baselines.Baseline{},
 	}
 
-	runOne := func(name string, s experiments.Scheduler) error {
-		rng := rand.New(rand.NewSource(*seed + 1))
-		cs, err := s.Schedule(inst, rng)
+	runOne := func(s experiments.Scheduler) error {
+		cs, err := s.Schedule(inst, rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}
@@ -88,14 +82,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
+	// runLP runs the paper's free-path algorithm through the rich API so
+	// that the certified lower bound is reported.
+	runLP := func() error {
+		res, err := (core.CircuitFreePaths{Opts: core.Options{CandidatePaths: *candidates}}).ScheduleASAP(inst, rand.New(rand.NewSource(*seed)))
+		if err != nil {
+			return err
+		}
+		if err := res.Schedule.Validate(inst); err != nil {
+			return err
+		}
+		lb := core.CombinedLowerBound(inst, res)
+		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (certified lower bound %.2f, ratio %.2f)\n",
+			"LP-Based", res.Objective(inst), lb, res.Objective(inst)/lb)
+		return nil
+	}
+
 	switch *schedulerName {
 	case "all":
-		order := []string{"lp", "route-only", "schedule-only", "sebf", "fair", "baseline"}
-		for _, name := range order {
-			if err := runOne(name, schedulers[name]); err != nil {
+		if err := runLP(); err != nil {
+			return err
+		}
+		for _, name := range []string{"route-only", "schedule-only", "sebf", "fair", "baseline"} {
+			if err := runOne(schedulers[name]); err != nil {
 				return err
 			}
 		}
+	case "lp":
+		return runLP()
 	case "lp-given":
 		if err := inst.AssignShortestPaths(); err != nil {
 			return err
@@ -109,57 +123,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (LP lower bound %.2f, ratio %.2f)\n",
 			"LP (given paths)", res.Objective(inst), core.CombinedLowerBound(inst, res), res.ApproximationRatio(inst))
-	case "lp":
-		// Run via the rich API so the lower bound can be reported.
-		res, err := (core.CircuitFreePaths{Opts: core.Options{CandidatePaths: *candidates}}).ScheduleASAP(inst, rand.New(rand.NewSource(*seed+1)))
-		if err != nil {
-			return err
-		}
-		if err := res.Schedule.Validate(inst); err != nil {
-			return err
-		}
-		lb := core.CombinedLowerBound(inst, res)
-		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (certified lower bound %.2f, ratio %.2f)\n",
-			"LP-Based", res.Objective(inst), lb, res.Objective(inst)/lb)
 	default:
 		s, ok := schedulers[*schedulerName]
 		if !ok {
 			return fmt.Errorf("unknown scheduler %q", *schedulerName)
 		}
-		return runOne(*schedulerName, s)
+		return runOne(s)
 	}
 	return nil
-}
-
-func loadOrGenerate(path, topology string, fatK, nodes, coflows, width int, meanSize, meanRelease, meanWeight float64, seed int64) (*coflow.Instance, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return coflow.ReadJSON(f)
-	}
-	var g *graph.Graph
-	switch topology {
-	case "fattree":
-		g = graph.FatTree(fatK, 1)
-	case "star":
-		g = graph.Star(nodes, 1)
-	case "ring":
-		g = graph.Ring(nodes, 1)
-	case "line":
-		g = graph.Line(nodes, 1)
-	case "grid":
-		g = graph.Grid(nodes, nodes, 1)
-	case "triangle":
-		g = graph.Triangle()
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topology)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return workload.Generate(g, workload.Config{
-		NumCoflows: coflows, Width: width,
-		MeanSize: meanSize, MeanRelease: meanRelease, MeanWeight: meanWeight,
-	}, rng)
 }

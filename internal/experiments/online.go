@@ -11,6 +11,10 @@ import (
 	"coflowsched/internal/workload"
 )
 
+// epochLength is the online engine's re-decision period in both sweeps
+// (OnlineSweep and ScenarioSweep), the period the golden fixtures pin too.
+const epochLength = 2
+
 // OnlineConfig controls the arrival-rate × policy sweep of the online
 // scheduler. It is the online counterpart of Config: instead of varying the
 // instance shape, it varies the coflow arrival rate from light load to
@@ -31,8 +35,6 @@ type OnlineConfig struct {
 	MeanWeight float64
 	// ArrivalRates is the x-axis: mean coflow arrivals per time unit.
 	ArrivalRates []float64
-	// EpochLength is the online engine's re-decision period.
-	EpochLength float64
 }
 
 // DefaultOnlineConfig returns a configuration small enough for tests and CI:
@@ -48,7 +50,6 @@ func DefaultOnlineConfig() OnlineConfig {
 		MeanSize:     4,
 		MeanWeight:   1,
 		ArrivalRates: []float64{0.5, 2.0, 8.0},
-		EpochLength:  2,
 	}
 }
 
@@ -86,14 +87,18 @@ type OnlineSweepResult struct {
 	// MeanSolveLatency aggregates, per policy, the mean epoch solve latency
 	// in seconds across all rates and trials.
 	MeanSolveLatency map[string]float64
+	// Fallbacks counts, per policy, the epochs of all rates and trials that
+	// settled the policy's fallback order: for LPEpoch, an SEBF order in
+	// place of an LP that failed to solve.
+	Fallbacks map[string]int `json:"fallbacks"`
 }
 
-// String renders both panels plus the solve-latency summary.
+// String renders both panels plus the solve-latency and fallback summary.
 func (r *OnlineSweepResult) String() string {
-	s := r.Absolute.String() + "\n" + r.Ratio.String() + "\nMean epoch solve latency:\n"
+	s := r.Absolute.String() + "\n" + r.Ratio.String() + "\nMean epoch solve latency, fallback epochs:\n"
 	for _, series := range r.Absolute.SeriesSet {
 		if v, ok := r.MeanSolveLatency[series.Name]; ok {
-			s += fmt.Sprintf("  %-20s %8.3f ms\n", series.Name, v*1e3)
+			s += fmt.Sprintf("  %-20s %8.3f ms  %4d\n", series.Name, v*1e3, r.Fallbacks[series.Name])
 		}
 	}
 	return s
@@ -118,6 +123,7 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 		values[i] = make([]float64, len(cfg.ArrivalRates))
 	}
 	latencies := make(map[string][]float64)
+	fallbacks := make(map[string]int, len(pols))
 
 	for ri, rate := range cfg.ArrivalRates {
 		sums := make([][]float64, len(pols))
@@ -138,7 +144,7 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 			}
 			for pi, p := range pols {
 				res, err := online.Run(inst, p, online.Config{
-					EpochLength: cfg.EpochLength,
+					EpochLength: epochLength,
 					Seed:        seed,
 				})
 				if err != nil {
@@ -149,6 +155,7 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 				}
 				sums[pi] = append(sums[pi], res.WeightedCCT)
 				latencies[p.Name()] = append(latencies[p.Name()], res.SolveLatencies()...)
+				fallbacks[p.Name()] += res.Fallbacks()
 			}
 		}
 		for pi := range pols {
@@ -161,7 +168,7 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 		labels[i] = fmt.Sprintf("rate %.2g", r)
 	}
 	title := fmt.Sprintf("OnlineSweep: %d-server fat-tree, %d coflows x %d flows, epoch %v",
-		len(g.Hosts()), cfg.NumCoflows, cfg.Width, cfg.EpochLength)
+		len(g.Hosts()), cfg.NumCoflows, cfg.Width, epochLength)
 	abs := stats.NewTable(title, "arrival rate", labels)
 	for pi, p := range pols {
 		if err := abs.AddSeries(p.Name(), values[pi]); err != nil {
@@ -176,5 +183,5 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 	for name, ls := range latencies {
 		meanLat[name] = stats.Mean(ls)
 	}
-	return &OnlineSweepResult{Absolute: abs, Ratio: ratio, MeanSolveLatency: meanLat}, nil
+	return &OnlineSweepResult{Absolute: abs, Ratio: ratio, MeanSolveLatency: meanLat, Fallbacks: fallbacks}, nil
 }

@@ -16,20 +16,6 @@ import (
 type ScenarioConfig struct {
 	// Scenarios names the registry entries to run (empty = all, sorted).
 	Scenarios []string
-	// EpochLength is the online engine's re-decision period (default 2).
-	EpochLength float64
-}
-
-// DefaultScenarioConfig runs every registered scenario.
-func DefaultScenarioConfig() ScenarioConfig {
-	return ScenarioConfig{EpochLength: 2}
-}
-
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.EpochLength <= 0 {
-		c.EpochLength = 2
-	}
-	return c
 }
 
 // ScenarioPolicies returns the policies compared on every scenario. The
@@ -59,6 +45,9 @@ type ScenarioResult struct {
 	// time.
 	SlowdownP50 float64 `json:"slowdown_p50"`
 	SlowdownP95 float64 `json:"slowdown_p95"`
+	// Fallbacks counts the epochs that settled the policy's fallback order:
+	// for LPEpoch, an SEBF order in place of an LP that failed to solve.
+	Fallbacks int `json:"fallbacks"`
 }
 
 // ScenarioSweepResult bundles the sweep: one row per scenario in the tables
@@ -70,16 +59,24 @@ type ScenarioSweepResult struct {
 	Results  []ScenarioResult
 }
 
-// String renders both panels.
+// String renders both panels plus each policy's fallback epochs, summed over
+// the scenarios.
 func (r *ScenarioSweepResult) String() string {
-	return r.Absolute.String() + "\n" + r.Ratio.String()
+	fallbacks := map[string]int{}
+	for _, c := range r.Results {
+		fallbacks[c.Policy] += c.Fallbacks
+	}
+	s := r.Absolute.String() + "\n" + r.Ratio.String() + "\nFallback epochs:\n"
+	for _, series := range r.Absolute.SeriesSet {
+		s += fmt.Sprintf("  %-20s %4d\n", series.Name, fallbacks[series.Name])
+	}
+	return s
 }
 
 // ScenarioSweep replays each scenario through every policy. All policies see
 // the identical instance per scenario (scenarios are seeded), so differences
 // are pure policy effects.
 func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
-	cfg = cfg.withDefaults()
 	names := cfg.Scenarios
 	if len(names) == 0 {
 		names = workload.ScenarioNames()
@@ -105,7 +102,7 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		}
 		for pi, p := range pols {
 			r, err := online.Run(inst, p, online.Config{
-				EpochLength: cfg.EpochLength,
+				EpochLength: epochLength,
 				Seed:        sc.Seed,
 			})
 			if err != nil {
@@ -125,6 +122,7 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 				Makespan:         r.Makespan,
 				SlowdownP50:      stats.PercentileOr(r.Slowdown, 50, 0),
 				SlowdownP95:      stats.PercentileOr(r.Slowdown, 95, 0),
+				Fallbacks:        r.Fallbacks(),
 			})
 		}
 	}

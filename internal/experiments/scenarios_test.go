@@ -7,8 +7,7 @@ import (
 )
 
 func TestScenarioSweepSingle(t *testing.T) {
-	cfg := DefaultScenarioConfig()
-	cfg.Scenarios = []string{"incast"}
+	cfg := ScenarioConfig{Scenarios: []string{"incast"}}
 	res, err := ScenarioSweep(cfg)
 	if err != nil {
 		t.Fatalf("ScenarioSweep: %v", err)
@@ -27,8 +26,7 @@ func TestScenarioSweepSingle(t *testing.T) {
 }
 
 func TestScenarioSweepUnknownName(t *testing.T) {
-	cfg := DefaultScenarioConfig()
-	cfg.Scenarios = []string{"definitely-not-registered"}
+	cfg := ScenarioConfig{Scenarios: []string{"definitely-not-registered"}}
 	if _, err := ScenarioSweep(cfg); err == nil {
 		t.Fatalf("unknown scenario name should error")
 	}
@@ -38,7 +36,7 @@ func TestScenarioSweepUnknownName(t *testing.T) {
 // acceptance path behind `coflowbench -scenario all`. Short mode runs a
 // cheap subset; the full sweep still runs in CI.
 func TestScenarioSweepAll(t *testing.T) {
-	cfg := DefaultScenarioConfig()
+	var cfg ScenarioConfig
 	if testing.Short() {
 		cfg.Scenarios = []string{"uniform", "fb-trace"}
 	}

@@ -327,5 +327,15 @@ func DefaultRules(interval time.Duration) []Rule {
 			Kind: KindRate, Objective: 0.25,
 			FastWindowSeconds: fast, SlowWindowSeconds: slow, ForSeconds: slow, ResolveAfterSeconds: resolve,
 		},
+		// solver-fallback: epochs an LP shard settled as SEBF because its LP
+		// failed. One per ten seconds lets an isolated failure pass at a 1 s
+		// interval (~0.07/s over the slow window) and fires on a steady
+		// share: 14-coflow streams' 2.7 % of epochs is 0.67/s at timescale 50.
+		{
+			Name: "solver-fallback", Metric: "coflowd_policy_fallback_total",
+			Labels: map[string]string{"reason": "solver"},
+			Kind:   KindRate, Objective: 0.1,
+			FastWindowSeconds: fast, SlowWindowSeconds: slow, ResolveAfterSeconds: resolve,
+		},
 	}
 }

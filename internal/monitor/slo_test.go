@@ -169,8 +169,8 @@ func TestRuleNoDataStaysHealthy(t *testing.T) {
 
 func TestDefaultRulesValidate(t *testing.T) {
 	rules := DefaultRules(200 * time.Millisecond)
-	if len(rules) != 6 {
-		t.Fatalf("default rule count = %d, want 6", len(rules))
+	if len(rules) != 7 {
+		t.Fatalf("default rule count = %d, want 7", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
@@ -181,7 +181,7 @@ func TestDefaultRulesValidate(t *testing.T) {
 	}
 	for _, want := range []string{
 		"admit-p99", "tick-p99", "shard-down", "scrape-failure",
-		"fsync-p99", "gc-pause",
+		"fsync-p99", "gc-pause", "solver-fallback",
 	} {
 		if !names[want] {
 			t.Errorf("default rules lack %s", want)
@@ -241,5 +241,46 @@ func TestRateRuleSelectsOneCounterChild(t *testing.T) {
 		if !tc.wantFired && ri.state != StateHealthy {
 			t.Errorf("only %q rising: state %s, want healthy", tc.rising, ri.state)
 		}
+	}
+}
+
+// TestSolverFallbackRule drives the stock solver-fallback rule at the default
+// 1 s interval over coflowd_policy_fallback_total{reason="solver"}: it stays
+// healthy while the child reads 0, does not fire on one isolated fallback, and
+// fires once fallbacks arrive faster than its objective in both windows.
+func TestSolverFallbackRule(t *testing.T) {
+	var r Rule
+	for _, rule := range DefaultRules(time.Second) {
+		if rule.Name == "solver-fallback" {
+			r = rule
+		}
+	}
+	if r.Name == "" {
+		t.Fatal("no stock solver-fallback rule")
+	}
+	st := NewStore(256)
+	ri := &ruleInstance{rule: r, state: StateHealthy, since: at(0)}
+	fired := false
+	step := func(s int, v float64) {
+		st.Append(r.Metric, map[string]string{"instance": "shard0", "reason": "solver"}, at(float64(s)), v)
+		fired = ri.eval(st, at(float64(s))) || fired
+	}
+	for s := 0; s < 30; s++ {
+		step(s, 0)
+	}
+	if fired || ri.state != StateHealthy {
+		t.Fatalf("child at 0: fired=%v state=%s, want healthy", fired, ri.state)
+	}
+	for s := 30; s < 60; s++ {
+		step(s, 1) // one fallback at t=30, then none
+	}
+	if fired {
+		t.Fatalf("one isolated fallback fired the rule (state %s)", ri.state)
+	}
+	for s := 60; s < 70; s++ {
+		step(s, float64(s-59)) // one fallback per second against 0.1/s
+	}
+	if !fired || ri.state != StateFiring {
+		t.Fatalf("a fallback per second: fired=%v state=%s, want firing", fired, ri.state)
 	}
 }

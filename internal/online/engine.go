@@ -85,6 +85,18 @@ func (r *Result) SolveLatencies() []float64 {
 	return out
 }
 
+// Fallbacks counts the epochs whose decision was the policy's fallback order
+// (EpochStat.Fallback).
+func (r *Result) Fallbacks() int {
+	n := 0
+	for _, e := range r.Epochs {
+		if e.Fallback {
+			n++
+		}
+	}
+	return n
+}
+
 // Run streams a fixed instance through an Engine, one epoch at a time, and
 // returns the scored transcript. The instance must contain at least one
 // coflow; release times are the arrival process (see

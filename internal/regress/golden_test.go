@@ -31,7 +31,9 @@ func marshal(t *testing.T, g *ScenarioGolden) []byte {
 }
 
 // TestGolden replays every registered scenario through online.Run and
-// compares the rounded outputs against the committed fixtures. A mismatch means scheduler behavior changed: either
+// compares the rounded outputs against the committed fixtures; RunScenario
+// fails a run that settled a fallback epoch. A mismatch means scheduler
+// behavior changed: either
 // fix the regression, or — if the change is intended — regenerate with
 // `go test ./internal/regress -run TestGolden -update` and commit the diff.
 func TestGolden(t *testing.T) {

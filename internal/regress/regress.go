@@ -61,7 +61,9 @@ func Policies() []online.Policy {
 	return []online.Policy{online.LPEpoch{}, online.SEBFOnline{}, online.FIFOOnline{}}
 }
 
-// RunScenario computes the golden record for one scenario.
+// RunScenario computes the golden record for one scenario. A run that settled
+// a fallback epoch (LPEpoch's SEBF order in place of a failed LP) is an error:
+// a pin must be the policy's own schedule.
 func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 	inst, _, err := sc.Build()
 	if err != nil {
@@ -77,6 +79,9 @@ func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 		res, err := online.Run(inst, p, online.Config{EpochLength: EpochLength, Seed: sc.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("regress: %s/%s: %w", sc.Name, p.Name(), err)
+		}
+		if n := res.Fallbacks(); n != 0 {
+			return nil, fmt.Errorf("regress: %s/%s settled %d fallback epochs; a pin must be the policy's own schedule", sc.Name, p.Name(), n)
 		}
 		g.Policies[p.Name()] = Pin(res.WeightedCCT, res.WeightedResponse, res.Makespan, res.CoflowCompletion, res.Slowdown)
 	}

@@ -23,8 +23,9 @@ import (
 // daemon under each pinned policy and compares the outcome with the fixture
 // internal/regress holds online.Run to. The daemon and Run drive one engine
 // under one staleness rule on one epoch grid, so they must agree pin for pin,
-// LPEpoch included. A mismatch means the daemon schedules differently from
-// Run; the fixtures are Run's and are regenerated only there.
+// LPEpoch included, and settle no fallback epoch. A mismatch means the daemon
+// schedules differently from Run; the fixtures are Run's and are regenerated
+// only there.
 func TestGoldenScenarios(t *testing.T) {
 	for _, sc := range workload.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -82,10 +83,15 @@ func goldenScenario(t *testing.T, sc workload.Scenario) (*coflow.Instance, regre
 // it, and every coflow admitted over the API at its arrival, while the engine
 // still stands at the boundary before it. With drain set, the first boundary
 // after the last admission (past the first tick) calls Drain instead of
-// ticking; otherwise ticks run until every coflow has finished.
+// ticking; otherwise ticks run until every coflow has finished. A pinned run
+// must solve its LPs, so a fallback epoch fails the test.
 func replayScenario(t *testing.T, inst *coflow.Instance, policy online.Policy, drain bool) regress.PolicyGolden {
 	t.Helper()
-	return replay(t, inst, policy, drain).pin(t)
+	s := replay(t, inst, policy, drain)
+	if n := s.stats(t).Fallbacks; n != 0 {
+		t.Errorf("%s: the daemon settled %d fallback epochs", policy.Name(), n)
+	}
+	return s.pin(t)
 }
 
 // replay is replayScenario's stream, returning the finished daemon.
