@@ -64,14 +64,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		experiment = fs.String("experiment", "all", "which experiment to run: fig1, table1, fig3, fig4, ablation, online, scenarios, all")
 		scenario   = fs.String("scenario", "", "run the scenario sweep for one registered scenario (or \"all\"); overrides -experiment")
 		paper      = fs.Bool("paper", false, "use the paper's full-scale configuration (128-server fat-tree, slow)")
-		fatK       = fs.Int("fatk", 0, "fat-tree arity k (overrides the configuration; k=8 is the paper's 128 servers)")
 		trials     = fs.Int("trials", 0, "trials per data point (override)")
-		seed       = fs.Int64("seed", 0, "random seed (override)")
 		coflows    = fs.Int("coflows", 0, "number of coflows for the width sweep (override)")
 		widths     = fs.String("widths", "", "comma-separated coflow widths for fig3 (override)")
 		counts     = fs.String("counts", "", "comma-separated coflow counts for fig4 (override)")
-		width      = fs.Int("width", 0, "fixed coflow width for fig4 (override)")
-		candidates = fs.Int("paths", 0, "candidate paths per flow for the LP (override)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of text tables for fig3/fig4")
 		jsonOut    = fs.Bool("json", false, "emit one JSON result object per experiment")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering the selected experiments to this file")
@@ -121,23 +117,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *paper {
 		cfg = experiments.PaperConfig()
 	}
-	if *fatK > 0 {
-		cfg.FatK = *fatK
-	}
 	if *trials > 0 {
 		cfg.Trials = *trials
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
 	if *coflows > 0 {
 		cfg.NumCoflows = *coflows
-	}
-	if *width > 0 {
-		cfg.Width = *width
-	}
-	if *candidates > 0 {
-		cfg.CandidatePaths = *candidates
 	}
 	if *widths != "" {
 		ws, err := parseInts(*widths)
@@ -243,20 +227,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if *paper {
 				ocfg = experiments.PaperOnlineConfig()
 			}
-			if *fatK > 0 {
-				ocfg.FatK = *fatK
-			}
 			if *trials > 0 {
 				ocfg.Trials = *trials
 			}
-			if *seed != 0 {
-				ocfg.Seed = *seed
-			}
 			if *coflows > 0 {
 				ocfg.NumCoflows = *coflows
-			}
-			if *width > 0 {
-				ocfg.Width = *width
 			}
 			res, err := experiments.OnlineSweep(ocfg)
 			if err != nil {
@@ -315,9 +290,6 @@ func parseInts(s string) ([]int, error) {
 		v, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("%d: want a positive integer", v)
 		}
 		out = append(out, v)
 	}

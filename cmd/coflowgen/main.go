@@ -24,6 +24,14 @@ import (
 	"coflowsched/internal/workload"
 )
 
+// The §4.1 shape of the random workload: Poisson means of the flow size, the
+// flow release time and the coflow weight.
+const (
+	meanSize    = 4
+	meanRelease = 2
+	meanWeight  = 1
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "coflowgen:", err)
@@ -37,20 +45,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coflowgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		topology    = fs.String("topology", "fattree", "topology: fattree, star, ring, line, grid, triangle (random mode)")
-		fatK        = fs.Int("fatk", 4, "fat-tree arity (random mode)")
-		nodes       = fs.Int("nodes", 8, "node count for star/ring/line/grid topologies (random mode)")
-		coflows     = fs.Int("coflows", 10, "number of coflows (random mode)")
-		width       = fs.Int("width", 16, "flows per coflow (random mode)")
-		meanSize    = fs.Float64("size", 4, "mean flow size (Poisson, random mode)")
-		meanRelease = fs.Float64("release", 2, "mean flow release time (Poisson, random mode)")
-		meanWeight  = fs.Float64("weight", 1, "mean coflow weight (Poisson, random mode)")
-		packet      = fs.Bool("packet", false, "packet model: force all sizes to 1 (random mode)")
-		withPaths   = fs.Bool("with-paths", false, "pre-assign shortest paths (\"paths given\" variants)")
-		seed        = fs.Int64("seed", 1, "random seed (random mode)")
-		out         = fs.String("o", "", "output file (default stdout)")
-		scenario    = fs.String("scenario", "", "emit a named scenario from the registry instead of the random workload (see -list-scenarios); scenarios fix their own topology, shape and seed")
-		list        = fs.Bool("list-scenarios", false, "list registered scenarios and exit")
+		topology = fs.String("topology", "fattree", "topology: fattree, star, ring, line, grid, triangle (random mode)")
+		fatK     = fs.Int("fatk", 4, "fat-tree arity (random mode)")
+		nodes    = fs.Int("nodes", 8, "node count for star/ring/line/grid topologies (random mode)")
+		coflows  = fs.Int("coflows", 10, "number of coflows (random mode)")
+		width    = fs.Int("width", 16, "flows per coflow (random mode)")
+		seed     = fs.Int64("seed", 1, "random seed (random mode)")
+		out      = fs.String("o", "", "output file (default stdout)")
+		scenario = fs.String("scenario", "", "emit a named scenario from the registry instead of the random workload (see -list-scenarios); scenarios fix their own topology, shape and seed")
+		list     = fs.Bool("list-scenarios", false, "list registered scenarios and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,8 +65,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *scenario != "" {
 		randomModeFlags := map[string]bool{
 			"topology": true, "fatk": true, "nodes": true, "coflows": true,
-			"width": true, "size": true, "release": true, "weight": true,
-			"packet": true, "seed": true,
+			"width": true, "seed": true,
 		}
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
@@ -94,11 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *withPaths {
-			if err := inst.AssignShortestPaths(); err != nil {
-				return err
-			}
-		}
 	} else {
 		var g *graph.Graph
 		switch *topology {
@@ -117,17 +114,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		default:
 			return fmt.Errorf("unknown topology %q", *topology)
 		}
-		rng := rand.New(rand.NewSource(*seed))
-		cfg := workload.Config{
+		inst, err = workload.Generate(g, workload.Config{
 			NumCoflows: *coflows, Width: *width,
-			MeanSize: *meanSize, MeanRelease: *meanRelease, MeanWeight: *meanWeight,
-			PacketModel: *packet,
-		}
-		if *withPaths {
-			inst, err = workload.GenerateWithPaths(g, cfg, rng)
-		} else {
-			inst, err = workload.Generate(g, cfg, rng)
-		}
+			MeanSize: meanSize, MeanRelease: meanRelease, MeanWeight: meanWeight,
+		}, rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}

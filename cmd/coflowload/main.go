@@ -17,12 +17,14 @@
 //
 //	coflowload -cluster 4 -coflows 400 -rate 1000 -cluster-timescale 50 -wait
 //
-// The default mode generates a Poisson process (workload.GenerateArrivals)
-// remapped onto the daemon's actual topology (fetched from GET /v1/network).
+// The default mode generates a Poisson process (workload.GenerateArrivals, 3
+// flows per coflow, mean flow size 4, mean weight 1, seed 1) on a stand-in
+// star with the daemon's host count (fetched from GET /v1/network).
 // With -scenario or -trace, the named registry scenario or parsed trace file
-// is replayed instead. Either way arrival times are compressed by -speedup
-// into the wall-clock send schedule, so a multi-hour trace can drive the
-// daemon in seconds (pair with the daemon's -timescale).
+// is replayed instead. All three are replayed the same way: endpoints are
+// remapped onto the daemon's hosts by host index, and arrival times are
+// compressed by -speedup into the wall-clock send schedule, so a multi-hour
+// trace can drive the daemon in seconds (pair with the daemon's -timescale).
 //
 // With -wait the command polls until every admitted coflow completes and
 // reports the daemon's final scheduling statistics. Exit status is non-zero
@@ -46,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -84,22 +87,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coflowload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		target      = fs.String("target", "http://localhost:8080", "coflowd base URL")
-		coflows     = fs.Int("coflows", 100, "number of coflows to replay (generated mode)")
-		width       = fs.Int("width", 3, "flows per coflow (generated mode)")
-		meanSize    = fs.Float64("size", 4, "mean flow size (generated mode)")
-		meanWeight  = fs.Float64("weight", 1, "mean coflow weight (generated mode)")
-		rate        = fs.Float64("rate", 50, "mean coflow arrivals per wall-clock second (generated mode)")
-		scenario    = fs.String("scenario", "", "replay a named workload scenario instead of generating (see coflowgen -list-scenarios)")
-		trace       = fs.String("trace", "", "replay a Facebook/Varys-style CSV trace file instead of generating")
-		maxCoflows  = fs.Int("max-coflows", 0, "truncate a -trace replay to the first n coflows (0 = all)")
-		speedup     = fs.Float64("speedup", 1, "replay clock compression: arrival time t is sent at wall-clock t/speedup seconds (generated arrivals are wall-clock seconds already)")
-		concurrency = fs.Int("concurrency", 4, "concurrent admit requests")
-		seed        = fs.Int64("seed", 1, "random seed (generated mode)")
-		wait        = fs.Bool("wait", false, "poll until every admitted coflow completes")
-		waitTimeout = fs.Duration("wait-timeout", 60*time.Second, "completion polling budget with -wait")
-		quiet       = fs.Bool("quiet", false, "suppress progress logging")
-		jsonOut     = fs.Bool("json", false, "print the run summary as one JSON object (machine-readable; implies -quiet on stdout formatting only)")
+		target   = fs.String("target", "http://localhost:8080", "coflowd base URL")
+		coflows  = fs.Int("coflows", 100, "number of coflows to replay (generated mode)")
+		rate     = fs.Float64("rate", 50, "mean coflow arrivals per wall-clock second (generated mode)")
+		scenario = fs.String("scenario", "", "replay a named workload scenario instead of generating (see coflowgen -list-scenarios)")
+		trace    = fs.String("trace", "", "replay a Facebook/Varys-style CSV trace file instead of generating")
+		speedup  = fs.Float64("speedup", 1, "replay clock compression: arrival time t is sent at wall-clock t/speedup seconds (generated arrivals are wall-clock seconds already)")
+		wait     = fs.Bool("wait", false, "poll until every admitted coflow completes")
+		quiet    = fs.Bool("quiet", false, "suppress progress logging")
+		jsonOut  = fs.Bool("json", false, "print the run summary as one JSON object (machine-readable; implies -quiet on stdout formatting only)")
 
 		clusterN  = fs.Int("cluster", 0, "replay against an in-process cluster of this many coflowd shards behind a coflowgate gateway (overrides -target)")
 		timescale = fs.Float64("cluster-timescale", 50, "shard simulated time units per wall second with -cluster")
@@ -124,35 +120,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-slo configures the embedded monitor and needs -cluster")
 	}
 
-	cfg := server.LoadConfig{
-		Coflows:      *coflows,
-		Width:        *width,
-		MeanSize:     *meanSize,
-		MeanWeight:   *meanWeight,
-		Rate:         *rate,
-		SpeedUp:      *speedup,
-		Concurrency:  *concurrency,
-		Seed:         *seed,
-		WaitComplete: *wait,
-		WaitTimeout:  *waitTimeout,
+	if *speedup <= 0 {
+		return fmt.Errorf("-speedup must be positive")
 	}
+	// -scenario and -trace build their instance here; the generated one
+	// needs the daemon's host count and is drawn once the target answers.
+	var inst *coflow.Instance
+	var arrivals []float64
 	switch {
 	case *scenario != "":
 		sc, ok := workload.LookupScenario(*scenario)
 		if !ok {
 			return fmt.Errorf("unknown scenario %q (have %v)", *scenario, workload.ScenarioNames())
 		}
-		inst, arrivals, err := sc.Build()
-		if err != nil {
+		if inst, arrivals, err = sc.Build(); err != nil {
 			return err
 		}
-		cfg.Instance, cfg.Arrivals = inst, arrivals
 	case *trace != "":
-		inst, arrivals, err := loadTrace(*trace, *maxCoflows)
-		if err != nil {
+		if inst, arrivals, err = loadTrace(*trace); err != nil {
 			return err
 		}
-		cfg.Instance, cfg.Arrivals = inst, arrivals
+	case *coflows < 1 && *soak == 0:
+		return fmt.Errorf("-coflows must be positive")
 	}
 
 	logf := func(format string, args ...any) {
@@ -189,15 +178,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			logf("coflowload: embedded monitor at %s", monURL)
 		}
 	}
-	if *soak > 0 {
-		if monURL == "" {
-			return fmt.Errorf("-soak needs a monitor: pass -monitor URL or use -cluster")
-		}
-		if cfg.Instance == nil {
-			// Size the generated workload to cover the soak window at the
-			// requested rate; -coflows is ignored in soak mode.
-			cfg.Coflows = int(soak.Seconds()**rate) + 1
-		}
+	if *soak > 0 && monURL == "" {
+		return fmt.Errorf("-soak needs a monitor: pass -monitor URL or use -cluster")
 	}
 
 	c := server.NewClient(targetURL)
@@ -205,19 +187,43 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("daemon unreachable at %s: %v", targetURL, err)
 	}
-	cfg.Logf = logf
 	logf("coflowload: target %s healthy (policy %s, sim clock %.2f)", targetURL, health.Policy, health.Now)
-	if cfg.Instance != nil {
-		logf("coflowload: replaying %d coflows (%d flows) at %gx compression",
-			len(cfg.Instance.Coflows), cfg.Instance.NumFlows(), *speedup)
+	net, err := c.Network()
+	if err != nil {
+		return fmt.Errorf("fetching topology: %w", err)
 	}
+	if len(net.Hosts) < 2 {
+		return fmt.Errorf("daemon topology has %d hosts, need at least 2", len(net.Hosts))
+	}
+	if inst == nil {
+		n := *coflows
+		if *soak > 0 {
+			// Size the workload to cover the soak window at the requested
+			// rate; -coflows is ignored in soak mode.
+			n = int(soak.Seconds()**rate) + 1
+		}
+		// A stand-in star with the daemon's host count, so that replayWire's
+		// host-index mapping lands each endpoint on its own host.
+		inst, arrivals, err = workload.GenerateArrivals(graph.Star(len(net.Hosts), 1), workload.ArrivalConfig{
+			Config: workload.Config{NumCoflows: n, Width: genWidth, MeanSize: genMeanSize, MeanWeight: genMeanWeight},
+			Rate:   *rate,
+		}, rand.New(rand.NewSource(genSeed)))
+		if err != nil {
+			return fmt.Errorf("generating workload: %w", err)
+		}
+	}
+	logf("coflowload: replaying %d coflows (%d flows) at %gx compression",
+		len(inst.Coflows), inst.NumFlows(), *speedup)
 
-	var report *server.LoadReport
+	load := func() (*loadReport, error) {
+		return replay(c, net.Hosts, inst, arrivals, *speedup, *wait, logf)
+	}
+	var report *loadReport
 	var soakRep *soakReport
 	if *soak > 0 {
-		report, soakRep, err = runSoak(c, cfg, monURL, *soak, logf)
+		report, soakRep, err = runSoak(load, monURL, *soak, logf)
 	} else {
-		report, err = server.RunLoad(c, cfg)
+		report, err = load()
 	}
 	if err != nil {
 		if report != nil && !*jsonOut {
@@ -248,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// daemon's final scheduling statistics — scriptable run comparison.
 		out := struct {
 			Target string                `json:"target"`
-			Load   *server.LoadReport    `json:"load"`
+			Load   *loadReport           `json:"load"`
 			Daemon *server.StatsResponse `json:"daemon,omitempty"`
 			Stages []stageLatency        `json:"admit_stages,omitempty"`
 			Soak   *soakReport           `json:"soak,omitempty"`
@@ -316,18 +322,18 @@ func (s *soakReport) String() string {
 	return b.String()
 }
 
-// runSoak drives the load in the background while polling the monitor's
+// runSoak runs runLoad in the background while polling the monitor's
 // /v1/slo, holding the soak window open even if the load finishes early. A
 // rule counts as violated if it is firing — or has fired — at any poll.
-func runSoak(c *server.Client, cfg server.LoadConfig, monURL string, d time.Duration, logf func(string, ...any)) (*server.LoadReport, *soakReport, error) {
+func runSoak(runLoad func() (*loadReport, error), monURL string, d time.Duration, logf func(string, ...any)) (*loadReport, *soakReport, error) {
 	type loadResult struct {
-		report *server.LoadReport
+		report *loadReport
 		err    error
 	}
 	start := time.Now()
 	loadCh := make(chan loadResult, 1)
 	go func() {
-		r, err := server.RunLoad(c, cfg)
+		r, err := runLoad()
 		loadCh <- loadResult{r, err}
 	}()
 
@@ -447,10 +453,20 @@ func soakRules(spec string) ([]monitor.Rule, error) {
 	return rules, nil
 }
 
+// The generated workload's shape (workload.GenerateArrivals): flows per
+// coflow, mean flow size, mean coflow weight, and the seed of its draw. Every
+// flow is released on its coflow's arrival.
+const (
+	genWidth      = 3
+	genMeanSize   = 4
+	genMeanWeight = 1
+	genSeed       = 1
+)
+
 // loadTrace parses a trace file and realizes it on a stand-in star wide
-// enough for every slot — server.RunLoad remaps hosts by index onto whatever
+// enough for every slot; replayWire remaps hosts by index onto whatever
 // topology the daemon actually runs.
-func loadTrace(path string, maxCoflows int) (*coflow.Instance, []float64, error) {
+func loadTrace(path string) (*coflow.Instance, []float64, error) {
 	tr, err := workload.ParseTraceFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -469,5 +485,5 @@ func loadTrace(path string, maxCoflows int) (*coflow.Instance, []float64, error)
 		}
 	}
 	standIn := graph.Star(maxSlot+2, 1)
-	return tr.Instance(standIn, workload.TraceConfig{MaxCoflows: maxCoflows})
+	return tr.Instance(standIn, workload.TraceConfig{})
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
+	"coflowsched/internal/workload"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -34,6 +37,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &stdout, &stderr); err == nil {
 		t.Errorf("unknown flag accepted")
 	}
+	if err := run([]string{"-speedup", "0"}, &stdout, &stderr); err == nil {
+		t.Errorf("-speedup 0 accepted")
+	}
+	if err := run([]string{"-coflows", "0"}, &stdout, &stderr); err == nil {
+		t.Errorf("-coflows 0 accepted")
+	}
 }
 
 func TestRunDeadTarget(t *testing.T) {
@@ -45,42 +54,104 @@ func TestRunDeadTarget(t *testing.T) {
 }
 
 // TestRunTraceReplay drives the full command against a live in-process
-// daemon: parse a trace file, remap it onto the daemon's topology, replay on
-// a compressed clock and wait for completion.
+// daemon from each of its three workload sources: the generated Poisson
+// process (a 120-coflow closed-loop replay, read through -json), a registry
+// scenario remapped from its 12-host star onto the daemon's fat-tree, and a
+// parsed trace file. Every request must succeed, every coflow must finish,
+// and the daemon must have admitted and completed each one.
 func TestRunTraceReplay(t *testing.T) {
-	s, err := server.New(server.Config{
-		Network:     graph.FatTree(4, 1),
-		Policy:      online.SEBFOnline{},
-		EpochLength: 2,
-		TimeScale:   2000,
-		Logger:      telemetry.LogfLogger(t.Logf),
-	})
-	if err != nil {
-		t.Fatalf("new server: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
-
 	path := filepath.Join(t.TempDir(), "t.csv")
 	traceCSV := "coflow,arrival_ms,mappers,reducers\nj0,0,0;1,2:40;3:20\nj1,200,4,5:10\nj2,500,2;3,0:30\n"
 	if err := os.WriteFile(path, []byte(traceCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	var stdout, stderr bytes.Buffer
-	err = run([]string{"-target", ts.URL, "-trace", path, "-speedup", "10", "-wait", "-quiet"}, &stdout, &stderr)
+	incast, ok := workload.LookupScenario("incast")
+	if !ok {
+		t.Fatal("incast scenario not registered")
+	}
+	incastInst, _, err := incast.Build()
 	if err != nil {
-		t.Fatalf("run: %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
+		t.Fatalf("building scenario: %v", err)
 	}
-	out := stdout.String()
-	if !strings.Contains(out, "failures=0") || !strings.Contains(out, "completed=3") {
-		t.Errorf("unexpected replay report:\n%s", out)
-	}
-	if !strings.Contains(out, "daemon: admitted=3 completed=3") {
-		t.Errorf("missing daemon stats line:\n%s", out)
+
+	for _, tc := range []struct {
+		name      string
+		timeScale float64 // keeps the simulated network far ahead of the replay
+		args      []string
+		n         int
+	}{
+		{"TestClosedLoopReplay", 1000, []string{"-coflows", "120", "-rate", "400", "-json"}, 120},
+		// ~25 simulated units of arrivals in ~0.5 s wall.
+		{"TestScenarioReplay", 2000, []string{"-scenario", "incast", "-speedup", "50"}, len(incastInst.Coflows)},
+		{"TestTraceReplay", 2000, []string{"-trace", path, "-speedup", "10"}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := server.New(server.Config{
+				Network:     graph.FatTree(4, 1),
+				Policy:      online.SEBFOnline{},
+				EpochLength: 2,
+				TimeScale:   tc.timeScale,
+				Logger:      telemetry.LogfLogger(t.Logf),
+			})
+			if err != nil {
+				t.Fatalf("new server: %v", err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
+
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-target", ts.URL, "-wait", "-quiet"}, tc.args...)
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run: %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
+			}
+			if !slices.Contains(tc.args, "-json") {
+				out := stdout.String()
+				if !strings.Contains(out, "failures=0") || !strings.Contains(out, fmt.Sprintf("completed=%d", tc.n)) {
+					t.Errorf("unexpected replay report:\n%s", out)
+				}
+				if !strings.Contains(out, fmt.Sprintf("daemon: admitted=%d completed=%d", tc.n, tc.n)) {
+					t.Errorf("missing daemon stats line:\n%s", out)
+				}
+				return
+			}
+			var out struct {
+				Load struct {
+					Requests    int     `json:"requests"`
+					Failures    int     `json:"failures"`
+					AchievedRPS float64 `json:"achieved_rps"`
+					P95         float64 `json:"admit_latency_p95_seconds"`
+					Completed   int     `json:"completed"`
+				} `json:"load"`
+				Daemon struct {
+					Decisions        int     `json:"decisions"`
+					Admitted         int     `json:"admitted"`
+					Completed        int     `json:"completed"`
+					WeightedCCT      float64 `json:"weighted_cct"`
+					WeightedResponse float64 `json:"weighted_response"`
+				} `json:"daemon"`
+			}
+			if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
+				t.Fatalf("stdout is not one JSON object: %v\n%s", err, stdout.String())
+			}
+			if out.Load.Requests != tc.n || out.Load.Failures != 0 || out.Load.Completed != tc.n {
+				t.Errorf("load summary %+v, want %d requests, 0 failures, %d completed", out.Load, tc.n, tc.n)
+			}
+			if out.Load.AchievedRPS <= 0 || out.Load.P95 <= 0 {
+				t.Errorf("degenerate load summary: %+v", out.Load)
+			}
+			if out.Daemon.Admitted != tc.n || out.Daemon.Completed != tc.n {
+				t.Errorf("daemon saw admitted=%d completed=%d, want %d/%d", out.Daemon.Admitted, out.Daemon.Completed, tc.n, tc.n)
+			}
+			if out.Daemon.WeightedCCT <= 0 || out.Daemon.WeightedResponse <= 0 {
+				t.Errorf("daemon objectives not positive: %+v", out.Daemon)
+			}
+			if out.Daemon.Decisions == 0 {
+				t.Errorf("no policy decisions during a %d-coflow replay", tc.n)
+			}
+		})
 	}
 }
 

@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		schedulerName = fs.String("scheduler", "lp", "scheduler: lp, lp-exact, lp-given, route-only, schedule-only, sebf, fair, baseline, all")
 		instancePath  = fs.String("instance", "", "JSON instance file written by coflowgen (/dev/stdin to read a pipe)")
 		seed          = fs.Int64("seed", 1, "random seed of the randomized schedulers")
-		candidates    = fs.Int("paths", 4, "candidate paths per flow for the LP schedulers")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,10 +81,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// runLP runs the paper's free-path algorithm through the rich API so
-	// that the certified lower bound is reported.
-	runLP := func() error {
-		res, err := (core.CircuitFreePaths{Opts: core.Options{CandidatePaths: *candidates}}).ScheduleASAP(inst, rand.New(rand.NewSource(*seed)))
+	// printLP prints an LP-based schedule through the rich API, with the
+	// certified lower bound and the ratio of the objective to that bound.
+	printLP := func(name string, res *core.Result, err error) error {
 		if err != nil {
 			return err
 		}
@@ -94,8 +92,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		lb := core.CombinedLowerBound(inst, res)
 		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (certified lower bound %.2f, ratio %.2f)\n",
-			"LP-Based", res.Objective(inst), lb, res.Objective(inst)/lb)
+			name, res.Objective(inst), lb, res.Objective(inst)/lb)
 		return nil
+	}
+	// runLP runs the paper's free-path algorithm.
+	runLP := func() error {
+		res, err := (core.CircuitFreePaths{}).ScheduleASAP(inst, rand.New(rand.NewSource(*seed)))
+		return printLP("LP-Based", res, err)
 	}
 
 	switch *schedulerName {
@@ -115,14 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		res, err := (core.CircuitGivenPaths{}).ScheduleASAP(inst)
-		if err != nil {
-			return err
-		}
-		if err := res.Schedule.Validate(inst); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%-15s total weighted completion time = %.2f (LP lower bound %.2f, ratio %.2f)\n",
-			"LP (given paths)", res.Objective(inst), core.CombinedLowerBound(inst, res), res.ApproximationRatio(inst))
+		return printLP("LP (given paths)", res, err)
 	default:
 		s, ok := schedulers[*schedulerName]
 		if !ok {

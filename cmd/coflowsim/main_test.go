@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,14 +15,21 @@ import (
 )
 
 // writeGenerated writes the instance `coflowgen -topology star -nodes 4
-// -coflows 2 -width 2 -seed 3` prints, through the same generator and JSON
-// writer (coflowgen is a main package, so its run cannot be imported), and
-// returns the file's path.
+// -coflows 2 -width 2 -seed 3` prints and returns the file's path.
 func writeGenerated(t *testing.T) string {
 	t.Helper()
+	return writeStar4(t, 2, 2, 3)
+}
+
+// writeStar4 writes the instance `coflowgen -topology star -nodes 4 -coflows
+// n -width w -seed seed` prints, through the same generator and JSON writer
+// (coflowgen is a main package, so its run cannot be imported), and returns
+// the file's path.
+func writeStar4(t *testing.T, n, w int, seed int64) string {
+	t.Helper()
 	inst, err := workload.Generate(graph.Star(4, 1), workload.Config{
-		NumCoflows: 2, Width: 2, MeanSize: 4, MeanRelease: 2, MeanWeight: 1,
-	}, rand.New(rand.NewSource(3)))
+		NumCoflows: n, Width: w, MeanSize: 4, MeanRelease: 2, MeanWeight: 1,
+	}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +85,30 @@ func TestRunAllMatchesLP(t *testing.T) {
 	}
 }
 
+// TestRunLPGivenRatioMatchesBound: the lp-given line divides by the bound it
+// prints. On this instance it printed "84.00 (LP lower bound 58.00, ratio
+// 4.53)": the ratio came from the LP's own, weaker bound.
+func TestRunLPGivenRatioMatchesBound(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-scheduler", "lp-given", "-instance", writeStar4(t, 3, 2, 1)}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var obj, lb, ratio float64
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "LP (given paths)"); ok {
+			if _, err := fmt.Sscanf(strings.TrimSpace(rest), "total weighted completion time = %f (certified lower bound %f, ratio %f)", &obj, &lb, &ratio); err != nil {
+				t.Fatalf("unparsable lp-given line %q: %v", line, err)
+			}
+		}
+	}
+	if obj != 84 || lb != 58 {
+		t.Fatalf("objective %v, bound %v, want 84 and 58:\n%s", obj, lb, stdout.String())
+	}
+	if want := math.Round(obj/lb*100) / 100; ratio != want {
+		t.Errorf("ratio %v, want %v = %v / %v", ratio, want, obj, lb)
+	}
+}
+
 func TestRunInstanceFile(t *testing.T) {
 	// End-to-end with coflowgen's JSON format: write a tiny instance by hand
 	// and schedule it.
@@ -108,6 +141,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-topology", "klein-bottle"}, &stdout, &stderr); err == nil {
 		t.Errorf("-topology accepted; coflowsim no longer generates instances")
+	}
+	if err := run([]string{"-paths", "2", "-instance", path}, &stdout, &stderr); err == nil {
+		t.Errorf("-paths accepted; the LP's candidate-path budget is a constant")
 	}
 	if err := run([]string{"-instance", "/does/not/exist.json"}, &stdout, &stderr); err == nil {
 		t.Errorf("missing instance file accepted")

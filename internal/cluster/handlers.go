@@ -135,10 +135,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Readmits:         counters.Readmits,
 		Shards:           shards,
 	}
-	if r.URL.Query().Get("samples") != "" {
-		resp.Slowdowns = merged.Slowdowns
-		resp.SolveLatencies = merged.SolveLatencies
-	}
 	server.RespondJSON(w, http.StatusOK, resp)
 }
 

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"coflowsched/internal/monitor"
-	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
-	"coflowsched/internal/workload"
 )
 
 // TestClusterMonitorSLO is the CI monitor smoke: a 2-shard cluster with an
@@ -42,25 +40,8 @@ func TestClusterMonitorSLO(t *testing.T) {
 
 	// Drive a short scenario replay through the gateway while the monitor
 	// scrapes it.
-	sc, ok := workload.LookupScenario("uniform")
-	if !ok {
-		t.Fatal("uniform scenario not registered")
-	}
-	inst, arrivals, err := sc.Build()
-	if err != nil {
-		t.Fatalf("build scenario: %v", err)
-	}
-	report, err := server.RunLoad(l.Client(), server.LoadConfig{
-		Instance:     inst,
-		Arrivals:     arrivals,
-		SpeedUp:      50,
-		Concurrency:  4,
-		WaitComplete: true,
-		WaitTimeout:  60 * time.Second,
-		Logf:         t.Logf,
-	})
-	if err != nil || report.Failures != 0 {
-		t.Fatalf("replay: err=%v failures=%+v", err, report)
+	if _, err := replayUniform(l.Client(), true); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 
 	// /v1/slo over HTTP: every rule healthy after a clean replay.

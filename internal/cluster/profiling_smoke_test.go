@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"coflowsched/internal/monitor"
-	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
-	"coflowsched/internal/workload"
 )
 
 // TestProfilingSmoke is the CI profiling smoke: a cluster under load loses a
@@ -39,21 +37,11 @@ func TestProfilingSmoke(t *testing.T) {
 
 	// Put the cluster under load so the captured CPU profile samples real
 	// scheduler work, then kill a shard mid-flight.
-	sc, ok := workload.LookupScenario("uniform")
-	if !ok {
-		t.Fatal("uniform scenario not registered")
-	}
-	inst, arrivals, err := sc.Build()
-	if err != nil {
-		t.Fatalf("build scenario: %v", err)
-	}
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
 		// Failures are expected: the kill races in-flight admissions.
-		_, _ = server.RunLoad(l.Client(), server.LoadConfig{
-			Instance: inst, Arrivals: arrivals, SpeedUp: 50, Concurrency: 4,
-		})
+		_, _ = replayUniform(l.Client(), false)
 	}()
 	time.Sleep(300 * time.Millisecond)
 	l.Kill(1)

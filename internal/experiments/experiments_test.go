@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"coflowsched/internal/coflow"
 	"coflowsched/internal/stats"
 )
 
@@ -119,6 +122,50 @@ func TestFigure4SmallSweep(t *testing.T) {
 	}
 	if !(lp.Values[len(lp.Values)-1] > lp.Values[0]) {
 		t.Errorf("objective should grow with more coflows: %v", lp.Values)
+	}
+}
+
+// countingScheduler fails the test if any sweep point reaches it.
+type countingScheduler struct{ calls *int }
+
+func (countingScheduler) Name() string { return "counting" }
+
+func (s countingScheduler) Schedule(*coflow.Instance, *rand.Rand) (*coflow.CircuitSchedule, error) {
+	*s.calls++
+	return nil, errors.New("countingScheduler ran")
+}
+
+// TestSweepRejectsNonPositivePoints: a coflow count or width below 1 is
+// refused before anything is drawn. workload.Generate would replace it by
+// its default (width 16, 10 coflows) while the row keeps the label and the
+// seed of the value given; at width 0 that draw ends in a singular basis.
+func TestSweepRejectsNonPositivePoints(t *testing.T) {
+	cfg := tinyConfig()
+	calls := 0
+	schedulers := []Scheduler{countingScheduler{&calls}}
+	for _, pt := range [][2]int{{0, 4}, {3, 0}, {-2, 3}, {3, -2}} {
+		if _, err := cfg.SweepPoint(cfg.network(), pt[0], pt[1], schedulers); err == nil || !strings.Contains(err.Error(), "positive") {
+			t.Errorf("SweepPoint(%d coflows, width %d) err = %v, want a positive-integer rejection", pt[0], pt[1], err)
+		}
+	}
+	if calls != 0 {
+		t.Errorf("a rejected point reached a scheduler %d times", calls)
+	}
+
+	// Figures 3 and 4 check every point, of both axes, before the first one
+	// runs: a 0 anywhere returns the same error.
+	figures := map[string]func(Config) (*FigureResult, error){"Figure3": Figure3, "Figure4": Figure4}
+	widthZero, countZero, lastZero := tinyConfig(), tinyConfig(), tinyConfig()
+	widthZero.Widths = []int{0}
+	countZero.CoflowCounts = []int{0}
+	lastZero.Widths = append(lastZero.Widths, 0)
+	lastZero.CoflowCounts = append(lastZero.CoflowCounts, 0)
+	for name, figure := range figures {
+		for _, cfg := range []Config{{Widths: []int{0}}, {CoflowCounts: []int{0}}, widthZero, countZero, lastZero} {
+			if _, err := figure(cfg); err == nil || !strings.Contains(err.Error(), "positive") {
+				t.Errorf("%s(widths %v, counts %v) err = %v, want a positive-integer rejection", name, cfg.Widths, cfg.CoflowCounts, err)
+			}
+		}
 	}
 }
 

@@ -66,6 +66,11 @@ func Figure4(cfg Config) (*FigureResult, error) {
 func sweep(cfg Config, g *graph.Graph, schedulers []Scheduler, title, xlabel string, labels []string,
 	point func(i int) (numCoflows, width int), n int) (*FigureResult, error) {
 
+	// The whole Config is checked before the first point runs, the other
+	// figure's axis too.
+	if err := checkShape(append([]int{cfg.NumCoflows}, cfg.CoflowCounts...), append([]int{cfg.Width}, cfg.Widths...)); err != nil {
+		return nil, err
+	}
 	values := make([][]float64, len(schedulers))
 	for i := range values {
 		values[i] = make([]float64, n)

@@ -7,8 +7,8 @@
 // The paper's experiments run on a 128-server (k=8) fat-tree with CPLEX
 // solving the LPs. The pure-Go simplex in this repository is slower, so the
 // default configuration uses a 16-server (k=4) fat-tree and smaller sweeps;
-// every parameter can be raised to paper scale through Config (see
-// cmd/coflowbench flags). The quantities reported — absolute totals, ratios
+// every parameter can be raised to paper scale through Config (PaperConfig,
+// coflowbench -paper). The quantities reported — absolute totals, ratios
 // versus the Baseline heuristic, and average improvement percentages — match
 // the figures' panels.
 package experiments
@@ -59,8 +59,8 @@ type Config struct {
 	CandidatePaths int
 }
 
-// DefaultConfig returns the scaled-down configuration used by the benchmarks
-// and examples.
+// DefaultConfig returns the scaled-down configuration that coflowbench and
+// the Go benchmarks run.
 func DefaultConfig() Config {
 	return Config{
 		FatK:           4,
@@ -108,10 +108,30 @@ func (c Config) network() *graph.Graph {
 	return graph.FatTree(k, 1)
 }
 
+// checkShape rejects a coflow count or width below 1. workload.Generate would
+// draw such a point at its own default while the figure labels the row with
+// the value given, so the sweeps refuse it before anything is drawn.
+func checkShape(counts, widths []int) error {
+	for _, n := range counts {
+		if n < 1 {
+			return fmt.Errorf("experiments: %d coflows: want a positive integer", n)
+		}
+	}
+	for _, w := range widths {
+		if w < 1 {
+			return fmt.Errorf("experiments: width %d: want a positive integer", w)
+		}
+	}
+	return nil
+}
+
 // SweepPoint measures every scheduler on `trials` random instances drawn with
 // the given workload shape and returns the mean total weighted completion
 // time per scheduler (in the order of Schedulers()).
 func (c Config) SweepPoint(g *graph.Graph, numCoflows, width int, schedulers []Scheduler) ([]float64, error) {
+	if err := checkShape([]int{numCoflows}, []int{width}); err != nil {
+		return nil, err
+	}
 	trials := c.Trials
 	if trials <= 0 {
 		trials = 1

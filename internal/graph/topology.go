@@ -66,7 +66,8 @@ func Star(n int, capacity float64) *Graph {
 }
 
 // Grid builds an r x c bidirectional grid (mesh) of hosts with uniform link
-// capacity. Used by the packet-based coflow examples and tests.
+// capacity: the mesh of Table 1's packet rows, coflowgen -topology grid and
+// examples/packets.
 func Grid(rows, cols int, capacity float64) *Graph {
 	if rows < 1 || cols < 1 || rows*cols < 2 {
 		panic("graph: Grid requires at least 2 nodes")

@@ -9,18 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"coflowsched/internal/coflow"
-	"coflowsched/internal/graph"
-	"coflowsched/internal/stats"
 	"coflowsched/internal/telemetry"
-	"coflowsched/internal/workload"
 )
 
 // Client is a small typed client for the coflowd HTTP API, shared by
-// cmd/coflowload, the cluster gateway and the closed-loop tests.
+// cmd/coflowload, the cluster gateway and the benchmark's admit workloads.
 //
 // Every request carries the HTTPClient's timeout (so a hung backend fails the
 // request instead of stalling the caller forever) and transient failures —
@@ -250,7 +246,8 @@ func (c *Client) Keys() (KeysResponse, error) {
 	return out, c.get("/v1/keys", "keys", &out)
 }
 
-// Network fetches the topology summary the generator builds coflows from.
+// Network fetches the topology summary, whose hosts coflowload maps its
+// workload onto (the gateway answers it with a healthy shard's).
 func (c *Client) Network() (NetworkResponse, error) {
 	var out NetworkResponse
 	return out, c.get("/v1/network", "network", &out)
@@ -289,347 +286,4 @@ func decodeResponse(resp *http.Response, out any) error {
 		return apiErr
 	}
 	return json.Unmarshal(body, out)
-}
-
-// LoadConfig parameterizes a load-generation run: a Poisson replay of
-// workload.GenerateArrivals against a live daemon, in wall-clock time — or,
-// when Instance is set, a replay of a prebuilt workload (a scenario or a
-// parsed trace) on a scaled wall clock.
-type LoadConfig struct {
-	// Instance, when non-nil, is a prebuilt workload to replay instead of
-	// generating one. Arrivals must be index-aligned with Instance.Coflows
-	// and non-decreasing (what workload scenarios and traces produce);
-	// endpoints are remapped onto the daemon's hosts by host index. The
-	// Coflows/Width/MeanSize/MeanWeight/Rate knobs are ignored in this mode.
-	Instance *coflow.Instance
-	Arrivals []float64
-	// SpeedUp compresses the replay clock: a coflow arriving at simulated
-	// time t is sent at wall-clock t/SpeedUp seconds after the first arrival
-	// (default 1). Pair with the daemon's -timescale to keep the simulated
-	// network ahead of the replay.
-	SpeedUp float64
-	// Coflows is the number of coflows to admit (default 100).
-	Coflows int
-	// Width is the number of flows per coflow (default 3).
-	Width int
-	// MeanSize and MeanWeight shape the coflows (defaults 4 and 1).
-	MeanSize   float64
-	MeanWeight float64
-	// Rate is the mean coflow arrival rate in requests per wall-clock
-	// second (default 50). Inter-arrival gaps are exponential — the same
-	// Poisson process the simulator studies, replayed in real time.
-	Rate float64
-	// Concurrency is the number of concurrent admitters (default 4). If
-	// arrivals outpace them the replay degrades gracefully from open-loop
-	// to closed-loop.
-	Concurrency int
-	// Seed makes the replay reproducible.
-	Seed int64
-	// WaitComplete polls after the replay until every admitted coflow
-	// finishes (or WaitTimeout, default 60s, elapses).
-	WaitComplete bool
-	WaitTimeout  time.Duration
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
-}
-
-func (cfg LoadConfig) withDefaults() LoadConfig {
-	if cfg.SpeedUp <= 0 {
-		cfg.SpeedUp = 1
-	}
-	if cfg.Coflows <= 0 {
-		cfg.Coflows = 100
-	}
-	if cfg.Width <= 0 {
-		cfg.Width = 3
-	}
-	if cfg.MeanSize <= 0 {
-		cfg.MeanSize = 4
-	}
-	if cfg.MeanWeight <= 0 {
-		cfg.MeanWeight = 1
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = 50
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
-	}
-	if cfg.WaitTimeout <= 0 {
-		cfg.WaitTimeout = 60 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	return cfg
-}
-
-// LoadReport summarizes a replay: request outcome counts, achieved
-// throughput, and admit-request latency percentiles. The JSON shape is
-// coflowload's -json output — machine-readable for scripted comparisons
-// (durations in seconds).
-type LoadReport struct {
-	Requests    int           `json:"requests"`
-	Failures    int           `json:"failures"`
-	Duration    time.Duration `json:"-"`
-	AchievedRPS float64       `json:"achieved_rps"`
-	// LatencyP50/P95/P99 are admit request latencies.
-	LatencyP50 time.Duration `json:"-"`
-	LatencyP95 time.Duration `json:"-"`
-	LatencyP99 time.Duration `json:"-"`
-	// Completed counts coflows confirmed finished (only populated with
-	// WaitComplete).
-	Completed int `json:"completed,omitempty"`
-	// FirstError carries the first failure's message, for diagnostics.
-	FirstError string `json:"first_error,omitempty"`
-	// DurationSeconds and the latency seconds mirror the Duration fields in
-	// JSON-friendly units; populated by MarshalJSON.
-	DurationSeconds float64 `json:"duration_seconds"`
-	LatencyP50Secs  float64 `json:"admit_latency_p50_seconds"`
-	LatencyP95Secs  float64 `json:"admit_latency_p95_seconds"`
-	LatencyP99Secs  float64 `json:"admit_latency_p99_seconds"`
-}
-
-// MarshalJSON renders the report with durations in seconds.
-func (r *LoadReport) MarshalJSON() ([]byte, error) {
-	type alias LoadReport // strip the method to avoid recursion
-	a := alias(*r)
-	a.DurationSeconds = r.Duration.Seconds()
-	a.LatencyP50Secs = r.LatencyP50.Seconds()
-	a.LatencyP95Secs = r.LatencyP95.Seconds()
-	a.LatencyP99Secs = r.LatencyP99.Seconds()
-	return json.Marshal(a)
-}
-
-// String renders the report for terminals.
-func (r *LoadReport) String() string {
-	s := fmt.Sprintf("requests=%d failures=%d duration=%.2fs achieved_rps=%.1f latency p50/p95/p99 = %.2f/%.2f/%.2f ms",
-		r.Requests, r.Failures, r.Duration.Seconds(), r.AchievedRPS,
-		float64(r.LatencyP50.Microseconds())/1e3,
-		float64(r.LatencyP95.Microseconds())/1e3,
-		float64(r.LatencyP99.Microseconds())/1e3)
-	if r.Completed > 0 {
-		s += fmt.Sprintf(" completed=%d", r.Completed)
-	}
-	if r.FirstError != "" {
-		s += "\nfirst error: " + r.FirstError
-	}
-	return s
-}
-
-// RunLoad replays a coflow arrival process against a live daemon.
-//
-// With cfg.Instance set, the prebuilt workload (a scenario or parsed trace)
-// is replayed; by default the workload comes from workload.GenerateArrivals on
-// a star stand-in topology with the daemon's host count, its arrival times in
-// wall-clock seconds. Either way the instance is replayed the same way:
-// endpoints are remapped onto the daemon's hosts by host index (mod the
-// daemon's host count), arrivals from the first one on are compressed by
-// SpeedUp into the wall-clock send schedule, and each flow keeps its release
-// offset from the coflow's arrival in simulated time (zero for a generated
-// workload: every flow is released on admission).
-func RunLoad(c *Client, cfg LoadConfig) (*LoadReport, error) {
-	cfg = cfg.withDefaults()
-	net, err := c.Network()
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: fetching topology: %w", err)
-	}
-	if len(net.Hosts) < 2 {
-		return nil, fmt.Errorf("loadgen: daemon topology has %d hosts, need at least 2", len(net.Hosts))
-	}
-	if cfg.Instance == nil {
-		// Draw the workload on a stand-in star with the daemon's host count, so
-		// replayWire's host-index mapping lands each endpoint on its own host.
-		inst, arrivals, err := workload.GenerateArrivals(graph.Star(len(net.Hosts), 1), workload.ArrivalConfig{
-			Config: workload.Config{
-				NumCoflows: cfg.Coflows,
-				Width:      cfg.Width,
-				MeanSize:   cfg.MeanSize,
-				MeanWeight: cfg.MeanWeight,
-			},
-			Rate: cfg.Rate,
-		}, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: generating workload: %w", err)
-		}
-		cfg.Instance, cfg.Arrivals = inst, arrivals
-	}
-	wire, sendAt, err := replayWire(cfg, net)
-	if err != nil {
-		return nil, err
-	}
-
-	// Replay: a dispatcher paces the arrival schedule, workers admit.
-	type result struct {
-		id      int
-		latency float64 // seconds
-		err     error
-	}
-	jobs := make(chan int)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				t0 := time.Now()
-				resp, err := c.Admit(wire[i])
-				results <- result{id: resp.ID, latency: time.Since(t0).Seconds(), err: err}
-			}
-		}()
-	}
-	start := time.Now()
-	go func() {
-		for i := range wire {
-			due := start.Add(time.Duration(sendAt[i] * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	report := &LoadReport{}
-	var latencies []float64
-	var ids []int
-	for res := range results {
-		report.Requests++
-		if res.err != nil {
-			report.Failures++
-			if report.FirstError == "" {
-				report.FirstError = res.err.Error()
-			}
-			continue
-		}
-		latencies = append(latencies, res.latency)
-		ids = append(ids, res.id)
-	}
-	report.Duration = time.Since(start)
-	if report.Duration > 0 {
-		report.AchievedRPS = float64(report.Requests) / report.Duration.Seconds()
-	}
-	if len(latencies) > 0 {
-		report.LatencyP50 = time.Duration(stats.Percentile(latencies, 50) * float64(time.Second))
-		report.LatencyP95 = time.Duration(stats.Percentile(latencies, 95) * float64(time.Second))
-		report.LatencyP99 = time.Duration(stats.Percentile(latencies, 99) * float64(time.Second))
-	}
-	cfg.Logf("loadgen: admitted %d coflows in %.2fs (%.1f rps, %d failures)",
-		report.Requests-report.Failures, report.Duration.Seconds(), report.AchievedRPS, report.Failures)
-
-	if cfg.WaitComplete {
-		completed, err := waitComplete(c, ids, cfg.WaitTimeout, cfg.Logf)
-		report.Completed = completed
-		if err != nil {
-			return report, err
-		}
-	}
-	return report, nil
-}
-
-// replayWire maps a prebuilt instance onto the daemon's topology. The
-// instance's hosts are indexed in their own topology's host order and mapped
-// onto the daemon's hosts modulo the daemon's host count; a pair that
-// collapses onto one daemon host (possible when the daemon has fewer hosts
-// than the instance) shifts its destination to the next host so the flow
-// stays a network transfer.
-func replayWire(cfg LoadConfig, net NetworkResponse) ([]coflow.Coflow, []float64, error) {
-	inst := cfg.Instance
-	if len(inst.Coflows) == 0 {
-		return nil, nil, fmt.Errorf("loadgen: replay instance has no coflows")
-	}
-	if len(cfg.Arrivals) != len(inst.Coflows) {
-		return nil, nil, fmt.Errorf("loadgen: %d arrivals for %d coflows", len(cfg.Arrivals), len(inst.Coflows))
-	}
-	srcHosts := inst.Network.Hosts()
-	hostIndex := make(map[graph.NodeID]int, len(srcHosts))
-	for i, h := range srcHosts {
-		hostIndex[h] = i
-	}
-	n := len(net.Hosts)
-	wire := make([]coflow.Coflow, len(inst.Coflows))
-	sendAt := make([]float64, len(inst.Coflows))
-	// Rebase the schedule on the first arrival so the replay starts sending
-	// immediately even for traces whose clock starts late.
-	base := cfg.Arrivals[0]
-	for i, cf := range inst.Coflows {
-		arrival := cfg.Arrivals[i]
-		if i > 0 && arrival < cfg.Arrivals[i-1] {
-			return nil, nil, fmt.Errorf("loadgen: arrivals decrease at coflow %d", i)
-		}
-		name := cf.Name
-		if name == "" {
-			name = fmt.Sprintf("replay-%d", i)
-		}
-		w := coflow.Coflow{Name: name, Weight: cf.Weight, Flows: make([]coflow.Flow, len(cf.Flows))}
-		for j, f := range cf.Flows {
-			si, ok := hostIndex[f.Source]
-			di, dok := hostIndex[f.Dest]
-			if !ok || !dok {
-				return nil, nil, fmt.Errorf("loadgen: coflow %d flow %d endpoints are not hosts of the instance topology", i, j)
-			}
-			src, dst := si%n, di%n
-			if src == dst {
-				dst = (dst + 1) % n
-			}
-			release := f.Release - arrival
-			if release < 0 {
-				release = 0
-			}
-			w.Flows[j] = coflow.Flow{
-				Source:  graph.NodeID(net.Hosts[src]),
-				Dest:    graph.NodeID(net.Hosts[dst]),
-				Size:    f.Size,
-				Release: release,
-			}
-		}
-		wire[i] = w
-		sendAt[i] = (arrival - base) / cfg.SpeedUp
-	}
-	return wire, sendAt, nil
-}
-
-// waitComplete polls the per-coflow status endpoint until every id reports
-// done or the timeout elapses. Individual poll errors are treated as
-// transient — the id stays pending and is retried until the deadline, so a
-// single dropped connection does not fail a replay whose coflows all
-// complete — but the last one is surfaced if the deadline expires.
-func waitComplete(c *Client, ids []int, timeout time.Duration, logf func(string, ...any)) (int, error) {
-	deadline := time.Now().Add(timeout)
-	pending := append([]int(nil), ids...)
-	done := 0
-	var lastErr error
-	for len(pending) > 0 {
-		if time.Now().After(deadline) {
-			err := fmt.Errorf("loadgen: %d of %d coflows still unfinished after %v", len(pending), len(ids), timeout)
-			if lastErr != nil {
-				err = fmt.Errorf("%w (last poll error: %v)", err, lastErr)
-			}
-			return done, err
-		}
-		next := pending[:0]
-		for _, id := range pending {
-			st, err := c.Coflow(id)
-			if err != nil {
-				lastErr = err
-				logf("loadgen: polling coflow %d: %v (will retry)", id, err)
-				next = append(next, id)
-				continue
-			}
-			if st.Done {
-				done++
-			} else {
-				next = append(next, id)
-			}
-		}
-		pending = next
-		if len(pending) > 0 {
-			logf("loadgen: waiting for %d coflows to finish", len(pending))
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	return done, nil
 }

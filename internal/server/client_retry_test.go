@@ -116,8 +116,8 @@ func TestClientFailsFastOnValidationErrors(t *testing.T) {
 }
 
 // TestClientTimeout: a hung backend fails the request at the configured
-// timeout instead of stalling the caller — the RunLoad hang the option exists
-// to prevent.
+// timeout instead of stalling the caller — a replay or gateway hang the
+// option exists to prevent.
 func TestClientTimeout(t *testing.T) {
 	block := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
