@@ -431,7 +431,7 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 			}
 
 			stored := len(st.touched)
-			if err := st.refactorize(); err != nil {
+			if err := st.factor(); err != nil {
 				t.Fatalf("refactorize: %v", err)
 			}
 			if err := ref.refactorize(); err != nil {

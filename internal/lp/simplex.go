@@ -209,7 +209,10 @@ func (p *Problem) slackCoef(i int, rhs float64) float64 {
 
 // simplexState holds the revised-simplex working set: the basis, the compact
 // store of its inverse, and the current basic solution. All of it is allocated
-// by newSimplexState and touch and dies with the solve.
+// by newSimplexState and touch and dies with the solve. The simplex driver
+// reaches the inverse through four operations only: factor (rebuild it from
+// the basis), ftran (B^{-1}a), btran (c'B^{-1}) and update (one column of the
+// basis replaced).
 type simplexState struct {
 	sf    *standardForm
 	basis []int  // basis[i] = column basic in row i
@@ -218,18 +221,18 @@ type simplexState struct {
 	// inverse starts as the identity, and a pivot changes column k only
 	// through its entry in row leave, which is 0 while column k is e_k and
 	// leave != k: column k stays exactly e_k until row k first leaves the
-	// basis. Such a column is not stored at all. multiplyColumn, duals and
-	// pivot read it as e_k; every term they skip is an exact zero, so each
+	// basis. Such a column is not stored at all. ftran, btran and
+	// update read it as e_k; every term they skip is an exact zero, so each
 	// pivot is the one a dense m x m inverse takes. In the interval-indexed LPs
 	// most rows are capacity rows whose slack never leaves: len(touched) stays
 	// far below m, and a solve allocates m floats per touched column, not m x m.
 	inv     [][]float64
 	touched []int       // columns of the inverse that are stored, in first-touch order
 	slot    []int32     // slot[k] = index of column k in touched, -1 while column k is e_k
-	spare   [][]float64 // columns refactorize took out of inv, for touch to reuse
+	spare   [][]float64 // columns factor took out of inv, for touch to reuse
 	xB      []float64   // basic variable values
-	w, y, d []float64   // what multiplyColumn, duals and price return: scratch, valid until the next call
-	visit   []int       // scratch of duals and pivot: the rows whose basic cost, or w entry, is nonzero
+	w, y, d []float64   // what ftran, btran and price return: scratch, valid until the next call
+	visit   []int       // scratch of btran and update: the rows whose basic cost, or w entry, is nonzero
 	tol     float64
 	iters   int
 }
@@ -283,7 +286,7 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 }
 
 // touch starts storing column k of the inverse, as e_k, in a spare column
-// where refactorize left one (cleared first: it holds an old column) and in a
+// where factor left one (cleared first: it holds an old column) and in a
 // new one otherwise.
 func (st *simplexState) touch(k int) {
 	if st.slot[k] >= 0 {
@@ -302,8 +305,8 @@ func (st *simplexState) touch(k int) {
 	st.inv = append(st.inv, col)
 }
 
-// multiplyColumn returns w = B^{-1} * A_j for column j.
-func (st *simplexState) multiplyColumn(j int) []float64 {
+// ftran returns w = B^{-1} * A_j for column j.
+func (st *simplexState) ftran(j int) []float64 {
 	w := st.w
 	clear(w)
 	rows, vals := st.sf.col(j)
@@ -324,10 +327,10 @@ func (st *simplexState) multiplyColumn(j int) []float64 {
 	return w
 }
 
-// duals returns y' = c_B' B^{-1} for the given cost vector. Only the rows whose
+// btran returns y' = c_B' B^{-1} for the given cost vector. Only the rows whose
 // basic cost is nonzero contribute; each stored column sums them in ascending
 // row order, as a row-by-row sweep of the dense inverse does.
-func (st *simplexState) duals(cost []float64) []float64 {
+func (st *simplexState) btran(cost []float64) []float64 {
 	y := st.y
 	clear(y)
 	rows := st.visit[:0]
@@ -391,9 +394,7 @@ func (sf *standardForm) unitCost(cost, y []float64, j int) float64 {
 // pivot performs the basis change: column enter becomes basic in row leave,
 // using the precomputed direction w = B^{-1} A_enter and step theta.
 func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
-	m := st.sf.m
-	rows := st.visit[:0] // the rows the elimination changes: w nonzero, leave aside
-	for i := 0; i < m; i++ {
+	for i := range st.xB {
 		if i == leave {
 			continue
 		}
@@ -401,16 +402,26 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 		if st.xB[i] < 0 && st.xB[i] > -st.tol {
 			st.xB[i] = 0
 		}
-		if w[i] != 0 {
+	}
+	st.xB[leave] = theta
+	st.update(leave, w)
+	st.inB[st.basis[leave]] = false
+	st.basis[leave] = enter
+	st.inB[enter] = true
+}
+
+// update changes the inverse for the basis whose column in row leave is
+// replaced by the one w = B^{-1} a stands for. Row leave is zero in every
+// untouched column but its own, which joins the set here; scaling and
+// eliminating over the stored columns is the whole update, and a stored
+// column with a zero in row leave changes only by exact zeros.
+func (st *simplexState) update(leave int, w []float64) {
+	rows := st.visit[:0] // the rows the elimination changes: w nonzero, leave aside
+	for i, wi := range w {
+		if wi != 0 && i != leave {
 			rows = append(rows, i)
 		}
 	}
-	st.xB[leave] = theta
-
-	// Row leave is zero in every untouched column but its own, which joins
-	// the set here; scaling and eliminating over the stored columns is the
-	// whole update, and a stored column with a zero in row leave changes only
-	// by exact zeros.
 	st.touch(leave)
 	inv := 1.0 / w[leave]
 	for _, col := range st.inv {
@@ -423,16 +434,12 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 			col[i] -= w[i] * v
 		}
 	}
-
-	st.inB[st.basis[leave]] = false
-	st.basis[leave] = enter
-	st.inB[enter] = true
 }
 
-// refactorize recomputes the basis inverse and basic solution from scratch
+// factor recomputes the basis inverse and basic solution from scratch
 // (Gauss-Jordan on the basis columns) to limit accumulated floating point
 // error on long runs.
-func (st *simplexState) refactorize() error {
+func (st *simplexState) factor() error {
 	m := st.sf.m
 	// Build dense basis matrix augmented with identity.
 	a := make([][]float64, m)
@@ -539,7 +546,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 	sincePivotRebuild := 0
 
 	for st.iters < maxIters {
-		y := st.duals(cost)
+		y := st.btran(cost)
 		d := st.price(cost, y)
 
 		enter := -1
@@ -566,7 +573,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 			return Optimal, nil
 		}
 
-		w := st.multiplyColumn(enter)
+		w := st.ftran(enter)
 		// Two-pass ratio test: find the minimum ratio, then among rows whose
 		// ratio ties it (within tolerance) pick the one with the largest
 		// pivot element; this keeps the basis well conditioned. Under Bland's
@@ -626,7 +633,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		st.iters++
 		sincePivotRebuild++
 		if sincePivotRebuild >= refactorEvery {
-			if err := st.refactorize(); err != nil {
+			if err := st.factor(); err != nil {
 				return IterationLimit, err
 			}
 			sincePivotRebuild = 0
@@ -659,7 +666,7 @@ func (st *simplexState) driveOutArtificials() {
 			if st.inB[j] {
 				continue
 			}
-			w := st.multiplyColumn(j)
+			w := st.ftran(j)
 			if math.Abs(w[i]) > 1e-7 {
 				st.pivot(j, i, w, 0)
 				replaced = true
