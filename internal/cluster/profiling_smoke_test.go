@@ -10,12 +10,12 @@ import (
 	"coflowsched/internal/telemetry"
 )
 
-// TestProfilingSmoke is the CI profiling smoke: a cluster under load loses a
-// shard, the resulting firing transition must write a bundle whose on-alert
-// evidence includes a non-empty CPU profile from a live target, and the live
-// shard's exposition must serve the stage family through the strict parser.
-// It is the end-to-end check that the on-alert profile capture path actually
-// reaches /debug/pprof.
+// TestProfilingSmoke is the CI profiling smoke: a cluster that has admitted a
+// load loses a shard, the resulting firing transition must write a bundle
+// whose on-alert evidence includes a non-empty CPU profile from a live target,
+// and the live shard's exposition must serve the stage family through the
+// strict parser. It is the end-to-end check that the on-alert profile capture
+// path actually reaches /debug/pprof.
 func TestProfilingSmoke(t *testing.T) {
 	bundleDir := t.TempDir()
 	l, err := NewLocal(LocalConfig{
@@ -35,17 +35,13 @@ func TestProfilingSmoke(t *testing.T) {
 	}
 	t.Cleanup(l.Close)
 
-	// Put the cluster under load so the captured CPU profile samples real
-	// scheduler work, then kill a shard mid-flight.
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		// Failures are expected: the kill races in-flight admissions.
-		_, _ = replayUniform(l.Client(), false)
-	}()
-	time.Sleep(300 * time.Millisecond)
+	// Admit a load, then kill a shard. The admissions have all returned by
+	// then, so the captured CPU profile samples a cluster draining what it
+	// admitted, not one admitting.
+	if _, err := replayUniform(l.Client(), false); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
 	l.Kill(1)
-	<-loadDone
 
 	// Wait for a firing transition to write its bundle (the capture blocks
 	// on the CPU profile's sampling window before the file lands).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -30,23 +31,36 @@ func fig3Instance(tb testing.TB, g *graph.Graph, i int) (*coflow.Instance, int64
 // offline-fig3 workload: its 64 instances scheduled by the free-path LP over
 // four candidate paths. The sums are what a traced benchmark run reports as
 // core.lp_pivots and core.lower_bound_sum; a kernel change that alters one
-// pivot (enter, leave or theta) on any of the 64 LPs moves them.
+// pivot (enter, leave or theta) on any of the 64 LPs moves them. Every LP's
+// optimum must also pass lp.Certify.
+//
+// Re-pinned by the factored kernel, which keeps B^{-1} only for the
+// rows whose basic column is not their own slack: 7 679 pivots to
+// 876.2357098961672 became 7 750 to 876.2357098961708 (4.1e-15 relative), and
+// each of the 64 LP objectives is within 1.5e-12 relative of the parent's.
+// Every LP takes another path. On instance 0 a step length first differs in
+// its last bit at pivot 58, and the path parts at pivot 64: x_c3.f2_p2_l2
+// enters on both sides, and the ratio test's tie goes to cap_e2_l2 where it
+// went to cap_e81_l2.
 func TestFig3PivotsPinned(t *testing.T) {
 	const (
-		wantPivots = 7679
-		wantLB     = 876.2357098961672
+		wantPivots = 7750
+		wantLB     = 876.2357098961708
 	)
 	g := graph.FatTree(4, 1)
-	sched := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}
 	pivots, lb := 0, 0.0
 	for i := 0; i < 64; i++ {
-		inst, seed := fig3Instance(t, g, i)
-		res, err := sched.ScheduleASAP(inst, rand.New(rand.NewSource(seed+1)))
+		inst, _ := fig3Instance(t, g, i)
+		m, err := solved(freePathBuild(inst))
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		pivots += res.LPIterations
-		lb += res.LowerBound
+		if err := lp.Certify(m.prob, m.sol); err != nil {
+			t.Errorf("instance %d: %v", i, err)
+		}
+		_, bound, iters := m.evidence()
+		pivots += iters
+		lb += bound
 	}
 	if pivots != wantPivots {
 		t.Errorf("LPIterations sum = %d, want %d", pivots, wantPivots)
@@ -69,10 +83,10 @@ func freePath8x6Instance(tb testing.TB, g *graph.Graph) *coflow.Instance {
 }
 
 // TestFreePath8x6Pinned pins the simplex's path on one paper-scale free-path
-// LP: 8 coflows x width 6 over four candidate paths, long enough (1 653
-// pivots) to refactorize six times, which no fig3 instance does. A rebuilt
-// inverse or basic solution that differs in one bit from the Gauss-Jordan
-// result moves the later pivots.
+// LP: 8 coflows x width 6 over four candidate paths, long enough to
+// refactorize six times, which no fig3 instance does. A rebuilt inverse or
+// basic solution that differs in one bit from the Gauss-Jordan result moves
+// the later pivots. Its optimum must pass lp.Certify.
 //
 // Re-pinned by the row presolve (PR 22), which takes m from 1 378 to 635: with
 // every row the LP took 1 679 pivots to 41.67612003381232 (1.7e-15 relative).
@@ -82,53 +96,61 @@ func freePath8x6Instance(tb testing.TB, g *graph.Graph) *coflow.Instance {
 // sides) where x_c2.f2_p3_l2 enters instead of its symmetric candidate
 // x_c2.f2_p1_l2: the two reduced costs, equal but for rounding, compare the
 // other way round.
+//
+// Re-pinned by the factored kernel and the ratio test's relative pivot
+// floor: 1 653 pivots to 41.67612003381239 became 1 714 to
+// 41.676120033812374 (3.6e-16 relative). The paths part at pivot 22, a tie in
+// the ratio test at step 0.2: x_c0.f2_p0_l4 enters on both sides, and
+// cap_e73_l2 leaves where cap_e10_l2 did.
 func TestFreePath8x6Pinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("one 1 653-pivot LP, about 0.5 s")
+		t.Skip("one 1 714-pivot LP, about 0.3 s")
 	}
 	const (
-		wantPivots = 1653
-		wantLB     = 41.67612003381239
+		wantPivots = 1714
+		wantLB     = 41.676120033812374
 	)
-	g := graph.FatTree(4, 1)
-	inst := freePath8x6Instance(t, g)
-	res, err := CircuitFreePaths{Opts: Options{CandidatePaths: 4}}.ScheduleASAP(inst, rand.New(rand.NewSource(2)))
+	m, err := solved(freePathBuild(freePath8x6Instance(t, graph.FatTree(4, 1))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LPIterations != wantPivots {
-		t.Errorf("LPIterations = %d, want %d", res.LPIterations, wantPivots)
+	if err := lp.Certify(m.prob, m.sol); err != nil {
+		t.Error(err)
 	}
-	if res.LowerBound != wantLB {
-		t.Errorf("LowerBound = %v, want %v", res.LowerBound, wantLB)
+	if _, lb, pivots := m.evidence(); pivots != wantPivots || lb != wantLB {
+		t.Errorf("LPIterations = %d, LowerBound = %v; want %d, %v", pivots, lb, wantPivots, wantLB)
 	}
 }
 
 // solveCase is one LP shape the simplex kernel sees, with the bytes and the
-// allocations one Solve of it may make (0: no budget).
+// allocations one Solve of it may make (0: no budget) and the solves the byte
+// budget averages over.
 type solveCase struct {
 	name   string
 	prob   *lp.Problem
 	budget uint64
 	allocs float64
+	solves int
 }
 
 // solveCases builds the four shapes: the free-path LP of a fig3 instance (4
 // coflows x width 4, four candidate paths, the capacity rows that cannot bind
-// left out: of its m = 347 rows most still keep their slack basic), a
+// left out: of its m = 342 rows most still keep their slack basic), a
 // three-flow given-path LP of the size online.LPEpoch re-solves every epoch
 // (every capacity row kept), the dense covering LP of the root
 // BenchmarkLPSolverDense, where every row pivots and the kernel can skip
-// nothing, and the paper-scale LP of TestFreePath8x6Pinned (m = 635, 1 653
-// pivots), the one shape that refactorizes. The budgets sit about 30 % above
-// what a solve made when they were set (320 KB in 100 allocations and 36 KB in
-// 41). A row-major inverse with its standard form built through per-row and
-// per-column slices made it 948 KB in 5 597 allocations and 89 KB in 768; a
-// dense m x m inverse per solve, when the free-path LP still had its m = 986
-// rows, 8.45 MB and 256 KB. The 8x6 LP has no budget: a solve takes about
-// 0.2 s, so the ten a byte budget runs would slow the suite by seconds; it
-// allocates about 41 MB in 4 150 allocations, most of it the m x 2m floats of
-// six refactorizations.
+// nothing, and the paper-scale LP of TestFreePath8x6Pinned (m = 635, 1 714
+// pivots), the one shape that refactorizes. The budgets sit about 25 % above
+// what a solve made when they were set, with a factored kernel of T = 66, 11
+// and 299 rows: 300 KB in 30 allocations, 33 KB in 25 and 3.2 MB. Storing
+// the m-float column of the inverse for every row that had left the basis
+// made the first two 320 KB in 100 allocations and 36 KB in 41 and the 8x6
+// LP 41 MB in 4 150 allocations, most of it the m x 2m floats of six
+// refactorizations; a row-major inverse with its standard form built through
+// per-row and per-column slices 948 KB in 5 597 allocations and 89 KB in 768;
+// a dense m x m inverse per solve, when the free-path LP still had its m = 986
+// rows, 8.45 MB and 256 KB. The 8x6 budget is one solve's, about 0.3 s: one
+// m x m array of floats more, 3.2 MB, breaks it.
 func solveCases(tb testing.TB) []solveCase {
 	tb.Helper()
 	g := graph.FatTree(4, 1)
@@ -166,31 +188,30 @@ func solveCases(tb testing.TB) []solveCase {
 		dense.AddConstraint(lp.GE, float64(10+i), terms...)
 	}
 	return []solveCase{
-		{"freepath-4x4", free.prob, 420 << 10, 130},
-		{"residual-3flows", residual.prob, 47 << 10, 54},
-		{"dense-40x60", dense, 0, 0},
-		{"freepath-8x6", paper.prob, 0, 0},
+		{"freepath-4x4", free.prob, 375 << 10, 40, 10},
+		{"residual-3flows", residual.prob, 40 << 10, 32, 10},
+		{"dense-40x60", dense, 0, 0, 0},
+		{"freepath-8x6", paper.prob, 4 << 20, 0, 1},
 	}
 }
 
 // TestSolveByteBudget holds one Solve of the slack-heavy shapes to a byte
-// budget (runtime TotalAlloc over 10 solves), so that per-solve storage that
-// scales with m x m cannot come back unseen.
+// budget (runtime TotalAlloc over sc.solves solves), so that per-solve storage
+// that scales with m x m cannot come back unseen.
 func TestSolveByteBudget(t *testing.T) {
-	const solves = 10
 	for _, sc := range solveCases(t) {
 		if sc.budget == 0 {
 			continue
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < solves; i++ {
+		for i := 0; i < sc.solves; i++ {
 			if _, err := sc.prob.Solve(nil); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		perSolve := (after.TotalAlloc - before.TotalAlloc) / solves
+		perSolve := (after.TotalAlloc - before.TotalAlloc) / uint64(sc.solves)
 		t.Logf("%s: %d bytes per solve, budget %d", sc.name, perSolve, sc.budget)
 		if perSolve > sc.budget {
 			t.Errorf("%s: one Solve allocates %d bytes, budget %d", sc.name, perSolve, sc.budget)
@@ -219,20 +240,23 @@ func TestSolveAllocBudget(t *testing.T) {
 }
 
 // BenchmarkSolve times lp.Problem.Solve alone (the LP is built outside the
-// loop) on the shapes of solveCases, and reports pivots/op.
+// loop) on the shapes of solveCases, and reports pivots/op and kernel/op, the
+// size T of the factored block at the end of the solve.
 func BenchmarkSolve(b *testing.B) {
 	for _, sc := range solveCases(b) {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			pivots := 0
+			pivots, kernel := 0, 0
 			for i := 0; i < b.N; i++ {
 				sol, err := sc.prob.Solve(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				pivots += sol.Iterations
+				kernel += sol.Kernel
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(kernel)/float64(b.N), "kernel/op")
 		})
 	}
 }
@@ -308,4 +332,80 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// residualFuzzInstance decodes from the fuzzer's arguments a residual
+// instance of the kind online.LPEpoch solves at every epoch: a Poisson stream
+// of 1-8 coflows of width 1-4 on FatTree(4), cut at a time "now" inside it.
+// Each coflow that has arrived by then keeps the unfinished part of each flow
+// — a random fraction of its size; about one flow in five is done and left
+// out — with its release shifted by -now and clamped at 0, and every flow is
+// fixed on one of its four shortest paths.
+func residualFuzzInstance(seed int64, coflows, width, shape uint8) (*coflow.Instance, error) {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.FatTree(4, 1)
+	stream, arrivals, err := workload.GenerateArrivals(g, workload.ArrivalConfig{
+		Config: workload.Config{
+			NumCoflows:  1 + int(coflows)%8,
+			Width:       1 + int(width)%4,
+			MeanSize:    []float64{1, 4, 8}[int(shape)%3],
+			MeanRelease: []float64{0, 2}[int(shape/3)%2],
+			MeanWeight:  1,
+		},
+		Rate: []float64{0.5, 2, 4}[int(shape/6)%3],
+	}, rng)
+	if err != nil {
+		return nil, err
+	}
+	now := arrivals[len(arrivals)-1] * float64(1+int(shape/18)%4) / 4
+	inst := &coflow.Instance{Network: g}
+	for c, cf := range stream.Coflows {
+		if arrivals[c] > now {
+			continue
+		}
+		rcf := coflow.Coflow{Name: cf.Name, Weight: cf.Weight}
+		for _, f := range cf.Flows {
+			if rng.Intn(5) == 0 {
+				continue
+			}
+			paths := g.KShortestPathsCached(f.Source, f.Dest, 4)
+			rcf.Flows = append(rcf.Flows, coflow.Flow{
+				Source:  f.Source,
+				Dest:    f.Dest,
+				Size:    f.Size * (0.05 + 0.95*rng.Float64()),
+				Release: max(0, f.Release-now),
+				Path:    paths[rng.Intn(len(paths))],
+			})
+		}
+		if len(rcf.Flows) > 0 {
+			inst.Coflows = append(inst.Coflows, rcf)
+		}
+	}
+	if len(inst.Coflows) == 0 {
+		return nil, fmt.Errorf("no unfinished flow at time %v", now)
+	}
+	return inst, nil
+}
+
+// FuzzResidualLP solves the given-path LP of residual instances
+// (residualFuzzInstance) and holds every optimum to lp.Certify. A solve that
+// fails is a finding too: these are the LPs whose failures online.LPEpoch
+// falls back from.
+func FuzzResidualLP(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(3), uint8(40))
+	f.Add(int64(3), uint8(5), uint8(1), uint8(77))
+	f.Fuzz(func(t *testing.T, seed int64, coflows, width, shape uint8) {
+		inst, err := residualFuzzInstance(seed, coflows, width, shape)
+		if err != nil {
+			t.Skip(err)
+		}
+		m, err := solved(CircuitGivenPaths{}.buildLP(inst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lp.Certify(m.prob, m.sol); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

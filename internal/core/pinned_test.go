@@ -8,6 +8,7 @@ import (
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
+	"coflowsched/internal/lp"
 )
 
 // schedulerPin is what one scheduler mode produced on one instance: the LP
@@ -24,6 +25,16 @@ type schedulerPin struct {
 // became one framework: a refactor of internal/core passes them unmodified.
 // On a mismatch the test prints the line to paste; re-pin only with a reason
 // (a changed pivot rule, a changed rounding), never to make a refactor pass.
+//
+// Re-pinned for the factored kernel, whose arithmetic rounds
+// differently: 15 of the 35 moved, every LP objective within 1.3e-14
+// relative of the parent's, and every LP behind a pin passes lp.Certify. The
+// LPs of line, fattree-k4 and packet-grid's given paths take the parent's
+// pivots; only the last bits of their values moved, which reorders the LP
+// order of fattree-k4/given and packet-grid/given. packet-grid's free-path LP
+// parts at pivot 26 (of 27, 31 now): x_c0.f2_p2_l1 entering with cap_e3_l1
+// leaving became x_c0.f2_p3_l1 with complete_c0.f0. On that vertex the
+// rounding picks other routes, and free-asap reads 12 where it read 9.
 var schedulerPins = map[string]schedulerPin{
 	"triangle-paths/given-provable":  {15, 1.5, 32, 0xf4735c117b9e4677, 0x57b57870a1d45f61},
 	"triangle-paths/given-asap":      {15, 1.5, 5, 0xf4735c117b9e4677, 0x57b57870a1d45f61},
@@ -43,23 +54,23 @@ var schedulerPins = map[string]schedulerPin{
 	"diamond/free-asap":              {10, 2.75, 14, 0x692558b056101a44, 0x3597214e08942ab5},
 	"diamond/exact-provable":         {33, 2.75, 40, 0x692558b056101a44, 0x3597214e08942ab5},
 	"diamond/exact-asap":             {33, 2.75, 14, 0x692558b056101a44, 0x3597214e08942ab5},
-	"line/given-provable":            {17, 19, 312, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
-	"line/given-asap":                {17, 19, 22.75, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
-	"line/free-provable":             {17, 19, 312, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
-	"line/free-asap":                 {17, 19, 22.75, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
+	"line/given-provable":            {17, 18.99999999999999, 312, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
+	"line/given-asap":                {17, 18.99999999999999, 22.75, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
+	"line/free-provable":             {17, 18.99999999999999, 312, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
+	"line/free-asap":                 {17, 18.99999999999999, 22.75, 0x4a465f318e546bd6, 0x3260ec4ed941ed60},
 	"line/exact-provable":            {91, 19.000000000000018, 312, 0x83ba7323eb2fecd6, 0x3260ec4ed941ed60},
 	"line/exact-asap":                {91, 19.000000000000018, 22.75, 0x83ba7323eb2fecd6, 0x3260ec4ed941ed60},
-	"fattree-k4/given-provable":      {41, 18.428571428571484, 320, 0xeebfb4cd2e291cd5, 0xd39e047b4c24881f},
-	"fattree-k4/given-asap":          {41, 18.428571428571484, 35, 0xeebfb4cd2e291cd5, 0xd39e047b4c24881f},
-	"fattree-k4/free-provable":       {45, 17.85714285714264, 320, 0x9976dd352990a0b5, 0x170cb329dce2c0ff},
-	"fattree-k4/free-asap":           {45, 17.85714285714264, 35, 0x9976dd352990a0b5, 0x170cb329dce2c0ff},
-	"packet-grid/given-provable":     {32, 7.499999999999998, 112, 0x3c152a12cb59eff5, 0xf429f80b23c84fca},
-	"packet-grid/given-asap":         {32, 7.499999999999998, 12, 0x3c152a12cb59eff5, 0xf429f80b23c84fca},
-	"packet-grid/free-provable":      {27, 7.000000000000044, 112, 0xe6cc527ac6c173d5, 0x59930404ff18b392},
-	"packet-grid/free-asap":          {27, 7.000000000000044, 9, 0xe6cc527ac6c173d5, 0x59930404ff18b392},
-	"packet-grid/packet-given":       {32, 7.499999999999998, 16, 0x3c152a12cb59eff5, 0xf429f80b23c84fca},
-	"packet-grid/packet-free-asap":   {27, 7.000000000000044, 13, 0xe6cc527ac6c173d5, 0x8f59f38829484f52},
-	"packet-grid/packet-free-phased": {27, 7.000000000000044, 24, 0xe6cc527ac6c173d5, 0x8f59f38829484f52},
+	"fattree-k4/given-provable":      {41, 18.428571428571487, 320, 0x9976dd352990a0b5, 0xd39e047b4c24881f},
+	"fattree-k4/given-asap":          {41, 18.428571428571487, 35, 0x9976dd352990a0b5, 0xd39e047b4c24881f},
+	"fattree-k4/free-provable":       {45, 17.857142857142406, 320, 0x9976dd352990a0b5, 0x170cb329dce2c0ff},
+	"fattree-k4/free-asap":           {45, 17.857142857142406, 35, 0x9976dd352990a0b5, 0x170cb329dce2c0ff},
+	"packet-grid/given-provable":     {32, 7.500000000000002, 112, 0x72afffc9d830c395, 0xf429f80b23c84fca},
+	"packet-grid/given-asap":         {32, 7.500000000000002, 12, 0x72afffc9d830c395, 0xf429f80b23c84fca},
+	"packet-grid/free-provable":      {31, 7.000000000000064, 112, 0xf64763626cbcdfb5, 0x11a20a98ef436a44},
+	"packet-grid/free-asap":          {31, 7.000000000000064, 12, 0xf64763626cbcdfb5, 0x11a20a98ef436a44},
+	"packet-grid/packet-given":       {32, 7.500000000000002, 16, 0x72afffc9d830c395, 0xf429f80b23c84fca},
+	"packet-grid/packet-free-asap":   {31, 7.000000000000064, 13, 0xf64763626cbcdfb5, 0x8f59f38829484f52},
+	"packet-grid/packet-free-phased": {31, 7.000000000000064, 24, 0xf64763626cbcdfb5, 0x8f59f38829484f52},
 }
 
 // pinInstance is one fixed instance of TestSchedulersPinned.
@@ -180,34 +191,35 @@ func TestSchedulersPinned(t *testing.T) {
 		name                 string
 		given, exact, packet bool // needs assigned paths; is the arc-flow LP; needs unit sizes
 		run                  func(inst *coflow.Instance) (schedulerPin, error)
+		build                func(inst *coflow.Instance) (*intervalLP, error) // the LP run solves
 	}{
 		{name: "given-provable", given: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitGivenPaths{}.ScheduleProvable(inst))
-		}},
+		}, build: CircuitGivenPaths{}.buildLP},
 		{name: "given-asap", given: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitGivenPaths{}.ScheduleASAP(inst))
-		}},
+		}, build: CircuitGivenPaths{}.buildLP},
 		{name: "free-provable", run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitFreePaths{}.ScheduleProvable(inst, rng()))
-		}},
+		}, build: CircuitFreePaths{}.buildLP},
 		{name: "free-asap", run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitFreePaths{}.ScheduleASAP(inst, rng()))
-		}},
+		}, build: CircuitFreePaths{}.buildLP},
 		{name: "exact-provable", exact: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitFreePathsExact{}.ScheduleProvable(inst, rng()))
-		}},
+		}, build: CircuitFreePathsExact{}.buildLP},
 		{name: "exact-asap", exact: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return circuitPin(inst)(CircuitFreePathsExact{}.ScheduleASAP(inst, rng()))
-		}},
+		}, build: CircuitFreePathsExact{}.buildLP},
 		{name: "packet-given", given: true, packet: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return packetPin(inst)(PacketGivenPaths{}.Schedule(inst))
-		}},
+		}, build: func(inst *coflow.Instance) (*intervalLP, error) { return candidateLP(inst, Options{}, true, false) }},
 		{name: "packet-free-asap", packet: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return packetPin(inst)(PacketFreePaths{}.ScheduleASAP(inst, rng()))
-		}},
+		}, build: PacketFreePaths{}.buildLP},
 		{name: "packet-free-phased", packet: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return packetPin(inst)(PacketFreePaths{}.SchedulePhased(inst, rng()))
-		}},
+		}, build: PacketFreePaths{}.buildLP},
 	}
 
 	ran := 0
@@ -231,6 +243,11 @@ func TestSchedulersPinned(t *testing.T) {
 				continue
 			}
 			ran++
+			if m, err := solved(m.build(inst)); err != nil {
+				t.Errorf("%s: %v", key, err)
+			} else if err := lp.Certify(m.prob, m.sol); err != nil {
+				t.Errorf("%s: %v", key, err)
+			}
 			if want, ok := schedulerPins[key]; !ok || got != want {
 				t.Errorf("%s moved (pinned: %v); got\n\t%q: {%d, %v, %v, %#x, %#x},",
 					key, ok, key, got.iters, got.lpObj, got.obj, got.order, got.paths)

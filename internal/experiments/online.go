@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"coflowsched/internal/baselines"
+	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/stats"
@@ -112,10 +113,27 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 	if cfg.FatK <= 0 {
 		cfg.FatK = 4
 	}
+	g := graph.FatTree(cfg.FatK, 1)
+	return onlineSweep(cfg, g, func(rate float64, rng *rand.Rand) (*coflow.Instance, error) {
+		inst, _, err := workload.GenerateArrivals(g, workload.ArrivalConfig{
+			Config: workload.Config{
+				NumCoflows: cfg.NumCoflows,
+				Width:      cfg.Width,
+				MeanSize:   cfg.MeanSize,
+				MeanWeight: cfg.MeanWeight,
+			},
+			Rate: rate,
+		}, rng)
+		return inst, err
+	})
+}
+
+// onlineSweep is OnlineSweep over the streams draw returns, one per rate and
+// trial, each from that trial's seeded rng.
+func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *rand.Rand) (*coflow.Instance, error)) (*OnlineSweepResult, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
 	}
-	g := graph.FatTree(cfg.FatK, 1)
 	pols := cfg.OnlinePolicies()
 
 	values := make([][]float64, len(pols))
@@ -129,16 +147,7 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 		sums := make([][]float64, len(pols))
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)*7919 + int64(ri)*104729
-			rng := rand.New(rand.NewSource(seed))
-			inst, _, err := workload.GenerateArrivals(g, workload.ArrivalConfig{
-				Config: workload.Config{
-					NumCoflows: cfg.NumCoflows,
-					Width:      cfg.Width,
-					MeanSize:   cfg.MeanSize,
-					MeanWeight: cfg.MeanWeight,
-				},
-				Rate: rate,
-			}, rng)
+			inst, err := draw(rate, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				return nil, err
 			}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
-	"coflowsched/internal/graph"
+	"coflowsched/internal/coflow"
 	"coflowsched/internal/online"
-	"coflowsched/internal/workload"
 )
 
 // TestOnlineSweep runs the arrival-rate sweep at test scale and checks the
@@ -54,33 +54,38 @@ func TestOnlineSweep(t *testing.T) {
 	}
 }
 
-// TestOnlineSweepCountsFallbacks: on 14-coflow streams some LPEpoch epochs
-// settle SEBF orders because the LP failed to solve. The sweep's LPEpoch
-// count must equal the fallback epochs of the same runs counted here from
-// their epoch logs, and be positive; every other policy reads 0.
+// TestOnlineSweepCountsFallbacks: some LPEpoch epochs settle SEBF orders
+// because the LP failed to solve. The sweep's LPEpoch count must equal the
+// fallback epochs of the same runs counted here from their epoch logs, and be
+// positive; every other policy reads 0. Since the factored kernel, the
+// sweep's own 14-coflow streams all solve, so it runs here, at two rates
+// and two trials, over online's committed instance whose first LP fails
+// (internal/online/testdata/lp-singular-residual.json).
 func TestOnlineSweepCountsFallbacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second LP solves")
 	}
+	f, err := os.Open("../online/testdata/lp-singular-residual.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	inst, err := coflow.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultOnlineConfig()
-	cfg.NumCoflows = 14
-	res, err := OnlineSweep(cfg)
+	cfg.Trials = 2
+	cfg.ArrivalRates = []float64{0.5, 2}
+	res, err := onlineSweep(cfg, inst.Network, func(float64, *rand.Rand) (*coflow.Instance, error) { return inst, nil })
 	if err != nil {
 		t.Fatalf("online sweep: %v", err)
 	}
 
-	g := graph.FatTree(cfg.FatK, 1)
 	want := 0
-	for ri, rate := range cfg.ArrivalRates {
+	for ri := range cfg.ArrivalRates {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)*7919 + int64(ri)*104729
-			inst, _, err := workload.GenerateArrivals(g, workload.ArrivalConfig{
-				Config: workload.Config{NumCoflows: cfg.NumCoflows, Width: cfg.Width, MeanSize: cfg.MeanSize, MeanWeight: cfg.MeanWeight},
-				Rate:   rate,
-			}, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
 			run, err := online.Run(inst, online.LPEpoch{}, online.Config{EpochLength: epochLength, Seed: seed})
 			if err != nil {
 				t.Fatal(err)

@@ -11,20 +11,23 @@ import (
 	"testing"
 )
 
-// diffKernel solves p with the production kernel and with the dense reference
-// and fails unless both took the same path: same error and status, same pivot
-// count, same final basis, and xB, values and objective equal under == (a term
-// the kernel skips is an exact zero, so the two may differ only in the sign of
-// a zero, which == ignores). On every iteration of the reference it also
-// prices the reference's duals with the production kernel's row-wise price,
-// which must give every nonbasic column the reference's column-wise reduced
-// cost under ==. It returns both final states.
-func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState) {
+// solveChecked solves p with the production kernel and checks it on the way:
+// after every pivot the factored inverse must be an inverse of the basis
+// (checkInverse), and at the end an optimal solve must pass Certify, and the
+// dense reference must end the same way: the same error and status, and an
+// optimal objective equal to 1e-9 relative. The two may take different paths,
+// since the kernel's arithmetic breaks a degenerate tie its own way. On every
+// iteration of the reference it also prices the reference's duals with the
+// production kernel's row-wise price, which must give every nonbasic column
+// the reference's column-wise reduced cost under ==. It returns the final
+// state.
+func solveChecked(t testing.TB, name string, p *Problem) *simplexState {
 	t.Helper()
 	sf := buildStandardForm(p)
 	checkStandardForm(t, name, p, sf)
 	o := (*Options)(nil).withDefaults(sf.m, sf.n)
 	st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
+	st.onPivot = func() { checkInverse(t, fmt.Sprintf("%s: after pivot %d", name, st.iters+1), st) }
 	pricer, iteration := newSimplexState(sf, o.Tolerance), 0
 	ref.onPrice = func(cost, y []float64, excludeFrom int) {
 		d := pricer.price(cost, y)
@@ -46,24 +49,27 @@ func diffKernel(t testing.TB, name string, p *Problem) (*simplexState, *refState
 	}
 	got, gotErr := st.solve(o)
 	want, wantErr := ref.solve(o)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Status != want.Status {
+		t.Fatalf("%s: %v (%v) after %d pivots, reference %v (%v) after %d",
+			name, got.Status, gotErr, got.Iterations, want.Status, wantErr, want.Iterations)
 	}
-	if got.Status != want.Status || got.Iterations != want.Iterations {
-		t.Fatalf("%s: status %v after %d pivots, reference %v after %d",
-			name, got.Status, got.Iterations, want.Status, want.Iterations)
+	if got.Status == Optimal {
+		if err := Certify(p, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !closeRel(got.Objective, want.Objective, 1e-9) {
+			t.Fatalf("%s: objective %v, reference %v", name, got.Objective, want.Objective)
+		}
 	}
-	if !slices.Equal(st.basis, ref.basis) {
-		t.Fatalf("%s: final basis differs\n got %v\nwant %v", name, st.basis, ref.basis)
+	if got.Kernel != len(st.kern) {
+		t.Fatalf("%s: the solution reports a kernel of %d rows, the state holds %d", name, got.Kernel, len(st.kern))
 	}
-	if !slices.Equal(st.xB, ref.xB) {
-		t.Fatalf("%s: final xB differs\n got %v\nwant %v", name, st.xB, ref.xB)
-	}
-	if !slices.Equal(got.values, want.values) || got.Objective != want.Objective {
-		t.Fatalf("%s: solution differs: objective %v, reference %v", name, got.Objective, want.Objective)
-	}
-	checkInverseMatchesDense(t, name, st, ref)
-	return st, ref
+	return st
+}
+
+// closeRel reports whether a and b agree to tol relative to the larger.
+func closeRel(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 // checkStandardForm requires sf to be referenceStandardForm's of p column by
@@ -124,75 +130,59 @@ func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) 
 	}
 }
 
-// checkCompactStore asserts the bookkeeping of the column store: touched holds
-// no duplicates and is the inverse of slot, inv holds one m-float column per
-// touched column, and no column sits in inv twice or in inv and spare both (a
-// spare still in use would be cleared under a live column when touch takes
-// it).
-func checkCompactStore(t testing.TB, name string, st *simplexState) {
+// checkInverse asserts the kernel's bookkeeping — kern and kidx invert each
+// other, every trivial row's basic column is its own +1 unit column, the slab
+// holds the kernel — and that the inverse the kernel stands for is one:
+// ||B B^{-1} - I||_inf, the largest absolute row sum, at most 1e-9.
+func checkInverse(t testing.TB, name string, st *simplexState) {
 	t.Helper()
-	m, nt := st.sf.m, len(st.touched)
-	if len(st.inv) != nt {
-		t.Fatalf("%s: %d stored columns for %d touched", name, len(st.inv), nt)
-	}
-	stored := 0
-	for k, s := range st.slot {
-		if s < 0 {
+	sf, nt := st.sf, len(st.kern)
+	kernel := 0
+	for i, p := range st.kidx {
+		if p >= 0 {
+			kernel++
+			if int(p) >= nt || st.kern[p] != i {
+				t.Fatalf("%s: kidx[%d] = %d disagrees with kern %v", name, i, p, st.kern)
+			}
 			continue
 		}
-		stored++
-		if int(s) >= nt || st.touched[s] != k {
-			t.Fatalf("%s: slot[%d] = %d disagrees with touched %v", name, k, s, st.touched)
+		if rows, vals := sf.col(st.basis[i]); len(rows) != 1 || rows[0] != i || vals[0] != 1 {
+			t.Fatalf("%s: trivial row %d has basic column %d, rows %v values %v", name, i, st.basis[i], rows, vals)
 		}
 	}
-	if stored != nt {
-		t.Fatalf("%s: %d columns have a slot, touched lists %d: %v", name, stored, nt, st.touched)
+	if kernel != nt || nt > st.stride || len(st.inv) != st.stride*st.stride {
+		t.Fatalf("%s: %d rows have a kernel index, kern lists %d, stride %d, slab %d floats", name, kernel, nt, st.stride, len(st.inv))
 	}
-	owner := map[*float64]string{}
-	for s, col := range append(append([][]float64(nil), st.inv...), st.spare...) {
-		what := "a spare"
-		if s < nt {
-			what = fmt.Sprintf("column %d", st.touched[s])
-		}
-		if len(col) != m {
-			t.Fatalf("%s: %s holds %d floats for m=%d", name, what, len(col), m)
-		}
-		if prev, ok := owner[&col[0]]; ok {
-			t.Fatalf("%s: %s and %s share their storage", name, prev, what)
-		}
-		owner[&col[0]] = what
+	if r := inverseResidual(st); r > 1e-9 {
+		t.Fatalf("%s: ||B B^-1 - I|| = %v with a kernel of %d of %d rows", name, r, nt, sf.m)
 	}
 }
 
-// denseInverse materialises the m x m inverse the column store stands for:
-// e_k for a column without a slot, the stored column for the rest.
-func (st *simplexState) denseInverse() [][]float64 {
-	m := st.sf.m
-	dense := make([][]float64, m)
-	for i := range dense {
-		dense[i] = make([]float64, m)
-		dense[i][i] = 1
-		for s, k := range st.touched {
-			dense[i][k] = st.inv[s][i]
+// inverseResidual returns ||B B^{-1} - I||_inf, B^{-1} as the kernel applies it.
+// Column c of B^{-1} is ftran of e_c. For a trivial row c that is e_c exactly,
+// and so is B's column c (checkInverse asserts it), so only the kernel's
+// columns are computed.
+func inverseResidual(st *simplexState) float64 {
+	sf := st.sf
+	rowSum, u := make([]float64, sf.m), make([]float64, sf.m)
+	for _, c := range st.kern {
+		w := st.ftran([]int{c}, []float64{1})
+		clear(u)
+		for k, wk := range w {
+			if wk == 0 {
+				continue
+			}
+			rows, vals := sf.col(st.basis[k])
+			for n, r := range rows {
+				u[r] += vals[n] * wk
+			}
+		}
+		u[c]--
+		for r, v := range u {
+			rowSum[r] += math.Abs(v)
 		}
 	}
-	return dense
-}
-
-// checkInverseMatchesDense requires the compact inverse to equal the
-// reference's dense one row for row under ==. Where both are nonzero that is
-// bit for bit; the sign of a zero can differ, because the reference keeps the
-// -0 that scaling a row by a negative pivot leaves in a column the kernel does
-// not store yet.
-func checkInverseMatchesDense(t testing.TB, name string, st *simplexState, ref *refState) {
-	t.Helper()
-	checkCompactStore(t, name, st)
-	for i, row := range st.denseInverse() {
-		if !slices.Equal(row, ref.binv[i]) {
-			t.Fatalf("%s: row %d of the inverse differs from the reference (%d of %d columns touched)\n got %v\nwant %v",
-				name, i, len(st.touched), st.sf.m, row, ref.binv[i])
-		}
-	}
+	return slices.Max(append(rowSum, 0))
 }
 
 // intervalShapedLP builds an LP with the shape of the paper's interval-indexed
@@ -294,10 +284,10 @@ func denseCoverLP(n, m int) *Problem {
 	return p
 }
 
-// TestKernelMatchesReference is the differential test of the touched-column
-// kernel against the retained dense one, on LP families chosen so that every
-// part of the solve loop runs: both phases, driveOutArtificials, Bland's rule,
-// a mid-solve refactorize, and the two extremes of the touched set.
+// TestKernelMatchesReference holds the kernel to solveChecked on LP families
+// chosen so that every part of the solve loop runs: both phases,
+// driveOutArtificials, Bland's rule, a mid-solve refactorization, and the two
+// extremes of the kernel, a few rows and every row.
 func TestKernelMatchesReference(t *testing.T) {
 	t.Run("property-generator", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
@@ -312,35 +302,34 @@ func TestKernelMatchesReference(t *testing.T) {
 					p.SetObjective(v, -c[j])
 				}
 			}
-			diffKernel(t, fmt.Sprintf("trial %d (n=%d m=%d)", trial, n, m), p)
+			solveChecked(t, fmt.Sprintf("trial %d (n=%d m=%d)", trial, n, m), p)
 		}
 	})
 	t.Run("interval-shaped", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
-		drivenOut, untouched := 0, 0
+		drivenOut, trivial := 0, 0
 		for trial := 0; trial < 12; trial++ {
 			flows, paths, edges := 2+rng.Intn(5), 2+rng.Intn(2), 5+rng.Intn(6)
-			st, ref := diffKernel(t, fmt.Sprintf("trial %d (%d flows, %d paths, %d edges)", trial, flows, paths, edges),
+			st := solveChecked(t, fmt.Sprintf("trial %d (%d flows, %d paths, %d edges)", trial, flows, paths, edges),
 				intervalShapedLP(rng, flows, paths, edges))
-			if ref.iters == 0 {
+			if st.iters == 0 {
 				t.Fatalf("trial %d: solved without a pivot", trial)
 			}
-			drivenOut += ref.drivenOut
-			untouched += st.sf.m - len(st.touched)
+			drivenOut += st.drivenOut
+			trivial += st.sf.m - len(st.kern)
 		}
 		if drivenOut == 0 {
 			t.Error("no instance made driveOutArtificials pivot: the generator lost its zero-level artificials")
 		}
-		if untouched == 0 {
-			t.Error("every column was touched on every instance: the generator is not slack-heavy")
+		if trivial == 0 {
+			t.Error("every row joined the kernel on every instance: the generator is not slack-heavy")
 		}
 	})
 	t.Run("degenerate-bland", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		bland := 0
 		for trial := 0; trial < 8; trial++ {
-			_, ref := diffKernel(t, fmt.Sprintf("trial %d", trial), degenerateLP(rng, 80+10*trial, 80))
-			bland += ref.blandPivots
+			bland += solveChecked(t, fmt.Sprintf("trial %d", trial), degenerateLP(rng, 80+10*trial, 80)).blandPivots
 		}
 		if bland == 0 {
 			t.Errorf("no instance crossed degenerateSwitch=%d into Bland's rule", degenerateSwitch)
@@ -348,59 +337,60 @@ func TestKernelMatchesReference(t *testing.T) {
 	})
 	t.Run("refactorize-mid-solve", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
-		st, ref := diffKernel(t, "chain of 300", degenerateLP(rng, 300, 0))
-		if ref.refactors == 0 {
-			t.Errorf("chain solved in %d pivots without reaching refactorEvery=%d", ref.iters, refactorEvery)
+		st := solveChecked(t, "chain of 300", degenerateLP(rng, 300, 0))
+		if st.refactors == 0 {
+			t.Errorf("chain solved in %d pivots without reaching refactorEvery=%d", st.iters, refactorEvery)
 		}
-		t.Logf("chain: %d pivots, %d refactorizations, %d of %d columns touched", ref.iters, ref.refactors, len(st.touched), st.sf.m)
-		st, ref = diffKernel(t, "interval-shaped, 24 flows", intervalShapedLP(rng, 24, 3, 12))
-		if ref.refactors == 0 {
-			t.Errorf("interval-shaped LP solved in %d pivots without reaching refactorEvery=%d", ref.iters, refactorEvery)
+		t.Logf("chain: %d pivots, %d refactorizations, a kernel of %d of %d rows", st.iters, st.refactors, len(st.kern), st.sf.m)
+		st = solveChecked(t, "interval-shaped, 24 flows", intervalShapedLP(rng, 24, 3, 12))
+		if st.refactors == 0 {
+			t.Errorf("interval-shaped LP solved in %d pivots without reaching refactorEvery=%d", st.iters, refactorEvery)
 		}
-		if len(st.touched) == st.sf.m {
-			t.Error("interval-shaped LP touched every column: refactorize's rebuild of the set went untested")
+		if len(st.kern) == st.sf.m {
+			t.Error("interval-shaped LP ends with every row in the kernel: factor's rebuild of it went untested")
 		}
-		t.Logf("interval-shaped: %d pivots, %d refactorizations, %d of %d columns touched", ref.iters, ref.refactors, len(st.touched), st.sf.m)
+		t.Logf("interval-shaped: %d pivots, %d refactorizations, a kernel of %d of %d rows", st.iters, st.refactors, len(st.kern), st.sf.m)
 	})
 	t.Run("dense-all-touched", func(t *testing.T) {
-		st, _ := diffKernel(t, "cover 60x40", denseCoverLP(60, 40))
-		if len(st.touched) != st.sf.m {
-			t.Errorf("touched %d of %d columns, want all", len(st.touched), st.sf.m)
+		st := solveChecked(t, "cover 60x40", denseCoverLP(60, 40))
+		if len(st.kern) != st.sf.m {
+			t.Errorf("a kernel of %d of %d rows, want all", len(st.kern), st.sf.m)
 		}
 	})
 }
 
-// TestCompactInverseMatchesDense checks the column store where diffKernel
-// does not look, inside a solve: both kernels take one pivot at a time from
-// the same start, and the materialised inverse must equal the reference's
-// dense one after every pivot (so right after every column's first touch
-// too), after a direct refactorize() of that mid-solve state, which rebuilds
-// the store from the recomputed inverse, and after the solve resumed from
-// there, which must end exactly where the reference's does. The cases are
-// chosen by what the store goes through, and each asserts that it did.
+// TestCompactInverseMatchesDense checks the kernel where solveChecked does not
+// look, inside a solve: after a cut of pivots from the start (each followed by
+// checkInverse), a direct factor() of that mid-solve state must leave an
+// inverse that checkInverse accepts and the basic solution the pivots had
+// updated to 1e-9, drop the rows whose own unit column is basic again, and
+// the solve resumed from there must reach an optimum Certify accepts and the
+// dense reference's objective. The cases are chosen by what the kernel goes
+// through, and each asserts that it did.
 func TestCompactInverseMatchesDense(t *testing.T) {
 	cases := []struct {
-		name       string
-		p          *Problem
-		steps      int  // pivots taken in lockstep before the direct refactorize
-		touched    int  // columns those steps must have touched, at least
-		allTouched bool // the solve must end with every column stored
-		refactors  int  // refactorizations the resumed solve must reach on its own
-		// freed is how many stored columns the direct refactorize must find
-		// back at e_k, at least. It hands them to spare with their old entries
-		// in, and the resumed solve must touch columns again from them.
+		name      string
+		p         *Problem
+		steps     int  // pivots taken before the direct factor
+		kernel    int  // rows those steps must have moved into the kernel, at least
+		allKernel bool // the solve must end with every row in the kernel
+		refactors int  // refactorizations the resumed solve must reach on its own
+		// freed is how many kernel rows the direct factor must find back on
+		// their own unit column, at least. The resumed solve must move rows
+		// into the kernel again, into the slab they left.
 		freed int
 	}{
-		{name: "interval-shaped", p: intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12), steps: 200, touched: 65, refactors: 1, freed: 9},
-		{name: "degenerate-chain", p: degenerateLP(rand.New(rand.NewSource(11)), 400, 0), steps: 140, touched: 129, refactors: 1, freed: 1},
-		{name: "cover-all-touched", p: denseCoverLP(60, 40), steps: 38, touched: 33, allTouched: true},
-		{name: "refactorize-frees-columns", p: intervalShapedLP(rand.New(rand.NewSource(1)), 3, 2, 6), steps: 10, touched: 10, freed: 3},
+		{name: "interval-shaped", p: intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12), steps: 200, kernel: 65, refactors: 1, freed: 6},
+		{name: "degenerate-chain", p: degenerateLP(rand.New(rand.NewSource(11)), 400, 0), steps: 140, kernel: 129, refactors: 1, freed: 1},
+		{name: "cover-all-touched", p: denseCoverLP(60, 40), steps: 38, kernel: 33, allKernel: true},
+		{name: "refactorize-frees-columns", p: intervalShapedLP(rand.New(rand.NewSource(1)), 3, 2, 6), steps: 10, kernel: 10, freed: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sf := buildStandardForm(tc.p)
 			o := (*Options)(nil).withDefaults(sf.m, sf.n)
-			st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
+			st := newSimplexState(sf, o.Tolerance)
+			st.onPivot = func() { checkInverse(t, fmt.Sprintf("after pivot %d", st.iters+1), st) }
 
 			// Phase 1 where the LP has artificials, else phase 2.
 			cost, excludeFrom := sf.c, sf.artStart
@@ -410,68 +400,50 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 					cost[j] = 1
 				}
 			}
-			for step := 1; step <= tc.steps; step++ {
-				touched := len(st.touched)
-				st.runPhase(cost, excludeFrom, step)
-				ref.runPhase(cost, excludeFrom, step)
-				if st.iters != step || ref.iters != step {
-					t.Fatalf("phase ended after %d/%d pivots, before the cut at %d", st.iters, ref.iters, tc.steps)
-				}
-				at := fmt.Sprintf("after pivot %d", step)
-				if len(st.touched) != touched {
-					at += fmt.Sprintf(" (column %d touched)", st.touched[len(st.touched)-1])
-				}
-				checkInverseMatchesDense(t, at, st, ref)
-				if !slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
-					t.Fatalf("%s: basis or xB differs from the reference", at)
-				}
+			st.runPhase(cost, excludeFrom, tc.steps)
+			if st.iters != tc.steps {
+				t.Fatalf("phase ended after %d pivots, before the cut at %d", st.iters, tc.steps)
 			}
-			if len(st.touched) < tc.touched {
-				t.Fatalf("%d pivots touched %d of %d columns, want at least %d", tc.steps, len(st.touched), sf.m, tc.touched)
+			kernel := len(st.kern)
+			if kernel < tc.kernel {
+				t.Fatalf("%d pivots moved %d of %d rows into the kernel, want at least %d", tc.steps, kernel, sf.m, tc.kernel)
 			}
 
-			stored := len(st.touched)
+			xB := slices.Clone(st.xB)
 			if err := st.factor(); err != nil {
-				t.Fatalf("refactorize: %v", err)
+				t.Fatalf("factor: %v", err)
 			}
-			if err := ref.refactorize(); err != nil {
-				t.Fatalf("reference refactorize: %v", err)
+			checkInverse(t, "after factor", st)
+			for i, x := range st.xB {
+				if !closeRel(x, xB[i], 1e-9) {
+					t.Fatalf("factor recomputes x_B[%d] = %v, the pivots had it at %v", i, x, xB[i])
+				}
 			}
-			checkInverseMatchesDense(t, "after refactorize", st, ref)
-			if !slices.Equal(st.xB, ref.xB) {
-				t.Fatalf("xB differs from the reference after refactorize\n got %v\nwant %v", st.xB, ref.xB)
-			}
-			freed := len(st.spare)
-			if freed != stored-len(st.touched) {
-				t.Fatalf("refactorize went from %d stored columns to %d and keeps %d spare", stored, len(st.touched), freed)
-			}
+			freed := kernel - len(st.kern)
 			if freed < tc.freed {
-				t.Fatalf("refactorize freed %d of %d stored columns, want at least %d", freed, stored, tc.freed)
+				t.Fatalf("factor freed %d of %d kernel rows, want at least %d", freed, kernel, tc.freed)
 			}
 
-			st.iters, ref.iters = 0, 0
-			got, gotErr := st.solve(o)
-			want, wantErr := ref.solve(o)
-			if gotErr != nil || wantErr != nil {
-				t.Fatalf("resumed solve: %v, reference %v", gotErr, wantErr)
+			st.iters = 0
+			got, err := st.solve(o)
+			if err != nil {
+				t.Fatalf("resumed solve: %v", err)
 			}
-			if got.Iterations != want.Iterations || got.Objective != want.Objective ||
-				!slices.Equal(st.basis, ref.basis) || !slices.Equal(st.xB, ref.xB) {
-				t.Fatalf("resumed solve diverged: %d pivots objective %v, reference %d pivots objective %v",
-					got.Iterations, got.Objective, want.Iterations, want.Objective)
+			if err := Certify(tc.p, got); err != nil {
+				t.Fatalf("resumed solve: %v", err)
 			}
-			checkInverseMatchesDense(t, "after resumed solve", st, ref)
-			if freed > 0 && len(st.spare) >= freed {
-				t.Errorf("the resumed solve took none of the %d spare columns", freed)
+			want, err := newRefState(sf, o.Tolerance).solve(o)
+			if err != nil || !closeRel(got.Objective, want.Objective, 1e-9) {
+				t.Fatalf("resumed solve ends at %v, reference %v (%v)", got.Objective, want.Objective, err)
 			}
-			if ref.refactors < tc.refactors {
-				t.Errorf("resumed solve took %d pivots and %d refactorizations, want at least %d", ref.iters, ref.refactors, tc.refactors)
+			if st.refactors < tc.refactors {
+				t.Errorf("resumed solve took %d pivots and %d refactorizations, want at least %d", st.iters, st.refactors, tc.refactors)
 			}
-			if all := len(st.touched) == sf.m; all != tc.allTouched {
-				t.Errorf("%d of %d columns touched at the end, all-touched want %v", len(st.touched), sf.m, tc.allTouched)
+			if all := len(st.kern) == sf.m; all != tc.allKernel {
+				t.Errorf("a kernel of %d of %d rows at the end, all want %v", len(st.kern), sf.m, tc.allKernel)
 			}
-			t.Logf("m=%d: %d+%d pivots, %d columns touched in lockstep, %d freed by refactorize, %d refactorizations, %d touched and %d spare at the end",
-				sf.m, tc.steps, ref.iters, stored, freed, ref.refactors, len(st.touched), len(st.spare))
+			t.Logf("m=%d: %d+%d pivots, a kernel of %d rows at the cut, %d freed by factor, %d refactorizations, %d at the end (stride %d)",
+				sf.m, tc.steps, st.iters, kernel, freed, st.refactors, len(st.kern), st.stride)
 		})
 	}
 }
@@ -521,22 +493,23 @@ func fuzzLP(seed int64, n, m, density uint8) *Problem {
 	return p
 }
 
-// FuzzSimplexKernel diffs the touched-column kernel against the dense
-// reference on LPs decoded from (seed, n, m, density). The committed corpus
-// under testdata/fuzz/FuzzSimplexKernel runs as part of the unit tests.
+// FuzzSimplexKernel holds the kernel to solveChecked on LPs decoded from
+// (seed, n, m, density). The committed corpus under
+// testdata/fuzz/FuzzSimplexKernel runs as part of the unit tests.
 func FuzzSimplexKernel(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(23), uint8(31), uint8(0))
 	f.Add(int64(3), uint8(12), uint8(20), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, n, m, density uint8) {
-		diffKernel(t, "fuzz", fuzzLP(seed, n, m, density))
+		solveChecked(t, "fuzz", fuzzLP(seed, n, m, density))
 	})
 }
 
 // TestFuzzCorpusReachesStorePaths keeps the committed corpus honest about the
-// column store: a seed-growth-* input must touch more than 32 columns, a
-// seed-all-touched-* input must end with every column stored. A change to
-// fuzzLP's decoding would otherwise turn them into ordinary inputs unseen.
+// kernel: a seed-growth-* input must move more rows into it than the first
+// slab holds (initialStride), a seed-all-touched-* input must end with every
+// row in it. A change to fuzzLP's decoding would otherwise turn them into
+// ordinary inputs unseen.
 func TestFuzzCorpusReachesStorePaths(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzSimplexKernel/seed-*")
 	if err != nil {
@@ -559,17 +532,17 @@ func TestFuzzCorpusReachesStorePaths(t *testing.T) {
 			&seed, &n, &m, &density); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		st, _ := diffKernel(t, file, fuzzLP(seed, n, m, density))
+		st := solveChecked(t, file, fuzzLP(seed, n, m, density))
 		if wantGrowth {
 			growth++
-			if len(st.touched) <= 32 {
-				t.Errorf("%s: the solve ends with %d columns touched, not more than 32", file, len(st.touched))
+			if st.stride <= initialStride {
+				t.Errorf("%s: the solve ends with a kernel of %d rows, the slab never grew past %d", file, len(st.kern), initialStride)
 			}
 		}
 		if wantAll {
 			allTouched++
-			if len(st.touched) != st.sf.m {
-				t.Errorf("%s: the solve ends with %d of %d columns touched", file, len(st.touched), st.sf.m)
+			if len(st.kern) != st.sf.m {
+				t.Errorf("%s: the solve ends with a kernel of %d of %d rows", file, len(st.kern), st.sf.m)
 			}
 		}
 	}
@@ -585,7 +558,7 @@ func TestFuzzLPOutcomes(t *testing.T) {
 	seen := map[Status]int{}
 	for seed := int64(0); seed < 150; seed++ {
 		p := fuzzLP(seed, uint8(seed*7), uint8(seed*5), uint8(seed))
-		diffKernel(t, fmt.Sprintf("seed %d", seed), p)
+		solveChecked(t, fmt.Sprintf("seed %d", seed), p)
 		sol, _ := p.Solve(nil)
 		seen[sol.Status]++
 	}

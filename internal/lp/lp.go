@@ -3,22 +3,23 @@
 //
 // The package implements a model builder (variables with bounds, linear
 // constraints, a linear objective) and a two-phase revised simplex solver
-// with an explicit basis inverse, Dantzig pricing and a Bland's-rule fallback
-// for anti-cycling. The inverse is kept compactly: only its touched columns,
-// those whose row has left the basis at least once, are stored and worked on,
-// one m-float slice each; the rest are still the identity's and take no memory
-// (see simplexState.inv). Every loop of the solve skips the exact zeros of its
-// operands: pricing goes row by row over the rows whose dual is nonzero
-// (simplexState.price), a pivot eliminates only in the stored columns its
-// leaving row reaches, and refactorization applies each pivot row at its
-// nonzeros. A skipped term is an exact zero, so every pivot is the one the
-// dense kernel takes. A problem keeps every row's terms in one arena and
-// its standard form every column's entries in another, so a build and solve
-// allocates in proportion to rows, columns, nonzeros and touched columns, and
-// nothing of it outlives the solve. It is a pure-Go replacement for the
-// commercial LP solver (CPLEX) used in the paper's evaluation: the scheduling
-// algorithms only need an optimal vertex of the interval-indexed LPs, which
-// this solver provides.
+// with an explicit basis inverse, Dantzig pricing, a ratio test that ignores
+// entries below tol·max(1, ‖w‖∞) and a Bland's-rule fallback for
+// anti-cycling. The inverse is kept in block form: a row whose basic column
+// is still its own slack or artificial contributes an identity row and column
+// to the basis, so only the inverse of the block of the other rows, the
+// kernel, is stored, T x T floats in one slab, and everything else is read
+// from the basic columns' own entries (see simplexState). Every loop of the
+// solve skips the exact zeros of its operands: pricing goes row by row over
+// the rows whose dual is nonzero (simplexState.price), the eliminations of a
+// pivot and of a refactorization run over the kernel's nonzero entries only.
+// A problem keeps every row's terms in one arena and its standard form every
+// column's entries in another, so a build and solve allocates in proportion
+// to rows, columns, nonzeros and T², and nothing of it outlives the solve.
+// Certify checks a solution against its duality certificate; the tests hold
+// every solve to it. It is a pure-Go replacement for the commercial LP solver
+// (CPLEX) used in the paper's evaluation: the scheduling algorithms only need
+// an optimal vertex of the interval-indexed LPs, which this solver provides.
 //
 // The API is deliberately small:
 //
@@ -284,8 +285,13 @@ type Solution struct {
 	Objective float64
 	// Iterations is the total number of simplex pivots performed.
 	Iterations int
+	// Kernel is the size T of the block of the basis the solver factors when
+	// the solve ends: the rows whose basic column is not their own slack or
+	// artificial, or was not at some point since the last refactorization.
+	Kernel int
 
 	values []float64
+	duals  []float64 // per constraint, at the final basis of an optimal solve; for Certify
 }
 
 // Value returns the value of variable v in the solution. It returns 0 for

@@ -5,13 +5,13 @@ package lp
 // the tradition of sim.Reference and graph/reference_test.go: multiplyColumn,
 // duals and pivot sweep all m columns of the basis inverse, w and y are
 // allocated per call, reducedCost prices one column at a time over all its
-// entries, and refactorize knows nothing of a touched set or of zeros. Five
+// entries, and refactorize knows nothing of a touched set or of zeros. Four
 // things differ from that file: the names (simplexState -> refState), solve
-// is a method on the state so tests can compare the final basis and xB, three
-// counters (Bland's-rule pivots, refactorizations, artificials driven out) let
-// a test prove its LP reached those paths, a column is read through
-// standardForm.col, and runPhase hands every iteration's duals to onPrice
-// when it is set. kernel_test.go diffs the production kernel against it.
+// is a method on the state, a column is read through standardForm.col, and
+// runPhase hands every iteration's duals to onPrice when it is set.
+// kernel_test.go holds the production kernel's outcome to it (status, error,
+// optimal objective) and its pricing to reducedCost; the kernels' paths may
+// part at a degenerate tie, so it is no longer a lock-step oracle.
 // The row-major standard-form builder at the end of the file is the oracle of
 // the column arena.
 
@@ -30,8 +30,6 @@ type refState struct {
 	xB    []float64   // basic variable values
 	tol   float64
 	iters int
-
-	blandPivots, refactors, drivenOut int // coverage counters, not in the original
 
 	// onPrice, when set, sees the cost vector, the duals and the priced range
 	// of every iteration before runPhase prices them: diffKernel prices the
@@ -333,9 +331,6 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 			useBland = false
 		}
 
-		if useBland {
-			st.blandPivots++
-		}
 		st.pivot(enter, leave, w, theta)
 		st.iters++
 		sincePivotRebuild++
@@ -343,7 +338,6 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 			if err := st.refactorize(); err != nil {
 				return IterationLimit, err
 			}
-			st.refactors++
 			sincePivotRebuild = 0
 		}
 	}
@@ -377,7 +371,6 @@ func (st *refState) driveOutArtificials() {
 			w := st.multiplyColumn(j)
 			if math.Abs(w[i]) > 1e-7 {
 				st.pivot(j, i, w, 0)
-				st.drivenOut++
 				replaced = true
 			}
 		}

@@ -207,53 +207,76 @@ func (p *Problem) slackCoef(i int, rhs float64) float64 {
 	return s
 }
 
-// simplexState holds the revised-simplex working set: the basis, the compact
-// store of its inverse, and the current basic solution. All of it is allocated
-// by newSimplexState and touch and dies with the solve. The simplex driver
-// reaches the inverse through four operations only: factor (rebuild it from
-// the basis), ftran (B^{-1}a), btran (c'B^{-1}) and update (one column of the
-// basis replaced).
+// simplexState holds the revised-simplex working set: the basis, the factored
+// block of its inverse, and the current basic solution. All of it is
+// allocated by newSimplexState, grow and factor and dies with the solve. The
+// simplex driver reaches the inverse through four operations only: factor
+// (rebuild it from the basis), ftran (B^{-1}a), btran (c'B^{-1}) and update
+// (one column of the basis replaced).
+//
+// A row is trivial while its basic column is its own +1 unit column, a slack
+// or an artificial; the other rows, T of them, are the kernel K. With K
+// ordered first the basis is
+//
+//	B = [ B_KK  0 ]        B^{-1} = [ B_KK^{-1}          0 ]
+//	    [ B_NK  I ]                 [ -B_NK B_KK^{-1}    I ]
+//
+// where B_KK and B_NK are the kernel's basic columns restricted to the kernel
+// and the trivial rows. Only B_KK^{-1}, T x T, is stored; B_NK is read from
+// the basic columns' own entries. The interval-indexed LPs start with every
+// row trivial and most rows are capacity rows whose slack never leaves, so T
+// stays far below m and a solve stores T x T floats, not m x m.
 type simplexState struct {
 	sf    *standardForm
 	basis []int  // basis[i] = column basic in row i
 	inB   []bool // inB[j] = column j is basic
-	// inv[s] is column touched[s] of the m x m basis inverse, m floats. The
-	// inverse starts as the identity, and a pivot changes column k only
-	// through its entry in row leave, which is 0 while column k is e_k and
-	// leave != k: column k stays exactly e_k until row k first leaves the
-	// basis. Such a column is not stored at all. ftran, btran and
-	// update read it as e_k; every term they skip is an exact zero, so each
-	// pivot is the one a dense m x m inverse takes. In the interval-indexed LPs
-	// most rows are capacity rows whose slack never leaves: len(touched) stays
-	// far below m, and a solve allocates m floats per touched column, not m x m.
-	inv     [][]float64
-	touched []int       // columns of the inverse that are stored, in first-touch order
-	slot    []int32     // slot[k] = index of column k in touched, -1 while column k is e_k
-	spare   [][]float64 // columns factor took out of inv, for touch to reuse
-	xB      []float64   // basic variable values
-	w, y, d []float64   // what ftran, btran and price return: scratch, valid until the next call
-	visit   []int       // scratch of btran and update: the rows whose basic cost, or w entry, is nonzero
-	tol     float64
-	iters   int
+	// kern lists the kernel rows, kidx inverts it. A row joins the kernel when
+	// it first leaves the basis and stays until factor, which keeps only the
+	// rows whose basic column is not their own unit column.
+	kern []int
+	kidx []int32 // kidx[i] = index of row i in kern, -1 while row i is trivial
+	// inv holds B_KK^{-1} by column in one slab of stride x stride floats,
+	// stride >= T: entry (p, q), for kernel indexes p and q, is
+	// inv[q*stride+p]. grow doubles the slab when the kernel fills it.
+	inv    []float64
+	stride int
+	xB     []float64 // basic variable values
+	w      []float64 // what ftran returns: scratch, valid until the next call
+	y      []float64 // what btran returns; trivialDuals keeps its trivial rows
+	d      []float64 // what price returns, as w
+	wk     []float64 // scratch by kernel index: ftran's w_K, btran's c_K - B_NK'y_N, update's w, join's r, factor's x_K
+	visit  []int     // scratch of btran, update, join and factor: kernel indexes
+	tol    float64
+	iters  int
+	// What the solve went through, for the tests that must show their LPs
+	// reach each path: pivots under Bland's rule, refactorizations, and
+	// artificials driven out after phase 1.
+	blandPivots, refactors, drivenOut int
+	onPivot                           func() // when set, runs after every pivot: tests check the inverse there
 }
+
+// initialStride is the kernel size the first slab holds.
+const initialStride = 32
 
 func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	m := sf.m
-	scratch := make([]float64, 2*m+sf.nOrig)
+	scratch := make([]float64, 3*m+sf.nOrig)
 	st := &simplexState{
 		sf:    sf,
 		basis: make([]int, m),
 		inB:   make([]bool, sf.n),
-		slot:  make([]int32, m),
+		kern:  make([]int, 0, m),
+		kidx:  make([]int32, m),
 		xB:    make([]float64, m),
 		w:     scratch[:m:m],
 		y:     scratch[m : 2*m : 2*m],
-		d:     scratch[2*m:],
+		wk:    scratch[2*m : 3*m : 3*m],
+		d:     scratch[3*m:],
 		visit: make([]int, 0, m),
 		tol:   tol,
 	}
-	for k := range st.slot {
-		st.slot[k] = -1
+	for i := range st.kidx {
+		st.kidx[i] = -1
 	}
 	copy(st.xB, sf.b)
 
@@ -285,69 +308,103 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 	return st
 }
 
-// touch starts storing column k of the inverse, as e_k, in a spare column
-// where factor left one (cleared first: it holds an old column) and in a
-// new one otherwise.
-func (st *simplexState) touch(k int) {
-	if st.slot[k] >= 0 {
+// grow makes the slab hold a kernel of t rows, doubling its stride as often as
+// that takes and copying the first keep columns, T floats each.
+func (st *simplexState) grow(t, keep int) {
+	if t <= st.stride {
 		return
 	}
-	var col []float64
-	if n := len(st.spare); n > 0 {
-		col, st.spare = st.spare[n-1], st.spare[:n-1]
-		clear(col)
-	} else {
-		col = make([]float64, st.sf.m)
+	stride := max(st.stride, initialStride)
+	for stride < t {
+		stride *= 2
 	}
-	col[k] = 1
-	st.slot[k] = int32(len(st.touched))
-	st.touched = append(st.touched, k)
-	st.inv = append(st.inv, col)
+	inv := make([]float64, stride*stride)
+	for q := 0; q < keep; q++ {
+		copy(inv[q*stride:q*stride+len(st.kern)], st.inv[q*st.stride:])
+	}
+	st.inv, st.stride = inv, stride
 }
 
-// ftran returns w = B^{-1} * A_j for column j.
-func (st *simplexState) ftran(j int) []float64 {
-	w := st.w
+// kcol returns column q of B_KK^{-1}, T floats.
+func (st *simplexState) kcol(q int) []float64 {
+	return st.inv[q*st.stride : q*st.stride+len(st.kern)]
+}
+
+// ftran returns w = B^{-1} a for the column a with the given entries, as
+// sf.col returns them: w_K = B_KK^{-1} a_K, summed over a's kernel entries,
+// then w_N = a_N - B_NK w_K.
+func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
+	w, wk := st.w, st.wk[:len(st.kern)]
 	clear(w)
-	rows, vals := st.sf.col(j)
+	clear(wk)
 	for k, r := range rows {
 		v := vals[k]
 		if v == 0 {
 			continue
 		}
-		s := st.slot[r]
-		if s < 0 {
-			w[r] += v // column r is e_r
+		q := st.kidx[r]
+		if q < 0 {
+			w[r] += v
 			continue
 		}
-		for i, x := range st.inv[s] {
-			w[i] += x * v
+		for p, x := range st.kcol(int(q)) {
+			wk[p] += x * v
+		}
+	}
+	for p, i := range st.kern {
+		wp := wk[p]
+		w[i] = wp
+		if wp == 0 {
+			continue
+		}
+		rows, vals := st.sf.col(st.basis[i])
+		for k, r := range rows {
+			if st.kidx[r] < 0 {
+				w[r] -= vals[k] * wp
+			}
 		}
 	}
 	return w
 }
 
-// btran returns y' = c_B' B^{-1} for the given cost vector. Only the rows whose
-// basic cost is nonzero contribute; each stored column sums them in ascending
-// row order, as a row-by-row sweep of the dense inverse does.
-func (st *simplexState) btran(cost []float64) []float64 {
-	y := st.y
-	clear(y)
-	rows := st.visit[:0]
+// trivialDuals sets y_N = c_N, the duals of the trivial rows, in y. They
+// change only with the cost vector or with the trivial rows themselves, which
+// a pivot only shrinks (the leaving row joins the kernel, whose y btran
+// writes): runPhase calls it when it starts and after every factor.
+func (st *simplexState) trivialDuals(cost []float64) {
 	for i, j := range st.basis {
-		if cb := cost[j]; cb != 0 {
-			rows = append(rows, i)
-			if st.slot[i] < 0 {
-				y[i] = cb // the row's own unit entry; its other untouched entries are 0
-			}
+		if st.kidx[i] < 0 {
+			st.y[i] = cost[j]
 		}
 	}
-	for s, col := range st.inv {
-		sum := 0.0
-		for _, i := range rows {
-			sum += cost[st.basis[i]] * col[i]
+}
+
+// btran returns y' = c_B' B^{-1} for the given cost vector: y_N = c_N, which
+// trivialDuals left in y, and y_K = (c_K - B_NK' y_N)' B_KK^{-1}, each column
+// of B_KK^{-1} summed over the kernel indexes whose reduced cost is nonzero.
+func (st *simplexState) btran(cost []float64) []float64 {
+	y := st.y
+	ck, nz := st.wk[:len(st.kern)], st.visit[:0]
+	for p, i := range st.kern {
+		j := st.basis[i]
+		c := cost[j]
+		rows, vals := st.sf.col(j)
+		for k, r := range rows {
+			if st.kidx[r] < 0 && y[r] != 0 {
+				c -= y[r] * vals[k]
+			}
 		}
-		y[st.touched[s]] = sum
+		ck[p] = c
+		if c != 0 {
+			nz = append(nz, p)
+		}
+	}
+	for q, i := range st.kern {
+		col, sum := st.kcol(q), 0.0
+		for _, p := range nz {
+			sum += ck[p] * col[p]
+		}
+		y[i] = sum
 	}
 	return y
 }
@@ -394,13 +451,15 @@ func (sf *standardForm) unitCost(cost, y []float64, j int) float64 {
 // pivot performs the basis change: column enter becomes basic in row leave,
 // using the precomputed direction w = B^{-1} A_enter and step theta.
 func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
-	for i := range st.xB {
-		if i == leave {
-			continue
-		}
-		st.xB[i] -= theta * w[i]
-		if st.xB[i] < 0 && st.xB[i] > -st.tol {
-			st.xB[i] = 0
+	if theta != 0 { // a degenerate step moves nothing, and every xB is clamped already
+		for i := range st.xB {
+			if i == leave {
+				continue
+			}
+			st.xB[i] -= theta * w[i]
+			if st.xB[i] < 0 && st.xB[i] > -st.tol {
+				st.xB[i] = 0
+			}
 		}
 	}
 	st.xB[leave] = theta
@@ -408,126 +467,185 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 	st.inB[st.basis[leave]] = false
 	st.basis[leave] = enter
 	st.inB[enter] = true
+	if st.onPivot != nil {
+		st.onPivot()
+	}
 }
 
-// update changes the inverse for the basis whose column in row leave is
-// replaced by the one w = B^{-1} a stands for. Row leave is zero in every
-// untouched column but its own, which joins the set here; scaling and
-// eliminating over the stored columns is the whole update, and a stored
-// column with a zero in row leave changes only by exact zeros.
+// update changes B_KK^{-1} for the basis whose column in row leave is replaced
+// by the one w = B^{-1} a stands for. A trivial row leave first joins the
+// kernel (join); then the elimination runs over the kernel rows alone, the
+// rank-1 update of the explicit inverse restricted to them: every other row of
+// B^{-1} follows from B_NK.
 func (st *simplexState) update(leave int, w []float64) {
-	rows := st.visit[:0] // the rows the elimination changes: w nonzero, leave aside
-	for i, wi := range w {
-		if wi != 0 && i != leave {
-			rows = append(rows, i)
+	if st.kidx[leave] < 0 {
+		st.join(leave)
+	}
+	t := int(st.kidx[leave])
+	rows, wk := st.visit[:0], st.wk // the kernel indexes the elimination changes
+	for p, i := range st.kern {
+		if wi := w[i]; wi != 0 && p != t {
+			rows = append(rows, p)
+			wk[p] = wi
 		}
 	}
-	st.touch(leave)
 	inv := 1.0 / w[leave]
-	for _, col := range st.inv {
-		if col[leave] == 0 {
+	for q := range st.kern {
+		col := st.kcol(q)
+		if col[t] == 0 {
 			continue
 		}
-		v := col[leave] * inv
-		col[leave] = v
-		for _, i := range rows {
-			col[i] -= w[i] * v
+		v := col[t] * inv
+		col[t] = v
+		for _, p := range rows {
+			col[p] -= wk[p] * v
 		}
 	}
 }
 
-// factor recomputes the basis inverse and basic solution from scratch
-// (Gauss-Jordan on the basis columns) to limit accumulated floating point
-// error on long runs.
-func (st *simplexState) factor() error {
-	m := st.sf.m
-	// Build dense basis matrix augmented with identity.
-	a := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		a[i] = make([]float64, 2*m)
-		a[i][m+i] = 1
-	}
-	for i := 0; i < m; i++ {
+// join moves the trivial row k into the kernel with its basis unchanged, by
+// bordering: B_KK gains row k of B_NK, r, and column k, e_k, so its inverse
+// gains the row -r B_KK^{-1} and the column e_k. r holds the entries of the
+// kernel's basic columns in row k.
+func (st *simplexState) join(k int) {
+	t := len(st.kern)
+	st.grow(t+1, t)
+	r, at := st.wk[:t], st.visit[:0]
+	for p, i := range st.kern {
 		rows, vals := st.sf.col(st.basis[i])
-		for k, r := range rows {
-			a[r][i] = vals[k]
+		for n, row := range rows { // ascending, a few entries
+			if row >= k {
+				if row == k {
+					r[p] = vals[n]
+					at = append(at, p)
+				}
+				break
+			}
 		}
 	}
-	// Gauss-Jordan with partial pivoting. The scaled pivot row is applied at
-	// its nonzero positions only (nz): the rest would subtract exact zeros.
-	nz := make([]int, 0, 2*m)
-	for c := 0; c < m; c++ {
+	for q := 0; q < t; q++ {
+		col, sum := st.inv[q*st.stride:q*st.stride+t+1], 0.0
+		for _, p := range at {
+			sum += r[p] * col[p]
+		}
+		col[t] = -sum
+	}
+	st.kern = append(st.kern, k)
+	st.kidx[k] = int32(t)
+	col := st.inv[t*st.stride : t*st.stride+t+1]
+	clear(col)
+	col[t] = 1
+}
+
+// factor recomputes B_KK^{-1} and the basic solution from scratch, to limit
+// accumulated floating point error on long runs. The kernel becomes the rows
+// whose basic column is not their own unit column, in ascending order, and
+// B_KK is inverted in the slab itself: read by rows the slab holds the
+// transpose of what it holds by columns, so Gauss-Jordan with row interchanges
+// (partial pivoting) on B_KK' there leaves (B_KK')^{-1}, which is B_KK^{-1} by
+// columns. Then xB = [x_K; x_N] with x_K = B_KK^{-1} b_K and
+// x_N = b_N - B_NK x_K.
+func (st *simplexState) factor() error {
+	sf := st.sf
+	st.kern = st.kern[:0]
+	for i, j := range st.basis {
+		st.kidx[i] = -1
+		if rows, vals := sf.col(j); len(rows) != 1 || rows[0] != i || vals[0] != 1 {
+			st.kidx[i] = int32(len(st.kern))
+			st.kern = append(st.kern, i)
+		}
+	}
+	t := len(st.kern)
+	st.grow(t, 0)
+	// Row c of a is kernel column c restricted to the kernel rows.
+	a := make([][]float64, t)
+	for c, i := range st.kern {
+		a[c] = st.kcol(c)
+		clear(a[c])
+		rows, vals := sf.col(st.basis[i])
+		for k, r := range rows {
+			if q := st.kidx[r]; q >= 0 {
+				a[c][q] = vals[k]
+			}
+		}
+	}
+	// In-place Gauss-Jordan: step c scales the pivot row, whose entry c becomes
+	// the inverse's, and eliminates column c from the other rows at the pivot
+	// row's nonzero positions only (nz): the rest would subtract exact zeros.
+	// swapped[c] is the row step c swapped in, undone on the columns at the end.
+	swapped := st.visit[:t]
+	nz := make([]int, 0, t)
+	for c := 0; c < t; c++ {
 		p := c
 		best := math.Abs(a[c][c])
-		for r := c + 1; r < m; r++ {
+		for r := c + 1; r < t; r++ {
 			if v := math.Abs(a[r][c]); v > best {
 				best, p = v, r
 			}
 		}
 		if best < 1e-12 {
-			return fmt.Errorf("lp: singular basis during refactorization (column %d)", c)
+			return fmt.Errorf("lp: singular basis during refactorization (row %d)", st.kern[c])
 		}
-		a[c], a[p] = a[p], a[c]
+		swapped[c] = p
+		if p != c {
+			for k := range a[c] {
+				a[c][k], a[p][k] = a[p][k], a[c][k]
+			}
+		}
 		row := a[c]
 		inv := 1.0 / row[c]
+		row[c] = 1
 		nz = nz[:0]
-		for k := c; k < 2*m; k++ {
-			if row[k] != 0 {
-				row[k] *= inv
+		for k, v := range row {
+			if v != 0 {
+				row[k] = v * inv
 				nz = append(nz, k)
 			}
 		}
-		for r := 0; r < m; r++ {
-			if r == c {
-				continue
-			}
+		for r := 0; r < t; r++ {
 			f := a[r][c]
-			if f == 0 {
+			if r == c || f == 0 {
 				continue
 			}
 			ar := a[r]
+			ar[c] = 0
 			for _, k := range nz {
 				ar[k] -= f * row[k]
 			}
 		}
 	}
-	// Note the permutation: after Gauss-Jordan with row swaps applied to the
-	// augmented identity, rows of the right block are B^{-1} rows in the
-	// order that maps basis column i to row i.
-	// The store is rebuilt from the recomputed inverse: a column stays out only
-	// if it equals e_k exactly (no tolerance; a -0 counts as 0 and loses its
-	// sign). Every stored column becomes spare first; touch takes them back
-	// before it allocates, and the copy below overwrites each whole.
-	for _, k := range st.touched {
-		st.slot[k] = -1
-	}
-	st.spare = append(st.spare, st.inv...)
-	st.inv, st.touched = st.inv[:0], st.touched[:0]
-	for i := 0; i < m; i++ {
-		for k, v := range a[i][m:] {
-			if (k == i && v != 1) || (k != i && v != 0) {
-				st.touch(k)
+	for c := t - 1; c >= 0; c-- {
+		if p := swapped[c]; p != c {
+			for _, row := range a {
+				row[c], row[p] = row[p], row[c]
 			}
 		}
 	}
-	for s, k := range st.touched {
-		col := st.inv[s]
-		for i := range col {
-			col[i] = a[i][m+k]
+	// xB: the kernel rows by B_KK^{-1}'s columns in ascending order, then the
+	// trivial rows less B_NK x_K.
+	copy(st.xB, sf.b)
+	xK := st.wk[:t]
+	clear(xK)
+	for q, row := range a {
+		if bq := sf.b[st.kern[q]]; bq != 0 {
+			for c, v := range row {
+				xK[c] += v * bq
+			}
 		}
 	}
-	// Recompute basic solution xB = B^{-1} b from the dense rows, in ascending
-	// column order: summing the stored columns in first-touch order instead
-	// would round differently.
-	for i := 0; i < m; i++ {
-		s := 0.0
-		for k, v := range a[i][m:] {
-			s += v * st.sf.b[k]
+	for c, i := range st.kern {
+		st.xB[i] = xK[c]
+		rows, vals := sf.col(st.basis[i])
+		for k, r := range rows {
+			if st.kidx[r] < 0 {
+				st.xB[r] -= vals[k] * xK[c]
+			}
 		}
+	}
+	for i, s := range st.xB {
 		if s < 0 && s > -1e-7 {
-			s = 0
+			st.xB[i] = 0
 		}
-		st.xB[i] = s
 	}
 	return nil
 }
@@ -544,6 +662,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 	degenerate := 0
 	useBland := false
 	sincePivotRebuild := 0
+	st.trivialDuals(cost)
 
 	for st.iters < maxIters {
 		y := st.btran(cost)
@@ -552,16 +671,15 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		enter := -1
 		bestRC := -st.tol
 		for j := 0; j < excludeFrom; j++ {
-			if st.inB[j] {
-				continue
-			}
 			var rc float64
 			if j < len(d) {
 				rc = d[j]
+			} else if st.inB[j] {
+				continue // most slacks are basic: skip their pricing
 			} else {
 				rc = st.sf.unitCost(cost, y, j)
 			}
-			if rc < bestRC {
+			if rc < bestRC && !st.inB[j] {
 				enter = j
 				if useBland {
 					break // Bland's rule: the first column that prices out
@@ -573,15 +691,26 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 			return Optimal, nil
 		}
 
-		w := st.ftran(enter)
+		w := st.ftran(st.sf.col(enter))
 		// Two-pass ratio test: find the minimum ratio, then among rows whose
 		// ratio ties it (within tolerance) pick the one with the largest
 		// pivot element; this keeps the basis well conditioned. Under Bland's
 		// rule the smallest basic index is used instead to guarantee
-		// termination.
+		// termination. An entry at most tol·max(1, ‖w‖∞) bounds no step: that
+		// small against the column's largest it is rounding noise, and a
+		// pivot on it leaves a basis the next refactorization finds singular.
+		floor := 1.0
+		for _, v := range w {
+			if v > floor {
+				floor = v
+			} else if -v > floor {
+				floor = -v
+			}
+		}
+		floor *= st.tol
 		theta := math.Inf(1)
 		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= st.tol {
+			if w[i] <= floor {
 				continue
 			}
 			if ratio := st.xB[i] / w[i]; ratio < theta {
@@ -596,7 +725,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		}
 		leave := -1
 		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= st.tol {
+			if w[i] <= floor {
 				continue
 			}
 			ratio := st.xB[i] / w[i]
@@ -629,6 +758,9 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 			useBland = false
 		}
 
+		if useBland {
+			st.blandPivots++
+		}
 		st.pivot(enter, leave, w, theta)
 		st.iters++
 		sincePivotRebuild++
@@ -636,6 +768,8 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 			if err := st.factor(); err != nil {
 				return IterationLimit, err
 			}
+			st.trivialDuals(cost)
+			st.refactors++
 			sincePivotRebuild = 0
 		}
 	}
@@ -666,9 +800,10 @@ func (st *simplexState) driveOutArtificials() {
 			if st.inB[j] {
 				continue
 			}
-			w := st.ftran(j)
+			w := st.ftran(st.sf.col(j))
 			if math.Abs(w[i]) > 1e-7 {
 				st.pivot(j, i, w, 0)
+				st.drivenOut++
 				replaced = true
 			}
 		}
@@ -694,27 +829,34 @@ func (st *simplexState) solve(o Options) (*Solution, error) {
 		}
 		status, err := st.runPhase(phase1Cost, sf.n, o.MaxIterations)
 		if status != Optimal {
-			return &Solution{Status: status, Iterations: st.iters}, err
+			return &Solution{Status: status, Iterations: st.iters, Kernel: len(st.kern)}, err
 		}
 		// Allow a slightly looser tolerance for the infeasibility test:
 		// phase-1 objective is a sum of m values each rounded at tol.
 		if st.objective(phase1Cost) > o.Tolerance*float64(sf.m+1)*100 {
-			return &Solution{Status: Infeasible, Iterations: st.iters}, ErrInfeasible
+			return &Solution{Status: Infeasible, Iterations: st.iters, Kernel: len(st.kern)}, ErrInfeasible
 		}
 		st.driveOutArtificials()
 	}
 
 	status, err := st.runPhase(sf.c, sf.artStart, o.MaxIterations)
 	if status != Optimal {
-		return &Solution{Status: status, Iterations: st.iters}, err
+		return &Solution{Status: status, Iterations: st.iters, Kernel: len(st.kern)}, err
 	}
 
-	values := make([]float64, sf.nOrig)
+	// The values, then the duals of p's rows from the final btran, sign-fixed
+	// where a row was negated.
+	values := make([]float64, sf.nOrig+sf.nCons)
+	values, duals := values[:sf.nOrig:sf.nOrig], values[sf.nOrig:]
 	copy(values, sf.shift)
 	for i, j := range st.basis {
 		if j < sf.nOrig {
 			values[j] += st.xB[i]
 		}
+	}
+	copy(duals, st.y)
+	for _, i := range sf.negated {
+		duals[i] = -duals[i]
 	}
 	obj := st.objective(sf.c) + sf.objConst
 	if sf.negate {
@@ -724,6 +866,8 @@ func (st *simplexState) solve(o Options) (*Solution, error) {
 		Status:     Optimal,
 		Objective:  obj,
 		Iterations: st.iters,
+		Kernel:     len(st.kern),
 		values:     values,
+		duals:      duals,
 	}, nil
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"coflowsched/internal/coflow"
-	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/regress"
 	"coflowsched/internal/telemetry"
@@ -111,7 +109,7 @@ func replay(t *testing.T, inst *coflow.Instance, policy online.Policy, drain boo
 			cf := coflow.Coflow{Name: src.Name, Weight: src.Weight, Flows: make([]coflow.Flow, len(src.Flows))}
 			for j, f := range src.Flows {
 				// The wire takes releases as offsets from the admission.
-				cf.Flows[j] = coflow.Flow{Source: f.Source, Dest: f.Dest, Size: f.Size, Release: f.Release - arrivals[next]}
+				cf.Flows[j] = coflow.Flow{Source: f.Source, Dest: f.Dest, Size: f.Size, Release: f.Release - arrivals[next], Path: f.Path}
 			}
 			s.admitAt(t, arrivals[next], cf)
 		}
@@ -133,9 +131,9 @@ func replay(t *testing.T, inst *coflow.Instance, policy online.Policy, drain boo
 	return s
 }
 
-// TestSolverFallbacksCounted replays the stream of online's
-// TestLPEpochSurvivesSolverFailure, where the simplex fails mid-stream under
-// the synchronous LPEpoch, through a stepped daemon: the fallbacks it settles
+// TestSolverFallbacksCounted replays the instance of online's
+// TestLPEpochSurvivesSolverFailure, on whose LP the simplex fails under the
+// synchronous LPEpoch, through a stepped daemon: the fallbacks it settles
 // must show, as coflowd_policy_fallback_total{reason="solver"} > 0 and as
 // exactly that many /v1/epochs records marked fallback. A scenario whose LPs
 // all solve reads 0 on both.
@@ -143,10 +141,12 @@ func TestSolverFallbacksCounted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second LP solves")
 	}
-	failing, _, err := workload.GenerateArrivals(graph.FatTree(4, 1), workload.ArrivalConfig{
-		Config: workload.Config{NumCoflows: 14, Width: 3, MeanSize: 4, MeanWeight: 1},
-		Rate:   2.0,
-	}, rand.New(rand.NewSource(1)))
+	f, err := os.Open("../online/testdata/lp-singular-residual.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	failing, err := coflow.ReadJSON(f)
 	if err != nil {
 		t.Fatal(err)
 	}

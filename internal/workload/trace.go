@@ -213,9 +213,6 @@ type TraceConfig struct {
 	// 100 MB shuffle is one second of exclusive unit-capacity link use,
 	// keeping replayed instances on the same scale as the synthetic ones).
 	SizeUnit float64
-	// MaxCoflows truncates the replay to the first n coflows by arrival
-	// (0 = all).
-	MaxCoflows int
 }
 
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -241,14 +238,10 @@ func (t *Trace) Instance(g *graph.Graph, cfg TraceConfig) (*coflow.Instance, []f
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: trace replay needs at least 2 hosts, topology has %d", len(hosts))
 	}
-	records := t.Records
-	if cfg.MaxCoflows > 0 && cfg.MaxCoflows < len(records) {
-		records = records[:cfg.MaxCoflows]
-	}
 	inst := &coflow.Instance{Network: g}
 	var arrivals []float64
 	totalFlows := 0
-	for _, rec := range records {
+	for _, rec := range t.Records {
 		totalFlows += len(rec.Mappers) * len(rec.Reducers)
 		if totalFlows > maxTraceFlows {
 			return nil, nil, fmt.Errorf("workload: trace expands to more than %d flows", maxTraceFlows)

@@ -147,22 +147,3 @@ func TestTraceInstanceLocalTransfers(t *testing.T) {
 		t.Errorf("got %d flows, want 1", n)
 	}
 }
-
-func TestTraceInstanceMaxCoflows(t *testing.T) {
-	tr, err := FBSampleTrace()
-	if err != nil {
-		t.Fatalf("FBSampleTrace: %v", err)
-	}
-	g := graph.Star(12, 1)
-	full, _, err := tr.Instance(g, TraceConfig{})
-	if err != nil {
-		t.Fatalf("full Instance: %v", err)
-	}
-	capped, _, err := tr.Instance(g, TraceConfig{MaxCoflows: 3})
-	if err != nil {
-		t.Fatalf("capped Instance: %v", err)
-	}
-	if len(capped.Coflows) >= len(full.Coflows) || len(capped.Coflows) > 3 {
-		t.Errorf("MaxCoflows(3): got %d coflows (full trace has %d)", len(capped.Coflows), len(full.Coflows))
-	}
-}
