@@ -1,7 +1,7 @@
 // Command coflowgen generates coflow workload instances and writes them as
 // JSON for coflowsim to consume: either the paper's §4.1 random methodology
 // (Poisson flow sizes, release times and coflow weights over a datacenter
-// topology) or a named scenario from the registry (trace replay, heavy-tail,
+// topology) or a named scenario from the catalog (trace replay, heavy-tail,
 // incast, fan-in/out, diurnal — see EXPERIMENTS.md).
 //
 // Examples:

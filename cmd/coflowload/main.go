@@ -20,7 +20,7 @@
 // The default mode generates a Poisson process (workload.GenerateArrivals, 3
 // flows per coflow, mean flow size 4, mean weight 1, seed 1) on a stand-in
 // star with the daemon's host count (fetched from GET /v1/network).
-// With -scenario or -trace, the named registry scenario or parsed trace file
+// With -scenario or -trace, the named catalog scenario or parsed trace file
 // is replayed instead. All three are replayed the same way: endpoints are
 // remapped onto the daemon's hosts by host index, and arrival times are
 // compressed by -speedup into the wall-clock send schedule, so a multi-hour
@@ -485,5 +485,5 @@ func loadTrace(path string) (*coflow.Instance, []float64, error) {
 		}
 	}
 	standIn := graph.Star(maxSlot+2, 1)
-	return tr.Instance(standIn, workload.TraceConfig{})
+	return tr.Instance(standIn)
 }

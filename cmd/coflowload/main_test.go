@@ -55,7 +55,7 @@ func TestRunDeadTarget(t *testing.T) {
 
 // TestRunTraceReplay drives the full command against a live in-process
 // daemon from each of its three workload sources: the generated Poisson
-// process (a 120-coflow closed-loop replay, read through -json), a registry
+// process (a 120-coflow closed-loop replay, read through -json), a catalog
 // scenario remapped from its 12-host star onto the daemon's fat-tree, and a
 // parsed trace file. Every request must succeed, every coflow must finish,
 // and the daemon must have admitted and completed each one.

@@ -12,9 +12,10 @@ import (
 	"coflowsched/internal/workload"
 )
 
-// epochLength is the online engine's re-decision period in both sweeps
-// (OnlineSweep and ScenarioSweep), the period the golden fixtures pin too.
-const epochLength = 2
+// EpochLength is the online engine's re-decision period in both sweeps
+// (OnlineSweep and ScenarioSweep) and in the golden fixtures of
+// internal/regress, which replay the scenarios under ScenarioPolicies.
+const EpochLength = 2
 
 // OnlineConfig controls the arrival-rate × policy sweep of the online
 // scheduler. It is the online counterpart of Config: instead of varying the
@@ -153,7 +154,7 @@ func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *
 			}
 			for pi, p := range pols {
 				res, err := online.Run(inst, p, online.Config{
-					EpochLength: epochLength,
+					EpochLength: EpochLength,
 					Seed:        seed,
 				})
 				if err != nil {
@@ -177,7 +178,7 @@ func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *
 		labels[i] = fmt.Sprintf("rate %.2g", r)
 	}
 	title := fmt.Sprintf("OnlineSweep: %d-server fat-tree, %d coflows x %d flows, epoch %v",
-		len(g.Hosts()), cfg.NumCoflows, cfg.Width, epochLength)
+		len(g.Hosts()), cfg.NumCoflows, cfg.Width, EpochLength)
 	abs := stats.NewTable(title, "arrival rate", labels)
 	for pi, p := range pols {
 		if err := abs.AddSeries(p.Name(), values[pi]); err != nil {

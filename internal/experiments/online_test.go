@@ -86,7 +86,7 @@ func TestOnlineSweepCountsFallbacks(t *testing.T) {
 	for ri := range cfg.ArrivalRates {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)*7919 + int64(ri)*104729
-			run, err := online.Run(inst, online.LPEpoch{}, online.Config{EpochLength: epochLength, Seed: seed})
+			run, err := online.Run(inst, online.LPEpoch{}, online.Config{EpochLength: EpochLength, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

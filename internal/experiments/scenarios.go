@@ -9,19 +9,20 @@ import (
 )
 
 // ScenarioConfig controls the scenario x policy sweep: every named workload
-// scenario (internal/workload's registry — trace replay, heavy-tail, incast,
+// scenario (internal/workload's catalog — trace replay, heavy-tail, incast,
 // fan-in/out, diurnal) is streamed through each online policy and scored.
 // Unlike OnlineSweep, which varies load on one synthetic shape, this sweep
 // varies the shape itself — the "as many scenarios as you can imagine" axis.
 type ScenarioConfig struct {
-	// Scenarios names the registry entries to run (empty = all, sorted).
+	// Scenarios names the catalog entries to run (empty = all, sorted).
 	Scenarios []string
 }
 
-// ScenarioPolicies returns the policies compared on every scenario. The
-// hindsight Oracle is deliberately absent: scenario instances are fixed (one
-// seed each), so its lower bound adds solve time without averaging value;
-// the golden regression harness pins the online policies' outputs instead.
+// ScenarioPolicies returns the policies compared on every scenario, freshly
+// constructed per call (policies may be stateful across Prepare); the golden
+// regression harness (internal/regress) pins the same three. The hindsight
+// Oracle is deliberately absent: scenario instances are fixed (one seed
+// each), so its lower bound adds solve time without averaging value.
 func ScenarioPolicies() []online.Policy {
 	return []online.Policy{
 		online.LPEpoch{},
@@ -81,9 +82,6 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 	if len(names) == 0 {
 		names = workload.ScenarioNames()
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("experiments: no scenarios registered")
-	}
 	pols := ScenarioPolicies()
 
 	values := make([][]float64, len(pols))
@@ -102,7 +100,7 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		}
 		for pi, p := range pols {
 			r, err := online.Run(inst, p, online.Config{
-				EpochLength: epochLength,
+				EpochLength: EpochLength,
 				Seed:        sc.Seed,
 			})
 			if err != nil {

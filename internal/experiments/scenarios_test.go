@@ -32,7 +32,7 @@ func TestScenarioSweepUnknownName(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepAll covers every registered scenario end to end — the
+// TestScenarioSweepAll covers every catalog scenario end to end — the
 // acceptance path behind `coflowbench -scenario all`. Short mode runs a
 // cheap subset; the full sweep still runs in CI.
 func TestScenarioSweepAll(t *testing.T) {

@@ -30,7 +30,7 @@ func marshal(t *testing.T, g *ScenarioGolden) []byte {
 	return append(b, '\n')
 }
 
-// TestGolden replays every registered scenario through online.Run and
+// TestGolden replays every catalog scenario through online.Run and
 // compares the rounded outputs against the committed fixtures; RunScenario
 // fails a run that settled a fallback epoch. A mismatch means scheduler
 // behavior changed: either
@@ -39,7 +39,7 @@ func marshal(t *testing.T, g *ScenarioGolden) []byte {
 func TestGolden(t *testing.T) {
 	scenarios := workload.Scenarios()
 	if len(scenarios) == 0 {
-		t.Fatalf("no scenarios registered")
+		t.Fatalf("the scenario catalog is empty")
 	}
 	// Every golden file must correspond to a scenario: a renamed scenario
 	// must not leave a stale fixture behind that silently pins nothing.
@@ -92,7 +92,7 @@ func TestGolden(t *testing.T) {
 func TestGoldenDetectsDrift(t *testing.T) {
 	sc, ok := workload.LookupScenario("uniform")
 	if !ok {
-		t.Fatalf("uniform scenario not registered")
+		t.Fatalf("uniform scenario not in the catalog")
 	}
 	g, err := RunScenario(sc)
 	if err != nil {

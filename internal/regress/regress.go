@@ -1,6 +1,8 @@
 // Package regress is the repository's behavioral regression net: it replays
-// every registered workload scenario (internal/workload) through online.Run,
-// which aligns epoch 0 to the first arrival and scores the transcript, rounds
+// every workload scenario of internal/workload's catalog through online.Run,
+// which aligns epoch 0 to the first arrival and scores the transcript, under
+// the policies and epoch length of the scenario sweep
+// (experiments.ScenarioPolicies, experiments.EpochLength), rounds
 // the resulting per-policy objectives and per-coflow completion times, and
 // diffs them against committed golden files under testdata/. coflowd is held
 // to the same fixtures: internal/server's TestGoldenScenarios replays the
@@ -23,15 +25,11 @@ import (
 	"fmt"
 	"math"
 
+	"coflowsched/internal/experiments"
 	"coflowsched/internal/online"
 	"coflowsched/internal/stats"
 	"coflowsched/internal/workload"
 )
-
-// EpochLength is the re-decision period used for every golden run. One value
-// for all scenarios keeps the fixtures comparable; it matches the default
-// the experiment sweeps use.
-const EpochLength = 2
 
 // PolicyGolden pins one policy's online.Run output on one scenario.
 type PolicyGolden struct {
@@ -55,12 +53,6 @@ type ScenarioGolden struct {
 	Policies map[string]PolicyGolden `json:"policies"`
 }
 
-// Policies returns the pinned policies, freshly constructed per call
-// (policies may be stateful across Prepare).
-func Policies() []online.Policy {
-	return []online.Policy{online.LPEpoch{}, online.SEBFOnline{}, online.FIFOOnline{}}
-}
-
 // RunScenario computes the golden record for one scenario. A run that settled
 // a fallback epoch (LPEpoch's SEBF order in place of a failed LP) is an error:
 // a pin must be the policy's own schedule.
@@ -75,8 +67,8 @@ func RunScenario(sc workload.Scenario) (*ScenarioGolden, error) {
 		Flows:    inst.NumFlows(),
 		Policies: map[string]PolicyGolden{},
 	}
-	for _, p := range Policies() {
-		res, err := online.Run(inst, p, online.Config{EpochLength: EpochLength, Seed: sc.Seed})
+	for _, p := range experiments.ScenarioPolicies() {
+		res, err := online.Run(inst, p, online.Config{EpochLength: experiments.EpochLength, Seed: sc.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("regress: %s/%s: %w", sc.Name, p.Name(), err)
 		}

@@ -11,13 +11,14 @@ import (
 	"testing"
 
 	"coflowsched/internal/coflow"
+	"coflowsched/internal/experiments"
 	"coflowsched/internal/online"
 	"coflowsched/internal/regress"
 	"coflowsched/internal/telemetry"
 	"coflowsched/internal/workload"
 )
 
-// TestGoldenScenarios replays every registered scenario through a stepped
+// TestGoldenScenarios replays every catalog scenario through a stepped
 // daemon under each pinned policy and compares the outcome with the fixture
 // internal/regress holds online.Run to. The daemon and Run drive one engine
 // under one staleness rule on one epoch grid, so they must agree pin for pin,
@@ -28,7 +29,7 @@ func TestGoldenScenarios(t *testing.T) {
 	for _, sc := range workload.Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
 			inst, want := goldenScenario(t, sc)
-			for _, p := range regress.Policies() {
+			for _, p := range experiments.ScenarioPolicies() {
 				got := replayScenario(t, inst, p, false)
 				if w := want.Policies[p.Name()]; !reflect.DeepEqual(got, w) {
 					t.Errorf("%s: daemon drifted from online.Run's pins:\ngot  %+v\nwant %+v", p.Name(), got, w)
@@ -48,7 +49,7 @@ func TestDrainFollowsStalenessRule(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sc, ok := workload.LookupScenario(name)
 			if !ok {
-				t.Fatalf("scenario %s not registered", name)
+				t.Fatalf("scenario %s not in the catalog", name)
 			}
 			inst, want := goldenScenario(t, sc)
 			if got, w := replayScenario(t, inst, p, true), want.Policies[p.Name()]; !reflect.DeepEqual(got, w) {
@@ -77,7 +78,7 @@ func goldenScenario(t *testing.T, sc workload.Scenario) (*coflow.Instance, regre
 }
 
 // replayScenario streams a scenario through a stepped daemon on online.Run's
-// epoch grid: a tick at the first arrival and every regress.EpochLength after
+// epoch grid: a tick at the first arrival and every experiments.EpochLength after
 // it, and every coflow admitted over the API at its arrival, while the engine
 // still stands at the boundary before it. With drain set, the first boundary
 // after the last admission (past the first tick) calls Drain instead of
@@ -98,12 +99,12 @@ func replay(t *testing.T, inst *coflow.Instance, policy online.Policy, drain boo
 	s := mustStartStepped(t, Config{
 		Network:     inst.Network,
 		Policy:      policy,
-		EpochLength: regress.EpochLength,
+		EpochLength: experiments.EpochLength,
 		Logger:      telemetry.LogfLogger(t.Logf),
 	})
 	arrivals := workload.Arrivals(inst)
 	next := 0
-	for at := arrivals[0]; ; at += regress.EpochLength {
+	for at := arrivals[0]; ; at += experiments.EpochLength {
 		for ; next < len(inst.Coflows) && arrivals[next] <= at+1e-15; next++ {
 			src := inst.Coflows[next]
 			cf := coflow.Coflow{Name: src.Name, Weight: src.Weight, Flows: make([]coflow.Flow, len(src.Flows))}
@@ -152,7 +153,7 @@ func TestSolverFallbacksCounted(t *testing.T) {
 	}
 	sc, ok := workload.LookupScenario("uniform")
 	if !ok {
-		t.Fatal("scenario uniform not registered")
+		t.Fatal("scenario uniform not in the catalog")
 	}
 	clean, _ := goldenScenario(t, sc)
 	for _, tc := range []struct {

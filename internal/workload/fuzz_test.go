@@ -42,7 +42,7 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		// Accepted traces must realize onto a topology cleanly: an error is
 		// fine (e.g. all transfers rack-local), invalid instances are not.
-		inst, arrivals, err := tr.Instance(graph.Star(4, 1), TraceConfig{})
+		inst, arrivals, err := tr.Instance(graph.Star(4, 1))
 		if err != nil {
 			return
 		}

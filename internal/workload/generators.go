@@ -20,90 +20,57 @@ import (
 //
 // Every generator returns (instance, arrivals, error) with arrivals
 // index-aligned to the instance's coflows and non-decreasing, the contract
-// the scenario registry and the online engine rely on.
+// the scenario catalog and the online engine rely on.
 
-// Pareto draws from a bounded Pareto distribution with shape alpha and
-// support [xm, xmax] via inverse transform sampling. Smaller alpha means a
-// heavier tail; alpha in (1, 2) gives finite mean but infinite variance, the
-// regime datacenter flow sizes are usually fitted to.
-func Pareto(rng *rand.Rand, alpha, xm, xmax float64) float64 {
-	if alpha <= 0 || xm <= 0 || xmax <= xm {
-		return xm
-	}
-	// Invert the truncated CDF: u uniform in [0,1) maps to
-	// xm / (1 - u*(1-(xm/xmax)^alpha))^(1/alpha).
+// The generators' shapes are the scenarios' own: each catalog entry is their
+// only caller, so every parameter but fan-in against fan-out is a constant.
+
+// heavy-tail: ten 3-flow coflows at rate 1 whose per-coflow size follows a
+// bounded Pareto with shape heavyTailAlpha on [heavyTailMin, heavyTailMax].
+// Alpha in (1, 2) gives finite mean but infinite variance, the regime
+// datacenter flow sizes are usually fitted to. Alpha is typed so that
+// 1/heavyTailAlpha is the float64 quotient the draws were pinned with, not the
+// exact 1/1.3 rounded once.
+const (
+	heavyTailCoflows         = 10
+	heavyTailWidth           = 3
+	heavyTailRate            = 1
+	heavyTailAlpha   float64 = 1.3
+	heavyTailMin             = 1.0
+	heavyTailMax             = 100.0
+)
+
+// paretoSize draws from the bounded Pareto of the heavy-tail scenario by
+// inverse transform sampling: u uniform in [0,1) maps to
+// xm / (1 - u*(1-(xm/xmax)^alpha))^(1/alpha).
+func paretoSize(rng *rand.Rand) float64 {
 	u := rng.Float64()
-	ratio := math.Pow(xm/xmax, alpha)
-	x := xm / math.Pow(1-u*(1-ratio), 1/alpha)
-	if x > xmax {
-		x = xmax // guard float roundoff at u -> 1
+	ratio := math.Pow(heavyTailMin/heavyTailMax, heavyTailAlpha)
+	x := heavyTailMin / math.Pow(1-u*(1-ratio), 1/heavyTailAlpha)
+	if x > heavyTailMax {
+		x = heavyTailMax // guard float roundoff at u -> 1
 	}
 	return x
 }
 
-// HeavyTailConfig parameterizes GenerateHeavyTail: Poisson coflow arrivals
-// whose flow sizes follow a bounded Pareto distribution instead of the
-// near-uniform Poisson sizes of Generate.
-type HeavyTailConfig struct {
-	// NumCoflows and Width shape the instance (defaults 10 and 4).
-	NumCoflows int
-	Width      int
-	// Rate is the mean coflow arrival rate (default 1).
-	Rate float64
-	// Alpha is the Pareto shape (default 1.5: finite mean, infinite
-	// variance). MinSize and MaxSize bound the support (defaults 1 and 1000).
-	Alpha   float64
-	MinSize float64
-	MaxSize float64
-	// MeanWeight, when positive, draws Poisson(MeanWeight)+1 coflow weights.
-	MeanWeight float64
-}
-
-func (c HeavyTailConfig) withDefaults() HeavyTailConfig {
-	if c.NumCoflows <= 0 {
-		c.NumCoflows = 10
-	}
-	if c.Width <= 0 {
-		c.Width = 4
-	}
-	if c.Rate <= 0 {
-		c.Rate = 1
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 1.5
-	}
-	if c.MinSize <= 0 {
-		c.MinSize = 1
-	}
-	if c.MaxSize <= c.MinSize {
-		c.MaxSize = 1000 * c.MinSize
-	}
-	return c
-}
-
-// GenerateHeavyTail builds a Poisson arrival stream of coflows with bounded
+// generateHeavyTail builds a Poisson arrival stream of coflows with bounded
 // Pareto flow sizes: most coflows are small, a few are elephants that
 // dominate total bytes. All flows of a coflow share one size draw, matching
 // the per-coflow (not per-flow) skew of the Facebook trace.
-func GenerateHeavyTail(g *graph.Graph, cfg HeavyTailConfig, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-	cfg = cfg.withDefaults()
+func generateHeavyTail(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
 	}
 	inst := &coflow.Instance{Network: g}
-	arrivals := make([]float64, cfg.NumCoflows)
+	arrivals := make([]float64, heavyTailCoflows)
 	t := 0.0
-	for i := 0; i < cfg.NumCoflows; i++ {
-		t += rng.ExpFloat64() / cfg.Rate
+	for i := 0; i < heavyTailCoflows; i++ {
+		t += rng.ExpFloat64() / heavyTailRate
 		arrivals[i] = t
-		weight := 1.0
-		if cfg.MeanWeight > 0 {
-			weight = float64(Poisson(rng, cfg.MeanWeight) + 1)
-		}
-		size := Pareto(rng, cfg.Alpha, cfg.MinSize, cfg.MaxSize)
-		cf := coflow.Coflow{Name: fmt.Sprintf("heavytail-%d", i), Weight: weight}
-		for j := 0; j < cfg.Width; j++ {
+		size := paretoSize(rng)
+		cf := coflow.Coflow{Name: fmt.Sprintf("heavytail-%d", i), Weight: 1}
+		for j := 0; j < heavyTailWidth; j++ {
 			src, dst := distinctHosts(hosts, rng)
 			cf.Flows = append(cf.Flows, coflow.Flow{Source: src, Dest: dst, Size: size, Release: t})
 		}
@@ -115,85 +82,44 @@ func GenerateHeavyTail(g *graph.Graph, cfg HeavyTailConfig, rng *rand.Rand) (*co
 	return inst, arrivals, nil
 }
 
-// SkewConfig parameterizes GenerateSkewed: coflows whose flows concentrate on
-// one aggregation endpoint — the shuffle (fan-in, many sources to one
-// reducer) and broadcast (fan-out, one source to many destinations) patterns
-// of data-parallel frameworks.
-type SkewConfig struct {
-	// NumCoflows is the number of coflows (default 10).
-	NumCoflows int
-	// FanIn > 0 builds FanIn-to-1 coflows; FanOut > 0 builds 1-to-FanOut
-	// coflows. Exactly one must be positive (defaults: FanIn 4 when both are
-	// zero). Fan degrees are capped at len(hosts)-1.
-	FanIn  int
-	FanOut int
-	// Rate is the mean coflow arrival rate (default 1).
-	Rate float64
-	// MeanSize is the mean Poisson per-flow size (default 4, shifted +1).
-	MeanSize float64
-	// MeanWeight, when positive, draws Poisson(MeanWeight)+1 coflow weights.
-	MeanWeight float64
-}
+// fan-in and fan-out: eight coflows at rate 1, each skewDegree flows of
+// Poisson(skewMeanSize)+1 between one pivot host and distinct peers (capped at
+// len(hosts)-1).
+const (
+	skewCoflows  = 8
+	skewDegree   = 5
+	skewRate     = 1
+	skewMeanSize = 3
+)
 
-func (c SkewConfig) withDefaults() SkewConfig {
-	if c.NumCoflows <= 0 {
-		c.NumCoflows = 10
-	}
-	if c.FanIn <= 0 && c.FanOut <= 0 {
-		c.FanIn = 4
-	}
-	if c.Rate <= 0 {
-		c.Rate = 1
-	}
-	if c.MeanSize <= 0 {
-		c.MeanSize = 4
-	}
-	return c
-}
-
-// GenerateSkewed builds a Poisson arrival stream of fan-in (shuffle
-// aggregation) or fan-out (broadcast) coflows. Each coflow picks a random
-// pivot host; fan-in coflows send from FanIn distinct other hosts into the
-// pivot, fan-out coflows send from the pivot to FanOut distinct other hosts.
-// The pivot's access link is the structural bottleneck — the situation where
-// coflow-aware ordering matters most.
-func GenerateSkewed(g *graph.Graph, cfg SkewConfig, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-	cfg = cfg.withDefaults()
-	if cfg.FanIn > 0 && cfg.FanOut > 0 {
-		return nil, nil, fmt.Errorf("workload: skewed generator wants fan-in or fan-out, not both")
-	}
+// generateSkewed builds a Poisson arrival stream of fan-in (shuffle
+// aggregation: peers send into the pivot) or, with fanOut, fan-out
+// (broadcast: the pivot sends to the peers) coflows. Each coflow picks a
+// random pivot host, whose access link is the structural bottleneck — the
+// situation where coflow-aware ordering matters most.
+func generateSkewed(g *graph.Graph, fanOut bool, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
 	}
-	degree := cfg.FanIn
-	if cfg.FanOut > 0 {
-		degree = cfg.FanOut
-	}
-	if degree > len(hosts)-1 {
-		degree = len(hosts) - 1
-	}
+	degree := min(skewDegree, len(hosts)-1)
 	inst := &coflow.Instance{Network: g}
-	arrivals := make([]float64, cfg.NumCoflows)
+	arrivals := make([]float64, skewCoflows)
 	t := 0.0
-	for i := 0; i < cfg.NumCoflows; i++ {
-		t += rng.ExpFloat64() / cfg.Rate
+	for i := 0; i < skewCoflows; i++ {
+		t += rng.ExpFloat64() / skewRate
 		arrivals[i] = t
-		weight := 1.0
-		if cfg.MeanWeight > 0 {
-			weight = float64(Poisson(rng, cfg.MeanWeight) + 1)
-		}
 		pivot := hosts[rng.Intn(len(hosts))]
 		peers := samplePeers(hosts, pivot, degree, rng)
 		name := fmt.Sprintf("fanin-%d", i)
-		if cfg.FanOut > 0 {
+		if fanOut {
 			name = fmt.Sprintf("fanout-%d", i)
 		}
-		cf := coflow.Coflow{Name: name, Weight: weight}
+		cf := coflow.Coflow{Name: name, Weight: 1}
 		for _, p := range peers {
-			size := float64(Poisson(rng, cfg.MeanSize) + 1)
+			size := float64(Poisson(rng, skewMeanSize) + 1)
 			f := coflow.Flow{Source: p, Dest: pivot, Size: size, Release: t}
-			if cfg.FanOut > 0 {
+			if fanOut {
 				f.Source, f.Dest = pivot, p
 			}
 			cf.Flows = append(cf.Flows, f)
@@ -206,72 +132,39 @@ func GenerateSkewed(g *graph.Graph, cfg SkewConfig, rng *rand.Rand) (*coflow.Ins
 	return inst, arrivals, nil
 }
 
-// IncastConfig parameterizes GenerateIncast: bursts of coflows arriving
-// near-simultaneously, all converging on a single destination.
-type IncastConfig struct {
-	// Bursts is the number of incast waves (default 3); BurstSize the coflows
-	// per wave (default 4).
-	Bursts    int
-	BurstSize int
-	// FanIn is the number of senders per coflow (default 4, capped at
-	// len(hosts)-1).
-	FanIn int
-	// Gap is the idle time between waves (default 8); Jitter the maximum
-	// uniform arrival offset within a wave (default Gap/10).
-	Gap    float64
-	Jitter float64
-	// MeanSize is the mean Poisson per-flow size (default 2, shifted +1):
-	// incast is many small transfers, not elephants.
-	MeanSize float64
-}
+// incast: incastBursts waves of incastBurstSize coflows, incastGap apart,
+// each coflow arriving within incastJitter of its wave's start with
+// incastFanIn senders (capped at len(hosts)-1) of Poisson(incastMeanSize)+1:
+// incast is many small transfers, not elephants.
+const (
+	incastBursts    = 3
+	incastBurstSize = 4
+	incastFanIn     = 6
+	incastGap       = 10.0
+	incastJitter    = incastGap / 10
+	incastMeanSize  = 2
+)
 
-func (c IncastConfig) withDefaults() IncastConfig {
-	if c.Bursts <= 0 {
-		c.Bursts = 3
-	}
-	if c.BurstSize <= 0 {
-		c.BurstSize = 4
-	}
-	if c.FanIn <= 0 {
-		c.FanIn = 4
-	}
-	if c.Gap <= 0 {
-		c.Gap = 8
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = c.Gap / 10
-	}
-	if c.MeanSize <= 0 {
-		c.MeanSize = 2
-	}
-	return c
-}
-
-// GenerateIncast builds Bursts waves of BurstSize coflows each. All coflows
-// of a wave arrive within Jitter of the wave start and aggregate into the
-// same destination host (a fresh random victim per wave), overloading its
-// access link — the partition/aggregate incast pattern of web serving and
-// distributed storage.
-func GenerateIncast(g *graph.Graph, cfg IncastConfig, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-	cfg = cfg.withDefaults()
+// generateIncast builds the incast waves. All coflows of a wave aggregate
+// into the same destination host (a fresh random victim per wave),
+// overloading its access link — the partition/aggregate incast pattern of web
+// serving and distributed storage.
+func generateIncast(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
 	}
-	fanIn := cfg.FanIn
-	if fanIn > len(hosts)-1 {
-		fanIn = len(hosts) - 1
-	}
+	fanIn := min(incastFanIn, len(hosts)-1)
 	inst := &coflow.Instance{Network: g}
 	var arrivals []float64
-	for b := 0; b < cfg.Bursts; b++ {
-		waveStart := float64(b) * cfg.Gap
+	for b := 0; b < incastBursts; b++ {
+		waveStart := float64(b) * incastGap
 		victim := hosts[rng.Intn(len(hosts))]
 		// Draw the wave's arrival offsets and sort so arrivals stay
 		// non-decreasing across the whole instance.
-		offsets := make([]float64, cfg.BurstSize)
+		offsets := make([]float64, incastBurstSize)
 		for i := range offsets {
-			offsets[i] = rng.Float64() * cfg.Jitter
+			offsets[i] = rng.Float64() * incastJitter
 		}
 		sort.Float64s(offsets)
 		for i, off := range offsets {
@@ -279,7 +172,7 @@ func GenerateIncast(g *graph.Graph, cfg IncastConfig, rng *rand.Rand) (*coflow.I
 			senders := samplePeers(hosts, victim, fanIn, rng)
 			cf := coflow.Coflow{Name: fmt.Sprintf("incast-%d-%d", b, i), Weight: 1}
 			for _, s := range senders {
-				size := float64(Poisson(rng, cfg.MeanSize) + 1)
+				size := float64(Poisson(rng, incastMeanSize) + 1)
 				cf.Flows = append(cf.Flows, coflow.Flow{Source: s, Dest: victim, Size: size, Release: t})
 			}
 			inst.Coflows = append(inst.Coflows, cf)
@@ -292,77 +185,48 @@ func GenerateIncast(g *graph.Graph, cfg IncastConfig, rng *rand.Rand) (*coflow.I
 	return inst, arrivals, nil
 }
 
-// DiurnalConfig parameterizes GenerateDiurnal: a non-homogeneous Poisson
-// arrival process whose rate swings sinusoidally between BaseRate and
-// PeakRate with the given Period — the compressed day/night cycle every
-// production cluster sees.
-type DiurnalConfig struct {
-	// NumCoflows is the number of coflows (default 12).
-	NumCoflows int
-	// Width is the number of flows per coflow (default 3).
-	Width int
-	// BaseRate and PeakRate bound the arrival rate (defaults 0.5 and 4).
-	BaseRate float64
-	PeakRate float64
-	// Period is the modulation period in simulated time (default 10).
-	Period float64
-	// MeanSize is the mean Poisson per-flow size (default 4, shifted +1).
-	MeanSize float64
+// diurnal: twelve 3-flow coflows of Poisson(diurnalMeanSize)+1 per flow,
+// arriving at a rate that swings sinusoidally between diurnalBaseRate and
+// diurnalPeakRate with period diurnalPeriod — the compressed day/night cycle
+// every production cluster sees.
+const (
+	diurnalCoflows  = 12
+	diurnalWidth    = 3
+	diurnalBaseRate = 0.25
+	diurnalPeakRate = 4
+	diurnalPeriod   = 12
+	diurnalMeanSize = 4
+)
+
+// diurnalRate is the diurnal arrival rate at simulated time t.
+func diurnalRate(t float64) float64 {
+	phase := (1 + math.Sin(2*math.Pi*t/diurnalPeriod)) / 2
+	return diurnalBaseRate + (diurnalPeakRate-diurnalBaseRate)*phase
 }
 
-func (c DiurnalConfig) withDefaults() DiurnalConfig {
-	if c.NumCoflows <= 0 {
-		c.NumCoflows = 12
-	}
-	if c.Width <= 0 {
-		c.Width = 3
-	}
-	if c.BaseRate <= 0 {
-		c.BaseRate = 0.5
-	}
-	if c.PeakRate < c.BaseRate {
-		c.PeakRate = 8 * c.BaseRate
-	}
-	if c.Period <= 0 {
-		c.Period = 10
-	}
-	if c.MeanSize <= 0 {
-		c.MeanSize = 4
-	}
-	return c
-}
-
-// GenerateDiurnal builds a non-homogeneous Poisson arrival stream by Lewis-
+// generateDiurnal builds a non-homogeneous Poisson arrival stream by Lewis-
 // Shedler thinning: candidate arrivals are drawn at the peak rate and kept
-// with probability rate(t)/PeakRate, where rate(t) swings sinusoidally
-// between BaseRate and PeakRate. The result alternates quiet valleys with
-// arrival storms, stressing how quickly a policy sheds queue built up at the
-// peak.
-func GenerateDiurnal(g *graph.Graph, cfg DiurnalConfig, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-	cfg = cfg.withDefaults()
+// with probability diurnalRate(t)/diurnalPeakRate.
+func generateDiurnal(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
 	}
-	rate := func(t float64) float64 {
-		phase := (1 + math.Sin(2*math.Pi*t/cfg.Period)) / 2
-		return cfg.BaseRate + (cfg.PeakRate-cfg.BaseRate)*phase
-	}
 	inst := &coflow.Instance{Network: g}
-	arrivals := make([]float64, cfg.NumCoflows)
+	arrivals := make([]float64, diurnalCoflows)
 	t := 0.0
-	for i := 0; i < cfg.NumCoflows; i++ {
-		for { // thinning: propose at PeakRate, accept at rate(t)/PeakRate
-			t += rng.ExpFloat64() / cfg.PeakRate
-			if rng.Float64()*cfg.PeakRate <= rate(t) {
+	for i := 0; i < diurnalCoflows; i++ {
+		for { // thinning: propose at the peak rate, accept at rate(t)/peak
+			t += rng.ExpFloat64() / diurnalPeakRate
+			if rng.Float64()*diurnalPeakRate <= diurnalRate(t) {
 				break
 			}
 		}
 		arrivals[i] = t
 		cf := coflow.Coflow{Name: fmt.Sprintf("diurnal-%d", i), Weight: 1}
-		for j := 0; j < cfg.Width; j++ {
+		for j := 0; j < diurnalWidth; j++ {
 			src, dst := distinctHosts(hosts, rng)
-			size := float64(Poisson(rng, cfg.MeanSize) + 1)
+			size := float64(Poisson(rng, diurnalMeanSize) + 1)
 			cf.Flows = append(cf.Flows, coflow.Flow{Source: src, Dest: dst, Size: size, Release: t})
 		}
 		inst.Coflows = append(inst.Coflows, cf)

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -12,52 +13,43 @@ import (
 func TestParetoBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		x := Pareto(rng, 1.5, 2, 500)
-		if x < 2 || x > 500 || math.IsNaN(x) {
-			t.Fatalf("Pareto sample %v outside [2, 500]", x)
+		x := paretoSize(rng)
+		if x < heavyTailMin || x > heavyTailMax || math.IsNaN(x) {
+			t.Fatalf("Pareto sample %v outside [%v, %v]", x, heavyTailMin, heavyTailMax)
 		}
-	}
-	// Degenerate parameters fall back to the minimum, never NaN/panic.
-	if x := Pareto(rng, 0, 2, 500); x != 2 {
-		t.Errorf("Pareto with alpha=0 = %v, want 2", x)
-	}
-	if x := Pareto(rng, 1.5, 2, 1); x != 2 {
-		t.Errorf("Pareto with inverted support = %v, want 2", x)
 	}
 }
 
 func TestParetoIsHeavyTailed(t *testing.T) {
-	// With alpha=1.1 on [1, 1000] the top decile of draws should dominate
-	// total mass — the elephant/mice split the generator exists to model.
+	// With alpha=1.3 on [1, 100] the top decile of draws carries about 45% of
+	// the total mass (a uniform size would give it 10%) — the elephant/mice
+	// split the heavy-tail scenario exists to model.
 	rng := rand.New(rand.NewSource(2))
-	n := 5000
-	xs := make([]float64, n)
+	xs := make([]float64, 5000)
 	total := 0.0
 	for i := range xs {
-		xs[i] = Pareto(rng, 1.1, 1, 1000)
+		xs[i] = paretoSize(rng)
 		total += xs[i]
 	}
-	big := 0.0
-	for _, x := range xs {
-		if x >= 10 {
-			big += x
-		}
+	sort.Float64s(xs)
+	top := 0.0
+	for _, x := range xs[len(xs)*9/10:] {
+		top += x
 	}
-	if frac := big / total; frac < 0.5 {
-		t.Errorf("draws >= 10x minimum carry %.2f of total mass, want >= 0.5 (not heavy-tailed)", frac)
+	if frac := top / total; frac < 0.35 {
+		t.Errorf("top decile of draws carries %.2f of total mass, want >= 0.35 (not heavy-tailed)", frac)
 	}
 }
 
 func TestGenerateSkewedShape(t *testing.T) {
 	g := graph.FatTree(4, 1)
-	rng := rand.New(rand.NewSource(3))
-	inst, _, err := GenerateSkewed(g, SkewConfig{NumCoflows: 6, FanIn: 5, Rate: 1}, rng)
+	inst, _, err := generateSkewed(g, false, rand.New(rand.NewSource(3)))
 	if err != nil {
-		t.Fatalf("GenerateSkewed fan-in: %v", err)
+		t.Fatalf("generateSkewed fan-in: %v", err)
 	}
 	for i, cf := range inst.Coflows {
-		if len(cf.Flows) != 5 {
-			t.Errorf("coflow %d has %d flows, want 5", i, len(cf.Flows))
+		if len(cf.Flows) != skewDegree {
+			t.Errorf("coflow %d has %d flows, want %d", i, len(cf.Flows), skewDegree)
 		}
 		dst := cf.Flows[0].Dest
 		seen := map[graph.NodeID]bool{}
@@ -72,39 +64,42 @@ func TestGenerateSkewedShape(t *testing.T) {
 		}
 	}
 
-	inst, _, err = GenerateSkewed(g, SkewConfig{NumCoflows: 6, FanOut: 5, Rate: 1}, rand.New(rand.NewSource(4)))
+	inst, _, err = generateSkewed(g, true, rand.New(rand.NewSource(4)))
 	if err != nil {
-		t.Fatalf("GenerateSkewed fan-out: %v", err)
+		t.Fatalf("generateSkewed fan-out: %v", err)
 	}
 	for i, cf := range inst.Coflows {
 		src := cf.Flows[0].Source
+		seen := map[graph.NodeID]bool{}
 		for _, f := range cf.Flows {
 			if f.Source != src {
 				t.Errorf("coflow %d: fan-out flows have different sources", i)
 			}
+			if seen[f.Dest] {
+				t.Errorf("coflow %d: duplicate destination %v", i, f.Dest)
+			}
+			seen[f.Dest] = true
 		}
-	}
-
-	if _, _, err := GenerateSkewed(g, SkewConfig{FanIn: 2, FanOut: 2}, rng); err == nil {
-		t.Errorf("want error when both FanIn and FanOut are set")
 	}
 }
 
 func TestGenerateIncastShape(t *testing.T) {
-	g := graph.Star(8, 1)
-	cfg := IncastConfig{Bursts: 3, BurstSize: 4, FanIn: 5, Gap: 10, Jitter: 1}
-	inst, arrivals, err := GenerateIncast(g, cfg, rand.New(rand.NewSource(5)))
+	inst, arrivals, err := generateIncast(graph.Star(8, 1), rand.New(rand.NewSource(5)))
 	if err != nil {
-		t.Fatalf("GenerateIncast: %v", err)
+		t.Fatalf("generateIncast: %v", err)
 	}
-	if len(inst.Coflows) != 12 {
-		t.Fatalf("got %d coflows, want 3 bursts x 4", len(inst.Coflows))
+	if len(inst.Coflows) != incastBursts*incastBurstSize {
+		t.Fatalf("got %d coflows, want %d bursts x %d", len(inst.Coflows), incastBursts, incastBurstSize)
 	}
-	for b := 0; b < 3; b++ {
-		victim := inst.Coflows[b*4].Flows[0].Dest
-		for i := b * 4; i < (b+1)*4; i++ {
-			if got := arrivals[i]; got < float64(b)*10 || got > float64(b)*10+1 {
+	for b := 0; b < incastBursts; b++ {
+		victim := inst.Coflows[b*incastBurstSize].Flows[0].Dest
+		start := float64(b) * incastGap
+		for i := b * incastBurstSize; i < (b+1)*incastBurstSize; i++ {
+			if got := arrivals[i]; got < start || got > start+incastJitter {
 				t.Errorf("coflow %d arrival %v outside wave %d window", i, got, b)
+			}
+			if len(inst.Coflows[i].Flows) != incastFanIn {
+				t.Errorf("coflow %d has %d senders, want %d", i, len(inst.Coflows[i].Flows), incastFanIn)
 			}
 			for _, f := range inst.Coflows[i].Flows {
 				if f.Dest != victim {
@@ -115,34 +110,38 @@ func TestGenerateIncastShape(t *testing.T) {
 	}
 }
 
+// TestGenerateDiurnalRateVariation checks the thinning against the rate it
+// thins to: pooled over many seeds, the mean number of arrivals in a window is
+// the integral of diurnalRate over it. The rate rises from 2.125 at t=0 toward
+// the peak at t=3, so [1, 2) must see more arrivals than [0, 1); a homogeneous
+// process at any one rate would see as many in both.
 func TestGenerateDiurnalRateVariation(t *testing.T) {
-	// The sinusoidal process must actually modulate: inter-arrival gaps
-	// should spread far more than a homogeneous process at the mean rate.
+	const seeds = 2000
 	g := graph.FatTree(4, 1)
-	inst, arrivals, err := GenerateDiurnal(g, DiurnalConfig{
-		NumCoflows: 200, Width: 1, BaseRate: 0.2, PeakRate: 10, Period: 20,
-	}, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatalf("GenerateDiurnal: %v", err)
-	}
-	if len(inst.Coflows) != 200 {
-		t.Fatalf("got %d coflows", len(inst.Coflows))
-	}
-	var gaps []float64
-	for i := 1; i < len(arrivals); i++ {
-		gaps = append(gaps, arrivals[i]-arrivals[i-1])
-	}
-	minGap, maxGap := gaps[0], gaps[0]
-	for _, d := range gaps {
-		if d < minGap {
-			minGap = d
+	var counts [2]float64
+	for seed := int64(0); seed < seeds; seed++ {
+		_, arrivals, err := generateDiurnal(g, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if d > maxGap {
-			maxGap = d
+		for _, a := range arrivals {
+			if a < 2 {
+				counts[int(a)]++
+			}
 		}
 	}
-	if maxGap < 20*minGap {
-		t.Errorf("gap spread max/min = %v/%v: no visible rate modulation", maxGap, minGap)
+	for w, c := range counts {
+		// Midpoint rule on a fine grid: the expected count in [w, w+1).
+		want := 0.0
+		for k := 0; k < 1000; k++ {
+			want += diurnalRate(float64(w)+(float64(k)+0.5)/1000) / 1000
+		}
+		if got := c / seeds; math.Abs(got-want) > 0.15 {
+			t.Errorf("mean arrivals in [%d, %d) = %.3f, want %.3f (the integral of the rate)", w, w+1, got, want)
+		}
+	}
+	if counts[1] < counts[0]*1.2 {
+		t.Errorf("arrivals in [1, 2) = %v, in [0, 1) = %v: no visible rate modulation", counts[1], counts[0])
 	}
 }
 
@@ -161,21 +160,15 @@ func generatorCases() []generatorCase {
 		{"arrivals", fat, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 			return GenerateArrivals(g, ArrivalConfig{Config: Config{NumCoflows: 6, Width: 3}, Rate: 2}, rng)
 		}},
-		{"heavy-tail", fat, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateHeavyTail(g, HeavyTailConfig{NumCoflows: 6, Width: 3, Rate: 1, Alpha: 1.2, MinSize: 1, MaxSize: 50}, rng)
-		}},
+		{"heavy-tail", fat, generateHeavyTail},
 		{"fan-in", fat, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateSkewed(g, SkewConfig{NumCoflows: 5, FanIn: 6, Rate: 1}, rng)
+			return generateSkewed(g, false, rng)
 		}},
 		{"fan-out", star, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateSkewed(g, SkewConfig{NumCoflows: 5, FanOut: 4, Rate: 1}, rng)
+			return generateSkewed(g, true, rng)
 		}},
-		{"incast", star, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateIncast(g, IncastConfig{Bursts: 2, BurstSize: 3, FanIn: 4}, rng)
-		}},
-		{"diurnal", fat, func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateDiurnal(g, DiurnalConfig{NumCoflows: 8, Width: 2}, rng)
-		}},
+		{"incast", star, generateIncast},
+		{"diurnal", fat, generateDiurnal},
 	}
 }
 

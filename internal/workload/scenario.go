@@ -4,9 +4,7 @@ import (
 	_ "embed"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
@@ -21,7 +19,7 @@ import (
 // denotes the same instance, so recorded scheduler outputs stay comparable
 // across refactors.
 type Scenario struct {
-	// Name is the registry key (lowercase, hyphenated).
+	// Name is the catalog key (lowercase, hyphenated).
 	Name string
 	// Description is a one-line summary for catalogs and -list output.
 	Description string
@@ -38,68 +36,32 @@ type Scenario struct {
 // Build materializes the scenario: fresh topology, seeded rng, one draw.
 // Calling Build twice yields identical instances.
 func (s Scenario) Build() (*coflow.Instance, []float64, error) {
-	if s.Topology == nil || s.Generate == nil {
-		return nil, nil, fmt.Errorf("workload: scenario %q lacks a topology or generator", s.Name)
-	}
-	g := s.Topology()
-	inst, arrivals, err := s.Generate(g, rand.New(rand.NewSource(s.Seed)))
+	inst, arrivals, err := s.Generate(s.Topology(), rand.New(rand.NewSource(s.Seed)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("workload: scenario %q: %w", s.Name, err)
-	}
-	if len(arrivals) != len(inst.Coflows) {
-		return nil, nil, fmt.Errorf("workload: scenario %q: %d arrivals for %d coflows", s.Name, len(arrivals), len(inst.Coflows))
 	}
 	return inst, arrivals, nil
 }
 
-var (
-	scenarioMu  sync.Mutex
-	scenarioReg = map[string]Scenario{}
-)
-
-// RegisterScenario adds a scenario to the registry. Names must be unique and
-// non-empty.
-func RegisterScenario(s Scenario) error {
-	if strings.TrimSpace(s.Name) == "" {
-		return fmt.Errorf("workload: scenario needs a name")
-	}
-	if s.Topology == nil || s.Generate == nil {
-		return fmt.Errorf("workload: scenario %q lacks a topology or generator", s.Name)
-	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarioReg[s.Name]; dup {
-		return fmt.Errorf("workload: scenario %q already registered", s.Name)
-	}
-	scenarioReg[s.Name] = s
-	return nil
-}
-
-// LookupScenario finds a registered scenario by name.
+// LookupScenario finds a catalog scenario by name.
 func LookupScenario(name string) (Scenario, bool) {
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	s, ok := scenarioReg[name]
-	return s, ok
-}
-
-// Scenarios lists all registered scenarios sorted by name.
-func Scenarios() []Scenario {
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	out := make([]Scenario, 0, len(scenarioReg))
-	for _, s := range scenarioReg {
-		out = append(out, s)
+	for _, s := range catalog {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Scenario{}, false
 }
 
-// ScenarioNames lists registered scenario names, sorted.
+// Scenarios lists the catalog, sorted by name.
+func Scenarios() []Scenario {
+	return append([]Scenario(nil), catalog...)
+}
+
+// ScenarioNames lists the catalog's scenario names, sorted.
 func ScenarioNames() []string {
-	ss := Scenarios()
-	names := make([]string, len(ss))
-	for i, s := range ss {
+	names := make([]string, len(catalog))
+	for i, s := range catalog {
 		names[i] = s.Name
 	}
 	return names
@@ -112,94 +74,77 @@ func ScenarioNames() []string {
 //go:embed fb_sample_trace.csv
 var fbSampleTrace string
 
-// FBSampleTrace parses the embedded sample trace.
-func FBSampleTrace() (*Trace, error) {
-	return ParseTrace(strings.NewReader(fbSampleTrace))
-}
+// fatTree4 and star12 are the catalog's two topologies.
+func fatTree4() *graph.Graph { return graph.FatTree(4, 1) }
+func star12() *graph.Graph   { return graph.Star(12, 1) }
 
-// The built-in scenario catalog. Sizes are deliberately modest: every
-// scenario is replayed through both the batch simulator and the incremental
-// engine by the golden regression suite on every test run. EXPERIMENTS.md
-// documents each entry's shape and paper relevance.
-func init() {
-	must := func(s Scenario) {
-		if err := RegisterScenario(s); err != nil {
-			panic(err)
-		}
-	}
-	must(Scenario{
+// catalog is the scenario catalog, kept in name order. Sizes are deliberately
+// modest: every scenario is replayed through both the batch simulator and the
+// incremental engine by the golden regression suite on every test run.
+// EXPERIMENTS.md documents each entry's shape and paper relevance.
+var catalog = []Scenario{
+	{
+		Name:        "diurnal",
+		Description: "sinusoidal arrival rate (0.25 to 4 per unit) on a k=4 fat-tree: valleys then storms",
+		Seed:        6,
+		Topology:    fatTree4,
+		Generate:    generateDiurnal,
+	},
+	{
+		Name:        "fan-in",
+		Description: "5-to-1 shuffle aggregations on a k=4 fat-tree: the reducer's access link bottlenecks",
+		Seed:        3,
+		Topology:    fatTree4,
+		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
+			return generateSkewed(g, false, rng)
+		},
+	},
+	{
+		Name:        "fan-out",
+		Description: "1-to-5 broadcasts on a k=4 fat-tree: the sender's access link bottlenecks",
+		Seed:        4,
+		Topology:    fatTree4,
+		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
+			return generateSkewed(g, true, rng)
+		},
+	},
+	{
+		Name:        "fb-trace",
+		Description: "committed Facebook/Varys-style trace sample replayed on a 12-host star (big-switch model)",
+		Seed:        7,
+		Topology:    star12,
+		Generate: func(g *graph.Graph, _ *rand.Rand) (*coflow.Instance, []float64, error) {
+			tr, err := ParseTrace(strings.NewReader(fbSampleTrace))
+			if err != nil {
+				return nil, nil, err
+			}
+			return tr.Instance(g)
+		},
+	},
+	{
+		Name:        "heavy-tail",
+		Description: "Pareto(alpha=1.3) coflow sizes on a k=4 fat-tree: a few elephants own most bytes",
+		Seed:        2,
+		Topology:    fatTree4,
+		Generate:    generateHeavyTail,
+	},
+	{
+		Name:        "incast",
+		Description: "synchronized 6-to-1 aggregation waves on a 12-host star: one victim link per wave",
+		Seed:        5,
+		Topology:    star12,
+		Generate:    generateIncast,
+	},
+	{
 		Name:        "uniform",
 		Description: "uniform Poisson arrivals and sizes on a k=4 fat-tree (the PR-1 baseline workload)",
 		Seed:        1,
-		Topology:    func() *graph.Graph { return graph.FatTree(4, 1) },
+		Topology:    fatTree4,
 		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 			return GenerateArrivals(g, ArrivalConfig{
 				Config: Config{NumCoflows: 10, Width: 3, MeanSize: 4, MeanWeight: 1},
 				Rate:   2,
 			}, rng)
 		},
-	})
-	must(Scenario{
-		Name:        "heavy-tail",
-		Description: "Pareto(alpha=1.3) coflow sizes on a k=4 fat-tree: a few elephants own most bytes",
-		Seed:        2,
-		Topology:    func() *graph.Graph { return graph.FatTree(4, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateHeavyTail(g, HeavyTailConfig{
-				NumCoflows: 10, Width: 3, Rate: 1,
-				Alpha: 1.3, MinSize: 1, MaxSize: 100,
-			}, rng)
-		},
-	})
-	must(Scenario{
-		Name:        "fan-in",
-		Description: "5-to-1 shuffle aggregations on a k=4 fat-tree: the reducer's access link bottlenecks",
-		Seed:        3,
-		Topology:    func() *graph.Graph { return graph.FatTree(4, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateSkewed(g, SkewConfig{NumCoflows: 8, FanIn: 5, Rate: 1, MeanSize: 3}, rng)
-		},
-	})
-	must(Scenario{
-		Name:        "fan-out",
-		Description: "1-to-5 broadcasts on a k=4 fat-tree: the sender's access link bottlenecks",
-		Seed:        4,
-		Topology:    func() *graph.Graph { return graph.FatTree(4, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateSkewed(g, SkewConfig{NumCoflows: 8, FanOut: 5, Rate: 1, MeanSize: 3}, rng)
-		},
-	})
-	must(Scenario{
-		Name:        "incast",
-		Description: "synchronized 6-to-1 aggregation waves on a 12-host star: one victim link per wave",
-		Seed:        5,
-		Topology:    func() *graph.Graph { return graph.Star(12, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateIncast(g, IncastConfig{Bursts: 3, BurstSize: 4, FanIn: 6, Gap: 10, MeanSize: 2}, rng)
-		},
-	})
-	must(Scenario{
-		Name:        "diurnal",
-		Description: "sinusoidal arrival rate (0.25 to 4 per unit) on a k=4 fat-tree: valleys then storms",
-		Seed:        6,
-		Topology:    func() *graph.Graph { return graph.FatTree(4, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return GenerateDiurnal(g, DiurnalConfig{
-				NumCoflows: 12, Width: 3, BaseRate: 0.25, PeakRate: 4, Period: 12, MeanSize: 4,
-			}, rng)
-		},
-	})
-	must(Scenario{
-		Name:        "fb-trace",
-		Description: "committed Facebook/Varys-style trace sample replayed on a 12-host star (big-switch model)",
-		Seed:        7,
-		Topology:    func() *graph.Graph { return graph.Star(12, 1) },
-		Generate: func(g *graph.Graph, _ *rand.Rand) (*coflow.Instance, []float64, error) {
-			tr, err := FBSampleTrace()
-			if err != nil {
-				return nil, nil, err
-			}
-			return tr.Instance(g, TraceConfig{})
-		},
-	})
+	},
 }

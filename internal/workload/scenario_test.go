@@ -1,51 +1,25 @@
 package workload
 
 import (
-	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"coflowsched/internal/coflow"
 	"coflowsched/internal/graph"
 )
 
 func TestScenarioRegistry(t *testing.T) {
-	names := ScenarioNames()
 	want := []string{"diurnal", "fan-in", "fan-out", "fb-trace", "heavy-tail", "incast", "uniform"}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("built-in scenario %q not registered (have %v)", w, names)
-		}
+	if names := ScenarioNames(); !reflect.DeepEqual(names, want) {
+		t.Errorf("ScenarioNames() = %v, want the catalog in name order %v", names, want)
 	}
-	if _, ok := LookupScenario("uniform"); !ok {
-		t.Errorf("LookupScenario(uniform) failed")
+	for _, name := range want {
+		if s, ok := LookupScenario(name); !ok || s.Name != name {
+			t.Errorf("LookupScenario(%s) = %q, %v", name, s.Name, ok)
+		}
 	}
 	if _, ok := LookupScenario("no-such-scenario"); ok {
 		t.Errorf("LookupScenario invented a scenario")
-	}
-}
-
-func TestRegisterScenarioRejectsBadInput(t *testing.T) {
-	if err := RegisterScenario(Scenario{Name: ""}); err == nil {
-		t.Errorf("empty name accepted")
-	}
-	if err := RegisterScenario(Scenario{Name: "x"}); err == nil {
-		t.Errorf("scenario without topology/generator accepted")
-	}
-	if err := RegisterScenario(Scenario{
-		Name:     "uniform", // duplicate of a built-in
-		Topology: func() *graph.Graph { return graph.Star(2, 1) },
-		Generate: func(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
-			return nil, nil, nil
-		},
-	}); err == nil {
-		t.Errorf("duplicate name accepted")
 	}
 }
 
@@ -74,8 +48,8 @@ func TestScenarioBuildDeterministic(t *testing.T) {
 }
 
 // TestScenarioBuildValid runs the generator property contract over every
-// registered scenario (including any future registrations that pick up this
-// suite for free).
+// catalog scenario (including any future entry, which picks up this suite for
+// free).
 func TestScenarioBuildValid(t *testing.T) {
 	for _, s := range Scenarios() {
 		s := s
@@ -117,9 +91,9 @@ func TestScenarioBuildValid(t *testing.T) {
 }
 
 func TestFBSampleTrace(t *testing.T) {
-	tr, err := FBSampleTrace()
+	tr, err := ParseTrace(strings.NewReader(fbSampleTrace))
 	if err != nil {
-		t.Fatalf("FBSampleTrace: %v", err)
+		t.Fatalf("ParseTrace(fb_sample_trace.csv): %v", err)
 	}
 	if len(tr.Records) < 10 {
 		t.Errorf("sample trace has only %d records", len(tr.Records))

@@ -28,7 +28,7 @@ import (
 //
 // where "mappers" is a ';'-separated list of mapper slot indices and
 // "reducers" a ';'-separated list of "slot:megabytes" pairs. Slots are
-// abstract placement indices (racks in the original trace); TraceConfig maps
+// abstract placement indices (racks in the original trace); Instance maps
 // them onto the hosts of a concrete topology. Following Varys, the shuffle is
 // a full bipartite mapper x reducer exchange with each reducer's volume split
 // evenly across the mappers.
@@ -203,27 +203,15 @@ func parseReducers(s string) ([]int, []float64, error) {
 	return slots, mb, nil
 }
 
-// TraceConfig controls how abstract trace slots and units map onto a concrete
-// simulation topology.
-type TraceConfig struct {
-	// TimeUnit is the number of simulated time units per trace millisecond
-	// (default 0.001: one simulated unit per trace second).
-	TimeUnit float64
-	// SizeUnit is the simulated volume per trace megabyte (default 0.01: a
-	// 100 MB shuffle is one second of exclusive unit-capacity link use,
-	// keeping replayed instances on the same scale as the synthetic ones).
-	SizeUnit float64
-}
-
-func (c TraceConfig) withDefaults() TraceConfig {
-	if c.TimeUnit <= 0 {
-		c.TimeUnit = 0.001
-	}
-	if c.SizeUnit <= 0 {
-		c.SizeUnit = 0.01
-	}
-	return c
-}
+// A trace replay runs traceTimeUnit simulated time units per trace
+// millisecond (one unit per trace second) and traceSizeUnit simulated volume
+// per trace megabyte (a 100 MB shuffle is one second of exclusive
+// unit-capacity link use, keeping replayed instances on the same scale as the
+// synthetic ones).
+const (
+	traceTimeUnit = 0.001
+	traceSizeUnit = 0.01
+)
 
 // Instance realizes the trace on a topology: slot i maps onto host
 // hosts[i mod len(hosts)], each coflow becomes the full bipartite mapper x
@@ -232,8 +220,7 @@ func (c TraceConfig) withDefaults() TraceConfig {
 // the same host (a rack-local transfer) are skipped; coflows whose transfers
 // are all local are dropped. The returned arrivals are index-aligned with the
 // instance's coflows and non-decreasing.
-func (t *Trace) Instance(g *graph.Graph, cfg TraceConfig) (*coflow.Instance, []float64, error) {
-	cfg = cfg.withDefaults()
+func (t *Trace) Instance(g *graph.Graph) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
 	if len(hosts) < 2 {
 		return nil, nil, fmt.Errorf("workload: trace replay needs at least 2 hosts, topology has %d", len(hosts))
@@ -246,7 +233,7 @@ func (t *Trace) Instance(g *graph.Graph, cfg TraceConfig) (*coflow.Instance, []f
 		if totalFlows > maxTraceFlows {
 			return nil, nil, fmt.Errorf("workload: trace expands to more than %d flows", maxTraceFlows)
 		}
-		arrival := rec.ArrivalMS * cfg.TimeUnit
+		arrival := rec.ArrivalMS * traceTimeUnit
 		cf := coflow.Coflow{Name: rec.ID, Weight: rec.Weight}
 		if cf.Name == "" {
 			cf.Name = fmt.Sprintf("trace-%d", len(inst.Coflows))
@@ -255,7 +242,7 @@ func (t *Trace) Instance(g *graph.Graph, cfg TraceConfig) (*coflow.Instance, []f
 			return nil, nil, fmt.Errorf("workload: trace coflow %s: %d reducers but %d volumes", rec.ID, len(rec.Reducers), len(rec.ReducerMB))
 		}
 		for ri, rslot := range rec.Reducers {
-			size := rec.ReducerMB[ri] * cfg.SizeUnit / float64(len(rec.Mappers))
+			size := rec.ReducerMB[ri] * traceSizeUnit / float64(len(rec.Mappers))
 			dst := hosts[rslot%len(hosts)]
 			for _, mslot := range rec.Mappers {
 				src := hosts[mslot%len(hosts)]

@@ -81,7 +81,7 @@ func TestTraceInstance(t *testing.T) {
 		t.Fatalf("ParseTrace: %v", err)
 	}
 	g := graph.Star(6, 1)
-	inst, arrivals, err := tr.Instance(g, TraceConfig{})
+	inst, arrivals, err := tr.Instance(g)
 	if err != nil {
 		t.Fatalf("Instance: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestTraceInstance(t *testing.T) {
 			t.Errorf("arrivals decrease at %d: %v < %v", i, arrivals[i], arrivals[i-1])
 		}
 	}
-	// "late" (arrival 1000ms, default TimeUnit 0.001) must release at 1.0.
+	// "late" (arrival 1000ms, traceTimeUnit 0.001) must release at 1.0.
 	lateIdx := -1
 	for i, cf := range inst.Coflows {
 		if cf.Name == "late" {
@@ -110,7 +110,7 @@ func TestTraceInstance(t *testing.T) {
 		t.Errorf("late arrival = %v, want 1.0", got)
 	}
 	// 2 mappers x 2 reducers = 4 flows (star hosts are all distinct slots
-	// here, so nothing is rack-local); each flow carries MB/2 * SizeUnit.
+	// here, so nothing is rack-local); each flow carries MB/2 * traceSizeUnit.
 	late := inst.Coflows[lateIdx]
 	if len(late.Flows) != 4 {
 		t.Fatalf("late has %d flows, want 4", len(late.Flows))
@@ -135,11 +135,11 @@ func TestTraceInstanceLocalTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTrace: %v", err)
 	}
-	if _, _, err := tr.Instance(graph.Line(2, 1), TraceConfig{}); err == nil {
+	if _, _, err := tr.Instance(graph.Line(2, 1)); err == nil {
 		t.Fatalf("all-local trace should fail to build an instance")
 	}
 	// On 3 hosts the same trace is a real transfer (2 mod 3 = 2 != 0).
-	inst, _, err := tr.Instance(graph.Line(3, 1), TraceConfig{})
+	inst, _, err := tr.Instance(graph.Line(3, 1))
 	if err != nil {
 		t.Fatalf("Instance on 3 hosts: %v", err)
 	}
