@@ -250,7 +250,7 @@ func BenchmarkLPSolverDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build().Solve(nil); err != nil {
+		if _, err := build().Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,7 +129,7 @@ func solved(m *intervalLP, err error) (*intervalLP, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := m.prob.Solve(nil)
+	sol, err := m.prob.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("core: LP solve failed: %w", err)
 	}

@@ -206,7 +206,7 @@ func TestSolveByteBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < sc.solves; i++ {
-			if _, err := sc.prob.Solve(nil); err != nil {
+			if _, err := sc.prob.Solve(); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
 		}
@@ -228,7 +228,7 @@ func TestSolveAllocBudget(t *testing.T) {
 			continue
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := sc.prob.Solve(nil); err != nil {
+			if _, err := sc.prob.Solve(); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
 		})
@@ -248,7 +248,7 @@ func BenchmarkSolve(b *testing.B) {
 			b.ReportAllocs()
 			pivots, kernel := 0, 0
 			for i := 0; i < b.N; i++ {
-				sol, err := sc.prob.Solve(nil)
+				sol, err := sc.prob.Solve()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,7 +19,7 @@ func TestCertifyRejects(t *testing.T) {
 		p.AddConstraint(LE, 18, Term{x, 3}, Term{y, 2})
 		p.AddConstraint(GE, 1, Term{x, 1}, Term{y, 1}, Term{z, 1})
 		p.AddConstraint(EQ, 5, Term{y, 1}, Term{z, -1})
-		sol, err := p.Solve(nil)
+		sol, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}

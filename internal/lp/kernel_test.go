@@ -25,10 +25,10 @@ func solveChecked(t testing.TB, name string, p *Problem) *simplexState {
 	t.Helper()
 	sf := buildStandardForm(p)
 	checkStandardForm(t, name, p, sf)
-	o := (*Options)(nil).withDefaults(sf.m, sf.n)
-	st, ref := newSimplexState(sf, o.Tolerance), newRefState(sf, o.Tolerance)
+	limit := iterationLimit(sf.m, sf.n)
+	st, ref := newSimplexState(sf), newRefState(sf)
 	st.onPivot = func() { checkInverse(t, fmt.Sprintf("%s: after pivot %d", name, st.iters+1), st) }
-	pricer, iteration := newSimplexState(sf, o.Tolerance), 0
+	pricer, iteration := newSimplexState(sf), 0
 	ref.onPrice = func(cost, y []float64, excludeFrom int) {
 		d := pricer.price(cost, y)
 		for j := 0; j < excludeFrom; j++ {
@@ -47,8 +47,8 @@ func solveChecked(t testing.TB, name string, p *Problem) *simplexState {
 		}
 		iteration++
 	}
-	got, gotErr := st.solve(o)
-	want, wantErr := ref.solve(o)
+	got, gotErr := st.solve(limit)
+	want, wantErr := ref.solve(limit)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Status != want.Status {
 		t.Fatalf("%s: %v (%v) after %d pivots, reference %v (%v) after %d",
 			name, got.Status, gotErr, got.Iterations, want.Status, wantErr, want.Iterations)
@@ -388,8 +388,8 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sf := buildStandardForm(tc.p)
-			o := (*Options)(nil).withDefaults(sf.m, sf.n)
-			st := newSimplexState(sf, o.Tolerance)
+			limit := iterationLimit(sf.m, sf.n)
+			st := newSimplexState(sf)
 			st.onPivot = func() { checkInverse(t, fmt.Sprintf("after pivot %d", st.iters+1), st) }
 
 			// Phase 1 where the LP has artificials, else phase 2.
@@ -425,14 +425,14 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 			}
 
 			st.iters = 0
-			got, err := st.solve(o)
+			got, err := st.solve(limit)
 			if err != nil {
 				t.Fatalf("resumed solve: %v", err)
 			}
 			if err := Certify(tc.p, got); err != nil {
 				t.Fatalf("resumed solve: %v", err)
 			}
-			want, err := newRefState(sf, o.Tolerance).solve(o)
+			want, err := newRefState(sf).solve(limit)
 			if err != nil || !closeRel(got.Objective, want.Objective, 1e-9) {
 				t.Fatalf("resumed solve ends at %v, reference %v (%v)", got.Objective, want.Objective, err)
 			}
@@ -559,7 +559,7 @@ func TestFuzzLPOutcomes(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		p := fuzzLP(seed, uint8(seed*7), uint8(seed*5), uint8(seed))
 		solveChecked(t, fmt.Sprintf("seed %d", seed), p)
-		sol, _ := p.Solve(nil)
+		sol, _ := p.Solve()
 		seen[sol.Status]++
 	}
 	for _, s := range []Status{Optimal, Infeasible, Unbounded} {

@@ -4,7 +4,7 @@
 // The package implements a model builder (variables with bounds, linear
 // constraints, a linear objective) and a two-phase revised simplex solver
 // with an explicit basis inverse, Dantzig pricing, a ratio test that ignores
-// entries below tol·max(1, ‖w‖∞) and a Bland's-rule fallback for
+// entries below tolerance·max(1, ‖w‖∞) and a Bland's-rule fallback for
 // anti-cycling. The inverse is kept in block form: a row whose basic column
 // is still its own slack or artificial contributes an identity row and column
 // to the basis, so only the inverse of the block of the other rows, the
@@ -27,7 +27,7 @@
 //	x := p.AddVariable(0, lp.Inf, 2.0)
 //	y := p.AddVariable(0, 10, 3.0)
 //	p.AddConstraint(lp.GE, 4, lp.Term{Var: x, Coef: 1}, lp.Term{Var: y, Coef: 1})
-//	sol, err := p.Solve(nil)
+//	sol, err := p.Solve()
 //	_ = sol.Value(x)
 //
 // Variables carry lower and upper bounds; finite upper bounds are handled by
@@ -315,42 +315,19 @@ func (s *Solution) Values() []float64 {
 	return out
 }
 
-// Options tunes the simplex solver. The zero value selects sensible
-// defaults.
-type Options struct {
-	// MaxIterations bounds the total number of pivots across both phases.
-	// Zero means an automatic limit based on problem size.
-	MaxIterations int
-	// Tolerance is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tolerance float64
-}
+// tolerance is the simplex's feasibility and optimality tolerance.
+const tolerance = 1e-9
 
-func (o *Options) withDefaults(m, n int) Options {
-	out := Options{}
-	if o != nil {
-		out = *o
-	}
-	if out.MaxIterations <= 0 {
-		limit := 200 * (m + n)
-		if limit < 20000 {
-			limit = 20000
-		}
-		out.MaxIterations = limit
-	}
-	if out.Tolerance <= 0 {
-		out.Tolerance = 1e-9
-	}
-	return out
-}
+// iterationLimit bounds the pivots of one solve across both phases: 200 per
+// row and column of the standard form, and at least 20 000.
+func iterationLimit(m, n int) int { return max(200*(m+n), 20000) }
 
-// Solve optimizes the problem and returns the solution. A nil Options uses
-// defaults. Solve returns an error (and a Solution with the corresponding
-// Status) when the problem is infeasible, unbounded, or the iteration limit
-// is exceeded.
-func (p *Problem) Solve(opts *Options) (*Solution, error) {
+// Solve optimizes the problem and returns the solution. Solve returns an
+// error (and a Solution with the corresponding Status) when the problem is
+// infeasible, unbounded, or the iteration limit is exceeded.
+func (p *Problem) Solve() (*Solution, error) {
 	sf := buildStandardForm(p)
-	o := opts.withDefaults(sf.m, sf.n)
-	return newSimplexState(sf, o.Tolerance).solve(o)
+	return newSimplexState(sf).solve(iterationLimit(sf.m, sf.n))
 }
 
 // String renders the problem in a small LP-format-like text form, useful in

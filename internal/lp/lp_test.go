@@ -23,7 +23,7 @@ func TestSimpleMaximization(t *testing.T) {
 	p.AddConstraint(LE, 4, Term{x, 1})
 	p.AddConstraint(LE, 12, Term{y, 2})
 	p.AddConstraint(LE, 18, Term{x, 3}, Term{y, 2})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestSimpleMinimizationWithGE(t *testing.T) {
 	y := p.AddVariable(0, Inf, 3)
 	p.AddConstraint(GE, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint(GE, 6, Term{x, 1}, Term{y, 2})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestEqualityConstraints(t *testing.T) {
 	y := p.AddVariable(0, Inf, 1)
 	p.AddConstraint(EQ, 5, Term{x, 1}, Term{y, 1})
 	p.AddConstraint(EQ, 1, Term{x, 1}, Term{y, -1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestInfeasible(t *testing.T) {
 	x := p.AddVariable(0, Inf, 1)
 	p.AddConstraint(GE, 5, Term{x, 1})
 	p.AddConstraint(LE, 3, Term{x, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -91,7 +91,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	y := p.AddVariable(0, Inf, 0)
 	p.AddConstraint(EQ, 1, Term{x, 1}, Term{y, 1})
 	p.AddConstraint(EQ, 3, Term{x, 1}, Term{y, 1})
-	_, err := p.Solve(nil)
+	_, err := p.Solve()
 	if err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -102,7 +102,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVariable(0, Inf, 1)
 	y := p.AddVariable(0, Inf, 0)
 	p.AddConstraint(GE, 1, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != ErrUnbounded {
 		t.Fatalf("err = %v, want ErrUnbounded", err)
 	}
@@ -117,7 +117,7 @@ func TestVariableUpperBounds(t *testing.T) {
 	x := p.AddVariable(0, 3, 1)
 	y := p.AddVariable(0, 2, 1)
 	p.AddConstraint(LE, 4, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestNonzeroLowerBounds(t *testing.T) {
 	x := p.AddVariable(2, Inf, 1)
 	y := p.AddVariable(3, Inf, 1)
 	p.AddConstraint(GE, 7, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestFixedVariableViaBounds(t *testing.T) {
 	x := p.AddVariable(5, 5, 1)
 	y := p.AddVariable(0, Inf, 1)
 	p.AddConstraint(GE, 8, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestNegativeRHS(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVariable(0, Inf, 1)
 	p.AddConstraint(LE, -3, Term{x, -1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestDegenerateLP(t *testing.T) {
 	p.AddConstraint(LE, 0, Term{x, 0.5}, Term{y, -5.5}, Term{z, -2.5}, Term{w, 9})
 	p.AddConstraint(LE, 0, Term{x, 0.5}, Term{y, -1.5}, Term{z, -0.5}, Term{w, 1})
 	p.AddConstraint(LE, 1, Term{x, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestZeroObjective(t *testing.T) {
 	x := p.AddVariable(0, Inf, 0)
 	y := p.AddVariable(0, Inf, 0)
 	p.AddConstraint(EQ, 4, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestDuplicateTermsMerged(t *testing.T) {
 	x := p.AddVariable(0, Inf, 1)
 	// 1x + 2x <= 9  ->  x <= 3.
 	p.AddConstraint(LE, 9, Term{x, 1}, Term{x, 2})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestRedundantConstraints(t *testing.T) {
 	p.AddConstraint(EQ, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint(EQ, 8, Term{x, 2}, Term{y, 2})
 	p.AddConstraint(EQ, 12, Term{x, 3}, Term{y, 3})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestRedundantConstraints(t *testing.T) {
 func TestEmptyObjectiveNoConstraints(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVariable(0, Inf, 1)
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestMaximizeWithEqualityAndBounds(t *testing.T) {
 	a := p.AddVariable(0, 6, 4)
 	b := p.AddVariable(0, 7, 3)
 	p.AddConstraint(EQ, 10, Term{a, 1}, Term{b, 1})
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestMaximizeWithEqualityAndBounds(t *testing.T) {
 func TestSolutionValueOutOfRange(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVariable(2, Inf, 1)
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -414,7 +414,7 @@ func TestSolutionValuesNilSafe(t *testing.T) {
 	}
 	p := NewProblem(Minimize)
 	x := p.AddVariable(2, 5, 1)
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestIterationLimit(t *testing.T) {
 		}
 		p.AddConstraint(LE, float64(10+i), terms...)
 	}
-	sol, err := p.Solve(&Options{MaxIterations: 1})
+	sol, err := newSimplexState(buildStandardForm(p)).solve(1)
 	if err != ErrIterationLimit {
 		t.Fatalf("err = %v, want ErrIterationLimit", err)
 	}
@@ -507,7 +507,7 @@ func TestLargeDiet(t *testing.T) {
 		r[i] = float64(i%4+1) * 3
 		p.AddConstraint(GE, r[i], terms...)
 	}
-	sol, err := p.Solve(nil)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -58,7 +58,7 @@ func TestPropertyRandomFeasibleLPsSolveToFeasibleOptima(t *testing.T) {
 		// constraint construction. Simpler: solve and check feasibility and
 		// optimality via weak duality against zero (objective >= 0 since
 		// c >= 0, x >= 0).
-		sol, err := p.Solve(nil)
+		sol, err := p.Solve()
 		if err != nil {
 			t.Fatalf("trial %d: Solve failed: %v\n%s", trial, err, p.String())
 		}
@@ -107,7 +107,7 @@ func TestPropertyScalingInvariance(t *testing.T) {
 				}
 				p.AddConstraint(GE, localRng.Float64()*10+1, terms...)
 			}
-			sol, err := p.Solve(nil)
+			sol, err := p.Solve()
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -172,7 +172,7 @@ func TestPropertyWeakDualityTransportation(t *testing.T) {
 			}
 			p.AddConstraint(GE, demand[j], terms...)
 		}
-		sol, err := p.Solve(nil)
+		sol, err := p.Solve()
 		if err != nil {
 			return false
 		}
@@ -217,7 +217,7 @@ func TestPropertyEqualityRowsSatisfied(t *testing.T) {
 			b[i] = lhs
 			p.AddConstraint(EQ, b[i], terms...)
 		}
-		sol, err := p.Solve(nil)
+		sol, err := p.Solve()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

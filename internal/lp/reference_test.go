@@ -28,7 +28,6 @@ type refState struct {
 	inB   []bool      // inB[j] = column j is basic
 	binv  [][]float64 // dense basis inverse, m x m
 	xB    []float64   // basic variable values
-	tol   float64
 	iters int
 
 	// onPrice, when set, sees the cost vector, the duals and the priced range
@@ -37,7 +36,7 @@ type refState struct {
 	onPrice func(cost, y []float64, excludeFrom int)
 }
 
-func newRefState(sf *standardForm, tol float64) *refState {
+func newRefState(sf *standardForm) *refState {
 	m := sf.m
 	st := &refState{
 		sf:    sf,
@@ -45,7 +44,6 @@ func newRefState(sf *standardForm, tol float64) *refState {
 		inB:   make([]bool, sf.n),
 		binv:  make([][]float64, m),
 		xB:    make([]float64, m),
-		tol:   tol,
 	}
 	for i := range st.binv {
 		st.binv[i] = make([]float64, m)
@@ -134,7 +132,7 @@ func (st *refState) pivot(enter, leave int, w []float64, theta float64) {
 			continue
 		}
 		st.xB[i] -= theta * w[i]
-		if st.xB[i] < 0 && st.xB[i] > -st.tol {
+		if st.xB[i] < 0 && st.xB[i] > -tolerance {
 			st.xB[i] = 0
 		}
 	}
@@ -248,13 +246,13 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 		}
 
 		enter := -1
-		bestRC := -st.tol
+		bestRC := -tolerance
 		if useBland {
 			for j := 0; j < excludeFrom; j++ {
 				if st.inB[j] {
 					continue
 				}
-				if st.reducedCost(cost, y, j) < -st.tol {
+				if st.reducedCost(cost, y, j) < -tolerance {
 					enter = j
 					break
 				}
@@ -283,7 +281,7 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 		// termination.
 		theta := math.Inf(1)
 		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= st.tol {
+			if w[i] <= tolerance {
 				continue
 			}
 			if ratio := st.xB[i] / w[i]; ratio < theta {
@@ -298,11 +296,11 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 		}
 		leave := -1
 		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= st.tol {
+			if w[i] <= tolerance {
 				continue
 			}
 			ratio := st.xB[i] / w[i]
-			if ratio > theta+st.tol*(1+math.Abs(theta)) {
+			if ratio > theta+tolerance*(1+math.Abs(theta)) {
 				continue
 			}
 			if leave < 0 {
@@ -321,7 +319,7 @@ func (st *refState) runPhase(cost []float64, excludeFrom, maxIters int) (Status,
 			return Unbounded, ErrUnbounded
 		}
 
-		if theta <= st.tol {
+		if theta <= tolerance {
 			degenerate++
 			if degenerate >= degenerateSwitch {
 				useBland = true
@@ -378,7 +376,7 @@ func (st *refState) driveOutArtificials() {
 }
 
 // solve runs the two-phase revised simplex and extracts the solution.
-func (st *refState) solve(o Options) (*Solution, error) {
+func (st *refState) solve(maxIter int) (*Solution, error) {
 	sf := st.sf
 
 	hasArtificials := false
@@ -394,19 +392,19 @@ func (st *refState) solve(o Options) (*Solution, error) {
 		for j := sf.artStart; j < sf.n; j++ {
 			phase1Cost[j] = 1
 		}
-		status, err := st.runPhase(phase1Cost, sf.n, o.MaxIterations)
+		status, err := st.runPhase(phase1Cost, sf.n, maxIter)
 		if status != Optimal {
 			return &Solution{Status: status, Iterations: st.iters}, err
 		}
 		// Allow a slightly looser tolerance for the infeasibility test:
-		// phase-1 objective is a sum of m values each rounded at tol.
-		if st.objective(phase1Cost) > o.Tolerance*float64(sf.m+1)*100 {
+		// phase-1 objective is a sum of m values each rounded at tolerance.
+		if st.objective(phase1Cost) > tolerance*float64(sf.m+1)*100 {
 			return &Solution{Status: Infeasible, Iterations: st.iters}, ErrInfeasible
 		}
 		st.driveOutArtificials()
 	}
 
-	status, err := st.runPhase(sf.c, sf.artStart, o.MaxIterations)
+	status, err := st.runPhase(sf.c, sf.artStart, maxIter)
 	if status != Optimal {
 		return &Solution{Status: status, Iterations: st.iters}, err
 	}

@@ -246,7 +246,6 @@ type simplexState struct {
 	d      []float64 // what price returns, as w
 	wk     []float64 // scratch by kernel index: ftran's w_K, btran's c_K - B_NK'y_N, update's w, join's r, factor's x_K
 	visit  []int     // scratch of btran, update, join and factor: kernel indexes
-	tol    float64
 	iters  int
 	// What the solve went through, for the tests that must show their LPs
 	// reach each path: pivots under Bland's rule, refactorizations, and
@@ -258,7 +257,7 @@ type simplexState struct {
 // initialStride is the kernel size the first slab holds.
 const initialStride = 32
 
-func newSimplexState(sf *standardForm, tol float64) *simplexState {
+func newSimplexState(sf *standardForm) *simplexState {
 	m := sf.m
 	scratch := make([]float64, 3*m+sf.nOrig)
 	st := &simplexState{
@@ -273,7 +272,6 @@ func newSimplexState(sf *standardForm, tol float64) *simplexState {
 		wk:    scratch[2*m : 3*m : 3*m],
 		d:     scratch[3*m:],
 		visit: make([]int, 0, m),
-		tol:   tol,
 	}
 	for i := range st.kidx {
 		st.kidx[i] = -1
@@ -457,7 +455,7 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 				continue
 			}
 			st.xB[i] -= theta * w[i]
-			if st.xB[i] < 0 && st.xB[i] > -st.tol {
+			if st.xB[i] < 0 && st.xB[i] > -tolerance {
 				st.xB[i] = 0
 			}
 		}
@@ -669,7 +667,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		d := st.price(cost, y)
 
 		enter := -1
-		bestRC := -st.tol
+		bestRC := -tolerance
 		for j := 0; j < excludeFrom; j++ {
 			var rc float64
 			if j < len(d) {
@@ -696,7 +694,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		// ratio ties it (within tolerance) pick the one with the largest
 		// pivot element; this keeps the basis well conditioned. Under Bland's
 		// rule the smallest basic index is used instead to guarantee
-		// termination. An entry at most tol·max(1, ‖w‖∞) bounds no step: that
+		// termination. An entry at most tolerance·max(1, ‖w‖∞) bounds no step: that
 		// small against the column's largest it is rounding noise, and a
 		// pivot on it leaves a basis the next refactorization finds singular.
 		floor := 1.0
@@ -707,7 +705,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 				floor = -v
 			}
 		}
-		floor *= st.tol
+		floor *= tolerance
 		theta := math.Inf(1)
 		for i := 0; i < st.sf.m; i++ {
 			if w[i] <= floor {
@@ -729,7 +727,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 				continue
 			}
 			ratio := st.xB[i] / w[i]
-			if ratio > theta+st.tol*(1+math.Abs(theta)) {
+			if ratio > theta+tolerance*(1+math.Abs(theta)) {
 				continue
 			}
 			if leave < 0 {
@@ -748,7 +746,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 			return Unbounded, ErrUnbounded
 		}
 
-		if theta <= st.tol {
+		if theta <= tolerance {
 			degenerate++
 			if degenerate >= degenerateSwitch {
 				useBland = true
@@ -811,7 +809,7 @@ func (st *simplexState) driveOutArtificials() {
 }
 
 // solve runs the two-phase revised simplex and extracts the solution.
-func (st *simplexState) solve(o Options) (*Solution, error) {
+func (st *simplexState) solve(maxIter int) (*Solution, error) {
 	sf := st.sf
 
 	hasArtificials := false
@@ -827,19 +825,19 @@ func (st *simplexState) solve(o Options) (*Solution, error) {
 		for j := sf.artStart; j < sf.n; j++ {
 			phase1Cost[j] = 1
 		}
-		status, err := st.runPhase(phase1Cost, sf.n, o.MaxIterations)
+		status, err := st.runPhase(phase1Cost, sf.n, maxIter)
 		if status != Optimal {
 			return &Solution{Status: status, Iterations: st.iters, Kernel: len(st.kern)}, err
 		}
 		// Allow a slightly looser tolerance for the infeasibility test:
-		// phase-1 objective is a sum of m values each rounded at tol.
-		if st.objective(phase1Cost) > o.Tolerance*float64(sf.m+1)*100 {
+		// phase-1 objective is a sum of m values each rounded at tolerance.
+		if st.objective(phase1Cost) > tolerance*float64(sf.m+1)*100 {
 			return &Solution{Status: Infeasible, Iterations: st.iters, Kernel: len(st.kern)}, ErrInfeasible
 		}
 		st.driveOutArtificials()
 	}
 
-	status, err := st.runPhase(sf.c, sf.artStart, o.MaxIterations)
+	status, err := st.runPhase(sf.c, sf.artStart, maxIter)
 	if status != Optimal {
 		return &Solution{Status: status, Iterations: st.iters, Kernel: len(st.kern)}, err
 	}
