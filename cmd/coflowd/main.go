@@ -50,7 +50,6 @@ func main() {
 		epochLen   = flag.Float64("epoch", 2.0, "epoch length in simulated time units")
 		timeScale  = flag.Float64("timescale", 1.0, "simulated time units per wall-clock second")
 		fatK       = flag.Int("fatk", 4, "fat-tree arity (k=4: 16 servers, k=8: the paper's 128)")
-		candidates = flag.Int("paths", 4, "candidate paths per flow at admission")
 		shard      = flag.String("shard", "", "cluster shard identity: labels every /metrics series with {shard=\"...\"} so gateway-scraped backends stay distinguishable")
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory; admissions are fsynced before acking and a restart recovers the engine from snapshot + log")
 		snapEvery  = flag.Duration("snapshot-interval", 0, "engine snapshot period (0 = default 30s with -wal-dir, negative disables)")
@@ -91,7 +90,6 @@ func main() {
 		Policy:           policy,
 		EpochLength:      *epochLen,
 		TimeScale:        *timeScale,
-		CandidatePaths:   *candidates,
 		Shard:            *shard,
 		WALDir:           *walDir,
 		SnapshotInterval: *snapEvery,

@@ -69,6 +69,10 @@ type OrderRecord struct {
 	// Refs is the order exactly as handed to ApplyOrder (pre-filtering);
 	// replay re-filters against the rebuilt simulator state identically.
 	Refs []coflow.FlowRef `json:"refs"`
+	// Fallbacks is the engine's cumulative fallback count
+	// (EngineStats.Fallbacks) when the order was applied, so replay restores
+	// it; absent while the policy has never fallen back.
+	Fallbacks int `json:"fallbacks,omitempty"`
 }
 
 // AdvanceRecord is one clock advance.

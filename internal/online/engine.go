@@ -16,16 +16,6 @@ type Config struct {
 	// Seed drives any randomness a policy needs (e.g. the Oracle's offline
 	// scheduler). The epoch loop itself is deterministic.
 	Seed int64
-	// CandidatePaths bounds the admission-time routing's candidate set
-	// (default 4, matching the offline schedulers).
-	CandidatePaths int
-}
-
-func (c Config) withDefaults() Config {
-	if c.CandidatePaths < 1 {
-		c.CandidatePaths = 4
-	}
-	return c
 }
 
 // EpochStat records one epoch of the run: the simulated span, how much work

@@ -204,7 +204,6 @@ func NewEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
 // newEngine is NewEngine without the Preparer check: Run holds the full
 // instance and prepares a hindsight policy itself.
 func newEngine(g *graph.Graph, policy Policy, cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
 	if cfg.EpochLength <= 0 {
 		return nil, fmt.Errorf("online: epoch length must be positive, got %v", cfg.EpochLength)
 	}
@@ -237,8 +236,12 @@ func (e *Engine) candidatePaths(f *coflow.Flow) []graph.Path {
 	if f.Path != nil {
 		return []graph.Path{f.Path}
 	}
-	return e.inst.Network.KShortestPathsCached(f.Source, f.Dest, e.cfg.CandidatePaths)
+	return e.inst.Network.KShortestPathsCached(f.Source, f.Dest, admissionPaths)
 }
+
+// admissionPaths bounds the admission-time routing's candidate set, matching
+// the offline schedulers' default (core.Options.CandidatePaths).
+const admissionPaths = 4
 
 // pickPath chooses, among a flow's candidates, the path minimizing the
 // resulting size-weighted bottleneck load given the volume admitted so far
@@ -564,6 +567,16 @@ func (e *Engine) ApplyHeld() (d Decision, applied bool, err error) {
 	e.holding, e.warmAt = false, e.epoch
 	return e.held, true, e.ApplyOrder(e.held.Order, e.held.Latency)
 }
+
+// Fallbacks is EngineStats.Fallbacks without the copies Stats makes.
+func (e *Engine) Fallbacks() int { return e.fallbacks }
+
+// ReplayFallbacks raises the fallback count to n, the cumulative count a
+// logged order carries; recovery calls it beside ApplyOrder. It never lowers
+// the count: an AsyncPolicy's order logged twice on a cold start (by Settle,
+// then by ApplyHeld) carries the same n both times, and a record written
+// before the count was logged carries 0.
+func (e *Engine) ReplayFallbacks(n int) { e.fallbacks = max(e.fallbacks, n) }
 
 // ApplyOrder installs a priority order and records the latency of the
 // decision that produced it, outside the staleness rule (recovery replays

@@ -35,6 +35,7 @@ type EngineState struct {
 	Epoch int     `json:"epoch"`
 
 	Decisions        int       `json:"decisions"`
+	Fallbacks        int       `json:"fallbacks,omitempty"` // EngineStats.Fallbacks; absent when none was settled
 	CompletedCoflows int       `json:"completed_coflows"`
 	DoneFlows        int       `json:"done_flows"`
 	TotalFlows       int       `json:"total_flows"`
@@ -101,6 +102,7 @@ func (e *Engine) ExportState() *EngineState {
 		Now:              e.now,
 		Epoch:            e.epoch,
 		Decisions:        e.decisions,
+		Fallbacks:        e.fallbacks,
 		CompletedCoflows: e.completedCoflows,
 		DoneFlows:        e.doneFlows,
 		TotalFlows:       e.totalFlows,
@@ -245,6 +247,7 @@ func RestoreEngine(g *graph.Graph, policy Policy, cfg Config, st *EngineState) (
 	e.now = st.Now
 	e.epoch = st.Epoch
 	e.decisions = st.Decisions
+	e.fallbacks = st.Fallbacks
 	e.completedCoflows = st.CompletedCoflows
 	e.doneFlows = st.DoneFlows
 	e.totalFlows = st.TotalFlows

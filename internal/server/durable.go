@@ -146,7 +146,7 @@ func recoverState(cfg Config, snapshots durable.BlobStore) (*recovery, error) {
 	}
 	persist := serverPersist{High: -1} // a snapshot without the field admitted no gateway key
 	restore := func(ok bool) (err error) {
-		engCfg := online.Config{EpochLength: cfg.EpochLength, CandidatePaths: cfg.CandidatePaths}
+		engCfg := online.Config{EpochLength: cfg.EpochLength}
 		if !ok {
 			rec.eng, err = online.NewEngine(cfg.Network, cfg.Policy, engCfg)
 			return err
@@ -223,6 +223,7 @@ func (rec *recovery) apply(r *durable.Record) error {
 		if err := rec.eng.ApplyOrder(o.Refs, latency); err != nil {
 			return fmt.Errorf("%w: order record seq %d does not replay: %v", durable.ErrCorrupt, r.Seq, err)
 		}
+		rec.eng.ReplayFallbacks(o.Fallbacks)
 	case durable.RecAdvance:
 		if err := rec.eng.AdvanceTo(r.Advance.Now); err != nil {
 			return fmt.Errorf("%w: advance record seq %d: advance to %v: %v", durable.ErrCorrupt, r.Seq, r.Advance.Now, err)

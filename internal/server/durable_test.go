@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"coflowsched/internal/coflow"
 	"coflowsched/internal/durable"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
@@ -321,5 +322,59 @@ func TestAdmitIdempotencyWithoutWAL(t *testing.T) {
 	}
 	if st, err := s.Stats(); err != nil || st.Admitted != 1 {
 		t.Fatalf("admitted = %d (%v), want 1", st.Admitted, err)
+	}
+}
+
+// fallbackPolicy always falls back: it decides SEBF's order and hands it over
+// as a *online.Fallback, the way LPEpoch does when its LP fails to solve.
+type fallbackPolicy struct{}
+
+func (fallbackPolicy) Name() string { return "fallback-stub" }
+
+func (fallbackPolicy) Decide(snap *online.Snapshot) ([]coflow.FlowRef, error) {
+	order, err := online.SEBFOnline{}.Decide(snap)
+	if err != nil {
+		return nil, err
+	}
+	return nil, &online.Fallback{Order: order, Err: errors.New("stub solver failure")}
+}
+
+// TestFallbackCountSurvivesRecovery: the fallback count is engine state like
+// the decision count, so a daemon recovered from its log alone, or from a
+// snapshot and the log suffix after it, reports the fallbacks its
+// predecessor settled (EngineStats.Fallbacks, which /v1/stats and
+// coflowd_policy_fallback_total serve).
+func TestFallbackCountSurvivesRecovery(t *testing.T) {
+	for _, snap := range []bool{false, true} {
+		name := map[bool]string{false: "wal-only", true: "snapshot+suffix"}[snap]
+		t.Run(name, func(t *testing.T) {
+			cfg := steppedConfig(t, t.TempDir())
+			cfg.Policy = fallbackPolicy{}
+			s := mustStartStepped(t, cfg)
+			for i := 0; i < 4; i++ {
+				s.admitAt(t, 0, admitSpec(i))
+			}
+			for tick := 1; tick <= 3; tick++ {
+				s.tickAt(t, float64(tick))
+			}
+			if snap {
+				// The snapshot covers every order record, so the count
+				// must come from the snapshot; the suffix is one more
+				// admission.
+				s.snapshot(t)
+				s.admitAt(t, 3, admitSpec(4))
+			}
+			before := s.stats(t)
+			if before.Decisions != 3 || before.Fallbacks != 3 {
+				t.Fatalf("before the crash: decisions=%d fallbacks=%d, want 3 and 3", before.Decisions, before.Fallbacks)
+			}
+			s.Kill()
+
+			after := mustStartStepped(t, cfg).stats(t)
+			if after.Decisions != before.Decisions || after.Fallbacks != before.Fallbacks {
+				t.Errorf("recovered decisions=%d fallbacks=%d, want %d and %d",
+					after.Decisions, after.Fallbacks, before.Decisions, before.Fallbacks)
+			}
+		})
 	}
 }

@@ -57,8 +57,6 @@ type Config struct {
 	// wall-clock second (default 1). Raising it makes the simulated network
 	// run faster than real time, which load tests use to drain quickly.
 	TimeScale float64
-	// CandidatePaths bounds admission-time routing (default 4).
-	CandidatePaths int
 	// Shard, when non-empty, is this daemon's identity in a multi-backend
 	// cluster: every /metrics line gains a {shard="..."} label so metrics
 	// scraped from several backends by one gateway stay distinguishable.
@@ -190,10 +188,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock, snapsh
 		high:     -1,
 	}
 	if cfg.WALDir == "" {
-		s.eng, err = online.NewEngine(cfg.Network, cfg.Policy, online.Config{
-			EpochLength:    cfg.EpochLength,
-			CandidatePaths: cfg.CandidatePaths,
-		})
+		s.eng, err = online.NewEngine(cfg.Network, cfg.Policy, online.Config{EpochLength: cfg.EpochLength})
 		if err != nil {
 			return nil, err
 		}
@@ -378,6 +373,7 @@ func (s *Server) applied(d online.Decision, ok bool, err error) {
 			Now:         s.eng.Now(),
 			LatencySecs: d.Latency.Seconds(),
 			Refs:        d.Order,
+			Fallbacks:   s.eng.Fallbacks(),
 		}})
 	}
 	s.decided, s.decideLatency, s.decidedFallback = true, d.Latency, d.Fallback
