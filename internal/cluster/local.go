@@ -16,8 +16,9 @@ import (
 
 // LocalConfig parameterizes an in-process cluster: N coflowd shards, each a
 // full server.Server behind its own loopback httptest listener, fronted by
-// one gateway. Everything runs in this process — tests, coflowbench and
-// coflowload use it to measure shard-count scaling without real networking.
+// one gateway. Everything runs in this process — tests, the benchmark module
+// (bench/), coflowgate -local and coflowload -cluster use it to measure
+// shard-count scaling without real networking.
 type LocalConfig struct {
 	// Shards is the number of backends (required > 0).
 	Shards int

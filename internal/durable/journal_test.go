@@ -168,7 +168,7 @@ func TestJournalBitFlipRefused(t *testing.T) {
 // the next older one plus more replay, and says so once in the log.
 func TestJournalFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewDirStore(t.TempDir()) // an explicit store, as Config.SnapshotStore passes
+	store, err := NewDirStore(t.TempDir()) // an explicit store, as internal/server's tests hand newServer one
 	if err != nil {
 		t.Fatalf("dir store: %v", err)
 	}
