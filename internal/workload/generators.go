@@ -20,10 +20,10 @@ import (
 //
 // Every generator returns (instance, arrivals, error) with arrivals
 // index-aligned to the instance's coflows and non-decreasing, the contract
-// the scenario catalog and the online engine rely on.
-
-// The generators' shapes are the scenarios' own: each catalog entry is their
-// only caller, so every parameter but fan-in against fan-out is a constant.
+// the scenario catalog and the online engine rely on. The generators' shapes
+// are the scenarios' own: each catalog entry is their only caller, so every
+// parameter but fan-in against fan-out is a constant, and each runs on its
+// scenario's topology (16 or 12 hosts, more than any fan degree needs).
 
 // heavy-tail: ten 3-flow coflows at rate 1 whose per-coflow size follows a
 // bounded Pareto with shape heavyTailAlpha on [heavyTailMin, heavyTailMax].
@@ -59,9 +59,6 @@ func paretoSize(rng *rand.Rand) float64 {
 // the per-coflow (not per-flow) skew of the Facebook trace.
 func generateHeavyTail(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
-	if len(hosts) < 2 {
-		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
-	}
 	inst := &coflow.Instance{Network: g}
 	arrivals := make([]float64, heavyTailCoflows)
 	t := 0.0
@@ -83,8 +80,7 @@ func generateHeavyTail(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []floa
 }
 
 // fan-in and fan-out: eight coflows at rate 1, each skewDegree flows of
-// Poisson(skewMeanSize)+1 between one pivot host and distinct peers (capped at
-// len(hosts)-1).
+// Poisson(skewMeanSize)+1 between one pivot host and distinct peers.
 const (
 	skewCoflows  = 8
 	skewDegree   = 5
@@ -99,10 +95,6 @@ const (
 // situation where coflow-aware ordering matters most.
 func generateSkewed(g *graph.Graph, fanOut bool, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
-	if len(hosts) < 2 {
-		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
-	}
-	degree := min(skewDegree, len(hosts)-1)
 	inst := &coflow.Instance{Network: g}
 	arrivals := make([]float64, skewCoflows)
 	t := 0.0
@@ -110,7 +102,7 @@ func generateSkewed(g *graph.Graph, fanOut bool, rng *rand.Rand) (*coflow.Instan
 		t += rng.ExpFloat64() / skewRate
 		arrivals[i] = t
 		pivot := hosts[rng.Intn(len(hosts))]
-		peers := samplePeers(hosts, pivot, degree, rng)
+		peers := samplePeers(hosts, pivot, skewDegree, rng)
 		name := fmt.Sprintf("fanin-%d", i)
 		if fanOut {
 			name = fmt.Sprintf("fanout-%d", i)
@@ -134,7 +126,7 @@ func generateSkewed(g *graph.Graph, fanOut bool, rng *rand.Rand) (*coflow.Instan
 
 // incast: incastBursts waves of incastBurstSize coflows, incastGap apart,
 // each coflow arriving within incastJitter of its wave's start with
-// incastFanIn senders (capped at len(hosts)-1) of Poisson(incastMeanSize)+1:
+// incastFanIn senders of Poisson(incastMeanSize)+1:
 // incast is many small transfers, not elephants.
 const (
 	incastBursts    = 3
@@ -151,10 +143,6 @@ const (
 // serving and distributed storage.
 func generateIncast(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
-	if len(hosts) < 2 {
-		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
-	}
-	fanIn := min(incastFanIn, len(hosts)-1)
 	inst := &coflow.Instance{Network: g}
 	var arrivals []float64
 	for b := 0; b < incastBursts; b++ {
@@ -169,7 +157,7 @@ func generateIncast(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64
 		sort.Float64s(offsets)
 		for i, off := range offsets {
 			t := waveStart + off
-			senders := samplePeers(hosts, victim, fanIn, rng)
+			senders := samplePeers(hosts, victim, incastFanIn, rng)
 			cf := coflow.Coflow{Name: fmt.Sprintf("incast-%d-%d", b, i), Weight: 1}
 			for _, s := range senders {
 				size := float64(Poisson(rng, incastMeanSize) + 1)
@@ -209,9 +197,6 @@ func diurnalRate(t float64) float64 {
 // with probability diurnalRate(t)/diurnalPeakRate.
 func generateDiurnal(g *graph.Graph, rng *rand.Rand) (*coflow.Instance, []float64, error) {
 	hosts := g.Hosts()
-	if len(hosts) < 2 {
-		return nil, nil, fmt.Errorf("workload: network has %d hosts, need at least 2", len(hosts))
-	}
 	inst := &coflow.Instance{Network: g}
 	arrivals := make([]float64, diurnalCoflows)
 	t := 0.0
