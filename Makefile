@@ -23,10 +23,10 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # loc-by-package breaks loc down: non-test Go lines per directory under
-# internal/ and cmd/, so a PR that claims a collapse shows where it came from
-# (loc stays the single tracked total; it also counts examples/).
+# internal/, cmd/ and examples/, so a PR that claims a collapse shows where it
+# came from (its lines sum to loc, the single tracked total).
 loc-by-package:
-	@for d in internal/* cmd/*; do \
+	@for d in internal/* cmd/* examples/*; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" $$d; \
 	done
 

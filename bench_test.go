@@ -232,11 +232,11 @@ func BenchmarkLPSolveIntervalIndexed(b *testing.B) {
 // BenchmarkLPSolverDense measures the raw simplex on a dense synthetic LP.
 func BenchmarkLPSolverDense(b *testing.B) {
 	build := func() *lp.Problem {
-		p := lp.NewProblem(lp.Minimize)
+		p := lp.NewProblem()
 		const n, m = 60, 40
 		vars := make([]lp.Var, n)
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVariable(0, lp.Inf, float64(j%7+1))
+			vars[j] = p.AddVariable(float64(j%7 + 1))
 		}
 		for i := 0; i < m; i++ {
 			terms := make([]lp.Term, n)

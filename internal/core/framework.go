@@ -80,7 +80,7 @@ func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options,
 		opts:    opts,
 		grid:    intervals.New(opts.Epsilon, horizon),
 		refs:    refs,
-		prob:    lp.NewProblem(lp.Minimize),
+		prob:    lp.NewProblem(),
 		routing: r,
 	}
 	m.prob.SetNames(m)
@@ -90,7 +90,7 @@ func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options,
 	// reformulation), carrying the coflow weight in the objective.
 	m.coflowVar = make([]lp.Var, len(inst.Coflows))
 	for c, cf := range inst.Coflows {
-		m.coflowVar[c] = m.prob.AddVariable(0, lp.Inf, cf.Weight)
+		m.coflowVar[c] = m.prob.AddVariable(cf.Weight)
 	}
 
 	m.rel = make([]int, len(m.refs))

@@ -175,10 +175,10 @@ func solveCases(tb testing.TB) []solveCase {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dense := lp.NewProblem(lp.Minimize)
+	dense := lp.NewProblem()
 	vars := make([]lp.Var, 60)
 	for j := range vars {
-		vars[j] = dense.AddVariable(0, lp.Inf, float64(j%7+1))
+		vars[j] = dense.AddVariable(float64(j%7 + 1))
 	}
 	for i := 0; i < 40; i++ {
 		terms := make([]lp.Term, len(vars))

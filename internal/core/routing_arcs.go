@@ -19,10 +19,10 @@ func (r *arcRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	L, E := m.grid.NumIntervals(), m.inst.Network.NumEdges()
 	deliver, ys := make([][]lp.Var, L), make([][]lp.Var, L)
 	for l := rel; l < L; l++ {
-		deliver[l] = []lp.Var{m.prob.AddVariable(0, lp.Inf, 0)}
+		deliver[l] = []lp.Var{m.prob.AddVariable(0)}
 		ys[l] = make([]lp.Var, E)
 		for e := range ys[l] {
-			ys[l][e] = m.prob.AddVariable(0, lp.Inf, 0)
+			ys[l][e] = m.prob.AddVariable(0)
 		}
 	}
 	if r.y == nil {

@@ -72,7 +72,7 @@ func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	}
 	for p := 0; p < P; p++ {
 		for l := rel; l < L; l++ {
-			deliver[l][p] = m.prob.AddVariable(0, lp.Inf, 0)
+			deliver[l][p] = m.prob.AddVariable(0)
 		}
 	}
 	return deliver

@@ -17,14 +17,12 @@ const (
 )
 
 // Certify checks that sol, an Optimal solution of p, is optimal by the duality
-// certificate of the basis the solve ended on, reading p's rows and bounds
-// afresh: x = sol's values is primal feasible; the duals y of the final basis
-// have the signs their rows allow, and the reduced costs d = c - A'y do
-// (d_j >= 0 wherever x_j has no finite upper bound, which makes the bound
-// multipliers max(d, 0) and max(-d, 0) dual feasible); complementary
-// slackness holds, y_i times row i's slack and d_j times x_j's distance to the
-// bound d_j prices; and the primal objective c'x, which sol.Objective must be,
-// equals the dual one, b'y plus the bounds' terms. Each holds to the stated
+// certificate of the basis the solve ended on, reading p's rows afresh:
+// x = sol's values is primal feasible, x >= 0 and every row holds; the duals y
+// of the final basis have the signs their rows allow, and the reduced costs
+// d = c - A'y are nonnegative; complementary slackness holds, y_i times row
+// i's slack and d_j times x_j; and the primal objective c'x, which
+// sol.Objective must be, equals the dual one, b'y. Each holds to the stated
 // tolerances (certifyPrimalTol, certifyDualTol, certifyGapTol). The solver
 // does not call it: it is the oracle the tests hold every solve to, and it
 // costs one pass over the rows.
@@ -32,25 +30,21 @@ func Certify(p *Problem, sol *Solution) error {
 	if sol == nil || sol.Status != Optimal {
 		return fmt.Errorf("lp: certify: solution is not optimal")
 	}
-	if len(sol.values) != len(p.vars) || len(sol.duals) != len(p.cons) {
+	if len(sol.values) != len(p.obj) || len(sol.duals) != len(p.cons) {
 		return fmt.Errorf("lp: certify: solution has %d values and %d duals for %d variables and %d rows",
-			len(sol.values), len(sol.duals), len(p.vars), len(p.cons))
+			len(sol.values), len(sol.duals), len(p.obj), len(p.cons))
 	}
 	x, y := sol.values, sol.duals
-	sign := 1.0 // the duals are the minimized problem's: costs negated for Maximize
-	if p.sense == Maximize {
-		sign = -1
-	}
-	d := make([]float64, 2*len(p.vars))
-	d, scale := d[:len(p.vars)], d[len(p.vars):]
+	d := make([]float64, 2*len(p.obj))
+	d, scale := d[:len(p.obj)], d[len(p.obj):]
 	primal, dual := 0.0, 0.0
-	for j, v := range p.vars {
-		if x[j] < v.lb-certifyPrimalTol*(1+math.Abs(v.lb)) || x[j] > v.ub+certifyPrimalTol*(1+math.Abs(v.ub)) {
-			return fmt.Errorf("lp: certify: %s = %v outside [%v, %v]", p.VariableName(Var(j)), x[j], v.lb, v.ub)
+	for j, c := range p.obj {
+		if x[j] < -certifyPrimalTol {
+			return fmt.Errorf("lp: certify: %s = %v is negative", p.VariableName(Var(j)), x[j])
 		}
-		d[j] = sign * v.obj
-		scale[j] = math.Abs(d[j])
-		primal += d[j] * x[j]
+		d[j] = c
+		scale[j] = math.Abs(c)
+		primal += c * x[j]
 	}
 	for i, con := range p.cons {
 		lhs, mag := 0.0, 0.0
@@ -75,30 +69,20 @@ func Certify(p *Problem, sol *Solution) error {
 		}
 		dual += y[i] * con.rhs
 	}
-	for j, v := range p.vars {
-		dj, colScale := d[j], 1+scale[j]
-		// The bound d_j prices and x_j's distance to it.
-		bound, dist := v.lb, x[j]-v.lb
-		if dj < 0 {
-			if math.IsInf(v.ub, 1) {
-				if dj < -certifyDualTol*colScale {
-					return fmt.Errorf("lp: certify: %s has reduced cost %v and no upper bound", p.VariableName(Var(j)), dj)
-				}
-				bound, dist = 0, x[j] // d_j is noise: its multiplier is 0 and its term falls to the gap
-			} else {
-				bound, dist = v.ub, x[j]-v.ub
-			}
+	for j, dj := range d {
+		colScale := 1 + scale[j]
+		if dj < -certifyDualTol*colScale {
+			return fmt.Errorf("lp: certify: %s has reduced cost %v", p.VariableName(Var(j)), dj)
 		}
-		if math.Abs(dj*dist) > certifyGapTol*colScale*(1+math.Abs(x[j])) {
+		if math.Abs(dj*x[j]) > certifyGapTol*colScale*(1+math.Abs(x[j])) {
 			return fmt.Errorf("lp: certify: %s = %v has reduced cost %v", p.VariableName(Var(j)), x[j], dj)
 		}
-		dual += dj * bound
 	}
 	if gap := math.Abs(primal - dual); gap > certifyGapTol*(1+math.Abs(primal)) {
-		return fmt.Errorf("lp: certify: primal objective %v, dual %v", sign*primal, sign*dual)
+		return fmt.Errorf("lp: certify: primal objective %v, dual %v", primal, dual)
 	}
-	if obj := sign * primal; math.Abs(sol.Objective-obj) > certifyGapTol*(1+math.Abs(obj)) {
-		return fmt.Errorf("lp: certify: objective %v, the values give %v", sol.Objective, obj)
+	if math.Abs(sol.Objective-primal) > certifyGapTol*(1+math.Abs(primal)) {
+		return fmt.Errorf("lp: certify: objective %v, the values give %v", sol.Objective, primal)
 	}
 	return nil
 }

@@ -27,6 +27,9 @@ func solveChecked(t testing.TB, name string, p *Problem) *simplexState {
 	checkStandardForm(t, name, p, sf)
 	limit := iterationLimit(sf.m, sf.n)
 	st, ref := newSimplexState(sf), newRefState(sf)
+	if !slices.Equal(st.basis, ref.basis) {
+		t.Fatalf("%s: initial basis %v, the reference finds %v", name, st.basis, ref.basis)
+	}
 	st.onPivot = func() { checkInverse(t, fmt.Sprintf("%s: after pivot %d", name, st.iters+1), st) }
 	pricer, iteration := newSimplexState(sf), 0
 	ref.onPrice = func(cost, y []float64, excludeFrom int) {
@@ -74,14 +77,14 @@ func closeRel(a, b, tol float64) bool {
 
 // checkStandardForm requires sf to be referenceStandardForm's of p column by
 // column, bit for bit: the same shape, each column's rows in the same order
-// with the same values, and the same costs, right-hand sides, shifts and
-// objective constant. The arena must hold nothing past its last column.
+// with the same values, and the same costs and right-hand sides. The arena
+// must hold nothing past its last column.
 func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) {
 	t.Helper()
 	ref := referenceStandardForm(p)
-	if sf.m != ref.m || sf.n != ref.n || sf.nOrig != ref.nOrig || sf.artStart != ref.artStart || sf.negate != ref.negate {
-		t.Fatalf("%s: standard form m=%d n=%d nOrig=%d artStart=%d negate=%v, reference m=%d n=%d nOrig=%d artStart=%d negate=%v",
-			name, sf.m, sf.n, sf.nOrig, sf.artStart, sf.negate, ref.m, ref.n, ref.nOrig, ref.artStart, ref.negate)
+	if sf.m != ref.m || sf.n != ref.n || sf.nOrig != ref.nOrig || sf.artStart != ref.artStart {
+		t.Fatalf("%s: standard form m=%d n=%d nOrig=%d artStart=%d, reference m=%d n=%d nOrig=%d artStart=%d",
+			name, sf.m, sf.n, sf.nOrig, sf.artStart, ref.m, ref.n, ref.nOrig, ref.artStart)
 	}
 	if len(sf.colStart) != sf.n+1 || len(sf.rows) != sf.colStart[sf.n] || len(sf.vals) != len(sf.rows) {
 		t.Fatalf("%s: %d column starts for n=%d, an arena of %d rows and %d values", name, len(sf.colStart), sf.n, len(sf.rows), len(sf.vals))
@@ -95,20 +98,18 @@ func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) 
 			t.Fatalf("%s: column %d is rows %v values %v, reference rows %v values %v", name, j, rows, vals, want.rows, want.vals)
 		}
 	}
-	if !same(sf.c, ref.c) || !same(sf.b, ref.b) || !same(sf.shift, ref.shift) || !same([]float64{sf.objConst}, []float64{ref.objConst}) {
-		t.Fatalf("%s: costs, right-hand sides, shifts or objective constant differ from the reference\n got c=%v b=%v shift=%v const=%v\nwant c=%v b=%v shift=%v const=%v",
-			name, sf.c, sf.b, sf.shift, sf.objConst, ref.c, ref.b, ref.shift, ref.objConst)
+	if !same(sf.c, ref.c) || !same(sf.b, ref.b) {
+		t.Fatalf("%s: costs or right-hand sides differ from the reference\n got c=%v b=%v\nwant c=%v b=%v", name, sf.c, sf.b, ref.c, ref.b)
 	}
-	// The rows as pricing reads them: negated lists constraint rows in
-	// ascending order, and a row with terms is in it exactly where its first
-	// term's column holds the coefficient negated; an upper-bound row is the
-	// last entry, a 1, of its variable's column.
+	// The rows as pricing reads them: negated lists rows in ascending order,
+	// and a row with terms is in it exactly where its first term's column
+	// holds the coefficient negated.
 	for k, i := range sf.negated {
-		if i < 0 || i >= sf.nCons || k > 0 && i <= sf.negated[k-1] {
-			t.Fatalf("%s: negated rows %v are not ascending constraint rows", name, sf.negated)
+		if i < 0 || i >= sf.m || k > 0 && i <= sf.negated[k-1] {
+			t.Fatalf("%s: negated rows %v are not ascending rows", name, sf.negated)
 		}
 	}
-	for i := 0; i < sf.nCons; i++ {
+	for i := 0; i < sf.m; i++ {
 		terms := p.rowTerms(i)
 		if len(terms) == 0 {
 			continue
@@ -117,15 +118,6 @@ func checkStandardForm(t testing.TB, name string, p *Problem, sf *standardForm) 
 		k, _ := slices.BinarySearch(rows, i)
 		if _, listed := slices.BinarySearch(sf.negated, i); listed != (vals[k] != terms[0].Coef) {
 			t.Fatalf("%s: row %d listed as negated %v, its first term %v in the arena %v", name, i, listed, terms[0].Coef, vals[k])
-		}
-	}
-	if len(sf.ubVar) != sf.m-sf.nCons {
-		t.Fatalf("%s: %d upper-bound variables for %d upper-bound rows", name, len(sf.ubVar), sf.m-sf.nCons)
-	}
-	for q, j := range sf.ubVar {
-		rows, vals := sf.col(j)
-		if last := len(rows) - 1; last < 0 || rows[last] != sf.nCons+q || vals[last] != 1 {
-			t.Fatalf("%s: upper-bound row %d names column %d, whose entries are rows %v values %v", name, sf.nCons+q, j, rows, vals)
 		}
 	}
 }
@@ -187,7 +179,7 @@ func inverseResidual(st *simplexState) float64 {
 
 // intervalShapedLP builds an LP with the shape of the paper's interval-indexed
 // relaxations: per flow a completion variable, fractions x[path][interval] in
-// [0,1] (finite upper bounds become LE rows), an EQ "deliver" row (artificial,
+// [0,1] (each x <= 1 an LE row after all others), an EQ "deliver" row (artificial,
 // phase 1), a GE completion row, and for every other flow an EQ row
 // -sum_t x[last path][t] = 0 that closes its last path: no column prices
 // favourably into that row in phase 1, so its artificial is still basic (at
@@ -200,11 +192,12 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 	for 1<<(intervals-1) < 4*flows {
 		intervals++
 	}
-	p := NewProblem(Minimize)
+	p := NewProblem()
 	load := make([][]Term, edges*intervals)
+	var fractions []Var
 	for f := 0; f < flows; f++ {
 		size := 1 + float64(rng.Intn(4))
-		c := p.AddVariable(0, Inf, 1+float64(rng.Intn(3)))
+		c := p.AddVariable(1 + float64(rng.Intn(3)))
 		deliver := make([]Term, 0, paths*intervals)
 		finish := []Term{{c, 1}}
 		var closed []Term
@@ -212,7 +205,8 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 			route := rng.Perm(edges)[:2+rng.Intn(2)]
 			start := 0.0
 			for iv := 0; iv < intervals; iv++ {
-				x := p.AddVariable(0, 1, 0)
+				x := p.AddVariable(0)
+				fractions = append(fractions, x)
 				deliver = append(deliver, Term{x, 1})
 				finish = append(finish, Term{x, -start})
 				if q == paths-1 && q > 0 && f%2 == 0 {
@@ -239,19 +233,22 @@ func intervalShapedLP(rng *rand.Rand, flows, paths, edges int) *Problem {
 			}
 		}
 	}
+	for _, x := range fractions {
+		p.AddConstraint(LE, 1, Term{x, 1})
+	}
 	return p
 }
 
-// degenerateLP maximizes sum x over the chain x_1 <= x_2 <= ... <= x_n <= 1
+// degenerateLP minimizes -sum x over the chain x_1 <= x_2 <= ... <= x_n <= 1
 // plus extra two-variable rows through the origin that the ray (1,...,1)
 // satisfies: every row but the last is tight at the starting vertex, each
 // entering column is blocked at step zero by the next link of the chain, and
 // the run of degenerate pivots outlasts degenerateSwitch.
 func degenerateLP(rng *rand.Rand, n, extra int) *Problem {
-	p := NewProblem(Maximize)
+	p := NewProblem()
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = p.AddVariable(0, Inf, 1)
+		vars[j] = p.AddVariable(-1)
 	}
 	for j := 0; j+1 < n; j++ {
 		p.AddConstraint(LE, 0, Term{vars[j], 1}, Term{vars[j+1], -1})
@@ -269,10 +266,10 @@ func degenerateLP(rng *rand.Rand, n, extra int) *Problem {
 // every row starts on an artificial that phase 1 must pivot out, so every
 // column of the inverse ends up touched.
 func denseCoverLP(n, m int) *Problem {
-	p := NewProblem(Minimize)
+	p := NewProblem()
 	vars := make([]Var, n)
 	for j := range vars {
-		vars[j] = p.AddVariable(0, Inf, float64(j%7+1))
+		vars[j] = p.AddVariable(float64(j%7 + 1))
 	}
 	for i := 0; i < m; i++ {
 		terms := make([]Term, n)
@@ -452,24 +449,22 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 // whose right-hand sides sit near the row's value at a known nonnegative point
 // (so inputs are feasible, infeasible or unbounded: the kernels must agree on
 // failures too), small integer coefficients to provoke ties and degeneracy,
-// and finite upper bounds on every third variable.
+// and an upper bound on every third variable, as an LE row after all others.
 func fuzzLP(seed int64, n, m, density uint8) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	nv, nc := 1+int(n)%24, 1+int(m)%32
 	fill := 1 + int(density)%8 // a term is present with probability fill/8
-	p := NewProblem(Minimize)
+	p := NewProblem()
 	vars := make([]Var, nv)
 	x0 := make([]float64, nv)
+	ub := make([]float64, nv)
 	for j := range vars {
-		ub := Inf
+		ub[j] = math.Inf(1)
 		if j%3 == 2 {
-			ub = float64(1 + rng.Intn(6))
+			ub[j] = float64(1 + rng.Intn(6))
 		}
-		vars[j] = p.AddVariable(0, ub, float64(rng.Intn(9)-2))
-		x0[j] = float64(rng.Intn(3))
-		if x0[j] > ub {
-			x0[j] = ub
-		}
+		vars[j] = p.AddVariable(float64(rng.Intn(9) - 2))
+		x0[j] = min(float64(rng.Intn(3)), ub[j])
 	}
 	for i := 0; i < nc; i++ {
 		var terms []Term
@@ -488,6 +483,11 @@ func fuzzLP(seed int64, n, m, density uint8) *Problem {
 			p.AddConstraint(GE, lhs+float64(rng.Intn(4)-2), terms...)
 		default:
 			p.AddConstraint(LE, lhs+float64(rng.Intn(4)-1), terms...)
+		}
+	}
+	for j, v := range vars {
+		if !math.IsInf(ub[j], 1) {
+			p.AddConstraint(LE, ub[j], Term{v, 1})
 		}
 	}
 	return p

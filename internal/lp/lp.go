@@ -1,38 +1,38 @@
 // Package lp provides a self-contained linear-programming substrate used by
 // the coflow scheduling algorithms.
 //
-// The package implements a model builder (variables with bounds, linear
-// constraints, a linear objective) and a two-phase revised simplex solver
-// with an explicit basis inverse, Dantzig pricing, a ratio test that ignores
-// entries below tolerance·max(1, ‖w‖∞) and a Bland's-rule fallback for
-// anti-cycling. The inverse is kept in block form: a row whose basic column
-// is still its own slack or artificial contributes an identity row and column
-// to the basis, so only the inverse of the block of the other rows, the
-// kernel, is stored, T x T floats in one slab, and everything else is read
-// from the basic columns' own entries (see simplexState). Every loop of the
-// solve skips the exact zeros of its operands: pricing goes row by row over
-// the rows whose dual is nonzero (simplexState.price), the eliminations of a
-// pivot and of a refactorization run over the kernel's nonzero entries only.
-// A problem keeps every row's terms in one arena and its standard form every
-// column's entries in another, so a build and solve allocates in proportion
-// to rows, columns, nonzeros and T², and nothing of it outlives the solve.
-// Certify checks a solution against its duality certificate; the tests hold
-// every solve to it. It is a pure-Go replacement for the commercial LP solver
-// (CPLEX) used in the paper's evaluation: the scheduling algorithms only need
-// an optimal vertex of the interval-indexed LPs, which this solver provides.
+// The package implements a model builder for one problem class, the one the
+// interval-indexed LPs belong to: minimize a linear objective c'x over
+// nonnegative variables x >= 0 subject to linear <=, = and >= rows. It solves
+// that class with a two-phase revised simplex with an explicit basis inverse,
+// Dantzig pricing, a ratio test that ignores entries below
+// tolerance·max(1, ‖w‖∞) and a Bland's-rule fallback for anti-cycling. The
+// inverse is kept in block form: a row whose basic column is still its own
+// slack or artificial contributes an identity row and column to the basis, so
+// only the inverse of the block of the other rows, the kernel, is stored,
+// T x T floats in one slab, and everything else is read from the basic
+// columns' own entries (see simplexState). Every loop of the solve skips the
+// exact zeros of its operands: pricing goes row by row over the rows whose
+// dual is nonzero (simplexState.price), the eliminations of a pivot and of a
+// refactorization run over the kernel's nonzero entries only. A problem keeps
+// every row's terms in one arena and its standard form every column's entries
+// in another, so a build and solve allocates in proportion to rows, columns,
+// nonzeros and T², and nothing of it outlives the solve. standard.go builds
+// the standard form, kernel.go keeps the factored inverse and simplex.go
+// drives the two phases. Certify checks a solution against its duality
+// certificate; the tests hold every solve to it. It is a pure-Go replacement
+// for the commercial LP solver (CPLEX) used in the paper's evaluation: the
+// scheduling algorithms only need an optimal vertex of the interval-indexed
+// LPs, which this solver provides.
 //
 // The API is deliberately small:
 //
-//	p := lp.NewProblem(lp.Minimize)
-//	x := p.AddVariable(0, lp.Inf, 2.0)
-//	y := p.AddVariable(0, 10, 3.0)
+//	p := lp.NewProblem()
+//	x := p.AddVariable(2.0)
+//	y := p.AddVariable(3.0)
 //	p.AddConstraint(lp.GE, 4, lp.Term{Var: x, Coef: 1}, lp.Term{Var: y, Coef: 1})
 //	sol, err := p.Solve()
 //	_ = sol.Value(x)
-//
-// Variables carry lower and upper bounds; finite upper bounds are handled by
-// the solver (internally as additional rows), so callers never need to add
-// bound rows themselves.
 //
 // A Problem stores no names: variables and rows are x0, x1, … and r0, r1, …
 // unless SetNames is given a Names that knows better, and either is asked only
@@ -44,20 +44,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-)
-
-// Inf is a convenience alias for +infinity, used for unbounded-above
-// variables.
-var Inf = math.Inf(1)
-
-// Sense selects minimization or maximization of the objective.
-type Sense int
-
-const (
-	// Minimize the objective function.
-	Minimize Sense = iota
-	// Maximize the objective function.
-	Maximize
 )
 
 // Op is the relational operator of a constraint.
@@ -95,13 +81,6 @@ type Term struct {
 	Coef float64
 }
 
-// variable is the internal record for a decision variable.
-type variable struct {
-	lb  float64
-	ub  float64
-	obj float64
-}
-
 // constraint is the internal record for a linear constraint: its merged terms
 // are Problem.terms[off : off+n].
 type constraint struct {
@@ -127,8 +106,7 @@ func (indexNames) ConstraintName(row int) string { return "r" + strconv.Itoa(row
 // Problem is a linear program under construction. The zero value is not
 // usable; create instances with NewProblem.
 type Problem struct {
-	sense Sense
-	vars  []variable
+	obj   []float64 // per variable: its objective coefficient
 	cons  []constraint
 	terms []Term // every row's merged terms, row after row
 	names Names
@@ -139,13 +117,13 @@ type Problem struct {
 	stamped int
 }
 
-// NewProblem returns an empty linear program with the given objective sense.
-func NewProblem(sense Sense) *Problem {
-	return &Problem{sense: sense, names: indexNames{}}
+// NewProblem returns an empty linear program, to be minimized.
+func NewProblem() *Problem {
+	return &Problem{names: indexNames{}}
 }
 
 // NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.vars) }
+func (p *Problem) NumVariables() int { return len(p.obj) }
 
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
@@ -153,29 +131,22 @@ func (p *Problem) NumConstraints() int { return len(p.cons) }
 // SetNames gives the problem the source of its variables' and rows' names.
 func (p *Problem) SetNames(n Names) { p.names = n }
 
-// AddVariable adds a decision variable with the given bounds and objective
-// coefficient and returns its handle. lb may be any finite value, ub may be
-// lp.Inf. AddVariable panics if lb > ub or either bound is NaN, since that
-// always indicates a modelling bug.
-func (p *Problem) AddVariable(lb, ub, obj float64) Var {
-	v := Var(len(p.vars))
-	if math.IsNaN(lb) || math.IsNaN(ub) || math.IsNaN(obj) {
-		panic(fmt.Sprintf("lp: NaN in variable %q (lb=%v ub=%v obj=%v)", p.VariableName(v), lb, ub, obj))
+// AddVariable adds a decision variable x >= 0 with the given objective
+// coefficient and returns its handle. It panics on a NaN coefficient, since
+// that always indicates a modelling bug.
+func (p *Problem) AddVariable(obj float64) Var {
+	v := Var(len(p.obj))
+	if math.IsNaN(obj) {
+		panic(fmt.Sprintf("lp: NaN objective for variable %q", p.VariableName(v)))
 	}
-	if lb > ub {
-		panic(fmt.Sprintf("lp: variable %q has lb %v > ub %v", p.VariableName(v), lb, ub))
-	}
-	if math.IsInf(lb, -1) {
-		panic(fmt.Sprintf("lp: variable %q has -inf lower bound (not supported)", p.VariableName(v)))
-	}
-	p.vars = append(p.vars, variable{lb: lb, ub: ub, obj: obj})
+	p.obj = append(p.obj, obj)
 	p.stamp = append(p.stamp, 0)
 	return v
 }
 
 // SetObjective overrides the objective coefficient of an existing variable.
 func (p *Problem) SetObjective(v Var, coef float64) {
-	p.vars[v].obj = coef
+	p.obj[v] = coef
 }
 
 // VariableName returns what the problem's Names calls v.
@@ -221,7 +192,7 @@ func (p *Problem) mergeTerms(terms []Term) {
 		if t.Coef == 0 {
 			continue
 		}
-		if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
+		if int(t.Var) < 0 || int(t.Var) >= len(p.obj) {
 			p.terms = p.terms[:off]
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", p.names.ConstraintName(len(p.cons)), t.Var))
 		}
@@ -280,8 +251,7 @@ func (s Status) String() string {
 type Solution struct {
 	// Status reports whether the solution is optimal.
 	Status Status
-	// Objective is the objective value in the caller's sense (already
-	// negated back for maximization problems).
+	// Objective is the minimized objective value c'x.
 	Objective float64
 	// Iterations is the total number of simplex pivots performed.
 	Iterations int
@@ -335,24 +305,21 @@ func (p *Problem) Solve() (*Solution, error) {
 func (p *Problem) String() string {
 	var b strings.Builder
 	var objective []Term
-	for i, v := range p.vars {
-		if v.obj != 0 {
-			objective = append(objective, Term{Var(i), v.obj})
+	for i, c := range p.obj {
+		if c != 0 {
+			objective = append(objective, Term{Var(i), c})
 		}
 	}
-	head, obj := "min ", p.sum(objective)
-	if p.sense == Maximize {
-		head = "max "
-	}
+	obj := p.sum(objective)
 	if obj == "" {
 		obj = "0"
 	}
-	b.WriteString(head + obj + "\n")
+	b.WriteString("min " + obj + "\n")
 	for i, c := range p.cons {
 		fmt.Fprintf(&b, "%s %s %g   [%s]\n", p.sum(p.rowTerms(i)), c.op, c.rhs, p.names.ConstraintName(i))
 	}
-	for i, v := range p.vars {
-		fmt.Fprintf(&b, "%g <= %s <= %g\n", v.lb, p.VariableName(Var(i)), v.ub)
+	for i := range p.obj {
+		fmt.Fprintf(&b, "0 <= %s <= +Inf\n", p.VariableName(Var(i)))
 	}
 	return b.String()
 }

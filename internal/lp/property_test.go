@@ -11,12 +11,12 @@ import (
 // minimize c'x subject to Ax <= A*x0 + margin with c >= 0 and x0 >= 0, so x0
 // is always feasible and the optimum is finite (objective bounded below by 0).
 func randomFeasibleLP(rng *rand.Rand, n, m int) (*Problem, []Var, [][]float64, []float64, []float64) {
-	p := NewProblem(Minimize)
+	p := NewProblem()
 	vars := make([]Var, n)
 	c := make([]float64, n)
 	for j := 0; j < n; j++ {
 		c[j] = rng.Float64() * 10
-		vars[j] = p.AddVariable(0, Inf, c[j])
+		vars[j] = p.AddVariable(c[j])
 	}
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -95,10 +95,10 @@ func TestPropertyScalingInvariance(t *testing.T) {
 
 		build := func(mult float64) (*Problem, float64) {
 			localRng := rand.New(rand.NewSource(int64(trial)))
-			p := NewProblem(Minimize)
+			p := NewProblem()
 			vars := make([]Var, n)
 			for j := 0; j < n; j++ {
-				vars[j] = p.AddVariable(0, Inf, (localRng.Float64()*10)*mult)
+				vars[j] = p.AddVariable((localRng.Float64() * 10) * mult)
 			}
 			for i := 0; i < m; i++ {
 				terms := make([]Term, 0, n)
@@ -144,7 +144,7 @@ func TestPropertyWeakDualityTransportation(t *testing.T) {
 		}
 		demand[nDst-1] = rem
 
-		p := NewProblem(Minimize)
+		p := NewProblem()
 		cost := make([][]float64, nSrc)
 		x := make([][]Var, nSrc)
 		minC, maxC := math.Inf(1), math.Inf(-1)
@@ -155,7 +155,7 @@ func TestPropertyWeakDualityTransportation(t *testing.T) {
 				cost[i][j] = 1 + rng.Float64()*4
 				minC = math.Min(minC, cost[i][j])
 				maxC = math.Max(maxC, cost[i][j])
-				x[i][j] = p.AddVariable(0, Inf, cost[i][j])
+				x[i][j] = p.AddVariable(cost[i][j])
 			}
 		}
 		for i := 0; i < nSrc; i++ {
@@ -193,10 +193,10 @@ func TestPropertyEqualityRowsSatisfied(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(4)
 		m := 1 + rng.Intn(3)
-		p := NewProblem(Minimize)
+		p := NewProblem()
 		vars := make([]Var, n)
 		for j := range vars {
-			vars[j] = p.AddVariable(0, Inf, rng.Float64())
+			vars[j] = p.AddVariable(rng.Float64())
 		}
 		x0 := make([]float64, n)
 		for j := range x0 {

@@ -5,10 +5,12 @@ package lp
 // the tradition of sim.Reference and graph/reference_test.go: multiplyColumn,
 // duals and pivot sweep all m columns of the basis inverse, w and y are
 // allocated per call, reducedCost prices one column at a time over all its
-// entries, and refactorize knows nothing of a touched set or of zeros. Four
+// entries, and refactorize knows nothing of a touched set or of zeros. Five
 // things differ from that file: the names (simplexState -> refState), solve
-// is a method on the state, a column is read through standardForm.col, and
-// runPhase hands every iteration's duals to onPrice when it is set.
+// is a method on the state, a column is read through standardForm.col,
+// runPhase hands every iteration's duals to onPrice when it is set, and solve
+// extracts the values and objective as they are, with no lower bounds to add
+// back and no maximization to negate.
 // kernel_test.go holds the production kernel's outcome to it (status, error,
 // optimal objective) and its pricing to reducedCost; the kernels' paths may
 // part at a degenerate tie, so it is no longer a lock-step oracle.
@@ -410,19 +412,14 @@ func (st *refState) solve(maxIter int) (*Solution, error) {
 	}
 
 	values := make([]float64, sf.nOrig)
-	copy(values, sf.shift)
 	for i, j := range st.basis {
 		if j < sf.nOrig {
 			values[j] += st.xB[i]
 		}
 	}
-	obj := st.objective(sf.c) + sf.objConst
-	if sf.negate {
-		obj = -obj
-	}
 	return &Solution{
 		Status:     Optimal,
-		Objective:  obj,
+		Objective:  st.objective(sf.c),
 		Iterations: st.iters,
 		values:     values,
 	}, nil
@@ -480,33 +477,22 @@ type refForm struct {
 	cols []sparseCol
 	c    []float64
 	b    []float64
-
-	shift    []float64
-	objConst float64
-	negate   bool
 }
 
 // referenceStandardForm is buildStandardForm as it stood before the column
-// arena (simplex.go at 8d32f4c), kept verbatim but for its result type and
-// reading a row's terms through rowTerms: a row-major scratch copy of every
-// row is built first and transposed into per-column slices once the signs are
-// fixed.
+// arena (simplex.go at 8d32f4c), kept verbatim but for its result type,
+// reading a row's terms through rowTerms, and the problem class: with every
+// variable in [0, +Inf) and the objective minimized it has no lower bounds to
+// shift, no upper-bound rows and no costs to negate. A row-major scratch copy
+// of every row is built first and transposed into per-column slices once the
+// signs are fixed.
 func referenceStandardForm(p *Problem) *refForm {
-	nOrig := len(p.vars)
-	// Count rows: one per constraint plus one per finite upper bound.
-	ubRows := 0
-	for _, v := range p.vars {
-		if !math.IsInf(v.ub, 1) {
-			ubRows++
-		}
-	}
-	m := len(p.cons) + ubRows
+	nOrig := len(p.obj)
+	m := len(p.cons)
 
 	sf := &refForm{
-		m:      m,
-		nOrig:  nOrig,
-		shift:  make([]float64, nOrig),
-		negate: p.sense == Maximize,
+		m:     m,
+		nOrig: nOrig,
 	}
 
 	// Row-major scratch representation built first, then transposed into
@@ -519,42 +505,13 @@ func referenceStandardForm(p *Problem) *refForm {
 	}
 	rowEntries := make([][]entry, m)
 
-	for j, v := range p.vars {
-		sf.shift[j] = v.lb
-	}
-
 	for i, con := range p.cons {
 		rowOp[i] = con.op
-		rhs := con.rhs
 		for _, t := range p.rowTerms(i) {
-			rhs -= t.Coef * sf.shift[t.Var]
 			rowEntries[i] = append(rowEntries[i], entry{col: int(t.Var), val: t.Coef})
 		}
-		rowRHS[i] = rhs
+		rowRHS[i] = con.rhs
 	}
-	r := len(p.cons)
-	for j, v := range p.vars {
-		if math.IsInf(v.ub, 1) {
-			continue
-		}
-		rowOp[r] = LE
-		rowRHS[r] = v.ub - v.lb
-		rowEntries[r] = append(rowEntries[r], entry{col: j, val: 1})
-		r++
-	}
-
-	// Objective (always minimized internally).
-	objConst := 0.0
-	cOrig := make([]float64, nOrig)
-	for j, v := range p.vars {
-		coef := v.obj
-		if sf.negate {
-			coef = -coef
-		}
-		cOrig[j] = coef
-		objConst += coef * v.lb
-	}
-	sf.objConst = objConst
 
 	// Determine slack columns and row sign normalization. After adding a
 	// slack (+1 for LE, -1 for GE) we flip rows with negative rhs so that
@@ -609,7 +566,7 @@ func referenceStandardForm(p *Problem) *refForm {
 	sf.cols = make([]sparseCol, n)
 	sf.c = make([]float64, n)
 	sf.b = make([]float64, m)
-	copy(sf.c, cOrig)
+	copy(sf.c, p.obj)
 
 	for i := 0; i < m; i++ {
 		sf.b[i] = rowRHS[i] * rowFlip[i]
