@@ -39,7 +39,6 @@ import (
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
-	"coflowsched/internal/stats"
 	"coflowsched/internal/telemetry"
 )
 
@@ -58,14 +57,9 @@ func main() {
 	)
 	flag.Parse()
 
-	policies := map[string]online.Policy{
-		"sebf": online.SEBFOnline{},
-		"fifo": online.FIFOOnline{},
-		"lp":   online.LPEpoch{},
-	}
-	policy, ok := policies[*policyName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "coflowd: unknown policy %q (want sebf, fifo, lp)\n", *policyName)
+	policy, err := online.PolicyByName(*policyName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "coflowd:", err)
 		os.Exit(2)
 	}
 	if *fatK < 2 || *fatK%2 != 0 {
@@ -131,16 +125,5 @@ func main() {
 		log.Printf("coflowd: drain: %v", err)
 	}
 	s.Close()
-	dumpFinalStats(final)
-}
-
-// dumpFinalStats prints the end-of-run summary: the engine's counts, its
-// objectives, and the slowdown and solve-latency percentiles.
-func dumpFinalStats(st online.EngineStats) {
-	p := func(xs []float64, q float64) float64 { return stats.PercentileOr(xs, q, 0) }
-	log.Printf("coflowd: final: admitted=%d completed=%d epochs=%d decisions=%d fallbacks=%d", st.Admitted, st.Completed, st.Epochs, st.Decisions, st.Fallbacks)
-	log.Printf("coflowd: final: weighted_cct=%.2f weighted_response=%.2f", st.WeightedCCT, st.WeightedResponse)
-	log.Printf("coflowd: final: slowdown p50/p95/p99 = %.2f/%.2f/%.2f", p(st.Slowdowns, 50), p(st.Slowdowns, 95), p(st.Slowdowns, 99))
-	log.Printf("coflowd: final: solve latency p50/p95/p99 = %.3f/%.3f/%.3f ms",
-		p(st.SolveLatencies, 50)*1e3, p(st.SolveLatencies, 95)*1e3, p(st.SolveLatencies, 99)*1e3)
+	server.LogFinalStats("coflowd", final)
 }

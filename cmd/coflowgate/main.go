@@ -62,7 +62,7 @@ import (
 
 	"coflowsched/internal/cluster"
 	"coflowsched/internal/online"
-	"coflowsched/internal/stats"
+	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
 
@@ -111,14 +111,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		err          error
 	)
 	if *local > 0 {
-		policies := map[string]online.Policy{
-			"sebf": online.SEBFOnline{},
-			"fifo": online.FIFOOnline{},
-			"lp":   online.LPEpoch{},
-		}
-		policy, ok := policies[*policyName]
-		if !ok {
-			return fmt.Errorf("unknown policy %q (want sebf, fifo, lp)", *policyName)
+		policy, err := online.PolicyByName(*policyName)
+		if err != nil {
+			return err
 		}
 		localCluster, err = cluster.NewLocal(cluster.LocalConfig{
 			Shards:      *local,
@@ -181,18 +176,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		if err != nil {
 			log.Printf("coflowgate: drain: %v", err)
 		} else {
-			dumpMerged(merged)
+			server.LogFinalStats("coflowgate", merged)
 		}
 	}
 	return nil
-}
-
-// dumpMerged prints the end-of-run merged statistics the way coflowd does.
-func dumpMerged(st online.EngineStats) {
-	p := func(xs []float64, q float64) float64 { return stats.PercentileOr(xs, q, 0) }
-	log.Printf("coflowgate: final: admitted=%d completed=%d epochs=%d decisions=%d",
-		st.Admitted, st.Completed, st.Epochs, st.Decisions)
-	log.Printf("coflowgate: final: weighted_cct=%.2f weighted_response=%.2f", st.WeightedCCT, st.WeightedResponse)
-	log.Printf("coflowgate: final: slowdown p50/p95/p99 = %.2f/%.2f/%.2f",
-		p(st.Slowdowns, 50), p(st.Slowdowns, 95), p(st.Slowdowns, 99))
 }

@@ -548,9 +548,9 @@ func terminalStatus(code int) bool {
 	return code >= 400 && code < 500 && !server.TransientStatus(code)
 }
 
-// noteBackendFailure records an availability failure against a healthy
-// backend and ejects it once the threshold is crossed, re-admitting its
-// in-flight coflows elsewhere.
+// noteBackendFailure records an availability failure (a failed admission or
+// probe) against a healthy backend and ejects it once the threshold is
+// crossed, re-admitting its in-flight coflows elsewhere.
 func (g *Gateway) noteBackendFailure(b *Backend, cause error) {
 	g.mu.Lock()
 	if !b.healthy {
@@ -760,15 +760,8 @@ func (g *Gateway) applyProbe(b *Backend, durable bool, probeErr error) {
 	}
 	g.mu.Lock()
 	if b.healthy {
-		b.failures++
-		if b.failures < failThreshold {
-			g.mu.Unlock()
-			return
-		}
-		orphans := g.ejectLocked(b)
 		g.mu.Unlock()
-		g.logger.Warn("backend ejected", "backend", b.name, "cause", probeErr, "orphans", len(orphans))
-		go g.readmitOrphans(orphans)
+		g.noteBackendFailure(b, probeErr)
 		return
 	}
 	// Still down: back off exponentially before the next probe.
@@ -895,20 +888,7 @@ func (g *Gateway) MergedStats() (online.EngineStats, []ShardStat) {
 		if s.Stats == nil {
 			continue
 		}
-		r := s.Stats
-		parts = append(parts, online.EngineStats{
-			Now:              r.Now,
-			Epochs:           r.Epochs,
-			Decisions:        r.Decisions,
-			Admitted:         r.Admitted,
-			Completed:        r.Completed,
-			Active:           r.Active,
-			ActiveFlows:      r.ActiveFlows,
-			WeightedCCT:      r.WeightedCCT,
-			WeightedResponse: r.WeightedResponse,
-			Slowdowns:        r.Slowdowns,
-			SolveLatencies:   r.SolveLatencies,
-		})
+		parts = append(parts, s.Stats.EngineStats)
 	}
 	return online.MergeEngineStats(parts...), shardStats
 }

@@ -9,7 +9,6 @@ import (
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/server"
-	"coflowsched/internal/stats"
 	"coflowsched/internal/telemetry"
 )
 
@@ -110,27 +109,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	merged, shards := g.MergedStats()
 	counters := g.CountersSnapshot()
 	policy, epochLength := shardConfig(shards)
-	pct := func(xs []float64, p float64) float64 { return stats.PercentileOr(xs, p, 0) }
 	resp := gateStatsResponse{
-		StatsResponse: server.StatsResponse{
-			Now:              merged.Now,
-			Policy:           policy,
-			EpochLength:      epochLength,
-			Epochs:           merged.Epochs,
-			Decisions:        merged.Decisions,
-			Admitted:         merged.Admitted,
-			Completed:        merged.Completed,
-			Active:           merged.Active,
-			ActiveFlows:      merged.ActiveFlows,
-			WeightedCCT:      merged.WeightedCCT,
-			WeightedResponse: merged.WeightedResponse,
-			SlowdownP50:      pct(merged.Slowdowns, 50),
-			SlowdownP95:      pct(merged.Slowdowns, 95),
-			SlowdownP99:      pct(merged.Slowdowns, 99),
-			SolveMsP50:       pct(merged.SolveLatencies, 50) * 1e3,
-			SolveMsP95:       pct(merged.SolveLatencies, 95) * 1e3,
-			SolveMsP99:       pct(merged.SolveLatencies, 99) * 1e3,
-		},
+		StatsResponse:    server.NewStatsResponse(merged, policy, epochLength, "", false),
 		GatewayCompleted: counters.Completed,
 		Readmits:         counters.Readmits,
 		Shards:           shards,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -284,4 +285,72 @@ func firstSample(m *telemetry.Metrics, name string) (telemetry.Sample, bool) {
 		}
 	}
 	return telemetry.Sample{}, false
+}
+
+// fallbackStub always falls back: it decides SEBF's order and hands it over
+// as a *online.Fallback, the way LPEpoch does when its LP fails to solve.
+type fallbackStub struct{}
+
+func (fallbackStub) Name() string { return "fallback-stub" }
+
+func (fallbackStub) Decide(snap *online.Snapshot) ([]coflow.FlowRef, error) {
+	order, err := online.SEBFOnline{}.Decide(snap)
+	if err != nil {
+		return nil, err
+	}
+	return nil, &online.Fallback{Order: order, Err: errors.New("stub solver failure")}
+}
+
+// TestGatewayStatsCountFallbacks: the gateway's /v1/stats reports the
+// fallback decisions of every shard, the sum of what the shards export as
+// coflowd_policy_fallback_total, so an LP that degrades to SEBF on a shard
+// cannot vanish from the cluster's view.
+func TestGatewayStatsCountFallbacks(t *testing.T) {
+	l, err := NewLocal(LocalConfig{
+		Shards:    2,
+		Policy:    fallbackStub{},
+		TimeScale: 200,
+		Gateway:   fastGatewayConfig(t),
+		Logger:    telemetry.LogfLogger(t.Logf),
+	})
+	if err != nil {
+		t.Fatalf("new local cluster: %v", err)
+	}
+	t.Cleanup(l.Close)
+	c := l.Client()
+	hosts := graph.FatTree(4, 1).Hosts()
+	for i := 0; i < 6; i++ {
+		cf := coflow.Coflow{Name: fmt.Sprintf("fb-%d", i), Weight: 1, Flows: []coflow.Flow{
+			{Source: hosts[i%8], Dest: hosts[8+i%8], Size: 20},
+			{Source: hosts[(i+3)%16], Dest: hosts[(i+9)%16], Size: 10},
+		}}
+		if _, err := c.Admit(cf); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	// Let the shards decide over a few epochs; the drain then finishes every
+	// coflow, after which an idle shard decides nothing more.
+	time.Sleep(50 * time.Millisecond)
+	if _, err := l.DrainAll(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	sum := 0.0
+	for i := 0; i < l.NumShards(); i++ {
+		s, ok := getMetrics(t, l.ShardURL(i)).Get("coflowd_policy_fallback_total", "reason", "solver")
+		if !ok {
+			t.Fatalf("shard%d exports no coflowd_policy_fallback_total", i)
+		}
+		sum += s.Value
+	}
+	if sum == 0 {
+		t.Fatal("no shard fell back: the stub policy never decided")
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("gateway stats: %v", err)
+	}
+	if float64(st.Fallbacks) != sum {
+		t.Errorf("gateway /v1/stats fallbacks = %d, want the shards' summed coflowd_policy_fallback_total %v", st.Fallbacks, sum)
+	}
 }

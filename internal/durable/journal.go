@@ -16,9 +16,9 @@ const snapshotKeep = 3
 // Journal is coflowd's durability glue: a Log, the BlobStore its snapshots
 // live in, and the protocol between the two — recover (newest usable
 // snapshot, then the log suffix it does not cover, then reopen for appending)
-// and snapshot (write, drop the covered log prefix, prune). The daemon keeps
-// only what is its own: what a record means, what a snapshot holds, and when
-// it commits and snapshots.
+// and snapshot (write, prune, drop the log prefix every retained snapshot
+// covers). The daemon keeps only what is its own: what a record means, what a
+// snapshot holds, and when it commits and snapshots.
 type Journal struct {
 	*Log
 	store  BlobStore
@@ -92,9 +92,9 @@ func (j *Journal) Append(r *Record) (uint64, error) {
 }
 
 // Snapshot persists what export returns as the snapshot covering every record
-// appended so far, then drops the log prefix it covers and prunes old
-// snapshots. The caller holds whatever serializes its Appends (coflowd's
-// scheduler goroutine) across the call, so the sequence
+// appended so far, then prunes old snapshots and drops the log prefix the
+// oldest retained one covers. The caller holds whatever serializes its
+// Appends (coflowd's scheduler goroutine) across the call, so the sequence
 // and the export describe the same instant; the write runs on its own
 // goroutine, so a large state never stalls the caller, and written is called
 // once it succeeded. At most one snapshot is in flight: a call that finds one,
@@ -110,11 +110,15 @@ func (j *Journal) Snapshot(export func() any, written func()) {
 		t0 := time.Now()
 		ctx := context.Background()
 		key, err := WriteSnapshot(ctx, j.store, seq, state)
+		var oldest uint64
 		if err == nil {
-			err = j.TruncateBefore(seq + 1)
+			oldest, err = PruneSnapshots(ctx, j.store, snapshotKeep)
 		}
-		if err == nil {
-			err = PruneSnapshots(ctx, j.store, snapshotKeep)
+		if err == nil && oldest > 0 {
+			// Drop only what every retained snapshot covers, so a recovery
+			// that skips a damaged newest can still replay forward from an
+			// older one.
+			err = j.TruncateBefore(oldest + 1)
 		}
 		if err != nil {
 			j.logger.Error("snapshot failed", "seq", seq, "err", err)

@@ -201,6 +201,45 @@ func TestJournalFallsBackToOlderSnapshot(t *testing.T) {
 	}
 }
 
+// TestJournalFallsBackAcrossRotation is TestJournalFallsBackToOlderSnapshot
+// over a log that rotates every few records: a snapshot must not drop the
+// segments an older retained snapshot still replays forward from, or the
+// fallback it is kept for finds its records gone.
+func TestJournalFallsBackAcrossRotation(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("dir store: %v", err)
+	}
+	log, err := Open(dir, Options{SegmentBytes: 200})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	j := &Journal{Log: log, store: store, logger: discard()}
+	appendPowers(t, j, 0, 4)
+	if n := j.SegmentCount(); n < 2 {
+		t.Fatalf("%d segments after 4 records, want the log rotated", n)
+	}
+	snapshotNow(t, j, tally{Sum: 15, Count: 4})
+	appendPowers(t, j, 4, 4)
+	snapshotNow(t, j, tally{Sum: 255, Count: 8})
+	appendPowers(t, j, 8, 1)
+	j.Shutdown(false)
+
+	if err := store.Put(context.Background(), snapshotKey(8), strings.NewReader("{not json")); err != nil {
+		t.Fatalf("damage newest snapshot: %v", err)
+	}
+	j, state, restored, err := recoverTally(t, dir, store, discard())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer j.Shutdown(false)
+	// Snapshot through seq 4 (15, 4) + records 5 to 9.
+	if !restored || state.Sum != 511 || state.Count != 9 {
+		t.Fatalf("recovered restored=%v state=%+v, want older snapshot + 5 replayed (sum 511, count 9)", restored, state)
+	}
+}
+
 // TestJournalRefusesLogBehindReplay: a log that reopens short of what replay
 // delivered would reuse sequences the state already holds.
 func TestJournalRefusesLogBehindReplay(t *testing.T) {

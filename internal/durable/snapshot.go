@@ -41,7 +41,8 @@ func snapshotSeq(key string) (uint64, bool) {
 }
 
 // WriteSnapshot persists state as the snapshot covering WAL sequences <= seq
-// and returns its key. After it succeeds the caller may TruncateBefore(seq+1).
+// and returns its key. Once no older snapshot is retained (PruneSnapshots), the
+// caller may TruncateBefore(seq+1).
 func WriteSnapshot(ctx context.Context, store BlobStore, seq uint64, state any) (string, error) {
 	raw, err := json.Marshal(state)
 	if err != nil {
@@ -106,14 +107,16 @@ func readSnapshot(ctx context.Context, store BlobStore, key string) (*snapshotEn
 	return env, nil
 }
 
-// PruneSnapshots deletes all but the newest keep snapshots.
-func PruneSnapshots(ctx context.Context, store BlobStore, keep int) error {
+// PruneSnapshots deletes all but the newest keep snapshots and returns the
+// sequence the oldest one it keeps covers (0 with none kept): the log must
+// keep every record after it, for a recovery that falls back that far.
+func PruneSnapshots(ctx context.Context, store BlobStore, keep int) (oldest uint64, err error) {
 	if keep < 1 {
 		keep = 1
 	}
 	keys, err := store.List(ctx, snapshotPrefix)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var snaps []string
 	for _, k := range keys {
@@ -121,13 +124,16 @@ func PruneSnapshots(ctx context.Context, store BlobStore, keep int) error {
 			snaps = append(snaps, k)
 		}
 	}
-	if len(snaps) <= keep {
-		return nil
-	}
-	for _, k := range snaps[:len(snaps)-keep] {
-		if err := store.Delete(ctx, k); err != nil {
-			return err
+	if len(snaps) > keep {
+		for _, k := range snaps[:len(snaps)-keep] {
+			if err := store.Delete(ctx, k); err != nil {
+				return 0, err
+			}
 		}
+		snaps = snaps[len(snaps)-keep:]
 	}
-	return nil
+	if len(snaps) > 0 {
+		oldest, _ = snapshotSeq(snaps[0])
+	}
+	return oldest, nil
 }

@@ -13,8 +13,8 @@
 // The payload is one JSON-encoded Record carrying a sequence number; sequence
 // numbers are contiguous across the whole log. Segment files are named
 // wal-<first seq>.seg and rotate at SegmentBytes; snapshots record the last
-// sequence they cover, and TruncateBefore deletes whole segments the newest
-// snapshot has superseded.
+// sequence they cover, and TruncateBefore deletes whole segments the oldest
+// retained snapshot has superseded.
 //
 // Durability contract: Append buffers the frame in memory (it reaches the OS
 // page cache, in one batched write, at the next commit/rotation/close);

@@ -503,7 +503,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 		t.Fatalf("latest after corruption seq=%d state=%+v skipped=%d, want 40/{4}/1", seq, got, skipped)
 	}
 
-	if err := PruneSnapshots(ctx, store, 2); err != nil {
+	if _, err := PruneSnapshots(ctx, store, 2); err != nil {
 		t.Fatalf("prune: %v", err)
 	}
 	keys, err = store.List(ctx, "snap-")

@@ -19,7 +19,6 @@ func tinyConfig() Config {
 	c.Widths = []int{2, 3}
 	c.Width = 2
 	c.CoflowCounts = []int{2, 4}
-	c.CandidatePaths = 4
 	return c
 }
 

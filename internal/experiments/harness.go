@@ -51,29 +51,29 @@ type Config struct {
 	Width int
 	// CoflowCounts are the x-axis of Figure 4.
 	CoflowCounts []int
-	// MeanSize, MeanRelease and MeanWeight parameterize the Poisson workload.
-	MeanSize    float64
-	MeanRelease float64
-	MeanWeight  float64
-	// CandidatePaths bounds the LP's routing choices (core.Options).
-	CandidatePaths int
 }
+
+// The Poisson workload's per-coflow shape (the sweeps' and the online
+// sweep's), and the LP's routing budget (core.Options.CandidatePaths) in the
+// figures' LP-Based scheme.
+const (
+	meanSize       = 4
+	meanRelease    = 2
+	meanWeight     = 1
+	candidatePaths = 4
+)
 
 // DefaultConfig returns the scaled-down configuration that coflowbench and
 // the Go benchmarks run.
 func DefaultConfig() Config {
 	return Config{
-		FatK:           4,
-		Trials:         3,
-		Seed:           1,
-		NumCoflows:     5,
-		Widths:         []int{2, 4, 6, 8},
-		Width:          4,
-		CoflowCounts:   []int{4, 6, 8, 10},
-		MeanSize:       4,
-		MeanRelease:    2,
-		MeanWeight:     1,
-		CandidatePaths: 4,
+		FatK:         4,
+		Trials:       3,
+		Seed:         1,
+		NumCoflows:   5,
+		Widths:       []int{2, 4, 6, 8},
+		Width:        4,
+		CoflowCounts: []int{4, 6, 8, 10},
 	}
 }
 
@@ -88,14 +88,13 @@ func PaperConfig() Config {
 	c.Widths = []int{4, 8, 16, 32}
 	c.Width = 16
 	c.CoflowCounts = []int{10, 15, 20, 25, 30}
-	c.CandidatePaths = 4
 	return c
 }
 
 // Schedulers returns the four schemes of the paper's §4.3 comparison, in the
 // order the figures list them: LP-Based, Route-only, Schedule-only, Baseline.
 func (c Config) Schedulers() []Scheduler {
-	lp := core.CircuitFreePaths{Opts: core.Options{CandidatePaths: c.CandidatePaths}}
+	lp := core.CircuitFreePaths{Opts: core.Options{CandidatePaths: candidatePaths}}
 	return []Scheduler{lp, baselines.RouteOnly{}, baselines.ScheduleOnly{}, baselines.Baseline{}}
 }
 
@@ -148,9 +147,9 @@ func (c Config) SweepPoint(g *graph.Graph, numCoflows, width int, schedulers []S
 		inst, err := workload.Generate(g, workload.Config{
 			NumCoflows:  numCoflows,
 			Width:       width,
-			MeanSize:    c.MeanSize,
-			MeanRelease: c.MeanRelease,
-			MeanWeight:  c.MeanWeight,
+			MeanSize:    meanSize,
+			MeanRelease: meanRelease,
+			MeanWeight:  meanWeight,
 		}, rng)
 		if err != nil {
 			return nil, err

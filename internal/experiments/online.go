@@ -32,9 +32,6 @@ type OnlineConfig struct {
 	NumCoflows int
 	// Width is the number of flows per coflow.
 	Width int
-	// MeanSize and MeanWeight parameterize the per-coflow shape.
-	MeanSize   float64
-	MeanWeight float64
 	// ArrivalRates is the x-axis: mean coflow arrivals per time unit.
 	ArrivalRates []float64
 }
@@ -49,8 +46,6 @@ func DefaultOnlineConfig() OnlineConfig {
 		Seed:         1,
 		NumCoflows:   8,
 		Width:        3,
-		MeanSize:     4,
-		MeanWeight:   1,
 		ArrivalRates: []float64{0.5, 2.0, 8.0},
 	}
 }
@@ -120,8 +115,8 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 			Config: workload.Config{
 				NumCoflows: cfg.NumCoflows,
 				Width:      cfg.Width,
-				MeanSize:   cfg.MeanSize,
-				MeanWeight: cfg.MeanWeight,
+				MeanSize:   meanSize,
+				MeanWeight: meanWeight,
 			},
 			Rate: rate,
 		}, rng)

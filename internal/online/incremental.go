@@ -144,51 +144,55 @@ func (r *ring) add(v float64) {
 func (r *ring) snapshot() []float64 { return append([]float64(nil), r.vals...) }
 
 // EngineStats is the aggregate view surfaced by Engine.Stats, the source of
-// the server's /v1/stats and /metrics endpoints.
+// the server's /v1/stats (which embeds it, so the JSON names below are the
+// wire's) and /metrics endpoints.
 type EngineStats struct {
 	// Now is the engine clock (simulated time last advanced to).
-	Now float64
+	Now float64 `json:"now"`
 	// Epochs counts AdvanceTo calls, Decisions counts applied orders, and
 	// Fallbacks the decisions settled that were a policy's *Fallback.
-	Epochs    int
-	Decisions int
-	Fallbacks int
+	Epochs    int `json:"epochs"`
+	Decisions int `json:"decisions"`
+	Fallbacks int `json:"fallbacks"`
 	// Admitted, Completed and Active count coflows.
-	Admitted  int
-	Completed int
-	Active    int
+	Admitted  int `json:"admitted"`
+	Completed int `json:"completed"`
+	Active    int `json:"active"`
 	// ActiveFlows counts admitted, unfinished flows.
-	ActiveFlows int
+	ActiveFlows int `json:"active_flows"`
 	// WeightedCCT and WeightedResponse aggregate over completed coflows.
-	WeightedCCT      float64
-	WeightedResponse float64
+	WeightedCCT      float64 `json:"weighted_cct"`
+	WeightedResponse float64 `json:"weighted_response"`
 	// Slowdowns holds one entry per completed coflow (response over the
 	// coflow's isolated bottleneck time), bounded to the most recent
 	// statsWindow completions.
-	Slowdowns []float64
+	Slowdowns []float64 `json:"slowdowns,omitempty"`
 	// SolveLatencies holds the wall-clock duration, in seconds, of applied
 	// policy decisions, bounded to the most recent statsWindow.
-	SolveLatencies []float64
+	SolveLatencies []float64 `json:"solve_latencies,omitempty"`
 }
 
-// CoflowStatus is the per-coflow view surfaced by Engine.CoflowStatus, the
-// source of the server's GET /v1/coflows/{id}.
+// CoflowStatus is the per-coflow view surfaced by Engine.CoflowStatus, and
+// the body of the server's GET /v1/coflows/{id}.
 type CoflowStatus struct {
-	ID      int
-	Name    string
-	Weight  float64
-	Arrival float64
+	ID      int     `json:"id"`
+	Name    string  `json:"name,omitempty"`
+	Weight  float64 `json:"weight"`
+	Arrival float64 `json:"arrival"`
 	// NumFlows and FlowsDone count the coflow's flows; TotalBytes and
 	// RemainingBytes its volume.
-	NumFlows       int
-	FlowsDone      int
-	TotalBytes     float64
-	RemainingBytes float64
-	Done           bool
-	// Completion, Response and Slowdown are meaningful once Done.
-	Completion float64
-	Response   float64
-	Slowdown   float64
+	NumFlows       int     `json:"num_flows"`
+	FlowsDone      int     `json:"flows_done"`
+	TotalBytes     float64 `json:"total_bytes"`
+	RemainingBytes float64 `json:"remaining_bytes"`
+	Done           bool    `json:"done"`
+	// Completion is the absolute completion time, Response (the wire's "cct")
+	// completion minus arrival, and Slowdown the response over the coflow's
+	// isolated bottleneck time. All three are set once Done, and positive
+	// then (flow sizes are), so they are on the wire exactly once Done.
+	Completion float64 `json:"completion,omitempty"`
+	Response   float64 `json:"cct,omitempty"`
+	Slowdown   float64 `json:"slowdown,omitempty"`
 }
 
 // NewEngine builds an empty incremental engine over the given network. The

@@ -475,3 +475,17 @@ func TestOnlineLPStreamPinned(t *testing.T) {
 		t.Errorf("strict LP failed: %v", err)
 	}
 }
+
+// TestPolicyByName: the daemons' -policy names resolve to the three
+// incremental policies, and any other name is refused with the list.
+func TestPolicyByName(t *testing.T) {
+	for name, want := range map[string]string{"sebf": "SEBFOnline", "fifo": "FIFOOnline", "lp": "LPEpoch"} {
+		p, err := PolicyByName(name)
+		if err != nil || p.Name() != want {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %s", name, p, err, want)
+		}
+	}
+	if _, err := PolicyByName("wfq"); err == nil || !strings.Contains(err.Error(), "want sebf, fifo, lp") {
+		t.Errorf("PolicyByName(wfq) error = %v, want the list of names", err)
+	}
+}

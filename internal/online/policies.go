@@ -100,6 +100,20 @@ func sortCoflows(snap *Snapshot, key []float64) []coflow.FlowRef {
 	return order
 }
 
+// PolicyByName returns the epoch policy a daemon's -policy flag names: sebf,
+// fifo or lp.
+func PolicyByName(name string) (Policy, error) {
+	switch name {
+	case "sebf":
+		return SEBFOnline{}, nil
+	case "fifo":
+		return FIFOOnline{}, nil
+	case "lp":
+		return LPEpoch{}, nil
+	}
+	return nil, fmt.Errorf("unknown policy %q (want sebf, fifo, lp)", name)
+}
+
 // LPEpoch re-solves the paper's interval-indexed LP (internal/core) on the
 // residual instance at every epoch: arrived coflows with their remaining
 // volumes, release times shifted so "now" is time zero, and the
@@ -107,9 +121,6 @@ func sortCoflows(snap *Snapshot, key []float64) []coflow.FlowRef {
 // epoch's priority order. LPEpoch is asynchronous: its order is applied one
 // epoch after the view it was solved on (see AsyncPolicy).
 type LPEpoch struct {
-	// Opts tunes the underlying LP (epsilon, alpha, ...). Zero value =
-	// core defaults.
-	Opts core.Options
 	// Sync drops the one-epoch lag, applying every decision at once on fresh
 	// state (useful for isolating the staleness cost in experiments).
 	Sync bool
@@ -138,7 +149,7 @@ func (p LPEpoch) Decide(snap *Snapshot) ([]coflow.FlowRef, error) {
 	if rinst == nil {
 		return nil, nil
 	}
-	lpOrder, err := (core.CircuitGivenPaths{Opts: p.Opts}).Order(rinst)
+	lpOrder, err := core.CircuitGivenPaths{}.Order(rinst)
 	if err != nil {
 		err = fmt.Errorf("online: epoch %d LP: %w", snap.Epoch, err)
 		if p.Strict {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -37,24 +38,9 @@ type AdmitResponse struct {
 	Durable bool `json:"durable,omitempty"`
 }
 
-// CoflowResponse is GET /v1/coflows/{id}: live status, CCT once done.
-type CoflowResponse struct {
-	ID             int     `json:"id"`
-	Name           string  `json:"name,omitempty"`
-	Weight         float64 `json:"weight"`
-	Arrival        float64 `json:"arrival"`
-	NumFlows       int     `json:"num_flows"`
-	FlowsDone      int     `json:"flows_done"`
-	TotalBytes     float64 `json:"total_bytes"`
-	RemainingBytes float64 `json:"remaining_bytes"`
-	Done           bool    `json:"done"`
-	// Completion is the absolute completion time; CCT the response time
-	// (completion - arrival); Slowdown the response over the coflow's
-	// isolated bottleneck time. Present once Done.
-	Completion *float64 `json:"completion,omitempty"`
-	CCT        *float64 `json:"cct,omitempty"`
-	Slowdown   *float64 `json:"slowdown,omitempty"`
-}
+// CoflowResponse is GET /v1/coflows/{id}: the engine's own per-coflow record,
+// live status with the CCT once done.
+type CoflowResponse = online.CoflowStatus
 
 // ScheduleEntry identifies one flow in the priority order.
 type ScheduleEntry struct {
@@ -70,34 +56,61 @@ type ScheduleResponse struct {
 	Order  []ScheduleEntry `json:"order"`
 }
 
-// StatsResponse is GET /v1/stats.
+// StatsResponse is GET /v1/stats: the engine's counters and objectives as the
+// engine reports them, beside what the engine does not know (the policy, the
+// epoch length, the shard) and the summary percentiles of its reservoirs. The
+// raw reservoirs behind the percentiles (Slowdowns, and SolveLatencies in
+// seconds) are sent only when the request asks for them (GET
+// /v1/stats?samples=1): they are what a cluster gateway needs to merge
+// percentile tails across shards, which summary percentiles alone cannot do.
 type StatsResponse struct {
-	Now              float64 `json:"now"`
-	Policy           string  `json:"policy"`
-	EpochLength      float64 `json:"epoch_length"`
-	Epochs           int     `json:"epochs"`
-	Decisions        int     `json:"decisions"`
-	Admitted         int     `json:"admitted"`
-	Completed        int     `json:"completed"`
-	Active           int     `json:"active"`
-	ActiveFlows      int     `json:"active_flows"`
-	WeightedCCT      float64 `json:"weighted_cct"`
-	WeightedResponse float64 `json:"weighted_response"`
-	SlowdownP50      float64 `json:"slowdown_p50"`
-	SlowdownP95      float64 `json:"slowdown_p95"`
-	SlowdownP99      float64 `json:"slowdown_p99"`
-	SolveMsP50       float64 `json:"solve_ms_p50"`
-	SolveMsP95       float64 `json:"solve_ms_p95"`
-	SolveMsP99       float64 `json:"solve_ms_p99"`
+	online.EngineStats
+	Policy      string  `json:"policy"`
+	EpochLength float64 `json:"epoch_length"`
 	// Shard echoes the daemon's cluster identity (empty standalone).
-	Shard string `json:"shard,omitempty"`
-	// Slowdowns and SolveLatencies are the raw bounded sample reservoirs
-	// behind the percentiles (solve latencies in seconds). Only populated
-	// when the request asks for them (GET /v1/stats?samples=1): they are what
-	// a cluster gateway needs to merge percentile tails across shards, which
-	// summary percentiles alone cannot do.
-	Slowdowns      []float64 `json:"slowdowns,omitempty"`
-	SolveLatencies []float64 `json:"solve_latencies,omitempty"`
+	Shard       string  `json:"shard,omitempty"`
+	SlowdownP50 float64 `json:"slowdown_p50"`
+	SlowdownP95 float64 `json:"slowdown_p95"`
+	SlowdownP99 float64 `json:"slowdown_p99"`
+	SolveMsP50  float64 `json:"solve_ms_p50"`
+	SolveMsP95  float64 `json:"solve_ms_p95"`
+	SolveMsP99  float64 `json:"solve_ms_p99"`
+}
+
+// NewStatsResponse is the one place a StatsResponse is built: coflowd's
+// /v1/stats from its engine, the gateway's from the merge of its shards', and
+// the end-of-run report of both (LogFinalStats). The reservoirs stay in the
+// response only with samples.
+func NewStatsResponse(st online.EngineStats, policy string, epochLength float64, shard string, samples bool) StatsResponse {
+	resp := StatsResponse{
+		EngineStats: st,
+		Policy:      policy,
+		EpochLength: epochLength,
+		Shard:       shard,
+		SlowdownP50: pct(st.Slowdowns, 50),
+		SlowdownP95: pct(st.Slowdowns, 95),
+		SlowdownP99: pct(st.Slowdowns, 99),
+		SolveMsP50:  pct(st.SolveLatencies, 50) * 1e3,
+		SolveMsP95:  pct(st.SolveLatencies, 95) * 1e3,
+		SolveMsP99:  pct(st.SolveLatencies, 99) * 1e3,
+	}
+	if !samples {
+		resp.Slowdowns, resp.SolveLatencies = nil, nil
+	}
+	return resp
+}
+
+// LogFinalStats logs the end-of-run summary a daemon prints after its drain,
+// prefixed with the daemon's name: the engine's counts, its objectives, and
+// the slowdown and solve-latency percentiles. coflowd logs its engine's,
+// coflowgate -local the merge of its shards'.
+func LogFinalStats(daemon string, st online.EngineStats) {
+	r := NewStatsResponse(st, "", 0, "", false)
+	log.Printf("%s: final: admitted=%d completed=%d epochs=%d decisions=%d fallbacks=%d",
+		daemon, r.Admitted, r.Completed, r.Epochs, r.Decisions, r.Fallbacks)
+	log.Printf("%s: final: weighted_cct=%.2f weighted_response=%.2f", daemon, r.WeightedCCT, r.WeightedResponse)
+	log.Printf("%s: final: slowdown p50/p95/p99 = %.2f/%.2f/%.2f", daemon, r.SlowdownP50, r.SlowdownP95, r.SlowdownP99)
+	log.Printf("%s: final: solve latency p50/p95/p99 = %.3f/%.3f/%.3f ms", daemon, r.SolveMsP50, r.SolveMsP95, r.SolveMsP99)
 }
 
 // HealthResponse is GET /healthz.
@@ -256,22 +269,7 @@ func (s *Server) handleCoflow(w http.ResponseWriter, r *http.Request) {
 		RespondError(w, http.StatusNotFound, "unknown coflow id")
 		return
 	}
-	resp := CoflowResponse{
-		ID:             st.ID,
-		Name:           st.Name,
-		Weight:         st.Weight,
-		Arrival:        st.Arrival,
-		NumFlows:       st.NumFlows,
-		FlowsDone:      st.FlowsDone,
-		TotalBytes:     st.TotalBytes,
-		RemainingBytes: st.RemainingBytes,
-		Done:           st.Done,
-	}
-	if st.Done {
-		completion, cct, slowdown := st.Completion, st.Response, st.Slowdown
-		resp.Completion, resp.CCT, resp.Slowdown = &completion, &cct, &slowdown
-	}
-	RespondJSON(w, http.StatusOK, resp)
+	RespondJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -298,31 +296,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RespondError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	resp := StatsResponse{
-		Now:              st.Now,
-		Policy:           s.cfg.Policy.Name(),
-		EpochLength:      s.cfg.EpochLength,
-		Epochs:           st.Epochs,
-		Decisions:        st.Decisions,
-		Admitted:         st.Admitted,
-		Completed:        st.Completed,
-		Active:           st.Active,
-		ActiveFlows:      st.ActiveFlows,
-		WeightedCCT:      st.WeightedCCT,
-		WeightedResponse: st.WeightedResponse,
-		SlowdownP50:      pct(st.Slowdowns, 50),
-		SlowdownP95:      pct(st.Slowdowns, 95),
-		SlowdownP99:      pct(st.Slowdowns, 99),
-		SolveMsP50:       pct(st.SolveLatencies, 50) * 1e3,
-		SolveMsP95:       pct(st.SolveLatencies, 95) * 1e3,
-		SolveMsP99:       pct(st.SolveLatencies, 99) * 1e3,
-		Shard:            s.cfg.Shard,
-	}
-	if r.URL.Query().Get("samples") != "" {
-		resp.Slowdowns = st.Slowdowns
-		resp.SolveLatencies = st.SolveLatencies
-	}
-	RespondJSON(w, http.StatusOK, resp)
+	RespondJSON(w, http.StatusOK, NewStatsResponse(st, s.cfg.Policy.Name(), s.cfg.EpochLength, s.cfg.Shard,
+		r.URL.Query().Get("samples") != ""))
 }
 
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {

@@ -208,7 +208,7 @@ func TestDrain(t *testing.T) {
 		t.Errorf("late admission error = %v, want 503", err)
 	}
 	// Queries still work after drain.
-	if cst, err := c.Coflow(0); err != nil || !cst.Done || cst.CCT == nil || *cst.CCT <= 0 {
+	if cst, err := c.Coflow(0); err != nil || !cst.Done || cst.Response <= 0 {
 		t.Errorf("post-drain status = %+v, %v", cst, err)
 	}
 }
