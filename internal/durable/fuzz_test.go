@@ -4,6 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"coflowsched/internal/coflow"
@@ -130,4 +135,144 @@ func TestDecodeSegmentRejectsAdvanceDecide(t *testing.T) {
 	if _, _, err := DecodeSegment(frame, 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("advance frame with a decide flag: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// FuzzRecoverLog holds the one-pass open-and-replay (openLog, what Recover
+// runs) to the two-pass oracle in reference_test.go. Each input builds a log
+// of records 1..n, per records to a segment, damages it — a torn tail, a
+// flipped byte, a missing, empty or duplicate segment — and recovers it from
+// a floor below, inside or past the first segment, once per copy of the
+// directory. Both must deliver the same records, fail with the same error
+// class, reopen at the same LastSeq and leave the same files; the one
+// exception is a log that ends below the snapshot the floor stands for, which
+// the oracle reopens (reusing covered sequences) and the one pass refuses.
+// Replay, the read-only form, must change no file and agree whenever the one
+// pass opens. The seed corpus is testdata/fuzz/FuzzRecoverLog.
+func FuzzRecoverLog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, records, perSeg, damage uint8, at uint16, from uint8) {
+		n, per := int(records%24), 1+int(perSeg%5)
+		oracleDir, dir := t.TempDir(), t.TempDir()
+		writeFuzzLog(t, oracleDir, n, per, damage, int(at))
+		for name, data := range dirImage(t, oracleDir) {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		floor := uint64(from) % uint64(n+4)
+
+		var want, got, replayed []float64
+		collect := func(into *[]float64) func(*Record) error {
+			return func(r *Record) error {
+				*into = append(*into, float64(r.Seq), r.Advance.Now)
+				return nil
+			}
+		}
+		before := dirImage(t, dir)
+		rlast, rerr := Replay(dir, floor, collect(&replayed))
+		if !maps.EqualFunc(before, dirImage(t, dir), slices.Equal) {
+			t.Fatal("Replay changed the directory")
+		}
+		oracle, oerr := referenceRecover(oracleDir, floor, collect(&want))
+		log, err := openLog(dir, Options{}, floor, collect(&got))
+		if oerr == nil {
+			defer oracle.Abandon()
+		}
+		if err == nil {
+			defer log.Abandon()
+		}
+		if oerr == nil && oracle.LastSeq()+1 < floor {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("log ends at %d below the snapshot through %d: one pass err %v, want ErrCorrupt",
+					oracle.LastSeq(), floor-1, err)
+			}
+			return
+		}
+		if (oerr == nil) != (err == nil) || errors.Is(oerr, ErrCorrupt) != errors.Is(err, ErrCorrupt) {
+			t.Fatalf("oracle err %v, one pass err %v", oerr, err)
+		}
+		if err != nil {
+			return
+		}
+		if oracle.LastSeq() != log.LastSeq() {
+			t.Fatalf("reopened at %d, oracle at %d", log.LastSeq(), oracle.LastSeq())
+		}
+		if !slices.Equal(want, got) {
+			t.Fatalf("delivered (seq, value) %v, oracle %v", got, want)
+		}
+		if !maps.EqualFunc(dirImage(t, oracleDir), dirImage(t, dir), slices.Equal) {
+			t.Fatal("the one pass left other files than the oracle")
+		}
+		if rerr != nil || rlast != log.LastSeq() || !slices.Equal(replayed, got) {
+			t.Fatalf("Replay: last %d err %v records %v; open: last %d records %v", rlast, rerr, replayed, log.LastSeq(), got)
+		}
+	})
+}
+
+// writeFuzzLog writes records 1..n (record s carries now = s), per records to
+// a segment (one empty segment when n is 0), and applies damage%6 to segment
+// at%segments: 0 none, 1 cut 1-16 bytes off its end, 2 flip one bit, 3 remove
+// it, 4 empty it, 5 copy it under a second name — its own start unpadded (a
+// duplicate start) or the sequence after the last record.
+func writeFuzzLog(t *testing.T, dir string, n, per int, damage uint8, at int) {
+	t.Helper()
+	var paths []string
+	for start := 1; start <= max(n, 1); start += per {
+		var data []byte
+		for seq := start; seq < start+per && seq <= n; seq++ {
+			data = append(data, mustFrame(uint64(seq), advanceRec(float64(seq)))...)
+		}
+		path := segmentPath(dir, uint64(start))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	i, arg := at%len(paths), at/len(paths)
+	data, err := os.ReadFile(paths[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch damage % 6 {
+	case 1:
+		data = data[:max(0, len(data)-1-arg%16)]
+	case 2:
+		if len(data) > 0 {
+			data[arg%len(data)] ^= 1 << (damage / 6 % 8)
+		}
+	case 3:
+		if err := os.Remove(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+		return
+	case 4:
+		data = nil
+	case 5:
+		start := 1 + i*per
+		name := fmt.Sprintf("%s%d%s", segPrefix, start, segSuffix)
+		if arg%2 == 1 {
+			name = filepath.Base(segmentPath(dir, uint64(n+1)))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(paths[i], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirImage reads every file in dir.
+func dirImage(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if image[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return image
 }

@@ -1,9 +1,9 @@
 package durable
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -13,38 +13,41 @@ import (
 // the older ones are insurance against a torn or corrupt newest.
 const snapshotKeep = 3
 
-// Journal is coflowd's durability glue: a Log, the BlobStore its snapshots
-// live in, and the protocol between the two — recover (newest usable
-// snapshot, then the log suffix it does not cover, then reopen for appending)
-// and snapshot (write, prune, drop the log prefix every retained snapshot
-// covers). The daemon keeps only what is its own: what a record means, what a
-// snapshot holds, and when it commits and snapshots.
+// testSnapshotWrite, when non-nil, runs on the snapshot goroutine before the
+// snapshot is written. Tests use it to hold a snapshot in flight.
+var testSnapshotWrite func()
+
+// Journal is coflowd's durability glue: a Log, the directory its snapshots
+// live in (<wal-dir>/snapshots), and the protocol between the two — recover
+// (newest usable snapshot, then the log suffix it does not cover, read in the
+// same pass that opens the log for appending) and snapshot (fsync the log
+// through the snapshot's sequence, write, prune, drop the log prefix every
+// retained snapshot covers). The daemon keeps only what is its own: what a
+// record means, what a snapshot holds, and when it commits and snapshots.
 type Journal struct {
 	*Log
-	store  BlobStore
-	logger *slog.Logger
+	snapDir string
+	logger  *slog.Logger
 
 	snapshotting atomic.Bool // at most one snapshot in flight
 	appendFailed atomic.Bool // the append failure is logged once
 }
 
 // Recover rebuilds the caller's state from dir and returns the journal open
-// for appending. The newest snapshot that decodes is unmarshalled into state
-// (a nil store means a DirStore under dir/snapshots); restore then builds the
-// in-memory state from it, or from nothing when ok is false; apply replays
-// every log record the snapshot does not cover. A log or snapshot that cannot
-// be trusted fails the recovery — a daemon must not serve from state it cannot
-// vouch for.
-func Recover(dir string, store BlobStore, logger *slog.Logger, state any,
+// for appending. The newest snapshot in dir/snapshots that decodes is
+// unmarshalled into state; restore then builds the in-memory state from it,
+// or from nothing when ok is false; apply replays every log record the
+// snapshot does not cover. A log or snapshot that cannot be trusted fails the
+// recovery — a daemon must not serve from state it cannot vouch for — and so
+// does a log that ends below the snapshot, whose next append would reuse a
+// sequence the snapshot covers.
+func Recover(dir string, logger *slog.Logger, state any,
 	restore func(ok bool) error, apply func(*Record) error) (*Journal, error) {
-	if store == nil {
-		ds, err := NewDirStore(filepath.Join(dir, "snapshots"))
-		if err != nil {
-			return nil, fmt.Errorf("opening snapshot store: %w", err)
-		}
-		store = ds
+	snapDir := filepath.Join(dir, "snapshots")
+	if err := os.MkdirAll(snapDir, 0o755); err != nil {
+		return nil, fmt.Errorf("opening snapshot directory: %w", err)
 	}
-	seq, ok, skipped, err := LatestSnapshot(context.Background(), store, state)
+	seq, ok, skipped, err := latestSnapshot(snapDir, state)
 	if err != nil {
 		return nil, fmt.Errorf("reading snapshots: %w", err)
 	}
@@ -54,30 +57,11 @@ func Recover(dir string, store BlobStore, logger *slog.Logger, state any,
 	if err := restore(ok); err != nil {
 		return nil, fmt.Errorf("restoring state (snapshot through seq %d): %w", seq, err)
 	}
-	last, err := Replay(dir, seq+1, apply)
+	log, err := openLog(dir, Options{}, seq+1, apply)
 	if err != nil {
-		return nil, fmt.Errorf("replaying wal: %w", err)
+		return nil, fmt.Errorf("recovering wal: %w", err)
 	}
-	log, err := openAfterReplay(dir, last)
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{Log: log, store: store, logger: logger}, nil
-}
-
-// openAfterReplay opens the log for appending and refuses one that reopens
-// behind what replay just delivered: the state would hold records the log no
-// longer has, and the next append would reuse their sequences.
-func openAfterReplay(dir string, last uint64) (*Log, error) {
-	log, err := Open(dir, Options{})
-	if err != nil {
-		return nil, fmt.Errorf("opening wal: %w", err)
-	}
-	if got := log.LastSeq(); got < last {
-		log.Abandon()
-		return nil, fmt.Errorf("%w: log reopened at seq %d after replaying through %d", ErrCorrupt, got, last)
-	}
-	return log, nil
+	return &Journal{Log: log, snapDir: snapDir, logger: logger}, nil
 }
 
 // Append appends one record. Failure is fail-stop for durability — the log's
@@ -97,8 +81,11 @@ func (j *Journal) Append(r *Record) (uint64, error) {
 // Appends (coflowd's scheduler goroutine) across the call, so the sequence
 // and the export describe the same instant; the write runs on its own
 // goroutine, so a large state never stalls the caller, and written is called
-// once it succeeded. At most one snapshot is in flight: a call that finds one,
-// or an empty log, does nothing.
+// once it succeeded. The snapshot is written only after the log is fsynced
+// through its sequence: a snapshot that covers records a crash can take back
+// (from the append buffer or, on a power loss, the page cache) would let the
+// reopened log hand their sequences out again. At most one snapshot is in
+// flight: a call that finds one, or an empty log, does nothing.
 func (j *Journal) Snapshot(export func() any, written func()) {
 	seq := j.LastSeq()
 	if seq == 0 || !j.snapshotting.CompareAndSwap(false, true) {
@@ -107,12 +94,18 @@ func (j *Journal) Snapshot(export func() any, written func()) {
 	state := export()
 	go func() {
 		defer j.snapshotting.Store(false)
+		if testSnapshotWrite != nil {
+			testSnapshotWrite()
+		}
 		t0 := time.Now()
-		ctx := context.Background()
-		key, err := WriteSnapshot(ctx, j.store, seq, state)
+		err := j.Commit(seq)
+		var name string
+		if err == nil {
+			name, err = writeSnapshot(j.snapDir, seq, state)
+		}
 		var oldest uint64
 		if err == nil {
-			oldest, err = PruneSnapshots(ctx, j.store, snapshotKeep)
+			oldest, err = pruneSnapshots(j.snapDir, snapshotKeep)
 		}
 		if err == nil && oldest > 0 {
 			// Drop only what every retained snapshot covers, so a recovery
@@ -125,7 +118,7 @@ func (j *Journal) Snapshot(export func() any, written func()) {
 			return
 		}
 		written()
-		j.logger.Info("snapshot written", "key", key, "seq", seq,
+		j.logger.Info("snapshot written", "file", name, "seq", seq,
 			"segments", j.SegmentCount(), "took", time.Since(t0))
 	}()
 }

@@ -2,12 +2,12 @@ package durable
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +23,11 @@ type tally struct {
 
 // recoverTally runs Recover the way a daemon does: the snapshot body lands in
 // a scratch value, restore adopts it, apply folds the log suffix in.
-func recoverTally(t *testing.T, dir string, store BlobStore, logger *slog.Logger) (*Journal, *tally, bool, error) {
+func recoverTally(t *testing.T, dir string, logger *slog.Logger) (*Journal, *tally, bool, error) {
 	t.Helper()
 	var persist, state tally
 	restored := false
-	j, err := Recover(dir, store, logger, &persist,
+	j, err := Recover(dir, logger, &persist,
 		func(ok bool) error {
 			if ok {
 				state, restored = persist, true
@@ -79,7 +79,7 @@ func discard() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, ni
 // a recovery that restores the snapshot and replays only the suffix.
 func TestJournalRecoverProtocol(t *testing.T) {
 	dir := t.TempDir()
-	j, state, restored, err := recoverTally(t, dir, nil, discard())
+	j, state, restored, err := recoverTally(t, dir, discard())
 	if err != nil || restored || state.Count != 0 {
 		t.Fatalf("fresh recover: err=%v restored=%v state=%+v", err, restored, state)
 	}
@@ -91,7 +91,7 @@ func TestJournalRecoverProtocol(t *testing.T) {
 	j.Shutdown(true)
 	j.Shutdown(false) // idempotent after an abandon
 
-	j, state, restored, err = recoverTally(t, dir, nil, discard())
+	j, state, restored, err = recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestJournalRecoverProtocol(t *testing.T) {
 // frame; recovery delivers the prefix and appends continue after it.
 func TestJournalTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := recoverTally(t, dir, nil, discard())
+	j, _, _, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	j, state, _, err := recoverTally(t, dir, nil, discard())
+	j, state, _, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover over torn tail: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 // TestJournalBitFlipRefused: damage inside the log fails the recovery.
 func TestJournalBitFlipRefused(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := recoverTally(t, dir, nil, discard())
+	j, _, _, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestJournalBitFlipRefused(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatalf("write flipped segment: %v", err)
 	}
-	if _, _, _, err := recoverTally(t, dir, nil, discard()); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := recoverTally(t, dir, discard()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("recover of bit-flipped log: %v, want ErrCorrupt", err)
 	}
 }
@@ -168,11 +168,7 @@ func TestJournalBitFlipRefused(t *testing.T) {
 // the next older one plus more replay, and says so once in the log.
 func TestJournalFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewDirStore(t.TempDir()) // an explicit store, as internal/server's tests hand newServer one
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
-	}
-	j, _, _, err := recoverTally(t, dir, store, discard())
+	j, _, _, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -183,11 +179,11 @@ func TestJournalFallsBackToOlderSnapshot(t *testing.T) {
 	appendPowers(t, j, 4, 1)
 	j.Shutdown(false)
 
-	if err := store.Put(context.Background(), snapshotKey(4), strings.NewReader("{not json")); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshots", snapshotName(4)), []byte("{not json"), 0o644); err != nil {
 		t.Fatalf("damage newest snapshot: %v", err)
 	}
 	var logged bytes.Buffer
-	j, state, restored, err := recoverTally(t, dir, store, slog.New(slog.NewTextHandler(&logged, nil)))
+	j, state, restored, err := recoverTally(t, dir, slog.New(slog.NewTextHandler(&logged, nil)))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -207,15 +203,15 @@ func TestJournalFallsBackToOlderSnapshot(t *testing.T) {
 // fallback it is kept for finds its records gone.
 func TestJournalFallsBackAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
+	snapDir := filepath.Join(dir, "snapshots")
+	if err := os.Mkdir(snapDir, 0o755); err != nil {
+		t.Fatalf("snapshot directory: %v", err)
 	}
 	log, err := Open(dir, Options{SegmentBytes: 200})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	j := &Journal{Log: log, store: store, logger: discard()}
+	j := &Journal{Log: log, snapDir: snapDir, logger: discard()}
 	appendPowers(t, j, 0, 4)
 	if n := j.SegmentCount(); n < 2 {
 		t.Fatalf("%d segments after 4 records, want the log rotated", n)
@@ -226,10 +222,10 @@ func TestJournalFallsBackAcrossRotation(t *testing.T) {
 	appendPowers(t, j, 8, 1)
 	j.Shutdown(false)
 
-	if err := store.Put(context.Background(), snapshotKey(8), strings.NewReader("{not json")); err != nil {
+	if err := os.WriteFile(filepath.Join(snapDir, snapshotName(8)), []byte("{not json"), 0o644); err != nil {
 		t.Fatalf("damage newest snapshot: %v", err)
 	}
-	j, state, restored, err := recoverTally(t, dir, store, discard())
+	j, state, restored, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -240,47 +236,103 @@ func TestJournalFallsBackAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesLogBehindReplay: a log that reopens short of what replay
-// delivered would reuse sequences the state already holds.
-func TestJournalRefusesLogBehindReplay(t *testing.T) {
+// TestJournalRefusesSnapshotAheadOfLog: a log that ends below the snapshot
+// recovery restores would hand the sequences the snapshot covers out again,
+// and the next recovery would skip the records written under them.
+func TestJournalRefusesSnapshotAheadOfLog(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := recoverTally(t, dir, nil, discard())
+	j, _, _, err := recoverTally(t, dir, discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	appendPowers(t, j, 0, 3)
 	j.Shutdown(false)
 
-	if _, err := openAfterReplay(dir, 5); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open behind replay: %v, want ErrCorrupt", err)
+	snapDir := filepath.Join(dir, "snapshots")
+	if _, err := writeSnapshot(snapDir, 3, tally{Sum: 7, Count: 3}); err != nil {
+		t.Fatalf("snapshot level with the log: %v", err)
 	}
-	log, err := openAfterReplay(dir, 3)
+	j, state, restored, err := recoverTally(t, dir, discard())
+	if err != nil || !restored || state.Count != 3 || j.LastSeq() != 3 {
+		t.Fatalf("recover level with the log: err=%v restored=%v state=%+v", err, restored, state)
+	}
+	j.Shutdown(false)
+
+	if _, err := writeSnapshot(snapDir, 5, tally{Sum: 31, Count: 5}); err != nil {
+		t.Fatalf("snapshot ahead of the log: %v", err)
+	}
+	if _, _, _, err := recoverTally(t, dir, discard()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recover with the snapshot ahead of the log: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestJournalSnapshotCoversOnlyFsyncedRecords: records 1-2 are committed,
+// 3-4 only appended when the snapshot is taken, and a power loss then keeps
+// no more of the segment than was fsynced. The snapshot covers 1-4, so it must
+// fsync them first: else the reopened log hands out seq 3 again and the next
+// recovery skips the record committed there.
+func TestJournalSnapshotCoversOnlyFsyncedRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := recoverTally(t, dir, discard())
 	if err != nil {
-		t.Fatalf("open level with replay: %v", err)
+		t.Fatalf("recover: %v", err)
 	}
-	log.Close()
-}
+	appendPowers(t, j, 0, 2)
+	for i := 2; i < 4; i++ {
+		if _, err := j.Append(advanceRec(float64(uint64(1) << i))); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	_, before := j.Stats()
+	snapshotNow(t, j, tally{Sum: 15, Count: 4})
+	if _, after := j.Stats(); after == before {
+		t.Errorf("log fsyncs during snapshot: 0")
+	}
+	// Every write to a segment is followed by its fsync (commit, rotation),
+	// so what the file holds now is what a power loss keeps. The abandon
+	// hands the buffered rest to the page cache, which the loss then drops.
+	seg := segmentPath(dir, 1)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatalf("stat segment: %v", err)
+	}
+	j.Shutdown(true)
+	if err := os.Truncate(seg, fi.Size()); err != nil {
+		t.Fatalf("power loss: %v", err)
+	}
 
-// blockingStore holds every Put until release is closed.
-type blockingStore struct {
-	BlobStore
-	release chan struct{}
-}
+	j, state, _, err := recoverTally(t, dir, discard())
+	if err != nil {
+		t.Fatalf("recover after power loss: %v", err)
+	}
+	if state.Sum != 15 || state.Count != 4 {
+		t.Fatalf("recovered %+v after power loss, want the snapshot (sum 15, count 4)", state)
+	}
+	if seq, err := j.Append(advanceRec(16)); err != nil || seq != 5 {
+		t.Errorf("append after power loss: seq=%d err=%v, want 5", seq, err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	j.Shutdown(false)
 
-func (b *blockingStore) Put(ctx context.Context, key string, body io.Reader) error {
-	<-b.release
-	return b.BlobStore.Put(ctx, key, body)
+	j, state, _, err = recoverTally(t, dir, discard())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer j.Shutdown(false)
+	if state.Sum != 31 || state.Count != 5 {
+		t.Fatalf("recovered %+v, want every committed record (sum 31, count 5)", state)
+	}
 }
 
 // TestJournalOneSnapshotInFlight: while a snapshot write is outstanding, a
 // second Snapshot neither exports nor writes.
 func TestJournalOneSnapshotInFlight(t *testing.T) {
-	inner, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
-	}
-	store := &blockingStore{BlobStore: inner, release: make(chan struct{})}
-	j, _, _, err := recoverTally(t, t.TempDir(), store, discard())
+	release := make(chan struct{})
+	testSnapshotWrite = func() { <-release }
+	defer func() { testSnapshotWrite = nil }()
+	j, _, _, err := recoverTally(t, t.TempDir(), discard())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -291,7 +343,7 @@ func TestJournalOneSnapshotInFlight(t *testing.T) {
 	j.Snapshot(func() any { return tally{Sum: 3, Count: 2} }, func() { close(written) })
 	j.Snapshot(func() any { t.Error("second snapshot exported while the first is in flight"); return nil },
 		func() { t.Error("second snapshot written") })
-	close(store.release)
+	close(release)
 	<-written
 }
 
@@ -299,7 +351,7 @@ func TestJournalOneSnapshotInFlight(t *testing.T) {
 // but says so once.
 func TestJournalAppendFailureLoggedOnce(t *testing.T) {
 	var logged bytes.Buffer
-	j, _, _, err := recoverTally(t, t.TempDir(), nil, slog.New(slog.NewTextHandler(&logged, nil)))
+	j, _, _, err := recoverTally(t, t.TempDir(), slog.New(slog.NewTextHandler(&logged, nil)))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

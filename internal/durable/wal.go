@@ -1,10 +1,11 @@
 // Package durable is coflowd's persistence layer (the only one: the cluster
 // gateway keeps no state and rebuilds from the shards after a restart): a
 // length-prefixed, CRC-checksummed write-ahead log with group-commit fsync
-// batching and segment rotation, periodic snapshots written through a
-// pluggable BlobStore, and a replay scanner that distinguishes a torn final
-// record (the tolerated artifact of a crash mid-write) from mid-log
-// corruption (fail loudly, never mis-replay).
+// batching and segment rotation, periodic snapshots kept as plain files in
+// <wal-dir>/snapshots, and one segment scan that opens the log and replays it
+// in a single pass, distinguishing a torn final record (the tolerated artifact
+// of a crash mid-write) from mid-log corruption (fail loudly, never
+// mis-replay).
 //
 // Frame format, little-endian:
 //
@@ -12,9 +13,10 @@
 //
 // The payload is one JSON-encoded Record carrying a sequence number; sequence
 // numbers are contiguous across the whole log. Segment files are named
-// wal-<first seq>.seg and rotate at SegmentBytes; snapshots record the last
-// sequence they cover, and TruncateBefore deletes whole segments the oldest
-// retained snapshot has superseded.
+// wal-<first seq>.seg and rotate at SegmentBytes. A snapshot is the file
+// snapshots/snap-<seq>.json: the state after every record through seq, all of
+// them fsynced before the file is written. TruncateBefore deletes whole
+// segments the oldest retained snapshot has superseded.
 //
 // Durability contract: Append buffers the frame in memory (it reaches the OS
 // page cache, in one batched write, at the next commit/rotation/close);
@@ -92,6 +94,9 @@ func segmentPath(dir string, start uint64) string {
 // listSegments returns the directory's segments sorted by starting sequence.
 func listSegments(dir string) ([]segment, error) {
 	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil // no directory yet: a daemon's first boot
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -183,43 +188,39 @@ func DecodeSegment(data []byte, firstSeq uint64) ([]*Record, int, error) {
 	}
 }
 
-// Replay streams every record with sequence >= from to fn, in order. A torn
-// final record in the final segment is tolerated (the scan stops there);
-// anything else inconsistent returns ErrCorrupt. It returns the last sequence
-// delivered (0 if none). The log must not be open for appending concurrently.
-func Replay(dir string, from uint64, fn func(*Record) error) (uint64, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
+// scan reads the log in dir once, segment by segment in sequence order. Every
+// segment is decoded and checked — contiguous starts (an empty segment before
+// the final one shows as the gap after it), every frame's CRC and record, a
+// tear only at the end — and every record with sequence >= from goes to fn.
+// With from > 0 the records from `from` on must all be on disk, so a first
+// segment that starts past from is corruption. repair truncates a torn final
+// record away. scan returns the segments, the last sequence on disk (the
+// first start - 1 when no segment holds a record) and the valid length of the
+// final segment.
+func scan(dir string, from uint64, repair bool, fn func(*Record) error) (segs []segment, last uint64, size int64, err error) {
+	if segs, err = listSegments(dir); err != nil || len(segs) == 0 {
+		return nil, 0, 0, err
 	}
-	if len(segs) > 0 && from > 0 && segs[0].start > from {
-		return 0, fmt.Errorf("%w: records %d..%d are missing (first segment starts at %d)",
+	if from > 0 && segs[0].start > from {
+		return nil, 0, 0, fmt.Errorf("%w: records %d..%d are missing (first segment starts at %d)",
 			ErrCorrupt, from, segs[0].start-1, segs[0].start)
 	}
-	var last uint64
+	last = segs[0].start - 1
 	for i, seg := range segs {
-		if i > 0 && seg.start != last+1 && last != 0 {
-			return last, fmt.Errorf("%w: segment %s starts at %d, want %d", ErrCorrupt, filepath.Base(seg.path), seg.start, last+1)
-		}
-		// A whole segment below the floor can be skipped without reading —
-		// its record range is [seg.start, next.start).
-		if i+1 < len(segs) && segs[i+1].start <= from {
-			last = segs[i+1].start - 1
-			continue
+		name := filepath.Base(seg.path)
+		if seg.start != last+1 {
+			return nil, last, 0, fmt.Errorf("%w: segment %s starts at %d, want %d", ErrCorrupt, name, seg.start, last+1)
 		}
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
-			return last, err
+			return nil, last, 0, err
 		}
-		recs, off, derr := DecodeSegment(data, seg.start)
-		if derr != nil {
-			return last, fmt.Errorf("replaying %s: %w", filepath.Base(seg.path), derr)
+		recs, off, err := DecodeSegment(data, seg.start)
+		if err != nil {
+			return nil, last, 0, fmt.Errorf("reading %s: %w", name, err)
 		}
-		if off < len(data) && i != len(segs)-1 {
-			return last, fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, filepath.Base(seg.path))
+		if off < len(data) && i < len(segs)-1 {
+			return nil, last, 0, fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, name)
 		}
 		for _, rec := range recs {
 			last = rec.Seq
@@ -227,14 +228,28 @@ func Replay(dir string, from uint64, fn func(*Record) error) (uint64, error) {
 				continue
 			}
 			if err := fn(rec); err != nil {
-				return last, err
+				return nil, last, 0, err
 			}
 		}
-		if len(recs) == 0 && i != len(segs)-1 {
-			return last, fmt.Errorf("%w: empty non-final segment %s", ErrCorrupt, filepath.Base(seg.path))
+		if repair && off < len(data) {
+			if err := os.Truncate(seg.path, int64(off)); err != nil {
+				return nil, last, 0, fmt.Errorf("repairing torn tail of %s: %w", name, err)
+			}
 		}
+		size = int64(off)
 	}
-	return last, nil
+	return segs, last, size, nil
+}
+
+// Replay is the read-only form of the scan Open makes: it streams every
+// record with sequence >= from to fn, in order, and returns the last sequence
+// in the log (0 when it never held a record). A torn final record is left in place (the scan
+// stops there); anything else inconsistent returns ErrCorrupt. A directory
+// that does not exist replays as empty. The log must not be open for
+// appending concurrently.
+func Replay(dir string, from uint64, fn func(*Record) error) (uint64, error) {
+	_, last, _, err := scan(dir, from, false, fn)
+	return last, err
 }
 
 // Log is an append-only write-ahead log over one directory.
@@ -272,60 +287,37 @@ type Log struct {
 // truncating it away. Mid-log corruption returns ErrCorrupt — the caller must
 // not serve from a log it cannot trust.
 func Open(dir string, opts Options) (*Log, error) {
+	return openLog(dir, opts, 0, func(*Record) error { return nil })
+}
+
+// openLog is Open that replays in the same pass: every record with sequence
+// >= from goes to fn before the log opens for appending. from > 0 is the
+// first sequence a snapshot does not cover, and a log that ends below the
+// snapshot is ErrCorrupt: appending would hand the covered sequences out
+// again, and the next recovery would skip the records written under them.
+func openLog(dir string, opts Options, from uint64, fn func(*Record) error) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	segs, last, size, err := scan(dir, from, true, fn)
 	if err != nil {
 		return nil, err
 	}
+	if from > 0 && last+1 < from {
+		return nil, fmt.Errorf("%w: log ends at seq %d, below the snapshot through %d", ErrCorrupt, last, from-1)
+	}
 	l := &Log{dir: dir, opts: opts, segs: segs}
 	l.cond = sync.NewCond(&l.mu)
-
 	if len(segs) == 0 {
 		// Fresh log: first record is sequence 1 (0 means "no records", the
 		// natural floor for Replay and snapshot bookkeeping).
 		return l, l.startSegment(1)
 	}
-	// Validate every segment and find the tail. Only the final segment may
-	// end torn; repair it by truncating at the last valid frame boundary.
-	last := segs[0].start - 1
-	for i, seg := range segs {
-		if seg.start != last+1 {
-			return nil, fmt.Errorf("%w: segment %s starts at %d, want %d", ErrCorrupt, filepath.Base(seg.path), seg.start, last+1)
-		}
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return nil, err
-		}
-		recs, off, derr := DecodeSegment(data, seg.start)
-		final := i == len(segs)-1
-		if derr != nil {
-			return nil, fmt.Errorf("opening %s: %w", filepath.Base(seg.path), derr)
-		}
-		if off < len(data) {
-			if !final {
-				return nil, fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, filepath.Base(seg.path))
-			}
-			if err := os.Truncate(seg.path, int64(off)); err != nil {
-				return nil, fmt.Errorf("repairing torn tail of %s: %w", filepath.Base(seg.path), err)
-			}
-		}
-		if len(recs) > 0 {
-			last = recs[len(recs)-1].Seq
-		} else if !final {
-			return nil, fmt.Errorf("%w: empty non-final segment %s", ErrCorrupt, filepath.Base(seg.path))
-		}
-		if final {
-			f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			l.f = f
-			l.size = int64(off)
-		}
+	if l.f, err = os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, err
 	}
+	l.size = size
 	l.nextSeq = last + 1
 	l.appended = last
 	l.synced = last // everything on disk at open time is as durable as it gets

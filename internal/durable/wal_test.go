@@ -1,13 +1,12 @@
 package durable
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -465,21 +464,17 @@ func TestLogRecordValidation(t *testing.T) {
 }
 
 func TestSnapshotRoundTripAndPrune(t *testing.T) {
-	ctx := context.Background()
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("store: %v", err)
-	}
+	dir := t.TempDir()
 	type state struct {
 		N int `json:"n"`
 	}
 	for i := 1; i <= 5; i++ {
-		if _, err := WriteSnapshot(ctx, store, uint64(i*10), state{N: i}); err != nil {
+		if _, err := writeSnapshot(dir, uint64(i*10), state{N: i}); err != nil {
 			t.Fatalf("write snapshot %d: %v", i, err)
 		}
 	}
 	var got state
-	seq, ok, skipped, err := LatestSnapshot(ctx, store, &got)
+	seq, ok, skipped, err := latestSnapshot(dir, &got)
 	if err != nil || !ok || skipped != 0 {
 		t.Fatalf("latest: seq=%d ok=%v skipped=%d err=%v", seq, ok, skipped, err)
 	}
@@ -488,14 +483,10 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	}
 
 	// Corrupt the newest: recovery degrades to the next older one.
-	keys, err := store.List(ctx, "snap-")
-	if err != nil {
-		t.Fatalf("list: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(50)), []byte("{not json"), 0o644); err != nil {
+		t.Fatalf("corrupt newest: %v", err)
 	}
-	if err := store.Put(ctx, keys[len(keys)-1], &corruptReader{}); err != nil {
-		t.Fatalf("corrupt put: %v", err)
-	}
-	seq, ok, skipped, err = LatestSnapshot(ctx, store, &got)
+	seq, ok, skipped, err = latestSnapshot(dir, &got)
 	if err != nil || !ok {
 		t.Fatalf("latest after corruption: ok=%v err=%v", ok, err)
 	}
@@ -503,43 +494,16 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 		t.Fatalf("latest after corruption seq=%d state=%+v skipped=%d, want 40/{4}/1", seq, got, skipped)
 	}
 
-	if _, err := PruneSnapshots(ctx, store, 2); err != nil {
+	oldest, err := pruneSnapshots(dir, 2)
+	if err != nil {
 		t.Fatalf("prune: %v", err)
 	}
-	keys, err = store.List(ctx, "snap-")
+	seqs, err := listSnapshots(dir)
 	if err != nil {
 		t.Fatalf("list after prune: %v", err)
 	}
-	if len(keys) != 2 {
-		t.Fatalf("%d snapshots after prune, want 2", len(keys))
-	}
-}
-
-// corruptReader yields a body that is not a snapshot envelope.
-type corruptReader struct{ done bool }
-
-func (c *corruptReader) Read(p []byte) (int, error) {
-	if c.done {
-		return 0, io.EOF
-	}
-	c.done = true
-	return copy(p, []byte("{not json")), nil
-}
-
-func TestDirStoreKeyValidation(t *testing.T) {
-	ctx := context.Background()
-	root := t.TempDir()
-	store, err := NewDirStore(filepath.Join(root, "blobs"))
-	if err != nil {
-		t.Fatalf("store: %v", err)
-	}
-	for _, key := range []string{"", "/abs", "../escape", "a/../../b", `win\sep`} {
-		if err := store.Put(ctx, key, &corruptReader{}); err == nil {
-			t.Errorf("Put accepted invalid key %q", key)
-		}
-	}
-	if err := store.Delete(ctx, "never-existed"); err != nil {
-		t.Fatalf("delete of missing key: %v", err)
+	if !slices.Equal(seqs, []uint64{40, 50}) || oldest != 40 {
+		t.Fatalf("snapshots %v after prune, oldest %d; want [40 50], oldest 40", seqs, oldest)
 	}
 }
 

@@ -6,14 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"coflowsched/internal/coflow"
-	"coflowsched/internal/durable"
 	"coflowsched/internal/graph"
 	"coflowsched/internal/online"
 	"coflowsched/internal/telemetry"
@@ -56,7 +54,7 @@ func startStepped(t *testing.T, cfg Config) (*stepped, error) {
 	s, err := newServer(cfg, func(_ Config, base float64) clock {
 		clk.set(base)
 		return clock{now: clk.now, epochs: clk.ticks, snapshots: clk.snaps, stop: func() {}}
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -184,17 +182,6 @@ func (s *stepped) tickUntilDone(t *testing.T) {
 	}
 }
 
-// slowListStore delays List, which recovery reads the snapshots through.
-type slowListStore struct {
-	durable.BlobStore
-	delay time.Duration
-}
-
-func (s slowListStore) List(ctx context.Context, prefix string) ([]string, error) {
-	time.Sleep(s.delay)
-	return s.BlobStore.List(ctx, prefix)
-}
-
 // TestWallClockStartsAfterRecovery pins that a restarted daemon's clock
 // continues from where replay left the engine: recovery that takes 200 ms at
 // TimeScale 1000 must not move simulated time 200 units ahead.
@@ -205,14 +192,12 @@ func TestWallClockStartsAfterRecovery(t *testing.T) {
 	first.tickAt(t, 5)
 	first.Kill()
 
-	store, err := durable.NewDirStore(filepath.Join(dir, "snapshots"))
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
-	}
+	testRecoverDelay = func() { time.Sleep(200 * time.Millisecond) }
+	defer func() { testRecoverDelay = nil }()
 	cfg := steppedConfig(t, dir)
 	cfg.EpochLength = 50
 	cfg.TimeScale = 1000
-	s, err := newServer(cfg, wallClock, slowListStore{BlobStore: store, delay: 200 * time.Millisecond})
+	s, err := newServer(cfg, wallClock)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

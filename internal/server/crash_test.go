@@ -284,38 +284,22 @@ func TestRecoveryRefusesBitFlip(t *testing.T) {
 
 // TestRecoveryFallsBackToOlderSnapshot corrupts the newest snapshot and
 // checks boot restores the older one and replays the longer log suffix,
-// still landing on the reference outcome. The server's snapshot protocol
-// truncates the log behind each snapshot, so the test writes both snapshots
-// itself from the server's engine state, keeping the suffix after the older
-// one on disk.
+// still landing on the reference outcome. Both snapshots are the server's
+// own (maybeSnapshot, fired by the snapshot tick): a snapshot truncates only
+// the log prefix every retained snapshot covers, so the suffix after the
+// older one stays on disk.
 func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	ops := crashScript()
 	ref := referenceOutcomes(t, ops)
 
 	dir := t.TempDir()
 	snapDir := filepath.Join(dir, "snapshots")
-	store, err := durable.NewDirStore(snapDir)
-	if err != nil {
-		t.Fatalf("dir store: %v", err)
-	}
 	s := crashServer(t, dir)
-	snapshot := func() {
-		var seq uint64
-		var persist serverPersist
-		if err := s.do(context.Background(), func() {
-			seq, persist = s.wal.LastSeq(), serverPersist{Engine: s.eng.ExportState()}
-		}); err != nil {
-			t.Fatalf("export state: %v", err)
-		}
-		if _, err := durable.WriteSnapshot(context.Background(), store, seq, persist); err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-	}
 	half := len(ops) / 2
 	s.run(t, ops[:half])
-	snapshot()
+	s.snapshot(t)
 	s.run(t, ops[half:])
-	snapshot()
+	s.snapshot(t)
 	s.Kill()
 
 	snaps, err := filepath.Glob(filepath.Join(snapDir, "snap-*.json"))

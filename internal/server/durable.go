@@ -119,7 +119,7 @@ type serverPersist struct {
 // recovery is everything recoverState rebuilds from disk.
 type recovery struct {
 	eng *online.Engine
-	// journal is the recovered log and snapshot store.
+	// journal is the recovered log and its snapshot directory.
 	journal  *durable.Journal
 	idem     map[string]idemEntry
 	traceIDs map[int]string
@@ -135,10 +135,18 @@ type recovery struct {
 	replayed uint64
 }
 
+// testRecoverDelay, when non-nil, runs inside recoverState before the
+// snapshot is read. Tests use it to make recovery take wall time.
+var testRecoverDelay func()
+
 // recoverState rebuilds the engine from cfg.WALDir through durable.Recover:
-// the newest usable snapshot in snapshots restores the engine and the
-// server-side maps, apply replays the log suffix the snapshot does not cover.
-func recoverState(cfg Config, snapshots durable.BlobStore) (*recovery, error) {
+// the newest usable snapshot under WALDir/snapshots restores the engine and
+// the server-side maps, apply replays the log suffix the snapshot does not
+// cover.
+func recoverState(cfg Config) (*recovery, error) {
+	if testRecoverDelay != nil {
+		testRecoverDelay()
+	}
 	rec := &recovery{
 		idem:     make(map[string]idemEntry),
 		traceIDs: make(map[int]string),
@@ -165,7 +173,7 @@ func recoverState(cfg Config, snapshots durable.BlobStore) (*recovery, error) {
 		return nil
 	}
 	var err error
-	rec.journal, err = durable.Recover(cfg.WALDir, snapshots,
+	rec.journal, err = durable.Recover(cfg.WALDir,
 		cfg.Logger.With("component", "coflowd"), &persist, restore, rec.apply)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)

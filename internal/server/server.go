@@ -162,14 +162,12 @@ type Server struct {
 
 // New builds and starts a server: the scheduler goroutine begins ticking
 // immediately. Callers must Close it (or Drain then Close).
-func New(cfg Config) (*Server, error) { return newServer(cfg, wallClock, nil) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, wallClock) }
 
 // newServer builds a server and runs its scheduler loop on the clock newClock
 // returns. The clock is built after recovery, from the engine clock replay
 // left (base), so the time recovery took does not move simulated time.
-// snapshots is where a durable server keeps its snapshots; nil is a
-// directory store under WALDir/snapshots.
-func newServer(cfg Config, newClock func(cfg Config, base float64) clock, snapshots durable.BlobStore) (*Server, error) {
+func newServer(cfg Config, newClock func(cfg Config, base float64) clock) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -193,7 +191,7 @@ func newServer(cfg Config, newClock func(cfg Config, base float64) clock, snapsh
 			return nil, err
 		}
 	} else {
-		rec, err := recoverState(cfg, snapshots)
+		rec, err := recoverState(cfg)
 		if err != nil {
 			return nil, err
 		}
