@@ -30,16 +30,21 @@
 // reports the daemon's final scheduling statistics. Exit status is non-zero
 // if any request failed.
 //
+// Every run is watched by one in-process monitor (internal/monitor), built
+// on the target: a gateway plus every shard its /v1/backends lists, or a
+// plain coflowd alone. It scrapes every 100 ms, and once before the first
+// send and once after the last result. The report's "stage:" lines
+// (admit_stages in -json) are each admit-pipeline stage's count, p50 and p99
+// over that window, read from the monitor's store.
+//
 // With -soak DURATION the command becomes an SLO-gated soak test: it holds
-// the target request rate for the duration while polling a coflowmon
-// /v1/slo endpoint, and exits non-zero if any SLO rule fires. The monitor is
-// either external (-monitor URL) or, with -cluster, embedded automatically
-// in the in-process cluster. -slo overrides stock objectives
+// the target request rate for the duration and exits non-zero if any of the
+// monitor's SLO rules fires. -slo overrides stock objectives
 // (p99_admit_ms=X, p99_tick_ms=X, comma-separated) and -bundle-dir gives the
-// embedded monitor's flight recorder a home:
+// monitor's flight recorder a home:
 //
 //	coflowload -cluster 2 -soak 30s -rate 200 -slo p99_admit_ms=250 -bundle-dir ./bundles
-//	coflowload -target http://gw:8090 -monitor http://mon:8099 -soak 5m
+//	coflowload -target http://gw:8090 -soak 5m -bundle-dir ./bundles
 package main
 
 import (
@@ -49,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -100,10 +104,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		clusterN  = fs.Int("cluster", 0, "replay against an in-process cluster of this many coflowd shards behind a coflowgate gateway (overrides -target)")
 		timescale = fs.Float64("cluster-timescale", 50, "shard simulated time units per wall second with -cluster")
 
-		soak       = fs.Duration("soak", 0, "hold the target rate for this long while polling /v1/slo; exit non-zero if a rule fires")
-		sloSpec    = fs.String("slo", "", "comma-separated SLO objective overrides for the embedded monitor: p99_admit_ms=X, p99_tick_ms=X")
-		monitorURL = fs.String("monitor", "", "coflowmon base URL to poll during -soak (set automatically with -cluster)")
-		bundleDir  = fs.String("bundle-dir", "", "flight-recorder bundle directory for the embedded monitor")
+		soak      = fs.Duration("soak", 0, "hold the target rate for this long; exit non-zero if an SLO rule fires")
+		sloSpec   = fs.String("slo", "", "comma-separated SLO objective overrides: p99_admit_ms=X, p99_tick_ms=X")
+		bundleDir = fs.String("bundle-dir", "", "flight-recorder bundle directory for the run's monitor")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,9 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sloRules, err := soakRules(*sloSpec)
 	if err != nil {
 		return err
-	}
-	if *sloSpec != "" && *clusterN == 0 {
-		return fmt.Errorf("-slo configures the embedded monitor and needs -cluster")
 	}
 
 	if *speedup <= 0 {
@@ -150,36 +150,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	targetURL := *target
-	monURL := *monitorURL
 	if *clusterN > 0 {
-		lcfg := cluster.LocalConfig{
+		local, err := cluster.NewLocal(cluster.LocalConfig{
 			Shards:    *clusterN,
 			TimeScale: *timescale,
 			Logger:    telemetry.LogfLogger(logf),
-		}
-		if *soak > 0 || *bundleDir != "" {
-			// A soaked or bundle-collecting cluster run gets an embedded
-			// monitor watching the gateway and every shard.
-			lcfg.Monitor = &monitor.Config{
-				Interval:  soakScrapeInterval,
-				Rules:     sloRules,
-				BundleDir: *bundleDir,
-			}
-		}
-		local, err := cluster.NewLocal(lcfg)
+		})
 		if err != nil {
 			return fmt.Errorf("starting in-process cluster: %v", err)
 		}
 		defer local.Close()
 		targetURL = local.URL()
 		logf("coflowload: in-process cluster of %d shards at %s", *clusterN, targetURL)
-		if local.Monitor != nil {
-			monURL = local.MonitorURL()
-			logf("coflowload: embedded monitor at %s", monURL)
-		}
-	}
-	if *soak > 0 && monURL == "" {
-		return fmt.Errorf("-soak needs a monitor: pass -monitor URL or use -cluster")
 	}
 
 	c := server.NewClient(targetURL)
@@ -215,15 +197,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logf("coflowload: replaying %d coflows (%d flows) at %gx compression",
 		len(inst.Coflows), inst.NumFlows(), *speedup)
 
+	mon, err := monitor.New(monitor.Config{
+		DiscoverURL: targetURL,
+		Interval:    soakScrapeInterval,
+		Rules:       sloRules,
+		BundleDir:   *bundleDir,
+		Logger:      telemetry.LogfLogger(logf),
+	})
+	if err != nil {
+		return err
+	}
+	defer mon.Close()
+	// The stage window opens before the first tick, so that tick's points,
+	// the counts before the first send, fall inside it.
+	start := time.Now()
+	mon.Tick()
 	load := func() (*loadReport, error) {
 		return replay(c, net.Hosts, inst, arrivals, *speedup, *wait, logf)
 	}
 	var report *loadReport
 	var soakRep *soakReport
 	if *soak > 0 {
-		report, soakRep, err = runSoak(load, monURL, *soak, logf)
+		report, soakRep, err = runSoak(load, mon, *soak, logf)
 	} else {
 		report, err = load()
+		mon.Close() // the loop's tick in flight ends before the last one
+		mon.Tick()
 	}
 	if err != nil {
 		if report != nil && !*jsonOut {
@@ -240,12 +239,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		daemonStats = &st
 	}
-	// Best-effort per-stage admit-latency breakdown, scraped from the shard
-	// histograms: it turns "admit p99 violated" into "group-commit grew".
-	stages, stageErr := fetchStageBreakdown(targetURL)
-	if stageErr != nil {
-		logf("coflowload: stage breakdown unavailable: %v", stageErr)
-	}
+	// The per-stage admit-latency breakdown turns "admit p99 violated" into
+	// "group-commit grew".
+	stages := stageBreakdown(mon.Store(), start)
 	if soakRep != nil && len(soakRep.Violated) > 0 {
 		soakRep.GuiltyStage = worstStage(stages)
 	}
@@ -288,8 +284,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// soakScrapeInterval is the embedded monitor's scrape period in soak mode —
-// short enough that a short CI soak sees several rule evaluations.
+// soakScrapeInterval is the monitor's scrape period — short enough that a
+// short CI soak sees several rule evaluations.
 const soakScrapeInterval = 100 * time.Millisecond
 
 // soakReport summarizes an SLO-gated soak: the held duration, every rule's
@@ -322,10 +318,11 @@ func (s *soakReport) String() string {
 	return b.String()
 }
 
-// runSoak runs runLoad in the background while polling the monitor's
-// /v1/slo, holding the soak window open even if the load finishes early. A
-// rule counts as violated if it is firing — or has fired — at any poll.
-func runSoak(runLoad func() (*loadReport, error), monURL string, d time.Duration, logf func(string, ...any)) (*loadReport, *soakReport, error) {
+// runSoak runs runLoad in the background while reading the monitor's rule
+// states, holding the soak window open even if the load finishes early, then
+// stops the monitor's loop and ticks it once more. A rule counts as violated
+// if it is firing — or has fired — at any read.
+func runSoak(runLoad func() (*loadReport, error), mon *monitor.Monitor, d time.Duration, logf func(string, ...any)) (*loadReport, *soakReport, error) {
 	type loadResult struct {
 		report *loadReport
 		err    error
@@ -338,35 +335,27 @@ func runSoak(runLoad func() (*loadReport, error), monURL string, d time.Duration
 	}()
 
 	violated := map[string]bool{}
-	poll := func() ([]monitor.RuleStatus, error) {
-		rules, err := fetchSLO(monURL)
-		if err != nil {
-			return nil, err
-		}
+	poll := func() []monitor.RuleStatus {
+		rules := mon.RuleStatuses()
 		for _, r := range rules {
 			if (r.State == monitor.StateFiring || r.Firings > 0) && !violated[r.Rule.Name] {
 				violated[r.Rule.Name] = true
 				logf("coflowload: SLO %s %s (firings=%d)", r.Rule.Name, r.State, r.Firings)
 			}
 		}
-		return rules, nil
+		return rules
 	}
 
 	ticker := time.NewTicker(soakScrapeInterval)
 	defer ticker.Stop()
 	deadline := time.After(d)
 	var load *loadResult
-	var pollErr error
 	for load == nil || time.Since(start) < d {
 		select {
 		case r := <-loadCh:
 			load = &r
 		case <-ticker.C:
-			if _, err := poll(); err != nil {
-				pollErr = err
-			} else {
-				pollErr = nil
-			}
+			poll()
 		case <-deadline:
 			// Window elapsed; keep draining the load if it is still running.
 			if load == nil {
@@ -375,15 +364,11 @@ func runSoak(runLoad func() (*loadReport, error), monURL string, d time.Duration
 			}
 		}
 	}
-	finalRules, err := poll()
-	if err != nil {
-		return load.report, nil, fmt.Errorf("polling monitor %s: %v", monURL, err)
-	}
-	if pollErr != nil {
-		return load.report, nil, fmt.Errorf("polling monitor %s: %v", monURL, pollErr)
-	}
-	rep := &soakReport{DurationSeconds: time.Since(start).Seconds(), Rules: finalRules}
-	for _, r := range finalRules {
+	held := time.Since(start)
+	mon.Close()
+	mon.Tick()
+	rep := &soakReport{DurationSeconds: held.Seconds(), Rules: poll()}
+	for _, r := range rep.Rules {
 		if violated[r.Rule.Name] {
 			rep.Violated = append(rep.Violated, r.Rule.Name)
 		}
@@ -391,34 +376,7 @@ func runSoak(runLoad func() (*loadReport, error), monURL string, d time.Duration
 	return load.report, rep, load.err
 }
 
-// probeTimeout bounds each of coflowload's reads beside the load itself: the
-// /v1/slo poll, the stage scrape and the backend roster. A peer that accepts
-// a connection and never answers then costs one failed poll, not the soak.
-const probeTimeout = 2 * time.Second
-
-// probeClient makes every one of those reads.
-var probeClient = &http.Client{Timeout: probeTimeout}
-
-// fetchSLO reads a coflowmon /v1/slo endpoint.
-func fetchSLO(monURL string) ([]monitor.RuleStatus, error) {
-	resp, err := probeClient.Get(strings.TrimSuffix(monURL, "/") + "/v1/slo")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	var body struct {
-		Rules []monitor.RuleStatus `json:"rules"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Rules, nil
-}
-
-// soakRules builds the embedded monitor's rule set: the stock DefaultRules
+// soakRules builds the monitor's rule set: the stock DefaultRules
 // over the soak scrape interval, with -slo objective overrides applied.
 // Supported keys: p99_admit_ms (admit-p99), p99_tick_ms (tick-p99).
 func soakRules(spec string) ([]monitor.Rule, error) {

@@ -219,22 +219,105 @@ func TestRunClusterMode(t *testing.T) {
 	}
 }
 
-// TestFetchSLOTimesOut: a monitor that accepts the connection and never
-// answers costs fetchSLO one probeTimeout and an error, so runSoak's poll
-// cannot hold the soak past its deadline.
-func TestFetchSLOTimesOut(t *testing.T) {
-	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // released when the client gives up
-	}))
-	t.Cleanup(silent.Close)
-	start := time.Now()
-	rules, err := fetchSLO(silent.URL)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatalf("fetchSLO from a silent monitor returned %d rules and no error", len(rules))
+// TestRunJSONAdmitStages: -json reports the admit pipeline stage by stage,
+// read from the run's monitor over the run's window. Every admission passes
+// coalesce-wait and engine-admit; a cluster without a WAL has no WAL stages.
+func TestRunJSONAdmitStages(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-cluster", "1", "-cluster-timescale", "200",
+		"-coflows", "20", "-rate", "500", "-wait", "-quiet", "-json",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run -json: %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
 	}
-	if elapsed > probeTimeout+time.Second {
-		t.Errorf("fetchSLO returned after %s, want about probeTimeout (%s)", elapsed, probeTimeout)
+	var out struct {
+		Stages []stageLatency `json:"admit_stages"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
+		t.Fatalf("stdout is not one JSON object: %v\n%s", err, stdout.String())
+	}
+	counts := map[string]uint64{}
+	for _, st := range out.Stages {
+		counts[st.Stage] = st.Count
+		if st.P50 <= 0 || st.P99 < st.P50 {
+			t.Errorf("stage %s: p50=%v p99=%v, want 0 < p50 <= p99", st.Stage, st.P50, st.P99)
+		}
+	}
+	if len(counts) != 2 || counts["coalesce-wait"] != 20 || counts["engine-admit"] != 20 {
+		t.Errorf("admit_stages counts = %v, want coalesce-wait and engine-admit at 20 and nothing else", counts)
+	}
+}
+
+// newDaemon serves a coflowd on loopback through wrap (nil serves it as is).
+func newDaemon(t *testing.T, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	s, err := server.New(server.Config{
+		Network:     graph.FatTree(4, 1),
+		Policy:      online.SEBFOnline{},
+		EpochLength: 2,
+		TimeScale:   1000,
+		Logger:      telemetry.LogfLogger(t.Logf),
+	})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return ts
+}
+
+// scrapeTimeout is the monitor's bound on one scrape.
+const scrapeTimeout = 2 * time.Second
+
+// TestRunSoakSilentScrape: a target that accepts the scrape's connection and
+// never answers it costs each of the monitor's ticks one scrapeTimeout, and
+// no more. The soak window still closes on time, the run ends within a
+// bounded number of ticks, and the silence reads as scrape-failure.
+func TestRunSoakSilentScrape(t *testing.T) {
+	ts := newDaemon(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/metrics" {
+				<-r.Context().Done() // released when the scraper gives up
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	const soak = 500 * time.Millisecond
+	var stdout, stderr bytes.Buffer
+	begin := time.Now()
+	err := run([]string{"-target", ts.URL, "-soak", soak.String(), "-rate", "20", "-quiet", "-json"}, &stdout, &stderr)
+	elapsed := time.Since(begin)
+	if !errors.Is(err, errSLOViolated) {
+		t.Fatalf("soak against a silent scrape = %v, want errSLOViolated\nstdout: %s", err, stdout.String())
+	}
+	var out struct {
+		Soak struct {
+			DurationSeconds float64  `json:"duration_seconds"`
+			Violated        []string `json:"violated"`
+		} `json:"soak"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
+		t.Fatalf("stdout is not JSON: %v\n%s", err, stdout.String())
+	}
+	if !slices.Contains(out.Soak.Violated, "scrape-failure") {
+		t.Errorf("violated = %v, want scrape-failure", out.Soak.Violated)
+	}
+	if held := time.Duration(out.Soak.DurationSeconds * float64(time.Second)); held > soak+scrapeTimeout {
+		t.Errorf("soak held %s, want at most %s", held, soak+scrapeTimeout)
+	}
+	// The tick before the first send, the loop's tick in flight when the
+	// window closes and the tick after it each wait one scrapeTimeout.
+	if limit := soak + 3*scrapeTimeout + time.Second; elapsed > limit {
+		t.Errorf("run took %s, want at most %s", elapsed, limit)
 	}
 }
 
@@ -256,14 +339,18 @@ func TestSoakRules(t *testing.T) {
 			t.Errorf("soakRules(%q) accepted", bad)
 		}
 	}
-	// -slo without -cluster is a flag error.
+	// -slo and -bundle-dir configure the run's own monitor, which watches
+	// any target, so both are accepted with -target.
+	ts := newDaemon(t, nil)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-slo", "p99_admit_ms=250"}, &stdout, &stderr); err == nil {
-		t.Error("-slo without -cluster accepted")
+	args := []string{"-target", ts.URL, "-coflows", "2", "-rate", "500", "-quiet",
+		"-slo", "p99_admit_ms=250", "-bundle-dir", t.TempDir()}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Errorf("-slo and -bundle-dir with -target: %v\nstderr: %s", err, stderr.String())
 	}
-	// -soak without any monitor is a flag error.
-	if err := run([]string{"-target", "http://127.0.0.1:1", "-soak", "1s"}, &stdout, &stderr); err == nil {
-		t.Error("-soak without -monitor or -cluster accepted")
+	// The run makes its own monitor: -monitor is not a flag.
+	if err := run([]string{"-target", ts.URL, "-monitor", "x"}, &stdout, &stderr); err == nil {
+		t.Error("-monitor accepted")
 	}
 }
 
@@ -312,49 +399,28 @@ func TestRunSoakHealthy(t *testing.T) {
 	}
 }
 
-// TestRunSoakViolated is the red half: a soak pointed (via -monitor) at a
-// cluster whose shard has been killed exits with errSLOViolated, and the
-// monitor's flight recorder has written a bundle for the fired rule.
+// TestRunSoakViolated is the red half: a soak of a cluster whose shard has
+// been killed exits with errSLOViolated, and the run's monitor has written a
+// flight-recorder bundle for a fired rule into -bundle-dir.
 func TestRunSoakViolated(t *testing.T) {
 	bundleDir := t.TempDir()
 	l, err := cluster.NewLocal(cluster.LocalConfig{
 		Shards:    2,
 		TimeScale: 200,
-		Monitor: &monitor.Config{
-			Interval:  100 * time.Millisecond,
-			BundleDir: bundleDir,
-		},
-		Logger: telemetry.LogfLogger(t.Logf),
+		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)
 	}
 	defer l.Close()
 
-	// Kill a shard and wait for the monitor to notice: the shard's listener
-	// answers 503, so its scrape fails (up=0) and, once the gateway's health
-	// loop ejects it, coflowgate_backend_up goes 0 too.
+	// The killed shard's listener answers 503, so its scrape fails (up=0)
+	// from the monitor's first tick on, and once the gateway's health loop
+	// ejects it, coflowgate_backend_up goes 0 too.
 	l.Kill(1)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		fired := false
-		for _, r := range l.Monitor.RuleStatuses() {
-			if r.Rule.Name == "scrape-failure" && r.State == monitor.StateFiring {
-				fired = true
-			}
-		}
-		if fired {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrape-failure never fired: %+v", l.Monitor.RuleStatuses())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
 	var stdout, stderr bytes.Buffer
 	err = run([]string{
-		"-target", l.URL(), "-monitor", l.MonitorURL(),
+		"-target", l.URL(), "-bundle-dir", bundleDir,
 		"-soak", "500ms", "-rate", "20", "-quiet",
 	}, &stdout, &stderr)
 	if !errors.Is(err, errSLOViolated) {
@@ -364,17 +430,13 @@ func TestRunSoakViolated(t *testing.T) {
 		t.Errorf("text report lacks violation banner:\n%s", stdout.String())
 	}
 
-	// The firing transition produced a readable bundle. The write lands after
-	// the firing state becomes visible (capture samples an on-alert CPU
-	// profile first), so poll for the file.
-	deadline = time.Now().Add(20 * time.Second)
-	for len(l.Monitor.Bundles()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no bundles written")
-		}
-		time.Sleep(50 * time.Millisecond)
+	// The monitor is closed when run returns, so every bundle a firing
+	// transition began is whole on disk.
+	paths, err := filepath.Glob(filepath.Join(bundleDir, "bundle-*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bundles written (%v)", err)
 	}
-	data, err := os.ReadFile(l.Monitor.Bundles()[0].Path)
+	data, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatalf("read bundle: %v", err)
 	}

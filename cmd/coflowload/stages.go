@@ -1,22 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"strings"
+	"time"
 
+	"coflowsched/internal/monitor"
 	"coflowsched/internal/server"
-	"coflowsched/internal/telemetry"
 )
 
-// stageLatency is one admit-pipeline stage's latency summary, computed from
-// the daemon's cumulative coflowd_admit_stage_seconds histogram: how many
-// admissions passed through the stage and the interpolated p50/p99 over the
-// whole run. The report includes it so a soak violation names the guilty
-// stage instead of just a fat end-to-end percentile.
+// stageLatency is one admit-pipeline stage's latency summary over the run:
+// how many admissions passed through the stage and the interpolated p50/p99,
+// from the shards' coflowd_admit_stage_seconds histograms. The report
+// includes it so a soak violation names the guilty stage instead of just a
+// fat end-to-end percentile.
 type stageLatency struct {
 	Stage string  `json:"stage"`
 	Count uint64  `json:"count"`
@@ -24,72 +19,28 @@ type stageLatency struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// stageHist accumulates one stage's cumulative histogram, summed across
-// shards when the target is a gateway (cumulative bucket counts add).
-type stageHist struct {
-	count float64
-	cum   map[float64]float64 // le bound -> cumulative count
-}
-
-// fetchStageBreakdown scrapes the per-stage admit-latency histograms from
-// the target. A coflowd target carries them directly; a coflowgate target
-// does not, so its /v1/backends roster is scraped and merged instead (dead
-// shards are skipped — the breakdown is evidence, not a health check). Stages
-// are reported in server.AdmitStages order.
-func fetchStageBreakdown(base string) ([]stageLatency, error) {
-	m, err := scrapeMetricsPage(base)
-	if err != nil {
-		return nil, err
-	}
-	agg := map[string]*stageHist{}
-	aggregateStages(agg, m)
-	if len(agg) == 0 {
-		backends, err := fetchBackends(base)
-		if err != nil {
-			return nil, fmt.Errorf("target has no stage histograms and no backend roster: %v", err)
-		}
-		for _, b := range backends {
-			if bm, err := scrapeMetricsPage(b.URL); err == nil {
-				aggregateStages(agg, bm)
-			}
-		}
-	}
+// stageBreakdown reads every stage's summary over [start, now] from the
+// run's monitor store, summed across the scraped instances (a dead shard's
+// missing scrapes add nothing). The store keeps at most
+// monitor.DefaultMaxPoints per series, so a long run's window is its last
+// 1 024 scrapes. Stages are reported in server.AdmitStages order; one that
+// no admission passed through is left out.
+func stageBreakdown(st *monitor.Store, start time.Time) []stageLatency {
+	now := time.Now()
+	window := now.Sub(start)
 	var out []stageLatency
 	for _, stage := range server.AdmitStages {
-		h, ok := agg[stage]
-		if !ok || h.count == 0 {
+		labels := map[string]string{"stage": stage}
+		n, _ := st.Increase(monitor.Selector{Name: "coflowd_admit_stage_seconds_count", Labels: labels}, now, window)
+		if n == 0 {
 			continue
 		}
-		p50, _ := telemetry.HistogramQuantile(h.cum, 0.5)
-		p99, _ := telemetry.HistogramQuantile(h.cum, 0.99)
-		out = append(out, stageLatency{Stage: stage, Count: uint64(h.count), P50: p50, P99: p99})
+		hist := monitor.Selector{Name: "coflowd_admit_stage_seconds", Labels: labels}
+		p50, _ := st.HistogramQuantile(hist, 0.5, now, window)
+		p99, _ := st.HistogramQuantile(hist, 0.99, now, window)
+		out = append(out, stageLatency{Stage: stage, Count: uint64(n), P50: p50, P99: p99})
 	}
-	return out, nil
-}
-
-// aggregateStages folds one /metrics page's coflowd_admit_stage_seconds
-// samples into the per-stage accumulators.
-func aggregateStages(agg map[string]*stageHist, m *telemetry.Metrics) {
-	for _, s := range m.Samples {
-		stage := s.Labels["stage"]
-		if stage == "" {
-			continue
-		}
-		h := agg[stage]
-		if h == nil {
-			h = &stageHist{cum: map[float64]float64{}}
-			agg[stage] = h
-		}
-		switch s.Name {
-		case "coflowd_admit_stage_seconds_bucket":
-			le, err := strconv.ParseFloat(s.Labels["le"], 64)
-			if err == nil {
-				h.cum[le] += s.Value
-			}
-		case "coflowd_admit_stage_seconds_count":
-			h.count += s.Value
-		}
-	}
+	return out
 }
 
 // worstStage names the stage with the highest p99 — the guilty party a soak
@@ -103,47 +54,4 @@ func worstStage(stages []stageLatency) string {
 		}
 	}
 	return worst
-}
-
-// scrapeMetricsPage fetches and strictly parses one /metrics endpoint.
-func scrapeMetricsPage(base string) (*telemetry.Metrics, error) {
-	resp, err := probeClient.Get(strings.TrimSuffix(base, "/") + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return telemetry.ParseMetrics(string(body))
-}
-
-// fetchBackends reads a coflowgate /v1/backends roster.
-func fetchBackends(base string) ([]struct{ Name, URL string }, error) {
-	resp, err := probeClient.Get(strings.TrimSuffix(base, "/") + "/v1/backends")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	var roster []struct {
-		Name string `json:"name"`
-		URL  string `json:"url"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&roster); err != nil {
-		return nil, err
-	}
-	out := make([]struct{ Name, URL string }, 0, len(roster))
-	for _, b := range roster {
-		if b.URL != "" {
-			out = append(out, struct{ Name, URL string }{b.Name, b.URL})
-		}
-	}
-	return out, nil
 }

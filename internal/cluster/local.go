@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"coflowsched/internal/graph"
-	"coflowsched/internal/monitor"
 	"coflowsched/internal/online"
 	"coflowsched/internal/server"
 )
@@ -36,15 +35,9 @@ type LocalConfig struct {
 	// restarted with Restart re-syncs from its own log instead of being
 	// re-admitted from gateway memory. The gateway keeps no state either way.
 	WALDir string
-	// Monitor, when non-nil, embeds a coflowmon monitor watching the whole
-	// cluster: its DiscoverURL is wired to the gateway automatically, so it
-	// scrapes the gateway and every shard and evaluates SLO rules (nil Rules
-	// means DefaultRules over its Interval). The monitor's HTTP API is served
-	// at MonitorURL().
-	Monitor *monitor.Config
-	// Logger receives structured shard, gateway and monitor logs (each
-	// shard's logger gains its shard field automatically). When nil, logs
-	// are discarded.
+	// Logger receives structured shard and gateway logs (each shard's
+	// logger gains its shard field automatically). When nil, logs are
+	// discarded.
 	Logger *slog.Logger
 }
 
@@ -137,19 +130,16 @@ func (sh *localShard) serve(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// Local is an in-process cluster: gateway + N shards on loopback listeners,
-// optionally watched by an embedded monitor.
+// Local is an in-process cluster: gateway + N shards on loopback listeners.
+// A monitor watches all of it with DiscoverURL set to URL(): the gateway
+// lists every shard at /v1/backends.
 type Local struct {
 	// Gateway is the front door; URL() serves its HTTP API.
 	Gateway *Gateway
-	// Monitor is the embedded coflowmon instance (nil unless
-	// LocalConfig.Monitor was set).
-	Monitor *monitor.Monitor
 
-	cfg         LocalConfig
-	http        *httptest.Server
-	monitorHTTP *httptest.Server
-	shards      []*localShard
+	cfg    LocalConfig
+	http   *httptest.Server
+	shards []*localShard
 
 	// gmu guards the handler indirection that lets RestartGateway swap in a
 	// fresh gateway while the listener URL stays the same.
@@ -195,20 +185,6 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	}
 	l.gatewayHandler = l.Gateway.Handler()
 	l.http = httptest.NewServer(http.HandlerFunc(l.serveGateway))
-	if cfg.Monitor != nil {
-		mcfg := *cfg.Monitor
-		mcfg.DiscoverURL = l.http.URL
-		if mcfg.Logger == nil {
-			mcfg.Logger = cfg.Logger
-		}
-		m, err := monitor.New(mcfg)
-		if err != nil {
-			l.Close()
-			return nil, fmt.Errorf("cluster: starting monitor: %w", err)
-		}
-		l.Monitor = m
-		l.monitorHTTP = httptest.NewServer(m.Handler())
-	}
 	return l, nil
 }
 
@@ -223,14 +199,6 @@ func (l *Local) serveGateway(w http.ResponseWriter, r *http.Request) {
 
 // URL is the gateway's base URL.
 func (l *Local) URL() string { return l.http.URL }
-
-// MonitorURL is the embedded monitor's base URL ("" without a monitor).
-func (l *Local) MonitorURL() string {
-	if l.monitorHTTP == nil {
-		return ""
-	}
-	return l.monitorHTTP.URL
-}
 
 // Client returns a fresh typed client against the gateway.
 func (l *Local) Client() *server.Client { return server.NewClient(l.URL()) }
@@ -327,14 +295,8 @@ func (l *Local) DrainAll() (online.EngineStats, error) {
 	return online.MergeEngineStats(parts...), nil
 }
 
-// Close tears the whole cluster down, monitor first (it scrapes the rest).
+// Close tears the whole cluster down.
 func (l *Local) Close() {
-	if l.monitorHTTP != nil {
-		l.monitorHTTP.Close()
-	}
-	if l.Monitor != nil {
-		l.Monitor.Close()
-	}
 	if l.http != nil {
 		l.http.Close()
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -10,8 +11,31 @@ import (
 	"coflowsched/internal/telemetry"
 )
 
-// TestClusterMonitorSLO is the CI monitor smoke: a 2-shard cluster with an
-// embedded monitor replays a short scenario while every SLO stays healthy,
+// watch starts a monitor over l's gateway and every shard it lists, scraping
+// every 100 ms with the default rules, and serves the monitor's HTTP API.
+// Both stop at cleanup: before the cluster, when l.Close was registered
+// first.
+func watch(t *testing.T, l *Local, bundleDir string) (*monitor.Monitor, string) {
+	t.Helper()
+	m, err := monitor.New(monitor.Config{
+		DiscoverURL: l.URL(),
+		Interval:    100 * time.Millisecond,
+		BundleDir:   bundleDir,
+		Logger:      telemetry.LogfLogger(t.Logf),
+	})
+	if err != nil {
+		t.Fatalf("new monitor: %v", err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
+	})
+	return m, ts.URL
+}
+
+// TestClusterMonitorSLO is the CI monitor smoke: a 2-shard cluster watched
+// by a monitor replays a short scenario while every SLO stays healthy,
 // then loses a shard — the shard-down rule must reach firing and the flight
 // recorder must write a bundle.
 func TestClusterMonitorSLO(t *testing.T) {
@@ -24,18 +48,15 @@ func TestClusterMonitorSLO(t *testing.T) {
 			// monitor scrapes rather than the default 1s probe period.
 			HealthInterval: 100 * time.Millisecond,
 		},
-		Monitor: &monitor.Config{
-			Interval:  100 * time.Millisecond,
-			BundleDir: bundleDir,
-		},
 		Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)
 	}
 	t.Cleanup(l.Close)
-	if l.Monitor == nil || l.MonitorURL() == "" {
-		t.Fatal("embedded monitor not running")
+	mon, monURL := watch(t, l, bundleDir)
+	if mon == nil || monURL == "" {
+		t.Fatal("monitor not running")
 	}
 
 	// Drive a short scenario replay through the gateway while the monitor
@@ -47,7 +68,7 @@ func TestClusterMonitorSLO(t *testing.T) {
 	// /v1/slo over HTTP: every rule healthy after a clean replay.
 	fetchRules := func() []monitor.RuleStatus {
 		t.Helper()
-		resp, err := http.Get(l.MonitorURL() + "/v1/slo")
+		resp, err := http.Get(monURL + "/v1/slo")
 		if err != nil {
 			t.Fatalf("GET /v1/slo: %v", err)
 		}
@@ -112,14 +133,14 @@ func TestClusterMonitorSLO(t *testing.T) {
 	// that says nothing about the two rules under test.
 	for {
 		names := map[string]bool{}
-		for _, b := range l.Monitor.Bundles() {
+		for _, b := range mon.Bundles() {
 			names[b.Rule] = true
 		}
 		if names["shard-down"] || names["scrape-failure"] {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no flight-recorder bundle for the fired rules: %+v", l.Monitor.Bundles())
+			t.Fatalf("no flight-recorder bundle for the fired rules: %+v", mon.Bundles())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -24,16 +24,13 @@ func TestProfilingSmoke(t *testing.T) {
 		Gateway: Config{
 			HealthInterval: 100 * time.Millisecond,
 		},
-		Monitor: &monitor.Config{
-			Interval:  100 * time.Millisecond,
-			BundleDir: bundleDir,
-		},
 		Logger: telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new local cluster: %v", err)
 	}
 	t.Cleanup(l.Close)
+	mon, _ := watch(t, l, bundleDir)
 
 	// Admit a load, then kill a shard. The admissions have all returned by
 	// then, so the captured CPU profile samples a cluster draining what it
@@ -46,14 +43,14 @@ func TestProfilingSmoke(t *testing.T) {
 	// Wait for a firing transition to write its bundle (the capture blocks
 	// on the CPU profile's sampling window before the file lands).
 	deadline := time.Now().Add(30 * time.Second)
-	for len(l.Monitor.Bundles()) == 0 {
+	for len(mon.Bundles()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no bundle written")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	data, err := os.ReadFile(l.Monitor.Bundles()[0].Path)
+	data, err := os.ReadFile(mon.Bundles()[0].Path)
 	if err != nil {
 		t.Fatalf("read bundle: %v", err)
 	}

@@ -434,13 +434,13 @@ func TestClusterCrashRecovery(t *testing.T) {
 		TimeScale: 1, // slow clock: the crash lands mid-flight
 		Gateway:   cfg,
 		WALDir:    t.TempDir(),
-		Monitor:   &monitor.Config{Interval: 100 * time.Millisecond},
 		Logger:    telemetry.LogfLogger(t.Logf),
 	})
 	if err != nil {
 		t.Fatalf("new durable cluster: %v", err)
 	}
 	t.Cleanup(l.Close)
+	_, monURL := watch(t, l, "")
 	c := l.Client()
 
 	const n = 6
@@ -462,7 +462,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 		return l.Gateway.CountersSnapshot().Healthy == 1
 	})
 	waitFor(t, 20*time.Second, "shard-down firing", func() bool {
-		return fetchSLO(t, l.MonitorURL())["shard-down"] == monitor.StateFiring
+		return fetchSLO(t, monURL)["shard-down"] == monitor.StateFiring
 	})
 	// Durable shards: the ejection must NOT have detached the victim's
 	// coflows for re-admission elsewhere.
@@ -487,7 +487,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered shard admitted = %d, pre-crash %d", rs.Admitted, victimStats.Admitted)
 	}
 	waitFor(t, 30*time.Second, "shard-down resolution", func() bool {
-		s := fetchSLO(t, l.MonitorURL())["shard-down"]
+		s := fetchSLO(t, monURL)["shard-down"]
 		return s == monitor.StateResolved || s == monitor.StateHealthy
 	})
 

@@ -359,9 +359,11 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Append assigns rec the next sequence number and writes its frame into the
-// page cache, rotating segments as needed. It does NOT wait for durability —
-// pair with Commit(seq) where the caller acknowledges anything.
+// Append assigns rec the next sequence number and buffers its frame in
+// memory, rotating segments as needed; the frame reaches the page cache at
+// the next commit, rotation or close, so a process killed before then loses
+// it. It does NOT wait for durability — pair with Commit(seq) where the
+// caller acknowledges anything.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

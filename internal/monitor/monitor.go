@@ -26,7 +26,8 @@ type Config struct {
 	Targets []Target
 	// DiscoverURL, when set, is a coflowgate base URL: the gateway itself is
 	// scraped under the instance name "gateway", and its /v1/backends roster
-	// is re-read every interval so shards come and go dynamically.
+	// is re-read every interval so shards come and go dynamically. A plain
+	// coflowd there has no roster and is scraped alone, under that name.
 	DiscoverURL string
 	// Interval between scrape-and-evaluate cycles. Default 1s.
 	Interval time.Duration
@@ -61,13 +62,18 @@ type Monitor struct {
 	log      *slog.Logger
 	recorder *recorder
 
+	// tickMu serializes Tick: two concurrent ticks could append a series'
+	// points out of time order, which the counter views read as a reset.
+	tickMu sync.Mutex
+
 	mu       sync.Mutex
 	rules    []*ruleInstance
 	statuses map[string]*TargetStatus
 	order    []string // target names in first-seen order
 
-	stop chan struct{}
-	done chan struct{}
+	closeOnce sync.Once
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // httpTimeout bounds each scrape and evidence fetch.
@@ -126,12 +132,7 @@ func (m *Monitor) Store() *Store { return m.store }
 
 // Close stops the scrape loop and waits for it to exit.
 func (m *Monitor) Close() {
-	select {
-	case <-m.stop:
-		return // already closed
-	default:
-	}
-	close(m.stop)
+	m.closeOnce.Do(func() { close(m.stop) })
 	<-m.done
 }
 
@@ -144,15 +145,23 @@ func (m *Monitor) loop() {
 		case <-m.stop:
 			return
 		case <-t.C:
+			select {
+			case <-m.stop: // a tick due at Close is not taken
+				return
+			default:
+			}
 			m.Tick()
 		}
 	}
 }
 
 // Tick runs one synchronous scrape-and-evaluate cycle. The loop calls it on
-// every interval; tests call it directly to step the monitor
-// deterministically.
+// every interval; a caller may call it too, also after Close, to step the
+// monitor deterministically or to scrape at a moment of its choosing. Ticks
+// run one at a time.
 func (m *Monitor) Tick() {
+	m.tickMu.Lock()
+	defer m.tickMu.Unlock()
 	now := time.Now()
 	targets := m.resolveTargets()
 	var wg sync.WaitGroup
@@ -204,15 +213,18 @@ func (m *Monitor) resolveTargets() []Target {
 	return out
 }
 
-// discover reads the gateway's /v1/backends roster. The response shape is
-// decoded locally (name + url are all the monitor needs) rather than by
-// importing internal/cluster, which imports this package to embed monitors.
+// discover reads the gateway's /v1/backends roster, decoding only the name
+// and url of each entry. A plain coflowd answers 404 there: it has no
+// backends and is scraped alone.
 func (m *Monitor) discover() ([]Target, error) {
 	resp, err := m.client.Get(strings.TrimSuffix(m.cfg.DiscoverURL, "/") + "/v1/backends")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, nil
+	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}

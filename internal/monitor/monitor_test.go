@@ -1,15 +1,22 @@
 package monitor
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"coflowsched/internal/graph"
+	"coflowsched/internal/online"
+	"coflowsched/internal/server"
 	"coflowsched/internal/telemetry"
 )
 
@@ -338,5 +345,78 @@ func TestParseTargetConfigErrors(t *testing.T) {
 	}
 	if _, err := New(Config{Targets: []Target{{Name: "a", URL: "http://x"}}, Rules: []Rule{{Name: "bad"}}}); err == nil {
 		t.Error("New with invalid rule succeeded")
+	}
+}
+
+// TestMonitorDiscoveryPlainCoflowd: a coflowd answers /v1/backends with 404.
+// As a discovery target it is scraped alone, and no discovery failure is
+// logged at each tick.
+func TestMonitorDiscoveryPlainCoflowd(t *testing.T) {
+	srv, err := server.New(server.Config{Network: graph.FatTree(4, 1), Policy: online.SEBFOnline{}})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	var logs bytes.Buffer
+	m, err := New(Config{
+		DiscoverURL: ts.URL,
+		Interval:    time.Hour,
+		Rules:       testRules(),
+		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(m.Close)
+	m.Tick()
+	m.Tick()
+
+	targets := m.TargetStatuses()
+	if len(targets) != 1 || targets[0].Name != "gateway" || !targets[0].Healthy {
+		t.Fatalf("targets = %+v, want the coflowd alone, healthy", targets)
+	}
+	if strings.Contains(logs.String(), "discovery failed") {
+		t.Errorf("a 404 roster was logged as a failure:\n%s", logs.String())
+	}
+	if _, ok := m.store.LastValue(Selector{Name: "coflowd_admit_stage_seconds_count"}, time.Now(), time.Minute, "max"); !ok {
+		t.Error("coflowd's stage counts not stored")
+	}
+}
+
+// TestMonitorTicksInOrder: Ticks called at once run one at a time, so every
+// series' points stay in time order and a counter never reads as reset.
+func TestMonitorTicksInOrder(t *testing.T) {
+	shard := newFakeShard(t, "shard0")
+	m, err := New(Config{
+		Targets:  []Target{{Name: "shard0", URL: shard.ts.URL}},
+		Interval: time.Hour,
+		Rules:    testRules(),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(m.Close)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				m.Tick()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, sd := range m.Store().Dump() {
+		for i := 1; i < len(sd.Points); i++ {
+			if sd.Points[i].T.Before(sd.Points[i-1].T) {
+				t.Fatalf("series %s: point %d at %v precedes point %d at %v",
+					sd.Name, i, sd.Points[i].T, i-1, sd.Points[i-1].T)
+			}
+		}
 	}
 }

@@ -202,33 +202,26 @@ func (st *Store) Dump() []SeriesData {
 // series within [now-window, now], reduced by reduce ("min" or "max") into
 // one value. ok is false when no matching series has a point in the window.
 func (st *Store) LastValue(sel Selector, now time.Time, window time.Duration, reduce string) (float64, bool) {
-	from := now.Add(-window)
-	best := math.NaN()
-	for _, sd := range st.Query(sel, from, now) {
-		if len(sd.Points) == 0 {
-			continue
-		}
-		v := sd.Points[len(sd.Points)-1].V
-		switch {
-		case math.IsNaN(best):
-			best = v
-		case reduce == "min" && v < best:
-			best = v
-		case reduce != "min" && v > best:
-			best = v
-		}
-	}
-	return best, !math.IsNaN(best)
+	return st.fold(sel, now, window, reduce, true)
 }
 
 // WorstValue reduces every point (not just the last) of matching series in
 // the window — the view sustained-outage rules want: a gauge that dipped and
 // recovered still counts for as long as the dip stays inside the window.
 func (st *Store) WorstValue(sel Selector, now time.Time, window time.Duration, reduce string) (float64, bool) {
-	from := now.Add(-window)
+	return st.fold(sel, now, window, reduce, false)
+}
+
+// fold reduces the points of matching series in [now-window, now], or only
+// each series' last one, into their min or max.
+func (st *Store) fold(sel Selector, now time.Time, window time.Duration, reduce string, lastOnly bool) (float64, bool) {
 	best := math.NaN()
-	for _, sd := range st.Query(sel, from, now) {
-		for _, p := range sd.Points {
+	for _, sd := range st.Query(sel, now.Add(-window), now) {
+		pts := sd.Points
+		if lastOnly && len(pts) > 0 {
+			pts = pts[len(pts)-1:]
+		}
+		for _, p := range pts {
 			switch {
 			case math.IsNaN(best):
 				best = p.V
@@ -242,28 +235,39 @@ func (st *Store) WorstValue(sel Selector, now time.Time, window time.Duration, r
 	return best, !math.IsNaN(best)
 }
 
-// CounterRate is the counter view: the summed increase per second of every
-// matching series over [now-window, now]. Counter resets (a restarted
-// daemon) contribute the post-reset value rather than a negative delta,
-// mirroring Prometheus rate() semantics. ok is false when no series has two
-// points in the window.
-func (st *Store) CounterRate(sel Selector, now time.Time, window time.Duration) (float64, bool) {
-	from := now.Add(-window)
+// counterDelta sums a counter's steps over pts. A reset (a restarted daemon)
+// contributes the post-reset value rather than a negative delta, mirroring
+// Prometheus rate() semantics.
+func counterDelta(pts []Point) float64 {
 	total := 0.0
-	ok := false
+	for i := 1; i < len(pts); i++ {
+		d := pts[i].V - pts[i-1].V
+		if d < 0 { // reset: the counter restarted from zero
+			d = pts[i].V
+		}
+		total += d
+	}
+	return total
+}
+
+// Increase is the counter view's total: the summed increase of every
+// matching series over [now-window, now]. ok is false when no series has two
+// points in the window.
+func (st *Store) Increase(sel Selector, now time.Time, window time.Duration) (float64, bool) {
+	total, _, ok := st.increase(sel, now, window)
+	return total, ok
+}
+
+// increase is Increase plus the span between the first and last point it
+// covers, which CounterRate divides by.
+func (st *Store) increase(sel Selector, now time.Time, window time.Duration) (total float64, span time.Duration, ok bool) {
 	var spanStart, spanEnd time.Time
-	for _, sd := range st.Query(sel, from, now) {
+	for _, sd := range st.Query(sel, now.Add(-window), now) {
 		if len(sd.Points) < 2 {
 			continue
 		}
 		ok = true
-		for i := 1; i < len(sd.Points); i++ {
-			d := sd.Points[i].V - sd.Points[i-1].V
-			if d < 0 { // reset: the counter restarted from zero
-				d = sd.Points[i].V
-			}
-			total += d
-		}
+		total += counterDelta(sd.Points)
 		if spanStart.IsZero() || sd.Points[0].T.Before(spanStart) {
 			spanStart = sd.Points[0].T
 		}
@@ -271,14 +275,17 @@ func (st *Store) CounterRate(sel Selector, now time.Time, window time.Duration) 
 			spanEnd = last
 		}
 	}
-	if !ok {
+	return total, spanEnd.Sub(spanStart), ok
+}
+
+// CounterRate is the counter view: Increase per second of span. ok is false
+// when no series has two points in the window.
+func (st *Store) CounterRate(sel Selector, now time.Time, window time.Duration) (float64, bool) {
+	total, span, ok := st.increase(sel, now, window)
+	if !ok || span <= 0 {
 		return 0, false
 	}
-	span := spanEnd.Sub(spanStart).Seconds()
-	if span <= 0 {
-		return 0, false
-	}
-	return total / span, true
+	return total / span.Seconds(), true
 }
 
 // HistogramQuantile estimates quantile q of the observations a histogram
@@ -300,15 +307,7 @@ func (st *Store) HistogramQuantile(sel Selector, q float64, now time.Time, windo
 		if err != nil {
 			continue
 		}
-		delta := 0.0
-		for i := 1; i < len(sd.Points); i++ {
-			d := sd.Points[i].V - sd.Points[i-1].V
-			if d < 0 {
-				d = sd.Points[i].V
-			}
-			delta += d
-		}
-		byLE[le] += delta
+		byLE[le] += counterDelta(sd.Points)
 	}
 	return telemetry.HistogramQuantile(byLE, q)
 }

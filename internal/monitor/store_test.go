@@ -200,3 +200,22 @@ func TestHistogramQuantileAggregatesInstances(t *testing.T) {
 		t.Errorf("aggregated p99 = %v, %v; want in (0.1, 1]", v, ok)
 	}
 }
+
+func TestIncrease(t *testing.T) {
+	st := NewStore(16)
+	for i := 0; i <= 4; i++ {
+		st.Append("c_total", map[string]string{"instance": "a"}, at(float64(i)), float64(i*2))
+		st.Append("c_total", map[string]string{"instance": "b"}, at(float64(i)), float64(10+i))
+	}
+	st.Append("c_total", map[string]string{"instance": "b"}, at(5), 3) // b restarted
+	if v, ok := st.Increase(Selector{Name: "c_total"}, at(5), 10*time.Second); !ok || v != 8+4+3 {
+		t.Errorf("increase = %v, %v; want 15 (8 + 4 + 3 after the reset)", v, ok)
+	}
+	// The window's first point is the baseline: [1, 5] drops a's first step.
+	if v, ok := st.Increase(Selector{Name: "c_total", Labels: map[string]string{"instance": "a"}}, at(5), 4*time.Second); !ok || v != 6 {
+		t.Errorf("windowed increase = %v, %v; want 6", v, ok)
+	}
+	if _, ok := st.Increase(Selector{Name: "missing"}, at(5), 10*time.Second); ok {
+		t.Error("increase of a missing series reported ok")
+	}
+}

@@ -126,7 +126,8 @@ const idleKeepFlows = 256
 const statsWindow = 4096
 
 // ring is a bounded sample reservoir holding the most recent statsWindow
-// values (insertion order is irrelevant to percentiles).
+// values. Percentiles ignore the order, but a restored ring does not: it
+// overwrites from the start of what snapshot returned.
 type ring struct {
 	vals []float64
 	next int
@@ -141,7 +142,11 @@ func (r *ring) add(v float64) {
 	r.next = (r.next + 1) % statsWindow
 }
 
-func (r *ring) snapshot() []float64 { return append([]float64(nil), r.vals...) }
+// snapshot returns the samples oldest first.
+func (r *ring) snapshot() []float64 {
+	out := make([]float64, 0, len(r.vals))
+	return append(append(out, r.vals[r.next:]...), r.vals[:r.next]...)
+}
 
 // EngineStats is the aggregate view surfaced by Engine.Stats, the source of
 // the server's /v1/stats (which embeds it, so the JSON names below are the

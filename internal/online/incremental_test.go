@@ -164,6 +164,28 @@ func TestRing(t *testing.T) {
 	}
 }
 
+// TestRingSurvivesRestore: a ring exported after it wrapped and restored
+// keeps evicting oldest first, as the live ring does. A snapshot in storage
+// order restored as oldest first overwrote the newest samples instead.
+func TestRingSurvivesRestore(t *testing.T) {
+	var live ring
+	for i := 0; i < statsWindow+10; i++ {
+		live.add(float64(i))
+	}
+	restored := restoreRing(live.snapshot())
+	for i := statsWindow + 10; i < statsWindow+15; i++ {
+		live.add(float64(i))
+		restored.add(float64(i))
+	}
+	got, want := restored.snapshot(), live.snapshot()
+	if !slices.Equal(got, want) {
+		t.Fatalf("restored ring holds %v..%v, live ring %v..%v", got[0], got[len(got)-1], want[0], want[len(want)-1])
+	}
+	if slices.Min(got) != 15 {
+		t.Errorf("restored ring's oldest sample %v, want 15", slices.Min(got))
+	}
+}
+
 // TestEngineAdmitValidation exercises the rejection paths.
 func TestEngineAdmitValidation(t *testing.T) {
 	g := graph.FatTree(4, 1)
