@@ -10,7 +10,8 @@
 //
 // With -discover the gateway is scraped as instance "gateway" and its
 // /v1/backends roster is re-read every interval, so shards joining or
-// leaving the rotation are picked up automatically. -targets names
+// leaving the rotation are picked up automatically; a plain coflowd there
+// has no roster and is scraped alone as instance "coflowd". -targets names
 // endpoints statically (name=url pairs, or bare URLs which are named
 // target0, target1, ...); both can be combined.
 //

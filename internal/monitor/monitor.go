@@ -27,7 +27,8 @@ type Config struct {
 	// DiscoverURL, when set, is a coflowgate base URL: the gateway itself is
 	// scraped under the instance name "gateway", and its /v1/backends roster
 	// is re-read every interval so shards come and go dynamically. A plain
-	// coflowd there has no roster and is scraped alone, under that name.
+	// coflowd there has no roster (404) and is scraped alone, under the
+	// instance name "coflowd".
 	DiscoverURL string
 	// Interval between scrape-and-evaluate cycles. Default 1s.
 	Interval time.Duration
@@ -65,6 +66,9 @@ type Monitor struct {
 	// tickMu serializes Tick: two concurrent ticks could append a series'
 	// points out of time order, which the counter views read as a reset.
 	tickMu sync.Mutex
+	// discovered is DiscoverURL's instance name as of its last roster answer
+	// ("gateway" before the first). Guarded by tickMu.
+	discovered string
 
 	mu       sync.Mutex
 	rules    []*ruleInstance
@@ -104,13 +108,14 @@ func New(cfg Config) (*Monitor, error) {
 		seen[t.Name] = true
 	}
 	m := &Monitor{
-		cfg:      cfg,
-		store:    NewStore(DefaultMaxPoints),
-		client:   &http.Client{Timeout: httpTimeout},
-		log:      cfg.Logger,
-		statuses: make(map[string]*TargetStatus),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:        cfg,
+		store:      NewStore(DefaultMaxPoints),
+		client:     &http.Client{Timeout: httpTimeout},
+		log:        cfg.Logger,
+		statuses:   make(map[string]*TargetStatus),
+		discovered: "gateway",
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	now := time.Now()
 	for _, r := range cfg.Rules {
@@ -188,17 +193,19 @@ func (m *Monitor) Tick() {
 	m.evaluate(now)
 }
 
-// resolveTargets merges the static target list with the gateway roster.
+// resolveTargets merges the static target list with the DiscoverURL daemon
+// and its roster.
 func (m *Monitor) resolveTargets() []Target {
 	targets := append([]Target{}, m.cfg.Targets...)
 	if m.cfg.DiscoverURL != "" {
-		targets = append(targets, Target{Name: "gateway", URL: m.cfg.DiscoverURL})
-		backends, err := m.discover()
+		name, backends, err := m.discover()
 		if err != nil {
 			m.log.Warn("backend discovery failed", "url", m.cfg.DiscoverURL, "err", err)
 		} else {
-			targets = append(targets, backends...)
+			m.discovered = name
 		}
+		targets = append(targets, Target{Name: m.discovered, URL: m.cfg.DiscoverURL})
+		targets = append(targets, backends...)
 	}
 	// De-duplicate by name, first wins (static config beats discovery).
 	seen := map[string]bool{}
@@ -214,26 +221,26 @@ func (m *Monitor) resolveTargets() []Target {
 }
 
 // discover reads the gateway's /v1/backends roster, decoding only the name
-// and url of each entry. A plain coflowd answers 404 there: it has no
-// backends and is scraped alone.
-func (m *Monitor) discover() ([]Target, error) {
+// and url of each entry, and names the daemon "gateway". A plain coflowd
+// answers 404 there: it is named "coflowd" and has no backends.
+func (m *Monitor) discover() (name string, backends []Target, err error) {
 	resp, err := m.client.Get(strings.TrimSuffix(m.cfg.DiscoverURL, "/") + "/v1/backends")
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
+		return "coflowd", nil, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
+		return "", nil, fmt.Errorf("status %s", resp.Status)
 	}
 	var roster []struct {
 		Name string `json:"name"`
 		URL  string `json:"url"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&roster); err != nil {
-		return nil, fmt.Errorf("decode roster: %w", err)
+		return "", nil, fmt.Errorf("decode roster: %w", err)
 	}
 	out := make([]Target, 0, len(roster))
 	for _, b := range roster {
@@ -242,7 +249,7 @@ func (m *Monitor) discover() ([]Target, error) {
 		}
 		out = append(out, Target{Name: b.Name, URL: b.URL})
 	}
-	return out, nil
+	return "gateway", out, nil
 }
 
 // scrapeTarget fetches and parses one /metrics page, appending every sample

@@ -349,8 +349,8 @@ func TestParseTargetConfigErrors(t *testing.T) {
 }
 
 // TestMonitorDiscoveryPlainCoflowd: a coflowd answers /v1/backends with 404.
-// As a discovery target it is scraped alone, and no discovery failure is
-// logged at each tick.
+// As a discovery target it is scraped alone, under the instance name
+// "coflowd", and no discovery failure is logged at each tick.
 func TestMonitorDiscoveryPlainCoflowd(t *testing.T) {
 	srv, err := server.New(server.Config{Network: graph.FatTree(4, 1), Policy: online.SEBFOnline{}})
 	if err != nil {
@@ -376,14 +376,15 @@ func TestMonitorDiscoveryPlainCoflowd(t *testing.T) {
 	m.Tick()
 
 	targets := m.TargetStatuses()
-	if len(targets) != 1 || targets[0].Name != "gateway" || !targets[0].Healthy {
+	if len(targets) != 1 || targets[0].Name != "coflowd" || !targets[0].Healthy {
 		t.Fatalf("targets = %+v, want the coflowd alone, healthy", targets)
 	}
 	if strings.Contains(logs.String(), "discovery failed") {
 		t.Errorf("a 404 roster was logged as a failure:\n%s", logs.String())
 	}
-	if _, ok := m.store.LastValue(Selector{Name: "coflowd_admit_stage_seconds_count"}, time.Now(), time.Minute, "max"); !ok {
-		t.Error("coflowd's stage counts not stored")
+	sel := Selector{Name: "coflowd_admit_stage_seconds_count", Labels: map[string]string{"instance": "coflowd"}}
+	if _, ok := m.store.LastValue(sel, time.Now(), time.Minute, "max"); !ok {
+		t.Error(`coflowd's stage counts not stored under instance="coflowd"`)
 	}
 }
 
