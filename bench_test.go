@@ -152,7 +152,7 @@ func BenchmarkFigure4Coflows8(b *testing.B) { benchmarkFigure4Coflows(b, 8) }
 // --- Ablations ----------------------------------------------------------------
 
 // BenchmarkAblationEpsilon compares LP sizes/solve times as the interval
-// granularity ε shrinks (design choice (a) in DESIGN.md).
+// granularity ε shrinks (ablation (a) in EXPERIMENTS.md).
 func BenchmarkAblationEpsilon(b *testing.B) {
 	for _, eps := range []float64{2, 1, 0.5} {
 		b.Run(benchName("eps", eps), func(b *testing.B) {

@@ -64,11 +64,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		experiment = fs.String("experiment", "all", "which experiment to run: fig1, table1, fig3, fig4, ablation, online, scenarios, all")
 		scenario   = fs.String("scenario", "", "run the scenario sweep for one registered scenario (or \"all\"); overrides -experiment")
 		paper      = fs.Bool("paper", false, "use the paper's full-scale configuration (128-server fat-tree, slow)")
-		trials     = fs.Int("trials", 0, "trials per data point (override)")
+		trials     = fs.Int("trials", 0, "trials per data point, Table 1 row and ablation setting (override)")
 		coflows    = fs.Int("coflows", 0, "number of coflows for the width sweep (override)")
 		widths     = fs.String("widths", "", "comma-separated coflow widths for fig3 (override)")
 		counts     = fs.String("counts", "", "comma-separated coflow counts for fig4 (override)")
-		csv        = fs.Bool("csv", false, "emit CSV instead of text tables for fig3/fig4")
+		csv        = fs.Bool("csv", false, "emit CSV instead of text tables for fig3, fig4, online and scenarios")
 		jsonOut    = fs.Bool("json", false, "emit one JSON result object per experiment")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering the selected experiments to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (pprof) taken after the selected experiments to this file")
@@ -114,14 +114,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := experiments.DefaultConfig()
+	tcfg := experiments.DefaultTable1Config()
+	acfg := experiments.DefaultAblationConfig()
+	ocfg := experiments.DefaultOnlineConfig()
 	if *paper {
 		cfg = experiments.PaperConfig()
+		ocfg = experiments.PaperOnlineConfig()
 	}
 	if *trials > 0 {
-		cfg.Trials = *trials
+		cfg.Trials, tcfg.Trials, acfg.Trials, ocfg.Trials = *trials, *trials, *trials, *trials
 	}
 	if *coflows > 0 {
-		cfg.NumCoflows = *coflows
+		cfg.NumCoflows, ocfg.NumCoflows = *coflows, *coflows
 	}
 	if *widths != "" {
 		ws, err := parseInts(*widths)
@@ -137,123 +141,71 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.CoflowCounts = cs
 	}
-
-	emitJSON := func(name string, config, result any) error {
-		enc := json.NewEncoder(stdout)
-		return enc.Encode(map[string]any{
-			"experiment": name,
-			"config":     config,
-			"result":     result,
-		})
+	var scenarios []string
+	if *scenario != "" && *scenario != "all" {
+		scenarios = []string{*scenario}
 	}
 
-	runScenarios := func(names []string) error {
-		scfg := experiments.ScenarioConfig{Scenarios: names}
-		res, err := experiments.ScenarioSweep(scfg)
-		if err != nil {
+	// emit prints one experiment: {"experiment","config","result"} with
+	// payload as the result under -json, the result's CSV under -csv where it
+	// has one, and its text otherwise.
+	emit := func(name string, config, payload any, result fmt.Stringer) error {
+		if *jsonOut {
+			return json.NewEncoder(stdout).Encode(map[string]any{
+				"experiment": name,
+				"config":     config,
+				"result":     payload,
+			})
+		}
+		if c, ok := result.(interface{ CSV() string }); ok && *csv {
+			_, err := fmt.Fprint(stdout, c.CSV())
 			return err
 		}
-		switch {
-		case *jsonOut:
-			return emitJSON("scenarios", scfg, res.Results)
-		case *csv:
-			fmt.Fprint(stdout, res.Absolute.CSV())
-			fmt.Fprint(stdout, res.Ratio.CSV())
-		default:
-			fmt.Fprintln(stdout, res)
-		}
-		return nil
-	}
-
-	if *scenario != "" {
-		if *scenario == "all" {
-			return runScenarios(nil)
-		}
-		return runScenarios([]string{*scenario})
+		_, err := fmt.Fprintln(stdout, result)
+		return err
 	}
 
 	runOne := func(name string) error {
+		var config any
+		var res fmt.Stringer
+		var err error
 		switch name {
 		case "fig1":
-			res, err := experiments.Figure1()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, nil, res)
-			}
-			fmt.Fprintln(stdout, res)
+			res, err = experiments.Figure1()
 		case "table1":
-			tcfg := experiments.DefaultTable1Config()
-			res, err := experiments.Table1(tcfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, tcfg, res)
-			}
-			fmt.Fprintln(stdout, "Table 1: approximation guarantees and measured ratios (ALG / certified lower bound)")
-			fmt.Fprintln(stdout, res)
+			config = tcfg
+			res, err = experiments.Table1(tcfg)
 		case "fig3":
-			res, err := experiments.Figure3(cfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, cfg, res)
-			}
-			printFigure(stdout, res, *csv)
+			config = cfg
+			res, err = experiments.Figure3(cfg)
 		case "fig4":
-			res, err := experiments.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, cfg, res)
-			}
-			printFigure(stdout, res, *csv)
+			config = cfg
+			res, err = experiments.Figure4(cfg)
 		case "ablation":
-			acfg := experiments.DefaultAblationConfig()
-			res, err := experiments.Ablation(acfg)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitJSON(name, acfg, res)
-			}
-			fmt.Fprintln(stdout, res)
+			config = acfg
+			res, err = experiments.Ablation(acfg)
 		case "online":
-			ocfg := experiments.DefaultOnlineConfig()
-			if *paper {
-				ocfg = experiments.PaperOnlineConfig()
-			}
-			if *trials > 0 {
-				ocfg.Trials = *trials
-			}
-			if *coflows > 0 {
-				ocfg.NumCoflows = *coflows
-			}
-			res, err := experiments.OnlineSweep(ocfg)
+			config = ocfg
+			res, err = experiments.OnlineSweep(ocfg)
+		case "scenarios":
+			scfg := experiments.ScenarioConfig{Scenarios: scenarios}
+			sres, err := experiments.ScenarioSweep(scfg)
 			if err != nil {
 				return err
 			}
-			switch {
-			case *jsonOut:
-				return emitJSON(name, ocfg, res)
-			case *csv:
-				fmt.Fprint(stdout, res.Absolute.CSV())
-				fmt.Fprint(stdout, res.Ratio.CSV())
-			default:
-				fmt.Fprintln(stdout, res)
-			}
-		case "scenarios":
-			return runScenarios(nil)
+			return emit(name, scfg, sres.Results, sres)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
-		return nil
+		if err != nil {
+			return err
+		}
+		return emit(name, config, res, res)
 	}
 
+	if *scenario != "" {
+		return runOne("scenarios")
+	}
 	if *experiment == "all" {
 		for _, name := range []string{"fig1", "table1", "fig3", "fig4", "ablation", "online", "scenarios"} {
 			if !*jsonOut {
@@ -269,15 +221,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	return runOne(*experiment)
-}
-
-func printFigure(w io.Writer, res *experiments.FigureResult, csv bool) {
-	if csv {
-		fmt.Fprint(w, res.Absolute.CSV())
-		fmt.Fprint(w, res.Ratio.CSV())
-		return
-	}
-	fmt.Fprintln(w, res)
 }
 
 func parseInts(s string) ([]int, error) {

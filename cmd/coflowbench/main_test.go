@@ -154,3 +154,40 @@ func TestRunOnlineJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTrialsOverride: -trials reaches Table 1 and the ablations, whose
+// defaults (3 and 2 trials) it overrides like every other experiment's.
+func TestRunTrialsOverride(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-experiment", "table1", "-trials", "2", "-json"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	var table1 struct {
+		Result experiments.Table1Result `json:"result"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &table1); err != nil {
+		t.Fatalf("-json output is not JSON: %v\n%s", err, stdout.String())
+	}
+	if len(table1.Result.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(table1.Result.Rows))
+	}
+	for _, row := range table1.Result.Rows {
+		if row.TrialsMeasured != 2 {
+			t.Errorf("%s/%s: %d trials measured, want 2", row.Model, row.Paths, row.TrialsMeasured)
+		}
+	}
+
+	stdout.Reset()
+	if err := run([]string{"-experiment", "ablation", "-trials", "1", "-json"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	var ablation struct {
+		Config experiments.AblationConfig `json:"config"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &ablation); err != nil {
+		t.Fatalf("-json output is not JSON: %v\n%s", err, stdout.String())
+	}
+	if ablation.Config.Trials != 1 {
+		t.Errorf("ablation ran %d trials, want 1", ablation.Config.Trials)
+	}
+}

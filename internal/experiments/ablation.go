@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"coflowsched/internal/coflow"
@@ -11,12 +10,12 @@ import (
 	"coflowsched/internal/workload"
 )
 
-// AblationResult reports the design-choice studies listed in DESIGN.md:
+// AblationResult reports the design-choice studies described in
+// EXPERIMENTS.md:
 //
 //	(a) interval granularity ε (LP tightness vs size),
 //	(b) candidate-path budget (1 = shortest-path routing only vs 4),
-//	(c) practical start-ASAP mode vs the theoretical interval placement,
-//	(d) LP-derived ordering vs the same paths with a size-based ordering.
+//	(c) practical start-ASAP mode vs the theoretical interval placement.
 type AblationResult struct {
 	Epsilon        *stats.Table
 	CandidatePaths *stats.Table
@@ -41,109 +40,86 @@ func DefaultAblationConfig() AblationConfig {
 	return AblationConfig{Trials: 2, Seed: 11, NumCoflows: 4, Width: 4}
 }
 
-// Ablation runs all three studies on a 16-server fat-tree.
+// Ablation runs all three studies on a 16-server fat-tree. Every study draws
+// trial t's instance from an rng seeded Seed + 101·t and schedules it from
+// the same rng.
 func Ablation(cfg AblationConfig) (*AblationResult, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
 	g := graph.FatTree(4, 1)
-
-	instance := func(trial int) (*rand.Rand, *coflow.Instance, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*101))
-		inst, err := workload.Generate(g, workload.Config{
-			NumCoflows: cfg.NumCoflows, Width: cfg.Width, MeanSize: 3, MeanRelease: 1, MeanWeight: 1,
-		}, rng)
-		if err != nil {
-			return nil, nil, err
+	run := func(schedule func(inst *coflow.Instance, rng *rand.Rand) ([]float64, error)) ([][]float64, error) {
+		return trials(cfg.Trials, cfg.Seed, 101, func(seed int64) ([]float64, error) {
+			rng := rand.New(rand.NewSource(seed))
+			inst, err := workload.Generate(g, workload.Config{
+				NumCoflows: cfg.NumCoflows, Width: cfg.Width, MeanSize: 3, MeanRelease: 1, MeanWeight: 1,
+			}, rng)
+			if err != nil {
+				return nil, err
+			}
+			return schedule(inst, rng)
+		})
+	}
+	// lpSweep is the LP-Based ASAP schedule's mean objective and certified
+	// lower bound under each of opts.
+	lpSweep := func(opts ...core.Options) (objs, lbs []float64, err error) {
+		for _, o := range opts {
+			s, err := run(func(inst *coflow.Instance, rng *rand.Rand) ([]float64, error) {
+				res, err := (core.CircuitFreePaths{Opts: o}).ScheduleASAP(inst, rng)
+				if err != nil {
+					return nil, err
+				}
+				return []float64{res.Objective(inst), core.CombinedLowerBound(inst, res)}, nil
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			m := means(s)
+			objs, lbs = append(objs, m[0]), append(lbs, m[1])
 		}
-		return rng, inst, nil
+		return objs, lbs, nil
 	}
 
 	// (a) ε sweep: objective and LP lower bound as ε shrinks.
-	epsValues := []float64{2, 1, 0.5}
-	epsLabels := make([]string, len(epsValues))
-	for i, e := range epsValues {
-		epsLabels[i] = fmt.Sprintf("eps=%g", e)
-	}
-	objByEps := make([]float64, len(epsValues))
-	lbByEps := make([]float64, len(epsValues))
-	for ei, eps := range epsValues {
-		var objs, lbs []float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			rng, wi, err := instance(trial)
-			if err != nil {
-				return nil, err
-			}
-			res, err := (core.CircuitFreePaths{Opts: core.Options{Epsilon: eps, CandidatePaths: 2}}).ScheduleASAP(wi, rng)
-			if err != nil {
-				return nil, err
-			}
-			objs = append(objs, res.Objective(wi))
-			lbs = append(lbs, core.CombinedLowerBound(wi, res))
-		}
-		objByEps[ei] = stats.Mean(objs)
-		lbByEps[ei] = stats.Mean(lbs)
-	}
-	epsTable := stats.NewTable("Ablation (a): interval granularity", "epsilon", epsLabels)
-	if err := epsTable.AddSeries("LP-Based objective", objByEps); err != nil {
+	objByEps, lbByEps, err := lpSweep(core.Options{Epsilon: 2, CandidatePaths: 2},
+		core.Options{Epsilon: 1, CandidatePaths: 2}, core.Options{Epsilon: 0.5, CandidatePaths: 2})
+	if err != nil {
 		return nil, err
 	}
-	if err := epsTable.AddSeries("certified lower bound", lbByEps); err != nil {
+	epsTable, err := table("Ablation (a): interval granularity", "epsilon", []string{"eps=2", "eps=1", "eps=0.5"},
+		[]string{"LP-Based objective", "certified lower bound"}, [][]float64{objByEps, lbByEps})
+	if err != nil {
 		return nil, err
 	}
 
 	// (b) candidate-path budget.
-	budgets := []int{1, 2, 4}
-	budgetLabels := make([]string, len(budgets))
-	for i, b := range budgets {
-		budgetLabels[i] = fmt.Sprintf("K=%d", b)
+	objByK, _, err := lpSweep(core.Options{CandidatePaths: 1}, core.Options{CandidatePaths: 2}, core.Options{CandidatePaths: 4})
+	if err != nil {
+		return nil, err
 	}
-	objByK := make([]float64, len(budgets))
-	for bi, k := range budgets {
-		var objs []float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			rng, wi, err := instance(trial)
-			if err != nil {
-				return nil, err
-			}
-			res, err := (core.CircuitFreePaths{Opts: core.Options{CandidatePaths: k}}).ScheduleASAP(wi, rng)
-			if err != nil {
-				return nil, err
-			}
-			objs = append(objs, res.Objective(wi))
-		}
-		objByK[bi] = stats.Mean(objs)
-	}
-	kTable := stats.NewTable("Ablation (b): candidate-path budget", "paths", budgetLabels)
-	if err := kTable.AddSeries("LP-Based objective", objByK); err != nil {
+	kTable, err := table("Ablation (b): candidate-path budget", "paths", []string{"K=1", "K=2", "K=4"},
+		[]string{"LP-Based objective"}, [][]float64{objByK})
+	if err != nil {
 		return nil, err
 	}
 
-	// (c) rounding mode: ASAP vs theoretical interval placement.
-	modeLabels := []string{"ASAP (practical)", "interval placement"}
-	asapVals := make([]float64, cfg.Trials)
-	provVals := make([]float64, cfg.Trials)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		rng, wi, err := instance(trial)
-		if err != nil {
-			return nil, err
-		}
+	// (c) rounding mode: ASAP vs theoretical interval placement, one rng.
+	modes, err := run(func(inst *coflow.Instance, rng *rand.Rand) ([]float64, error) {
 		sched := core.CircuitFreePaths{Opts: core.Options{CandidatePaths: 2}}
-		asap, err := sched.ScheduleASAP(wi, rng)
+		asap, err := sched.ScheduleASAP(inst, rng)
 		if err != nil {
 			return nil, err
 		}
-		prov, err := sched.ScheduleProvable(wi, rng)
+		prov, err := sched.ScheduleProvable(inst, rng)
 		if err != nil {
 			return nil, err
 		}
-		asapVals[trial] = asap.Objective(wi)
-		provVals[trial] = prov.Objective(wi)
-	}
-	roundTable := stats.NewTable("Ablation (c): rounding mode (mean objective)", "mode", modeLabels)
-	if err := roundTable.AddSeries("objective", []float64{stats.Mean(asapVals), stats.Mean(provVals)}); err != nil {
+		return []float64{asap.Objective(inst), prov.Objective(inst)}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
+	roundTable, err := table("Ablation (c): rounding mode (mean objective)", "mode",
+		[]string{"ASAP (practical)", "interval placement"}, []string{"objective"}, [][]float64{means(modes)})
+	if err != nil {
+		return nil, err
+	}
 	return &AblationResult{Epsilon: epsTable, CandidatePaths: kTable, Rounding: roundTable}, nil
 }

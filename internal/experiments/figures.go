@@ -6,21 +6,19 @@ import (
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/core"
 	"coflowsched/internal/graph"
-	"coflowsched/internal/stats"
 )
 
 // FigureResult bundles the absolute-value table, the ratio-to-baseline table
 // (the two panels of Figures 3 and 4) and the average improvement of
 // LP-Based over each competitor.
 type FigureResult struct {
-	Absolute     *stats.Table
-	Ratio        *stats.Table
+	tablePair
 	Improvements map[string]float64
 }
 
 // String renders both panels plus the improvement summary.
 func (fr *FigureResult) String() string {
-	s := fr.Absolute.String() + "\n" + fr.Ratio.String() + "\nAverage improvement of LP-Based:\n"
+	s := fr.tablePair.String() + "\nAverage improvement of LP-Based:\n"
 	for _, name := range []string{"Route-only", "Schedule-only", "Baseline"} {
 		if v, ok := fr.Improvements[name]; ok {
 			s += fmt.Sprintf("  over %-14s %6.1f%%\n", name, v)
@@ -34,77 +32,58 @@ func (fr *FigureResult) String() string {
 // returned.
 func Figure3(cfg Config) (*FigureResult, error) {
 	g := cfg.network()
-	schedulers := cfg.Schedulers()
 	labels := make([]string, len(cfg.Widths))
 	for i, w := range cfg.Widths {
 		labels[i] = fmt.Sprintf("%d flows", w)
 	}
 	title := fmt.Sprintf("Figure 3: %d-server fat-tree, %d coflows, varying coflow width",
 		len(g.Hosts()), cfg.NumCoflows)
-	return sweep(cfg, g, schedulers, title, "width", labels, func(i int) (int, int) {
-		return cfg.NumCoflows, cfg.Widths[i]
-	}, len(cfg.Widths))
+	return sweep(cfg, g, title, "width", labels, func(i int) (int, int) { return cfg.NumCoflows, cfg.Widths[i] })
 }
 
 // Figure4 reproduces the coflow-count sweep: the width is fixed and the
 // number of coflows varies.
 func Figure4(cfg Config) (*FigureResult, error) {
 	g := cfg.network()
-	schedulers := cfg.Schedulers()
 	labels := make([]string, len(cfg.CoflowCounts))
 	for i, n := range cfg.CoflowCounts {
 		labels[i] = fmt.Sprintf("%d coflows", n)
 	}
 	title := fmt.Sprintf("Figure 4: %d-server fat-tree, coflow width %d, varying number of coflows",
 		len(g.Hosts()), cfg.Width)
-	return sweep(cfg, g, schedulers, title, "coflows", labels, func(i int) (int, int) {
-		return cfg.CoflowCounts[i], cfg.Width
-	}, len(cfg.CoflowCounts))
+	return sweep(cfg, g, title, "coflows", labels, func(i int) (int, int) { return cfg.CoflowCounts[i], cfg.Width })
 }
 
-// sweep runs the shared sweep machinery of Figures 3 and 4.
-func sweep(cfg Config, g *graph.Graph, schedulers []Scheduler, title, xlabel string, labels []string,
-	point func(i int) (numCoflows, width int), n int) (*FigureResult, error) {
-
+// sweep runs the shared sweep machinery of Figures 3 and 4: one SweepPoint
+// per label, at the shape point gives.
+func sweep(cfg Config, g *graph.Graph, title, xlabel string, labels []string, point func(i int) (numCoflows, width int)) (*FigureResult, error) {
 	// The whole Config is checked before the first point runs, the other
 	// figure's axis too.
 	if err := checkShape(append([]int{cfg.NumCoflows}, cfg.CoflowCounts...), append([]int{cfg.Width}, cfg.Widths...)); err != nil {
 		return nil, err
 	}
+	schedulers := cfg.Schedulers()
+	names := make([]string, len(schedulers))
 	values := make([][]float64, len(schedulers))
-	for i := range values {
-		values[i] = make([]float64, n)
+	for si, s := range schedulers {
+		names[si] = s.Name()
+		values[si] = make([]float64, len(labels))
 	}
-	for p := 0; p < n; p++ {
+	for p := range labels {
 		nc, w := point(p)
-		means, err := cfg.SweepPoint(g, nc, w, schedulers)
+		row, err := cfg.SweepPoint(g, nc, w, schedulers)
 		if err != nil {
 			return nil, err
 		}
 		for si := range schedulers {
-			values[si][p] = means[si]
+			values[si][p] = row[si]
 		}
 	}
-	names := make([]string, len(schedulers))
-	for i, s := range schedulers {
-		names[i] = s.Name()
-	}
-
-	abs := stats.NewTable(title, xlabel, labels)
-	for si, s := range schedulers {
-		if err := abs.AddSeries(s.Name(), values[si]); err != nil {
-			return nil, err
-		}
-	}
-	ratio, err := abs.NormalizeTo("Baseline")
+	panels, err := newTablePair(title, xlabel, labels, names, values, "Baseline")
 	if err != nil {
 		return nil, err
 	}
-	return &FigureResult{
-		Absolute:     abs,
-		Ratio:        ratio,
-		Improvements: ImprovementSummary(names, values),
-	}, nil
+	return &FigureResult{tablePair: panels, Improvements: ImprovementSummary(names, values)}, nil
 }
 
 // Figure1Result reports the paper's motivating triangle example: the total

@@ -2,7 +2,7 @@
 // triangle example), Table 1 (approximation ratios, reported empirically
 // against certified lower bounds), Figure 3 (total weighted completion time
 // versus coflow width) and Figure 4 (versus number of coflows), plus the
-// ablations called out in DESIGN.md.
+// ablations described in EXPERIMENTS.md.
 //
 // The paper's experiments run on a 128-server (k=8) fat-tree with CPLEX
 // solving the LPs. The pure-Go simplex in this repository is slower, so the
@@ -18,20 +18,15 @@ import (
 	"math/rand"
 
 	"coflowsched/internal/baselines"
-	"coflowsched/internal/coflow"
 	"coflowsched/internal/core"
 	"coflowsched/internal/graph"
+	"coflowsched/internal/online"
 	"coflowsched/internal/stats"
 	"coflowsched/internal/workload"
 )
 
-// Scheduler is the common interface of every scheme compared in the figures:
-// the LP-based algorithms of internal/core and the heuristics of
-// internal/baselines all satisfy it.
-type Scheduler interface {
-	Name() string
-	Schedule(inst *coflow.Instance, rng *rand.Rand) (*coflow.CircuitSchedule, error)
-}
+// Scheduler is every scheme compared in the figures.
+type Scheduler = online.OfflineScheduler
 
 // Config controls the workload sweeps.
 type Config struct {
@@ -131,47 +126,101 @@ func (c Config) SweepPoint(g *graph.Graph, numCoflows, width int, schedulers []S
 	if err := checkShape([]int{numCoflows}, []int{width}); err != nil {
 		return nil, err
 	}
-	trials := c.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	sums := make([][]float64, len(schedulers))
-	for i := range sums {
-		sums[i] = make([]float64, 0, trials)
-	}
-	for trial := 0; trial < trials; trial++ {
-		// One instance per trial, shared by every scheduler (paired design,
-		// as in the paper).
-		seed := c.Seed + int64(trial)*7919 + int64(numCoflows)*31 + int64(width)*17
-		rng := rand.New(rand.NewSource(seed))
+	// One instance per trial, shared by every scheduler (paired design, as in
+	// the paper).
+	objs, err := trials(c.Trials, c.Seed+int64(numCoflows)*31+int64(width)*17, 7919, func(seed int64) ([]float64, error) {
 		inst, err := workload.Generate(g, workload.Config{
 			NumCoflows:  numCoflows,
 			Width:       width,
 			MeanSize:    meanSize,
 			MeanRelease: meanRelease,
 			MeanWeight:  meanWeight,
-		}, rng)
+		}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return nil, err
 		}
+		out := make([]float64, len(schedulers))
 		for si, s := range schedulers {
-			srng := rand.New(rand.NewSource(seed + int64(si) + 1))
-			cs, err := s.Schedule(inst, srng)
+			cs, err := s.Schedule(inst, rand.New(rand.NewSource(seed+int64(si)+1)))
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on trial %d: %w", s.Name(), trial, err)
+				return nil, fmt.Errorf("%s: %w", s.Name(), err)
 			}
 			if err := cs.Validate(inst); err != nil {
-				return nil, fmt.Errorf("experiments: %s produced an infeasible schedule: %w", s.Name(), err)
+				return nil, fmt.Errorf("%s produced an infeasible schedule: %w", s.Name(), err)
 			}
-			sums[si] = append(sums[si], cs.Objective(inst))
+			out[si] = cs.Objective(inst)
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(schedulers))
-	for i := range schedulers {
-		out[i] = stats.Mean(sums[i])
+	return means(objs), nil
+}
+
+// trials is the experiments' one trial loop. It runs trial n times (once if
+// n < 1), the t-th on seed + step·t, and returns the values the runs report,
+// value by value: out[k][t] is value k of trial t.
+func trials(n int, seed, step int64, trial func(seed int64) ([]float64, error)) ([][]float64, error) {
+	var out [][]float64
+	for t := 0; t < max(n, 1); t++ {
+		vals, err := trial(seed + step*int64(t))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: trial %d: %w", t, err)
+		}
+		if out == nil {
+			out = make([][]float64, len(vals))
+		}
+		for k, v := range vals {
+			out[k] = append(out[k], v)
+		}
 	}
 	return out, nil
 }
+
+// means is the mean of each of trials' samples.
+func means(samples [][]float64) []float64 {
+	out := make([]float64, len(samples))
+	for k, s := range samples {
+		out[k] = stats.Mean(s)
+	}
+	return out
+}
+
+// table builds a stats.Table whose series names[i] holds values[i], one value
+// per label.
+func table(title, xlabel string, labels, names []string, values [][]float64) (*stats.Table, error) {
+	t := stats.NewTable(title, xlabel, labels)
+	for i, name := range names {
+		if err := t.AddSeries(name, values[i]); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// tablePair is the two panels of a sweep: the absolute values and the same
+// divided, row by row, by one reference series.
+type tablePair struct {
+	Absolute *stats.Table
+	Ratio    *stats.Table
+}
+
+// newTablePair builds table's panel and its ratio to the series named ref.
+func newTablePair(title, xlabel string, labels, names []string, values [][]float64, ref string) (tablePair, error) {
+	abs, err := table(title, xlabel, labels, names, values)
+	if err != nil {
+		return tablePair{}, err
+	}
+	ratio, err := abs.NormalizeTo(ref)
+	return tablePair{Absolute: abs, Ratio: ratio}, err
+}
+
+// String renders both panels.
+func (p tablePair) String() string { return p.Absolute.String() + "\n" + p.Ratio.String() }
+
+// CSV renders both panels, the absolute one first.
+func (p tablePair) CSV() string { return p.Absolute.CSV() + p.Ratio.CSV() }
 
 // ImprovementSummary computes, for each competing scheduler, the average
 // percentage by which its completion time exceeds the first scheduler's

@@ -79,8 +79,7 @@ func (c OnlineConfig) OnlinePolicies() []online.Policy {
 // OnlineSweepResult bundles the two panels of the online comparison: mean
 // weighted CCT per (rate, policy), and the same normalized to FIFOOnline.
 type OnlineSweepResult struct {
-	Absolute *stats.Table
-	Ratio    *stats.Table
+	tablePair
 	// MeanSolveLatency aggregates, per policy, the mean epoch solve latency
 	// in seconds across all rates and trials.
 	MeanSolveLatency map[string]float64
@@ -92,7 +91,7 @@ type OnlineSweepResult struct {
 
 // String renders both panels plus the solve-latency and fallback summary.
 func (r *OnlineSweepResult) String() string {
-	s := r.Absolute.String() + "\n" + r.Ratio.String() + "\nMean epoch solve latency, fallback epochs:\n"
+	s := r.tablePair.String() + "\nMean epoch solve latency, fallback epochs:\n"
 	for _, series := range r.Absolute.SeriesSet {
 		if v, ok := r.MeanSolveLatency[series.Name]; ok {
 			s += fmt.Sprintf("  %-20s %8.3f ms  %4d\n", series.Name, v*1e3, r.Fallbacks[series.Name])
@@ -127,44 +126,45 @@ func OnlineSweep(cfg OnlineConfig) (*OnlineSweepResult, error) {
 // onlineSweep is OnlineSweep over the streams draw returns, one per rate and
 // trial, each from that trial's seeded rng.
 func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *rand.Rand) (*coflow.Instance, error)) (*OnlineSweepResult, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
 	pols := cfg.OnlinePolicies()
-
+	names := make([]string, len(pols))
 	values := make([][]float64, len(pols))
-	for i := range values {
-		values[i] = make([]float64, len(cfg.ArrivalRates))
+	for pi, p := range pols {
+		names[pi] = p.Name()
+		values[pi] = make([]float64, len(cfg.ArrivalRates))
 	}
 	latencies := make(map[string][]float64)
 	fallbacks := make(map[string]int, len(pols))
 
 	for ri, rate := range cfg.ArrivalRates {
-		sums := make([][]float64, len(pols))
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := cfg.Seed + int64(trial)*7919 + int64(ri)*104729
+		ccts, err := trials(cfg.Trials, cfg.Seed+int64(ri)*104729, 7919, func(seed int64) ([]float64, error) {
 			inst, err := draw(rate, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				return nil, err
 			}
+			out := make([]float64, len(pols))
 			for pi, p := range pols {
 				res, err := online.Run(inst, p, online.Config{
 					EpochLength: EpochLength,
 					Seed:        seed,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("experiments: %s at rate %v trial %d: %w", p.Name(), rate, trial, err)
+					return nil, fmt.Errorf("%s at rate %v: %w", p.Name(), rate, err)
 				}
 				if err := res.Schedule.Validate(inst); err != nil {
-					return nil, fmt.Errorf("experiments: %s produced an infeasible online schedule: %w", p.Name(), err)
+					return nil, fmt.Errorf("%s produced an infeasible online schedule: %w", p.Name(), err)
 				}
-				sums[pi] = append(sums[pi], res.WeightedCCT)
+				out[pi] = res.WeightedCCT
 				latencies[p.Name()] = append(latencies[p.Name()], res.SolveLatencies()...)
 				fallbacks[p.Name()] += res.Fallbacks()
 			}
+			return out, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		for pi := range pols {
-			values[pi][ri] = stats.Mean(sums[pi])
+		for pi, m := range means(ccts) {
+			values[pi][ri] = m
 		}
 	}
 
@@ -174,13 +174,7 @@ func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *
 	}
 	title := fmt.Sprintf("OnlineSweep: %d-server fat-tree, %d coflows x %d flows, epoch %v",
 		len(g.Hosts()), cfg.NumCoflows, cfg.Width, EpochLength)
-	abs := stats.NewTable(title, "arrival rate", labels)
-	for pi, p := range pols {
-		if err := abs.AddSeries(p.Name(), values[pi]); err != nil {
-			return nil, err
-		}
-	}
-	ratio, err := abs.NormalizeTo(online.FIFOOnline{}.Name())
+	panels, err := newTablePair(title, "arrival rate", labels, names, values, online.FIFOOnline{}.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -188,5 +182,5 @@ func onlineSweep(cfg OnlineConfig, g *graph.Graph, draw func(rate float64, rng *
 	for name, ls := range latencies {
 		meanLat[name] = stats.Mean(ls)
 	}
-	return &OnlineSweepResult{Absolute: abs, Ratio: ratio, MeanSolveLatency: meanLat, Fallbacks: fallbacks}, nil
+	return &OnlineSweepResult{tablePair: panels, MeanSolveLatency: meanLat, Fallbacks: fallbacks}, nil
 }

@@ -55,9 +55,8 @@ type ScenarioResult struct {
 // (absolute weighted CCT and the ratio to FIFO), plus the full per-cell
 // detail for machine consumers.
 type ScenarioSweepResult struct {
-	Absolute *stats.Table
-	Ratio    *stats.Table
-	Results  []ScenarioResult
+	tablePair
+	Results []ScenarioResult
 }
 
 // String renders both panels plus each policy's fallback epochs, summed over
@@ -67,7 +66,7 @@ func (r *ScenarioSweepResult) String() string {
 	for _, c := range r.Results {
 		fallbacks[c.Policy] += c.Fallbacks
 	}
-	s := r.Absolute.String() + "\n" + r.Ratio.String() + "\nFallback epochs:\n"
+	s := r.tablePair.String() + "\nFallback epochs:\n"
 	for _, series := range r.Absolute.SeriesSet {
 		s += fmt.Sprintf("  %-20s %4d\n", series.Name, fallbacks[series.Name])
 	}
@@ -83,10 +82,11 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		names = workload.ScenarioNames()
 	}
 	pols := ScenarioPolicies()
-
+	polNames := make([]string, len(pols))
 	values := make([][]float64, len(pols))
-	for i := range values {
-		values[i] = make([]float64, len(names))
+	for pi, p := range pols {
+		polNames[pi] = p.Name()
+		values[pi] = make([]float64, len(names))
 	}
 	res := &ScenarioSweepResult{}
 	for si, name := range names {
@@ -125,16 +125,10 @@ func ScenarioSweep(cfg ScenarioConfig) (*ScenarioSweepResult, error) {
 		}
 	}
 
-	abs := stats.NewTable("ScenarioSweep: weighted CCT per scenario", "scenario", names)
-	for pi, p := range pols {
-		if err := abs.AddSeries(p.Name(), values[pi]); err != nil {
-			return nil, err
-		}
-	}
-	ratio, err := abs.NormalizeTo(online.FIFOOnline{}.Name())
+	var err error
+	res.tablePair, err = newTablePair("ScenarioSweep: weighted CCT per scenario", "scenario", names, polNames, values, online.FIFOOnline{}.Name())
 	if err != nil {
 		return nil, err
 	}
-	res.Absolute, res.Ratio = abs, ratio
 	return res, nil
 }

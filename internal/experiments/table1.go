@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"coflowsched/internal/coflow"
 	"coflowsched/internal/core"
@@ -34,9 +35,10 @@ type Table1Result struct {
 }
 
 // String renders the table in the layout of the paper's Table 1, extended
-// with the measured columns.
+// with the measured columns, under a header line naming the measure.
 func (t *Table1Result) String() string {
-	s := fmt.Sprintf("%-14s %-10s %-22s %-12s %-12s %s\n",
+	s := "Table 1: approximation guarantees and measured ratios (ALG / certified lower bound)\n"
+	s += fmt.Sprintf("%-14s %-10s %-22s %-12s %-12s %s\n",
 		"Model", "Paths", "Approx. (proven)", "mean ratio", "max ratio", "Hardness")
 	for _, r := range t.Rows {
 		s += fmt.Sprintf("%-14s %-10s %-22s %-12.2f %-12.2f %s\n",
@@ -60,136 +62,100 @@ func DefaultTable1Config() Table1Config {
 	return Table1Config{Trials: 3, Seed: 7, NumCoflows: 3, Width: 3}
 }
 
-// Table1 measures empirical approximation ratios for all four problem
-// variants of the paper on random instances, against the certified lower
-// bound max(LP/(1+ε), combinatorial bound).
-func Table1(cfg Table1Config) (*Table1Result, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
-	res := &Table1Result{}
-
-	type measured struct{ mean, max float64 }
-	measure := func(f func(trial int) (float64, error)) (measured, error) {
-		var ratios []float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			r, err := f(trial)
-			if err != nil {
-				return measured{}, err
-			}
-			ratios = append(ratios, r)
-		}
-		max := 0.0
-		for _, r := range ratios {
-			if r > max {
-				max = r
-			}
-		}
-		return measured{mean: stats.Mean(ratios), max: max}, nil
-	}
-
-	// Packet-based, paths given (ring topology, fixed shortest paths).
-	pktGiven, err := measure(func(trial int) (float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)))
-		inst, err := workload.Generate(graph.Ring(6, 1), workload.Config{
+// table1Rows are the paper's four problem variants in its Table 1 order:
+// their labels, and run, which draws one trial's instance from rng and
+// returns it with its schedule's objective and certified lower bound. Row i's
+// trial t is seeded Seed + 100·i + t.
+var table1Rows = []struct {
+	model, paths, proven, hardness string
+	run                            func(cfg Table1Config, rng *rand.Rand) (*coflow.Instance, float64, float64, error)
+}{
+	// Ring topology, fixed shortest paths.
+	{"Packet-based", "given", "O(1)", "APX-hard", func(cfg Table1Config, rng *rand.Rand) (*coflow.Instance, float64, float64, error) {
+		inst, err := workload.GenerateWithPaths(graph.Ring(6, 1), workload.Config{
 			NumCoflows: cfg.NumCoflows, Width: cfg.Width, PacketModel: true, MeanRelease: 1,
 		}, rng)
 		if err != nil {
-			return 0, err
-		}
-		if err := inst.AssignShortestPaths(); err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		r, err := (core.PacketGivenPaths{}).Schedule(inst)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
-		return ratioAgainstBound(inst, r.Objective(inst), r.LowerBound), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{
-		Model: "Packet-based", Paths: "given", ProvenBound: "O(1)",
-		MeanRatio: pktGiven.mean, MaxRatio: pktGiven.max, Hardness: "APX-hard",
-		TrialsMeasured: cfg.Trials,
-	})
-
-	// Packet-based, paths not given (grid topology).
-	pktFree, err := measure(func(trial int) (float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(trial)))
+		return inst, r.Objective(inst), r.LowerBound, nil
+	}},
+	// Grid topology.
+	{"Packet-based", "not given", "O(1)", "APX-hard", func(cfg Table1Config, rng *rand.Rand) (*coflow.Instance, float64, float64, error) {
 		inst, err := workload.Generate(graph.Grid(3, 3, 1), workload.Config{
 			NumCoflows: cfg.NumCoflows, Width: cfg.Width, PacketModel: true, MeanRelease: 1,
 		}, rng)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		r, err := (core.PacketFreePaths{}).ScheduleASAP(inst, rng)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
-		return ratioAgainstBound(inst, r.Objective(inst), r.LowerBound), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{
-		Model: "Packet-based", Paths: "not given", ProvenBound: "O(1)",
-		MeanRatio: pktFree.mean, MaxRatio: pktFree.max, Hardness: "APX-hard",
-		TrialsMeasured: cfg.Trials,
-	})
-
-	// Circuit-based, paths given (small fat-tree, shortest paths).
-	circGiven, err := measure(func(trial int) (float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + 200 + int64(trial)))
+		return inst, r.Objective(inst), r.LowerBound, nil
+	}},
+	// Small fat-tree, shortest paths.
+	{"Circuit-based", "given", "O(1) (17.6)", "NP-hard", func(cfg Table1Config, rng *rand.Rand) (*coflow.Instance, float64, float64, error) {
 		inst, err := workload.GenerateWithPaths(graph.FatTree(4, 1), workload.Config{
 			NumCoflows: cfg.NumCoflows, Width: cfg.Width, MeanSize: 3, MeanRelease: 1,
 		}, rng)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		r, err := (core.CircuitGivenPaths{}).ScheduleASAP(inst)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
-		return ratioAgainstBound(inst, r.Objective(inst), core.CombinedLowerBound(inst, r)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Table1Row{
-		Model: "Circuit-based", Paths: "given", ProvenBound: "O(1) (17.6)",
-		MeanRatio: circGiven.mean, MaxRatio: circGiven.max, Hardness: "NP-hard",
-		TrialsMeasured: cfg.Trials,
-	})
-
-	// Circuit-based, paths not given (triangle, exact arc-flow LP).
-	circFree, err := measure(func(trial int) (float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + 300 + int64(trial)))
+		return inst, r.Objective(inst), r.LowerBound, nil
+	}},
+	// Triangle, exact arc-flow LP.
+	{"Circuit-based", "not given", "O(log|E|/loglog|E|)", "Omega(log|E|/loglog|E|)", func(cfg Table1Config, rng *rand.Rand) (*coflow.Instance, float64, float64, error) {
 		inst, err := workload.Generate(graph.Triangle(), workload.Config{
 			NumCoflows: cfg.NumCoflows, Width: 2, MeanSize: 3, MeanRelease: 1,
 		}, rng)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
 		r, err := (core.CircuitFreePathsExact{}).ScheduleASAP(inst, rng)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
-		return ratioAgainstBound(inst, r.Objective(inst), core.CombinedLowerBound(inst, r)), nil
-	})
-	if err != nil {
-		return nil, err
+		return inst, r.Objective(inst), r.LowerBound, nil
+	}},
+}
+
+// Table1 measures empirical approximation ratios for all four problem
+// variants of the paper on random instances, against the certified lower
+// bound max(LP/(1+ε), combinatorial bound).
+func Table1(cfg Table1Config) (*Table1Result, error) {
+	res := &Table1Result{}
+	for i, row := range table1Rows {
+		s, err := trials(cfg.Trials, cfg.Seed+int64(100*i), 1, func(seed int64) ([]float64, error) {
+			inst, objective, lb, err := row.run(cfg, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				return nil, err
+			}
+			return []float64{ratioAgainstBound(inst, objective, lb)}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		ratios := s[0]
+		res.Rows = append(res.Rows, Table1Row{
+			Model: row.model, Paths: row.paths, ProvenBound: row.proven,
+			MeanRatio: stats.Mean(ratios), MaxRatio: slices.Max(ratios), Hardness: row.hardness,
+			TrialsMeasured: len(ratios),
+		})
 	}
-	res.Rows = append(res.Rows, Table1Row{
-		Model: "Circuit-based", Paths: "not given", ProvenBound: "O(log|E|/loglog|E|)",
-		MeanRatio: circFree.mean, MaxRatio: circFree.max, Hardness: "Omega(log|E|/loglog|E|)",
-		TrialsMeasured: cfg.Trials,
-	})
 	return res, nil
 }
 
-// ratioAgainstBound guards against degenerate lower bounds.
+// ratioAgainstBound is objective over the larger of lb and the trivial lower
+// bound, and 1 where both are 0.
 func ratioAgainstBound(inst *coflow.Instance, objective, lb float64) float64 {
 	trivial := core.TrivialLowerBound(inst)
 	if trivial > lb {

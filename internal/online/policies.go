@@ -202,9 +202,9 @@ func residualInstance(snap *Snapshot) (*coflow.Instance, map[coflow.FlowRef]cofl
 	return rinst, backrefs
 }
 
-// OfflineScheduler is the offline interface Oracle wraps; it is structurally
-// identical to experiments.Scheduler (defined here to avoid an import
-// cycle — internal/experiments imports this package for OnlineSweep).
+// OfflineScheduler is the offline interface Oracle wraps: the LP-based
+// algorithms of internal/core and the heuristics of internal/baselines all
+// satisfy it.
 type OfflineScheduler interface {
 	Name() string
 	Schedule(inst *coflow.Instance, rng *rand.Rand) (*coflow.CircuitSchedule, error)
