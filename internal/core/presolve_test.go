@@ -13,17 +13,11 @@ import (
 	"coflowsched/internal/workload"
 )
 
-// refactorEvery mirrors lp's constant: a solve shorter than this never rebuilds
-// its inverse, and only below it is the presolved solve the full one bit for
-// bit (slackRowMargin).
-const refactorEvery = 256
-
 // presolveStats is what one comparison saw.
 type presolveStats struct {
 	rows, dropped int // capacity rows of the full LP, and how many the presolve leaves out
 	m, mReduced   int // constraints of the full and of the presolved LP
 	pivots        int // pivots of the presolved solve
-	exact         bool
 }
 
 var capRowName = regexp.MustCompile(`cap_e\d+_l\d+`)
@@ -39,9 +33,9 @@ func capRows(m *intervalLP) map[string]bool {
 
 // comparePresolve builds inst's free-path LP twice — as build does, with the
 // capacity rows that cannot bind left out, and with every row from the same
-// candidates — and solves both, each to an optimum lp.Certify accepts. Below refactorEvery pivots it wants the same
-// pivot count, objective and every variable value under ==, above it the
-// objectives equal to 1e-9 relative. The rows left out are then recomputed
+// candidates — and solves both, each to an optimum lp.Certify accepts. It
+// wants the same pivot count, objective and every variable value under ==,
+// however long the solve (slackRowMargin). The rows left out are then recomputed
 // from a demand count of the test's own (maps, no shared code), must be as
 // many as the two LPs differ by, and each must be slack by at least
 // slackRowMargin·capacity at the full LP's optimum.
@@ -72,24 +66,18 @@ func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build fu
 		}
 	}
 	st.pivots = reduced.sol.Iterations
-	st.exact = full.sol.Iterations < refactorEvery
-	if st.exact {
-		if reduced.sol.Iterations != full.sol.Iterations {
-			tb.Errorf("%s: %d pivots without the slack rows, %d with them", name, reduced.sol.Iterations, full.sol.Iterations)
+	if reduced.sol.Iterations != full.sol.Iterations {
+		tb.Errorf("%s: %d pivots without the slack rows, %d with them", name, reduced.sol.Iterations, full.sol.Iterations)
+	}
+	if reduced.sol.Objective != full.sol.Objective {
+		tb.Errorf("%s: objective %v without the slack rows, %v with them", name, reduced.sol.Objective, full.sol.Objective)
+	}
+	got, want := reduced.sol.Values(), full.sol.Values()
+	for v := range want {
+		if got[v] != want[v] {
+			tb.Errorf("%s: %s = %v without the slack rows, %v with them", name, full.prob.VariableName(lp.Var(v)), got[v], want[v])
+			break
 		}
-		if reduced.sol.Objective != full.sol.Objective {
-			tb.Errorf("%s: objective %v without the slack rows, %v with them", name, reduced.sol.Objective, full.sol.Objective)
-		}
-		got, want := reduced.sol.Values(), full.sol.Values()
-		for v := range want {
-			if got[v] != want[v] {
-				tb.Errorf("%s: %s = %v without the slack rows, %v with them", name, full.prob.VariableName(lp.Var(v)), got[v], want[v])
-				break
-			}
-		}
-	} else if diff := math.Abs(reduced.sol.Objective - full.sol.Objective); diff > 1e-9*math.Abs(full.sol.Objective) {
-		tb.Errorf("%s: objective %v without the slack rows, %v with them (%d and %d pivots)",
-			name, reduced.sol.Objective, full.sol.Objective, reduced.sol.Iterations, full.sol.Iterations)
 	}
 
 	// The test's own count, in one pass over the flows: per edge the demand
@@ -160,8 +148,8 @@ func freePathBuild(inst *coflow.Instance) (*intervalLP, error) {
 
 // TestRowPresolveMatchesFullLP is the differential check behind
 // slackRowMargin's argument, on the LPs whose pivots are pinned: the 64 fig3
-// LPs, none of which reaches a refactorization (bit for bit), and the 8x6 LP,
-// which passes six (objective only).
+// LPs, none of which reaches a refactorization, and the 8x6 LP, which passes
+// six. Each agrees with its full LP bit for bit.
 func TestRowPresolveMatchesFullLP(t *testing.T) {
 	g := graph.FatTree(4, 1)
 	var sum presolveStats
@@ -169,9 +157,6 @@ func TestRowPresolveMatchesFullLP(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		inst, _ := fig3Instance(t, g, i)
 		st := comparePresolve(t, fmt.Sprintf("fig3 instance %d", i), inst, freePathBuild)
-		if !st.exact {
-			t.Errorf("fig3 instance %d takes %d pivots: it refactorizes, and the benchmark's exact metrics are no longer safe", i, st.pivots)
-		}
 		sum.rows += st.rows
 		sum.dropped += st.dropped
 		sum.m += st.m
@@ -188,13 +173,15 @@ func TestRowPresolveMatchesFullLP(t *testing.T) {
 	}
 
 	if testing.Short() {
-		t.Skip("the 8x6 LP with every row is 1 679 pivots, about 1.5 s")
+		t.Skip("the 8x6 LP with every row is 1 714 pivots, about 1.5 s")
 	}
 	inst := freePath8x6Instance(t, g)
 	st := comparePresolve(t, "8x6", inst, freePathBuild)
-	t.Logf("8x6: %d of %d capacity rows left out, m %d -> %d", st.dropped, st.rows, st.m, st.mReduced)
-	if st.exact {
-		t.Errorf("8x6: the full LP stayed under %d pivots; the objective-only branch went unexercised", refactorEvery)
+	t.Logf("8x6: %d of %d capacity rows left out, m %d -> %d, %d pivots", st.dropped, st.rows, st.m, st.mReduced, st.pivots)
+	// The simplex refactorizes every 256 pivots: the check is meant to reach
+	// past several rebuilt inverses.
+	if st.pivots < 2*256 {
+		t.Errorf("8x6: %d pivots, fewer than two refactorizations", st.pivots)
 	}
 }
 
@@ -394,9 +381,8 @@ func presolveFuzzInstance(seed int64, topo, coflows, width, shape uint8) (*coflo
 
 // FuzzRowPresolve hunts for an instance on which the LP without the rows that
 // "cannot bind" is not the LP with them: a different pivot count, objective or
-// variable value (a different objective only, on the one input in a thousand
-// that is long enough to refactorize), a left-out row less than the margin from
-// binding, or a row the builder and the test's own demand count disagree on.
+// variable value, a left-out row less than the margin from binding, or a row
+// the builder and the test's own demand count disagree on.
 func FuzzRowPresolve(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(4), uint8(1), uint8(0), uint8(0x8c))

@@ -38,8 +38,10 @@ func (r capRow) name() string { return fmt.Sprintf("cap_e%d_l%d", r.e, r.l) }
 // circuits. A flow's candidates are its pre-assigned path alone where it has
 // one. With free set, a flow without a path gets opts.CandidatePaths shortest
 // candidates and the capacity rows that can never bind are left out; without
-// it every flow must carry its path and every row is kept (ROADMAP queued gain
-// (e) has what the row presolve would move there).
+// it every flow must carry its path and every row is kept. Leaving them out
+// there too would move no schedule, only the given-path LP's text and the
+// test that pins the rows kept (ROADMAP item 1, queued gain (e), has the
+// measurement and what it waits for).
 func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*intervalLP, error) {
 	if err := inst.Validate(packet); err != nil {
 		return nil, err
@@ -90,9 +92,10 @@ func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 // row's arithmetic; and taking rows and slack columns out keeps the relative
 // order of the rest, which is all that Dantzig's, Bland's and the
 // largest-pivot tie-breaks read. The simplex therefore takes the same pivots
-// (enter, leave, theta) with and without the row, bit for bit, up to its first
-// refactorization — whose Gauss-Jordan arithmetic depends on m — and ends on
-// the same optimum to rounding after it. The margin is there for the ratio
+// (enter, leave, theta) with and without the row, bit for bit, and ends on the
+// same optimum, refactorizations included: a refactorization inverts only the
+// kernel, the rows whose basic column is not their own unit column, which
+// the row with its slack basic never joins. The margin is there for the ratio
 // test's tie window, 1e-9·(1+theta): the step leaves the row's slack at least
 // 1e-6·capacity, so its ratio ties the minimum only if its direction entry w
 // has w·(1+theta) above 1 000 capacities. TestRowPresolveMatchesFullLP and

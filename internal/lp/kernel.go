@@ -43,8 +43,14 @@ type simplexState struct {
 	y      []float64 // what btran returns; trivialDuals keeps its trivial rows
 	d      []float64 // what price returns, as w
 	wk     []float64 // scratch by kernel index: ftran's w_K, btran's c_K - B_NK'y_N, update's w, join's r, factor's x_K
-	visit  []int     // scratch of btran, update, join and factor: kernel indexes
-	iters  int
+	visit  []int32   // scratch of btran, update, join and factor: kernel indexes
+	// touched lists the rows of w the last ftran wrote, each once: w is
+	// exactly 0 in every other row. seen marks the trivial rows among them.
+	// The ratio test, pivot's step and the next ftran's clear visit these rows
+	// only, not all m.
+	touched []int32
+	seen    []bool
+	iters   int
 	// What the solve went through, for the tests that must show their LPs
 	// reach each path: pivots under Bland's rule, refactorizations, and
 	// artificials driven out after phase 1.
@@ -58,18 +64,22 @@ const initialStride = 32
 func newSimplexState(sf *standardForm) *simplexState {
 	m := sf.m
 	scratch := make([]float64, 3*m+sf.nOrig)
+	ints, idx := make([]int, 2*m), make([]int32, 3*m)
+	flags := make([]bool, sf.n+m)
 	st := &simplexState{
-		sf:    sf,
-		basis: make([]int, m),
-		inB:   make([]bool, sf.n),
-		kern:  make([]int, 0, m),
-		kidx:  make([]int32, m),
-		xB:    make([]float64, m),
-		w:     scratch[:m:m],
-		y:     scratch[m : 2*m : 2*m],
-		wk:    scratch[2*m : 3*m : 3*m],
-		d:     scratch[3*m:],
-		visit: make([]int, 0, m),
+		sf:      sf,
+		basis:   ints[:m:m],
+		inB:     flags[:sf.n:sf.n],
+		kern:    ints[m : m : 2*m],
+		kidx:    idx[:m:m],
+		xB:      make([]float64, m),
+		w:       scratch[:m:m],
+		y:       scratch[m : 2*m : 2*m],
+		wk:      scratch[2*m : 3*m : 3*m],
+		d:       scratch[3*m:],
+		visit:   idx[m : m : 2*m],
+		touched: idx[2*m : 2*m : 3*m],
+		seen:    flags[sf.n:],
 	}
 	for i := range st.kidx {
 		st.kidx[i] = -1
@@ -106,10 +116,15 @@ func (st *simplexState) kcol(q int) []float64 {
 
 // ftran returns w = B^{-1} a for the column a with the given entries, as
 // sf.col returns them: w_K = B_KK^{-1} a_K, summed over a's kernel entries,
-// then w_N = a_N - B_NK w_K.
+// then w_N = a_N - B_NK w_K. It lists the rows it writes in touched: a's
+// trivial rows, the kernel rows where w_K is nonzero and the trivial rows
+// their basic columns meet. It clears only the rows the last call listed.
 func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
-	w, wk := st.w, st.wk[:len(st.kern)]
-	clear(w)
+	w, wk, seen := st.w, st.wk[:len(st.kern)], st.seen
+	for _, i := range st.touched {
+		w[i], seen[i] = 0, false
+	}
+	touched := st.touched[:0]
 	clear(wk)
 	for k, r := range rows {
 		v := vals[k]
@@ -118,6 +133,10 @@ func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
 		}
 		q := st.kidx[r]
 		if q < 0 {
+			if !seen[r] {
+				seen[r] = true
+				touched = append(touched, int32(r))
+			}
 			w[r] += v
 			continue
 		}
@@ -127,17 +146,23 @@ func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
 	}
 	for p, i := range st.kern {
 		wp := wk[p]
-		w[i] = wp
 		if wp == 0 {
 			continue
 		}
+		w[i] = wp
+		touched = append(touched, int32(i))
 		rows, vals := st.sf.col(st.basis[i])
 		for k, r := range rows {
 			if st.kidx[r] < 0 {
+				if !seen[r] {
+					seen[r] = true
+					touched = append(touched, int32(r))
+				}
 				w[r] -= vals[k] * wp
 			}
 		}
 	}
+	st.touched = touched
 	return w
 }
 
@@ -170,7 +195,7 @@ func (st *simplexState) btran(cost []float64) []float64 {
 		}
 		ck[p] = c
 		if c != 0 {
-			nz = append(nz, p)
+			nz = append(nz, int32(p))
 		}
 	}
 	for q, i := range st.kern {
@@ -184,11 +209,12 @@ func (st *simplexState) btran(cost []float64) []float64 {
 }
 
 // pivot performs the basis change: column enter becomes basic in row leave,
-// using the precomputed direction w = B^{-1} A_enter and step theta.
+// using the direction w = B^{-1} A_enter the last ftran returned and step
+// theta. Only the rows ftran wrote move: w is 0 in the others.
 func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 	if theta != 0 { // a degenerate step moves nothing, and every xB is clamped already
-		for i := range st.xB {
-			if i == leave {
+		for _, i := range st.touched {
+			if int(i) == leave {
 				continue
 			}
 			st.xB[i] -= theta * w[i]
@@ -220,7 +246,7 @@ func (st *simplexState) update(leave int, w []float64) {
 	rows, wk := st.visit[:0], st.wk // the kernel indexes the elimination changes
 	for p, i := range st.kern {
 		if wi := w[i]; wi != 0 && p != t {
-			rows = append(rows, p)
+			rows = append(rows, int32(p))
 			wk[p] = wi
 		}
 	}
@@ -252,7 +278,7 @@ func (st *simplexState) join(k int) {
 			if row >= k {
 				if row == k {
 					r[p] = vals[n]
-					at = append(at, p)
+					at = append(at, int32(p))
 				}
 				break
 			}
@@ -321,7 +347,7 @@ func (st *simplexState) factor() error {
 		if best < 1e-12 {
 			return fmt.Errorf("lp: singular basis during refactorization (row %d)", st.kern[c])
 		}
-		swapped[c] = p
+		swapped[c] = int32(p)
 		if p != c {
 			for k := range a[c] {
 				a[c][k], a[p][k] = a[p][k], a[c][k]
@@ -350,7 +376,7 @@ func (st *simplexState) factor() error {
 		}
 	}
 	for c := t - 1; c >= 0; c-- {
-		if p := swapped[c]; p != c {
+		if p := int(swapped[c]); p != c {
 			for _, row := range a {
 				row[c], row[p] = row[p], row[c]
 			}

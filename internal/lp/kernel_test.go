@@ -445,6 +445,156 @@ func TestCompactInverseMatchesDense(t *testing.T) {
 	}
 }
 
+// TestRatioTestOnTouchedRows holds the sparse ratio test to the dense scan it
+// replaced. ftran lists the rows it writes, and the ratio test and pivot's
+// step visit those rows only; that is exact only while every other row of w
+// is 0 and no row is listed twice (a repeat steps its x_B twice). After every
+// pivot the test checks that for the solver's own ftran, then runs ftran on a
+// window of nonbasic columns that moves on with each pivot. It checks each of
+// them the same way and wants ratioTest's (leave, theta) under both rules to
+// equal denseRatioTest's over all m rows of the same w, bit for bit. The
+// solve must end exactly as an undisturbed solve of the same LP does, which
+// shows that each ftran's clear leaves the next one a zero w.
+func TestRatioTestOnTouchedRows(t *testing.T) {
+	check := func(t *testing.T, name string, p *Problem) {
+		t.Helper()
+		sf := buildStandardForm(p)
+		limit := iterationLimit(sf.m, sf.n)
+		st, pivots := newSimplexState(sf), 0
+		st.onPivot = func() {
+			checkTouched(t, fmt.Sprintf("%s: pivot %d", name, pivots), st)
+			for k := 0; k < 8; k++ {
+				j := (8*pivots + k) % sf.n
+				if st.inB[j] {
+					continue
+				}
+				w := st.ftran(sf.col(j))
+				at := fmt.Sprintf("%s: pivot %d, column %d", name, pivots, j)
+				checkTouched(t, at, st)
+				for _, bland := range []bool{false, true} {
+					leave, theta := st.ratioTest(w, bland)
+					wantLeave, wantTheta := denseRatioTest(st, w, bland)
+					if leave != wantLeave || math.Float64bits(theta) != math.Float64bits(wantTheta) {
+						t.Fatalf("%s (Bland %v): the touched rows give leave %d theta %v, all m rows leave %d theta %v",
+							at, bland, leave, theta, wantLeave, wantTheta)
+					}
+				}
+			}
+			pivots++
+		}
+		got, gotErr := st.solve(limit)
+		want, wantErr := newSimplexState(sf).solve(limit)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Status != want.Status || got.Iterations != want.Iterations ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || !slices.Equal(got.values, want.values) {
+			t.Fatalf("%s: %v (%v) after %d pivots at %v, undisturbed %v (%v) after %d at %v",
+				name, got.Status, gotErr, got.Iterations, got.Objective, want.Status, wantErr, want.Iterations, want.Objective)
+		}
+		if pivots == 0 {
+			t.Fatalf("%s: solved without a pivot", name)
+		}
+	}
+	t.Run("interval-shaped", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 12; trial++ {
+			flows, paths, edges := 2+rng.Intn(5), 2+rng.Intn(2), 5+rng.Intn(6)
+			check(t, fmt.Sprintf("trial %d", trial), intervalShapedLP(rng, flows, paths, edges))
+		}
+		check(t, "24 flows", intervalShapedLP(rand.New(rand.NewSource(11)), 24, 3, 12))
+	})
+	t.Run("degenerate-bland", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 8; trial++ {
+			check(t, fmt.Sprintf("trial %d", trial), degenerateLP(rng, 80+10*trial, 80))
+		}
+	})
+	t.Run("dense-all-touched", func(t *testing.T) {
+		check(t, "cover 60x40", denseCoverLP(60, 40))
+	})
+	t.Run("fuzz-corpus", func(t *testing.T) {
+		files, err := filepath.Glob("testdata/fuzz/FuzzSimplexKernel/*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatal("no committed FuzzSimplexKernel corpus")
+		}
+		for _, file := range files {
+			seed, n, m, density := readFuzzInput(t, file)
+			check(t, file, fuzzLP(seed, n, m, density))
+		}
+	})
+}
+
+// checkTouched asserts ftran's list for the w it last returned: no row twice,
+// every listed row in range, and w exactly 0 in every row it does not list.
+func checkTouched(t testing.TB, name string, st *simplexState) {
+	t.Helper()
+	listed := make([]bool, st.sf.m)
+	for _, i := range st.touched {
+		if i < 0 || int(i) >= st.sf.m || listed[i] {
+			t.Fatalf("%s: touched rows %v repeat row %d or leave 0..%d", name, st.touched, i, st.sf.m-1)
+		}
+		listed[i] = true
+	}
+	for i, v := range st.w {
+		if !listed[i] && v != 0 {
+			t.Fatalf("%s: w[%d] = %v, but ftran did not list row %d", name, i, v, i)
+		}
+	}
+}
+
+// denseRatioTest is ratioTest as it stood before the touched rows: each of its
+// passes scans all m rows in ascending order, and among rows with equal pivot
+// elements the first one scanned stays.
+func denseRatioTest(st *simplexState, w []float64, bland bool) (int, float64) {
+	floor := 1.0
+	for _, v := range w {
+		if v > floor {
+			floor = v
+		} else if -v > floor {
+			floor = -v
+		}
+	}
+	floor *= tolerance
+	theta := math.Inf(1)
+	for i := 0; i < st.sf.m; i++ {
+		if w[i] <= floor {
+			continue
+		}
+		if ratio := st.xB[i] / w[i]; ratio < theta {
+			theta = ratio
+		}
+	}
+	if math.IsInf(theta, 1) {
+		return -1, theta
+	}
+	if theta < 0 {
+		theta = 0
+	}
+	leave := -1
+	for i := 0; i < st.sf.m; i++ {
+		if w[i] <= floor {
+			continue
+		}
+		ratio := st.xB[i] / w[i]
+		if ratio > theta+tolerance*(1+math.Abs(theta)) {
+			continue
+		}
+		if leave < 0 {
+			leave = i
+			continue
+		}
+		if bland {
+			if st.basis[i] < st.basis[leave] {
+				leave = i
+			}
+		} else if w[i] > w[leave] {
+			leave = i
+		}
+	}
+	return leave, theta
+}
+
 // fuzzLP decodes a sparse LP from the fuzzer's arguments: mixed LE/GE/EQ rows
 // whose right-hand sides sit near the row's value at a known nonnegative point
 // (so inputs are feasible, infeasible or unbounded: the kernels must agree on
@@ -522,16 +672,7 @@ func TestFuzzCorpusReachesStorePaths(t *testing.T) {
 		if !wantGrowth && !wantAll {
 			continue
 		}
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var seed int64
-		var n, m, density uint8
-		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\nint64(%d)\nbyte('\\x%x')\nbyte('\\x%x')\nbyte('\\x%x')",
-			&seed, &n, &m, &density); err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
+		seed, n, m, density := readFuzzInput(t, file)
 		st := solveChecked(t, file, fuzzLP(seed, n, m, density))
 		if wantGrowth {
 			growth++
@@ -549,6 +690,21 @@ func TestFuzzCorpusReachesStorePaths(t *testing.T) {
 	if growth == 0 || allTouched == 0 {
 		t.Errorf("corpus has %d seed-growth-* and %d seed-all-touched-* inputs, want some of each", growth, allTouched)
 	}
+}
+
+// readFuzzInput decodes a committed FuzzSimplexKernel input into fuzzLP's
+// arguments.
+func readFuzzInput(t testing.TB, file string) (seed int64, n, m, density uint8) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\nint64(%d)\nbyte('\\x%x')\nbyte('\\x%x')\nbyte('\\x%x')",
+		&seed, &n, &m, &density); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return seed, n, m, density
 }
 
 // TestFuzzLPOutcomes keeps the fuzz decoder honest: over a sweep of its

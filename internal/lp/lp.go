@@ -14,16 +14,19 @@
 // columns' own entries (see simplexState). Every loop of the solve skips the
 // exact zeros of its operands: pricing goes row by row over the rows whose
 // dual is nonzero (simplexState.price), the eliminations of a pivot and of a
-// refactorization run over the kernel's nonzero entries only. A problem keeps
-// every row's terms in one arena and its standard form every column's entries
-// in another, so a build and solve allocates in proportion to rows, columns,
-// nonzeros and T², and nothing of it outlives the solve. standard.go builds
-// the standard form, kernel.go keeps the factored inverse and simplex.go
-// drives the two phases. Certify checks a solution against its duality
-// certificate; the tests hold every solve to it. It is a pure-Go replacement
-// for the commercial LP solver (CPLEX) used in the paper's evaluation: the
-// scheduling algorithms only need an optimal vertex of the interval-indexed
-// LPs, which this solver provides.
+// refactorization run over the kernel's nonzero entries only, and ftran lists
+// the rows of the entering column's direction it writes, so that the ratio
+// test and the step of the basic solution visit those rows only, not all m
+// (the hypersparsity of Hall and McKinnon, Comput. Optim. Appl. 2005). A
+// problem keeps every row's terms in one arena and its standard form every
+// column's entries in another, so a build and solve allocates in proportion
+// to rows, columns, nonzeros and T², and nothing of it outlives the solve.
+// standard.go builds the standard form, kernel.go keeps the factored inverse
+// and simplex.go drives the two phases. Certify checks a solution against its
+// duality certificate; the tests hold every solve to it. It is a pure-Go
+// replacement for the commercial LP solver (CPLEX) used in the paper's
+// evaluation: the scheduling algorithms only need an optimal vertex of the
+// interval-indexed LPs, which this solver provides.
 //
 // The API is deliberately small:
 //

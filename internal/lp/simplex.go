@@ -35,23 +35,30 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		y := st.btran(cost)
 		d := st.price(cost, y)
 
-		enter := -1
-		bestRC := -tolerance
-		for j := 0; j < excludeFrom; j++ {
-			var rc float64
-			if j < len(d) {
-				rc = d[j]
-			} else if st.inB[j] {
-				continue // most slacks are basic: skip their pricing
-			} else {
-				rc = st.sf.unitCost(cost, y, j)
-			}
+		// Dantzig's rule, or Bland's first column that prices out. The
+		// structural columns are priced in d, a slack or artificial column
+		// through its one entry and only while nonbasic: most slacks are basic.
+		enter, bestRC := -1, -tolerance
+		for j, rc := range d {
 			if rc < bestRC && !st.inB[j] {
-				enter = j
+				enter, bestRC = j, rc
 				if useBland {
-					break // Bland's rule: the first column that prices out
+					break
 				}
-				bestRC = rc
+			}
+		}
+		if enter < 0 || !useBland {
+			for k, basic := range st.inB[len(d):excludeFrom] {
+				if basic {
+					continue
+				}
+				j := len(d) + k
+				if rc := st.sf.unitCost(cost, y, j); rc < bestRC {
+					enter, bestRC = j, rc
+					if useBland {
+						break
+					}
+				}
 			}
 		}
 		if enter < 0 {
@@ -59,58 +66,7 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		}
 
 		w := st.ftran(st.sf.col(enter))
-		// Two-pass ratio test: find the minimum ratio, then among rows whose
-		// ratio ties it (within tolerance) pick the one with the largest
-		// pivot element; this keeps the basis well conditioned. Under Bland's
-		// rule the smallest basic index is used instead to guarantee
-		// termination. An entry at most tolerance·max(1, ‖w‖∞) bounds no step: that
-		// small against the column's largest it is rounding noise, and a
-		// pivot on it leaves a basis the next refactorization finds singular.
-		floor := 1.0
-		for _, v := range w {
-			if v > floor {
-				floor = v
-			} else if -v > floor {
-				floor = -v
-			}
-		}
-		floor *= tolerance
-		theta := math.Inf(1)
-		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= floor {
-				continue
-			}
-			if ratio := st.xB[i] / w[i]; ratio < theta {
-				theta = ratio
-			}
-		}
-		if math.IsInf(theta, 1) {
-			return Unbounded, ErrUnbounded
-		}
-		if theta < 0 {
-			theta = 0
-		}
-		leave := -1
-		for i := 0; i < st.sf.m; i++ {
-			if w[i] <= floor {
-				continue
-			}
-			ratio := st.xB[i] / w[i]
-			if ratio > theta+tolerance*(1+math.Abs(theta)) {
-				continue
-			}
-			if leave < 0 {
-				leave = i
-				continue
-			}
-			if useBland {
-				if st.basis[i] < st.basis[leave] {
-					leave = i
-				}
-			} else if w[i] > w[leave] {
-				leave = i
-			}
-		}
+		leave, theta := st.ratioTest(w, useBland)
 		if leave < 0 {
 			return Unbounded, ErrUnbounded
 		}
@@ -141,6 +97,63 @@ func (st *simplexState) runPhase(cost []float64, excludeFrom, maxIters int) (Sta
 		}
 	}
 	return IterationLimit, ErrIterationLimit
+}
+
+// ratioTest returns the row that leaves the basis when the column whose
+// direction w = B^{-1}a the last ftran returned enters, and the step theta,
+// or leave -1 where nothing bounds the step. It is a two-pass test: find the
+// minimum ratio, then among rows whose ratio ties it (within tolerance) pick
+// the one with the largest pivot element, the lowest row among equal ones;
+// this keeps the basis well conditioned. Under Bland's rule the smallest
+// basic index is used instead to guarantee termination. An entry at most
+// tolerance·max(1, ‖w‖∞) bounds no step: that small against the column's
+// largest it is rounding noise, and a pivot on it leaves a basis the next
+// refactorization finds singular. Every pass visits the rows ftran wrote
+// only: w is 0 in the others, which bound no step, and none of the picks
+// depends on the order of the rows.
+func (st *simplexState) ratioTest(w []float64, bland bool) (leave int, theta float64) {
+	floor := 1.0
+	for _, i := range st.touched {
+		if v := w[i]; v > floor {
+			floor = v
+		} else if -v > floor {
+			floor = -v
+		}
+	}
+	floor *= tolerance
+	theta = math.Inf(1)
+	for _, i := range st.touched {
+		if w[i] <= floor {
+			continue
+		}
+		if ratio := st.xB[i] / w[i]; ratio < theta {
+			theta = ratio
+		}
+	}
+	if math.IsInf(theta, 1) {
+		return -1, theta
+	}
+	if theta < 0 {
+		theta = 0
+	}
+	leave = -1
+	for _, i := range st.touched {
+		wi := w[i]
+		if wi <= floor || st.xB[i]/wi > theta+tolerance*(1+math.Abs(theta)) {
+			continue
+		}
+		switch {
+		case leave < 0:
+			leave = int(i)
+		case bland:
+			if st.basis[i] < st.basis[leave] {
+				leave = int(i)
+			}
+		case wi > w[leave] || wi == w[leave] && int(i) < leave:
+			leave = int(i)
+		}
+	}
+	return leave, theta
 }
 
 // price returns the reduced costs d_j = c_j - y'A_j of the structural columns,
