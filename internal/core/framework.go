@@ -23,6 +23,11 @@ const massTol = 1e-9
 // α-points, LP order, path choice, placement, the ASAP pipeline — is
 // intervalLP's and is written once.
 type routing interface {
+	// size returns how many variables flowVars adds over all flows, and how
+	// many rows addRows adds and terms it passes them, so that the LP's arrays
+	// are made once, at their final size. It runs once m.rel is set, before
+	// any variable is added.
+	size(m *intervalLP) (vars, rows, terms int)
 	// flowVars adds flow i's variables for the intervals from rel on and
 	// returns its delivery variables: the fraction of the flow delivered in
 	// interval l is the sum of the variables at [l] (none before rel). Every
@@ -71,7 +76,8 @@ type intervalLP struct {
 // completion times, then flow by flow; rows as delivery and completion flow by
 // flow, then the block's own. Row and column order steer the simplex's
 // pivoting, so they are part of the pinned output; names.go reads the names
-// off them.
+// off them. The problem's arrays are grown once to the counts of the
+// variables, and then of the rows and terms, before they fill.
 func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options, r routing) *intervalLP {
 	opts = opts.withDefaults()
 	horizon := inst.TimeHorizon() * math.Pow(1+opts.Epsilon, float64(opts.Displacement+2))
@@ -86,22 +92,38 @@ func buildIntervalLP(inst *coflow.Instance, refs []coflow.FlowRef, opts Options,
 	m.prob.SetNames(m)
 	L := m.grid.NumIntervals()
 
+	m.rel = make([]int, len(m.refs))
+	for i, ref := range m.refs {
+		m.rel[i] = m.grid.RoundUpRelease(inst.Flow(ref).Release)
+	}
+	vars, rows, terms := r.size(m)
+	m.prob.Grow(len(inst.Coflows)+vars, 0, 0)
+
 	// Completion variable per coflow (the dummy flow f_{i0} of the
 	// reformulation), carrying the coflow weight in the objective.
 	m.coflowVar = make([]lp.Var, len(inst.Coflows))
 	for c, cf := range inst.Coflows {
 		m.coflowVar[c] = m.prob.AddVariable(cf.Weight)
 	}
-
-	m.rel = make([]int, len(m.refs))
 	m.deliver = make([][][]lp.Var, len(m.refs))
-	for i, ref := range m.refs {
-		m.rel[i] = m.grid.RoundUpRelease(inst.Flow(ref).Release)
+	for i := range m.refs {
 		m.deliver[i] = r.flowVars(m, i, m.rel[i])
 	}
 
 	// (4)/(15): every flow fully delivered; (5)+(6)/(16)+(17): completion of
-	// the coflow dominates Σ τ_ℓ x of each of its flows.
+	// the coflow dominates Σ τ_ℓ x of each of its flows. The delivery row has
+	// every delivery variable, the completion row those of the intervals that
+	// start after 0 and the coflow's.
+	for i := range m.refs {
+		timed := 0
+		for l := m.rel[i]; l < L; l++ {
+			if m.grid.Lower(l) > 0 {
+				timed++
+			}
+		}
+		terms += len(m.deliver[i][m.rel[i]])*(L-m.rel[i]+timed) + 1
+	}
+	m.prob.Grow(0, 2*len(m.refs)+rows, terms)
 	var sumTerms, timeTerms []lp.Term // reused: AddConstraint copies a row's terms
 	for i, ref := range m.refs {
 		sumTerms, timeTerms = sumTerms[:0], timeTerms[:0]

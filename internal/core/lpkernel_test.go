@@ -140,17 +140,22 @@ type solveCase struct {
 // (every capacity row kept), the dense covering LP of the root
 // BenchmarkLPSolverDense, where every row pivots and the kernel can skip
 // nothing, and the paper-scale LP of TestFreePath8x6Pinned (m = 635, 1 714
-// pivots), the one shape that refactorizes. The budgets sit about 25 % above
-// what a solve made when they were set, with a factored kernel of T = 66, 11
-// and 299 rows: 300 KB in 30 allocations, 33 KB in 25 and 3.2 MB. Storing
-// the m-float column of the inverse for every row that had left the basis
-// made the first two 320 KB in 100 allocations and 36 KB in 41 and the 8x6
-// LP 41 MB in 4 150 allocations, most of it the m x 2m floats of six
-// refactorizations; a row-major inverse with its standard form built through
-// per-row and per-column slices 948 KB in 5 597 allocations and 89 KB in 768;
-// a dense m x m inverse per solve, when the free-path LP still had its m = 986
-// rows, 8.45 MB and 256 KB. The 8x6 budget is one solve's, about 0.3 s: one
-// m x m array of floats more, 3.2 MB, breaks it.
+// pivots), the one shape that refactorizes. The byte budgets sit about 25 %
+// above what a solve makes, with a factored kernel of T = 66, 11 and 299 rows:
+// 228 128 bytes in 19 allocations, 23 808 in 15 and 1 880 912, each array at
+// the size the solve reaches, with 32-bit row and column indexes and a slab
+// that starts at stride 16 and widens by half. With 64-bit indexes and a slab
+// that started at 32 and doubled they were 297 880, 34 688 and 3 195 296
+// bytes (budgets 375 KB, 40 KB and 4 MB), and the allocation budgets were set
+// at 30 and 25 allocations. Storing the m-float column of the inverse for
+// every row that had left the basis made the first two 320 KB in 100
+// allocations and 36 KB in 41 and the 8x6 LP 41 MB in 4 150 allocations, most
+// of it the m x 2m floats of six refactorizations; a row-major inverse with
+// its standard form built through per-row and per-column slices 948 KB in
+// 5 597 allocations and 89 KB in 768; a dense m x m inverse per solve, when
+// the free-path LP still had its m = 986 rows, 8.45 MB and 256 KB. The 8x6
+// budget is one solve's, about 0.2 s: one m x m array of floats more, 3.2 MB,
+// breaks it.
 func solveCases(tb testing.TB) []solveCase {
 	tb.Helper()
 	g := graph.FatTree(4, 1)
@@ -188,30 +193,39 @@ func solveCases(tb testing.TB) []solveCase {
 		dense.AddConstraint(lp.GE, float64(10+i), terms...)
 	}
 	return []solveCase{
-		{"freepath-4x4", free.prob, 375 << 10, 40, 10},
-		{"residual-3flows", residual.prob, 40 << 10, 32, 10},
+		{"freepath-4x4", free.prob, 280 << 10, 40, 10},
+		{"residual-3flows", residual.prob, 29 << 10, 32, 10},
 		{"dense-40x60", dense, 0, 0, 0},
-		{"freepath-8x6", paper.prob, 4 << 20, 0, 1},
+		{"freepath-8x6", paper.prob, 2304 << 10, 0, 1},
 	}
 }
 
+// bytesPerRun returns the bytes one call of f allocates, runtime TotalAlloc
+// over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestSolveByteBudget holds one Solve of the slack-heavy shapes to a byte
-// budget (runtime TotalAlloc over sc.solves solves), so that per-solve storage
-// that scales with m x m cannot come back unseen.
+// budget (averaged over sc.solves solves), so that per-solve storage that
+// scales with m x m, or a slab or array sized past what the solve reaches,
+// cannot come back unseen.
 func TestSolveByteBudget(t *testing.T) {
 	for _, sc := range solveCases(t) {
 		if sc.budget == 0 {
 			continue
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < sc.solves; i++ {
+		perSolve := bytesPerRun(sc.solves, func() {
 			if _, err := sc.prob.Solve(); err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		perSolve := (after.TotalAlloc - before.TotalAlloc) / uint64(sc.solves)
+		})
 		t.Logf("%s: %d bytes per solve, budget %d", sc.name, perSolve, sc.budget)
 		if perSolve > sc.budget {
 			t.Errorf("%s: one Solve allocates %d bytes, budget %d", sc.name, perSolve, sc.budget)
@@ -261,11 +275,12 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
-// buildCase is one LP shape the builder sees, with the allocations one build
-// of it may make.
+// buildCase is one LP shape the builder sees, with the bytes and the
+// allocations one build of it may make.
 type buildCase struct {
 	name   string
 	build  func() (*intervalLP, error)
+	budget uint64
 	allocs float64
 }
 
@@ -273,8 +288,11 @@ type buildCase struct {
 // free-path LP of solveCases (offline-fig3) and a given-path LP the size of an
 // online-lp-k4 residual — 2 coflows, 4 flows, everything released; the
 // stream's 1 198 decides see 1-4 coflows and 1-10 flows, 2 and 3-5 at the
-// median. The budgets sit about 30 % above what a build makes (123 and 81
-// allocations). Gathering the capacity rows' terms in a map of per-interval
+// median. The budgets sit about 25 % above what a build makes: 106 008 bytes
+// in 72 allocations and 23 560 in 45, every array of the problem made once at
+// its final size. Letting the problem's arrays and the capacity row index
+// regrow as they filled made it 283 251 bytes in 123 allocations and 48 553 in
+// 81 (allocation budgets 165 and 107). Gathering the capacity rows' terms in a map of per-interval
 // slices, a slice per row's merged terms and one per interval's delivery
 // variables made it 1 801 and 616, and one name per variable and row and one
 // map per merged row on top 4 336 and 999.
@@ -291,15 +309,15 @@ func buildCases(tb testing.TB) []buildCase {
 		tb.Fatal(err)
 	}
 	return []buildCase{
-		{"freepath-4x4", func() (*intervalLP, error) { return freePathBuild(free) }, 165},
-		{"residual-2x2", func() (*intervalLP, error) { return CircuitGivenPaths{}.buildLP(residual) }, 107},
+		{"freepath-4x4", func() (*intervalLP, error) { return freePathBuild(free) }, 130 << 10, 90},
+		{"residual-2x2", func() (*intervalLP, error) { return CircuitGivenPaths{}.buildLP(residual) }, 29 << 10, 56},
 	}
 }
 
 // raceBuild is set in a -race build (race_test.go). There sync.Pool drops
-// entries at random, so the count of a build, whose validation searches the
-// graph on pooled scratch, varies from run to run: 152-172 for freepath-4x4
-// over 30 runs.
+// entries at random, so the count and the bytes of a build, whose validation
+// searches the graph on pooled scratch, vary from run to run: 105-120
+// allocations for freepath-4x4 over 12 runs.
 var raceBuild bool
 
 // TestBuildAllocBudget holds one build of each shape to an allocation count, so
@@ -315,6 +333,26 @@ func TestBuildAllocBudget(t *testing.T) {
 		t.Logf("%s: %v allocations per build, budget %v", bc.name, allocs, bc.allocs)
 		if allocs > bc.allocs && !raceBuild {
 			t.Errorf("%s: one build makes %v allocations, budget %v", bc.name, allocs, bc.allocs)
+		}
+	}
+}
+
+// TestBuildByteBudget holds one build of each shape to a byte budget (averaged
+// over 10 builds, after one that warms the path memo), so that an array of
+// the model that regrows as it fills, or a row index sized past the rows
+// kept, cannot come back unseen. A -race build only logs its count.
+func TestBuildByteBudget(t *testing.T) {
+	for _, bc := range buildCases(t) {
+		build := func() {
+			if _, err := bc.build(); err != nil {
+				t.Fatalf("%s: %v", bc.name, err)
+			}
+		}
+		build()
+		perBuild := bytesPerRun(10, build)
+		t.Logf("%s: %d bytes per build, budget %d", bc.name, perBuild, bc.budget)
+		if perBuild > bc.budget && !raceBuild {
+			t.Errorf("%s: one build allocates %d bytes, budget %d", bc.name, perBuild, bc.budget)
 		}
 	}
 }

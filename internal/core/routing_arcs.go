@@ -15,6 +15,33 @@ type arcRouting struct {
 	y [][][]lp.Var
 }
 
+// size counts 1 + |E| variables per interval from the release on, and the
+// rows that rows visits with their terms: a capacity row has one per flow
+// released by its interval, a conservation row one per edge at its node and,
+// at the flow's two ends, its delivery variable.
+func (r *arcRouting) size(m *intervalLP) (vars, rows, terms int) {
+	g, L := m.inst.Network, m.grid.NumIntervals()
+	for i := range m.refs {
+		vars += (L - m.rel[i]) * (1 + g.NumEdges())
+	}
+	r.rows(m, func(kind string, _, l, x int) {
+		rows++
+		if kind == "cap" {
+			for i := range m.refs {
+				if l >= m.rel[i] {
+					terms++
+				}
+			}
+			return
+		}
+		terms += len(g.Out(graph.NodeID(x))) + len(g.In(graph.NodeID(x)))
+		if kind != "cons" {
+			terms++
+		}
+	})
+	return vars, rows, terms
+}
+
 func (r *arcRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 	L, E := m.grid.NumIntervals(), m.inst.Network.NumEdges()
 	deliver, ys := make([][]lp.Var, L), make([][]lp.Var, L)
@@ -62,8 +89,9 @@ func (r *arcRouting) rows(m *intervalLP, visit func(kind string, i, l, x int)) {
 
 func (r *arcRouting) addRows(m *intervalLP) {
 	g := m.inst.Network
+	var terms []lp.Term // reused: AddConstraint copies a row's terms
 	r.rows(m, func(kind string, i, l, x int) {
-		var terms []lp.Term
+		terms = terms[:0]
 		if kind == "cap" {
 			for i := range m.refs {
 				if l >= m.rel[i] {

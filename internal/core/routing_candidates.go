@@ -20,10 +20,20 @@ type candidateRouting struct {
 	// dropSlackRows leaves out the capacity rows that can never bind
 	// (slackRowMargin).
 	dropSlackRows bool
+	// What size counts the capacity rows over and addRows fills them from:
+	// per edge, the most the flows can send over it (edgeDemand, only with
+	// dropSlackRows), and the crossings of the edge, edge e's being
+	// crossings[start[e]:start[e+1]].
+	demand    []float64
+	start     []int
+	crossings []crossing
 	// capRows are the capacity rows addRows added, in LP order; rowName reads
 	// a row's name off it.
 	capRows []capRow
 }
+
+// crossing is one crossing of an edge by candidate cand of flow flow.
+type crossing struct{ flow, cand int }
 
 // capRow is the capacity row of edge e in interval l.
 type capRow struct {
@@ -134,54 +144,89 @@ func edgeDemand(inst *coflow.Instance, refs []coflow.FlowRef, cands [][]graph.Pa
 	return demand
 }
 
+// size counts P variables per interval from the release on for a flow of P
+// candidates, and the capacity rows addRows adds with their terms: row (e, ℓ),
+// unless it cannot bind, has a term per crossing of e by a flow released by ℓ,
+// and is added if it has any. It indexes the crossings of every edge —
+// (flow, candidate) once per time the candidate crosses it — counted first and
+// then filled in flow, candidate and path order, which is the order of a row's
+// terms.
+func (r *candidateRouting) size(m *intervalLP) (vars, rows, terms int) {
+	g, L := m.inst.Network, m.grid.NumIntervals()
+	for i, paths := range r.cands {
+		vars += (L - m.rel[i]) * len(paths)
+	}
+	if r.dropSlackRows {
+		r.demand = edgeDemand(m.inst, m.refs, r.cands)
+	}
+	r.start = make([]int, g.NumEdges()+1)
+	for _, paths := range r.cands {
+		for _, path := range paths {
+			for _, e := range path {
+				r.start[e+1]++
+			}
+		}
+	}
+	for e := range g.NumEdges() {
+		r.start[e+1] += r.start[e]
+	}
+	r.crossings = make([]crossing, r.start[g.NumEdges()])
+	next := slices.Clone(r.start[:g.NumEdges()])
+	for i, paths := range r.cands {
+		for p, path := range paths {
+			for _, e := range path {
+				r.crossings[next[e]] = crossing{i, p}
+				next[e]++
+			}
+		}
+	}
+	// released[ℓ] is how many of an edge's crossings belong to flows released
+	// at ℓ; summed over ℓ it is the row's term count.
+	released := make([]int, L)
+	for e := range g.NumEdges() {
+		clear(released)
+		for _, c := range r.crossings[r.start[e]:r.start[e+1]] {
+			released[m.rel[c.flow]]++
+		}
+		n := 0
+		for l := range L {
+			n += released[l]
+			if n > 0 && r.kept(m, e, l) {
+				rows++
+				terms += n
+			}
+		}
+	}
+	r.capRows = make([]capRow, 0, rows)
+	return vars, rows, terms
+}
+
+// kept reports whether the capacity row of edge e in interval l goes in: with
+// dropSlackRows it is left out where it can never bind (slackRowMargin).
+func (r *candidateRouting) kept(m *intervalLP, e, l int) bool {
+	return !(r.dropSlackRows && r.demand[e]/m.grid.Length(l) <= m.inst.Network.Capacity(graph.EdgeID(e))*(1-slackRowMargin))
+}
+
 // addRows adds (8)/(21): per-edge, per-interval capacity. Only edges appearing
 // in some candidate path need a constraint. The bandwidth used by x over
 // interval ℓ is σ · x / len(ℓ) (Lemma 1). Rows go in edge order and, per edge,
 // interval order: row order steers simplex pivoting.
 func (r *candidateRouting) addRows(m *intervalLP) {
 	g, L := m.inst.Network, m.grid.NumIntervals()
-	var demand []float64
-	if r.dropSlackRows {
-		demand = edgeDemand(m.inst, m.refs, r.cands)
-	}
-	// Index the crossings of every edge — (flow, candidate) once per time the
-	// candidate crosses it — counted first and then filled in flow, candidate
-	// and path order, which is the order of a row's terms.
-	type crossing struct{ flow, cand int }
-	start := make([]int, g.NumEdges()+1)
-	for _, paths := range r.cands {
-		for _, path := range paths {
-			for _, e := range path {
-				start[e+1]++
-			}
-		}
-	}
 	widest := 0
 	for e := range g.NumEdges() {
-		widest = max(widest, start[e+1])
-		start[e+1] += start[e]
+		widest = max(widest, r.start[e+1]-r.start[e])
 	}
-	crossings := make([]crossing, start[g.NumEdges()])
-	next := slices.Clone(start[:g.NumEdges()])
-	for i, paths := range r.cands {
-		for p, path := range paths {
-			for _, e := range path {
-				crossings[next[e]] = crossing{i, p}
-				next[e]++
-			}
-		}
-	}
-
 	terms := make([]lp.Term, 0, widest)
 	for e := range g.NumEdges() {
 		edge := graph.EdgeID(e)
 		capacity := g.Capacity(edge)
 		for l := range L {
-			if r.dropSlackRows && demand[e]/m.grid.Length(l) <= capacity*(1-slackRowMargin) {
+			if !r.kept(m, e, l) {
 				continue // the row cannot bind: it is not added
 			}
 			terms = terms[:0]
-			for _, c := range crossings[start[e]:start[e+1]] {
+			for _, c := range r.crossings[r.start[e]:r.start[e+1]] {
 				if l >= m.rel[c.flow] {
 					coef := m.inst.Flow(m.refs[c.flow]).Size / m.grid.Length(l)
 					terms = append(terms, lp.Term{Var: m.deliver[c.flow][l][c.cand], Coef: coef})

@@ -26,16 +26,16 @@ import (
 // stays far below m and a solve stores T x T floats, not m x m.
 type simplexState struct {
 	sf    *standardForm
-	basis []int  // basis[i] = column basic in row i
-	inB   []bool // inB[j] = column j is basic
+	basis []int32 // basis[i] = column basic in row i
+	inB   []bool  // inB[j] = column j is basic
 	// kern lists the kernel rows, kidx inverts it. A row joins the kernel when
 	// it first leaves the basis and stays until factor, which keeps only the
 	// rows whose basic column is not their own unit column.
-	kern []int
+	kern []int32
 	kidx []int32 // kidx[i] = index of row i in kern, -1 while row i is trivial
 	// inv holds B_KK^{-1} by column in one slab of stride x stride floats,
 	// stride >= T: entry (p, q), for kernel indexes p and q, is
-	// inv[q*stride+p]. grow doubles the slab when the kernel fills it.
+	// inv[q*stride+p]. grow widens the stride by half when the kernel fills it.
 	inv    []float64
 	stride int
 	xB     []float64 // basic variable values
@@ -59,26 +59,26 @@ type simplexState struct {
 }
 
 // initialStride is the kernel size the first slab holds.
-const initialStride = 32
+const initialStride = 16
 
 func newSimplexState(sf *standardForm) *simplexState {
 	m := sf.m
-	scratch := make([]float64, 3*m+sf.nOrig)
-	ints, idx := make([]int, 2*m), make([]int32, 3*m)
+	scratch := make([]float64, 4*m+sf.nOrig)
+	idx := make([]int32, 5*m)
 	flags := make([]bool, sf.n+m)
 	st := &simplexState{
 		sf:      sf,
-		basis:   ints[:m:m],
+		basis:   idx[:m:m],
 		inB:     flags[:sf.n:sf.n],
-		kern:    ints[m : m : 2*m],
-		kidx:    idx[:m:m],
-		xB:      make([]float64, m),
-		w:       scratch[:m:m],
-		y:       scratch[m : 2*m : 2*m],
-		wk:      scratch[2*m : 3*m : 3*m],
-		d:       scratch[3*m:],
-		visit:   idx[m : m : 2*m],
-		touched: idx[2*m : 2*m : 3*m],
+		kern:    idx[m : m : 2*m],
+		kidx:    idx[2*m : 3*m : 3*m],
+		xB:      scratch[:m:m],
+		w:       scratch[m : 2*m : 2*m],
+		y:       scratch[2*m : 3*m : 3*m],
+		wk:      scratch[3*m : 4*m : 4*m],
+		d:       scratch[4*m:],
+		visit:   idx[3*m : 3*m : 4*m],
+		touched: idx[4*m : 4*m : 5*m],
 		seen:    flags[sf.n:],
 	}
 	for i := range st.kidx {
@@ -92,15 +92,18 @@ func newSimplexState(sf *standardForm) *simplexState {
 	return st
 }
 
-// grow makes the slab hold a kernel of t rows, doubling its stride as often as
-// that takes and copying the first keep columns, T floats each.
+// grow makes the slab hold a kernel of t rows, widening its stride by half,
+// rounded up to a multiple of 8, as often as that takes, and copying the
+// first keep columns, T floats each. The slab starts at initialStride: the
+// kernel of most LPs stays far below m, so no bound known before the solve
+// sizes it better (only m bounds T).
 func (st *simplexState) grow(t, keep int) {
 	if t <= st.stride {
 		return
 	}
 	stride := max(st.stride, initialStride)
 	for stride < t {
-		stride *= 2
+		stride = (stride + stride/2 + 7) &^ 7
 	}
 	inv := make([]float64, stride*stride)
 	for q := 0; q < keep; q++ {
@@ -119,7 +122,7 @@ func (st *simplexState) kcol(q int) []float64 {
 // then w_N = a_N - B_NK w_K. It lists the rows it writes in touched: a's
 // trivial rows, the kernel rows where w_K is nonzero and the trivial rows
 // their basic columns meet. It clears only the rows the last call listed.
-func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
+func (st *simplexState) ftran(rows []int32, vals []float64) []float64 {
 	w, wk, seen := st.w, st.wk[:len(st.kern)], st.seen
 	for _, i := range st.touched {
 		w[i], seen[i] = 0, false
@@ -135,7 +138,7 @@ func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
 		if q < 0 {
 			if !seen[r] {
 				seen[r] = true
-				touched = append(touched, int32(r))
+				touched = append(touched, r)
 			}
 			w[r] += v
 			continue
@@ -150,13 +153,13 @@ func (st *simplexState) ftran(rows []int, vals []float64) []float64 {
 			continue
 		}
 		w[i] = wp
-		touched = append(touched, int32(i))
-		rows, vals := st.sf.col(st.basis[i])
+		touched = append(touched, i)
+		rows, vals := st.sf.col(int(st.basis[i]))
 		for k, r := range rows {
 			if st.kidx[r] < 0 {
 				if !seen[r] {
 					seen[r] = true
-					touched = append(touched, int32(r))
+					touched = append(touched, r)
 				}
 				w[r] -= vals[k] * wp
 			}
@@ -185,7 +188,7 @@ func (st *simplexState) btran(cost []float64) []float64 {
 	y := st.y
 	ck, nz := st.wk[:len(st.kern)], st.visit[:0]
 	for p, i := range st.kern {
-		j := st.basis[i]
+		j := int(st.basis[i])
 		c := cost[j]
 		rows, vals := st.sf.col(j)
 		for k, r := range rows {
@@ -226,7 +229,7 @@ func (st *simplexState) pivot(enter, leave int, w []float64, theta float64) {
 	st.xB[leave] = theta
 	st.update(leave, w)
 	st.inB[st.basis[leave]] = false
-	st.basis[leave] = enter
+	st.basis[leave] = int32(enter)
 	st.inB[enter] = true
 	if st.onPivot != nil {
 		st.onPivot()
@@ -273,10 +276,10 @@ func (st *simplexState) join(k int) {
 	st.grow(t+1, t)
 	r, at := st.wk[:t], st.visit[:0]
 	for p, i := range st.kern {
-		rows, vals := st.sf.col(st.basis[i])
+		rows, vals := st.sf.col(int(st.basis[i]))
 		for n, row := range rows { // ascending, a few entries
-			if row >= k {
-				if row == k {
+			if int(row) >= k {
+				if int(row) == k {
 					r[p] = vals[n]
 					at = append(at, int32(p))
 				}
@@ -291,7 +294,7 @@ func (st *simplexState) join(k int) {
 		}
 		col[t] = -sum
 	}
-	st.kern = append(st.kern, k)
+	st.kern = append(st.kern, int32(k))
 	st.kidx[k] = int32(t)
 	col := st.inv[t*st.stride : t*st.stride+t+1]
 	clear(col)
@@ -311,9 +314,9 @@ func (st *simplexState) factor() error {
 	st.kern = st.kern[:0]
 	for i, j := range st.basis {
 		st.kidx[i] = -1
-		if rows, vals := sf.col(j); len(rows) != 1 || rows[0] != i || vals[0] != 1 {
+		if rows, vals := sf.col(int(j)); len(rows) != 1 || int(rows[0]) != i || vals[0] != 1 {
 			st.kidx[i] = int32(len(st.kern))
-			st.kern = append(st.kern, i)
+			st.kern = append(st.kern, int32(i))
 		}
 	}
 	t := len(st.kern)
@@ -323,7 +326,7 @@ func (st *simplexState) factor() error {
 	for c, i := range st.kern {
 		a[c] = st.kcol(c)
 		clear(a[c])
-		rows, vals := sf.col(st.basis[i])
+		rows, vals := sf.col(int(st.basis[i]))
 		for k, r := range rows {
 			if q := st.kidx[r]; q >= 0 {
 				a[c][q] = vals[k]
@@ -396,7 +399,7 @@ func (st *simplexState) factor() error {
 	}
 	for c, i := range st.kern {
 		st.xB[i] = xK[c]
-		rows, vals := sf.col(st.basis[i])
+		rows, vals := sf.col(int(st.basis[i]))
 		for k, r := range rows {
 			if st.kidx[r] < 0 {
 				st.xB[r] -= vals[k] * xK[c]

@@ -19,8 +19,13 @@
 // test and the step of the basic solution visit those rows only, not all m
 // (the hypersparsity of Hall and McKinnon, Comput. Optim. Appl. 2005). A
 // problem keeps every row's terms in one arena and its standard form every
-// column's entries in another, so a build and solve allocates in proportion
-// to rows, columns, nonzeros and T², and nothing of it outlives the solve.
+// column's entries in another, indexed by 32-bit rows and columns. A builder
+// that knows its counts reserves the problem's arrays with Grow, so that each
+// is made once at its final size; the standard form and the simplex state are
+// made once at theirs; and the kernel's slab starts at 16 rows and widens by
+// half whenever T outgrows it, since only m bounds T before the solve. A build
+// and solve therefore allocates in proportion to rows, columns, nonzeros and
+// T², and nothing of it outlives the solve.
 // standard.go builds the standard form, kernel.go keeps the factored inverse
 // and simplex.go drives the two phases. Certify checks a solution against its
 // duality certificate; the tests hold every solve to it. It is a pure-Go
@@ -45,6 +50,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -147,9 +153,17 @@ func (p *Problem) AddVariable(obj float64) Var {
 	return v
 }
 
-// SetObjective overrides the objective coefficient of an existing variable.
-func (p *Problem) SetObjective(v Var, coef float64) {
-	p.obj[v] = coef
+// Grow reserves room for vars more variables, rows more constraints and terms
+// more terms across them, counted as they are passed to AddConstraint, so that
+// adding that many copies no array of the problem. Like strings.Builder.Grow it
+// is a hint only: a problem grown by any amount, or not at all, holds the same
+// model and solves to the same pivots and values. It panics if an argument is
+// negative.
+func (p *Problem) Grow(vars, rows, terms int) {
+	p.obj = slices.Grow(p.obj, vars)
+	p.stamp = slices.Grow(p.stamp, vars)
+	p.cons = slices.Grow(p.cons, rows)
+	p.terms = slices.Grow(p.terms, terms)
 }
 
 // VariableName returns what the problem's Names calls v.

@@ -463,7 +463,7 @@ func referenceMergeTerms(terms []Term) []Term {
 
 // sparseCol is one column of the standard-form constraint matrix.
 type sparseCol struct {
-	rows []int
+	rows []int32
 	vals []float64
 }
 
@@ -575,14 +575,14 @@ func referenceStandardForm(p *Problem) *refForm {
 	for i := 0; i < m; i++ {
 		for _, e := range rowEntries[i] {
 			col := &sf.cols[e.col]
-			col.rows = append(col.rows, i)
+			col.rows = append(col.rows, int32(i))
 			col.vals = append(col.vals, e.val*rowFlip[i])
 		}
 	}
 	// Slack columns.
 	for k, i := range slackRow {
 		j := nOrig + k
-		sf.cols[j] = sparseCol{rows: []int{i}, vals: []float64{slackSign[k] * rowFlip[i]}}
+		sf.cols[j] = sparseCol{rows: []int32{int32(i)}, vals: []float64{slackSign[k] * rowFlip[i]}}
 	}
 	// Artificial columns.
 	art := sf.artStart
@@ -590,7 +590,7 @@ func referenceStandardForm(p *Problem) *refForm {
 		if !needsArtificial[i] {
 			continue
 		}
-		sf.cols[art] = sparseCol{rows: []int{i}, vals: []float64{1}}
+		sf.cols[art] = sparseCol{rows: []int32{int32(i)}, vals: []float64{1}}
 		art++
 	}
 	return sf

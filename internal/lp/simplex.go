@@ -171,10 +171,10 @@ func (st *simplexState) price(cost, y []float64) []float64 {
 		if yi == 0 {
 			continue
 		}
-		for len(negated) > 0 && negated[0] < i {
+		for len(negated) > 0 && int(negated[0]) < i {
 			negated = negated[1:]
 		}
-		if len(negated) > 0 && negated[0] == i {
+		if len(negated) > 0 && int(negated[0]) == i {
 			yi = -yi // exact: y*(-c) and (-y)*c round alike
 		}
 		for _, t := range sf.p.rowTerms(i) {
@@ -200,7 +200,7 @@ func (st *simplexState) objective(cost []float64) float64 {
 // basic artificial, which is harmless.
 func (st *simplexState) driveOutArtificials() {
 	for i := 0; i < st.sf.m; i++ {
-		if st.basis[i] < st.sf.artStart {
+		if int(st.basis[i]) < st.sf.artStart {
 			continue
 		}
 		replaced := false
@@ -249,7 +249,7 @@ func (st *simplexState) solve(maxIter int) (*Solution, error) {
 	values := make([]float64, sf.nOrig+sf.m)
 	values, duals := values[:sf.nOrig:sf.nOrig], values[sf.nOrig:]
 	for i, j := range st.basis {
-		if j < sf.nOrig {
+		if int(j) < sf.nOrig {
 			values[j] += st.xB[i]
 		}
 	}

@@ -1,5 +1,10 @@
 package lp
 
+import (
+	"fmt"
+	"math"
+)
+
 // standardForm is the computational form of a Problem:
 //
 //	minimize c'x  subject to  Ax = b, x >= 0, b >= 0
@@ -9,25 +14,26 @@ package lp
 // one arena: column j's entries are rows[colStart[j]:colStart[j+1]] and the
 // same range of vals, in ascending row order. Its rows are p's constraints,
 // and pricing reads them by row (simplexState.price): row i is p.rowTerms(i),
-// negated where i is in negated.
+// negated where i is in negated. Row and column indexes are 32-bit, which
+// bounds the arena at math.MaxInt32 entries.
 type standardForm struct {
 	m, n     int
 	nOrig    int
 	artStart int // first artificial column index; n if none
 
-	colStart []int
-	rows     []int
+	colStart []int32
+	rows     []int32
 	vals     []float64
 	c        []float64 // phase-2 costs
 	b        []float64
-	basis0   []int // basis0[i] = row i's initial basic column, its slack or its artificial
+	basis0   []int32 // basis0[i] = row i's initial basic column, its slack or its artificial
 
 	p       *Problem
-	negated []int // the rows whose right-hand side was negative, ascending
+	negated []int32 // the rows whose right-hand side was negative, ascending
 }
 
 // col returns column j of A: its rows and their values.
-func (sf *standardForm) col(j int) ([]int, []float64) {
+func (sf *standardForm) col(j int) ([]int32, []float64) {
 	lo, hi := sf.colStart[j], sf.colStart[j+1]
 	return sf.rows[lo:hi], sf.vals[lo:hi]
 }
@@ -47,7 +53,7 @@ func buildStandardForm(p *Problem) *standardForm {
 
 	// Count: each structural column's entries, and the right-hand sides, not
 	// yet sign-normalized.
-	count := make([]int, nOrig)
+	count := make([]int32, nOrig)
 	negated := 0
 	for i, con := range p.cons {
 		for _, t := range p.rowTerms(i) {
@@ -70,20 +76,23 @@ func buildStandardForm(p *Problem) *standardForm {
 	}
 
 	n := nOrig + nSlack + nArt
+	if nnz := len(p.terms) + nSlack + nArt; nnz > math.MaxInt32 {
+		panic(fmt.Sprintf("lp: %d nonzeros in the standard form, more than its 32-bit indexes hold", nnz))
+	}
 	sf.n = n
 	sf.artStart = nOrig + nSlack
 	// The row lists pricing reads and the initial basis share colStart's
 	// allocation.
-	starts := make([]int, n+1+negated+m)
+	starts := make([]int32, n+1+negated+m)
 	sf.colStart, sf.negated, sf.basis0 = starts[:n+1:n+1], starts[n+1:n+1:n+1+negated], starts[n+1+negated:]
 	for j := 0; j < n; j++ {
-		entries := 1 // a slack or artificial column
+		entries := int32(1) // a slack or artificial column
 		if j < nOrig {
 			entries = count[j]
 		}
 		sf.colStart[j+1] = sf.colStart[j] + entries
 	}
-	sf.rows = make([]int, sf.colStart[n])
+	sf.rows = make([]int32, sf.colStart[n])
 	sf.vals = make([]float64, sf.colStart[n])
 	sf.c = make([]float64, n)
 	copy(sf.c, p.obj)
@@ -96,28 +105,28 @@ func buildStandardForm(p *Problem) *standardForm {
 		flip := 1.0
 		if sf.b[i] < 0 {
 			flip = -1
-			sf.negated = append(sf.negated, i)
+			sf.negated = append(sf.negated, int32(i))
 		}
 		for _, t := range p.rowTerms(i) {
 			k := count[t.Var]
-			sf.rows[k], sf.vals[k] = i, t.Coef*flip
+			sf.rows[k], sf.vals[k] = int32(i), t.Coef*flip
 			count[t.Var]++
 		}
 	}
 	// A slack whose coefficient is +1 is its row's initial basic variable;
 	// every other row gets an artificial, which starts basic.
-	slack, art := nOrig, sf.artStart
+	slack, art := int32(nOrig), int32(sf.artStart)
 	for i := 0; i < m; i++ {
 		s := p.slackCoef(i, sf.b[i])
 		if s != 0 {
-			sf.rows[sf.colStart[slack]], sf.vals[sf.colStart[slack]] = i, s
+			sf.rows[sf.colStart[slack]], sf.vals[sf.colStart[slack]] = int32(i), s
 			if s > 0 {
 				sf.basis0[i] = slack
 			}
 			slack++
 		}
 		if s <= 0 {
-			sf.rows[sf.colStart[art]], sf.vals[sf.colStart[art]] = i, 1
+			sf.rows[sf.colStart[art]], sf.vals[sf.colStart[art]] = int32(i), 1
 			sf.basis0[i] = art
 			art++
 		}
