@@ -60,14 +60,15 @@
 // Problem.String, Problem.VariableName or a modelling panic asks.
 // TestProblemStringGolden holds the text to that of the stored names it replaced.
 //
-// The free-path builders (CircuitFreePaths, PacketFreePaths) leave out of the
-// LP every capacity row (e, ℓ) that can never bind: a flow delivers Σx = 1, so
-// the row carries at most the summed size of the flows with a candidate over e
-// divided by |ℓ|, and the interval lengths grow geometrically — two thirds of
-// the capacity rows of a Figure-3 LP are slack by construction. The simplex
-// takes the same pivots without them (slackRowMargin in routing_candidates.go
-// has the argument, presolve_test.go the differential test and fuzz target
-// that hold it to the solver). The given-path builders still add every row.
+// Every candidate-path builder, given or free paths, leaves out of the LP
+// every capacity row (e, ℓ) that can never bind: a flow delivers Σx = 1, so
+// the row carries at most the summed size of the flows with a candidate over
+// e divided by |ℓ|, and the interval lengths grow geometrically — two thirds
+// of a Figure-3 LP's capacity rows, and three quarters of a residual
+// given-path LP's, are slack by construction. The simplex takes the same
+// pivots without them (slackRowMargin in routing_candidates.go has the
+// argument, presolve_test.go the tests that hold it to the solver against
+// the LP with every row, which only tests build).
 //
 // Packet-based coflows are handled by reducing to unit-time job-shop
 // scheduling (given paths) and to per-interval routing plus scheduling on the

@@ -134,20 +134,21 @@ type solveCase struct {
 }
 
 // solveCases builds the four shapes: the free-path LP of a fig3 instance (4
-// coflows x width 4, four candidate paths, the capacity rows that cannot bind
-// left out: of its m = 342 rows most still keep their slack basic), a
-// three-flow given-path LP of the size online.LPEpoch re-solves every epoch
-// (every capacity row kept), the dense covering LP of the root
+// coflows x width 4, four candidate paths: of its m = 342 rows most still keep
+// their slack basic), a three-flow given-path LP of the size online.LPEpoch
+// re-solves every epoch, the dense covering LP of the root
 // BenchmarkLPSolverDense, where every row pivots and the kernel can skip
 // nothing, and the paper-scale LP of TestFreePath8x6Pinned (m = 635, 1 714
-// pivots), the one shape that refactorizes. The byte budgets sit about 25 %
-// above what a solve makes, with a factored kernel of T = 66, 11 and 299 rows:
-// 228 128 bytes in 19 allocations, 23 808 in 15 and 1 880 912, each array at
+// pivots), the one shape that refactorizes. The candidate-path LPs leave out
+// the capacity rows that cannot bind. The byte budgets sit about 25 % above
+// what a solve makes, with a factored kernel of T = 66, 11 and 299 rows:
+// 228 128 bytes in 19 allocations, 10 592 in 15 and 1 880 912, each array at
 // the size the solve reaches, with 32-bit row and column indexes and a slab
-// that starts at stride 16 and widens by half. With 64-bit indexes and a slab
-// that started at 32 and doubled they were 297 880, 34 688 and 3 195 296
-// bytes (budgets 375 KB, 40 KB and 4 MB), and the allocation budgets were set
-// at 30 and 25 allocations. Storing the m-float column of the inverse for
+// that starts at stride 16 and widens by half. The given-path LP with every
+// capacity row kept (m = 160 against 48) made 23 808 bytes (budget 29 KB).
+// With 64-bit indexes and a slab that started at 32 and doubled they were
+// 297 880, 34 688 and 3 195 296 bytes (budgets 375 KB, 40 KB and 4 MB), and
+// the allocation budgets were set at 30 and 25 allocations. Storing the m-float column of the inverse for
 // every row that had left the basis made the first two 320 KB in 100
 // allocations and 36 KB in 41 and the 8x6 LP 41 MB in 4 150 allocations, most
 // of it the m x 2m floats of six refactorizations; a row-major inverse with
@@ -194,7 +195,7 @@ func solveCases(tb testing.TB) []solveCase {
 	}
 	return []solveCase{
 		{"freepath-4x4", free.prob, 280 << 10, 40, 10},
-		{"residual-3flows", residual.prob, 29 << 10, 32, 10},
+		{"residual-3flows", residual.prob, 13 << 10, 32, 10},
 		{"dense-40x60", dense, 0, 0, 0},
 		{"freepath-8x6", paper.prob, 2304 << 10, 0, 1},
 	}
@@ -288,14 +289,17 @@ type buildCase struct {
 // free-path LP of solveCases (offline-fig3) and a given-path LP the size of an
 // online-lp-k4 residual — 2 coflows, 4 flows, everything released; the
 // stream's 1 198 decides see 1-4 coflows and 1-10 flows, 2 and 3-5 at the
-// median. The budgets sit about 25 % above what a build makes: 106 008 bytes
-// in 72 allocations and 23 560 in 45, every array of the problem made once at
-// its final size. Letting the problem's arrays and the capacity row index
-// regrow as they filled made it 283 251 bytes in 123 allocations and 48 553 in
-// 81 (allocation budgets 165 and 107). Gathering the capacity rows' terms in a map of per-interval
-// slices, a slice per row's merged terms and one per interval's delivery
-// variables made it 1 801 and 616, and one name per variable and row and one
-// map per merged row on top 4 336 and 999.
+// median. Both leave out the capacity rows that cannot bind. A build makes
+// 100 872 bytes in 69 allocations and 13 176 in 45, every array of the problem
+// made once at its final size, 24 bytes per row; the byte budgets sit about
+// 25 % above. At 32 bytes a row the free-path LP made 106 008 bytes in 72
+// (budget 130 KB), and the given-path LP, with every capacity row kept,
+// 23 560 in 45 (budget 29 KB). Letting the problem's arrays and the capacity
+// row index regrow as they filled made it 283 251 bytes in 123 allocations and
+// 48 553 in 81 (allocation budgets 165 and 107). Gathering the capacity rows'
+// terms in a map of per-interval slices, a slice per row's merged terms and
+// one per interval's delivery variables made it 1 801 and 616, and one name
+// per variable and row and one map per merged row on top 4 336 and 999.
 func buildCases(tb testing.TB) []buildCase {
 	tb.Helper()
 	g := graph.FatTree(4, 1)
@@ -309,8 +313,8 @@ func buildCases(tb testing.TB) []buildCase {
 		tb.Fatal(err)
 	}
 	return []buildCase{
-		{"freepath-4x4", func() (*intervalLP, error) { return freePathBuild(free) }, 130 << 10, 90},
-		{"residual-2x2", func() (*intervalLP, error) { return CircuitGivenPaths{}.buildLP(residual) }, 29 << 10, 56},
+		{"freepath-4x4", func() (*intervalLP, error) { return freePathBuild(free) }, 124 << 10, 90},
+		{"residual-2x2", func() (*intervalLP, error) { return CircuitGivenPaths{}.buildLP(residual) }, 16 << 10, 56},
 	}
 }
 
@@ -426,9 +430,10 @@ func residualFuzzInstance(seed int64, coflows, width, shape uint8) (*coflow.Inst
 }
 
 // FuzzResidualLP solves the given-path LP of residual instances
-// (residualFuzzInstance) and holds every optimum to lp.Certify. A solve that
-// fails is a finding too: these are the LPs whose failures online.LPEpoch
-// falls back from.
+// (residualFuzzInstance) with and without the capacity rows that can never
+// bind (comparePresolve): the two must agree bit for bit, and lp.Certify must
+// accept both optima. A solve that fails is a finding too: these are the LPs
+// whose failures online.LPEpoch falls back from.
 func FuzzResidualLP(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(7), uint8(3), uint8(40))
@@ -438,12 +443,6 @@ func FuzzResidualLP(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		m, err := solved(CircuitGivenPaths{}.buildLP(inst))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lp.Certify(m.prob, m.sol); err != nil {
-			t.Fatal(err)
-		}
+		comparePresolve(t, "residual", inst, CircuitGivenPaths{}.buildLP)
 	})
 }

@@ -24,8 +24,9 @@ type namedLP struct {
 // namedLPs builds one LP per builder: a free-path LP of 2 coflows x 2 flows
 // over four candidate paths (releases in intervals 1 and 2; its 116 capacity
 // rows are those of intervals 1 to 4, the later ones left out as slack), the
-// three-flow given-path LP of solveCases — the shape online.LPEpoch re-solves,
-// every row kept — and the exact arc-flow LP of Figure 1's triangle.
+// three-flow given-path LP of solveCases — the shape online.LPEpoch re-solves;
+// 42 capacity rows, the 112 that can never bind left out — and the exact
+// arc-flow LP of Figure 1's triangle.
 func namedLPs(t *testing.T) []namedLP {
 	t.Helper()
 	generate := func(coflows, width int) *coflow.Instance {
@@ -55,8 +56,10 @@ func namedLPs(t *testing.T) []namedLP {
 
 // TestProblemStringGolden holds the names the builders derive on demand to the
 // text the LPs printed when every variable and row still carried a formatted
-// name (testdata/names, written at d92c29a): byte for byte, so a layout the
-// namer misreads shows as the first line that differs.
+// name (testdata/names, written at d92c29a; givenpath-residual.lp rewritten
+// without the rows that can never bind, the 42 rows it kept unchanged): byte
+// for byte, so a layout the namer misreads shows as the first line that
+// differs.
 func TestProblemStringGolden(t *testing.T) {
 	for _, tc := range namedLPs(t) {
 		t.Run(tc.name, func(t *testing.T) {

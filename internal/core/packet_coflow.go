@@ -49,9 +49,13 @@ type PacketGivenPaths struct {
 	Opts Options
 }
 
+func (s PacketGivenPaths) buildLP(inst *coflow.Instance) (*intervalLP, error) {
+	return candidateLP(inst, s.Opts, true, false)
+}
+
 // Schedule computes the packet schedule and LP evidence.
 func (s PacketGivenPaths) Schedule(inst *coflow.Instance) (*PacketResult, error) {
-	m, err := solved(candidateLP(inst, s.Opts, true, false))
+	m, err := solved(s.buildLP(inst))
 	if err != nil {
 		return nil, err
 	}

@@ -213,7 +213,7 @@ func TestSchedulersPinned(t *testing.T) {
 		}, build: CircuitFreePathsExact{}.buildLP},
 		{name: "packet-given", given: true, packet: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return packetPin(inst)(PacketGivenPaths{}.Schedule(inst))
-		}, build: func(inst *coflow.Instance) (*intervalLP, error) { return candidateLP(inst, Options{}, true, false) }},
+		}, build: PacketGivenPaths{}.buildLP},
 		{name: "packet-free-asap", packet: true, run: func(inst *coflow.Instance) (schedulerPin, error) {
 			return packetPin(inst)(PacketFreePaths{}.ScheduleASAP(inst, rng()))
 		}, build: PacketFreePaths{}.buildLP},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -31,14 +32,14 @@ func capRows(m *intervalLP) map[string]bool {
 	return rows
 }
 
-// comparePresolve builds inst's free-path LP twice — as build does, with the
-// capacity rows that cannot bind left out, and with every row from the same
-// candidates — and solves both, each to an optimum lp.Certify accepts. It
-// wants the same pivot count, objective and every variable value under ==,
-// however long the solve (slackRowMargin). The rows left out are then recomputed
-// from a demand count of the test's own (maps, no shared code), must be as
-// many as the two LPs differ by, and each must be slack by at least
-// slackRowMargin·capacity at the full LP's optimum.
+// comparePresolve builds a candidate-path LP of inst twice — as build does,
+// with the capacity rows that cannot bind left out, and with every row over
+// the same candidates (withEveryRow) — and solves both, each to an optimum
+// lp.Certify accepts. It wants the same pivot count, objective and every
+// variable value under ==, however long the solve (slackRowMargin). The rows
+// left out are then recomputed from a demand count of the test's own (maps,
+// no shared code), must be as many as the two LPs differ by, and each must be
+// slack by at least slackRowMargin·capacity at the full LP's optimum.
 func comparePresolve(tb testing.TB, name string, inst *coflow.Instance, build func(*coflow.Instance) (*intervalLP, error)) presolveStats {
 	tb.Helper()
 	reduced, err := build(inst)
@@ -137,7 +138,7 @@ func candidatesOf(m *intervalLP) [][]graph.Path { return m.routing.(*candidateRo
 // withEveryRow rebuilds a candidate-path LP over the same candidates and
 // options with every capacity row.
 func withEveryRow(m *intervalLP) *intervalLP {
-	return buildIntervalLP(m.inst, m.refs, m.opts, &candidateRouting{cands: candidatesOf(m)})
+	return buildIntervalLP(m.inst, m.refs, m.opts, &candidateRouting{cands: candidatesOf(m), everyRow: true})
 }
 
 // freePathBuild is CircuitFreePaths' builder over four candidate paths, as the
@@ -312,9 +313,60 @@ func TestRowPresolveCases(t *testing.T) {
 	}
 }
 
-// TestGivenPathLPKeepsEveryRow pins the scope: the two given-path schedulers
-// build the LP with every capacity row (ROADMAP queued gain (e)).
-func TestGivenPathLPKeepsEveryRow(t *testing.T) {
+// TestGivenPathPresolveMatchesFullLP is the differential check on the
+// given-path LPs, which leave out the never-binding rows as the free-path LPs
+// do: Table 1's packet and circuit given-path instances, 20 trials of each on
+// the rows' own seeds (experiments.Table1 at its defaults: 3 coflows of width
+// 3, row i's trial t seeded 7 + 100·i + t), and 40 residual instances of the
+// kind online.LPEpoch re-solves every epoch (residualFuzzInstance). Each agrees
+// with its full LP bit for bit, and each kind leaves rows out.
+func TestGivenPathPresolveMatchesFullLP(t *testing.T) {
+	table1Row := func(row int, g *graph.Graph, cfg workload.Config) func(n int) (*coflow.Instance, error) {
+		return func(n int) (*coflow.Instance, error) {
+			return workload.GenerateWithPaths(g, cfg, rand.New(rand.NewSource(int64(7+100*row+n))))
+		}
+	}
+	kinds := []struct {
+		name  string
+		lps   int
+		inst  func(n int) (*coflow.Instance, error)
+		build func(*coflow.Instance) (*intervalLP, error)
+	}{
+		{"table1 packet given", 20, table1Row(0, graph.Ring(6, 1), workload.Config{
+			NumCoflows: 3, Width: 3, PacketModel: true, MeanRelease: 1}), PacketGivenPaths{}.buildLP},
+		{"table1 circuit given", 20, table1Row(2, graph.FatTree(4, 1), workload.Config{
+			NumCoflows: 3, Width: 3, MeanSize: 3, MeanRelease: 1}), CircuitGivenPaths{}.buildLP},
+		// Inputs whose cut leaves no unfinished flow are passed over.
+		{"residual", 40, func(n int) (*coflow.Instance, error) {
+			return residualFuzzInstance(int64(n), uint8(n), uint8(n/2), uint8(7*n))
+		}, CircuitGivenPaths{}.buildLP},
+	}
+	for _, k := range kinds {
+		var sum presolveStats
+		lps := 0
+		for n := 0; lps < k.lps && n < 2*k.lps; n++ {
+			inst, err := k.inst(n)
+			if err != nil {
+				continue
+			}
+			st := comparePresolve(t, fmt.Sprintf("%s %d", k.name, n), inst, k.build)
+			sum.rows += st.rows
+			sum.dropped += st.dropped
+			sum.pivots += st.pivots
+			lps++
+		}
+		t.Logf("%s: %d of %d capacity rows left out over %d LPs, %d pivots", k.name, sum.dropped, sum.rows, lps, sum.pivots)
+		if lps < k.lps || sum.dropped == 0 {
+			t.Errorf("%s: %d LPs compared, want %d; %d capacity rows left out", k.name, lps, k.lps, sum.dropped)
+		}
+	}
+}
+
+// TestGivenPathLPPresolvesLikeFreePath pins the scope: over the same single
+// shortest paths, the given-path LP is, text for text, the free-path LP with
+// one candidate, so both leave out the same rows, and it has fewer rows than
+// the LP with every row.
+func TestGivenPathLPPresolvesLikeFreePath(t *testing.T) {
 	inst := smallFatTreeInstance(t, 5, 3, 3)
 	free, err := CircuitFreePaths{Opts: Options{CandidatePaths: 1}}.buildLP(inst)
 	if err != nil {
@@ -327,13 +379,16 @@ func TestGivenPathLPKeepsEveryRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := withEveryRow(given)
-	if got, want := given.prob.NumConstraints(), full.prob.NumConstraints(); got != want {
-		t.Errorf("given-path LP has %d constraints, %d with every row", got, want)
+	if !reflect.DeepEqual(candidatesOf(given), candidatesOf(free)) {
+		t.Fatal("the assigned shortest paths are not the free-path LP's single candidates")
 	}
-	if free.prob.NumConstraints() >= full.prob.NumConstraints() {
-		t.Errorf("free-path LP over the same single routes has %d constraints, the full LP %d: nothing was left out",
-			free.prob.NumConstraints(), full.prob.NumConstraints())
+	if got, want := given.prob.String(), free.prob.String(); got != want {
+		t.Errorf("given-path LP (%d constraints) differs from the one-candidate free-path LP (%d)",
+			given.prob.NumConstraints(), free.prob.NumConstraints())
+	}
+	if full := withEveryRow(given); given.prob.NumConstraints() >= full.prob.NumConstraints() {
+		t.Errorf("given-path LP has %d constraints, the full LP %d: nothing was left out",
+			given.prob.NumConstraints(), full.prob.NumConstraints())
 	}
 }
 
@@ -382,7 +437,9 @@ func presolveFuzzInstance(seed int64, topo, coflows, width, shape uint8) (*coflo
 // FuzzRowPresolve hunts for an instance on which the LP without the rows that
 // "cannot bind" is not the LP with them: a different pivot count, objective or
 // variable value, a left-out row less than the margin from binding, or a row
-// the builder and the test's own demand count disagree on.
+// the builder and the test's own demand count disagree on. It checks the
+// free-path LP of the instance and the given-path LP with every flow pinned
+// to its shortest path.
 func FuzzRowPresolve(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(4), uint8(1), uint8(0), uint8(0x8c))
@@ -393,5 +450,9 @@ func FuzzRowPresolve(f *testing.F) {
 			t.Skip(err)
 		}
 		comparePresolve(t, "fuzz", inst, CircuitFreePaths{Opts: opts}.buildLP)
+		if err := inst.AssignShortestPaths(); err != nil {
+			t.Fatal(err)
+		}
+		comparePresolve(t, "fuzz, every flow pinned", inst, CircuitGivenPaths{Opts: opts}.buildLP)
 	})
 }

@@ -17,14 +17,12 @@ import (
 type candidateRouting struct {
 	// cands[i] are flow i's candidate paths.
 	cands [][]graph.Path
-	// dropSlackRows leaves out the capacity rows that can never bind
-	// (slackRowMargin).
-	dropSlackRows bool
-	// What size counts the capacity rows over and addRows fills them from:
-	// per edge, the most the flows can send over it (edgeDemand, only with
-	// dropSlackRows), and the crossings of the edge, edge e's being
-	// crossings[start[e]:start[e+1]].
-	demand    []float64
+	// everyRow keeps the capacity rows that can never bind too. Only tests
+	// set it: the LP with every row is the presolve's differential oracle
+	// (withEveryRow). The zero value leaves those rows out (kept).
+	everyRow bool
+	// The crossings size counts the capacity rows over and addRows fills them
+	// from, edge e's being crossings[start[e]:start[e+1]].
 	start     []int
 	crossings []crossing
 	// capRows are the capacity rows addRows added, in LP order; rowName reads
@@ -45,13 +43,10 @@ type capRow struct {
 func (r capRow) name() string { return fmt.Sprintf("cap_e%d_l%d", r.e, r.l) }
 
 // candidateLP builds the candidate-path LP of inst, validated as packets or as
-// circuits. A flow's candidates are its pre-assigned path alone where it has
-// one. With free set, a flow without a path gets opts.CandidatePaths shortest
-// candidates and the capacity rows that can never bind are left out; without
-// it every flow must carry its path and every row is kept. Leaving them out
-// there too would move no schedule, only the given-path LP's text and the
-// test that pins the rows kept (ROADMAP item 1, queued gain (e), has the
-// measurement and what it waits for).
+// circuits, without the capacity rows that can never bind (kept). A flow's
+// candidates are its pre-assigned path alone where it has one. With free set,
+// a flow without a path gets opts.CandidatePaths shortest candidates; without
+// it every flow must carry its path.
 func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*intervalLP, error) {
 	if err := inst.Validate(packet); err != nil {
 		return nil, err
@@ -72,7 +67,7 @@ func candidateLP(inst *coflow.Instance, opts Options, packet, free bool) (*inter
 			return nil, fmt.Errorf("core: no path from %d to %d for flow %s", f.Source, f.Dest, ref)
 		}
 	}
-	return buildIntervalLP(inst, refs, opts, &candidateRouting{cands: cands, dropSlackRows: free}), nil
+	return buildIntervalLP(inst, refs, opts, &candidateRouting{cands: cands}), nil
 }
 
 func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
@@ -108,38 +103,33 @@ func (r *candidateRouting) flowVars(m *intervalLP, i, rel int) [][]lp.Var {
 // the row with its slack basic never joins. The margin is there for the ratio
 // test's tie window, 1e-9·(1+theta): the step leaves the row's slack at least
 // 1e-6·capacity, so its ratio ties the minimum only if its direction entry w
-// has w·(1+theta) above 1 000 capacities. TestRowPresolveMatchesFullLP and
-// FuzzRowPresolve hold the argument to what the solver does.
+// has w·(1+theta) above 1 000 capacities. TestRowPresolveMatchesFullLP,
+// TestGivenPathPresolveMatchesFullLP, FuzzRowPresolve and FuzzResidualLP hold
+// the argument to what the solver does.
 const slackRowMargin = 1e-6
 
-// edgeDemand returns, per edge, the most size the flows can ever send over it:
-// each flow counts once, however many of its candidates cross the edge, at the
-// most crossings any single candidate makes (one, unless a pre-assigned path
-// revisits the edge).
-func edgeDemand(inst *coflow.Instance, refs []coflow.FlowRef, cands [][]graph.Path) []float64 {
-	numEdges := inst.Network.NumEdges()
-	demand := make([]float64, numEdges)
-	// charged[e] crossings of e are already in demand[e] for flow owner[e]-1.
-	charged, owner := make([]int, numEdges), make([]int, numEdges)
-	for i, ref := range refs {
-		size := inst.Flow(ref).Size
-		for _, path := range cands[i] {
-			for _, e := range path {
-				if owner[e] != i+1 {
-					owner[e], charged[e] = i+1, 0
-				}
-				crossings := 0
-				for _, other := range path {
-					if other == e {
-						crossings++
-					}
-				}
-				if crossings > charged[e] {
-					demand[e] += size * float64(crossings-charged[e])
-					charged[e] = crossings
-				}
-			}
+// edgeDemand returns the most size the flows can ever send over edge e: each
+// flow counts once, however many of its candidates cross the edge, at the most
+// crossings any single candidate makes (one, unless a pre-assigned path
+// revisits the edge). It reads the edge's crossings, whose runs are one
+// (flow, candidate) each, in flow and candidate order.
+func (r *candidateRouting) edgeDemand(m *intervalLP, e int) float64 {
+	edge := r.crossings[r.start[e]:r.start[e+1]]
+	// charged crossings of e are already in demand for the run's flow.
+	demand, charged := 0.0, 0
+	for k := 0; k < len(edge); {
+		c, n := edge[k], 1
+		for k+n < len(edge) && edge[k+n] == c {
+			n++
 		}
+		if k == 0 || edge[k-1].flow != c.flow {
+			charged = 0
+		}
+		if n > charged {
+			demand += m.inst.Flow(m.refs[c.flow]).Size * float64(n-charged)
+			charged = n
+		}
+		k += n
 	}
 	return demand
 }
@@ -155,9 +145,6 @@ func (r *candidateRouting) size(m *intervalLP) (vars, rows, terms int) {
 	g, L := m.inst.Network, m.grid.NumIntervals()
 	for i, paths := range r.cands {
 		vars += (L - m.rel[i]) * len(paths)
-	}
-	if r.dropSlackRows {
-		r.demand = edgeDemand(m.inst, m.refs, r.cands)
 	}
 	r.start = make([]int, g.NumEdges()+1)
 	for _, paths := range r.cands {
@@ -188,10 +175,10 @@ func (r *candidateRouting) size(m *intervalLP) (vars, rows, terms int) {
 		for _, c := range r.crossings[r.start[e]:r.start[e+1]] {
 			released[m.rel[c.flow]]++
 		}
-		n := 0
+		demand, n := r.edgeDemand(m, e), 0
 		for l := range L {
 			n += released[l]
-			if n > 0 && r.kept(m, e, l) {
+			if n > 0 && r.kept(m, e, l, demand) {
 				rows++
 				terms += n
 			}
@@ -201,10 +188,11 @@ func (r *candidateRouting) size(m *intervalLP) (vars, rows, terms int) {
 	return vars, rows, terms
 }
 
-// kept reports whether the capacity row of edge e in interval l goes in: with
-// dropSlackRows it is left out where it can never bind (slackRowMargin).
-func (r *candidateRouting) kept(m *intervalLP, e, l int) bool {
-	return !(r.dropSlackRows && r.demand[e]/m.grid.Length(l) <= m.inst.Network.Capacity(graph.EdgeID(e))*(1-slackRowMargin))
+// kept reports whether the capacity row of edge e in interval l goes in, given
+// the edge's demand: it is left out where it can never bind (slackRowMargin),
+// unless everyRow.
+func (r *candidateRouting) kept(m *intervalLP, e, l int, demand float64) bool {
+	return r.everyRow || !(demand/m.grid.Length(l) <= m.inst.Network.Capacity(graph.EdgeID(e))*(1-slackRowMargin))
 }
 
 // addRows adds (8)/(21): per-edge, per-interval capacity. Only edges appearing
@@ -220,9 +208,9 @@ func (r *candidateRouting) addRows(m *intervalLP) {
 	terms := make([]lp.Term, 0, widest)
 	for e := range g.NumEdges() {
 		edge := graph.EdgeID(e)
-		capacity := g.Capacity(edge)
+		capacity, demand := g.Capacity(edge), r.edgeDemand(m, e)
 		for l := range L {
-			if !r.kept(m, e, l) {
+			if !r.kept(m, e, l, demand) {
 				continue // the row cannot bind: it is not added
 			}
 			terms = terms[:0]

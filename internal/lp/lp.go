@@ -91,11 +91,12 @@ type Term struct {
 }
 
 // constraint is the internal record for a linear constraint: its merged terms
-// are Problem.terms[off : off+n].
+// are Problem.terms[off : off+n]. Offsets are 32-bit, as the standard form's
+// indexes are (AddConstraint panics past math.MaxInt32 terms): 24 bytes a row.
 type constraint struct {
 	op     Op
 	rhs    float64
-	off, n int
+	off, n int32
 }
 
 // Names derives the names of a problem's variables and rows, the one being
@@ -185,7 +186,11 @@ func (p *Problem) AddConstraint(op Op, rhs float64, terms ...Term) int {
 			panic(fmt.Sprintf("lp: constraint %q has non-finite coefficient for %s", p.names.ConstraintName(row), p.VariableName(t.Var)))
 		}
 	}
-	p.cons = append(p.cons, constraint{op: op, rhs: rhs, off: off, n: len(p.terms) - off})
+	if len(p.terms) > math.MaxInt32 {
+		p.terms = p.terms[:off]
+		panic(fmt.Sprintf("lp: constraint %q takes the problem past %d terms", p.names.ConstraintName(row), math.MaxInt32))
+	}
+	p.cons = append(p.cons, constraint{op: op, rhs: rhs, off: int32(off), n: int32(len(p.terms) - off)})
 	return row
 }
 

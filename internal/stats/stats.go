@@ -113,7 +113,8 @@ func (t *Table) AddSeries(name string, values []float64) error {
 	return nil
 }
 
-// String renders the table as fixed-width text.
+// String renders the table as fixed-width text. A series column is 16
+// characters wide, or one more than its name, so that names never touch.
 func (t *Table) String() string {
 	var b strings.Builder
 	if t.Title != "" {
@@ -122,13 +123,13 @@ func (t *Table) String() string {
 	// Header.
 	fmt.Fprintf(&b, "%-18s", t.XLabel)
 	for _, s := range t.SeriesSet {
-		fmt.Fprintf(&b, "%16s", s.Name)
+		fmt.Fprintf(&b, "%*s", max(16, len(s.Name)+1), s.Name)
 	}
 	b.WriteString("\n")
 	for i, x := range t.XValues {
 		fmt.Fprintf(&b, "%-18s", x)
 		for _, s := range t.SeriesSet {
-			fmt.Fprintf(&b, "%16.2f", s.Values[i])
+			fmt.Fprintf(&b, "%*.2f", max(16, len(s.Name)+1), s.Values[i])
 		}
 		b.WriteString("\n")
 	}

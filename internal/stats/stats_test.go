@@ -52,6 +52,15 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
 	}
+	// A name of 16 characters or more widens its column instead of running
+	// into the next name.
+	long := NewTable("", "epsilon", []string{"1"})
+	_ = long.AddSeries("LP-Based objective", []float64{73})
+	_ = long.AddSeries("certified lower bound", []float64{73})
+	if got, want := long.String(), "epsilon            LP-Based objective certified lower bound\n"+
+		"1                               73.00                 73.00\n"; got != want {
+		t.Errorf("String() with long names:\n%q\nwant\n%q", got, want)
+	}
 	csv := tab.CSV()
 	if !strings.HasPrefix(csv, "width,LP-Based,Baseline\n") {
 		t.Errorf("CSV header wrong: %q", csv)
